@@ -3,6 +3,7 @@
 from .core import (
     DryStateError,
     H_DRY,
+    NonFiniteError,
     PhysicalParams,
     PositivityError,
     conserved,

@@ -79,11 +79,6 @@ class ScenarioConfig:
     def emit(self) -> dict:
         return json.loads(json.dumps(self.data))
 
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.data, f, indent=2, sort_keys=True)
-            f.write("\n")
-
 
 def _validate(data: dict) -> dict:
     if not isinstance(data, dict):
@@ -287,36 +282,33 @@ def build_simulation(cfg: ScenarioConfig, **overrides) -> NetworkSimulation:
     return sim
 
 
+def initial_profile(section: dict, s, h0: float, u0: float):
+    """Initial depth and axial velocity of one channel at axial positions s.
+
+    `section` is the channel's `initial.per_channel` entry; an empty one
+    means the scenario-wide uniform state (h0, u0).
+    """
+    kind = section.get("type", "uniform")
+    if kind == "uniform":
+        return np.full_like(s, section.get("h", h0)), np.full_like(s, section.get("u", u0))
+    if kind == "dam_break":
+        left, right = section["left"], section["right"]
+        mask = s < section["split_s"]
+        h = np.where(mask, left["h"], right["h"])
+        return h, np.where(mask, left.get("u", 0.0), right.get("u", 0.0))
+    # smooth hump
+    h = section["h0"] + section["amplitude"] * np.exp(
+        -(((s - section["center"]) / section["width"]) ** 2)
+    )
+    return h, np.full_like(h, section.get("u", 0.0))
+
+
 def apply_initial(sim: NetworkSimulation, cfg: ScenarioConfig):
     init = cfg.data.get("initial", {})
-    h0 = init.get("h", 1.0)
-    u0 = init.get("u", 0.0)
     per = init.get("per_channel", {})
     for cid, f in sim.fields.items():
-        section = per.get(cid, {"type": "uniform", "h": h0, "u": u0})
-        kind = section.get("type", "uniform")
-        if kind == "uniform":
-            f.set_uniform(section.get("h", h0), section.get("u", u0))
-        elif kind == "dam_break":
-            left, right = section["left"], section["right"]
-            mask = f.centers < section["split_s"]
-            f.q[:, 0] = np.where(mask, left["h"], right["h"])
-            f.q[:, 1] = np.where(
-                mask, left["h"] * left.get("u", 0.0), right["h"] * right.get("u", 0.0)
-            )
-            f.q[:, 2] = 0.0
-        else:  # smooth hump
-            h = section["h0"] + section["amplitude"] * np.exp(
-                -(((f.centers - section["center"]) / section["width"]) ** 2)
-            )
-            f.q[:, 0] = h
-            f.q[:, 1] = h * section.get("u", 0.0)
-            f.q[:, 2] = 0.0
-    for j in sim.junctions:
-        if j.strategy == "psfp":
-            continue
-        hs = []
-        for ch, end in NetworkSimulation._junction_channel_ends(j):
-            f = sim.fields[ch]
-            hs.append(f.q[0 if end == "start" else -1, 0])
-        j.set_uniform(float(np.mean(hs)))
+        h, u = initial_profile(per.get(cid, {}), f.centers, init.get("h", 1.0), init.get("u", 0.0))
+        f.q[:, 0] = h
+        f.q[:, 1] = h * u
+        f.q[:, 2] = 0.0
+    sim.init_junctions()

@@ -26,6 +26,10 @@ class PositivityError(RuntimeError):
     """Raised when a finite-volume update produces a negative depth."""
 
 
+class NonFiniteError(RuntimeError):
+    """Raised when a state or a time step holds NaN or infinity."""
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants: gravity, Manning friction coefficient."""
@@ -50,10 +54,12 @@ def conserved(h, hu=0.0, hv=0.0) -> np.ndarray:
 
 
 def check_wet(h, context="state"):
-    # NaN compares false, so one reduction also rejects invalid depths.
+    # NaN compares false, so one reduction also rejects invalid depths; the
+    # error type is only worked out once the check has failed.
     if not np.all(np.asarray(h) > H_DRY):
-        hmin = np.nanmin(h) if np.asarray(h).size else np.nan
-        raise DryStateError(f"dry or invalid depth in {context}: min h = {hmin:.6e}")
+        if np.isnan(h).any():
+            raise NonFiniteError(f"non-finite depth in {context}")
+        raise DryStateError(f"dry depth in {context}: min h = {np.min(h):.6e}")
 
 
 def primitives(q: np.ndarray, context="state"):
@@ -113,11 +119,6 @@ def rotate_back(f: np.ndarray, theta) -> np.ndarray:
     )
 
 
-# rotate_back applies equally to states and to fluxes computed in the
-# rotated frame (same transformation matrix).
-rotate_back_flux = rotate_back
-
-
 def max_wave_speed(q: np.ndarray, params: PhysicalParams):
     """|velocity| + sqrt(g h), the largest characteristic speed. Used for CFL."""
     h, u, v = primitives(q, "max_wave_speed")
@@ -129,28 +130,6 @@ def froude(h, u, params: PhysicalParams):
     h = np.asarray(h, dtype=float)
     check_wet(h, "froude")
     return np.abs(u) / np.sqrt(params.g * h)
-
-
-def flux_jacobian_x(q: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """A = dF/dQ evaluated at q, shape (..., 3, 3)."""
-    h, u, v = primitives(q, "flux_jacobian_x")
-    z = np.zeros_like(h)
-    o = np.ones_like(h)
-    row0 = np.stack([z, o, z], axis=-1)
-    row1 = np.stack([params.g * h - u * u, 2.0 * u, z], axis=-1)
-    row2 = np.stack([-u * v, v, u], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
-
-
-def flux_jacobian_y(q: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """B = dG/dQ evaluated at q, shape (..., 3, 3)."""
-    h, u, v = primitives(q, "flux_jacobian_y")
-    z = np.zeros_like(h)
-    o = np.ones_like(h)
-    row0 = np.stack([z, z, o], axis=-1)
-    row1 = np.stack([-u * v, v, u], axis=-1)
-    row2 = np.stack([params.g * h - v * v, z, 2.0 * v], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
 
 
 def jacobian_dot(q: np.ndarray, b: np.ndarray, c, params: PhysicalParams) -> np.ndarray:

@@ -115,8 +115,11 @@ class Channel:
         """Unit vector pointing from the attached junction into the channel."""
         return self.axis if which == "start" else -self.axis
 
-    def point_at(self, s: float) -> np.ndarray:
-        return self.start + self.axis * s
+    def connected_end(self, which: str) -> ConnectedEnd:
+        """This channel's `which` end as seen from the junction attached there."""
+        return ConnectedEnd(
+            self.id, which, self.end_point(which), self.outward_dir(which), self.width
+        )
 
 
 @dataclass

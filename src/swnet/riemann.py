@@ -12,32 +12,6 @@ import numpy as np
 from .core import H_DRY, DryStateError, PhysicalParams, check_wet
 
 
-def wave_speed_estimates(qL: np.ndarray, qR: np.ndarray, params: PhysicalParams):
-    """Left/right/middle wave speeds (S_L, S_R, S_star).
-
-    Depth in the star region is estimated with the two-rarefaction formula;
-    when the estimate exceeds a side's depth that side gets the standard
-    shock-correction factor.
-    """
-    g = params.g
-    hL, hR = qL[..., 0], qR[..., 0]
-    check_wet(hL, "hllc left state")
-    check_wet(hR, "hllc right state")
-    uL, uR = qL[..., 1] / hL, qR[..., 1] / hR
-    aL, aR = np.sqrt(g * hL), np.sqrt(g * hR)
-
-    h_star = np.maximum(0.5 * (aL + aR) + 0.25 * (uL - uR), 0.0) ** 2 / g
-    qfL = np.where(h_star > hL, np.sqrt(0.5 * (h_star + hL) * h_star / (hL * hL)), 1.0)
-    qfR = np.where(h_star > hR, np.sqrt(0.5 * (h_star + hR) * h_star / (hR * hR)), 1.0)
-    sL = uL - aL * qfL
-    sR = uR + aR * qfR
-
-    num = sL * hR * (uR - sR) - sR * hL * (uL - sL)
-    den = hR * (uR - sR) - hL * (uL - sL)
-    s_star = num / den
-    return sL, sR, s_star
-
-
 def hllc_flux(qL: np.ndarray, qR: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """HLLC numerical flux for left/right states in the edge-normal frame.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    NonFiniteError,
     PhysicalParams,
     PositivityError,
     friction_source,
@@ -87,14 +88,15 @@ class ChannelField:
             )
         return self._positions
 
+    def end_cell(self, end: str) -> int:
+        """Index of the cell at the channel's "start" or "end"."""
+        return 0 if end == "start" else self.n - 1
+
     def cell_at(self, s: float) -> int:
         return int(np.clip(np.searchsorted(self.centers, s), 0, self.n - 1))
 
     def volume(self) -> float:
         return float(np.sum(self.q[:, 0] * self.ds) * self.channel.width)
-
-    def max_speed(self) -> float:
-        return float(np.max(max_wave_speed(self.q, self.params)))
 
     def dt_bound(self) -> float:
         lam = max_wave_speed(self.q, self.params)
@@ -178,7 +180,12 @@ class ChannelField:
         if self.params.friction_enabled and self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)
         self.q = self.q + dq
-        if np.any(self.q[:, 0] <= 0.0):
+        if not np.isfinite(self.q).all():
+            i = int(np.argmin(np.isfinite(self.q).all(axis=1)))
+            raise NonFiniteError(
+                f"non-finite state in channel {self.channel.id} cell {i}"
+            )
+        if (self.q[:, 0] <= 0.0).any():
             i = int(np.argmin(self.q[:, 0]))
             raise PositivityError(
                 f"negative depth {self.q[i, 0]:.3e} in channel "

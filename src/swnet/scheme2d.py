@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    NonFiniteError,
     PhysicalParams,
     PositivityError,
     friction_source,
@@ -176,6 +177,9 @@ class MeshField:
         if self.params.friction_enabled and self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)
         self.q = self.q + dq
+        if not np.isfinite(self.q).all():
+            k = int(np.argmin(np.isfinite(self.q).all(axis=1)))
+            raise NonFiniteError(f"non-finite state in 2D cell {k}")
         if np.any(self.q[:, 0] <= 0.0):
             k = int(np.argmin(self.q[:, 0]))
             raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in 2D cell {k}")

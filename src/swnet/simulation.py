@@ -5,6 +5,14 @@ fluxes, interior fluxes, conservative updates, transverse projection in
 junction-adjacent 1D cells, then gauge sampling and the conservation ledger.
 The global time step is the minimum of the per-cell CFL bounds, with the 2D
 limit at half the 1D CFL number.
+
+`NetworkSimulation` drives every junction through the protocol described in
+`junctions` (`ends`, `set_uniform`, `volume`, `dt_bound`, `reconstruct`,
+`channel_neighbors`, `compute_fluxes`, `update`) and never asks which
+strategy a junction uses. The algebraic `PSFPJunction` lives here and keeps
+`compute_end_fluxes` in its own class body, which its `compute_fluxes`
+calls on every step: the benchmark's tracer times PSFP junctions through
+that name.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ import numpy as np
 
 from .core import (
     DryStateError,
+    NonFiniteError,
     PhysicalParams,
     PositivityError,
     physical_flux,
     rotate_back,
     rotate_state,
 )
-from .geometry import Channel, ConnectedEnd, TriMesh, build_junction_polygon
+from .geometry import Channel, TriMesh, build_junction_polygon
 from .junctions import Coupling, JunctionA, JunctionB, project_transverse
 from .meshing import fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
@@ -129,6 +138,8 @@ class JunctionSpec:
     @property
     def depth_factor(self) -> float:
         """Protrusion of the 2D region into each channel, in channel widths."""
+        if self.strategy == "psfp":
+            return 0.0
         return self.protrusion if self.strategy == "A" else self.patch_protrusion
 
 
@@ -137,12 +148,12 @@ class PSFPJunction:
 
     strategy = "psfp"
 
-    def __init__(self, jid, connects, merging, channels, params, order):
+    def __init__(self, jid, connects, merging, channels, params):
         self.id = jid
-        self.connects = list(connects)
+        self.ends = list(connects)
         self.merging = merging
         self.params = params
-        self.widths = np.array([channels[ch].width for ch, _ in self.connects])
+        self.widths = np.array([channels[ch].width for ch, _ in self.ends])
         # Solver velocities point toward the junction in the parent channel
         # and away from it in the daughters.
         self.tau = np.array(
@@ -150,11 +161,11 @@ class PSFPJunction:
                 (1.0 if end == "end" else -1.0)
                 if k == 0
                 else (1.0 if end == "start" else -1.0)
-                for k, (ch, end) in enumerate(self.connects)
+                for k, (ch, end) in enumerate(self.ends)
             ]
         )
 
-    def reconstruct(self, fields):
+    def set_uniform(self, h):
         pass
 
     def volume(self):
@@ -163,15 +174,22 @@ class PSFPJunction:
     def dt_bound(self):
         return np.inf
 
-    def compute_end_fluxes(self, fields, dt, t):
+    def reconstruct(self, fields):
+        pass
+
+    def channel_neighbors(self, fields):
+        return {}
+
+    def compute_fluxes(self, fields, dt):
+        return None, self.compute_end_fluxes(fields, dt)
+
+    def compute_end_fluxes(self, fields, dt):
         depths = np.empty(3)
         velocities = np.empty(3)
-        faces = []
-        for k, (ch, end) in enumerate(self.connects):
+        for k, (ch, end) in enumerate(self.ends):
             f = fields[ch]
-            i = 0 if end == "start" else f.n - 1
-            qf = f.face_state(i, "left" if end == "start" else "right", dt, evolve=False)
-            faces.append(qf)
+            side = "left" if end == "start" else "right"
+            qf = f.face_state(f.end_cell(end), side, dt, evolve=False)
             depths[k] = qf[0]
             velocities[k] = self.tau[k] * qf[1] / qf[0]
         problem = PSFPProblem(self.widths, depths, velocities, merging=self.merging)
@@ -180,74 +198,50 @@ class PSFPJunction:
         except PSFPFailure as exc:
             raise PSFPFailure(
                 exc.kind,
-                f"junction {self.id} at t={t:.6g}: {exc.message}",
+                f"junction {self.id}: {exc.message}",
                 residual_norm=exc.residual_norm,
                 iterations=exc.iterations,
             ) from exc
         rows = psfp_boundary_fluxes(star, self.params)
-        out = {}
-        for k, (ch, end) in enumerate(self.connects):
-            out[(ch, end)] = np.array([self.tau[k] * rows[k, 0], rows[k, 1], 0.0])
-        return out
+        return {
+            key: np.array([self.tau[k] * rows[k, 0], rows[k, 1], 0.0])
+            for k, key in enumerate(self.ends)
+        }
+
+    def update(self, edge_fluxes, dt):
+        pass
 
 
-def build_junction(spec: JunctionSpec, channels, fields, params, order):
-    ends = [
-        ConnectedEnd(
+def build_junction(spec: JunctionSpec, channels, fields, params, order, coupling_mode):
+    """The junction object for a spec: Method A, Method B or algebraic PSFP."""
+    if spec.strategy == "psfp":
+        return PSFPJunction(spec.id, spec.connects, spec.merging, channels, params)
+    ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
+    geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
+    # (channel, end, length, patch mesh edge) per coupling edge or sub-edge.
+    if spec.strategy == "A":
+        bound = [(e.channel, e.channel_end, e.length, -1) for e in geom.coupling_edges()]
+    else:
+        mesh = fan_refine_mesh(geom, spec.patch_refine)
+        bound = [
+            (*mesh.edge_tags[e].split(":")[1:], float(mesh.edge_lengths[e]), int(e))
+            for e in mesh.boundary
+            if mesh.edge_tags[e].startswith("coupling:")
+        ]
+    couplings = [
+        Coupling(
             channel=ch,
             end=end,
-            mouth=channels[ch].end_point(end),
-            direction=channels[ch].outward_dir(end),
-            width=channels[ch].width,
+            sigma=1.0 if end == "start" else -1.0,
+            alpha=channels[ch].axis_angle,
+            length=length,
+            cell_edge=e,
         )
-        for ch, end in spec.connects
+        for ch, end, length, e in bound
     ]
-    if spec.strategy == "psfp":
-        return PSFPJunction(spec.id, spec.connects, spec.merging, channels, params, order)
-
-    geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
     if spec.strategy == "A":
-        couplings = []
-        for e in geom.coupling_edges():
-            ch = channels[e.channel]
-            couplings.append(
-                Coupling(
-                    channel=e.channel,
-                    end=e.channel_end,
-                    sigma=1.0 if e.channel_end == "start" else -1.0,
-                    alpha=ch.axis_angle,
-                    theta=e.theta,
-                    length=e.length,
-                    midpoint=e.midpoint,
-                )
-            )
-        return JunctionA(spec.id, geom, couplings, params, order=order)
-
-    mesh = fan_refine_mesh(geom, spec.patch_refine)
-    couplings = []
-    positions = {}
-    for e in mesh.boundary:
-        tag = mesh.edge_tags[e]
-        if not tag.startswith("coupling:"):
-            continue
-        _, ch_id, end = tag.split(":")
-        ch = channels[ch_id]
-        couplings.append(
-            Coupling(
-                channel=ch_id,
-                end=end,
-                sigma=1.0 if end == "start" else -1.0,
-                alpha=ch.axis_angle,
-                theta=float(mesh.edge_thetas[e]),
-                length=float(mesh.edge_lengths[e]),
-                midpoint=mesh.edge_midpoints[e],
-                cell_edge=int(e),
-            )
-        )
-        f = fields[ch_id]
-        i = 0 if end == "start" else f.n - 1
-        positions[(ch_id, end)] = f.positions()[i]
-    return JunctionB(spec.id, mesh, couplings, positions, params, order=order)
+        return JunctionA(spec.id, geom, couplings, fields, params, order, coupling_mode)
+    return JunctionB(spec.id, mesh, couplings, fields, params, order, coupling_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +299,8 @@ class NetworkSimulation:
         transverse_mode: str = "project",
         gauges=(),
     ):
+        if not 0.0 < cfl <= 1.0:
+            raise ValueError(f"cfl must be in (0, 1], got {cfl}")
         if coupling_mode not in ("shared", "two-pass"):
             raise ValueError(f"unknown coupling mode {coupling_mode!r}")
         if transverse_mode not in ("project", "zero"):
@@ -312,7 +308,6 @@ class NetworkSimulation:
         self.params = params
         self.order = order
         self.cfl = cfl
-        self.coupling_mode = coupling_mode
         self.transverse_mode = transverse_mode
         self.channels = {ch.id: ch for ch in channels}
         if len(self.channels) != len(channels):
@@ -339,12 +334,11 @@ class NetworkSimulation:
                 if (ch.id, end) not in owners:
                     raise ValueError(f"channel end ({ch.id}, {end}) unattached")
 
-        cuts = {}
-        for spec in junction_specs:
-            if spec.strategy == "psfp":
-                continue
-            for ch, end in spec.connects:
-                cuts[(ch, end)] = spec.depth_factor * self.channels[ch].width
+        cuts = {
+            (ch, end): spec.depth_factor * self.channels[ch].width
+            for spec in junction_specs
+            for ch, end in spec.connects
+        }
         self.fields = {
             ch.id: ChannelField(
                 ch,
@@ -356,25 +350,10 @@ class NetworkSimulation:
             for ch in channels
         }
         self.junctions = [
-            build_junction(spec, self.channels, self.fields, params, order)
+            build_junction(spec, self.channels, self.fields, params, order, coupling_mode)
             for spec in junction_specs
         ]
         self.boundaries = dict(boundaries)
-        # (channel, end) -> (junction, coupling or None); used when wiring fluxes.
-        self.junction_ends = {}
-        for j in self.junctions:
-            if j.strategy == "A":
-                for c in j.couplings:
-                    self.junction_ends[(c.channel, c.end)] = (j, c)
-            elif j.strategy == "B":
-                seen = set()
-                for c in j.couplings:
-                    if (c.channel, c.end) not in seen:
-                        seen.add((c.channel, c.end))
-                        self.junction_ends[(c.channel, c.end)] = (j, None)
-            else:
-                for ch, end in j.connects:
-                    self.junction_ends[(ch, end)] = (j, None)
 
         self.t = 0.0
         self.steps = 0
@@ -397,26 +376,13 @@ class NetworkSimulation:
         for cid, f in self.fields.items():
             hc, uc = per_channel.get(cid, (h, u))
             f.set_uniform(hc, uc)
-        for j in self.junctions:
-            if j.strategy == "psfp":
-                continue
-            # Junction elements start from the average of their neighbors.
-            hs, us = [], []
-            for cid, end in self._junction_channel_ends(j):
-                hc, uc = per_channel.get(cid, (h, u))
-                hs.append(hc)
-                us.append(uc)
-            j.set_uniform(float(np.mean(hs)), 0.0, 0.0)
+        self.init_junctions()
 
-    @staticmethod
-    def _junction_channel_ends(j):
-        if j.strategy == "psfp":
-            return list(j.connects)
-        seen = []
-        for c in j.couplings:
-            if (c.channel, c.end) not in seen:
-                seen.append((c.channel, c.end))
-        return seen
+    def init_junctions(self):
+        """Start every junction at rest at the mean depth of its channel end cells."""
+        for j in self.junctions:
+            hs = [self.fields[ch].q[self.fields[ch].end_cell(end), 0] for ch, end in j.ends]
+            j.set_uniform(float(np.mean(hs)))
 
     def total_volume(self) -> float:
         v = sum(f.volume() for f in self.fields.values())
@@ -428,12 +394,12 @@ class NetworkSimulation:
     def compute_dt(self, t_target=np.inf) -> float:
         dt = min(self.cfl * f.dt_bound() for f in self.fields.values())
         for j in self.junctions:
-            b = j.dt_bound()
-            if np.isfinite(b):
-                dt = min(dt, 0.5 * self.cfl * b)
+            dt = min(dt, 0.5 * self.cfl * j.dt_bound())
         if t_target < np.inf:
             dt = min(dt, t_target - self.t)
         if not dt > 0.0:
+            if np.isnan(dt):
+                raise NonFiniteError(f"non-finite wave speed at t={self.t:.6g}")
             raise RuntimeError(f"non-positive time step dt={dt}")
         return float(dt)
 
@@ -444,8 +410,7 @@ class NetworkSimulation:
         nbr = {}
         for j in self.junctions:
             j.reconstruct(fields)
-            if j.strategy != "psfp":
-                nbr.update(j.channel_neighbors(fields))
+            nbr.update(j.channel_neighbors(fields))
         for cid, f in fields.items():
             f.reconstruct(
                 nbr_start=nbr.get((cid, "start")), nbr_end=nbr.get((cid, "end"))
@@ -455,18 +420,14 @@ class NetworkSimulation:
         end_flux = {}
         junction_edge_fluxes = []
         for j in self.junctions:
-            if j.strategy == "psfp":
-                end_flux.update(j.compute_end_fluxes(fields, dt, self.t))
-                junction_edge_fluxes.append(None)
-            else:
-                ef, endf = j.compute_fluxes(fields, dt, mode=self.coupling_mode)
-                junction_edge_fluxes.append(ef)
-                end_flux.update(endf)
+            ef, endf = j.compute_fluxes(fields, dt)
+            junction_edge_fluxes.append(ef)
+            end_flux.update(endf)
         boundary_mass = 0.0
         for (cid, end), bc in self.boundaries.items():
             f = fields[cid]
-            i = 0 if end == "start" else f.n - 1
-            qf = f.face_state(i, "left" if end == "start" else "right", dt, evolve=False)
+            side = "left" if end == "start" else "right"
+            qf = f.face_state(f.end_cell(end), side, dt, evolve=False)
             flx = boundary_flux(qf, bc, end, self.t, self.params)
             end_flux[(cid, end)] = flx
             sign = 1.0 if end == "start" else -1.0
@@ -477,17 +438,14 @@ class NetworkSimulation:
 
         # Phase 4: updates.
         for j, ef in zip(self.junctions, junction_edge_fluxes):
-            if ef is not None:
-                j.update(ef, dt)
+            j.update(ef, dt)
         for cid, f in fields.items():
             f.update(end_flux[(cid, "start")], interior[cid], end_flux[(cid, "end")], dt)
 
-        # Phase 5: transverse handling next to 2D junction elements.
-        for (ch, end), (j, _) in self.junction_ends.items():
-            if j.strategy == "psfp":
-                continue
+        # Phase 5: transverse handling in the 1D cells next to junction cells.
+        for ch, end in nbr:
             f = fields[ch]
-            i = 0 if end == "start" else f.n - 1
+            i = f.end_cell(end)
             if self.transverse_mode == "project":
                 f.q[i], discarded = project_transverse(f.q[i])
             else:
@@ -520,7 +478,7 @@ class NetworkSimulation:
                 self.advance(dt)
                 if self.steps % output_stride == 0:
                     self.sample_gauges()
-        except (PSFPFailure, PositivityError, DryStateError) as exc:
+        except (PSFPFailure, PositivityError, DryStateError, NonFiniteError) as exc:
             failure = exc
             if isinstance(exc, PSFPFailure):
                 self.diagnostics["psfp_failures"].append(
@@ -588,6 +546,8 @@ class Mesh2DSimulation:
         boundary_conditions: dict = None,
         gauges=(),
     ):
+        if not 0.0 < cfl <= 1.0:
+            raise ValueError(f"cfl must be in (0, 1], got {cfl}")
         self.mesh = mesh
         self.params = params
         self.order = order
@@ -621,6 +581,8 @@ class Mesh2DSimulation:
         dt = 0.5 * self.cfl * self.field.dt_bound()
         dt = min(dt, t_target - self.t)
         if not dt > 0.0:
+            if np.isnan(dt):
+                raise NonFiniteError(f"non-finite wave speed at t={self.t:.6g}")
             raise RuntimeError(f"non-positive time step dt={dt}")
         return float(dt)
 
@@ -688,7 +650,7 @@ class Mesh2DSimulation:
                 self.advance(self.compute_dt(t_target=t_end))
                 if self.steps % output_stride == 0:
                     self.sample_gauges()
-        except (PositivityError, DryStateError) as exc:
+        except (PositivityError, DryStateError, NonFiniteError) as exc:
             failure = exc
         wall = time.perf_counter() - start
         diags = {"initial_volume": v0, "final_volume": self.field.volume()}

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ScenarioConfig, build_simulation, physical_params
-from .geometry import Channel, GeometryError, MeshError, build_junction_polygon, ConnectedEnd
+from .config import ScenarioConfig, build_simulation, initial_profile, physical_params
+from .geometry import Channel, GeometryError, MeshError, build_junction_polygon
 from .meshing import rect_union_mesh
 from .presets import smooth1d
 from .simulation import (
@@ -54,16 +54,7 @@ def build_reference_sim(
 
     cores = []
     for j in data.get("junctions", []):
-        ends = [
-            ConnectedEnd(
-                channel=c["channel"],
-                end=c["end"],
-                mouth=channels[c["channel"]].end_point(c["end"]),
-                direction=channels[c["channel"]].outward_dir(c["end"]),
-                width=channels[c["channel"]].width,
-            )
-            for c in j["connects"]
-        ]
+        ends = [channels[c["channel"]].connected_end(c["end"]) for c in j["connects"]]
         try:
             cores.append(build_junction_polygon(ends, j["position"], 0.0).vertices)
         except GeometryError:
@@ -98,7 +89,6 @@ def build_reference_sim(
     per = init.get("per_channel", {})
     q = np.zeros((mesh.n_cells, 3))
     q[:, 0] = h0
-    q[:, 1:] = 0.0
     for cid, ch in channels.items():
         axis = ch.axis
         perp = np.array([-axis[1], axis[0]])
@@ -108,23 +98,7 @@ def build_reference_sim(
         inside = (along >= -1e-9) & (along <= ch.length + 1e-9) & (
             np.abs(across) <= ch.width / 2.0 + 1e-9
         )
-        section = per.get(cid, {"type": "uniform", "h": h0, "u": u0})
-        kind = section.get("type", "uniform")
-        if kind == "uniform":
-            h = np.full(inside.sum(), section.get("h", h0))
-            u = np.full(inside.sum(), section.get("u", u0))
-        elif kind == "dam_break":
-            s = along[inside]
-            left, right = section["left"], section["right"]
-            mask = s < section["split_s"]
-            h = np.where(mask, left["h"], right["h"])
-            u = np.where(mask, left.get("u", 0.0), right.get("u", 0.0))
-        else:  # hump
-            s = along[inside]
-            h = section["h0"] + section["amplitude"] * np.exp(
-                -(((s - section["center"]) / section["width"]) ** 2)
-            )
-            u = np.full_like(h, section.get("u", 0.0))
+        h, u = initial_profile(per.get(cid, {}), along[inside], h0, u0)
         q[inside, 0] = h
         q[inside, 1] = h * u * axis[0]
         q[inside, 2] = h * u * axis[1]
@@ -140,10 +114,6 @@ def build_reference_sim(
     )
     sim.field.q[:] = q
     return sim
-
-
-def gauge_integral(times, values) -> float:
-    return float(np.trapezoid(values, times))
 
 
 def grid_independence(cfg: ScenarioConfig, sizes, point=None, t_end=None) -> list[dict]:
@@ -166,7 +136,7 @@ def grid_independence(cfg: ScenarioConfig, sizes, point=None, t_end=None) -> lis
         if res.status != "completed":
             raise RuntimeError(f"reference run at dx={dx} failed: {res.failure}")
         t, h, _ = res.gauges.series("probe")
-        integral = gauge_integral(t, h)
+        integral = float(np.trapezoid(h, t))
         rows.append(
             {
                 "size": dx,
@@ -196,22 +166,19 @@ def convergence_order(order=2, base_cells=50, levels=4, t_end=1.0, cfl=0.9, ref_
         res = sim.run(t_end)
         if res.status != "completed":
             raise RuntimeError(f"convergence run at {cells} cells failed: {res.failure}")
-        solutions[cells] = sim.fields["ch1"].q[:, 0].copy()
-    href = solutions[ref_cells]
+        f = sim.fields["ch1"]
+        solutions[cells] = (f.q[:, 0].copy(), f.ds)
+    href = solutions[ref_cells][0]
     errors = []
     for cells in cell_counts:
         m = ref_cells // cells
         projected = href.reshape(cells, m).mean(axis=1)
-        ds = 25.0 / cells
-        errors.append(float(np.sum(np.abs(solutions[cells] - projected)) * ds))
+        h, ds = solutions[cells]
+        errors.append(float(np.sum(np.abs(h - projected) * ds)))
     orders = [
         float(np.log2(errors[k] / errors[k + 1])) for k in range(len(errors) - 1)
     ]
     return {"cells": cell_counts, "errors": errors, "orders": orders}
-
-
-def resample(times, values, grid) -> np.ndarray:
-    return np.interp(grid, times, values)
 
 
 def compare_methods(
@@ -239,7 +206,7 @@ def compare_methods(
         "steps": res.steps,
         "cells": ref.mesh.n_cells,
         "series": {
-            g.id: resample(*res.gauges.series(g.id)[:2], grid) for g in ref.gauges
+            g.id: np.interp(grid, *res.gauges.series(g.id)[:2]) for g in ref.gauges
         },
     }
     for strategy in strategies:
@@ -251,7 +218,7 @@ def compare_methods(
             "wall_time": res.wall_time,
             "steps": res.steps,
             "series": {
-                g.id: resample(*res.gauges.series(g.id)[:2], grid)
+                g.id: np.interp(grid, *res.gauges.series(g.id)[:2])
                 for g in sim.recorder.gauges
             },
         }

@@ -72,6 +72,18 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_config(data)
 
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5, float("nan")])
+    def test_cfl_outside_unit_interval_rejected(self, cfl):
+        data = minimal_cfg()
+        data["numerics"] = {"cfl": cfl}
+        with pytest.raises(ConfigError, match="cfl"):
+            build_simulation(parse_config(data))
+        with pytest.raises(ConfigError, match="cfl"):
+            build_simulation(parse_config(minimal_cfg()), cfl=cfl)
+
+    def test_cfl_one_accepted(self):
+        assert build_simulation(parse_config(minimal_cfg()), cfl=1.0).cfl == 1.0
+
     def test_unattached_end_rejected(self):
         data = minimal_cfg()
         data["boundaries"].pop()
@@ -147,6 +159,16 @@ class TestCli:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2
         assert "ghost" in capsys.readouterr().err
+
+    def test_invalid_cfl_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = minimal_cfg()
+        data["numerics"] = {"cfl": 0.0}
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        code = main(["run", "--preset", "test1_sub90", "--cfl", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cfl must be in (0, 1]" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         assert main(["validate", "/nonexistent/path.json"]) == 2

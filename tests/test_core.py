@@ -14,7 +14,6 @@ from swnet.core import (
     physical_flux_y,
     primitives,
     rotate_back,
-    rotate_back_flux,
     rotate_state,
 )
 
@@ -103,7 +102,7 @@ class TestRotation:
     def test_rotate_back_pure_pressure(self):
         p = 4.905
         th = 0.7
-        out = rotate_back_flux(np.array([0.0, p, 0.0]), th)
+        out = rotate_back(np.array([0.0, p, 0.0]), th)
         assert np.allclose(out, [0.0, p * np.cos(th), p * np.sin(th)], atol=1e-14)
 
     def test_rotational_invariance_identity(self):

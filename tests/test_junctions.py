@@ -175,10 +175,11 @@ class TestJunctionRuns:
         # parent axis is x; transverse momentum of the junction element stays 0
         assert abs(sim.junctions[0].q[2]) < 1e-12
 
-    def test_two_pass_mode_close_to_shared(self):
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_two_pass_mode_close_to_shared(self, strategy):
         cfg = preset_test1()
-        sim1 = build_simulation(cfg)
-        sim2 = build_simulation(cfg, coupling="two-pass")
+        sim1 = build_simulation(cfg, strategy=strategy)
+        sim2 = build_simulation(cfg, strategy=strategy, coupling="two-pass")
         r1 = sim1.run(4.0)
         r2 = sim2.run(4.0)
         h1 = np.array(r1.gauges.h["g_ch2"])
@@ -213,3 +214,35 @@ class TestJunctionRuns:
             v_new = sim.total_volume()
             assert abs(v_new - v) < 1e-13 * v
             v = v_new
+
+
+@pytest.mark.parametrize(
+    "name, strategy, n_ends",
+    [
+        ("test1_sub90", "A", 3),
+        ("test1_sub90", "B", 3),
+        ("test1_sub90", "psfp", 3),
+        ("test6_network", "A", 4),
+        ("test6_network", "B", 4),
+    ],
+)
+def test_junction_protocol(name, strategy, n_ends):
+    # Every junction treatment answers the same calls the network stepper
+    # makes; the algebraic one has no cells and no stencil entries.
+    sim = build_simulation(presets.preset(name, strategy=strategy))
+    junctions = [j for j in sim.junctions if len(j.ends) == n_ends]
+    assert junctions
+    dt = sim.compute_dt()
+    for j in junctions:
+        assert j.strategy == strategy
+        j.reconstruct(sim.fields)
+        nbr = j.channel_neighbors(sim.fields)
+        assert set(nbr) <= set(j.ends)
+        edge_fluxes, end_fluxes = j.compute_fluxes(sim.fields, dt)
+        assert len(end_fluxes) == len(j.ends) and set(end_fluxes) == set(j.ends)
+        if strategy == "psfp":
+            assert j.volume() == 0.0 and j.dt_bound() == np.inf
+            assert nbr == {} and edge_fluxes is None
+        else:
+            assert set(nbr) == set(j.ends)
+            assert j.volume() > 0.0 and np.isfinite(j.dt_bound())

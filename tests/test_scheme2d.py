@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swnet.core import PhysicalParams, PositivityError, rotate_state
+from swnet.core import NonFiniteError, PhysicalParams, PositivityError, rotate_state
 from swnet.geometry import TriMesh
 from swnet.meshing import rect_union_mesh
 from swnet.scheme2d import MeshField, interior_edge_fluxes
@@ -200,3 +200,18 @@ class TestRotationalEquivariance:
         rotated[:, 0] = sim.field.q[:, 0]
         rotated[:, 1:] = sim.field.q[:, 1:] @ R.T
         assert np.abs(sim_r.field.q - rotated).max() < 1e-11
+
+
+@pytest.mark.parametrize("cfl", [0.0, 1.01])
+def test_reference_rejects_cfl_outside_unit_interval(cfl):
+    with pytest.raises(ValueError, match="cfl"):
+        Mesh2DSimulation(box_mesh(), P, cfl=cfl)
+
+
+def test_nan_flux_is_non_finite_failure():
+    f = MeshField(box_mesh(), P)
+    f.set_uniform(1.0)
+    flux = np.zeros((len(f.mesh.edge_lengths), 3))
+    flux[7, 1] = np.nan
+    with pytest.raises(NonFiniteError, match="2D cell"):
+        f.update(flux, 0.01)

@@ -3,7 +3,7 @@ import pytest
 
 from swnet import presets
 from swnet.config import ScenarioConfig, build_simulation
-from swnet.core import PhysicalParams
+from swnet.core import NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
 from swnet.psfp import PSFPFailure
 from swnet.simulation import (
@@ -175,6 +175,43 @@ class TestAdvance:
             "supercritical_data",
             "non_convergence",
         )
+
+
+class TestNonFinite:
+    # NaN momentum in one 1D cell must surface as a non-finite failure, not
+    # as a dry state or an untyped time-step error.
+    def test_run_reports_non_finite_failure(self):
+        sim = build_simulation(presets.preset("test1_sub90"))
+        sim.fields["ch1"].q[5, 1] = np.nan
+        res = sim.run(1.0)
+        assert res.status == "failed"
+        assert isinstance(res.failure, NonFiniteError)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_step_raises_non_finite(self, order):
+        sim = build_simulation(presets.preset("test1_sub90"), order=order)
+        dt = sim.compute_dt()
+        sim.fields["ch1"].q[5, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            sim.advance(dt)
+
+    def test_update_names_channel_cell_and_junction(self):
+        sim = build_simulation(presets.preset("test1_sub90"))
+        f = sim.fields["ch1"]
+        interior = np.zeros((f.n - 1, 3))
+        interior[4, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="channel ch1 cell 4"):
+            f.update(np.zeros(3), interior, np.zeros(3), 0.01)
+        j = sim.junctions[0]
+        fluxes = np.zeros((len(j.geom.edges), 3))
+        fluxes[0, 2] = np.nan
+        with pytest.raises(NonFiniteError, match=f"junction {j.id}"):
+            j.update(fluxes, 0.01)
+        j = build_simulation(presets.preset("test1_sub90"), strategy="B").junctions[0]
+        fluxes = np.zeros((len(j.mesh.edge_lengths), 3))
+        fluxes[0, 2] = np.nan
+        with pytest.raises(NonFiniteError, match=f"junction {j.id}: .* 2D cell"):
+            j.update(fluxes, 0.01)
 
 
 class TestGaugeCsv:
