@@ -71,9 +71,9 @@ def _dump_final_state(out_dir: Path, sim):
 
 def cmd_run(args) -> int:
     cfg = _load_scenario(args)
+    sim = build_simulation(cfg, **_overrides(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = build_simulation(cfg, **_overrides(args))
     t_end = args.t_end if args.t_end is not None else cfg.t_end
     result = sim.run(t_end, output_stride=args.stride)
     write_gauge_csv(out_dir / "gauges.csv", result.gauges)

@@ -1,13 +1,30 @@
-"""Second-order finite-volume scheme on 1D channel grids.
+"""Second-order finite-volume scheme on the 1D channel grids of a network.
 
 One-step ADER update: limited linear reconstruction, half-time-step evolution
 of the boundary-extrapolated states through the flux Jacobian, HLLC interface
-fluxes, conservative update. States are (n, 3) conserved arrays in the
+fluxes, conservative update. States are (n, 3) conserved arrays in each
 channel's axial frame; the transverse component stays zero away from
 junction-adjacent cells.
+
+Ragged layout. `ChannelField` holds the cells of every channel of a network
+in one (N, 3) array, channel after channel; `offsets[c]:offsets[c + 1]` are
+the cells of channel c. Each channel has one more face than cells, so the
+network has N + C faces and cell i of channel c lies between faces i + c and
+i + c + 1. Each step then runs every stage (reconstruction, limiting, face
+states, interior HLLC, update, CFL bound) as one numpy call over all cells.
+Channel ends are numbered 2c ("start") and 2c + 1 ("end"); the `end_*`
+arrays map an end to its cell, its face and the side of the cell it lies on,
+and junctions and boundaries address the field only through these numbers.
+
+`ChannelSegment` is one channel's window onto the field. Its `q` slices
+the owner's array on every access instead of holding a numpy view taken at
+construction: `copy.deepcopy` turns a view into an independent array, so a
+copied simulation would otherwise read stale cells.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,122 +40,166 @@ from .geometry import Channel
 from .riemann import hllc_flux
 
 
+def _trim(channel: Channel, start_cut: float, end_cut: float):
+    """(cell width, swallowed start cells, remaining cells, axial position of
+    the last face) of a channel whose ends the junction elements protrude
+    into by the cuts."""
+    length = channel.length
+    ds = length / channel.cells
+
+    def swallowed(cut):
+        # Drop the swallowed cells and keep the partial end cell within
+        # [ds/2, 3ds/2] so it cannot become a CFL sliver.
+        k = math.floor(cut / ds + 1e-9)
+        return k + 1 if cut - k * ds > 0.5 * ds else k
+
+    k0 = swallowed(start_cut)
+    n = channel.cells - k0 - swallowed(end_cut)
+    if n < 2:
+        raise ValueError(
+            f"channel {channel.id}: junction protrusions leave {n} cells "
+            f"(need at least 2)"
+        )
+    return ds, k0, n, length - end_cut
+
+
 class ChannelField:
-    """Cell averages and reconstruction data for one channel."""
+    """Cell averages and reconstruction data of every channel of a network."""
 
     def __init__(
         self,
-        channel: Channel,
+        channels: list[Channel],
         params: PhysicalParams,
         order: int = 2,
-        start_cut: float = 0.0,
-        end_cut: float = 0.0,
+        cuts: dict | None = None,
     ):
-        ds = channel.ds
-
-        def trimmed(cut):
-            # Junction elements protrude into the channel by `cut`; drop the
-            # swallowed cells and keep the partial end cell within
-            # [ds/2, 3ds/2] so it cannot become a CFL sliver.
-            k = int(np.floor(cut / ds + 1e-9))
-            rem = cut - k * ds
-            if rem > 0.5 * ds:
-                k += 1
-            return k
-
-        k0, k1 = trimmed(start_cut), trimmed(end_cut)
-        n = channel.cells - k0 - k1
-        if n < 2:
-            raise ValueError(
-                f"channel {channel.id}: junction protrusions leave {n} cells "
-                f"(need at least 2)"
-            )
-        edges = np.concatenate(
-            [[start_cut], ds * np.arange(k0 + 1, channel.cells - k1), [channel.length - end_cut]]
-        )
-        self.channel = channel
+        """`cuts` maps (channel id, "start" | "end") to the protrusion of the
+        junction element attached there; missing ends are not trimmed."""
+        cuts = cuts or {}
+        start_cut = [cuts.get((ch.id, "start"), 0.0) for ch in channels]
+        cell_ds, k0, counts, end_pos = np.array(
+            [_trim(ch, a, cuts.get((ch.id, "end"), 0.0)) for ch, a in zip(channels, start_cut)]
+        ).T
+        counts = counts.astype(int)
+        N, C = int(counts.sum()), len(channels)
+        self.channels = list(channels)
         self.params = params
         self.order = order
-        self.ds = np.diff(edges)
-        self.centers = 0.5 * (edges[:-1] + edges[1:])
-        if np.any(self.ds <= 0.0):
-            raise ValueError(f"channel {channel.id}: non-positive trimmed cell")
-        self.q = np.zeros((n, 3))
-        self.slopes = np.zeros((n, 3))
-        # Static stencil geometry for the interior least-squares slopes.
-        self._dL = (self.centers[1:-1] - self.centers[:-2])[:, None]
-        self._dR = (self.centers[2:] - self.centers[1:-1])[:, None]
-        self._denom = self._dL * self._dL + self._dR * self._dR
+        self.index = {ch.id: c for c, ch in enumerate(channels)}
+        self.offsets = np.zeros(C + 1, dtype=int)
+        np.cumsum(counts, out=self.offsets[1:])
+        self._chan = np.repeat(np.arange(C), counts)
+        first, last = self.offsets[:-1], self.offsets[1:] - 1
+
+        # Faces along each channel axis: uniform, except where a junction
+        # element cuts the first and last cell. Cell i of channel c lies
+        # between faces i + c and i + c + 1.
+        face_chan = np.repeat(np.arange(C), counts + 1)
+        first_face = first + np.arange(C)
+        faces = cell_ds[face_chan] * (np.arange(N + C) - (first_face - k0)[face_chan])
+        faces[first_face] = start_cut
+        faces[first_face + counts] = end_pos
+        self._left_face = np.arange(N) + self._chan
+        left, right = faces[self._left_face], faces[self._left_face + 1]
+        self.ds = right - left
+        if self.ds.min() <= 0.0:
+            c = self._chan[np.argmin(self.ds)]
+            raise ValueError(f"channel {channels[c].id}: non-positive trimmed cell")
+        self.centers = 0.5 * (left + right)
+        self.widths = np.array([ch.width for ch in channels])
+        self.q = np.zeros((N, 3))
+        self.slopes = np.zeros((N, 3))
+        # Face states of every cell, set by `face_state`: rows [0, N) hold the
+        # left faces, rows [N, 2N) the right faces.
+        self.faces = None
+
+        # Channel ends: 2c is the start of channel c, 2c + 1 its end.
+        self.end_cell = np.empty(2 * C, dtype=int)
+        self.end_cell[0::2], self.end_cell[1::2] = first, last
+        self.end_face = self.end_cell + (np.arange(2 * C) + 1) // 2
+        self.end_sign = np.ones(2 * C)  # side of the cell the end face lies on
+        self.end_sign[0::2] = -1.0
+        self.end_slot = self.end_cell + N * (self.end_sign > 0.0)  # row in `faces`
+        self.end_off = self.end_sign * (0.5 * self.ds[self.end_cell])
+
         self._half = 0.5 * self.ds[:, None]
+        # Cells with a right neighbor in the same channel; the face between
+        # cell i and i + 1 of the flat array is face i + c + 1.
+        has_right = np.ones(N, dtype=bool)
+        has_right[last] = False
+        self._lcell = np.arange(N)[has_right]
+        self._inner_face = self._left_face[has_right] + 1
+        # Static stencil geometry of the interior least-squares slopes, for
+        # rows 1..N-2 of the flat array. Rows whose 3-cell stencil straddles
+        # two channels are channel end cells, overwritten after use; one of
+        # their two spacings lies inside the channel, so the denominator
+        # stays positive.
+        d = (self.centers[1:] - self.centers[:-1])[:, None]
+        self._dL, self._dR = d[:-1], d[1:]
+        self._denom = self._dL * self._dL + self._dR * self._dR
+
+        self.segments = {ch.id: ChannelSegment(self, c) for c, ch in enumerate(channels)}
 
     @property
     def n(self) -> int:
         return len(self.q)
+
+    def end_index(self, channel_id: str, end: str) -> int:
+        """Number of the channel end ("start" or "end") of a channel."""
+        return 2 * self.index[channel_id] + (end == "end")
 
     def set_uniform(self, h, u=0.0):
         self.q[:, 0] = h
         self.q[:, 1] = h * u
         self.q[:, 2] = 0.0
 
-    def positions(self) -> np.ndarray:
-        """Global (x, y) coordinates of the cell centers."""
-        if not hasattr(self, "_positions"):
-            self._positions = (
-                self.channel.start[None, :] + self.centers[:, None] * self.channel.axis
-            )
-        return self._positions
-
-    def end_cell(self, end: str) -> int:
-        """Index of the cell at the channel's "start" or "end"."""
-        return 0 if end == "start" else self.n - 1
-
-    def cell_at(self, s: float) -> int:
-        return int(np.clip(np.searchsorted(self.centers, s), 0, self.n - 1))
-
     def volume(self) -> float:
-        return float(np.sum(self.q[:, 0] * self.ds) * self.channel.width)
+        per_channel = np.add.reduceat(self.q[:, 0] * self.ds, self.offsets[:-1])
+        return float(np.sum(per_channel * self.widths))
 
     def dt_bound(self) -> float:
         lam = max_wave_speed(self.q, self.params)
         return float(np.min(self.ds / lam))
 
-    def reconstruct(self, nbr_start=None, nbr_end=None):
+    def reconstruct(self, nbr=None):
         """Limited least-squares slopes of the conserved variables.
 
-        nbr_start / nbr_end optionally supply a junction-side neighbor as a
-        (state, centroid_distance) pair expressed in the channel frame; cells
-        at plain boundary ends keep zero slope.
+        `nbr` optionally supplies junction-side stencil entries as arrays
+        (ends, states, distances): channel end numbers, the junction states
+        in each channel's frame, and the projected centroid distances beyond
+        the end face. End cells without an entry keep zero slope.
         """
-        q, n = self.q, self.n
-        self.slopes[:] = 0.0
-        if self.order < 2 or n < 2:
+        q = self.q
+        slopes = np.zeros_like(q)
+        self.slopes = slopes
+        if self.order < 2:
             return
 
         diffL = q[:-2] - q[1:-1]
         diffR = q[2:] - q[1:-1]
-        self.slopes[1:-1] = (self._dR * diffR - self._dL * diffL) / self._denom
-
-        lo = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
-        hi = np.maximum(np.maximum(q[:-2], q[2:]), q[1:-1])
+        slopes[1:-1] = (self._dR * diffR - self._dL * diffL) / self._denom
         qmin = np.empty_like(q)
         qmax = np.empty_like(q)
-        qmin[1:-1], qmax[1:-1] = lo, hi
-        qmin[0] = qmax[0] = q[0]
-        qmin[-1] = qmax[-1] = q[-1]
+        qmin[1:-1] = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
+        qmax[1:-1] = np.maximum(np.maximum(q[:-2], q[2:]), q[1:-1])
+        ends = self.end_cell
+        slopes[ends] = 0.0
+        qmin[ends] = qmax[ends] = q[ends]
 
-        for idx, nbr, inner in ((0, nbr_start, 1), (n - 1, nbr_end, n - 2)):
-            if nbr is None:
-                continue
-            nbr_q, nbr_d = nbr
+        if nbr is not None and len(nbr[0]):
+            e, nbr_q, nbr_d = nbr
+            idx = self.end_cell[e]
+            sign = self.end_sign[e]
+            inner = idx - sign.astype(int)
             diff_in = q[inner] - q[idx]
             diff_nb = nbr_q - q[idx]
             # Least squares over the interior neighbor and the junction
             # element; the junction centroid sits beyond the end face, at the
             # projected distance nbr_d along the axis.
-            off_in = self.centers[inner] - self.centers[idx]
-            off_nb = (-1.0 if idx == 0 else 1.0) * nbr_d
+            off_in = (self.centers[inner] - self.centers[idx])[:, None]
+            off_nb = (sign * nbr_d)[:, None]
             denom = off_in**2 + off_nb**2
-            self.slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
+            slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
             qmin[idx] = np.minimum(np.minimum(q[inner], nbr_q), q[idx])
             qmax[idx] = np.maximum(np.maximum(q[inner], nbr_q), q[idx])
 
@@ -156,41 +217,95 @@ class ChannelField:
         cand = np.where(pos, np.minimum(hi, -lo), np.where(neg, np.minimum(lo, -hi), 1.0))
         self.slopes *= np.clip(cand, 0.0, 1.0)
 
-    def face_state(self, i: int, side: str, dt: float, evolve: bool = True):
-        """Boundary-extrapolated (and optionally half-step evolved) state."""
-        off = 0.5 * self.ds[i] if side == "right" else -0.5 * self.ds[i]
-        qf = self.q[i] + self.slopes[i] * off
-        if evolve and self.order >= 2:
-            qf = qf - 0.5 * dt * jacobian_dot(qf, self.slopes[i], None, self.params)
-        return qf
-
-    def interior_fluxes(self, dt: float) -> np.ndarray:
-        """HLLC fluxes at the n-1 interior interfaces."""
-        qL = self.q[:-1] + self.slopes[:-1] * self._half[:-1]
-        qR = self.q[1:] - self.slopes[1:] * self._half[1:]
+    def face_state(self, dt: float) -> np.ndarray:
+        """Boundary-extrapolated, half-step evolved states at both faces of
+        every cell, (2N, 3); also kept as `faces`."""
+        step = self.slopes * self._half
+        faces = np.concatenate([self.q - step, self.q + step])
         if self.order >= 2:
-            qL = qL - 0.5 * dt * jacobian_dot(qL, self.slopes[:-1], None, self.params)
-            qR = qR - 0.5 * dt * jacobian_dot(qR, self.slopes[1:], None, self.params)
-        return hllc_flux(qL, qR, self.params)
+            slopes = np.concatenate([self.slopes, self.slopes])
+            faces = faces - 0.5 * dt * jacobian_dot(faces, slopes, None, self.params)
+        self.faces = faces
+        return faces
 
-    def update(self, flux_start, interior, flux_end, dt: float):
-        """Conservative update with explicit pointwise friction."""
-        F = np.vstack([flux_start[None, :], interior, flux_end[None, :]])
-        dq = -(dt / self.ds)[:, None] * (F[1:] - F[:-1])
+    def end_states(self, ends) -> np.ndarray:
+        """Boundary-extrapolated states at channel end faces, not evolved."""
+        cells = self.end_cell[ends]
+        return self.q[cells] + self.slopes[cells] * self.end_off[ends][:, None]
+
+    def interior_fluxes(self) -> np.ndarray:
+        """Face flux array (N + C, 3) with the HLLC fluxes at interior faces.
+
+        Reads the face states of the last `face_state` call. The channel end
+        faces hold NaN until the junction and boundary fluxes fill them.
+        """
+        N = self.n
+        flux = np.full((N + len(self.channels), 3), np.nan)
+        lc = self._lcell
+        flux[self._inner_face] = hllc_flux(self.faces[N + lc], self.faces[lc + 1], self.params)
+        return flux
+
+    def update(self, flux, dt: float):
+        """Conservative update from the face flux array, with explicit pointwise friction."""
+        dq = -(dt / self.ds)[:, None] * np.diff(flux, axis=0)[self._left_face]
         if self.params.friction_enabled and self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)
         self.q = self.q + dq
         if not np.isfinite(self.q).all():
-            i = int(np.argmin(np.isfinite(self.q).all(axis=1)))
             raise NonFiniteError(
-                f"non-finite state in channel {self.channel.id} cell {i}"
+                f"non-finite state in {self._cell_name(np.argmin(np.isfinite(self.q).all(axis=1)))}"
             )
         if (self.q[:, 0] <= 0.0).any():
             i = int(np.argmin(self.q[:, 0]))
-            raise PositivityError(
-                f"negative depth {self.q[i, 0]:.3e} in channel "
-                f"{self.channel.id} cell {i}"
-            )
+            raise PositivityError(f"negative depth {self.q[i, 0]:.3e} in {self._cell_name(i)}")
 
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.q[:, 0]))))
+    def positions(self, cells) -> np.ndarray:
+        """Global (x, y) coordinates of the centers of `cells`."""
+        chs = [self.channels[c] for c in self._chan[cells]]
+        return (
+            np.array([ch.start for ch in chs])
+            + self.centers[cells][:, None] * np.array([ch.axis for ch in chs])
+        )
+
+    def _cell_name(self, i) -> str:
+        c = self._chan[i]
+        return f"channel {self.channels[c].id} cell {int(i - self.offsets[c])}"
+
+
+class ChannelSegment:
+    """One channel of a `ChannelField`: slices of its cells, read on access."""
+
+    def __init__(self, field: ChannelField, c: int):
+        self.field = field
+        self.channel = field.channels[c]
+        self.first = int(field.offsets[c])  # flat index of the first cell
+        self._cells = slice(self.first, int(field.offsets[c + 1]))
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.field.q[self._cells]
+
+    @property
+    def ds(self) -> np.ndarray:
+        return self.field.ds[self._cells]
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.field.centers[self._cells]
+
+    @property
+    def n(self) -> int:
+        return self._cells.stop - self._cells.start
+
+    def set_uniform(self, h, u=0.0):
+        q = self.q
+        q[:, 0] = h
+        q[:, 1] = h * u
+        q[:, 2] = 0.0
+
+    def dt_bound(self) -> float:
+        lam = max_wave_speed(self.q, self.field.params)
+        return float(np.min(self.ds / lam))
+
+    def cell_at(self, s: float) -> int:
+        return min(int(np.searchsorted(self.centers, s)), self.n - 1)

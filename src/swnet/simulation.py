@@ -1,16 +1,21 @@
 """Time integration of channel networks and of full 2D reference domains.
 
-Each step runs fixed phases: reconstruction everywhere, coupling/boundary
-fluxes, interior fluxes, conservative updates, transverse projection in
-junction-adjacent 1D cells, then gauge sampling and the conservation ledger.
-The global time step is the minimum of the per-cell CFL bounds, with the 2D
-limit at half the 1D CFL number.
+Each step runs fixed phases: reconstruction everywhere, face states and
+interior, coupling and boundary fluxes, conservative updates, transverse
+projection in junction-adjacent 1D cells, then gauge sampling and the
+conservation ledger. The global time step is the minimum of the per-cell CFL
+bounds, with the 2D limit at half the 1D CFL number.
 
-`NetworkSimulation` drives every junction through the protocol described in
-`junctions` (`ends`, `set_uniform`, `volume`, `dt_bound`, `reconstruct`,
-`channel_neighbors`, `compute_fluxes`, `update`) and never asks which
-strategy a junction uses. The algebraic `PSFPJunction` lives here and keeps
-`compute_end_fluxes` in its own class body, which its `compute_fluxes`
+`NetworkSimulation` holds every channel cell in one `scheme1d.ChannelField`
+(`field`; `fields` maps channel ids to their `ChannelSegment`s) and steps it
+with one call per stage. Coupling and boundary fluxes land on the field's
+face array through channel end numbers, so `advance` has no loop over
+channels. The stepper drives `elements` through the protocol described in
+`junctions`: one `JunctionA` batch for every Method-A junction, then each
+Method-B and PSFP junction; `junctions` lists one object per junction, in
+the order of the specs. Boundary ends are grouped by condition kind, one
+`boundary_flux` call per kind. The algebraic `PSFPJunction` lives here and
+keeps `compute_end_fluxes` in its own class body, which its `compute_fluxes`
 calls on every step: the benchmark's tracer times PSFP junctions through
 that name.
 """
@@ -71,46 +76,42 @@ def gaussian_pulse(amplitude: float, center: float, width: float = 1.0):
     return u_fn
 
 
-def _reflect(q):
-    return np.array([q[0], -q[1], q[2]])
+def boundary_flux(q_face, bcs, at_start, t: float, params):
+    """Axial (+s frame) fluxes at channel outer faces that share one condition kind.
 
-
-def boundary_flux(q_face, bc: BoundaryCondition, end: str, t: float, params):
-    """Axial (+s frame) flux at a channel's outer face.
-
-    Reflective walls mirror the inner state; transparent ends feed the face
-    value back to itself; inflow builds a ghost state from the prescribed
-    velocity and the outgoing Riemann invariant of the interior.
+    q_face (K, 3) are the inner face states, bcs the K conditions (all of one
+    kind) and at_start (K,) marks faces at a channel's start. Reflective
+    walls mirror the inner state; transparent ends feed the face value back
+    to itself; inflow builds a ghost state from the prescribed velocity and
+    the outgoing Riemann invariant of the interior.
     """
-    g = params.g
-    if bc.kind == "reflective":
-        inner = _reflect(q_face) if end == "start" else q_face
-        f = wall_flux(inner, params)
-        return f if end == "end" else np.array([0.0, f[1], 0.0])
-    if bc.kind == "transparent":
+    kind = bcs[0].kind
+    if kind == "reflective":
+        inner = q_face.copy()
+        inner[at_start, 1] = -inner[at_start, 1]
+        return wall_flux(inner, params)
+    if kind == "transparent":
         return physical_flux(q_face, params)
-    h_i = q_face[0]
-    u_i = q_face[1] / h_i
-    c_i = np.sqrt(g * h_i)
-    if bc.kind == "inflow":
-        u_bc = float(bc.u_fn(t))
-        if end == "start":
-            c_g = 0.5 * (u_bc - (u_i - 2.0 * c_i))
-            if c_g <= 0.0:
-                raise DryStateError("inflow ghost state would be dry")
-            ghost = np.array([c_g * c_g / g, c_g * c_g / g * u_bc, 0.0])
-            return hllc_flux(ghost, q_face, params)
-        c_g = 0.5 * ((u_i + 2.0 * c_i) - (-u_bc))
-        if c_g <= 0.0:
+    g = params.g
+    start = at_start[:, None]
+    if kind == "inflow":
+        u_bc = np.array([float(bc.u_fn(t)) for bc in bcs])
+        h_i = q_face[:, 0]
+        u_i = q_face[:, 1] / h_i
+        c_i = np.sqrt(g * h_i)
+        c_g = np.where(
+            at_start, 0.5 * (u_bc - (u_i - 2.0 * c_i)), 0.5 * ((u_i + 2.0 * c_i) - (-u_bc))
+        )
+        if (c_g <= 0.0).any():
             raise DryStateError("inflow ghost state would be dry")
-        ghost = np.array([c_g * c_g / g, c_g * c_g / g * (-u_bc), 0.0])
-        return hllc_flux(q_face, ghost, params)
-    # prescribed state, velocity positive into the domain
-    u_g = bc.u if end == "start" else -bc.u
-    ghost = np.array([bc.h, bc.h * u_g, 0.0])
-    if end == "start":
-        return hllc_flux(ghost, q_face, params)
-    return hllc_flux(q_face, ghost, params)
+        h_g = c_g * c_g / g
+        u_g = np.where(at_start, u_bc, -u_bc)
+    else:  # prescribed state, velocity positive into the domain
+        h_g = np.array([bc.h for bc in bcs], dtype=float)
+        u = np.array([bc.u for bc in bcs], dtype=float)
+        u_g = np.where(at_start, u, -u)
+    ghost = np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
+    return hllc_flux(np.where(start, ghost, q_face), np.where(start, q_face, ghost), params)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +149,13 @@ class PSFPJunction:
 
     strategy = "psfp"
 
-    def __init__(self, jid, connects, merging, channels, params):
+    def __init__(self, jid, connects, merging, field, params):
         self.id = jid
         self.ends = list(connects)
         self.merging = merging
         self.params = params
-        self.widths = np.array([channels[ch].width for ch, _ in self.ends])
+        self.widths = np.array([field.channels[field.index[ch]].width for ch, _ in self.ends])
+        self._ends = np.array([field.end_index(ch, end) for ch, end in self.ends], dtype=int)
         # Solver velocities point toward the junction in the parent channel
         # and away from it in the daughters.
         self.tau = np.array(
@@ -174,25 +176,20 @@ class PSFPJunction:
     def dt_bound(self):
         return np.inf
 
-    def reconstruct(self, fields):
+    def reconstruct(self, field):
         pass
 
-    def channel_neighbors(self, fields):
-        return {}
+    def channel_neighbors(self, field):
+        return self._ends[:0], np.empty((0, 3)), np.empty(0)
 
-    def compute_fluxes(self, fields, dt):
-        return None, self.compute_end_fluxes(fields, dt)
+    def compute_fluxes(self, field, dt):
+        return None, self.compute_end_fluxes(field, dt)
 
-    def compute_end_fluxes(self, fields, dt):
-        depths = np.empty(3)
-        velocities = np.empty(3)
-        for k, (ch, end) in enumerate(self.ends):
-            f = fields[ch]
-            side = "left" if end == "start" else "right"
-            qf = f.face_state(f.end_cell(end), side, dt, evolve=False)
-            depths[k] = qf[0]
-            velocities[k] = self.tau[k] * qf[1] / qf[0]
-        problem = PSFPProblem(self.widths, depths, velocities, merging=self.merging)
+    def compute_end_fluxes(self, field, dt):
+        qf = field.end_states(self._ends)
+        problem = PSFPProblem(
+            self.widths, qf[:, 0], self.tau * qf[:, 1] / qf[:, 0], merging=self.merging
+        )
         try:
             star = psfp_solve(problem, self.params)
         except PSFPFailure as exc:
@@ -203,45 +200,59 @@ class PSFPJunction:
                 iterations=exc.iterations,
             ) from exc
         rows = psfp_boundary_fluxes(star, self.params)
-        return {
-            key: np.array([self.tau[k] * rows[k, 0], rows[k, 1], 0.0])
-            for k, key in enumerate(self.ends)
-        }
+        fluxes = np.stack([self.tau * rows[:, 0], rows[:, 1], np.zeros(3)], axis=1)
+        return self._ends, fluxes
 
     def update(self, edge_fluxes, dt):
         pass
 
 
-def build_junction(spec: JunctionSpec, channels, fields, params, order, coupling_mode):
-    """The junction object for a spec: Method A, Method B or algebraic PSFP."""
-    if spec.strategy == "psfp":
-        return PSFPJunction(spec.id, spec.connects, spec.merging, channels, params)
-    ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
-    geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
-    # (channel, end, length, patch mesh edge) per coupling edge or sub-edge.
-    if spec.strategy == "A":
-        bound = [(e.channel, e.channel_end, e.length, -1) for e in geom.coupling_edges()]
-    else:
-        mesh = fan_refine_mesh(geom, spec.patch_refine)
-        bound = [
-            (*mesh.edge_tags[e].split(":")[1:], float(mesh.edge_lengths[e]), int(e))
-            for e in mesh.boundary
-            if mesh.edge_tags[e].startswith("coupling:")
+def build_junctions(specs: list[JunctionSpec], channels, field, params, order, coupling_mode):
+    """The junctions of a network: (per-junction objects in spec order, the
+    elements the stepper drives). One `JunctionA` batch holds every Method-A
+    junction and comes first; each Method-B and PSFP junction is its own
+    element."""
+    out = [None] * len(specs)
+    method_a = []  # (spec index, (id, polygon, couplings))
+    for k, spec in enumerate(specs):
+        if spec.strategy == "psfp":
+            out[k] = PSFPJunction(spec.id, spec.connects, spec.merging, field, params)
+            continue
+        ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
+        geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
+        # (channel, end, length, patch mesh edge) per coupling edge or sub-edge.
+        if spec.strategy == "A":
+            bound = [(e.channel, e.channel_end, e.length, -1) for e in geom.coupling_edges()]
+        else:
+            mesh = fan_refine_mesh(geom, spec.patch_refine)
+            bound = [
+                (*mesh.edge_tags[e].split(":")[1:], float(mesh.edge_lengths[e]), int(e))
+                for e in mesh.boundary
+                if mesh.edge_tags[e].startswith("coupling:")
+            ]
+        couplings = [
+            Coupling(
+                channel=ch,
+                end=end,
+                sigma=1.0 if end == "start" else -1.0,
+                alpha=channels[ch].axis_angle,
+                length=length,
+                cell_edge=e,
+            )
+            for ch, end, length, e in bound
         ]
-    couplings = [
-        Coupling(
-            channel=ch,
-            end=end,
-            sigma=1.0 if end == "start" else -1.0,
-            alpha=channels[ch].axis_angle,
-            length=length,
-            cell_edge=e,
-        )
-        for ch, end, length, e in bound
-    ]
-    if spec.strategy == "A":
-        return JunctionA(spec.id, geom, couplings, fields, params, order, coupling_mode)
-    return JunctionB(spec.id, mesh, couplings, fields, params, order, coupling_mode)
+        if spec.strategy == "A":
+            method_a.append((k, (spec.id, geom, couplings)))
+        else:
+            out[k] = JunctionB(spec.id, mesh, couplings, field, params, order, coupling_mode)
+    elements = []
+    if method_a:
+        batch = JunctionA([part for _, part in method_a], field, params, order, coupling_mode)
+        for (k, _), view in zip(method_a, batch.junctions):
+            out[k] = view
+        elements.append(batch)
+    elements += [j for j in out if j.strategy != "A"]
+    return out, elements
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +350,39 @@ class NetworkSimulation:
             for spec in junction_specs
             for ch, end in spec.connects
         }
-        self.fields = {
-            ch.id: ChannelField(
-                ch,
-                params,
-                order=order,
-                start_cut=cuts.get((ch.id, "start"), 0.0),
-                end_cut=cuts.get((ch.id, "end"), 0.0),
+        self.field = ChannelField(channels, params, order=order, cuts=cuts)
+        self.fields = self.field.segments
+        self.junctions, self.elements = build_junctions(
+            junction_specs, self.channels, self.field, params, order, coupling_mode
+        )
+        # Boundary ends grouped by condition kind: (end numbers, conditions,
+        # at-start flags, ledger weights +-width).
+        by_kind = {}
+        for (cid, end), bc in boundaries.items():
+            by_kind.setdefault(bc.kind, []).append((cid, end, bc))
+        self._boundary_groups = [
+            (
+                np.array([self.field.end_index(cid, end) for cid, end, _ in group]),
+                [bc for _, _, bc in group],
+                np.array([end == "start" for _, end, _ in group]),
+                np.array([
+                    (1.0 if end == "start" else -1.0) * self.channels[cid].width
+                    for cid, end, _ in group
+                ]),
             )
-            for ch in channels
-        }
-        self.junctions = [
-            build_junction(spec, self.channels, self.fields, params, order, coupling_mode)
-            for spec in junction_specs
+            for group in by_kind.values()
         ]
-        self.boundaries = dict(boundaries)
 
         self.t = 0.0
         self.steps = 0
         self.recorder = GaugeRecorder(gauges)
-        self._gauge_cells = {
-            g.id: (g.channel, self.fields[g.channel].cell_at(g.s))
-            for g in self.recorder.gauges
-        }
+        self._gauge_cells = np.array(
+            [
+                self.fields[g.channel].first + self.fields[g.channel].cell_at(g.s)
+                for g in self.recorder.gauges
+            ],
+            dtype=int,
+        )
         self.diagnostics = {
             "boundary_influx": 0.0,
             "transverse_momentum_discarded": 0.0,
@@ -380,23 +401,25 @@ class NetworkSimulation:
 
     def init_junctions(self):
         """Start every junction at rest at the mean depth of its channel end cells."""
+        field = self.field
         for j in self.junctions:
-            hs = [self.fields[ch].q[self.fields[ch].end_cell(end), 0] for ch, end in j.ends]
-            j.set_uniform(float(np.mean(hs)))
+            cells = field.end_cell[[field.end_index(ch, end) for ch, end in j.ends]]
+            j.set_uniform(float(np.mean(field.q[cells, 0])))
 
     def total_volume(self) -> float:
-        v = sum(f.volume() for f in self.fields.values())
-        v += sum(j.volume() for j in self.junctions)
-        return float(v)
+        return float(self.field.volume() + sum(el.volume() for el in self.elements))
 
     # -- stepping ----------------------------------------------------------
 
     def compute_dt(self, t_target=np.inf) -> float:
-        dt = min(self.cfl * f.dt_bound() for f in self.fields.values())
-        for j in self.junctions:
-            dt = min(dt, 0.5 * self.cfl * j.dt_bound())
-        if t_target < np.inf:
-            dt = min(dt, t_target - self.t)
+        # One np.min, so that a NaN bound anywhere reaches the check below.
+        dt = np.min(
+            [
+                self.cfl * self.field.dt_bound(),
+                *(0.5 * self.cfl * el.dt_bound() for el in self.elements),
+                t_target - self.t,
+            ]
+        )
         if not dt > 0.0:
             if np.isnan(dt):
                 raise NonFiniteError(f"non-finite wave speed at t={self.t:.6g}")
@@ -404,67 +427,56 @@ class NetworkSimulation:
         return float(dt)
 
     def advance(self, dt: float):
-        fields = self.fields
+        field = self.field
         # Phase 1: reconstruction (junction elements first supply the
         # cross-dimensional stencil entries for the channel end cells).
-        nbr = {}
-        for j in self.junctions:
-            j.reconstruct(fields)
-            nbr.update(j.channel_neighbors(fields))
-        for cid, f in fields.items():
-            f.reconstruct(
-                nbr_start=nbr.get((cid, "start")), nbr_end=nbr.get((cid, "end"))
-            )
+        for el in self.elements:
+            el.reconstruct(field)
+        parts = [el.channel_neighbors(field) for el in self.elements]
+        nbr = tuple(np.concatenate(p) for p in zip(*parts)) if parts else None
+        field.reconstruct(nbr)
 
-        # Phase 2: coupling, junction, and boundary fluxes.
-        end_flux = {}
-        junction_edge_fluxes = []
-        for j in self.junctions:
-            ef, endf = j.compute_fluxes(fields, dt)
-            junction_edge_fluxes.append(ef)
-            end_flux.update(endf)
+        # Phase 2: face states, then interior, junction and boundary fluxes
+        # on the network's face array.
+        field.face_state(dt)
+        flux = field.interior_fluxes()
+        edge_fluxes = []
+        for el in self.elements:
+            ef, (ends, f) = el.compute_fluxes(field, dt)
+            edge_fluxes.append(ef)
+            flux[field.end_face[ends]] = f
         boundary_mass = 0.0
-        for (cid, end), bc in self.boundaries.items():
-            f = fields[cid]
-            side = "left" if end == "start" else "right"
-            qf = f.face_state(f.end_cell(end), side, dt, evolve=False)
-            flx = boundary_flux(qf, bc, end, self.t, self.params)
-            end_flux[(cid, end)] = flx
-            sign = 1.0 if end == "start" else -1.0
-            boundary_mass += sign * flx[0] * f.channel.width
+        for ends, bcs, at_start, weight in self._boundary_groups:
+            f = boundary_flux(field.end_states(ends), bcs, at_start, self.t, self.params)
+            flux[field.end_face[ends]] = f
+            boundary_mass += float(np.sum(weight * f[:, 0]))
 
-        # Phase 3: interior fluxes.
-        interior = {cid: f.interior_fluxes(dt) for cid, f in fields.items()}
+        # Phase 3: updates.
+        for el, ef in zip(self.elements, edge_fluxes):
+            el.update(ef, dt)
+        field.update(flux, dt)
 
-        # Phase 4: updates.
-        for j, ef in zip(self.junctions, junction_edge_fluxes):
-            j.update(ef, dt)
-        for cid, f in fields.items():
-            f.update(end_flux[(cid, "start")], interior[cid], end_flux[(cid, "end")], dt)
-
-        # Phase 5: transverse handling in the 1D cells next to junction cells.
-        for ch, end in nbr:
-            f = fields[ch]
-            i = f.end_cell(end)
+        # Phase 4: transverse handling in the 1D cells next to junction cells.
+        if nbr is not None:
+            cells = field.end_cell[nbr[0]]
             if self.transverse_mode == "project":
-                f.q[i], discarded = project_transverse(f.q[i])
+                field.q[cells], discarded = project_transverse(field.q[cells])
             else:
-                discarded = abs(f.q[i, 2])
-                f.q[i, 2] = 0.0
-            self.diagnostics["transverse_momentum_discarded"] += discarded
+                discarded = np.abs(field.q[cells, 2])
+                field.q[cells, 2] = 0.0
+            self.diagnostics["transverse_momentum_discarded"] += float(np.sum(discarded))
 
-        # Phase 6: bookkeeping.
+        # Phase 5: bookkeeping.
         self.diagnostics["boundary_influx"] += boundary_mass * dt
         self.t += dt
         self.steps += 1
 
     def sample_gauges(self):
         self.recorder.times.append(self.t)
-        for g in self.recorder.gauges:
-            cid, i = self._gauge_cells[g.id]
-            q = self.fields[cid].q[i]
-            self.recorder.h[g.id].append(float(q[0]))
-            self.recorder.u[g.id].append(float(q[1] / q[0]))
+        q = self.field.q[self._gauge_cells]
+        for g, (h, hu) in zip(self.recorder.gauges, q[:, :2].tolist()):
+            self.recorder.h[g.id].append(h)
+            self.recorder.u[g.id].append(hu / h)
 
     def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
         start = time.perf_counter()

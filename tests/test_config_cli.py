@@ -168,6 +168,7 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         code = main(["run", "--preset", "test1_sub90", "--cfl", "0", "--out", str(tmp_path / "o")])
         assert code == 2
+        assert not (tmp_path / "o").exists()  # no output directory for a rejected run
         assert "cfl must be in (0, 1]" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):

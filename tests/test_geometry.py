@@ -121,12 +121,10 @@ class TestAreaDecomposition:
             Channel("ch3", b, 40, start=(0, -b / 2), end=(0, -b / 2 - Ld)),
         ]
         p = PhysicalParams()
-        fields = [
-            ChannelField(channels[0], p, end_cut=cut),
-            ChannelField(channels[1], p, start_cut=cut),
-            ChannelField(channels[2], p, start_cut=cut),
-        ]
-        pieces = sum(f.ds.sum() * b for f in fields) + g.area
+        field = ChannelField(
+            channels, p, cuts={("ch1", "end"): cut, ("ch2", "start"): cut, ("ch3", "start"): cut}
+        )
+        pieces = sum(f.ds.sum() * b for f in field.segments.values()) + g.area
         footprint = (Lp + 2 * Ld) * b + b * b  # three rectangles + core square
         assert np.isclose(pieces, footprint, rtol=1e-12)
 
@@ -222,7 +220,7 @@ class TestChannelField:
         from swnet.scheme1d import ChannelField
 
         ch = Channel("c", width=1.0, cells=100, start=(0, 0), end=(10, 0))
-        f = ChannelField(ch, PhysicalParams())
+        f = ChannelField([ch], PhysicalParams())
         assert np.allclose(f.ds, 0.1)
         assert np.allclose(f.centers[:3], [0.05, 0.15, 0.25])
 
@@ -232,7 +230,7 @@ class TestChannelField:
 
         ch = Channel("c", width=0.4, cells=40, start=(0, 0), end=(2, 0))
         for cut in (0.02, 0.04, 0.2, 0.23):
-            f = ChannelField(ch, PhysicalParams(), start_cut=cut)
+            f = ChannelField([ch], PhysicalParams(), cuts={("c", "start"): cut})
             assert np.isclose(f.ds.sum(), 2.0 - cut, atol=1e-14)
             assert f.ds.min() > 0.4 * ch.ds  # no sliver cells
 
@@ -241,6 +239,6 @@ class TestChannelField:
         from swnet.scheme1d import ChannelField
 
         ch = Channel("c", width=0.4, cells=40, start=(0, 0), end=(2, 0))
-        f = ChannelField(ch, PhysicalParams(), start_cut=0.2)  # 4 cells of 0.05
+        f = ChannelField([ch], PhysicalParams(), cuts={("c", "start"): 0.2})  # 4 cells of 0.05
         assert f.n == 36
         assert np.isclose(f.centers[0], 0.225, atol=1e-14)

@@ -86,18 +86,20 @@ def build_A(strategy="A"):
 
 
 class TestCouplingFluxes:
+    # test1_sub90 has one junction, so the Method-A batch (the first stepped
+    # element) holds exactly the rows of sim.junctions[0].
     def test_matched_still_water_hydrostatic(self):
         sim = build_A()
-        j = sim.junctions[0]
-        j.reconstruct(sim.fields)
-        for f in sim.fields.values():
-            f.reconstruct()
-        edge_fluxes, end_fluxes = j.compute_fluxes(sim.fields, dt=0.01)
+        a, j = sim.elements[0], sim.junctions[0]
+        a.reconstruct(sim.field)
+        sim.field.reconstruct()
+        sim.field.face_state(0.01)
+        edge_fluxes, (_, end_fluxes) = a.compute_fluxes(sim.field, dt=0.01)
         p = 0.5 * P.g * 0.16**2
         for k, e in enumerate(j.geom.edges):
             expected = p * np.array([0.0, np.cos(e.theta), np.sin(e.theta)])
             assert np.allclose(edge_fluxes[k], expected, atol=1e-14)
-        for flx in end_fluxes.values():
+        for flx in end_fluxes:
             assert np.allclose(flx, [0.0, p, 0.0], atol=1e-14)
 
     def test_shared_flux_mass_identity(self):
@@ -108,49 +110,48 @@ class TestCouplingFluxes:
         for cid, f in sim.fields.items():
             f.q[:, 0] = rng.uniform(0.1, 0.3, f.n)
             f.q[:, 1] = f.q[:, 0] * rng.uniform(-0.5, 0.5, f.n)
-        j = sim.junctions[0]
+        a, j = sim.elements[0], sim.junctions[0]
         j.set_uniform(0.2, 0.1, -0.05)
-        j.reconstruct(sim.fields)
-        nbr = j.channel_neighbors(sim.fields)
-        for cid, f in sim.fields.items():
-            f.reconstruct(nbr_start=nbr.get((cid, "start")), nbr_end=nbr.get((cid, "end")))
-        edge_fluxes, end_fluxes = j.compute_fluxes(sim.fields, dt=0.005)
+        a.reconstruct(sim.field)
+        sim.field.reconstruct(a.channel_neighbors(sim.field))
+        sim.field.face_state(0.005)
+        edge_fluxes, (ends, end_fluxes) = a.compute_fluxes(sim.field, dt=0.005)
         rows = [k for k, e in enumerate(j.geom.edges) if e.kind == "coupling"]
         for row, c in zip(rows, j.couplings):
-            assert end_fluxes[(c.channel, c.end)][0] == c.sigma * edge_fluxes[row][0]
+            k = list(ends).index(sim.field.end_index(c.channel, c.end))
+            assert end_fluxes[k][0] == c.sigma * edge_fluxes[row][0]
 
     def test_aligned_coupling_equals_plain_interface(self):
         # junction at a channel start with axis +x: edge frame == channel
         # frame, so the shared flux must equal a plain HLLC interface flux
         sim = build_A()
-        j = sim.junctions[0]
-        c2 = next(c for c in j.couplings if c.channel == "ch2")
+        a, j = sim.elements[0], sim.junctions[0]
         f2 = sim.fields["ch2"]
         f2.set_uniform(0.22, 0.3)
         j.set_uniform(0.18, 0.0, 0.12)  # global frame; ch2 axis is +y
-        j.reconstruct(sim.fields)
-        for f in sim.fields.values():
-            f.reconstruct()
-        j.grad_x[:] = 0.0
-        j.grad_y[:] = 0.0
-        for f in sim.fields.values():
-            f.slopes[:] = 0.0
-        _, end_fluxes = j.compute_fluxes(sim.fields, dt=0.002)
+        a.reconstruct(sim.field)
+        sim.field.reconstruct()
+        a.grad_x[:] = 0.0
+        a.grad_y[:] = 0.0
+        sim.field.slopes[:] = 0.0
+        sim.field.face_state(0.002)
+        _, (ends, end_fluxes) = a.compute_fluxes(sim.field, dt=0.002)
         # ch2 axis angle is pi/2: axial momentum = global y-momentum = h*v
         q2d_channel_frame = np.array([0.18, 0.18 * 0.12, 0.0])
         expected = hllc_flux(q2d_channel_frame, f2.q[0], P)
-        assert np.allclose(end_fluxes[("ch2", "start")], expected, atol=1e-13)
+        k = list(ends).index(sim.field.end_index("ch2", "start"))
+        assert np.allclose(end_fluxes[k], expected, atol=1e-13)
 
     def test_momentum_update_identity(self):
         # Eq.-style single-cell balance: update equals the closed edge sum
         sim = build_A()
-        j = sim.junctions[0]
+        a, j = sim.elements[0], sim.junctions[0]
         j.set_uniform(0.2, 0.05, -0.02)
         q0 = j.q.copy()
         rng = np.random.default_rng(16)
         fluxes = rng.normal(scale=0.01, size=(len(j.geom.edges), 3))
         dt = 0.004
-        j.update(fluxes, dt)
+        a.update(fluxes, dt)
         lengths = np.array([e.length for e in j.geom.edges])
         expected = q0 - dt / j.geom.area * (lengths[:, None] * fluxes).sum(axis=0)
         assert np.allclose(j.q, expected, atol=1e-16)
@@ -228,21 +229,33 @@ class TestJunctionRuns:
 )
 def test_junction_protocol(name, strategy, n_ends):
     # Every junction treatment answers the same calls the network stepper
-    # makes; the algebraic one has no cells and no stencil entries.
+    # makes, in channel end numbers of the network's field; the algebraic
+    # one has no cells and no stencil entries.
     sim = build_simulation(presets.preset(name, strategy=strategy))
+    field = sim.field
     junctions = [j for j in sim.junctions if len(j.ends) == n_ends]
     assert junctions
-    dt = sim.compute_dt()
     for j in junctions:
         assert j.strategy == strategy
-        j.reconstruct(sim.fields)
-        nbr = j.channel_neighbors(sim.fields)
-        assert set(nbr) <= set(j.ends)
-        edge_fluxes, end_fluxes = j.compute_fluxes(sim.fields, dt)
-        assert len(end_fluxes) == len(j.ends) and set(end_fluxes) == set(j.ends)
         if strategy == "psfp":
             assert j.volume() == 0.0 and j.dt_bound() == np.inf
-            assert nbr == {} and edge_fluxes is None
         else:
-            assert set(nbr) == set(j.ends)
             assert j.volume() > 0.0 and np.isfinite(j.dt_bound())
+    dt = sim.compute_dt()
+    field.face_state(dt)
+    for el in sim.elements:
+        assert el.strategy == strategy
+        keys = {field.end_index(ch, end) for ch, end in el.ends}
+        el.reconstruct(field)
+        nbr_ends, nbr_q, nbr_d = el.channel_neighbors(field)
+        assert set(nbr_ends) <= keys
+        assert nbr_q.shape == (len(nbr_ends), 3) and nbr_d.shape == (len(nbr_ends),)
+        edge_fluxes, (ends, fluxes) = el.compute_fluxes(field, dt)
+        assert len(ends) == len(el.ends) and set(ends) == keys
+        assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
+        if strategy == "psfp":
+            assert el.volume() == 0.0 and el.dt_bound() == np.inf
+            assert len(nbr_ends) == 0 and edge_fluxes is None
+        else:
+            assert set(nbr_ends) == keys
+            assert el.volume() > 0.0 and np.isfinite(el.dt_bound())

@@ -10,9 +10,24 @@ from swnet.simulation import BoundaryCondition, boundary_flux
 P = PhysicalParams()
 
 
-def make_field(cells=50, length=10.0, order=2, **kw):
+def make_field(cells=50, length=10.0, order=2):
     ch = Channel("c", width=1.0, cells=cells, start=(0, 0), end=(length, 0))
-    return ChannelField(ch, P, order=order, **kw)
+    return ChannelField([ch], P, order=order)
+
+
+def closed_fluxes(f, bc, dt):
+    """Face fluxes of a field with condition `bc` at every channel end."""
+    f.face_state(dt)
+    flux = f.interior_fluxes()
+    ends = np.arange(len(f.end_cell))
+    flux[f.end_face] = boundary_flux(
+        f.end_states(ends), [bc] * len(ends), f.end_sign < 0.0, 0.0, P
+    )
+    return flux
+
+
+def total_variation(f):
+    return float(np.sum(np.abs(np.diff(f.q[:, 0]))))
 
 
 class TestReconstruct:
@@ -46,7 +61,7 @@ class TestReconstruct:
         f.q[:, 1] = 0.0
         d = 0.17
         nbr_val = np.array([1.0 + slope * (f.centers[0] - d), 0.0, 0.0])
-        f.reconstruct(nbr_start=(nbr_val, d))
+        f.reconstruct((np.array([f.end_index("c", "start")]), nbr_val[None], np.array([d])))
         assert abs(f.slopes[0, 0] - slope) < 1e-12
 
     def test_boundary_cells_zero_slope_without_neighbor(self):
@@ -61,14 +76,14 @@ class TestHalfStepEvolution:
         f = make_field()
         f.set_uniform(0.9, 0.4)
         f.reconstruct()
-        q = f.face_state(10, "right", dt=0.05)
+        q = f.face_state(dt=0.05)[f.n + 10]  # right face of cell 10
         assert np.allclose(q, f.q[10], atol=1e-15)
 
     def test_still_water_unchanged(self):
         f = make_field()
         f.set_uniform(1.3)
         f.reconstruct()
-        assert np.allclose(f.face_state(5, "left", 0.1), f.q[5], atol=1e-15)
+        assert np.allclose(f.face_state(0.1)[5], f.q[5], atol=1e-15)  # left face of cell 5
 
 
 class TestUpdate:
@@ -78,10 +93,8 @@ class TestUpdate:
         f.reconstruct()
         dt = 0.01
         bc = BoundaryCondition("transparent")
-        fl = boundary_flux(f.face_state(0, "left", dt, evolve=False), bc, "start", 0.0, P)
-        fr = boundary_flux(f.face_state(f.n - 1, "right", dt, evolve=False), bc, "end", 0.0, P)
         q0 = f.q.copy()
-        f.update(fl, f.interior_fluxes(dt), fr, dt)
+        f.update(closed_fluxes(f, bc, dt), dt)
         assert np.abs(f.q - q0).max() < 1e-14
 
     def test_update_formula_exact(self):
@@ -92,7 +105,7 @@ class TestUpdate:
         fm = np.array([[0.2, 0.4, 0.0]])
         fr = np.array([0.1, 0.2, 0.0])
         q0 = f.q.copy()
-        f.update(fl, fm, fr, dt)
+        f.update(np.vstack([fl, fm, fr]), dt)
         expected0 = q0[0] - dt / 0.5 * (fm[0] - fl)
         expected1 = q0[1] - dt / 0.5 * (fr - fm[0])
         assert np.allclose(f.q[0], expected0, atol=1e-16)
@@ -107,9 +120,7 @@ class TestUpdate:
         for _ in range(1000):
             dt = 0.9 * f.dt_bound()
             f.reconstruct()
-            fl = boundary_flux(f.face_state(0, "left", dt, evolve=False), bc, "start", 0.0, P)
-            fr = boundary_flux(f.face_state(f.n - 1, "right", dt, evolve=False), bc, "end", 0.0, P)
-            f.update(fl, f.interior_fluxes(dt), fr, dt)
+            f.update(closed_fluxes(f, bc, dt), dt)
         assert abs(f.volume() - v0) / v0 < 1e-12
 
     def test_first_order_total_variation_bounded(self):
@@ -121,21 +132,19 @@ class TestUpdate:
         f.q[:, 0] = np.where(f.centers < 5.0, 1.0, 0.5)
         f.q[:, 1:] = 0.0
         bc = BoundaryCondition("transparent")
-        tv0 = f.total_variation()
+        tv0 = total_variation(f)
 
         def step():
             dt = 0.9 * f.dt_bound()
             f.reconstruct()
-            fl = boundary_flux(f.face_state(0, "left", dt, evolve=False), bc, "start", 0.0, P)
-            fr = boundary_flux(f.face_state(f.n - 1, "right", dt, evolve=False), bc, "end", 0.0, P)
-            f.update(fl, f.interior_fluxes(dt), fr, dt)
+            f.update(closed_fluxes(f, bc, dt), dt)
 
         for _ in range(60):
             step()
-        tv = f.total_variation()
+        tv = total_variation(f)
         for _ in range(140):
             step()
-            tv_new = f.total_variation()
+            tv_new = total_variation(f)
             assert tv_new <= tv + 1e-6 * tv0
             tv = tv_new
         assert tv < 0.05 * tv0  # both waves left the domain; no residue
@@ -146,17 +155,42 @@ class TestUpdate:
         huge = np.array([10.0, 0.0, 0.0])
         zero = np.zeros((3, 3))
         with pytest.raises(PositivityError):
-            f.update(-huge, zero, huge, 0.1)
+            f.update(np.vstack([-huge, zero, huge]), 0.1)
 
     def test_friction_applied_pointwise(self):
         p = PhysicalParams(manning_n=0.02, friction_enabled=True)
         ch = Channel("c", width=1.0, cells=10, start=(0, 0), end=(1, 0))
-        f = ChannelField(ch, p)
+        f = ChannelField([ch], p)
         f.set_uniform(1.0, 1.0)
         f.reconstruct()
         dt = 0.01
         flux = hllc_flux(f.q[:1], f.q[:1], p)[0]
-        f.update(flux, np.tile(flux, (9, 1)), flux, dt)
+        f.update(np.tile(flux, (11, 1)), dt)
         # uniform state: only friction acts
         expected = 1.0 - dt * p.g * p.manning_n**2  # h=1, u=1
         assert np.allclose(f.q[:, 1], expected, atol=1e-14)
+
+
+def test_channels_step_as_if_alone():
+    # The ragged field steps each channel exactly as a field holding that
+    # channel alone: no stencil, face or flux reaches across channels.
+    chs = [
+        Channel("a", width=1.0, cells=12, start=(0, 0), end=(3, 0)),
+        Channel("b", width=0.5, cells=7, start=(5, 1), end=(5, 4)),
+    ]
+    cuts = {("b", "start"): 0.1}
+    both = ChannelField(chs, P, cuts=cuts)
+    alone = [ChannelField([chs[0]], P), ChannelField([chs[1]], P, cuts=cuts)]
+    rng = np.random.default_rng(7)
+    q = np.column_stack([rng.uniform(0.5, 1.5, both.n), rng.uniform(-0.3, 0.3, (both.n, 2))])
+    both.q[:] = q
+    alone[0].q[:], alone[1].q[:] = q[:12], q[12:]
+    # a junction-side stencil entry at the start of channel b
+    nbr_q, nbr_d = np.array([[1.2, 0.1, 0.0]]), np.array([0.2])
+    bc = BoundaryCondition("reflective")
+    for f in (both, *alone):
+        nbr = (np.array([f.end_index("b", "start")]), nbr_q, nbr_d) if "b" in f.index else None
+        f.reconstruct(nbr)
+        f.update(closed_fluxes(f, bc, 0.01), 0.01)
+    assert np.array_equal(both.slopes, np.concatenate([f.slopes for f in alone]))
+    assert np.array_equal(both.q, np.concatenate([f.q for f in alone]))

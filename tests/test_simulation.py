@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -88,14 +90,16 @@ class TestBoundaries:
     def test_reflective_zero_mass(self):
         q = np.array([0.3, 0.12, 0.0])
         for end in ("start", "end"):
-            f = boundary_flux(q, BoundaryCondition("reflective"), end, 0.0, P)
+            f = boundary_flux(
+                q[None], [BoundaryCondition("reflective")], np.array([end == "start"]), 0.0, P
+            )[0]
             assert f[0] == 0.0 and f[2] == 0.0
 
     def test_transparent_equals_physical(self):
         from swnet.core import physical_flux
 
         q = np.array([0.3, 0.12, 0.0])
-        f = boundary_flux(q, BoundaryCondition("transparent"), "end", 0.0, P)
+        f = boundary_flux(q[None], [BoundaryCondition("transparent")], np.array([False]), 0.0, P)[0]
         assert np.allclose(f, physical_flux(q, P), atol=1e-15)
 
     def test_inflow_velocity_peaks_at_prescribed_time(self):
@@ -137,6 +141,18 @@ class TestAdvance:
             res = sim.run(2.0)
             runs.append(np.array(res.gauges.h["g_ch2"]))
         assert np.array_equal(runs[0], runs[1])
+
+    def test_deep_copy_reads_its_own_states(self):
+        # Per-channel and per-junction states slice the copied network's
+        # arrays, as the benchmark's gate reads them after running a copy.
+        sim = build_simulation(presets.preset("test1_sub90"))
+        run = copy.deepcopy(sim)
+        run.run(0.5)
+        seg = run.fields["ch1"]
+        assert np.array_equal(seg.q, run.field.q[seg.first : seg.first + seg.n])
+        assert not np.array_equal(seg.q, sim.fields["ch1"].q)
+        assert np.array_equal(run.junctions[0].q, run.elements[0].q[0])
+        assert not np.array_equal(run.junctions[0].q, sim.junctions[0].q)
 
     def test_gauge_reads_cell_average(self):
         sim = build_simulation(straight_channel_cfg())
@@ -187,6 +203,14 @@ class TestNonFinite:
         assert res.status == "failed"
         assert isinstance(res.failure, NonFiniteError)
 
+    def test_compute_dt_sees_nan_in_any_channel(self):
+        # ch2 is not the first channel: a running min over the channels
+        # would keep the bound of ch1 and skip the NaN.
+        sim = build_simulation(presets.preset("test1_sub90"))
+        sim.fields["ch2"].q[5, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            sim.compute_dt()
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_raises_non_finite(self, order):
         sim = build_simulation(presets.preset("test1_sub90"), order=order)
@@ -196,17 +220,19 @@ class TestNonFinite:
             sim.advance(dt)
 
     def test_update_names_channel_cell_and_junction(self):
-        sim = build_simulation(presets.preset("test1_sub90"))
-        f = sim.fields["ch1"]
-        interior = np.zeros((f.n - 1, 3))
-        interior[4, 0] = np.nan
-        with pytest.raises(NonFiniteError, match="channel ch1 cell 4"):
-            f.update(np.zeros(3), interior, np.zeros(3), 0.01)
-        j = sim.junctions[0]
+        for cid in ("ch1", "ch3"):
+            sim = build_simulation(presets.preset("test1_sub90"))
+            field = sim.field
+            flux = np.zeros((field.n + len(field.channels), 3))
+            # the face between cells 4 and 5 of the channel
+            flux[field.end_face[field.end_index(cid, "start")] + 5, 0] = np.nan
+            with pytest.raises(NonFiniteError, match=f"channel {cid} cell 4"):
+                field.update(flux, 0.01)
+        a, j = sim.elements[0], sim.junctions[0]
         fluxes = np.zeros((len(j.geom.edges), 3))
         fluxes[0, 2] = np.nan
         with pytest.raises(NonFiniteError, match=f"junction {j.id}"):
-            j.update(fluxes, 0.01)
+            a.update(fluxes, 0.01)
         j = build_simulation(presets.preset("test1_sub90"), strategy="B").junctions[0]
         fluxes = np.zeros((len(j.mesh.edge_lengths), 3))
         fluxes[0, 2] = np.nan

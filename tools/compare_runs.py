@@ -1,0 +1,178 @@
+"""Compare the stepped results of two swnet source trees on the preset matrix.
+
+    python tools/compare_runs.py OLD_TREE NEW_TREE [--steps 200] [--rtol 1e-12]
+
+Each tree is a directory holding `src/swnet`, for example this checkout and
+an unpacked `git archive` of another commit. Every preset runs with each
+junction strategy (A, B, psfp), plus test1_sub90 with two-pass coupling (A
+and B) and with transverse=zero (A), for at most --steps steps. Each tree
+runs in its own interpreter. The report is a markdown table: per run, the
+steps and failure type on both sides and the largest relative deviation of
+the gauge series, the final channel states, the final junction states and
+the ledger entries. Deviations are relative to the largest magnitude of the
+compared series, except where that magnitude is itself round-off: gauge
+velocities are compared relative to the gauge's largest celerity sqrt(g h),
+volumes and boundary influx relative to the initial volume, and the
+discarded transverse momentum relative to the largest final cell momentum.
+Scenarios a tree rejects with a configuration error are listed with their
+messages. The exit code is 1 when steps, statuses, failure types or
+rejections differ, or a deviation exceeds --rtol.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+STRATEGIES = ("A", "B", "psfp")
+EXTRA_RUNS = [
+    ("test1_sub90", "A", {"coupling": "two-pass"}),
+    ("test1_sub90", "B", {"coupling": "two-pass"}),
+    ("test1_sub90", "A", {"transverse": "zero"}),
+]
+VOLUME_ENTRIES = ("initial_volume", "final_volume", "volume_defect", "boundary_influx")
+
+
+def cases(preset, preset_names):
+    """(label, scenario factory, build overrides) for the whole matrix."""
+    for name, _ in preset_names():
+        try:
+            preset(name, strategy="A")
+        except TypeError:  # a preset without junctions
+            yield name, lambda name=name: preset(name), {}
+            continue
+        for s in STRATEGIES:
+            yield f"{name} {s}", lambda name=name, s=s: preset(name, strategy=s), {}
+    for name, s, extra in EXTRA_RUNS:
+        label = f"{name} {s} " + " ".join(f"{k}={v}" for k, v in extra.items())
+        yield label, lambda name=name, s=s: preset(name, strategy=s), extra
+
+
+def run_matrix(steps: int) -> list[dict]:
+    """Run every case with the swnet on sys.path; plain-data results."""
+    from swnet import ConfigError, build_simulation, preset, preset_names
+
+    out = []
+    for label, scenario, extra in cases(preset, preset_names):
+        try:
+            cfg = scenario()
+            sim = build_simulation(cfg, **extra)
+        except ConfigError as exc:
+            out.append({"label": label, "rejected": str(exc)})
+            continue
+        res = sim.run(cfg.t_end, max_steps=steps)
+        rec = res.gauges
+        out.append({
+            "label": label,
+            "rejected": None,
+            "g": sim.params.g,
+            "status": res.status,
+            "steps": res.steps,
+            "failure": type(res.failure).__name__ if res.failure else None,
+            "message": str(res.failure) if res.failure else None,
+            "gauges": {"t": rec.times, **{f"h:{g}": rec.h[g] for g in rec.h},
+                       **{f"u:{g}": rec.u[g] for g in rec.u}},
+            "channels": {cid: f.q.tolist() for cid, f in sim.fields.items()},
+            "junctions": {j.id: np.atleast_2d(j.q).tolist() for j in sim.junctions
+                          if hasattr(j, "q")},
+            "ledger": {k: v for k, v in res.diagnostics.items() if isinstance(v, float)},
+        })
+    return out
+
+
+def run_tree(tree: Path, steps: int) -> list[dict]:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree), "--steps", str(steps)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def deviation(a: dict, b: dict, scales=None) -> float:
+    """Largest |a - b| over the keys, relative to `scales[key]` or else to
+    max |a[key]|; inf when the key sets or shapes differ."""
+    if a.keys() != b.keys():
+        return np.inf
+    worst = 0.0
+    for k in a:
+        x, y = np.asarray(a[k], dtype=float), np.asarray(b[k], dtype=float)
+        if x.shape != y.shape:
+            return np.inf
+        diff = float(np.max(np.abs(x - y), initial=0.0))
+        ref = (scales or {}).get(k, float(np.max(np.abs(x), initial=0.0)))
+        worst = max(worst, diff / ref if ref > 0.0 else diff)
+    return worst
+
+
+def scales(run: dict) -> tuple[dict, dict]:
+    """Reference magnitudes of the gauge and ledger entries of one run."""
+    gauges = {
+        k: float(np.sqrt(run["g"] * np.max(run["gauges"]["h:" + k[2:]])))
+        for k in run["gauges"] if k.startswith("u:")
+    }
+    momentum = max(np.max(np.abs(np.asarray(q)[:, 1:])) for q in run["channels"].values())
+    ledger = {k: run["ledger"]["initial_volume"] for k in VOLUME_ENTRIES}
+    ledger["transverse_momentum_discarded"] = float(momentum)
+    return gauges, ledger
+
+
+def compare(old: list[dict], new: list[dict], rtol: float):
+    """(markdown lines, number of problems)."""
+    lines = [
+        "| run | steps | failure | gauges | channels | junctions | ledger |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    rejected = []
+    problems = 0
+    for a, b in zip(old, new, strict=True):
+        if a["rejected"] or b["rejected"]:
+            same = a["rejected"] == b["rejected"]
+            problems += not same
+            rejected.append(f"- {a['label']}: {a['rejected']}" + ("" if same else f" / {b['rejected']}"))
+            continue
+        gauge_scales, ledger_scales = scales(a)
+        devs = [
+            deviation(a["gauges"], b["gauges"], gauge_scales),
+            deviation(a["channels"], b["channels"]),
+            deviation(a["junctions"], b["junctions"]),
+            deviation(a["ledger"], b["ledger"], ledger_scales),
+        ]
+        same = (a["steps"], a["status"], a["failure"]) == (b["steps"], b["status"], b["failure"])
+        problems += (not same) + sum(d > rtol for d in devs)
+        steps = str(a["steps"]) if a["steps"] == b["steps"] else f"{a['steps']} / {b['steps']}"
+        fail = str(a["failure"] or "-")
+        if a["failure"] != b["failure"]:
+            fail += f" / {b['failure'] or '-'}"
+        lines.append(f"| {a['label']} | {steps} | {fail} | " + " | ".join(f"{d:.1e}" for d in devs) + " |")
+    if rejected:
+        lines += ["", "Rejected with a configuration error:", *rejected]
+    return lines, problems
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--rtol", type=float, default=1e-12)
+    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        sys.path.insert(0, str(args.worker / "src"))
+        json.dump(run_matrix(args.steps), sys.stdout)
+        return 0
+    if len(args.trees) != 2:
+        p.error("give two source trees")
+    old, new = (run_tree(t, args.steps) for t in args.trees)
+    lines, problems = compare(old, new, args.rtol)
+    print("\n".join(lines))
+    print(f"\n{len(old)} scenarios, {problems} problems (rtol {args.rtol:g})")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
