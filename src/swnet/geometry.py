@@ -44,19 +44,25 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def point_in_polygon(p, vertices: np.ndarray) -> bool:
-    """Ray-casting point-in-polygon test (boundary points unspecified)."""
-    x, y = p
-    inside = False
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if xi > x:
-                inside = not inside
-    return inside
+def point_in_polygon(p, vertices: np.ndarray):
+    """Ray-casting test of one point (-> bool) or an (N, 2) array (-> bool array).
+
+    An edge toggles the result when exactly one end lies strictly above the
+    point (half-open in y) and it crosses the point's row at
+    `xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)` with `xi > x` strictly: a
+    point on a left or bottom edge is inside, one on a right or top edge not.
+    """
+    pts = np.asarray(p, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    verts = np.asarray(vertices, dtype=float)
+    for (x1, y1), (x2, y2) in zip(verts, np.roll(verts, -1, axis=0)):
+        if y1 == y2:
+            continue
+        crosses = (y1 > y) != (y2 > y)
+        xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (xi > x)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
@@ -314,8 +320,8 @@ class TriMesh:
     def __init__(self, vertices, triangles, boundary_tags: dict):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must be (T, 3) vertex indices")
+        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3 or not len(self.triangles):
+            raise MeshError("triangles must be (T, 3) vertex indices, T > 0")
         self._build(boundary_tags)
 
     def _build(self, boundary_tags):
@@ -337,49 +343,45 @@ class TriMesh:
         )
         self.incircle_diameters = 4.0 * self.areas / per
 
-        half_edges: dict[tuple, list] = {}
-        for t in range(len(tri)):
-            for k in range(3):
-                a, b = int(tri[t, k]), int(tri[t, (k + 1) % 3])
-                half_edges.setdefault((min(a, b), max(a, b)), []).append((t, a, b))
+        # Half-edge h = 3 t + k runs from corner k of triangle t to corner
+        # k + 1; the undirected edge {a, b}, a < b, has code a * base + b.
+        # Edges are numbered by their first use in half-edge order; the
+        # first user is the edge's left triangle, the second its right one.
+        ha = tri.ravel()
+        hb = np.roll(tri, -1, axis=1).ravel()
+        tagged = {(min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()}
+        tag_keys = np.array(list(tagged), dtype=np.int64).reshape(-1, 2)
+        base = 1 + max(int(tri.max()), int(tag_keys.max(initial=0)))
+        keys = np.minimum(ha, hb) * base + np.maximum(ha, hb)
+        codes, first, uses = np.unique(keys, return_index=True, return_counts=True)
+        last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
+        tag_codes = tag_keys @ [base, 1]
+        tag_edge = np.minimum(np.searchsorted(codes, tag_codes), len(codes) - 1)
+        on_boundary = (codes[tag_edge] == tag_codes) & (uses[tag_edge] == 1)
+        tag_of = np.full(len(codes), None, dtype=object)
+        tag_of[tag_edge[on_boundary]] = np.array(list(tagged.values()), dtype=object)[on_boundary]
 
-        tagged = {}
-        for (a, b), tag in boundary_tags.items():
-            tagged[(min(a, b), max(a, b))] = tag
-
-        left, right, va, vb, tags = [], [], [], [], []
-        for key, uses in half_edges.items():
-            if len(uses) > 2:
-                raise MeshError(f"non-manifold edge {key}: shared by {len(uses)} triangles")
-            if len(uses) == 2:
-                (t1, a1, b1), (t2, a2, b2) = uses
-                if (a1, b1) == (a2, b2):
-                    raise MeshError(f"inconsistent triangle orientation at edge {key}")
-                left.append(t1)
-                right.append(t2)
-                va.append(a1)
-                vb.append(b1)
-                tags.append(None)
-            else:
-                (t1, a1, b1) = uses[0]
-                if key not in tagged:
-                    raise MeshError(f"boundary edge {key} has no tag")
-                left.append(t1)
-                right.append(-1)
-                va.append(a1)
-                vb.append(b1)
-                tags.append(tagged[key])
-        extra = set(tagged) - {
-            (min(a, b), max(a, b)) for a, b, r in zip(va, vb, right) if r == -1
-        }
-        if extra:
+        flipped = (ha[first] != ha[last]) | (hb[first] != hb[last])
+        bad = (uses > 2) | ((uses == 2) & ~flipped) | ((uses == 1) & np.equal(tag_of, None))
+        if bad.any():
+            u = np.flatnonzero(bad)[np.argmin(first[bad])]
+            key = divmod(int(codes[u]), base)
+            if uses[u] > 2:
+                raise MeshError(f"non-manifold edge {key}: shared by {uses[u]} triangles")
+            if uses[u] == 2:
+                raise MeshError(f"inconsistent triangle orientation at edge {key}")
+            raise MeshError(f"boundary edge {key} has no tag")
+        if not on_boundary.all():
+            extra = [key for key, ok in zip(tagged, on_boundary) if not ok]
             raise MeshError(f"tags given for non-boundary edges: {sorted(extra)}")
 
-        self.edge_left = np.array(left, dtype=int)
-        self.edge_right = np.array(right, dtype=int)
-        self.edge_va = np.array(va, dtype=int)
-        self.edge_vb = np.array(vb, dtype=int)
-        self.edge_tags = tags
+        order = np.argsort(first)
+        h1 = first[order]
+        self.edge_left = h1 // 3
+        self.edge_right = np.where(uses[order] == 2, last[order] // 3, -1)
+        self.edge_va = ha[h1]
+        self.edge_vb = hb[h1]
+        self.edge_tags = tag_of[order].tolist()
         evec = V[self.edge_vb] - V[self.edge_va]
         self.edge_lengths = np.linalg.norm(evec, axis=1)
         if np.any(self.edge_lengths <= 0.0):
@@ -393,10 +395,14 @@ class TriMesh:
         self.interior = np.flatnonzero(self.edge_right >= 0)
         self.boundary = np.flatnonzero(self.edge_right < 0)
 
-        self.neighbors = [[] for _ in range(len(tri))]
-        for e in self.interior:
-            self.neighbors[self.edge_left[e]].append(self.edge_right[e])
-            self.neighbors[self.edge_right[e]].append(self.edge_left[e])
+        # Up to three neighbours per cell in interior-edge order, -1 padded.
+        cell = np.stack([self.edge_left, self.edge_right], axis=1)[self.interior].ravel()
+        other = np.stack([self.edge_right, self.edge_left], axis=1)[self.interior].ravel()
+        by_cell = np.argsort(cell, kind="stable")
+        count = np.bincount(cell, minlength=len(tri))
+        slot = np.arange(len(cell)) - (np.cumsum(count) - count)[cell[by_cell]]
+        self.neighbors = np.full((len(tri), 3), -1)
+        self.neighbors[cell[by_cell], slot] = other[by_cell]
 
     @property
     def n_cells(self) -> int:

@@ -25,8 +25,12 @@ def rect_union_mesh(rects, dx, tag_segments=None, polygons=()):
 
     rects: iterable of (x0, y0, x1, y1); all coordinates must sit on the dx
     grid. polygons: extra footprint regions (vertex arrays) rasterized by cell
-    center. tag_segments: list of ((ax, ay), (bx, by), tag) assigning tags to
-    boundary edges lying on those segments; anything else becomes a wall.
+    center with `point_in_polygon`, whose crossings are half-open in y and
+    count only strictly right of the centre (`xi > x`): a centre on a
+    polygon's left or bottom edge joins the footprint, one on its right or
+    top edge does not. tag_segments: list of ((ax, ay), (bx, by), tag)
+    assigning tags to boundary edges whose midpoints lie on those segments,
+    the first matching segment winning; anything else becomes a wall.
     """
     rects = [tuple(map(float, r)) for r in rects]
     if not rects:
@@ -56,67 +60,49 @@ def rect_union_mesh(rects, dx, tag_segments=None, polygons=()):
         mask |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
     for poly in polygons:
         poly = np.asarray(poly, dtype=float)
-        for i, j in np.argwhere(~mask):
-            if point_in_polygon((CX[i, j], CY[i, j]), poly):
-                mask[i, j] = True
+        # Centres outside the bounding box cross no edge, or an even number.
+        (px0, py0), (px1, py1) = poly.min(axis=0) - eps, poly.max(axis=0) + eps
+        test = ~mask & (CX > px0) & (CX < px1) & (CY > py0) & (CY < py1)
+        mask[test] = point_in_polygon(np.stack([CX[test], CY[test]], axis=1), poly)
     if not mask.any():
         raise MeshError("empty footprint")
 
-    node_index: dict[tuple, int] = {}
-    verts: list[tuple] = []
+    # Corners (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) of every cell,
+    # cells in (i, j) order; nodes are numbered by first use in that list.
+    ci, cj = np.nonzero(mask)
+    corners = (ci[:, None] + [0, 1, 1, 0]) * (ny + 1) + cj[:, None] + [0, 0, 1, 1]
+    keys, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    v00, v10, v11, v01 = number[inverse].reshape(-1, 4).T
+    node_i, node_j = np.divmod(keys[order], ny + 1)
+    verts = np.stack([x_min + node_i * dx, y_min + node_j * dx], axis=1)
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    def node(i, j):
-        key = (i, j)
-        if key not in node_index:
-            node_index[key] = len(verts)
-            verts.append((x_min + i * dx, y_min + j * dx))
-        return node_index[key]
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            if not mask[i, j]:
-                continue
-            v00, v10 = node(i, j), node(i + 1, j)
-            v11, v01 = node(i + 1, j + 1), node(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-
-    segs = []
-    for a, b, tag in tag_segments or ():
+    # Cell sides without a footprint cell behind them: left, right, bottom, top.
+    inside = np.pad(mask, 1)
+    faces = [
+        (~inside[ci, cj + 1], v00, v01),
+        (~inside[ci + 2, cj + 1], v10, v11),
+        (~inside[ci + 1, cj], v00, v10),
+        (~inside[ci + 1, cj + 2], v01, v11),
+    ]
+    na = np.concatenate([a[open_] for open_, a, _ in faces])
+    nb = np.concatenate([b[open_] for open_, _, b in faces])
+    mid = 0.5 * (verts[na] + verts[nb])
+    tags = np.full(len(na), "wall", dtype=object)
+    # Tagged last to first, so that the first segment holding a midpoint wins.
+    for a, b, tag in reversed(list(tag_segments or ())):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         L = np.linalg.norm(b - a)
-        segs.append((a, (b - a) / L, L, tag))
-
-    def classify(mid):
-        for a, d, L, tag in segs:
-            w = mid - a
-            t = np.dot(w, d)
-            if -eps <= t <= L + eps and abs(w[0] * d[1] - w[1] * d[0]) < 10 * eps:
-                return tag
-        return "wall"
-
-    tags = {}
-
-    def add_boundary(na, nb):
-        mid = 0.5 * (np.asarray(verts[na]) + np.asarray(verts[nb]))
-        tags[(min(na, nb), max(na, nb))] = classify(mid)
-
-    inside = lambda i, j: 0 <= i < nx and 0 <= j < ny and mask[i, j]
-    for i in range(nx):
-        for j in range(ny):
-            if not mask[i, j]:
-                continue
-            if not inside(i - 1, j):
-                add_boundary(node(i, j), node(i, j + 1))
-            if not inside(i + 1, j):
-                add_boundary(node(i + 1, j), node(i + 1, j + 1))
-            if not inside(i, j - 1):
-                add_boundary(node(i, j), node(i + 1, j))
-            if not inside(i, j + 1):
-                add_boundary(node(i, j + 1), node(i + 1, j + 1))
-
-    return TriMesh(np.array(verts), np.array(tris, dtype=int), tags)
+        d = (b - a) / L
+        w = mid - a
+        t = w[:, 0] * d[0] + w[:, 1] * d[1]
+        off_line = np.abs(w[:, 0] * d[1] - w[:, 1] * d[0])
+        tags[(t >= -eps) & (t <= L + eps) & (off_line < 10 * eps)] = tag
+    keys = zip(np.minimum(na, nb).tolist(), np.maximum(na, nb).tolist())
+    return TriMesh(verts, tris, dict(zip(keys, tags.tolist())))
 
 
 def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh:

@@ -38,25 +38,24 @@ class MeshField:
         self.grad_x = np.zeros((T, 3))
         self.grad_y = np.zeros((T, 3))
 
+        # Stencil of each cell: its mesh neighbours, then its virtual ones in
+        # slot order; virtual slot s is stored as neighbour -(s + 1).
         virtual = list(virtual or [])
         self.n_virtual = len(virtual)
-        nbr_lists = [list(mesh.neighbors[t]) for t in range(T)]
-        pos_lists = [[mesh.centroids[j] for j in mesh.neighbors[t]] for t in range(T)]
-        for slot, (cell, pos) in enumerate(virtual):
-            nbr_lists[cell].append(-(slot + 1))
-            pos_lists[cell].append(np.asarray(pos, dtype=float))
+        counts = np.count_nonzero(mesh.neighbors >= 0, axis=1)
+        nbrs = np.concatenate([mesh.neighbors, np.full((T, len(virtual)), -1)], axis=1)
+        pos = mesh.centroids[nbrs]  # padding entries are never read
+        for slot, (cell, p) in enumerate(virtual):
+            nbrs[cell, counts[cell]] = -(slot + 1)
+            pos[cell, counts[cell]] = p
+            counts[cell] += 1
 
         self._groups = []
-        counts = np.array([len(v) for v in nbr_lists])
         scale = float(np.sqrt(np.mean(mesh.areas)))
-        for c in sorted(set(counts)):
+        for c in sorted(set(counts[counts >= 2].tolist())):
             cells = np.flatnonzero(counts == c)
-            if c < 2:
-                continue
-            nbr = np.array([nbr_lists[t] for t in cells], dtype=int)
-            offs = np.array(
-                [[p - mesh.centroids[t] for p in pos_lists[t]] for t in cells]
-            )
+            nbr = nbrs[cells, :c]
+            offs = pos[cells, :c] - mesh.centroids[cells][:, None, :]
             if c == 3:
                 M = np.concatenate([np.ones((len(cells), 3, 1)), offs], axis=2)
                 det = np.linalg.det(M)

@@ -570,11 +570,12 @@ class Mesh2DSimulation:
         self.steps = 0
         self.gauges = list(gauges)
         self.recorder = GaugeRecorder(self.gauges)
-        self._tag_groups = {}
-        for e in mesh.boundary:
-            kind = mesh.edge_tags[e].split(":")[0]
-            self._tag_groups.setdefault(kind, []).append(e)
-        self._tag_groups = {k: np.array(v) for k, v in self._tag_groups.items()}
+        # Boundary edges by tag kind, kinds in order of first appearance.
+        tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
+        names, inverse = np.unique(tags, return_inverse=True)
+        kinds = np.array([name.split(":")[0] for name in names], dtype=object)[inverse]
+        kind_names, first, kind_of = np.unique(kinds, return_index=True, return_inverse=True)
+        self._tag_groups = {kind_names[k]: mesh.boundary[kind_of == k] for k in np.argsort(first)}
         unknown = set(self._tag_groups) - {"wall", "transparent", "inflow", "prescribed"}
         if unknown:
             raise ValueError(f"unsupported boundary tags in 2D domain: {unknown}")
@@ -585,6 +586,7 @@ class Mesh2DSimulation:
         # data on the first step; pinning the incoming invariant to it keeps
         # strong fronts from reflecting at open boundaries.
         self._transparent_bg = None
+        self.diagnostics = {"boundary_influx": 0.0}
 
     def set_uniform(self, h, u=0.0, v=0.0):
         self.field.set_uniform(h, u, v)
@@ -603,6 +605,7 @@ class Mesh2DSimulation:
         qL, qR = self.field.edge_states(dt)
         flux = interior_edge_fluxes(self.field, qL, qR)
         m = self.mesh
+        boundary_mass = 0.0
         for kind, edges in self._tag_groups.items():
             thetas = m.edge_thetas[edges]
             qhat = rotate_state(qL[edges], thetas)
@@ -639,7 +642,10 @@ class Mesh2DSimulation:
                 )
                 fhat = hllc_flux(qhat, ghost, self.params)
             flux[edges] = rotate_back(fhat, thetas)
+            if kind != "wall":
+                boundary_mass -= float(np.sum(m.edge_lengths[edges] * flux[edges, 0]))
         self.field.update(flux, dt)
+        self.diagnostics["boundary_influx"] += boundary_mass * dt
         self.t += dt
         self.steps += 1
 
@@ -655,6 +661,7 @@ class Mesh2DSimulation:
     def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
         start = time.perf_counter()
         v0 = self.field.volume()
+        self.diagnostics["boundary_influx"] = 0.0  # the ledger covers this run
         self.sample_gauges()
         failure = None
         try:
@@ -665,7 +672,8 @@ class Mesh2DSimulation:
         except (PositivityError, DryStateError, NonFiniteError) as exc:
             failure = exc
         wall = time.perf_counter() - start
-        diags = {"initial_volume": v0, "final_volume": self.field.volume()}
+        diags = dict(self.diagnostics, initial_volume=v0, final_volume=self.field.volume())
+        diags["volume_defect"] = diags["final_volume"] - v0 - diags["boundary_influx"]
         return RunResult(
             status="failed" if failure else "completed",
             t=self.t,

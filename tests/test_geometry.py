@@ -9,6 +9,7 @@ from swnet.geometry import (
     TriMesh,
     build_junction_polygon,
     load_trimesh,
+    point_in_polygon,
     polygon_area,
     save_trimesh,
 )
@@ -158,6 +159,10 @@ class TestTriMesh:
         with pytest.raises(MeshError, match="counter-clockwise"):
             TriMesh(verts, [(0, 2, 1)], {})
 
+    def test_mesh_without_triangles_rejected(self):
+        with pytest.raises(MeshError, match="T > 0"):
+            TriMesh([(0, 0), (1, 0), (0, 1)], np.zeros((0, 3), dtype=int), {})
+
     def test_untagged_boundary_rejected(self):
         verts = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(MeshError, match="no tag"):
@@ -242,3 +247,312 @@ class TestChannelField:
         f = ChannelField([ch], PhysicalParams(), cuts={("c", "start"): 0.2})  # 4 cells of 0.05
         assert f.n == 36
         assert np.isclose(f.centers[0], 0.225, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The array builders against the per-cell loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_point_in_polygon(p, vertices):
+    """Scalar ray cast: half-open crossings in y, counted where xi > x."""
+    x, y = p
+    inside = False
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        if (y1 > y) != (y2 > y):
+            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
+def loop_rect_union_mesh(rects, dx, tag_segments=(), polygons=()):
+    """(vertices, triangles, boundary tags) of `rect_union_mesh`, one cell at a
+    time: every unmasked centre against every polygon, nodes numbered by first
+    use, boundary sides tagged by the first segment holding their midpoint."""
+    rects = [tuple(map(float, r)) for r in rects]
+    xs = [r[0] for r in rects] + [r[2] for r in rects]
+    ys = [r[1] for r in rects] + [r[3] for r in rects]
+    for p in polygons:
+        xs += list(np.asarray(p)[:, 0])
+        ys += list(np.asarray(p)[:, 1])
+    x_min, y_min = min(xs), min(ys)
+    nx = int(round((max(xs) - x_min) / dx))
+    ny = int(round((max(ys) - y_min) / dx))
+    cx = x_min + dx * (np.arange(nx) + 0.5)
+    cy = y_min + dx * (np.arange(ny) + 0.5)
+    CX, CY = np.meshgrid(cx, cy, indexing="ij")
+    mask = np.zeros((nx, ny), dtype=bool)
+    eps = 1e-9 * dx
+    for x0, y0, x1, y1 in rects:
+        mask |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
+    for poly in polygons:
+        poly = np.asarray(poly, dtype=float)
+        for i, j in np.argwhere(~mask):
+            if loop_point_in_polygon((CX[i, j], CY[i, j]), poly):
+                mask[i, j] = True
+
+    node_index, verts = {}, []
+
+    def node(i, j):
+        if (i, j) not in node_index:
+            node_index[(i, j)] = len(verts)
+            verts.append((x_min + i * dx, y_min + j * dx))
+        return node_index[(i, j)]
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            if mask[i, j]:
+                v00, v10 = node(i, j), node(i + 1, j)
+                v11, v01 = node(i + 1, j + 1), node(i, j + 1)
+                tris += [(v00, v10, v11), (v00, v11, v01)]
+
+    def classify(mid):
+        for a, b, tag in tag_segments:
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            L = np.linalg.norm(b - a)
+            d = (b - a) / L
+            w = mid - a
+            t = np.dot(w, d)
+            if -eps <= t <= L + eps and abs(w[0] * d[1] - w[1] * d[0]) < 10 * eps:
+                return tag
+        return "wall"
+
+    tags = {}
+    inside = lambda i, j: 0 <= i < nx and 0 <= j < ny and mask[i, j]  # noqa: E731
+    for i in range(nx):
+        for j in range(ny):
+            if not mask[i, j]:
+                continue
+            for di, dj, a, b in ((-1, 0, (i, j), (i, j + 1)), (1, 0, (i + 1, j), (i + 1, j + 1)),
+                                 (0, -1, (i, j), (i + 1, j)), (0, 1, (i, j + 1), (i + 1, j + 1))):
+                if not inside(i + di, j + dj):
+                    na, nb = node(*a), node(*b)
+                    mid = 0.5 * (np.asarray(verts[na]) + np.asarray(verts[nb]))
+                    tags[(min(na, nb), max(na, nb))] = classify(mid)
+    return np.array(verts), np.array(tris, dtype=int), tags
+
+
+def loop_edge_table(triangles, boundary_tags):
+    """Edge table of `TriMesh` from a dict of half-edges, edges in order of
+    first use; (left, right, va, vb, tags, neighbours per cell)."""
+    half_edges = {}
+    for t, corners in enumerate(np.asarray(triangles).tolist()):
+        for k in range(3):
+            a, b = corners[k], corners[(k + 1) % 3]
+            half_edges.setdefault((min(a, b), max(a, b)), []).append((t, a, b))
+    tagged = {(min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()}
+    left, right, va, vb, tags = [], [], [], [], []
+    for key, uses in half_edges.items():
+        if len(uses) > 2:
+            raise MeshError(f"non-manifold edge {key}: shared by {len(uses)} triangles")
+        (t1, a1, b1) = uses[0]
+        if len(uses) == 2:
+            (t2, a2, b2) = uses[1]
+            if (a1, b1) == (a2, b2):
+                raise MeshError(f"inconsistent triangle orientation at edge {key}")
+        elif key not in tagged:
+            raise MeshError(f"boundary edge {key} has no tag")
+        left.append(t1)
+        right.append(uses[1][0] if len(uses) == 2 else -1)
+        va.append(a1)
+        vb.append(b1)
+        tags.append(None if len(uses) == 2 else tagged[key])
+    boundary = {(min(a, b), max(a, b)) for a, b, r in zip(va, vb, right) if r == -1}
+    if set(tagged) - boundary:
+        raise MeshError(f"tags given for non-boundary edges: {sorted(set(tagged) - boundary)}")
+    neighbors = [[] for _ in range(len(triangles))]
+    for l, r in zip(left, right):
+        if r >= 0:
+            neighbors[l].append(r)
+            neighbors[r].append(l)
+    return left, right, va, vb, tags, neighbors
+
+
+def loop_stencil_groups(mesh, virtual):
+    """`MeshField` stencil groups from per-cell neighbour and position lists."""
+    nbr_lists = [[int(j) for j in row if j >= 0] for row in mesh.neighbors]
+    pos_lists = [[mesh.centroids[j] for j in row] for row in nbr_lists]
+    for slot, (cell, pos) in enumerate(virtual):
+        nbr_lists[cell].append(-(slot + 1))
+        pos_lists[cell].append(np.asarray(pos, dtype=float))
+    counts = np.array([len(v) for v in nbr_lists])
+    scale = float(np.sqrt(np.mean(mesh.areas)))
+    groups = []
+    for c in sorted(set(counts)):
+        if c < 2:
+            continue
+        cells = np.flatnonzero(counts == c)
+        nbr = np.array([nbr_lists[t] for t in cells], dtype=int)
+        offs = np.array([[p - mesh.centroids[t] for p in pos_lists[t]] for t in cells])
+        if c == 3:
+            M = np.concatenate([np.ones((len(cells), 3, 1)), offs], axis=2)
+            good = np.abs(np.linalg.det(M)) > 1e-12 * scale**2
+            op = np.zeros_like(M)
+            op[good] = np.linalg.inv(M[good])
+            groups.append(("exact", cells, nbr, op, good))
+        else:
+            G = np.einsum("kci,kcj->kij", offs, offs)
+            det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+            good = np.abs(det) > 1e-12 * scale**4
+            op = np.zeros((len(cells), 2, c))
+            op[good] = np.einsum("kij,kcj->kic", np.linalg.inv(G[good]), offs[good])
+            groups.append(("lsq", cells, nbr, op, good))
+    return groups
+
+
+def diamond(cx, cy, r):
+    return np.array([(cx + r, cy), (cx, cy + r), (cx - r, cy), (cx, cy - r)])
+
+
+def network_cores():
+    """The junction core polygons of the test6_network reference footprint."""
+    from swnet import preset
+
+    data = preset("test6_network").data
+    channels = {
+        c["id"]: Channel(c["id"], c["width"], c["cells"], c["start"], c["end"])
+        for c in data["channels"]
+    }
+    cores = []
+    for j in data["junctions"]:
+        ends = [channels[c["channel"]].connected_end(c["end"]) for c in j["connects"]]
+        try:
+            cores.append(build_junction_polygon(ends, j["position"], 0.0).vertices)
+        except GeometryError:
+            pass
+    assert cores
+    return cores
+
+
+def built_with(monkeypatch, mesher, *args, **kwargs):
+    """The mesh `mesher` returns and the (vertices, triangles, tags) it built
+    it from."""
+    from swnet import meshing
+
+    seen = []
+
+    def record(vertices, triangles, tags):
+        seen.append((vertices, triangles, tags))
+        return TriMesh(vertices, triangles, tags)
+
+    monkeypatch.setattr(meshing, "TriMesh", record)
+    mesh = mesher(*args, **kwargs)
+    (inputs,) = seen
+    return mesh, inputs
+
+
+def assert_same_edge_table(mesh, tags):
+    left, right, va, vb, edge_tags, neighbors = loop_edge_table(mesh.triangles, tags)
+    for name, want in (("edge_left", left), ("edge_right", right), ("edge_va", va),
+                       ("edge_vb", vb)):
+        got = getattr(mesh, name)
+        assert got.dtype == np.int64 and got.tolist() == want, name
+    assert mesh.edge_tags == edge_tags
+    assert [[j for j in row if j >= 0] for row in mesh.neighbors.tolist()] == neighbors
+
+
+def assert_same_stencils(mesh, virtual):
+    from swnet.core import PhysicalParams
+    from swnet.scheme2d import MeshField
+
+    got = MeshField(mesh, PhysicalParams(), virtual=virtual)._groups
+    want = loop_stencil_groups(mesh, virtual)
+    assert [g[0] for g in got] == [g[0] for g in want]
+    for g, w in zip(got, want):
+        for a, b in zip(g[1:], w[1:]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestPointInPolygon:
+    POLYGONS = [
+        diamond(0.3, -0.2, 0.7),
+        np.array([(0, 0), (2, 0), (2, 2), (1, 0.8), (0, 2)]),  # non-convex
+        np.array([(0, 0), (1, 0), (1, 1), (0, 1)]),  # horizontal edges
+    ]
+
+    def check(self, pts, poly):
+        got = point_in_polygon(pts, poly)
+        want = [loop_point_in_polygon(p, poly) for p in pts.tolist()]
+        assert got.dtype == bool and got.tolist() == want
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_random_points(self, k):
+        rng = np.random.default_rng(k)
+        self.check(rng.uniform(-1.0, 2.5, size=(2000, 2)), self.POLYGONS[k])
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_points_level_with_vertices(self, k):
+        poly = self.POLYGONS[k]
+        rng = np.random.default_rng(10 + k)
+        xs = rng.uniform(-1.0, 2.5, size=(200, 1))
+        pts = np.concatenate([np.hstack([xs, np.full_like(xs, y)]) for y in poly[:, 1]])
+        self.check(np.concatenate([pts, poly]), poly)
+
+    def test_points_on_junction_cores(self):
+        for poly in network_cores():
+            rng = np.random.default_rng(len(poly))
+            lo, hi = poly.min(axis=0), poly.max(axis=0)
+            nxt = np.roll(poly, -1, axis=0)
+            on_edges = poly + rng.uniform(size=(len(poly), 1)) * (nxt - poly)
+            near = rng.uniform(lo - 0.05, hi + 0.05, size=(500, 2))
+            self.check(np.concatenate([poly, 0.5 * (poly + nxt), on_edges, near]), poly)
+
+    def test_single_point_returns_bool(self):
+        poly = self.POLYGONS[0]
+        assert point_in_polygon((0.3, -0.2), poly) is True
+        assert point_in_polygon(np.array([5.0, 5.0]), poly) is False
+
+
+class TestArrayBuilders:
+    def test_rect_union_mesh_matches_loops(self, monkeypatch):
+        rects = [(0, 0, 2, 0.5), (1.5, 0, 2, 2)]
+        segs = [((0, 0), (0, 0.5), "inflow"), ((1.5, 2), (2, 2), "transparent"),
+                ((1.5, 0), (2, 0), "prescribed"), ((1.5, 0), (2, 0), "inflow")]
+        polygons = [diamond(1.5, 0.5, 0.45), diamond(0.2, 0.9, 0.3)]
+        mesh, (verts, tris, tags) = built_with(
+            monkeypatch, rect_union_mesh, rects, 0.05, tag_segments=segs, polygons=polygons
+        )
+        want_verts, want_tris, want_tags = loop_rect_union_mesh(rects, 0.05, segs, polygons)
+        assert np.array_equal(verts, want_verts) and np.array_equal(tris, want_tris)
+        assert tags == want_tags
+        assert set(tags.values()) == {"wall", "inflow", "transparent", "prescribed"}
+        assert np.array_equal(mesh.vertices, want_verts)
+        assert np.array_equal(mesh.triangles, want_tris)
+        assert_same_edge_table(mesh, tags)
+        assert_same_stencils(mesh, [])
+
+    @pytest.mark.parametrize("refinements", [0, 1, 2, 3])
+    def test_fan_refine_mesh_matches_loops(self, monkeypatch, refinements):
+        mesh, (_, _, tags) = built_with(monkeypatch, fan_refine_mesh, t_junction(), refinements)
+        assert_same_edge_table(mesh, tags)
+        # Coupling-edge cells take virtual neighbours, some two, out of order.
+        cells = mesh.edge_left[mesh.boundary[::2]]
+        far = mesh.edge_midpoints[mesh.boundary[::2]] * 1.5
+        virtual = list(zip(cells[::-1], far[::-1])) + [(cells[0], far[0] * 1.2)]
+        assert_same_stencils(mesh, [])
+        assert_same_stencils(mesh, virtual)
+
+    BAD_MESHES = {
+        "non-manifold": ([(0, 1, 2), (0, 3, 1), (1, 0, 4)], {}),
+        "inconsistent triangle orientation": ([(0, 1, 2), (0, 1, 5)], {}),
+        "no tag": ([(0, 1, 2)], {(0, 1): "wall"}),
+        "tags given for non-boundary edges": (
+            [(0, 1, 2), (0, 2, 5)],
+            {(0, 1): "wall", (1, 2): "wall", (2, 5): "wall", (0, 5): "wall", (2, 0): "wall"},
+        ),
+    }
+
+    @pytest.mark.parametrize("message", BAD_MESHES)
+    def test_mesh_errors_match_loops(self, message):
+        verts = [(0, 0), (1, 0), (0, 1), (0, -1), (0.5, -3), (-1, 1)]
+        tris, tags = self.BAD_MESHES[message]
+        with pytest.raises(MeshError, match=message) as got:
+            TriMesh(verts, tris, tags)
+        with pytest.raises(MeshError) as want:
+            loop_edge_table(tris, tags)
+        assert str(got.value) == str(want.value)

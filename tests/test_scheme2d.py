@@ -33,7 +33,7 @@ class TestReconstruct2D:
         f.q[:, 1] = 0.0
         f.q[:, 2] = 0.0
         f.reconstruct()
-        interior = np.array([len(m.neighbors[t]) == 3 for t in range(m.n_cells)])
+        interior = np.count_nonzero(m.neighbors >= 0, axis=1) == 3
         assert np.abs(f.grad_x[interior, 0] - 0.2).max() < 1e-12
         assert np.abs(f.grad_y[interior, 0] + 0.1).max() < 1e-12
 
@@ -206,6 +206,33 @@ class TestRotationalEquivariance:
 def test_reference_rejects_cfl_outside_unit_interval(cfl):
     with pytest.raises(ValueError, match="cfl"):
         Mesh2DSimulation(box_mesh(), P, cfl=cfl)
+
+
+class TestVolumeLedger:
+    def channel(self):
+        segs = [((0, 0), (0, 0.4), "inflow"), ((2, 0), (2, 0.4), "transparent")]
+        return rect_union_mesh([(0, 0, 2, 0.4)], 0.1, tag_segments=segs)
+
+    def test_open_channel_ledger_closes(self):
+        from swnet.simulation import BoundaryCondition, gaussian_pulse
+
+        bcs = {"inflow": BoundaryCondition("inflow", u_fn=gaussian_pulse(0.3, 0.2, 0.1))}
+        sim = Mesh2DSimulation(self.channel(), P, boundary_conditions=bcs)
+        sim.set_uniform(1.0)
+        for t_end in (0.3, 0.6):  # each run keeps its own ledger
+            res = sim.run(t_end)
+            d = res.diagnostics
+            assert res.status == "completed" and d["boundary_influx"] > 0.0
+            assert d["final_volume"] != d["initial_volume"]
+            assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
+
+    def test_closed_box_has_no_influx(self):
+        sim = Mesh2DSimulation(box_mesh(0.1), P)
+        sim.set_uniform(1.0)
+        sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
+        d = sim.run(0.2).diagnostics
+        assert d["boundary_influx"] == 0.0
+        assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
 
 
 def test_nan_flux_is_non_finite_failure():

@@ -17,11 +17,20 @@ discarded transverse momentum relative to the largest final cell momentum.
 Scenarios a tree rejects with a configuration error are listed with their
 messages. The exit code is 1 when steps, statuses, failure types or
 rejections differ, or a deviation exceeds --rtol.
+
+    python tools/compare_runs.py OLD_TREE NEW_TREE --reference [--steps 12]
+
+builds the full-2D reference of test6_network at dx = 0.1, 0.04 and 0.02
+in each tree instead and requires exact equality: of every mesh array
+(vertices, triangles, the edge table and tags, each cell's neighbours), of
+the reconstruction stencils and of the initial state, and, after --steps
+steps, of the gauge series and the final state.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import subprocess
 import sys
@@ -85,11 +94,68 @@ def run_matrix(steps: int) -> list[dict]:
     return out
 
 
-def run_tree(tree: Path, steps: int) -> list[dict]:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(tree), "--steps", str(steps)],
-        capture_output=True, text=True, check=True,
-    )
+REFERENCE_DX = (0.1, 0.04, 0.02)
+MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "edge_vb",
+               "edge_tags")
+
+
+def run_reference(steps: int) -> dict:
+    """Mesh, stencils, initial state and a short run of the test6_network
+    reference at each dx, as arrays keyed "<dx>/<group>/<name>"."""
+    from swnet import preset, studies
+
+    out = {}
+    cfg = preset("test6_network")
+    for dx in REFERENCE_DX:
+        sim = studies.build_reference_sim(cfg, dx)
+        mesh = {name: np.asarray(getattr(sim.mesh, name)) for name in MESH_ARRAYS}
+        mesh["edge_tags"] = mesh["edge_tags"].astype(str)
+        rows = [np.asarray(r, dtype=int) for r in sim.mesh.neighbors]
+        mesh["neighbors"] = np.concatenate([r[r >= 0] for r in rows])
+        mesh["neighbor_counts"] = np.array([np.count_nonzero(r >= 0) for r in rows])
+        stencils = {}
+        for k, (kind, *arrays) in enumerate(sim.field._groups):
+            stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate(arrays)}
+        q0 = sim.field.q.copy()
+        res = sim.run(cfg.t_end, max_steps=steps)
+        rec = res.gauges
+        run = {"steps": np.array(res.steps), "status": np.array(res.status),
+               "t": np.array(rec.times), **{f"h:{g}": np.array(rec.h[g]) for g in rec.h},
+               **{f"u:{g}": np.array(rec.u[g]) for g in rec.u}}
+        groups = {"mesh": mesh, "stencils": stencils, "initial": {"q": q0},
+                  "run": run, "final": {"q": sim.field.q}}
+        out |= {f"{dx}/{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
+    return out
+
+
+def compare_reference(old: dict, new: dict):
+    """(markdown lines, number of problems): equal keys, dtypes and values per
+    dx and group."""
+    groups = ("mesh", "stencils", "initial", "run", "final")
+    lines = ["| dx | cells | " + " | ".join(groups) + " |", "|---" * (2 + len(groups)) + "|"]
+    problems = 0
+    for dx in REFERENCE_DX:
+        cells = len(old[f"{dx}/mesh/triangles"])
+        row = []
+        for g in groups:
+            prefix = f"{dx}/{g}/"
+            keys = {k for k in old if k.startswith(prefix)}
+            differ = sorted(k[len(prefix):] for k in keys ^ {k for k in new if k.startswith(prefix)})
+            differ += sorted(k[len(prefix):] for k in keys & new.keys()
+                             if old[k].dtype != new[k].dtype or not np.array_equal(old[k], new[k]))
+            problems += len(differ)
+            row.append("identical" if not differ else "differ: " + ", ".join(differ))
+        lines.append(f"| {dx} | {cells} | " + " | ".join(row) + " |")
+    return lines, problems
+
+
+def run_tree(tree: Path, steps: int, reference=False):
+    cmd = [sys.executable, __file__, "--worker", str(tree), "--steps", str(steps)]
+    if reference:
+        proc = subprocess.run([*cmd, "--reference"], capture_output=True, check=True)
+        with np.load(io.BytesIO(proc.stdout)) as data:
+            return dict(data)
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -157,20 +223,33 @@ def compare(old: list[dict], new: list[dict], rtol: float):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=int, help="steps per run (default 200, 12 with --reference)")
     p.add_argument("--rtol", type=float, default=1e-12)
+    p.add_argument("--reference", action="store_true",
+                   help="compare the test6_network full-2D reference bit for bit")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
+    steps = args.steps or (12 if args.reference else 200)
     if args.worker:
         sys.path.insert(0, str(args.worker / "src"))
-        json.dump(run_matrix(args.steps), sys.stdout)
+        if args.reference:
+            buf = io.BytesIO()
+            np.savez(buf, **run_reference(steps))
+            sys.stdout.buffer.write(buf.getvalue())
+        else:
+            json.dump(run_matrix(steps), sys.stdout)
         return 0
     if len(args.trees) != 2:
         p.error("give two source trees")
-    old, new = (run_tree(t, args.steps) for t in args.trees)
-    lines, problems = compare(old, new, args.rtol)
-    print("\n".join(lines))
-    print(f"\n{len(old)} scenarios, {problems} problems (rtol {args.rtol:g})")
+    old, new = (run_tree(t, steps, args.reference) for t in args.trees)
+    if args.reference:
+        lines, problems = compare_reference(old, new)
+        print("\n".join(lines))
+        print(f"\n{len(REFERENCE_DX)} reference meshes, {steps} steps each, {problems} problems")
+    else:
+        lines, problems = compare(old, new, args.rtol)
+        print("\n".join(lines))
+        print(f"\n{len(old)} scenarios, {problems} problems (rtol {args.rtol:g})")
     return 1 if problems else 0
 
 
