@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, build_simulation, parse_config
 from .presets import preset, preset_names
-from .simulation import write_gauge_csv
+from .simulation import RunResult, write_gauge_csv
 from .studies import convergence_order, grid_independence
 
 
@@ -48,6 +50,7 @@ def _write_meta(out_dir: Path, cfg, result, extra=None):
     }
     if result.failure is not None:
         meta["failure"] = str(result.failure)
+        meta["failure_type"] = type(result.failure).__name__
     if extra:
         meta.update(extra)
     with open(out_dir / "run_meta.json", "w") as f:
@@ -75,7 +78,16 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_end = args.t_end if args.t_end is not None else cfg.t_end
-    result = sim.run(t_end, output_stride=args.stride)
+    start = time.perf_counter()
+    try:
+        result = sim.run(t_end, output_stride=args.stride)
+    except Exception as exc:  # outside the run's typed failures: stop where it failed
+        traceback.print_exc()
+        result = RunResult(
+            status="failed", t=sim.t, steps=sim.steps, gauges=sim.recorder,
+            diagnostics=dict(sim.diagnostics), wall_time=time.perf_counter() - start,
+            failure=exc,
+        )
     write_gauge_csv(out_dir / "gauges.csv", result.gauges)
     _write_meta(out_dir, cfg, result)
     _dump_final_state(out_dir, sim)

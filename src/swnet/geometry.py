@@ -327,7 +327,7 @@ class TriMesh:
     def _build(self, boundary_tags):
         V = self.vertices
         tri = self.triangles
-        p0, p1, p2 = V[tri[:, 0]], V[tri[:, 1]], V[tri[:, 2]]
+        p0, p1, p2 = (V.take(tri[:, k], axis=0) for k in range(3))
         cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
             p1[:, 1] - p0[:, 1]
         ) * (p2[:, 0] - p0[:, 0])
@@ -382,7 +382,7 @@ class TriMesh:
         self.edge_va = ha[h1]
         self.edge_vb = hb[h1]
         self.edge_tags = tag_of[order].tolist()
-        evec = V[self.edge_vb] - V[self.edge_va]
+        evec = V.take(self.edge_vb, axis=0) - V.take(self.edge_va, axis=0)
         self.edge_lengths = np.linalg.norm(evec, axis=1)
         if np.any(self.edge_lengths <= 0.0):
             raise MeshError("zero-length edge")
@@ -390,10 +390,21 @@ class TriMesh:
         # Half-edges are stored CCW for the left triangle, so the outward
         # normal (from left) is the tangent rotated -90 degrees.
         self.edge_thetas = np.arctan2(-tdir[:, 0], tdir[:, 1])
-        self.edge_midpoints = 0.5 * (V[self.edge_va] + V[self.edge_vb])
 
         self.interior = np.flatnonzero(self.edge_right >= 0)
         self.boundary = np.flatnonzero(self.edge_right < 0)
+
+        # Static geometry of the per-step kernels, laid out so that every x
+        # or y row is contiguous: the cell on each side of an edge (the left
+        # cell stands in on the right of a boundary edge) and the edge
+        # midpoint's (2, E) offset from its centroid; each triangle corner's
+        # offset from the centroid, as (corner, axis, cell).
+        self.edge_cells = (
+            self.edge_left, np.where(self.edge_right >= 0, self.edge_right, self.edge_left)
+        )
+        cT, midT = self.centroids.T, self.edge_midpoints.T
+        self.edge_offsets = tuple(midT - cT.take(cells, axis=1) for cells in self.edge_cells)
+        self.vertex_offsets = (V.T.take(tri.T, axis=1) - cT[:, None, :]).transpose(1, 0, 2)
 
         # Up to three neighbours per cell in interior-edge order, -1 padded.
         cell = np.stack([self.edge_left, self.edge_right], axis=1)[self.interior].ravel()
@@ -407,6 +418,12 @@ class TriMesh:
     @property
     def n_cells(self) -> int:
         return len(self.triangles)
+
+    @property
+    def edge_midpoints(self) -> np.ndarray:
+        # Computed on access: stepping reads `edge_offsets`, so no copy is kept.
+        V = self.vertices
+        return 0.5 * (V.take(self.edge_va, axis=0) + V.take(self.edge_vb, axis=0))
 
     def boundary_edges_by_tag(self, prefix: str) -> np.ndarray:
         return np.array(

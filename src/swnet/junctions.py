@@ -465,7 +465,7 @@ class JunctionB:
             flux[edges], f_ch = _two_pass(
                 field, self._ends[self._cpl_end], self._cpl_alpha, th,
                 rotate_state(qL[edges], th), (pf.q[cells], pf.grad_x[cells], pf.grad_y[cells]),
-                m.edge_midpoints[edges] - m.centroids[cells], dt, self.params, self.order,
+                m.edge_offsets[0][:, edges].T, dt, self.params, self.order,
             )
         totals = np.zeros((len(self.ends), 3))
         np.add.at(totals, self._cpl_end, f_ch * m.edge_lengths[edges][:, None])

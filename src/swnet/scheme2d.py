@@ -44,7 +44,7 @@ class MeshField:
         self.n_virtual = len(virtual)
         counts = np.count_nonzero(mesh.neighbors >= 0, axis=1)
         nbrs = np.concatenate([mesh.neighbors, np.full((T, len(virtual)), -1)], axis=1)
-        pos = mesh.centroids[nbrs]  # padding entries are never read
+        pos = mesh.centroids.take(nbrs, axis=0)  # padding entries are never read
         for slot, (cell, p) in enumerate(virtual):
             nbrs[cell, counts[cell]] = -(slot + 1)
             pos[cell, counts[cell]] = p
@@ -55,7 +55,7 @@ class MeshField:
         for c in sorted(set(counts[counts >= 2].tolist())):
             cells = np.flatnonzero(counts == c)
             nbr = nbrs[cells, :c]
-            offs = pos[cells, :c] - mesh.centroids[cells][:, None, :]
+            offs = pos.take(cells, axis=0)[:, :c] - mesh.centroids.take(cells, axis=0)[:, None, :]
             if c == 3:
                 M = np.concatenate([np.ones((len(cells), 3, 1)), offs], axis=2)
                 det = np.linalg.det(M)
@@ -74,9 +74,6 @@ class MeshField:
                     P[good] = np.einsum("kij,kcj->kic", Ginv, offs[good])
                 self._groups.append(("lsq", cells, nbr, P, good))
 
-        # Vertex offsets from the centroid, for the limiter.
-        self._vert_offs = mesh.vertices[mesh.triangles] - mesh.centroids[:, None, :]
-
     def set_uniform(self, h, u=0.0, v=0.0):
         self.q[:, 0] = h
         self.q[:, 1] = h * u
@@ -90,55 +87,67 @@ class MeshField:
         lam = max_wave_speed(self.q, self.params)
         return float(np.min(self.mesh.incircle_diameters / lam))
 
-    def _gather(self, nbr, virtual_values):
-        vals = np.empty(nbr.shape + (3,))
-        interior = nbr >= 0
-        vals[interior] = self.q[nbr[interior]]
-        if not np.all(interior):
-            if virtual_values is None:
-                raise ValueError("virtual neighbor values required but not given")
-            vals[~interior] = virtual_values[-nbr[~interior] - 1]
-        return vals
-
     def reconstruct(self, virtual_values=None):
-        """Compute limited gradients; zero for cells with fewer than 2 neighbors."""
+        """Compute limited gradients; zero for cells with fewer than 2 neighbors.
+
+        Summation order: each slope is accumulated over the operator columns
+        in stencil order (mesh neighbours, then virtual ones), left to right,
+        `op[:, r, 0] * v0 + op[:, r, 1] * v1 + ...`; a cell's bounds are the
+        running minimum and maximum of its neighbours in the same order, then
+        against its own value. Keeping this order keeps the gradients the
+        same to the bit.
+        """
         self.grad_x[:] = 0.0
         self.grad_y[:] = 0.0
         if self.order < 2:
             return
         q = self.q
-        qmin = q.copy()
-        qmax = q.copy()
+        src = q
+        if self.n_virtual:
+            if virtual_values is None:
+                raise ValueError("virtual neighbor values required but not given")
+            # Virtual slot s is neighbour -(s + 1): the s-th row from the end.
+            src = np.concatenate([q, virtual_values[::-1]])
+        dmin = np.zeros_like(q)
+        dmax = np.zeros_like(q)
         for kind, cells, nbr, op, good in self._groups:
-            vals = self._gather(nbr, virtual_values)
-            if kind == "exact":
-                coef = np.einsum("kij,kjv->kiv", op, vals)
-                gx, gy = coef[:, 1, :], coef[:, 2, :]
+            qc = q.take(cells, axis=0)
+            vals = [src.take(nbr[:, j], axis=0) for j in range(nbr.shape[1])]
+            if kind == "exact":  # rows 1 and 2 of the inverse give the slopes
+                terms, rows = vals, op[:, 1:]
             else:
-                dvals = vals - q[cells][:, None, :]
-                grad = np.einsum("kic,kcv->kiv", op, dvals)
-                gx, gy = grad[:, 0, :], grad[:, 1, :]
-            gx = np.where(good[:, None], gx, 0.0)
-            gy = np.where(good[:, None], gy, 0.0)
-            self.grad_x[cells] = gx
-            self.grad_y[cells] = gy
-            qmin[cells] = np.minimum(qmin[cells], vals.min(axis=1))
-            qmax[cells] = np.maximum(qmax[cells], vals.max(axis=1))
-        self._limit(qmin, qmax)
+                terms, rows = [v - qc for v in vals], op
+            for i, grad in enumerate((self.grad_x, self.grad_y)):
+                g = rows[:, i, 0, None] * terms[0]
+                for j in range(1, len(terms)):
+                    g += rows[:, i, j, None] * terms[j]
+                g[~good] = 0.0
+                grad[cells] = g
+            lo, hi = vals[0], vals[0]
+            for v in vals[1:]:
+                lo = np.minimum(lo, v)
+                hi = np.maximum(hi, v)
+            dmin[cells] = np.minimum(qc, lo) - qc
+            dmax[cells] = np.maximum(qc, hi) - qc
+        self._limit(dmin, dmax)
 
-    def _limit(self, qmin, qmax):
-        q = self.q
-        phi = np.ones_like(q)
-        for k in range(self._vert_offs.shape[1]):
-            dq = (
-                self.grad_x * self._vert_offs[:, k, 0][:, None]
-                + self.grad_y * self._vert_offs[:, k, 1][:, None]
-            )
+    def _limit(self, dmin, dmax):
+        """Barth-Jespersen: scale each gradient by the largest phi in [0, 1]
+        that keeps its value at every vertex within [q + dmin, q + dmax].
+
+        A vertex whose increment dq is zero (or NaN) allows phi = 1. The
+        minimum over the vertices is clipped once, which equals the minimum
+        of the clipped candidates because clipping is monotone.
+        """
+        phi = np.ones_like(dmin)
+        for ox, oy in self.mesh.vertex_offsets:
+            dq = self.grad_x * ox[:, None] + self.grad_y * oy[:, None]
+            rising = dq > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                up = np.where(dq > 0.0, (qmax - q) / dq, 1.0)
-                dn = np.where(dq < 0.0, (qmin - q) / dq, 1.0)
-            cand = np.where(dq > 0.0, up, np.where(dq < 0.0, dn, 1.0))
-            phi = np.minimum(phi, np.clip(cand, 0.0, 1.0))
+                cand = np.where(rising, dmax, dmin) / dq
+            np.copyto(cand, 1.0, where=~(rising | (dq < 0.0)))
+            np.minimum(phi, cand, out=phi)
+        np.clip(phi, 0.0, 1.0, out=phi)
         self.grad_x *= phi
         self.grad_y *= phi
 
@@ -147,31 +156,29 @@ class MeshField:
 
         Returns (qL, qR); qR rows of boundary edges duplicate qL.
         """
-        m = self.mesh
-        right = np.where(m.edge_right >= 0, m.edge_right, m.edge_left)
         out = []
-        for cells in (m.edge_left, right):
-            d = m.edge_midpoints - m.centroids[cells]
-            qf = (
-                self.q[cells]
-                + self.grad_x[cells] * d[:, 0][:, None]
-                + self.grad_y[cells] * d[:, 1][:, None]
-            )
+        for cells, (dx, dy) in zip(self.mesh.edge_cells, self.mesh.edge_offsets):
+            gx, gy = self.grad_x.take(cells, axis=0), self.grad_y.take(cells, axis=0)
+            qf = self.q.take(cells, axis=0) + gx * dx[:, None] + gy * dy[:, None]
             if self.order >= 2:
-                qf = qf - 0.5 * dt * jacobian_dot(
-                    qf, self.grad_x[cells], self.grad_y[cells], self.params
-                )
+                qf -= 0.5 * dt * jacobian_dot(qf, gx, gy, self.params)
             out.append(qf)
         return out[0], out[1]
 
     def update(self, edge_flux_global: np.ndarray, dt: float):
-        """Apply per-unit-length global-frame edge fluxes (positive out of left)."""
+        """Apply per-unit-length global-frame edge fluxes (positive out of left).
+
+        Summation order: each cell's net flux is one running sum from zero
+        that subtracts the fluxes of the edges it is left of, then adds those
+        of the interior edges it is right of, each in edge order. Keeping
+        this order keeps the updated states the same to the bit.
+        """
         m = self.mesh
-        net = np.zeros_like(self.q)
-        w = edge_flux_global * m.edge_lengths[:, None]
-        np.subtract.at(net, m.edge_left, w)
         interior = m.interior
-        np.add.at(net, m.edge_right[interior], w[interior])
+        cells = np.concatenate([m.edge_left, m.edge_right.take(interior)])
+        net = np.empty_like(self.q)
+        for k, w in enumerate(edge_flux_global.T * m.edge_lengths):
+            net[:, k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
         dq = net * (dt / m.areas)[:, None]
         if self.params.friction_enabled and self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)

@@ -482,6 +482,7 @@ class NetworkSimulation:
         start = time.perf_counter()
         v0 = self.total_volume()
         self.diagnostics["initial_volume"] = v0
+        self.diagnostics["boundary_influx"] = 0.0  # the ledger covers this run
         self.sample_gauges()
         failure = None
         try:

@@ -194,6 +194,29 @@ class TestCli:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["status"] == "failed"
         assert "failure" in meta
+        assert meta["failure_type"] == "PSFPFailure"
+
+    def test_run_untyped_failure_writes_meta(self, tmp_path, monkeypatch, capsys):
+        from swnet.simulation import NetworkSimulation
+
+        advance = NetworkSimulation.advance
+
+        def failing(self, dt):
+            if self.steps == 2:
+                raise RuntimeError("non-positive time step dt=0.0")
+            advance(self, dt)
+
+        monkeypatch.setattr(NetworkSimulation, "advance", failing)
+        out = tmp_path / "out"
+        code = main(["run", "--preset", "smooth1d", "--t-end", "0.2", "--out", str(out)])
+        assert code == 3
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["status"] == "failed"
+        assert meta["failure_type"] == "RuntimeError"
+        assert meta["failure"] == "non-positive time step dt=0.0"
+        assert meta["steps"] == 2 and meta["t"] > 0.0
+        assert (out / "gauges.csv").exists() and (out / "final_state.json").exists()
+        assert "non-positive time step" in capsys.readouterr().err
 
     def test_run_override_flags(self, tmp_path):
         out = tmp_path / "out"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from swnet.core import NonFiniteError, PhysicalParams, PositivityError, rotate_state
-from swnet.geometry import TriMesh
-from swnet.meshing import rect_union_mesh
+from swnet.core import NonFiniteError, PhysicalParams, PositivityError, jacobian_dot, rotate_state
+from swnet.geometry import ConnectedEnd, TriMesh, build_junction_polygon
+from swnet.meshing import fan_refine_mesh, rect_union_mesh
+from swnet.presets import preset
 from swnet.scheme2d import MeshField, interior_edge_fluxes
 from swnet.simulation import Mesh2DSimulation
+from swnet.studies import build_reference_sim
 
 P = PhysicalParams()
 
@@ -45,6 +47,15 @@ class TestReconstruct2D:
         f.q[k, 0] = 2.0  # exceeds every neighbor
         f.reconstruct()
         assert f.grad_x[k, 0] == 0.0 and f.grad_y[k, 0] == 0.0
+
+    def test_limiter_allows_full_slope_where_a_vertex_is_level(self):
+        verts = [(0, 0), (3, 0), (0, 3)]  # vertex offsets (-1, -1), (2, -1), (-1, 2)
+        m = TriMesh(verts, [(0, 1, 2)], {(0, 1): "wall", (1, 2): "wall", (0, 2): "wall"})
+        f = MeshField(m, P)
+        f.grad_x[:] = 1.0
+        f.grad_y[:] = 2.0  # vertex increments -3, 0 and 3
+        f._limit(np.full((1, 3), -6.0), np.full((1, 3), 1.5))
+        assert np.all(f.grad_x == 0.5) and np.all(f.grad_y == 1.0)
 
     def test_virtual_neighbors_enter_stencil(self):
         verts = [(0, 0), (1, 0), (0, 1)]
@@ -242,3 +253,147 @@ def test_nan_flux_is_non_finite_failure():
     flux[7, 1] = np.nan
     with pytest.raises(NonFiniteError, match="2D cell"):
         f.update(flux, 0.01)
+
+
+# Oracle for the per-step kernels: the contraction, reduction, limiter and
+# scatter forms the array kernels replaced. The kernels must match them to
+# the bit, because the summation order of every sum is part of the result.
+
+
+def oracle_gradients(field, virtual_values=None):
+    q = field.q
+    gx, gy = np.zeros_like(q), np.zeros_like(q)
+    if field.order < 2:
+        return gx, gy
+    qmin, qmax = q.copy(), q.copy()
+    for kind, cells, nbr, op, good in field._groups:
+        vals = np.empty(nbr.shape + (3,))
+        mesh_nbr = nbr >= 0
+        vals[mesh_nbr] = q[nbr[mesh_nbr]]
+        if not mesh_nbr.all():
+            vals[~mesh_nbr] = virtual_values[-nbr[~mesh_nbr] - 1]
+        if kind == "exact":
+            coef = np.einsum("kij,kjv->kiv", op, vals)
+            cx, cy = coef[:, 1, :], coef[:, 2, :]
+        else:
+            grad = np.einsum("kic,kcv->kiv", op, vals - q[cells][:, None, :])
+            cx, cy = grad[:, 0, :], grad[:, 1, :]
+        gx[cells] = np.where(good[:, None], cx, 0.0)
+        gy[cells] = np.where(good[:, None], cy, 0.0)
+        qmin[cells] = np.minimum(qmin[cells], vals.min(axis=1))
+        qmax[cells] = np.maximum(qmax[cells], vals.max(axis=1))
+    m = field.mesh
+    vert_offs = m.vertices[m.triangles] - m.centroids[:, None, :]
+    phi = np.ones_like(q)
+    for k in range(3):
+        dq = gx * vert_offs[:, k, 0][:, None] + gy * vert_offs[:, k, 1][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(dq > 0.0, (qmax - q) / dq, 1.0)
+            dn = np.where(dq < 0.0, (qmin - q) / dq, 1.0)
+        cand = np.where(dq > 0.0, up, np.where(dq < 0.0, dn, 1.0))
+        phi = np.minimum(phi, np.clip(cand, 0.0, 1.0))
+    return gx * phi, gy * phi
+
+
+def oracle_edge_states(field, gx, gy, dt):
+    m = field.mesh
+    right = np.where(m.edge_right >= 0, m.edge_right, m.edge_left)
+    out = []
+    for cells in (m.edge_left, right):
+        d = m.edge_midpoints - m.centroids[cells]
+        qf = field.q[cells] + gx[cells] * d[:, 0][:, None] + gy[cells] * d[:, 1][:, None]
+        if field.order >= 2:
+            qf = qf - 0.5 * dt * jacobian_dot(qf, gx[cells], gy[cells], field.params)
+        out.append(qf)
+    return out
+
+
+def oracle_update(field, flux, dt):
+    m = field.mesh
+    net = np.zeros_like(field.q)
+    w = flux * m.edge_lengths[:, None]
+    np.subtract.at(net, m.edge_left, w)
+    np.add.at(net, m.edge_right[m.interior], w[m.interior])
+    return field.q + net * (dt / m.areas)[:, None]
+
+
+def random_state(field, rng):
+    """Rough random depths and momenta with a flat block and spikes."""
+    m = field.mesh
+    T = m.n_cells
+    q = np.empty((T, 3))
+    q[:, 0] = 1.0 + 0.3 * rng.random(T)
+    q[:, 1:] = 0.2 * rng.standard_normal((T, 2))
+    x = m.centroids[:, 0]
+    flat = x < np.quantile(x, 0.2)
+    q[flat] = (1.1, 0.05, 0.0)
+    spikes = rng.choice(np.flatnonzero(~flat), size=T // 20, replace=False)
+    q[spikes, 0] += 0.5  # local maxima
+    q[spikes[::2], 1] -= 1.0  # and minima of the momentum
+    return q, flat, spikes
+
+
+def assert_kernels_match_oracle(field, rng, virtual_values=None):
+    g0x, g0y = oracle_gradients(field, virtual_values)
+    field.reconstruct(virtual_values=virtual_values)
+    assert np.array_equal(field.grad_x, g0x) and np.array_equal(field.grad_y, g0y)
+
+    dt = 0.2 * field.dt_bound()
+    qL, qR = field.edge_states(dt)
+    wantL, wantR = oracle_edge_states(field, g0x, g0y, dt)
+    assert np.array_equal(qL, wantL) and np.array_equal(qR, wantR)
+
+    # Fluxes of mixed sizes, so that every cell's sum rounds in its own way.
+    E = len(field.mesh.edge_lengths)
+    flux = interior_edge_fluxes(field, qL, qR) * np.exp(rng.uniform(-8.0, 0.0, size=(E, 1)))
+    want = oracle_update(field, flux, dt)
+    field.update(flux, dt)
+    assert np.array_equal(field.q, want)
+
+
+class TestKernelsMatchOracle:
+    def test_reference_mesh(self):
+        sim = build_reference_sim(preset("test6_network"), 0.1)
+        f = sim.field
+        rng = np.random.default_rng(3)
+        f.q[:], flat, spikes = random_state(f, rng)
+        h = f.q[:, 0].copy()
+        assert_kernels_match_oracle(f, rng)
+        # Each flat-block cell holds its stencil's minimum or maximum, so its
+        # gradients are limited to zero; its y-momentum is zero, so there the
+        # vertex increments dq are exactly zero. Spikes above all their
+        # neighbours lose their depth gradient.
+        assert not f.grad_x[flat].any() and not f.grad_y[flat].any()
+        nb = f.mesh.neighbors[spikes]
+        peak = np.all((nb < 0) | (h[spikes, None] > h[nb]), axis=1)
+        assert peak.sum() > len(spikes) // 2
+        assert not f.grad_x[spikes[peak], 0].any() and not f.grad_y[spikes[peak], 0].any()
+        assert_kernels_match_oracle(f, rng)  # a second step from the first's result
+
+    def test_patch_with_virtual_neighbors(self):
+        half = 0.2
+        ends = [
+            ConnectedEnd("ch1", "end", mouth=(-half, 0.0), direction=(-1, 0), width=0.4),
+            ConnectedEnd("ch2", "start", mouth=(0.0, half), direction=(0, 1), width=0.4),
+            ConnectedEnd("ch3", "start", mouth=(0.0, -half), direction=(0, -1), width=0.4),
+        ]
+        mesh = fan_refine_mesh(build_junction_polygon(ends, (0.0, 0.0)), refinements=2)
+        # Boundary cells take virtual neighbours out of order, one cell two.
+        cells = mesh.edge_left[mesh.boundary[::2]]
+        far = mesh.edge_midpoints[mesh.boundary[::2]] * 1.5
+        virtual = list(zip(cells[::-1], far[::-1])) + [(cells[0], far[0] * 1.2)]
+        f = MeshField(mesh, P, virtual=virtual)
+        kinds = {kind for kind, _, nbr, _, _ in f._groups if (nbr < 0).any()}
+        assert kinds == {"exact", "lsq"}
+        rng = np.random.default_rng(4)
+        f.q[:], _, _ = random_state(f, rng)
+        vv, _, _ = random_state(f, rng)
+        assert_kernels_match_oracle(f, rng, virtual_values=vv[: len(virtual)])
+
+    def test_first_order(self):
+        mesh = build_reference_sim(preset("test6_network"), 0.1).mesh
+        f = MeshField(mesh, P, order=1)
+        rng = np.random.default_rng(5)
+        f.q[:], _, _ = random_state(f, rng)
+        assert_kernels_match_oracle(f, rng)
+        assert not f.grad_x.any() and not f.grad_y.any()

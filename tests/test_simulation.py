@@ -168,6 +168,14 @@ class TestAdvance:
         assert abs(res.diagnostics["volume_defect"]) < 1e-10 * max(v0, 1.0)
         assert res.diagnostics["boundary_influx"] != 0.0
 
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_successive_runs_each_close_their_ledger(self, strategy):
+        sim = build_simulation(presets.preset("test1_sub90", strategy=strategy))
+        for t_end in (0.5, 1.0):  # each run keeps its own ledger
+            d = sim.run(t_end).diagnostics
+            assert d["boundary_influx"] != 0.0
+            assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
+
     def test_transverse_projection_diagnostic_accumulates(self):
         sim = build_simulation(presets.preset("test1_sub90"))
         res = sim.run(4.0)
