@@ -161,6 +161,8 @@ def _validate(data: dict) -> dict:
                 errors.append("inflow boundary: missing inflow {amplitude, center, width}")
             else:
                 _check_keys(inflow, {"amplitude", "center", "width"}, "inflow")
+                missing = [k for k in ("amplitude", "center") if k not in inflow]
+                errors += [f"inflow boundary: missing inflow.{k}" for k in missing]
         if kind == "prescribed" and "h" not in b:
             errors.append("prescribed boundary: missing h")
 
@@ -215,6 +217,19 @@ def physical_params(cfg: ScenarioConfig) -> PhysicalParams:
     )
 
 
+def build_channels(cfg: ScenarioConfig) -> list[Channel]:
+    return [Channel(**c) for c in cfg.data.get("channels", [])]
+
+
+def boundary_condition(entry: dict) -> BoundaryCondition:
+    """The condition of one `boundaries` entry of a scenario."""
+    u_fn = None
+    if entry["kind"] == "inflow":
+        spec = entry["inflow"]
+        u_fn = gaussian_pulse(spec["amplitude"], spec["center"], spec.get("width", 1.0))
+    return BoundaryCondition(entry["kind"], u_fn=u_fn, h=entry.get("h"), u=entry.get("u", 0.0))
+
+
 def build_simulation(cfg: ScenarioConfig, **overrides) -> NetworkSimulation:
     """Instantiate and initialize a network simulation from a scenario.
 
@@ -224,16 +239,7 @@ def build_simulation(cfg: ScenarioConfig, **overrides) -> NetworkSimulation:
     data = cfg.data
     num = dict(data.get("numerics", {}))
     params = physical_params(cfg)
-    channels = [
-        Channel(
-            id=c["id"],
-            width=c["width"],
-            cells=c["cells"],
-            start=np.asarray(c["start"], dtype=float),
-            end=np.asarray(c["end"], dtype=float),
-        )
-        for c in data.get("channels", [])
-    ]
+    channels = build_channels(cfg)
     strategy_override = overrides.get("strategy")
     specs = []
     for j in data.get("junctions", []):
@@ -248,18 +254,9 @@ def build_simulation(cfg: ScenarioConfig, **overrides) -> NetworkSimulation:
             patch_refine=j.get("patch_refine", 2),
         )
         specs.append(spec)
-    boundaries = {}
-    for b in data.get("boundaries", []):
-        kind = b["kind"]
-        u_fn = None
-        if kind == "inflow":
-            spec_in = b["inflow"]
-            u_fn = gaussian_pulse(
-                spec_in["amplitude"], spec_in["center"], spec_in.get("width", 1.0)
-            )
-        boundaries[(b["channel"], b["end"])] = BoundaryCondition(
-            kind=kind, u_fn=u_fn, h=b.get("h"), u=b.get("u", 0.0)
-        )
+    boundaries = {
+        (b["channel"], b["end"]): boundary_condition(b) for b in data.get("boundaries", [])
+    }
     gauges = [
         Gauge(id=g["id"], channel=g["channel"], s=g["s"])
         for g in data.get("gauges", [])

@@ -313,8 +313,10 @@ BOUNDARY_TAGS = ("wall", "transparent", "inflow", "prescribed")
 class TriMesh:
     """Unstructured triangular mesh with edge adjacency and boundary tags.
 
-    Boundary tags are strings: "wall", "transparent", "inflow", or
-    "coupling:<channel_id>:<start|end>".
+    Boundary tags are strings: "wall", "coupling:<channel_id>:<start|end>"
+    (junction patches), or "<kind>:<channel_id>:<start|end>" with kind
+    "transparent", "inflow" or "prescribed" (reference domains; the kind is
+    the part before the first colon, and a bare kind is a tag too).
     """
 
     def __init__(self, vertices, triangles, boundary_tags: dict):

@@ -64,7 +64,7 @@ from .core import (
 )
 from .geometry import JunctionGeometry, TriMesh
 from .riemann import hllc_flux, wall_flux
-from .scheme2d import MeshField, interior_edge_fluxes
+from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
 
 
 def project_transverse(q: np.ndarray):
@@ -404,9 +404,7 @@ class JunctionB:
             self._nbr_cells.append((cells, w))
         self._nbr_dists = np.array(dists)
         self._end_alpha = self._cpl_alpha[[cpl_keys.index(key) for key in self.ends]]
-        self._wall_edges = np.array(
-            [e for e in mesh.boundary if mesh.edge_tags[e] == "wall"], dtype=int
-        )
+        self._wall_edges = mesh.boundary_edges_by_tag("wall")
         tagged = set(self._wall_edges) | set(self._cpl_edges)
         missing = [e for e in mesh.boundary if e not in tagged]
         if missing:
@@ -447,9 +445,7 @@ class JunctionB:
         qL, qR = self.patch.edge_states(dt)
         flux = interior_edge_fluxes(self.patch, qL, qR)
         if len(self._wall_edges):
-            th = m.edge_thetas[self._wall_edges]
-            fh = wall_flux(rotate_state(qL[self._wall_edges], th), self.params)
-            flux[self._wall_edges] = rotate_back(fh, th)
+            flux[self._wall_edges] = boundary_edge_fluxes(m, qL, self._wall_edges, self.params)
 
         edges = self._cpl_edges
         th = m.edge_thetas[edges]

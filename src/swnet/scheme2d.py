@@ -23,7 +23,7 @@ from .core import (
     rotate_state,
 )
 from .geometry import TriMesh
-from .riemann import hllc_flux
+from .riemann import hllc_flux, wall_flux
 
 
 class MeshField:
@@ -198,3 +198,13 @@ def interior_edge_fluxes(field: MeshField, qL, qR) -> np.ndarray:
     qhR = rotate_state(qR, thetas)
     fhat = hllc_flux(qhL, qhR, field.params)
     return rotate_back(fhat, thetas)
+
+
+def boundary_edge_fluxes(mesh: TriMesh, qL, edges, params: PhysicalParams, ghost=None):
+    """Global-frame fluxes on boundary `edges`: wall fluxes, or HLLC fluxes
+    against `ghost(qhat)`, from the inner states qhat rotated into each
+    edge's outward-normal frame."""
+    th = mesh.edge_thetas[edges]
+    qhat = rotate_state(qL[edges], th)
+    fhat = wall_flux(qhat, params) if ghost is None else hllc_flux(qhat, ghost(qhat), params)
+    return rotate_back(fhat, th)

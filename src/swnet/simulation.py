@@ -13,17 +13,23 @@ face array through channel end numbers, so `advance` has no loop over
 channels. The stepper drives `elements` through the protocol described in
 `junctions`: one `JunctionA` batch for every Method-A junction, then each
 Method-B and PSFP junction; `junctions` lists one object per junction, in
-the order of the specs. Boundary ends are grouped by condition kind, one
-`boundary_flux` call per kind. The algebraic `PSFPJunction` lives here and
+the order of the specs. The algebraic `PSFPJunction` lives here and
 keeps `compute_end_fluxes` in its own class body, which its `compute_fluxes`
 calls on every step: the benchmark's tracer times PSFP junctions through
 that name.
+
+One `ghost_states` builds the inflow and prescribed ghosts of channel ends
+and of 2D reference edges (keyed by tag, "<kind>:<channel>:<end>") in the
+outward-normal frame; both solvers group their boundaries by condition kind
+when built and call it once per kind and step. Transparent differs: zero
+gradient at a channel end, a pinned incoming Riemann invariant on a 2D edge.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,16 +39,15 @@ from .core import (
     PhysicalParams,
     PositivityError,
     physical_flux,
-    rotate_back,
     rotate_state,
 )
-from .geometry import Channel, TriMesh, build_junction_polygon
+from .geometry import BOUNDARY_TAGS, Channel, TriMesh, build_junction_polygon
 from .junctions import Coupling, JunctionA, JunctionB, project_transverse
 from .meshing import fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import hllc_flux, wall_flux
 from .scheme1d import ChannelField
-from .scheme2d import MeshField, interior_edge_fluxes
+from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
 
 
 # ---------------------------------------------------------------------------
@@ -76,41 +81,47 @@ def gaussian_pulse(amplitude: float, center: float, width: float = 1.0):
     return u_fn
 
 
+def ghost_states(kind, q, bcs, t: float, params, rows=slice(None)):
+    """Outward-normal-frame ghost states of "inflow" or "prescribed" faces.
+
+    q (K, 3) are the inner states, component 1 along the outward normal; row
+    k has condition bcs[rows[k]], by default bcs[k]. Inflow pairs the inward
+    velocity u_fn(t) with the interior's outgoing Riemann invariant; a
+    prescribed face holds (h, u), u positive into the domain.
+    """
+    if kind == "inflow":
+        g = params.g
+        u_bc = np.array([float(bc.u_fn(t)) for bc in bcs])[rows]
+        c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
+        if (c_g <= 0.0).any():
+            raise DryStateError("inflow ghost state would be dry")
+        h_g = c_g * c_g / g
+        hu_g = h_g * (-u_bc)
+    else:
+        h_g = np.array([bc.h for bc in bcs], dtype=float)[rows]
+        hu_g = -h_g * np.array([bc.u for bc in bcs], dtype=float)[rows]
+    return np.stack([h_g, hu_g, np.zeros_like(h_g)], axis=-1)
+
+
 def boundary_flux(q_face, bcs, at_start, t: float, params):
     """Axial (+s frame) fluxes at channel outer faces that share one condition kind.
 
     q_face (K, 3) are the inner face states, bcs the K conditions (all of one
-    kind) and at_start (K,) marks faces at a channel's start. Reflective
-    walls mirror the inner state; transparent ends feed the face value back
-    to itself; inflow builds a ghost state from the prescribed velocity and
-    the outgoing Riemann invariant of the interior.
+    kind) and at_start (K,) marks faces at a channel's start, whose outward
+    normal is -s: there the axial momenta of the inner state and of the ghost
+    from `ghost_states` are negated, exactly. Transparent ends feed the face
+    value back to itself; reflective walls mirror the inner state.
     """
     kind = bcs[0].kind
-    if kind == "reflective":
-        inner = q_face.copy()
-        inner[at_start, 1] = -inner[at_start, 1]
-        return wall_flux(inner, params)
     if kind == "transparent":
         return physical_flux(q_face, params)
-    g = params.g
+    q = q_face.copy()
+    q[at_start, 1] = -q[at_start, 1]
+    if kind == "reflective":
+        return wall_flux(q, params)
+    ghost = ghost_states(kind, q, bcs, t, params)
+    ghost[at_start, 1] = -ghost[at_start, 1]
     start = at_start[:, None]
-    if kind == "inflow":
-        u_bc = np.array([float(bc.u_fn(t)) for bc in bcs])
-        h_i = q_face[:, 0]
-        u_i = q_face[:, 1] / h_i
-        c_i = np.sqrt(g * h_i)
-        c_g = np.where(
-            at_start, 0.5 * (u_bc - (u_i - 2.0 * c_i)), 0.5 * ((u_i + 2.0 * c_i) - (-u_bc))
-        )
-        if (c_g <= 0.0).any():
-            raise DryStateError("inflow ghost state would be dry")
-        h_g = c_g * c_g / g
-        u_g = np.where(at_start, u_bc, -u_bc)
-    else:  # prescribed state, velocity positive into the domain
-        h_g = np.array([bc.h for bc in bcs], dtype=float)
-        u = np.array([bc.u for bc in bcs], dtype=float)
-        u_g = np.where(at_start, u, -u)
-    ghost = np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
     return hllc_flux(np.where(start, ghost, q_face), np.where(start, q_face, ghost), params)
 
 
@@ -358,20 +369,14 @@ class NetworkSimulation:
         # Boundary ends grouped by condition kind: (end numbers, conditions,
         # at-start flags, ledger weights +-width).
         by_kind = {}
-        for (cid, end), bc in boundaries.items():
-            by_kind.setdefault(bc.kind, []).append((cid, end, bc))
-        self._boundary_groups = [
-            (
-                np.array([self.field.end_index(cid, end) for cid, end, _ in group]),
-                [bc for _, _, bc in group],
-                np.array([end == "start" for _, end, _ in group]),
-                np.array([
-                    (1.0 if end == "start" else -1.0) * self.channels[cid].width
-                    for cid, end, _ in group
-                ]),
-            )
-            for group in by_kind.values()
-        ]
+        for key, bc in boundaries.items():
+            by_kind.setdefault(bc.kind, []).append((key, bc))
+        self._boundary_groups = []
+        for group in by_kind.values():
+            ends = np.array([self.field.end_index(*key) for key, _ in group])
+            sign = self.field.end_sign[ends]  # the outward normal, +-s
+            width = np.array([self.channels[cid].width for (cid, _), _ in group])
+            self._boundary_groups.append((ends, [bc for _, bc in group], sign < 0.0, -sign * width))
 
         self.t = 0.0
         self.steps = 0
@@ -481,8 +486,9 @@ class NetworkSimulation:
     def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
         start = time.perf_counter()
         v0 = self.total_volume()
-        self.diagnostics["initial_volume"] = v0
-        self.diagnostics["boundary_influx"] = 0.0  # the ledger covers this run
+        # The ledger and the junction diagnostics cover this run only.
+        self.diagnostics.update(initial_volume=v0, boundary_influx=0.0)
+        self.diagnostics.update(transverse_momentum_discarded=0.0, psfp_failures=[])
         self.sample_gauges()
         failure = None
         try:
@@ -565,28 +571,33 @@ class Mesh2DSimulation:
         self.params = params
         self.order = order
         self.cfl = cfl
-        self.bcs = dict(boundary_conditions or {})
+        conds = boundary_conditions or {}
         self.field = MeshField(mesh, params, order=order)
         self.t = 0.0
         self.steps = 0
         self.gauges = list(gauges)
         self.recorder = GaugeRecorder(self.gauges)
-        # Boundary edges by tag kind, kinds in order of first appearance.
+        # Boundary edges grouped by kind (tag up to the first colon), kinds in
+        # order of first appearance and edges in boundary order; each group
+        # holds the conditions of its tags and each edge's index into them.
         tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
-        names, inverse = np.unique(tags, return_inverse=True)
-        kinds = np.array([name.split(":")[0] for name in names], dtype=object)[inverse]
-        kind_names, first, kind_of = np.unique(kinds, return_index=True, return_inverse=True)
-        self._tag_groups = {kind_names[k]: mesh.boundary[kind_of == k] for k in np.argsort(first)}
-        unknown = set(self._tag_groups) - {"wall", "transparent", "inflow", "prescribed"}
-        if unknown:
-            raise ValueError(f"unsupported boundary tags in 2D domain: {unknown}")
-        for kind in ("inflow", "prescribed"):
-            if kind in self._tag_groups and kind not in self.bcs:
-                raise ValueError(f"mesh has {kind} edges but no {kind} condition given")
-        # Far-field state behind transparent edges, captured from the initial
-        # data on the first step; pinning the incoming invariant to it keeps
-        # strong fronts from reflecting at open boundaries.
-        self._transparent_bg = None
+        names, tag_of = np.unique(tags, return_inverse=True)
+        kinds = np.array([name.split(":")[0] for name in names], dtype=object)
+        for name, kind in zip(names, kinds):
+            if kind not in BOUNDARY_TAGS:
+                raise ValueError(f"unsupported boundary tag {name!r} in 2D domain")
+            if kind in ("inflow", "prescribed") and getattr(conds.get(name), "kind", None) != kind:
+                raise ValueError(f"mesh has {name} edges but no {kind} condition for them")
+        per_edge = kinds[tag_of]
+        kind_names, first, kind_of = np.unique(per_edge, return_index=True, return_inverse=True)
+        self._boundary_groups = []
+        for k in np.argsort(first):
+            sel = kind_of == k
+            used, rows = np.unique(tag_of[sel], return_inverse=True)
+            bcs = [conds.get(names[i]) for i in used]
+            self._boundary_groups.append((kind_names[k], mesh.boundary[sel], bcs, rows))
+        # Incoming invariant behind the transparent edges, set on the first step.
+        self._far_field_r = None
         self.diagnostics = {"boundary_influx": 0.0}
 
     def set_uniform(self, h, u=0.0, v=0.0):
@@ -605,50 +616,40 @@ class Mesh2DSimulation:
         self.field.reconstruct()
         qL, qR = self.field.edge_states(dt)
         flux = interior_edge_fluxes(self.field, qL, qR)
-        m = self.mesh
-        boundary_mass = 0.0
-        for kind, edges in self._tag_groups.items():
-            thetas = m.edge_thetas[edges]
-            qhat = rotate_state(qL[edges], thetas)
-            if kind == "wall":
-                fhat = wall_flux(qhat, self.params)
-            elif kind == "transparent":
-                g = self.params.g
-                if self._transparent_bg is None:
-                    q0 = rotate_state(self.field.q[m.edge_left[edges]], thetas)
-                    self._transparent_bg = q0[:, 1] / q0[:, 0] - 2.0 * np.sqrt(
-                        g * q0[:, 0]
-                    )
-                r_out = qhat[:, 1] / qhat[:, 0] + 2.0 * np.sqrt(g * qhat[:, 0])
-                u_g = 0.5 * (r_out + self._transparent_bg)
-                c_g = 0.25 * (r_out - self._transparent_bg)
-                h_g = c_g * c_g / g
-                ghost = np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
-                fhat = hllc_flux(qhat, ghost, self.params)
-            elif kind == "inflow":
-                g = self.params.g
-                u_bc = float(self.bcs["inflow"].u_fn(self.t))
-                h_i = qhat[:, 0]
-                u_i = qhat[:, 1] / h_i
-                c_g = 0.5 * (u_i + 2.0 * np.sqrt(g * h_i) + u_bc)
-                if np.any(c_g <= 0.0):
-                    raise DryStateError("inflow ghost state would be dry")
-                h_g = c_g * c_g / g
-                ghost = np.stack([h_g, h_g * (-u_bc), np.zeros_like(h_g)], axis=-1)
-                fhat = hllc_flux(qhat, ghost, self.params)
-            else:  # prescribed state, velocity positive into the domain
-                bc = self.bcs["prescribed"]
-                ghost = np.broadcast_to(
-                    np.array([bc.h, -bc.h * bc.u, 0.0]), qhat.shape
-                )
-                fhat = hllc_flux(qhat, ghost, self.params)
-            flux[edges] = rotate_back(fhat, thetas)
-            if kind != "wall":
-                boundary_mass -= float(np.sum(m.edge_lengths[edges] * flux[edges, 0]))
+        boundary_mass = self.boundary_fluxes(qL, flux)
         self.field.update(flux, dt)
         self.diagnostics["boundary_influx"] += boundary_mass * dt
         self.t += dt
         self.steps += 1
+
+    def boundary_fluxes(self, qL, flux) -> float:
+        """Write the fluxes of every boundary edge into `flux`, one call per
+        kind; returns the volume inflow rate through the open edges."""
+        m, params = self.mesh, self.params
+        inflow = 0.0
+        for kind, edges, bcs, rows in self._boundary_groups:
+            ghost = None  # a wall
+            if kind == "transparent":
+                ghost = partial(self._far_field_ghost, edges)
+            elif kind != "wall":
+                ghost = partial(ghost_states, kind, bcs=bcs, t=self.t, params=params, rows=rows)
+            flux[edges] = boundary_edge_fluxes(m, qL, edges, params, ghost)
+            if ghost is not None:
+                inflow -= float(np.sum(m.edge_lengths[edges] * flux[edges, 0]))
+        return inflow
+
+    def _far_field_ghost(self, edges, q):
+        """Transparent edges: ghosts that pin the incoming Riemann invariant to
+        the initial data, so strong fronts do not reflect at open boundaries."""
+        g, m = self.params.g, self.mesh
+        if self._far_field_r is None:
+            q0 = rotate_state(self.field.q[m.edge_left[edges]], m.edge_thetas[edges])
+            self._far_field_r = q0[:, 1] / q0[:, 0] - 2.0 * np.sqrt(g * q0[:, 0])
+        r_out = q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0])
+        u_g = 0.5 * (r_out + self._far_field_r)
+        c_g = 0.25 * (r_out - self._far_field_r)
+        h_g = c_g * c_g / g
+        return np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
 
     def sample_gauges(self):
         self.recorder.times.append(self.t)

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ScenarioConfig, build_simulation, initial_profile, physical_params
+from .config import (
+    ScenarioConfig,
+    boundary_condition,
+    build_channels,
+    build_simulation,
+    initial_profile,
+    physical_params,
+)
 from .geometry import Channel, GeometryError, MeshError, build_junction_polygon
 from .meshing import rect_union_mesh
 from .presets import smooth1d
-from .simulation import (
-    BoundaryCondition,
-    Mesh2DSimulation,
-    PointGauge,
-    StripGauge,
-    gaussian_pulse,
-)
+from .simulation import Mesh2DSimulation, PointGauge, StripGauge
 
 
 def _axis_aligned_rect(ch: Channel):
@@ -38,18 +39,14 @@ def build_reference_sim(
     """Full-2D simulation of a network scenario's physical footprint.
 
     The footprint is the union of the channel rectangles and the junction core
-    polygons (the junction shapes with zero protrusion). Channel-end boundary
-    conditions become tagged mesh edges; everything else is a wall. Network
-    gauges turn into cross-section-averaged strip gauges.
+    polygons (the junction shapes with zero protrusion). Each non-reflective
+    channel end becomes mesh edges tagged "<kind>:<channel>:<end>" with the
+    end's condition; everything else is a wall. Network gauges turn into
+    cross-section-averaged strip gauges.
     """
     data = cfg.data
     params = physical_params(cfg)
-    channels = {
-        c["id"]: Channel(
-            id=c["id"], width=c["width"], cells=c["cells"], start=c["start"], end=c["end"]
-        )
-        for c in data["channels"]
-    }
+    channels = {ch.id: ch for ch in build_channels(cfg)}
     rects = [_axis_aligned_rect(ch) for ch in channels.values()]
 
     cores = []
@@ -60,26 +57,17 @@ def build_reference_sim(
         except GeometryError:
             pass  # zero-area core (e.g. collinear pass-through): rectangles cover it
 
-    kind_map = {"reflective": "wall", "transparent": "transparent",
-                "inflow": "inflow", "prescribed": "prescribed"}
     tag_segments = []
     bcs = {}
     for b in data.get("boundaries", []):
+        if b["kind"] == "reflective":
+            continue  # untagged boundary edges are walls
         ch = channels[b["channel"]]
         center = ch.end_point(b["end"])
-        perp = np.array([-ch.axis[1], ch.axis[0]])
-        a = center - 0.5 * ch.width * perp
-        c2 = center + 0.5 * ch.width * perp
-        tag = kind_map[b["kind"]]
-        tag_segments.append((a, c2, tag))
-        if tag == "inflow":
-            spec = b["inflow"]
-            bcs["inflow"] = BoundaryCondition(
-                "inflow",
-                u_fn=gaussian_pulse(spec["amplitude"], spec["center"], spec.get("width", 1.0)),
-            )
-        elif tag == "prescribed":
-            bcs["prescribed"] = BoundaryCondition("prescribed", h=b["h"], u=b.get("u", 0.0))
+        half = 0.5 * ch.width * np.array([-ch.axis[1], ch.axis[0]])
+        tag = f"{b['kind']}:{b['channel']}:{b['end']}"
+        tag_segments.append((center - half, center + half, tag))
+        bcs[tag] = boundary_condition(b)
 
     mesh = rect_union_mesh(rects, dx, tag_segments=tag_segments, polygons=cores)
 

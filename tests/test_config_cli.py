@@ -171,6 +171,21 @@ class TestCli:
         assert not (tmp_path / "o").exists()  # no output directory for a rejected run
         assert "cfl must be in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["amplitude", "center"])
+    def test_inflow_without_pulse_field_is_config_error(self, tmp_path, capsys, key):
+        data = minimal_cfg()
+        data["boundaries"][0] = {
+            "channel": "a", "end": "start", "kind": "inflow",
+            "inflow": {"amplitude": 0.1, "center": 1.0, "width": 0.5},
+        }
+        del data["boundaries"][0]["inflow"][key]
+        with pytest.raises(ConfigError, match=f"inflow.{key}"):
+            parse_config(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"inflow.{key}" in capsys.readouterr().err
+
     def test_missing_file_is_config_error(self):
         assert main(["validate", "/nonexistent/path.json"]) == 2
 

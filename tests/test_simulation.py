@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from swnet import presets
-from swnet.config import ScenarioConfig, build_simulation
+from swnet.config import ScenarioConfig, boundary_condition, build_simulation
 from swnet.core import NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
+from swnet.meshing import rect_union_mesh
 from swnet.psfp import PSFPFailure
 from swnet.simulation import (
     BoundaryCondition,
     Gauge,
     JunctionSpec,
+    Mesh2DSimulation,
     NetworkSimulation,
     boundary_flux,
     gaussian_pulse,
     write_gauge_csv,
 )
+from swnet.studies import build_reference_sim
 
 P = PhysicalParams()
 
@@ -121,6 +124,69 @@ class TestBoundaries:
         assert b["inflow"] == {"amplitude": 0.4, "center": 3.0, "width": 1.0}
 
 
+@pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition("reflective"),
+        BoundaryCondition("inflow", u_fn=gaussian_pulse(0.3, 0.5, 0.2)),
+        BoundaryCondition("prescribed", h=0.35, u=0.2),
+    ],
+    ids=lambda bc: bc.kind,
+)
+def test_channel_start_end_and_2d_edge_give_one_normal_flux(bc):
+    # One outward-frame state and condition at a channel start, a channel
+    # end and 2D edges whose outward normal is +x: the same mass and normal
+    # momentum fluxes, to the bit.
+    q_out, t = np.array([0.3, 0.07, 0.0]), 0.4
+    f_end = boundary_flux(q_out[None], [bc], np.array([False]), t, P)[0]
+    f_start = boundary_flux((q_out * [1, -1, 1])[None], [bc], np.array([True]), t, P)[0]
+    tag = "wall" if bc.kind == "reflective" else f"{bc.kind}:c:end"
+    mesh = rect_union_mesh([(0, 0, 1, 0.2)], 0.1, tag_segments=[((1, 0), (1, 0.2), tag)])
+    sim = Mesh2DSimulation(mesh, P, boundary_conditions={tag: bc})
+    sim.t = t
+    flux = np.zeros((len(mesh.edge_lengths), 3))
+    sim.boundary_fluxes(np.tile(q_out, (len(flux), 1)), flux)
+    edges = mesh.boundary[mesh.edge_thetas[mesh.boundary] == 0.0]
+    assert len(edges) == 2
+    for f in (f_start[:2] * [-1, 1], *flux[edges, :2]):
+        assert np.array_equal(f, f_end[:2])
+
+
+class TestTwoInflows:
+    # test1_sub90 with its two transparent outlets turned into inflows.
+    def cfg(self):
+        data = presets.preset("test1_sub90").emit()
+        outlets = [b for b in data["boundaries"] if b["kind"] == "transparent"]
+        for b, amplitude in zip(outlets, (0.2, 0.3)):
+            b.update(kind="inflow", inflow={"amplitude": amplitude, "center": 3.0, "width": 1.0})
+        data["t_end"] = 4.0
+        return ScenarioConfig(data)
+
+    def test_reference_drives_each_inflow_edge_with_its_own_pulse(self):
+        cfg = self.cfg()
+        sim = build_reference_sim(cfg, 0.1)
+        sim.t = 3.0
+        q = np.array([0.16, 0.0, 0.0])
+        flux = np.zeros((len(sim.mesh.edge_lengths), 3))
+        sim.boundary_fluxes(np.tile(q, (len(flux), 1)), flux)
+        tags = np.array(sim.mesh.edge_tags)
+        rates = set()
+        for b in cfg.data["boundaries"]:
+            edges = np.flatnonzero(tags == f"inflow:{b['channel']}:{b['end']}")
+            own = boundary_flux(q[None], [boundary_condition(b)], np.array([False]), 3.0, P)
+            assert len(edges) == 4 and np.all(flux[edges, 0] == own[0, 0])
+            rates.add(float(own[0, 0]))
+        assert len(rates) == 3
+
+    def test_network_and_reference_ledgers_close(self):
+        cfg = self.cfg()
+        for sim in (build_simulation(cfg), build_reference_sim(cfg, 0.1)):
+            res = sim.run(cfg.t_end)
+            d = res.diagnostics
+            assert res.status == "completed" and d["boundary_influx"] > 0.0
+            assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
+
+
 class TestAdvance:
     def test_still_network_unchanged_1000_steps(self):
         cfg = presets.preset("test1_sub90")
@@ -175,6 +241,17 @@ class TestAdvance:
             d = sim.run(t_end).diagnostics
             assert d["boundary_influx"] != 0.0
             assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
+
+    def test_successive_runs_report_their_own_junction_diagnostics(self):
+        sim = build_simulation(presets.preset("test1_sub90"))
+        sim.run(0.5)
+        fresh = copy.deepcopy(sim)
+        fresh.diagnostics["transverse_momentum_discarded"] = 0.0
+        own = fresh.run(1.0).diagnostics["transverse_momentum_discarded"]
+        assert sim.run(1.0).diagnostics["transverse_momentum_discarded"] == own > 0.0
+        sim = build_simulation(presets.preset("test4_super90"), strategy="psfp")
+        runs = [sim.run(2.0) for _ in range(2)]
+        assert [len(r.diagnostics["psfp_failures"]) for r in runs] == [1, 1]
 
     def test_transverse_projection_diagnostic_accumulates(self):
         sim = build_simulation(presets.preset("test1_sub90"))

@@ -5,11 +5,12 @@
 Each tree is a directory holding `src/swnet`, for example this checkout and
 an unpacked `git archive` of another commit. Every preset runs with each
 junction strategy (A, B, psfp), plus test1_sub90 with two-pass coupling (A
-and B) and with transverse=zero (A), for at most --steps steps. Each tree
-runs in its own interpreter. The report is a markdown table: per run, the
-steps and failure type on both sides and the largest relative deviation of
-the gauge series, the final channel states, the final junction states and
-the ledger entries. Deviations are relative to the largest magnitude of the
+and B) and with transverse=zero (A), plus boundary variants that put every
+condition kind at a channel start and at a channel end (`BOUNDARY_RUNS`),
+for at most --steps steps. Each tree runs in its own interpreter. The
+report is a markdown table: per run, the steps and failure type on both
+sides and the largest relative deviation of the gauge series, the final
+channel states, the final junction states and the ledger entries. Deviations are relative to the largest magnitude of the
 compared series, except where that magnitude is itself round-off: gauge
 velocities are compared relative to the gauge's largest celerity sqrt(g h),
 volumes and boundary influx relative to the initial volume, and the
@@ -47,6 +48,38 @@ EXTRA_RUNS = [
 VOLUME_ENTRIES = ("initial_volume", "final_volume", "volume_defect", "boundary_influx")
 
 
+def inflow(amplitude, center, width):
+    return {"kind": "inflow", "inflow": {"amplitude": amplitude, "center": center, "width": width}}
+
+
+# No preset has a reflective end, or an inflow or prescribed one at a channel
+# end: smooth1d (run to t = 8, so that the hump reaches its ends) takes each
+# of these kinds at both ends, and test1_sub90 takes inflows on both outlets.
+BOUNDARY_RUNS = [
+    *[("smooth1d", None, {("ch1", "start"): b, ("ch1", "end"): b}, 8.0) for b in (
+        {"kind": "reflective"},
+        inflow(0.2, 2.0, 0.5),
+        {"kind": "prescribed", "h": 1.05, "u": 0.1},
+    )],
+    *[("test1_sub90", s, {("ch2", "end"): inflow(0.2, 3.0, 1.0),
+                          ("ch3", "end"): inflow(0.3, 3.0, 1.0)}, None) for s in STRATEGIES],
+]
+
+
+def boundary_variant(preset, name, strategy, ends, t_end):
+    """The preset with the boundary entries of `ends` replaced."""
+    from swnet import ScenarioConfig
+
+    data = preset(name, **({"strategy": strategy} if strategy else {})).emit()
+    data["boundaries"] = [
+        {"channel": b["channel"], "end": b["end"], **ends.get((b["channel"], b["end"]), b)}
+        for b in data["boundaries"]
+    ]
+    if t_end is not None:
+        data["t_end"] = t_end
+    return ScenarioConfig(data)
+
+
 def cases(preset, preset_names):
     """(label, scenario factory, build overrides) for the whole matrix."""
     for name, _ in preset_names():
@@ -60,6 +93,10 @@ def cases(preset, preset_names):
     for name, s, extra in EXTRA_RUNS:
         label = f"{name} {s} " + " ".join(f"{k}={v}" for k, v in extra.items())
         yield label, lambda name=name, s=s: preset(name, strategy=s), extra
+    for name, s, ends, t_end in BOUNDARY_RUNS:
+        kinds = [f"{c}:{e}={b['kind']}" for (c, e), b in ends.items()]
+        label = " ".join([name, *([s] if s else []), *kinds])
+        yield label, lambda args=(name, s, ends, t_end): boundary_variant(preset, *args), {}
 
 
 def run_matrix(steps: int) -> list[dict]:
