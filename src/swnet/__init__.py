@@ -26,7 +26,7 @@ from .geometry import (
     load_trimesh,
     save_trimesh,
 )
-from .junctions import JunctionA, JunctionB, project_transverse, rotate_gradients
+from .junctions import JunctionField, JunctionView, project_transverse, rotate_gradients
 from .presets import preset, preset_names
 from .psfp import PSFPFailure, PSFPProblem, PSFPStarState, psfp_residual, psfp_solve
 from .riemann import exact_riemann_sample, exact_riemann_star, hllc_flux, wall_flux

@@ -59,13 +59,18 @@ def _write_meta(out_dir: Path, cfg, result, extra=None):
 
 
 def _dump_final_state(out_dir: Path, sim):
+    """Channel cells (axial positions, h, hu) by channel id, and the 2D
+    cells of each Method-A or Method-B junction (h, hu, hv) by junction id."""
     state = {
-        cid: {
-            "s": f.centers.tolist(),
-            "h": f.q[:, 0].tolist(),
-            "hu": f.q[:, 1].tolist(),
-        }
-        for cid, f in sim.fields.items()
+        "channels": {
+            cid: {"s": f.centers.tolist(), "h": f.q[:, 0].tolist(), "hu": f.q[:, 1].tolist()}
+            for cid, f in sim.fields.items()
+        },
+        "junctions": {
+            j.id: dict(zip(("h", "hu", "hv"), j.q.T.tolist()))
+            for j in sim.junctions
+            if hasattr(j, "q")
+        },
     }
     with open(out_dir / "final_state.json", "w") as f:
         json.dump(state, f)

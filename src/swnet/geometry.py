@@ -28,20 +28,22 @@ def _unit(v):
     return np.asarray(v, dtype=float) / n
 
 
-def polygon_area(vertices: np.ndarray) -> float:
-    """Signed shoelace area; positive for counter-clockwise polygons."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def polygon_area(vertices: np.ndarray):
+    """Signed shoelace area of (n, 2) vertices, or of each polygon of an
+    (..., n, 2) stack; positive for counter-clockwise polygons."""
+    x, y = vertices[..., 0], vertices[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
 def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
-    x, y = vertices[:, 0], vertices[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    """Centroid of (n, 2) vertices, or (..., 2) of an (..., n, 2) stack."""
+    x, y = vertices[..., 0], vertices[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * a)
-    cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    a = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
+    return np.stack([cx, cy], axis=-1)
 
 
 def point_in_polygon(p, vertices: np.ndarray):
@@ -150,6 +152,11 @@ class JunctionEdge:
         t = _unit(self.b - self.a)
         return float(np.arctan2(-t[0], t[1]))
 
+    @property
+    def tag(self) -> str:
+        """The edge's mesh boundary tag: "wall" or "coupling:<channel>:<end>"."""
+        return self.kind if self.kind == "wall" else f"coupling:{self.channel}:{self.channel_end}"
+
 
 @dataclass
 class JunctionGeometry:
@@ -161,7 +168,7 @@ class JunctionGeometry:
     centroid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.area = polygon_area(self.vertices)
+        self.area = float(polygon_area(self.vertices))
         if self.area <= 0.0:
             raise GeometryError("junction polygon is not counter-clockwise or empty")
         self.centroid = polygon_centroid(self.vertices)
@@ -184,17 +191,6 @@ class JunctionGeometry:
             nvec = np.array([np.cos(e.theta), np.sin(e.theta)])
             if np.dot(nvec, e.midpoint - self.centroid) <= 0.0:
                 raise GeometryError("junction edge normal points inward")
-
-    @property
-    def perimeter(self) -> float:
-        return sum(e.length for e in self.edges)
-
-    @property
-    def incircle_diameter(self) -> float:
-        # Exact for triangles; used as the 2D CFL length scale.
-        if not hasattr(self, "_rho"):
-            self._rho = 4.0 * self.area / self.perimeter
-        return self._rho
 
     def coupling_edges(self) -> list[JunctionEdge]:
         return [e for e in self.edges if e.kind == "coupling"]
@@ -311,10 +307,15 @@ BOUNDARY_TAGS = ("wall", "transparent", "inflow", "prescribed")
 
 
 class TriMesh:
-    """Unstructured triangular mesh with edge adjacency and boundary tags.
+    """Unstructured mesh of triangles and polygons with edge adjacency and boundary tags.
+
+    `triangles` is (T, K) corner indices, K >= 3, each cell counter-clockwise;
+    a cell with fewer than K corners ends its row in -1 padding. Triangles
+    (every cell of a mesh file) keep the three-point formulas for area,
+    centroid and perimeter; polygons take the shoelace formulas.
 
     Boundary tags are strings: "wall", "coupling:<channel_id>:<start|end>"
-    (junction patches), or "<kind>:<channel_id>:<start|end>" with kind
+    (junction cells), or "<kind>:<channel_id>:<start|end>" with kind
     "transparent", "inflow" or "prescribed" (reference domains; the kind is
     the part before the first colon, and a bare kind is a tag too).
     """
@@ -322,20 +323,25 @@ class TriMesh:
     def __init__(self, vertices, triangles, boundary_tags: dict):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3 or not len(self.triangles):
-            raise MeshError("triangles must be (T, 3) vertex indices, T > 0")
+        if self.triangles.ndim != 2 or self.triangles.shape[1] < 3 or not len(self.triangles):
+            raise MeshError("cells must be (T, K >= 3) vertex indices, T > 0")
         self._build(boundary_tags)
 
     def _build(self, boundary_tags):
         V = self.vertices
-        tri = self.triangles
-        p0, p1, p2 = (V.take(tri[:, k], axis=0) for k in range(3))
+        cells = self.triangles
+        T, K = cells.shape
+        corners = np.count_nonzero(cells >= 0, axis=1)
+        real = np.arange(K) < corners[:, None]
+        if corners.min() < 3 or not np.array_equal(cells >= 0, real):
+            raise MeshError("every cell needs 3 or more corners, padded at the end with -1")
+        # A padded corner repeats the cell's last one: it adds nothing to a
+        # shoelace sum or a perimeter.
+        filled = np.where(real, cells, cells[np.arange(T), corners - 1][:, None])
+        p0, p1, p2 = (V.take(filled[:, k], axis=0) for k in range(3))
         cross = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
             p1[:, 1] - p0[:, 1]
         ) * (p2[:, 0] - p0[:, 0])
-        if np.any(cross <= 0.0):
-            bad = int(np.argmax(cross <= 0.0))
-            raise MeshError(f"triangle {bad} is not counter-clockwise (or degenerate)")
         self.areas = 0.5 * cross
         self.centroids = (p0 + p1 + p2) / 3.0
         per = (
@@ -343,17 +349,28 @@ class TriMesh:
             + np.linalg.norm(p2 - p1, axis=1)
             + np.linalg.norm(p0 - p2, axis=1)
         )
+        poly = np.flatnonzero(corners > 3)
+        if len(poly):
+            P = V[filled[poly]]
+            self.areas[poly] = polygon_area(P)
+            self.centroids[poly] = polygon_centroid(P)
+            per[poly] = np.linalg.norm(np.roll(P, -1, axis=1) - P, axis=2).sum(axis=1)
+        if np.any(self.areas <= 0.0):
+            bad = int(np.argmax(self.areas <= 0.0))
+            raise MeshError(f"cell {bad} is not counter-clockwise (or degenerate)")
         self.incircle_diameters = 4.0 * self.areas / per
 
-        # Half-edge h = 3 t + k runs from corner k of triangle t to corner
-        # k + 1; the undirected edge {a, b}, a < b, has code a * base + b.
+        # Half-edges run from each corner of a cell to the next, cell after
+        # cell; the undirected edge {a, b}, a < b, has code a * base + b.
         # Edges are numbered by their first use in half-edge order; the
-        # first user is the edge's left triangle, the second its right one.
-        ha = tri.ravel()
-        hb = np.roll(tri, -1, axis=1).ravel()
+        # first user is the edge's left cell, the second its right one.
+        nxt = np.where(np.arange(1, K + 1) < corners[:, None], np.arange(1, K + 1), 0)
+        hcell, hk = np.nonzero(real)
+        ha = cells[hcell, hk]
+        hb = cells[hcell, nxt[hcell, hk]]
         tagged = {(min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()}
         tag_keys = np.array(list(tagged), dtype=np.int64).reshape(-1, 2)
-        base = 1 + max(int(tri.max()), int(tag_keys.max(initial=0)))
+        base = 1 + max(int(cells.max()), int(tag_keys.max(initial=0)))
         keys = np.minimum(ha, hb) * base + np.maximum(ha, hb)
         codes, first, uses = np.unique(keys, return_index=True, return_counts=True)
         last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
@@ -379,8 +396,8 @@ class TriMesh:
 
         order = np.argsort(first)
         h1 = first[order]
-        self.edge_left = h1 // 3
-        self.edge_right = np.where(uses[order] == 2, last[order] // 3, -1)
+        self.edge_left = hcell[h1]
+        self.edge_right = np.where(uses[order] == 2, hcell[last[order]], -1)
         self.edge_va = ha[h1]
         self.edge_vb = hb[h1]
         self.edge_tags = tag_of[order].tolist()
@@ -389,8 +406,8 @@ class TriMesh:
         if np.any(self.edge_lengths <= 0.0):
             raise MeshError("zero-length edge")
         tdir = evec / self.edge_lengths[:, None]
-        # Half-edges are stored CCW for the left triangle, so the outward
-        # normal (from left) is the tangent rotated -90 degrees.
+        # Half-edges are stored CCW for the left cell, so the outward normal
+        # (from left) is the tangent rotated -90 degrees.
         self.edge_thetas = np.arctan2(-tdir[:, 0], tdir[:, 1])
 
         self.interior = np.flatnonzero(self.edge_right >= 0)
@@ -399,22 +416,24 @@ class TriMesh:
         # Static geometry of the per-step kernels, laid out so that every x
         # or y row is contiguous: the cell on each side of an edge (the left
         # cell stands in on the right of a boundary edge) and the edge
-        # midpoint's (2, E) offset from its centroid; each triangle corner's
-        # offset from the centroid, as (corner, axis, cell).
+        # midpoint's (2, E) offset from its centroid; each cell corner's
+        # offset from the centroid, as (corner, axis, cell), zero at padded
+        # corners, which so limit nothing.
         self.edge_cells = (
             self.edge_left, np.where(self.edge_right >= 0, self.edge_right, self.edge_left)
         )
         cT, midT = self.centroids.T, self.edge_midpoints.T
         self.edge_offsets = tuple(midT - cT.take(cells, axis=1) for cells in self.edge_cells)
-        self.vertex_offsets = (V.T.take(tri.T, axis=1) - cT[:, None, :]).transpose(1, 0, 2)
+        offsets = V.T.take(filled.T, axis=1) - cT[:, None, :]
+        self.vertex_offsets = np.where(real.T, offsets, 0.0).transpose(1, 0, 2)
 
-        # Up to three neighbours per cell in interior-edge order, -1 padded.
+        # Up to K neighbours per cell in interior-edge order, -1 padded.
         cell = np.stack([self.edge_left, self.edge_right], axis=1)[self.interior].ravel()
         other = np.stack([self.edge_right, self.edge_left], axis=1)[self.interior].ravel()
         by_cell = np.argsort(cell, kind="stable")
-        count = np.bincount(cell, minlength=len(tri))
+        count = np.bincount(cell, minlength=T)
         slot = np.arange(len(cell)) - (np.cumsum(count) - count)[cell[by_cell]]
-        self.neighbors = np.full((len(tri), 3), -1)
+        self.neighbors = np.full((T, K), -1)
         self.neighbors[cell[by_cell], slot] = other[by_cell]
 
     @property

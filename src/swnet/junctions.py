@@ -1,46 +1,45 @@
-"""Junction treatments coupling 1D channels through local 2D elements.
+"""The 2D junction cells of a network: Methods A and B as one finite-volume field.
 
-Strategy A places a single junction-shaped finite volume at the junction;
-strategy B replaces it with a small triangulated patch. Both exchange fluxes
-with the adjacent 1D cells by solving rotated Riemann problems on the
-coupling edges. By default one flux per coupling edge is computed and applied
-to both sides, which conserves mass and edge-normal momentum exactly; the
-two-pass variant (separate solves per side, as the per-side flux passes are
-usually organized) is available for comparison. The coupling mode is fixed
-when a junction is built.
+Methods A and B solve the 2D shallow-water equations on the junction region
+and differ only in how finely it is meshed: A uses one junction-shaped
+polygon cell, B a fan-refined triangular patch. `JunctionField` holds every
+A and B junction of a network as one `scheme2d.MeshField` on one mesh of
+their cells, junction after junction (`meshing.disjoint_union`). Each step
+is then one call per stage for all of them: reconstruction, the channel
+stencil entries, the edge fluxes and the update.
 
-`JunctionA` holds every Method-A junction of a network as one batch: states
-(J, 3), reconstruction operators (J, 2, Kmax), vertex offsets (J, Vmax, 2)
-zero-padded so padded vertices limit nothing, and one flat list of polygon
-edges, so each stage of a step is one numpy call for all of them. The
-simulation lists each Method-A junction as a `JunctionAView` of the batch.
-`JunctionB` and the algebraic `simulation.PSFPJunction` are one object per
-junction.
+The field exchanges fluxes with the adjacent 1D cells by solving rotated
+Riemann problems on the coupling edges (a B patch splits each channel's
+coupling edge into sub-edges). By default one flux per coupling edge is
+computed and applied to both sides, which conserves mass and edge-normal
+momentum exactly; the two-pass variant (separate solves per side, as the
+per-side flux passes are usually organized) is available for comparison. The
+coupling mode is fixed when the field is built.
 
-Junction protocol. `JunctionA`, `JunctionB` and `simulation.PSFPJunction`
-expose the same members, so the network stepper drives them the same way.
-Channel ends are the end numbers of the network's `scheme1d.ChannelField`:
+The network stepper calls, in channel end numbers of the network's
+`scheme1d.ChannelField`:
 
-- `ends`: the attached (channel, end) keys;
-- `volume()`, `dt_bound()` (inf for a flux-only junction);
 - `reconstruct(field)`;
-- `channel_neighbors(field)` -> (ends, states, distances): the junction-side
-  stencil entry of each adjacent 1D end cell, in the channel frame, at the
-  projected centroid distance beyond the end face; empty arrays when the
-  junction has no cells;
-- `compute_fluxes(field, dt)` -> (edge fluxes or None, (ends, axial fluxes));
-  it reads the evolved face states of the field's last `face_state` call;
-- `update(edge_fluxes, dt)`.
+- `channel_neighbors(field)` -> (ends, states, distances): per channel end,
+  the length-weighted average of the junction cells along its coupling
+  edges, in the channel frame, at the projected distance of their weighted
+  centroid beyond the end face;
+- `compute_fluxes(field, dt)` -> (edge fluxes, (ends, axial fluxes)); it
+  reads the evolved face states of the field's last `face_state` call;
+- `update(edge_fluxes, dt)`, whose errors name the junction and its cell;
+- `volume()`, `dt_bound()` and `ends`.
 
-The per-junction objects (`JunctionAView`, `JunctionB`, `PSFPJunction`) also
-have `id`, `strategy`, `ends` and `set_uniform(h)`.
+`junctions` lists one `JunctionView` per junction: `id`, `strategy`, `ends`,
+its polygon `geom`, `q` (its rows of the field's states), `set_uniform`,
+`volume` and `dt_bound`; a Method-B view also has its patch `mesh`.
 
 The benchmark's tracer looks `reconstruct`, `channel_neighbors`,
-`compute_fluxes` and `update` up in each class's own `__dict__`, so each
-class defines them in its own body rather than inheriting them, and no
-second name is bound to a traced function.
+`compute_fluxes` and `update` up in the own `__dict__` of the classes
+`JunctionA` and `JunctionB`, which were the two implementations before they
+merged; both names are bound to `JunctionField` until the benchmark binds
+the protocol instead (ROADMAP item 1 drops the aliases).
 
-Frame conventions: the coupling edge normal points from the 2D element into
+Frame conventions: the coupling edge normal points from the 2D cell into
 the channel. A channel attached at its "start" has sigma=+1 (edge frame and
 channel frame coincide); attached at its "end", sigma=-1 (axial components
 flip). Fluxes handed to channels are in the +s axial frame.
@@ -48,22 +47,13 @@ flip). Fluxes handed to channels are in the +s axial frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import (
-    NonFiniteError,
-    PhysicalParams,
-    PositivityError,
-    friction_source,
-    jacobian_dot,
-    max_wave_speed,
-    rotate_back,
-    rotate_state,
-)
-from .geometry import JunctionGeometry, TriMesh
-from .riemann import hllc_flux, wall_flux
+from .core import PhysicalParams, jacobian_dot, max_wave_speed, rotate_back, rotate_state
+from .geometry import TriMesh
+from .riemann import hllc_flux
 from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
 
 
@@ -90,26 +80,6 @@ def rotate_gradients(axial_slope: np.ndarray, alpha):
     """
     s_global = rotate_back(axial_slope, alpha)
     return np.cos(alpha)[..., None] * s_global, np.sin(alpha)[..., None] * s_global
-
-
-@dataclass
-class Coupling:
-    """Binding of one coupling edge (or sub-edge) to a channel end."""
-
-    channel: str
-    end: str
-    sigma: float
-    alpha: float
-    length: float
-    cell_edge: int = -1  # mesh edge index (patch method only)
-
-
-def _coupling_states(field, ends, sigma):
-    """Evolved 1D face states at the junction-side faces of `ends`, (E, 3),
-    with momenta in the coupling edge frame (multiplied by sigma)."""
-    q = field.faces[field.end_slot[ends]]
-    q[:, 1:] *= sigma[:, None]
-    return q
 
 
 def _two_pass(field, ends, alpha, theta, qhat, cell, d, dt: float, params, order: int):
@@ -142,325 +112,133 @@ def _two_pass(field, ends, alpha, theta, qhat, cell, d, dt: float, params, order
     return edge_flux, hllc_flux(np.where(start, q2c, q1), np.where(start, q1, q2c), params)
 
 
-class JunctionA:
-    """Every single-cell junction-shaped 2D finite volume of a network, batched."""
-
-    strategy = "A"
+class JunctionField:
+    """Every Method-A polygon and Method-B patch of a network, stepped as one field."""
 
     def __init__(
         self,
-        junctions: list[tuple[str, JunctionGeometry, list[Coupling]]],
-        field,
-        params: PhysicalParams,
-        order: int = 2,
-        coupling_mode: str = "shared",
-    ):
-        """`junctions` lists (id, polygon, couplings) per junction; `field`
-        is the network's ChannelField."""
-        J = len(junctions)
-        geoms = [g for _, g, _ in junctions]
-        cpls = [c for _, _, c in junctions]
-        self.ids = [jid for jid, _, _ in junctions]
-        self.params = params
-        self.order = order
-        self.coupling_mode = coupling_mode
-        self.couplings = [c for cs in cpls for c in cs]
-        self.ends = [(c.channel, c.end) for c in self.couplings]
-        self.q = np.zeros((J, 3))
-        self.grad_x = np.zeros((J, 3))
-        self.grad_y = np.zeros((J, 3))
-        self._area = np.array([g.area for g in geoms])
-        self._rho = np.array([g.incircle_diameter for g in geoms])
-        centroids = np.array([g.centroid for g in geoms])
-
-        # All polygon edges in one list; each junction's edges are contiguous.
-        n_edges = [len(g.edges) for g in geoms]
-        self._edge_start = np.concatenate([[0], np.cumsum(n_edges)[:-1]])
-        self._edge_j = np.repeat(np.arange(J), n_edges)
-        edges = [e for g in geoms for e in g.edges]
-        self._thetas = np.array([e.theta for e in edges])
-        self._lengths = np.array([e.length for e in edges])
-        self._mid_off = np.array([e.midpoint for e in edges]) - centroids[self._edge_j]
-        wall = np.array([e.kind == "wall" for e in edges])
-        self._wall_rows = np.flatnonzero(wall)
-        self._cpl_rows = np.flatnonzero(~wall)  # in coupling order
-
-        # Couplings, flat; the static stencil of the adjacent 1D end cells:
-        # their cells, the projected centroid distances along each channel
-        # axis, and the junction and slot each fills.
-        n_cpl = [len(cs) for cs in cpls]
-        self._cpl_j = np.repeat(np.arange(J), n_cpl)
-        self._cpl_slot = np.arange(len(self.couplings)) - np.repeat(
-            np.cumsum(n_cpl) - n_cpl, n_cpl
-        )
-        self._cpl_ends = np.array(
-            [field.end_index(c.channel, c.end) for c in self.couplings], dtype=int
-        )
-        self._cpl_cells = field.end_cell[self._cpl_ends]
-        self._sigma = np.array([c.sigma for c in self.couplings])
-        self._alphas = np.array([c.alpha for c in self.couplings])
-        axes = np.array([field.channels[field.index[c.channel]].axis for c in self.couplings])
-        offs = field.positions(self._cpl_cells) - centroids[self._cpl_j]
-        self._nbr_dists = np.abs(np.sum(-offs * axes, axis=1))
-
-        # Pre-factored reconstruction operators, zero-padded to Kmax
-        # neighbors: with three neighbors the exact fit inv(M)[1:3] @ vals,
-        # otherwise least squares on vals - q ("lsq subtracts q"). A
-        # degenerate stencil keeps a zero operator and so zero gradients.
-        self._kmax = max(n_cpl)
-        self._recon = np.zeros((J, 2, self._kmax))
-        self._lsq = np.zeros(J)
-        for k, g in enumerate(geoms):
-            o = offs[self._cpl_j == k]
-            if len(o) == 3:
-                M = np.column_stack([np.ones(3), o])
-                if abs(np.linalg.det(M)) > 1e-12 * g.area:
-                    self._recon[k, :, :3] = np.linalg.inv(M)[1:3]
-            elif len(o) >= 2:
-                G = o.T @ o
-                det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-                if abs(det) > 1e-12 * g.area**2:
-                    self._recon[k, :, : len(o)] = np.linalg.solve(G, o.T)
-                    self._lsq[k] = 1.0
-        vmax = max(len(g.vertices) for g in geoms)
-        self._vert_off = np.zeros((J, vmax, 2))
-        for k, g in enumerate(geoms):
-            self._vert_off[k, : len(g.vertices)] = g.vertices - g.centroid
-
-        self.junctions = [
-            JunctionAView(self, k, jid, g, cs) for k, (jid, g, cs) in enumerate(junctions)
-        ]
-
-    def volume(self) -> float:
-        return float(np.sum(self.q[:, 0] * self._area))
-
-    def dt_bound(self) -> float:
-        return float(np.min(self._rho / max_wave_speed(self.q, self.params)))
-
-    def reconstruct(self, field):
-        if self.order < 2:
-            self.grad_x = np.zeros_like(self.q)
-            self.grad_y = np.zeros_like(self.q)
-            return
-        # Neighbor values per junction, padded with the junction's own state.
-        vals = np.repeat(self.q[:, None, :], self._kmax, axis=1)
-        vals[self._cpl_j, self._cpl_slot] = rotate_back(
-            field.q[self._cpl_cells], self._alphas
-        )
-        grad = np.einsum(
-            "jdk,jkv->jdv", self._recon, vals - self._lsq[:, None, None] * self.q[:, None, :]
-        )
-        self.grad_x, self.grad_y = grad[:, 0], grad[:, 1]
-        self._limit(vals)
-
-    def _limit(self, nbr_vals):
-        q = self.q[:, None, :]
-        qmin = np.minimum(q, nbr_vals.min(axis=1, keepdims=True))
-        qmax = np.maximum(q, nbr_vals.max(axis=1, keepdims=True))
-        dq = (
-            self._vert_off[:, :, 0, None] * self.grad_x[:, None, :]
-            + self._vert_off[:, :, 1, None] * self.grad_y[:, None, :]
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(dq > 0.0, (qmax - q) / dq, 1.0)
-            dn = np.where(dq < 0.0, (qmin - q) / dq, 1.0)
-        cand = np.where(dq > 0.0, up, np.where(dq < 0.0, dn, 1.0))
-        phi = np.clip(cand, 0.0, 1.0).min(axis=1)
-        self.grad_x *= phi
-        self.grad_y *= phi
-
-    def channel_neighbors(self, field):
-        """Per coupling: the junction state in the channel frame and the
-        junction centroid to 1D cell center distance along the channel axis,
-        the cross-dimensional stencil spacing."""
-        qc = rotate_state(self.q[self._cpl_j], self._alphas)
-        return self._cpl_ends, qc, self._nbr_dists
-
-    def compute_fluxes(self, field, dt: float):
-        """Fluxes on every polygon edge plus axial fluxes for the channel ends."""
-        e = self._edge_j
-        gx, gy = self.grad_x[e], self.grad_y[e]
-        qf = self.q[e] + self._mid_off[:, 0, None] * gx + self._mid_off[:, 1, None] * gy
-        if self.order >= 2:
-            qf = qf - 0.5 * dt * jacobian_dot(qf, gx, gy, self.params)
-        qhat = rotate_state(qf, self._thetas)
-        fhat = np.empty_like(qhat)
-        if len(self._wall_rows):
-            fhat[self._wall_rows] = wall_flux(qhat[self._wall_rows], self.params)
-        rows = self._cpl_rows
-        if self.coupling_mode == "shared":
-            q1 = _coupling_states(field, self._cpl_ends, self._sigma)
-            fc = hllc_flux(qhat[rows], q1, self.params)
-            fhat[rows] = fc
-            f_ch = fc.copy()
-            f_ch[:, 0] *= self._sigma
-        else:
-            j = self._cpl_j
-            edge_flux, f_ch = _two_pass(
-                field, self._cpl_ends, self._alphas, self._thetas[rows], qhat[rows],
-                (self.q[j], self.grad_x[j], self.grad_y[j]), self._mid_off[rows], dt,
-                self.params, self.order,
-            )
-            fhat[rows] = rotate_state(edge_flux, self._thetas[rows])
-        return rotate_back(fhat, self._thetas), (self._cpl_ends, f_ch)
-
-    def update(self, edge_fluxes: np.ndarray, dt: float):
-        net = np.add.reduceat(self._lengths[:, None] * edge_fluxes, self._edge_start, axis=0)
-        dq = (-dt / self._area)[:, None] * net
-        if self.params.friction_enabled and self.params.manning_n > 0.0:
-            dq = dq + dt * friction_source(self.q, self.params)
-        self.q = self.q + dq
-        if not np.isfinite(self.q).all():
-            k = int(np.argmin(np.isfinite(self.q).all(axis=1)))
-            raise NonFiniteError(f"non-finite state in junction {self.ids[k]}")
-        if (self.q[:, 0] <= 0.0).any():
-            k = int(np.argmin(self.q[:, 0]))
-            raise PositivityError(
-                f"negative depth {self.q[k, 0]:.3e} in junction {self.ids[k]}"
-            )
-
-
-class JunctionAView:
-    """One junction of a `JunctionA` batch.
-
-    `q` slices the batch's states on every access, so it follows the batch
-    through its updates and through `copy.deepcopy`.
-    """
-
-    strategy = "A"
-
-    def __init__(self, batch: JunctionA, k: int, jid: str, geometry, couplings):
-        self.batch = batch
-        self.id = jid
-        self.geom = geometry
-        self.couplings = couplings
-        self.ends = [(c.channel, c.end) for c in couplings]
-        self._k = k
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.batch.q[self._k]
-
-    def set_uniform(self, h, u=0.0, v=0.0):
-        self.batch.q[self._k] = (h, h * u, h * v)
-
-    def volume(self) -> float:
-        return float(self.q[0] * self.geom.area)
-
-    def dt_bound(self) -> float:
-        lam = float(max_wave_speed(self.q, self.batch.params))
-        return self.geom.incircle_diameter / lam
-
-
-class JunctionB:
-    """Local 2D unstructured patch replacing the single junction element."""
-
-    strategy = "B"
-
-    def __init__(
-        self,
-        jid: str,
+        junctions: list,
         mesh: TriMesh,
-        couplings: list[Coupling],
         field,
         params: PhysicalParams,
         order: int = 2,
         coupling_mode: str = "shared",
     ):
-        self.id = jid
+        """`junctions` lists (id, strategy, polygon, patch mesh or None for a
+        single polygon cell) per junction, in the order of their cells in
+        `mesh`; `field` is the network's ChannelField."""
         self.mesh = mesh
         self.params = params
         self.order = order
         self.coupling_mode = coupling_mode
-        self.couplings = couplings
-        cpl_keys = [(c.channel, c.end) for c in couplings]
-        self.ends = list(dict.fromkeys(cpl_keys))
+        n_cells = [1 if patch is None else patch.n_cells for *_, patch in junctions]
+        self._first_cell = np.cumsum([0] + n_cells)
+        junction_of = np.repeat(np.arange(len(junctions)), n_cells)
+
+        # Coupling edges (or sub-edges) in edge order; the channel ends in
+        # order of their first coupling edge, so junction after junction.
+        edges = np.array([e for e in mesh.boundary if mesh.edge_tags[e].startswith("coupling:")])
+        keys = [tuple(mesh.edge_tags[e].split(":")[1:]) for e in edges]
+        self.ends = list(dict.fromkeys(keys))
+        slot = {key: k for k, key in enumerate(self.ends)}
+        self._cpl_edges = edges
+        self._cpl_end = np.array([slot[key] for key in keys], dtype=int)
         self._ends = np.array([field.end_index(*key) for key in self.ends], dtype=int)
         self._end_sigma = -field.end_sign[self._ends]
-        self._end_widths = np.array([field.channels[field.index[ch]].width for ch, _ in self.ends])
-        self._cpl_end = np.array([self.ends.index(key) for key in cpl_keys], dtype=int)
+        self._cpl_sigma = self._end_sigma[self._cpl_end]
+        chans = [field.channels[field.index[ch]] for ch, _ in self.ends]
+        self._end_widths = np.array([ch.width for ch in chans])
+        self._end_alpha = np.array([ch.axis_angle for ch in chans])
+        self._cpl_alpha = self._end_alpha[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
-        self._cpl_alpha = np.array([c.alpha for c in couplings])
-        self._cpl_edges = np.array([c.cell_edge for c in couplings], dtype=int)
-        self._cpl_sigma = np.array([c.sigma for c in couplings])
-        # Each coupling sub-edge's boundary cell sees the adjacent 1D end cell
-        # as an extra stencil neighbor.
-        end_pos = field.positions(field.end_cell[self._ends])
-        virtual = list(zip(mesh.edge_left[self._cpl_edges], end_pos[self._cpl_end]))
-        self.patch = MeshField(mesh, params, order=order, virtual=virtual)
-        # Per channel end: the patch cells along its coupling boundary, their
-        # length weights, the projected distance of their weighted centroid
-        # from the 1D end cell, and the channel axis angle.
-        self._nbr_cells = []
-        dists = []
-        for k, key in enumerate(self.ends):
-            axis = field.channels[field.index[key[0]]].axis
-            subs = [c for c in couplings if (c.channel, c.end) == key]
-            w = np.array([c.length for c in subs])
-            w = w / w.sum()
-            cells = np.array([int(mesh.edge_left[c.cell_edge]) for c in subs])
-            cen = w @ mesh.centroids[cells]
-            dists.append(abs(float(np.dot(cen - end_pos[k], axis))))
-            self._nbr_cells.append((cells, w))
-        self._nbr_dists = np.array(dists)
-        self._end_alpha = self._cpl_alpha[[cpl_keys.index(key) for key in self.ends]]
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
-        tagged = set(self._wall_edges) | set(self._cpl_edges)
-        missing = [e for e in mesh.boundary if e not in tagged]
-        if missing:
-            raise ValueError(
-                f"junction {jid}: patch boundary edges without wall/coupling tags"
+
+        # Each coupling edge's cell sees the adjacent 1D end cell as an extra
+        # stencil neighbour.
+        end_pos = field.positions(field.end_cell[self._ends])
+        virtual = list(zip(mesh.edge_left[edges], end_pos[self._cpl_end]))
+        self.mesh_field = MeshField(mesh, params, order=order, virtual=virtual)
+        ids = [jid for jid, *_ in junctions]
+        self.mesh_field.cell_name = partial(_cell_name, ids, self._first_cell)
+
+        # Per channel end: the cells along its coupling edges and their
+        # length weights, grouped by the number of edges, so that each group
+        # averages with one stacked product; the projected distance of their
+        # weighted centroid from the 1D end cell.
+        by_end = np.argsort(self._cpl_end, kind="stable")
+        counts = np.bincount(self._cpl_end, minlength=len(self.ends))
+        first = np.cumsum(counts) - counts
+        axes = np.array([ch.axis for ch in chans])
+        self._nbr_groups = []
+        self._nbr_dists = np.empty(len(self.ends))
+        for n in np.unique(counts):
+            group = np.flatnonzero(counts == n)
+            sub = edges[by_end[first[group, None] + np.arange(n)]]
+            lengths = mesh.edge_lengths[sub]
+            w = (lengths / lengths.sum(axis=1, keepdims=True))[:, None, :]
+            cells = mesh.edge_left[sub]
+            cen = np.matmul(w, mesh.centroids[cells])
+            d = np.matmul(cen - end_pos[group, None, :], axes[group, :, None])
+            self._nbr_dists[group] = np.abs(d[:, 0, 0])
+            self._nbr_groups.append((group, cells, w))
+
+        end_junction = junction_of[mesh.edge_left[edges[by_end[first]]]]
+        self.junctions = [
+            JunctionView(
+                self.mesh_field, slice(self._first_cell[k], self._first_cell[k + 1]),
+                jid, strategy, geom, [self.ends[e] for e in np.flatnonzero(end_junction == k)],
+                patch,
             )
-
-    @property
-    def q(self):
-        return self.patch.q
-
-    def set_uniform(self, h, u=0.0, v=0.0):
-        self.patch.set_uniform(h, u, v)
+            for k, (jid, strategy, geom, patch) in enumerate(junctions)
+        ]
 
     def volume(self) -> float:
-        return self.patch.volume()
+        return sum(j.volume() for j in self.junctions)
 
     def dt_bound(self) -> float:
-        return self.patch.dt_bound()
+        return self.mesh_field.dt_bound()
 
     def reconstruct(self, field):
         vv = rotate_back(field.q[self._cpl_cells], self._cpl_alpha)
-        self.patch.reconstruct(virtual_values=vv)
+        self.mesh_field.reconstruct(virtual_values=vv)
 
     def channel_neighbors(self, field):
-        """Per channel end: width-averaged boundary patch state in the channel frame.
-
-        The stencil entry for each 1D end cell is the length-weighted average
-        of the patch cells along that coupling boundary, at the projected
-        distance of their weighted centroid.
-        """
-        qavg = np.array([w @ self.patch.q[cells] for cells, w in self._nbr_cells])
+        """Per channel end: the width-averaged junction state along its
+        coupling edges in the channel frame, and its stencil distance."""
+        q = self.mesh_field.q
+        qavg = np.empty((len(self.ends), 3))
+        for group, cells, w in self._nbr_groups:
+            qavg[group] = np.matmul(w, q[cells])[:, 0]
         return self._ends, rotate_state(qavg, self._end_alpha), self._nbr_dists
 
     def compute_fluxes(self, field, dt: float):
-        """Patch edge fluxes plus width-averaged axial fluxes for the channel ends."""
+        """Edge fluxes plus width-averaged axial fluxes for the channel ends."""
         m = self.mesh
-        qL, qR = self.patch.edge_states(dt)
-        flux = interior_edge_fluxes(self.patch, qL, qR)
+        qL, qR = self.mesh_field.edge_states(dt)
+        flux = np.empty_like(qL)
+        if len(m.interior):
+            flux[m.interior] = interior_edge_fluxes(self.mesh_field, qL, qR, m.interior)
         if len(self._wall_edges):
             flux[self._wall_edges] = boundary_edge_fluxes(m, qL, self._wall_edges, self.params)
 
         edges = self._cpl_edges
         th = m.edge_thetas[edges]
         if self.coupling_mode == "shared":
-            q1 = _coupling_states(field, self._ends, self._end_sigma)[self._cpl_end]
+            # The evolved 1D face states at the junction-side faces, with
+            # momenta in the coupling edge frame.
+            q1 = field.faces[field.end_slot[self._ends]]
+            q1[:, 1:] *= self._end_sigma[:, None]
+            q1 = q1[self._cpl_end]
             fhat = hllc_flux(rotate_state(qL[edges], th), q1, self.params)
             flux[edges] = rotate_back(fhat, th)
             f_ch = fhat.copy()
             f_ch[:, 0] *= self._cpl_sigma
         else:
             cells = m.edge_left[edges]
-            pf = self.patch
+            c = self.mesh_field
             flux[edges], f_ch = _two_pass(
                 field, self._ends[self._cpl_end], self._cpl_alpha, th,
-                rotate_state(qL[edges], th), (pf.q[cells], pf.grad_x[cells], pf.grad_y[cells]),
+                rotate_state(qL[edges], th), (c.q[cells], c.grad_x[cells], c.grad_y[cells]),
                 m.edge_offsets[0][:, edges].T, dt, self.params, self.order,
             )
         totals = np.zeros((len(self.ends), 3))
@@ -468,7 +246,48 @@ class JunctionB:
         return flux, (self._ends, totals / self._end_widths[:, None])
 
     def update(self, edge_fluxes: np.ndarray, dt: float):
-        try:
-            self.patch.update(edge_fluxes, dt)
-        except (PositivityError, NonFiniteError) as exc:
-            raise type(exc)(f"junction {self.id}: {exc}") from exc
+        self.mesh_field.update(edge_fluxes, dt)
+
+
+# The benchmark's tracer binds these two names (see the module docstring).
+JunctionA = JunctionB = JunctionField
+
+
+def _cell_name(ids, first_cell, k) -> str:
+    j = np.searchsorted(first_cell, k, side="right") - 1
+    return f"junction {ids[j]}, 2D cell {k - first_cell[j]}"
+
+
+class JunctionView:
+    """One junction of a `JunctionField`: rows `rows` of its cell states.
+
+    `q` slices the field's states on every access, so it follows the field
+    through its updates and through `copy.deepcopy`. A view refers to the
+    field's `MeshField`, not to the `JunctionField` that lists it, so that a
+    released network frees its arrays without waiting for the cycle
+    collector.
+    """
+
+    def __init__(self, cells: MeshField, rows: slice, jid, strategy, geom, ends, patch=None):
+        self.id = jid
+        self.strategy = strategy
+        self.geom = geom
+        self.ends = ends
+        self._cells = cells
+        self._rows = rows
+        if patch is not None:
+            self.mesh = patch
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._cells.q[self._rows]
+
+    def set_uniform(self, h, u=0.0, v=0.0):
+        self.q[:] = (h, h * u, h * v)
+
+    def volume(self) -> float:
+        return float(np.sum(self.q[:, 0] * self._cells.mesh.areas[self._rows]))
+
+    def dt_bound(self) -> float:
+        lam = max_wave_speed(self.q, self._cells.params)
+        return float(np.min(self._cells.mesh.incircle_diameters[self._rows] / lam))

@@ -4,7 +4,8 @@ These build the grids consumed through `TriMesh`; scenario presets write them
 to mesh files or pass them in memory. Two generators are provided: a
 structured split-quad mesher for unions of axis-aligned rectangles (full 2D
 reference domains) and a fan-plus-refine mesher for junction-shaped polygons
-(local 2D patches).
+(local 2D patches). `disjoint_union` joins the cells of a network's
+junctions into one mesh.
 """
 
 from __future__ import annotations
@@ -134,16 +135,18 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh
         if cross <= 0.0:
             raise GeometryError("polygon is not star-shaped from its centroid")
         tris.append((0, ia, ib))
-        tag = e.kind if e.kind == "wall" else f"coupling:{e.channel}:{e.channel_end}"
-        btags[(min(ia, ib), max(ia, ib))] = tag
+        btags[(min(ia, ib), max(ia, ib))] = e.tag
 
     for _ in range(refinements):
         new_tris = []
         new_btags = {}
+        mids = {}  # an edge's two triangles share its midpoint (a + b == b + a)
 
         def midpoint(i, j):
-            p = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-            return vid(p)
+            key = (min(i, j), max(i, j))
+            if key not in mids:
+                mids[key] = vid(0.5 * (np.asarray(verts[i]) + np.asarray(verts[j])))
+            return mids[key]
 
         boundary = dict(btags)
         for i0, i1, i2 in tris:
@@ -161,3 +164,24 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh
         tris, btags = new_tris, new_btags
 
     return TriMesh(np.array(verts, dtype=float), np.array(tris, dtype=int), btags)
+
+
+def disjoint_union(parts) -> TriMesh:
+    """One mesh of parts that share no node.
+
+    Each part is (vertices, cells, boundary tags) with unpadded (T, K) cells.
+    The nodes and cells of each part follow those of the parts before it, in
+    their own order, so each part's edges stay contiguous and in the order
+    of its own mesh; rows are padded with -1 to the widest part.
+    """
+    width = max(np.shape(cells)[1] for _, cells, _ in parts)
+    rows = np.full((sum(len(cells) for _, cells, _ in parts), width), -1)
+    tags = {}
+    node = row = 0
+    for verts, cells, btags in parts:
+        cells = np.asarray(cells)
+        rows[row : row + len(cells), : cells.shape[1]] = cells + node
+        tags.update({(a + node, b + node): tag for (a, b), tag in btags.items()})
+        node += len(verts)
+        row += len(cells)
+    return TriMesh(np.concatenate([verts for verts, _, _ in parts]), rows, tags)

@@ -1,4 +1,4 @@
-"""Second-order finite-volume scheme on unstructured triangular meshes.
+"""Second-order finite-volume scheme on unstructured meshes of triangles and polygons.
 
 Per-cell linear reconstruction from neighbor centroid differences (exact
 three-neighbor solve, constrained least squares otherwise), Barth-Jespersen
@@ -37,6 +37,9 @@ class MeshField:
         self.q = np.zeros((T, 3))
         self.grad_x = np.zeros((T, 3))
         self.grad_y = np.zeros((T, 3))
+        # Names a cell in the errors of `update`; a junction field names the
+        # junction too.
+        self.cell_name = "2D cell {}".format
 
         # Stencil of each cell: its mesh neighbours, then its virtual ones in
         # slot order; virtual slot s is stored as neighbour -(s + 1).
@@ -50,6 +53,9 @@ class MeshField:
             pos[cell, counts[cell]] = p
             counts[cell] += 1
 
+        # Per stencil size: the cells, their neighbours and the two slope rows
+        # of their reconstruction operator (rows 1-2 of the inverse of the
+        # exact three-neighbour fit, or the least-squares operator).
         self._groups = []
         scale = float(np.sqrt(np.mean(mesh.areas)))
         for c in sorted(set(counts[counts >= 2].tolist())):
@@ -63,7 +69,7 @@ class MeshField:
                 inv = np.zeros_like(M)
                 if good.any():
                     inv[good] = np.linalg.inv(M[good])
-                self._groups.append(("exact", cells, nbr, inv, good))
+                self._groups.append(("exact", cells, nbr, inv[:, 1:].copy(), good))
             else:
                 G = np.einsum("kci,kcj->kij", offs, offs)
                 det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
@@ -113,14 +119,11 @@ class MeshField:
         for kind, cells, nbr, op, good in self._groups:
             qc = q.take(cells, axis=0)
             vals = [src.take(nbr[:, j], axis=0) for j in range(nbr.shape[1])]
-            if kind == "exact":  # rows 1 and 2 of the inverse give the slopes
-                terms, rows = vals, op[:, 1:]
-            else:
-                terms, rows = [v - qc for v in vals], op
+            terms = vals if kind == "exact" else [v - qc for v in vals]
             for i, grad in enumerate((self.grad_x, self.grad_y)):
-                g = rows[:, i, 0, None] * terms[0]
+                g = op[:, i, 0, None] * terms[0]
                 for j in range(1, len(terms)):
-                    g += rows[:, i, j, None] * terms[j]
+                    g += op[:, i, j, None] * terms[j]
                 g[~good] = 0.0
                 grad[cells] = g
             lo, hi = vals[0], vals[0]
@@ -135,35 +138,37 @@ class MeshField:
         """Barth-Jespersen: scale each gradient by the largest phi in [0, 1]
         that keeps its value at every vertex within [q + dmin, q + dmax].
 
-        A vertex whose increment dq is zero (or NaN) allows phi = 1. The
-        minimum over the vertices is clipped once, which equals the minimum
-        of the clipped candidates because clipping is monotone.
+        A vertex whose increment dq is zero (or NaN) allows phi = 1, so a
+        padded polygon corner (zero offset) limits nothing. The minimum over
+        the vertices is clipped once, which equals the minimum of the clipped
+        candidates because clipping is monotone.
         """
-        phi = np.ones_like(dmin)
-        for ox, oy in self.mesh.vertex_offsets:
-            dq = self.grad_x * ox[:, None] + self.grad_y * oy[:, None]
-            rising = dq > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = np.where(rising, dmax, dmin) / dq
-            np.copyto(cand, 1.0, where=~(rising | (dq < 0.0)))
-            np.minimum(phi, cand, out=phi)
-        np.clip(phi, 0.0, 1.0, out=phi)
+        ox, oy = self.mesh.vertex_offsets[:, :, :, None].transpose(1, 0, 2, 3)
+        dq = self.grad_x * ox + self.grad_y * oy
+        rising = dq > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.where(rising, dmax, dmin) / dq
+        np.copyto(cand, 1.0, where=~(rising | (dq < 0.0)))
+        phi = np.clip(cand.min(axis=0), 0.0, 1.0, out=dmin)
         self.grad_x *= phi
         self.grad_y *= phi
 
     def edge_states(self, dt: float):
         """Evolved boundary-extrapolated states per edge, global frame.
 
-        Returns (qL, qR); qR rows of boundary edges duplicate qL.
+        Returns (qL, qR); qR rows of boundary edges duplicate qL, and qR is
+        qL when every edge is a boundary edge (single-cell junctions).
         """
+        m = self.mesh
+        sides = 2 if len(m.interior) else 1
         out = []
-        for cells, (dx, dy) in zip(self.mesh.edge_cells, self.mesh.edge_offsets):
+        for cells, (dx, dy) in zip(m.edge_cells[:sides], m.edge_offsets[:sides]):
             gx, gy = self.grad_x.take(cells, axis=0), self.grad_y.take(cells, axis=0)
             qf = self.q.take(cells, axis=0) + gx * dx[:, None] + gy * dy[:, None]
             if self.order >= 2:
                 qf -= 0.5 * dt * jacobian_dot(qf, gx, gy, self.params)
             out.append(qf)
-        return out[0], out[1]
+        return out[0], out[-1]
 
     def update(self, edge_flux_global: np.ndarray, dt: float):
         """Apply per-unit-length global-frame edge fluxes (positive out of left).
@@ -185,17 +190,18 @@ class MeshField:
         self.q = self.q + dq
         if not np.isfinite(self.q).all():
             k = int(np.argmin(np.isfinite(self.q).all(axis=1)))
-            raise NonFiniteError(f"non-finite state in 2D cell {k}")
+            raise NonFiniteError(f"non-finite state in {self.cell_name(k)}")
         if np.any(self.q[:, 0] <= 0.0):
             k = int(np.argmin(self.q[:, 0]))
-            raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in 2D cell {k}")
+            raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in {self.cell_name(k)}")
 
 
-def interior_edge_fluxes(field: MeshField, qL, qR) -> np.ndarray:
-    """Rotated HLLC fluxes for all edges, global frame (boundary rows invalid)."""
-    thetas = field.mesh.edge_thetas
-    qhL = rotate_state(qL, thetas)
-    qhR = rotate_state(qR, thetas)
+def interior_edge_fluxes(field: MeshField, qL, qR, edges=slice(None)) -> np.ndarray:
+    """Rotated HLLC fluxes, global frame, on `edges` (default all, where the
+    boundary rows are invalid)."""
+    thetas = field.mesh.edge_thetas[edges]
+    qhL = rotate_state(qL[edges], thetas)
+    qhR = rotate_state(qR[edges], thetas)
     fhat = hllc_flux(qhL, qhR, field.params)
     return rotate_back(fhat, thetas)
 

@@ -10,13 +10,17 @@ bounds, with the 2D limit at half the 1D CFL number.
 (`field`; `fields` maps channel ids to their `ChannelSegment`s) and steps it
 with one call per stage. Coupling and boundary fluxes land on the field's
 face array through channel end numbers, so `advance` has no loop over
-channels. The stepper drives `elements` through the protocol described in
-`junctions`: one `JunctionA` batch for every Method-A junction, then each
-Method-B and PSFP junction; `junctions` lists one object per junction, in
-the order of the specs. The algebraic `PSFPJunction` lives here and
-keeps `compute_end_fluxes` in its own class body, which its `compute_fluxes`
-calls on every step: the benchmark's tracer times PSFP junctions through
-that name.
+channels. One `junctions.JunctionField` (`junction_field`) holds the cells
+of every Method-A and Method-B junction and is stepped through the calls
+described in `junctions`; `advance` loops only over the algebraic
+`PSFPJunction`s, which supply end fluxes and hold no cells. `junctions`
+lists one object per junction, in the order of the specs, and `elements`
+everything besides the channels that holds volume or bounds the step: the
+junction field, then the PSFP junctions. The benchmark's tracer times PSFP
+junctions through `PSFPJunction.compute_end_fluxes`.
+
+Both solvers share one `TimeStepper.run` loop: the gauge stride, the typed
+failures that end a run as "failed", and the per-run volume ledger.
 
 One `ghost_states` builds the inflow and prescribed ghosts of channel ends
 and of 2D reference edges (keyed by tag, "<kind>:<channel>:<end>") in the
@@ -42,8 +46,8 @@ from .core import (
     rotate_state,
 )
 from .geometry import BOUNDARY_TAGS, Channel, TriMesh, build_junction_polygon
-from .junctions import Coupling, JunctionA, JunctionB, project_transverse
-from .meshing import fan_refine_mesh
+from .junctions import JunctionField, project_transverse
+from .meshing import disjoint_union, fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import hllc_flux, wall_flux
 from .scheme1d import ChannelField
@@ -187,15 +191,6 @@ class PSFPJunction:
     def dt_bound(self):
         return np.inf
 
-    def reconstruct(self, field):
-        pass
-
-    def channel_neighbors(self, field):
-        return self._ends[:0], np.empty((0, 3)), np.empty(0)
-
-    def compute_fluxes(self, field, dt):
-        return None, self.compute_end_fluxes(field, dt)
-
     def compute_end_fluxes(self, field, dt):
         qf = field.end_states(self._ends)
         problem = PSFPProblem(
@@ -214,56 +209,42 @@ class PSFPJunction:
         fluxes = np.stack([self.tau * rows[:, 0], rows[:, 1], np.zeros(3)], axis=1)
         return self._ends, fluxes
 
-    def update(self, edge_fluxes, dt):
-        pass
-
 
 def build_junctions(specs: list[JunctionSpec], channels, field, params, order, coupling_mode):
-    """The junctions of a network: (per-junction objects in spec order, the
-    elements the stepper drives). One `JunctionA` batch holds every Method-A
-    junction and comes first; each Method-B and PSFP junction is its own
-    element."""
-    out = [None] * len(specs)
-    method_a = []  # (spec index, (id, polygon, couplings))
-    for k, spec in enumerate(specs):
+    """The junctions of a network: (one object per spec, in spec order; the
+    `JunctionField` of every Method-A and Method-B junction, or None).
+
+    The field's mesh is the disjoint union of each A junction's polygon, one
+    cell with edges tagged "wall" or "coupling:<channel>:<end>", and each B
+    junction's fan-refined patch, in spec order; the per-spec objects are
+    its `JunctionView`s and the `PSFPJunction`s.
+    """
+    out = []
+    members = []  # (id, strategy, polygon, patch) per A or B junction
+    parts = []  # (vertices, cells, boundary tags) of their meshes
+    for spec in specs:
         if spec.strategy == "psfp":
-            out[k] = PSFPJunction(spec.id, spec.connects, spec.merging, field, params)
+            out.append(PSFPJunction(spec.id, spec.connects, spec.merging, field, params))
             continue
+        out.append(None)
         ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
         geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
-        # (channel, end, length, patch mesh edge) per coupling edge or sub-edge.
         if spec.strategy == "A":
-            bound = [(e.channel, e.channel_end, e.length, -1) for e in geom.coupling_edges()]
+            n = len(geom.vertices)
+            patch = None
+            parts.append((geom.vertices, [np.arange(n)],
+                          {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
         else:
-            mesh = fan_refine_mesh(geom, spec.patch_refine)
-            bound = [
-                (*mesh.edge_tags[e].split(":")[1:], float(mesh.edge_lengths[e]), int(e))
-                for e in mesh.boundary
-                if mesh.edge_tags[e].startswith("coupling:")
-            ]
-        couplings = [
-            Coupling(
-                channel=ch,
-                end=end,
-                sigma=1.0 if end == "start" else -1.0,
-                alpha=channels[ch].axis_angle,
-                length=length,
-                cell_edge=e,
-            )
-            for ch, end, length, e in bound
-        ]
-        if spec.strategy == "A":
-            method_a.append((k, (spec.id, geom, couplings)))
-        else:
-            out[k] = JunctionB(spec.id, mesh, couplings, field, params, order, coupling_mode)
-    elements = []
-    if method_a:
-        batch = JunctionA([part for _, part in method_a], field, params, order, coupling_mode)
-        for (k, _), view in zip(method_a, batch.junctions):
-            out[k] = view
-        elements.append(batch)
-    elements += [j for j in out if j.strategy != "A"]
-    return out, elements
+            patch = fan_refine_mesh(geom, spec.patch_refine)
+            bound = patch.boundary
+            tags = zip(patch.edge_va[bound], patch.edge_vb[bound], (patch.edge_tags[e] for e in bound))
+            parts.append((patch.vertices, patch.triangles, {(a, b): t for a, b, t in tags}))
+        members.append((spec.id, spec.strategy, geom, patch))
+    if not members:
+        return out, None
+    jf = JunctionField(members, disjoint_union(parts), field, params, order, coupling_mode)
+    views = iter(jf.junctions)
+    return [next(views) if j is None else j for j in out], jf
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +287,61 @@ class RunResult:
     failure: Exception = None
 
 
-class NetworkSimulation:
+def _checked_dt(bounds, t: float) -> float:
+    """The smallest of the step bounds; a NaN bound (one np.min, so a NaN
+    anywhere reaches the check) or a non-positive step is an error."""
+    dt = np.min(bounds)
+    if not dt > 0.0:
+        if np.isnan(dt):
+            raise NonFiniteError(f"non-finite wave speed at t={t:.6g}")
+        raise RuntimeError(f"non-positive time step dt={dt}")
+    return float(dt)
+
+
+class TimeStepper:
+    """The time loop of both solvers.
+
+    A solver provides `t`, `steps`, `recorder`, `diagnostics`,
+    `_reset_diagnostics()` (the entries that cover one run), `total_volume()`,
+    `compute_dt(t_target)`, `advance(dt)` and `sample_gauges()`.
+    """
+
+    def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
+        """Step to t_end (or max_steps), sampling the gauges every
+        output_stride steps. A typed numerical failure ends the run as
+        "failed"; the volume ledger covers this run."""
+        start = time.perf_counter()
+        self._reset_diagnostics()
+        v0 = self.diagnostics["initial_volume"] = self.total_volume()
+        self.sample_gauges()
+        failure = None
+        try:
+            while self.t < t_end - 1e-12 and self.steps < max_steps:
+                self.advance(self.compute_dt(t_target=t_end))
+                if self.steps % output_stride == 0:
+                    self.sample_gauges()
+        except (PSFPFailure, PositivityError, DryStateError, NonFiniteError) as exc:
+            failure = exc
+            if isinstance(exc, PSFPFailure):
+                self.diagnostics["psfp_failures"].append(
+                    {"t": self.t, "kind": exc.kind, "message": str(exc)}
+                )
+        wall = time.perf_counter() - start
+        d = self.diagnostics
+        d["final_volume"] = self.total_volume()
+        d["volume_defect"] = d["final_volume"] - v0 - d["boundary_influx"]
+        return RunResult(
+            status="failed" if failure else "completed",
+            t=self.t,
+            steps=self.steps,
+            gauges=self.recorder,
+            diagnostics=dict(d),
+            wall_time=wall,
+            failure=failure,
+        )
+
+
+class NetworkSimulation(TimeStepper):
     """Coupled 1D channels + junction elements."""
 
     def __init__(
@@ -363,9 +398,13 @@ class NetworkSimulation:
         }
         self.field = ChannelField(channels, params, order=order, cuts=cuts)
         self.fields = self.field.segments
-        self.junctions, self.elements = build_junctions(
+        self.junctions, self.junction_field = build_junctions(
             junction_specs, self.channels, self.field, params, order, coupling_mode
         )
+        self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
+        # Everything that holds volume or bounds dt besides the channels.
+        cells = [] if self.junction_field is None else [self.junction_field]
+        self.elements = cells + self.psfp_junctions
         # Boundary ends grouped by condition kind: (end numbers, conditions,
         # at-start flags, ledger weights +-width).
         by_kind = {}
@@ -388,6 +427,9 @@ class NetworkSimulation:
             ],
             dtype=int,
         )
+        self._reset_diagnostics()
+
+    def _reset_diagnostics(self):
         self.diagnostics = {
             "boundary_influx": 0.0,
             "transverse_momentum_discarded": 0.0,
@@ -417,38 +459,35 @@ class NetworkSimulation:
     # -- stepping ----------------------------------------------------------
 
     def compute_dt(self, t_target=np.inf) -> float:
-        # One np.min, so that a NaN bound anywhere reaches the check below.
-        dt = np.min(
+        return _checked_dt(
             [
                 self.cfl * self.field.dt_bound(),
                 *(0.5 * self.cfl * el.dt_bound() for el in self.elements),
                 t_target - self.t,
-            ]
+            ],
+            self.t,
         )
-        if not dt > 0.0:
-            if np.isnan(dt):
-                raise NonFiniteError(f"non-finite wave speed at t={self.t:.6g}")
-            raise RuntimeError(f"non-positive time step dt={dt}")
-        return float(dt)
 
     def advance(self, dt: float):
         field = self.field
-        # Phase 1: reconstruction (junction elements first supply the
+        cells = self.junction_field
+        # Phase 1: reconstruction (the junction cells first supply the
         # cross-dimensional stencil entries for the channel end cells).
-        for el in self.elements:
-            el.reconstruct(field)
-        parts = [el.channel_neighbors(field) for el in self.elements]
-        nbr = tuple(np.concatenate(p) for p in zip(*parts)) if parts else None
+        nbr = None
+        if cells is not None:
+            cells.reconstruct(field)
+            nbr = cells.channel_neighbors(field)
         field.reconstruct(nbr)
 
         # Phase 2: face states, then interior, junction and boundary fluxes
         # on the network's face array.
         field.face_state(dt)
         flux = field.interior_fluxes()
-        edge_fluxes = []
-        for el in self.elements:
-            ef, (ends, f) = el.compute_fluxes(field, dt)
-            edge_fluxes.append(ef)
+        if cells is not None:
+            edge_fluxes, (ends, f) = cells.compute_fluxes(field, dt)
+            flux[field.end_face[ends]] = f
+        for j in self.psfp_junctions:
+            ends, f = j.compute_end_fluxes(field, dt)
             flux[field.end_face[ends]] = f
         boundary_mass = 0.0
         for ends, bcs, at_start, weight in self._boundary_groups:
@@ -457,8 +496,8 @@ class NetworkSimulation:
             boundary_mass += float(np.sum(weight * f[:, 0]))
 
         # Phase 3: updates.
-        for el, ef in zip(self.elements, edge_fluxes):
-            el.update(ef, dt)
+        if cells is not None:
+            cells.update(edge_fluxes, dt)
         field.update(flux, dt)
 
         # Phase 4: transverse handling in the 1D cells next to junction cells.
@@ -482,41 +521,6 @@ class NetworkSimulation:
         for g, (h, hu) in zip(self.recorder.gauges, q[:, :2].tolist()):
             self.recorder.h[g.id].append(h)
             self.recorder.u[g.id].append(hu / h)
-
-    def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
-        start = time.perf_counter()
-        v0 = self.total_volume()
-        # The ledger and the junction diagnostics cover this run only.
-        self.diagnostics.update(initial_volume=v0, boundary_influx=0.0)
-        self.diagnostics.update(transverse_momentum_discarded=0.0, psfp_failures=[])
-        self.sample_gauges()
-        failure = None
-        try:
-            while self.t < t_end - 1e-12 and self.steps < max_steps:
-                dt = self.compute_dt(t_target=t_end)
-                self.advance(dt)
-                if self.steps % output_stride == 0:
-                    self.sample_gauges()
-        except (PSFPFailure, PositivityError, DryStateError, NonFiniteError) as exc:
-            failure = exc
-            if isinstance(exc, PSFPFailure):
-                self.diagnostics["psfp_failures"].append(
-                    {"t": self.t, "kind": exc.kind, "message": str(exc)}
-                )
-        wall = time.perf_counter() - start
-        self.diagnostics["final_volume"] = self.total_volume()
-        self.diagnostics["volume_defect"] = (
-            self.diagnostics["final_volume"] - v0 - self.diagnostics["boundary_influx"]
-        )
-        return RunResult(
-            status="failed" if failure else "completed",
-            t=self.t,
-            steps=self.steps,
-            gauges=self.recorder,
-            diagnostics=dict(self.diagnostics),
-            wall_time=wall,
-            failure=failure,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +557,7 @@ class PointGauge:
         self.weights = np.array([1.0])
 
 
-class Mesh2DSimulation:
+class Mesh2DSimulation(TimeStepper):
     """Second-order unstructured solver used as the verification reference."""
 
     def __init__(
@@ -598,19 +602,19 @@ class Mesh2DSimulation:
             self._boundary_groups.append((kind_names[k], mesh.boundary[sel], bcs, rows))
         # Incoming invariant behind the transparent edges, set on the first step.
         self._far_field_r = None
+        self._reset_diagnostics()
+
+    def _reset_diagnostics(self):
         self.diagnostics = {"boundary_influx": 0.0}
 
     def set_uniform(self, h, u=0.0, v=0.0):
         self.field.set_uniform(h, u, v)
 
+    def total_volume(self) -> float:
+        return self.field.volume()
+
     def compute_dt(self, t_target=np.inf) -> float:
-        dt = 0.5 * self.cfl * self.field.dt_bound()
-        dt = min(dt, t_target - self.t)
-        if not dt > 0.0:
-            if np.isnan(dt):
-                raise NonFiniteError(f"non-finite wave speed at t={self.t:.6g}")
-            raise RuntimeError(f"non-positive time step dt={dt}")
-        return float(dt)
+        return _checked_dt([0.5 * self.cfl * self.field.dt_bound(), t_target - self.t], self.t)
 
     def advance(self, dt: float):
         self.field.reconstruct()
@@ -659,32 +663,6 @@ class Mesh2DSimulation:
             speed = float(np.hypot(q[:, 1] / q[:, 0], q[:, 2] / q[:, 0]) @ g.weights)
             self.recorder.h[g.id].append(h)
             self.recorder.u[g.id].append(speed)
-
-    def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
-        start = time.perf_counter()
-        v0 = self.field.volume()
-        self.diagnostics["boundary_influx"] = 0.0  # the ledger covers this run
-        self.sample_gauges()
-        failure = None
-        try:
-            while self.t < t_end - 1e-12 and self.steps < max_steps:
-                self.advance(self.compute_dt(t_target=t_end))
-                if self.steps % output_stride == 0:
-                    self.sample_gauges()
-        except (PositivityError, DryStateError, NonFiniteError) as exc:
-            failure = exc
-        wall = time.perf_counter() - start
-        diags = dict(self.diagnostics, initial_volume=v0, final_volume=self.field.volume())
-        diags["volume_defect"] = diags["final_volume"] - v0 - diags["boundary_influx"]
-        return RunResult(
-            status="failed" if failure else "completed",
-            t=self.t,
-            steps=self.steps,
-            gauges=self.recorder,
-            diagnostics=diags,
-            wall_time=wall,
-            failure=failure,
-        )
 
 
 def write_gauge_csv(path, recorder: GaugeRecorder):

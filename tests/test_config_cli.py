@@ -199,6 +199,25 @@ class TestCli:
         assert meta["scenario"]["name"] == "smooth1d"
         assert (out / "final_state.json").exists()
 
+    @pytest.mark.parametrize("strategy", ["A", "B", "psfp"])
+    def test_run_writes_junction_states(self, tmp_path, strategy):
+        out = tmp_path / "out"
+        args = ["run", "--preset", "test1_sub90", "--strategy", strategy, "--t-end", "0.1"]
+        assert main([*args, "--out", str(out)]) == 0
+        state = json.loads((out / "final_state.json").read_text())
+        sim = build_simulation(presets.preset("test1_sub90"), strategy=strategy)
+        sim.run(0.1)
+        assert set(state["channels"]) == set(sim.fields)
+        for cid, f in sim.fields.items():
+            assert state["channels"][cid]["h"] == f.q[:, 0].tolist()
+        # A and B junctions write their 2D cells; the algebraic one has none.
+        want = {} if strategy == "psfp" else {j.id: j.q for j in sim.junctions}
+        assert set(state["junctions"]) == set(want)
+        for jid, q in want.items():
+            got = state["junctions"][jid]
+            assert np.array_equal(np.column_stack([got["h"], got["hu"], got["hv"]]), q)
+        assert [len(q) for q in want.values()] == {"A": [1], "B": [128], "psfp": []}[strategy]
+
     def test_run_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "out"
         code = main([

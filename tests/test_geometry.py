@@ -374,7 +374,8 @@ def loop_edge_table(triangles, boundary_tags):
 
 
 def loop_stencil_groups(mesh, virtual):
-    """`MeshField` stencil groups from per-cell neighbour and position lists."""
+    """`MeshField` stencil groups from per-cell neighbour and position lists;
+    an exact group keeps rows 1-2 of the inverse, which give the slopes."""
     nbr_lists = [[int(j) for j in row if j >= 0] for row in mesh.neighbors]
     pos_lists = [[mesh.centroids[j] for j in row] for row in nbr_lists]
     for slot, (cell, pos) in enumerate(virtual):
@@ -394,7 +395,7 @@ def loop_stencil_groups(mesh, virtual):
             good = np.abs(np.linalg.det(M)) > 1e-12 * scale**2
             op = np.zeros_like(M)
             op[good] = np.linalg.inv(M[good])
-            groups.append(("exact", cells, nbr, op, good))
+            groups.append(("exact", cells, nbr, op[:, 1:], good))  # the slope rows
         else:
             G = np.einsum("kci,kcj->kij", offs, offs)
             det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]

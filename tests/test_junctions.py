@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swnet import presets
-from swnet.config import build_simulation
+from swnet.config import ScenarioConfig, build_simulation
 from swnet.core import PhysicalParams
 from swnet.junctions import project_transverse, rotate_gradients
 from swnet.riemann import hllc_flux
@@ -86,11 +86,11 @@ def build_A(strategy="A"):
 
 
 class TestCouplingFluxes:
-    # test1_sub90 has one junction, so the Method-A batch (the first stepped
-    # element) holds exactly the rows of sim.junctions[0].
+    # test1_sub90 has one junction, so the junction field holds exactly the
+    # one cell of sim.junctions[0], whose mesh edges are its polygon's edges.
     def test_matched_still_water_hydrostatic(self):
         sim = build_A()
-        a, j = sim.elements[0], sim.junctions[0]
+        a, j = sim.junction_field, sim.junctions[0]
         a.reconstruct(sim.field)
         sim.field.reconstruct()
         sim.field.face_state(0.01)
@@ -103,36 +103,42 @@ class TestCouplingFluxes:
             assert np.allclose(flx, [0.0, p, 0.0], atol=1e-14)
 
     def test_shared_flux_mass_identity(self):
-        # the scalar mass flux handed to the 1D side equals the edge's mass
-        # flux exactly (one shared solve), random-ish flowing states
+        # the scalar mass flux handed to the 1D side is the edge's mass flux
+        # (one shared solve) times the edge length per channel width, to the
+        # bit; random-ish flowing states
         sim = build_A()
         rng = np.random.default_rng(15)
         for cid, f in sim.fields.items():
             f.q[:, 0] = rng.uniform(0.1, 0.3, f.n)
             f.q[:, 1] = f.q[:, 0] * rng.uniform(-0.5, 0.5, f.n)
-        a, j = sim.elements[0], sim.junctions[0]
+        a, j = sim.junction_field, sim.junctions[0]
         j.set_uniform(0.2, 0.1, -0.05)
         a.reconstruct(sim.field)
         sim.field.reconstruct(a.channel_neighbors(sim.field))
         sim.field.face_state(0.005)
         edge_fluxes, (ends, end_fluxes) = a.compute_fluxes(sim.field, dt=0.005)
-        rows = [k for k, e in enumerate(j.geom.edges) if e.kind == "coupling"]
-        for row, c in zip(rows, j.couplings):
-            k = list(ends).index(sim.field.end_index(c.channel, c.end))
-            assert end_fluxes[k][0] == c.sigma * edge_fluxes[row][0]
+        m = a.mesh
+        rows = [e for e in m.boundary if m.edge_tags[e].startswith("coupling:")]
+        assert len(rows) == len(j.ends) == 3
+        for row in rows:
+            _, ch, end = m.edge_tags[row].split(":")
+            sigma = 1.0 if end == "start" else -1.0
+            k = list(ends).index(sim.field.end_index(ch, end))
+            width = sim.channels[ch].width
+            assert end_fluxes[k][0] == sigma * edge_fluxes[row][0] * m.edge_lengths[row] / width
 
     def test_aligned_coupling_equals_plain_interface(self):
         # junction at a channel start with axis +x: edge frame == channel
         # frame, so the shared flux must equal a plain HLLC interface flux
         sim = build_A()
-        a, j = sim.elements[0], sim.junctions[0]
+        a, j = sim.junction_field, sim.junctions[0]
         f2 = sim.fields["ch2"]
         f2.set_uniform(0.22, 0.3)
         j.set_uniform(0.18, 0.0, 0.12)  # global frame; ch2 axis is +y
         a.reconstruct(sim.field)
         sim.field.reconstruct()
-        a.grad_x[:] = 0.0
-        a.grad_y[:] = 0.0
+        a.mesh_field.grad_x[:] = 0.0
+        a.mesh_field.grad_y[:] = 0.0
         sim.field.slopes[:] = 0.0
         sim.field.face_state(0.002)
         _, (ends, end_fluxes) = a.compute_fluxes(sim.field, dt=0.002)
@@ -145,7 +151,7 @@ class TestCouplingFluxes:
     def test_momentum_update_identity(self):
         # Eq.-style single-cell balance: update equals the closed edge sum
         sim = build_A()
-        a, j = sim.elements[0], sim.junctions[0]
+        a, j = sim.junction_field, sim.junctions[0]
         j.set_uniform(0.2, 0.05, -0.02)
         q0 = j.q.copy()
         rng = np.random.default_rng(16)
@@ -169,12 +175,33 @@ class TestJunctionRuns:
             sim.advance(sim.compute_dt())
         assert np.abs(sim.junctions[0].q - q0).max() < 1e-13
 
+    def test_closed_mixed_network_stays_at_rest(self):
+        # Polygon (A) and triangle (B) junction cells in one field: a closed,
+        # reflective network at rest stays at rest and closes its ledger.
+        data = presets.preset("test6_network", strategy="A").emit()
+        for k, junction in enumerate(data["junctions"]):
+            junction["strategy"] = "AB"[k % 2]
+        for b in data["boundaries"]:
+            b.pop("inflow", None)
+            b["kind"] = "reflective"
+        sim = build_simulation(ScenarioConfig(data))
+        assert {j.strategy for j in sim.junctions} == {"A", "B"}
+        assert sim.elements == [sim.junction_field]
+        res = sim.run(np.inf, max_steps=200)
+        assert res.status == "completed" and res.steps == 200
+        h0 = data["initial"]["h"]
+        for q in [f.q for f in sim.fields.values()] + [j.q for j in sim.junctions]:
+            assert np.abs(q[:, 0] - h0).max() < 1e-13
+            assert np.abs(q[:, 1:]).max() < 1e-13
+        d = res.diagnostics
+        assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
+
     def test_symmetric_inflow_keeps_velocity_on_axis(self):
         sim = build_A()
         res = sim.run(5.0)
         assert res.status == "completed"
         # parent axis is x; transverse momentum of the junction element stays 0
-        assert abs(sim.junctions[0].q[2]) < 1e-12
+        assert abs(sim.junctions[0].q[0, 2]) < 1e-12
 
     @pytest.mark.parametrize("strategy", ["A", "B"])
     def test_two_pass_mode_close_to_shared(self, strategy):
@@ -228,9 +255,9 @@ class TestJunctionRuns:
     ],
 )
 def test_junction_protocol(name, strategy, n_ends):
-    # Every junction treatment answers the same calls the network stepper
-    # makes, in channel end numbers of the network's field; the algebraic
-    # one has no cells and no stencil entries.
+    # The junction field answers the calls the network stepper makes, in
+    # channel end numbers of the network's field; each junction is a view of
+    # it. The algebraic junctions have no cells and only supply end fluxes.
     sim = build_simulation(presets.preset(name, strategy=strategy))
     field = sim.field
     junctions = [j for j in sim.junctions if len(j.ends) == n_ends]
@@ -243,19 +270,25 @@ def test_junction_protocol(name, strategy, n_ends):
             assert j.volume() > 0.0 and np.isfinite(j.dt_bound())
     dt = sim.compute_dt()
     field.face_state(dt)
-    for el in sim.elements:
-        assert el.strategy == strategy
-        keys = {field.end_index(ch, end) for ch, end in el.ends}
-        el.reconstruct(field)
-        nbr_ends, nbr_q, nbr_d = el.channel_neighbors(field)
-        assert set(nbr_ends) <= keys
-        assert nbr_q.shape == (len(nbr_ends), 3) and nbr_d.shape == (len(nbr_ends),)
-        edge_fluxes, (ends, fluxes) = el.compute_fluxes(field, dt)
-        assert len(ends) == len(el.ends) and set(ends) == keys
-        assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
-        if strategy == "psfp":
-            assert el.volume() == 0.0 and el.dt_bound() == np.inf
-            assert len(nbr_ends) == 0 and edge_fluxes is None
-        else:
-            assert set(nbr_ends) == keys
-            assert el.volume() > 0.0 and np.isfinite(el.dt_bound())
+    if strategy == "psfp":
+        assert sim.junction_field is None and sim.elements == sim.psfp_junctions
+        for j in sim.psfp_junctions:
+            keys = {field.end_index(ch, end) for ch, end in j.ends}
+            ends, fluxes = j.compute_end_fluxes(field, dt)
+            assert len(ends) == len(j.ends) and set(ends) == keys
+            assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
+        return
+    el = sim.junction_field
+    assert sim.elements == [el]
+    keys = {field.end_index(ch, end) for ch, end in el.ends}
+    assert keys == {field.end_index(ch, end) for j in sim.junctions for ch, end in j.ends}
+    el.reconstruct(field)
+    nbr_ends, nbr_q, nbr_d = el.channel_neighbors(field)
+    assert set(nbr_ends) == keys
+    assert nbr_q.shape == (len(nbr_ends), 3) and nbr_d.shape == (len(nbr_ends),)
+    edge_fluxes, (ends, fluxes) = el.compute_fluxes(field, dt)
+    assert len(ends) == len(el.ends) and set(ends) == keys
+    assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
+    assert edge_fluxes.shape == (len(el.mesh.edge_lengths), 3) and np.isfinite(edge_fluxes).all()
+    assert el.volume() == sum(j.volume() for j in sim.junctions) > 0.0
+    assert el.dt_bound() == min(j.dt_bound() for j in sim.junctions)

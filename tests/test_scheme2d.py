@@ -272,9 +272,9 @@ def oracle_gradients(field, virtual_values=None):
         vals[mesh_nbr] = q[nbr[mesh_nbr]]
         if not mesh_nbr.all():
             vals[~mesh_nbr] = virtual_values[-nbr[~mesh_nbr] - 1]
-        if kind == "exact":
+        if kind == "exact":  # op holds the slope rows of the inverse
             coef = np.einsum("kij,kjv->kiv", op, vals)
-            cx, cy = coef[:, 1, :], coef[:, 2, :]
+            cx, cy = coef[:, 0, :], coef[:, 1, :]
         else:
             grad = np.einsum("kic,kcv->kiv", op, vals - q[cells][:, None, :])
             cx, cy = grad[:, 0, :], grad[:, 1, :]

@@ -70,8 +70,9 @@ class TestComputeDt:
         bound = 0.5 * sim.cfl * j.dt_bound()
         from swnet.core import max_wave_speed
 
-        lam = float(max_wave_speed(j.q, P))
-        assert np.isclose(bound, 0.5 * sim.cfl * j.geom.incircle_diameter / lam, rtol=1e-12)
+        lam = float(max_wave_speed(j.q[0], P))
+        rho = 4.0 * j.geom.area / sum(e.length for e in j.geom.edges)
+        assert np.isclose(bound, 0.5 * sim.cfl * rho / lam, rtol=1e-12)
 
     def test_dt_respects_every_local_bound(self):
         sim = build_simulation(presets.preset("test1_sub90"))
@@ -217,7 +218,7 @@ class TestAdvance:
         seg = run.fields["ch1"]
         assert np.array_equal(seg.q, run.field.q[seg.first : seg.first + seg.n])
         assert not np.array_equal(seg.q, sim.fields["ch1"].q)
-        assert np.array_equal(run.junctions[0].q, run.elements[0].q[0])
+        assert np.array_equal(run.junctions[0].q, run.junction_field.mesh_field.q[:1])
         assert not np.array_equal(run.junctions[0].q, sim.junctions[0].q)
 
     def test_gauge_reads_cell_average(self):
@@ -313,16 +314,17 @@ class TestNonFinite:
             flux[field.end_face[field.end_index(cid, "start")] + 5, 0] = np.nan
             with pytest.raises(NonFiniteError, match=f"channel {cid} cell 4"):
                 field.update(flux, 0.01)
-        a, j = sim.elements[0], sim.junctions[0]
+        a, j = sim.junction_field, sim.junctions[0]
         fluxes = np.zeros((len(j.geom.edges), 3))
         fluxes[0, 2] = np.nan
         with pytest.raises(NonFiniteError, match=f"junction {j.id}"):
             a.update(fluxes, 0.01)
-        j = build_simulation(presets.preset("test1_sub90"), strategy="B").junctions[0]
+        sim = build_simulation(presets.preset("test1_sub90"), strategy="B")
+        a, j = sim.junction_field, sim.junctions[0]
         fluxes = np.zeros((len(j.mesh.edge_lengths), 3))
         fluxes[0, 2] = np.nan
-        with pytest.raises(NonFiniteError, match=f"junction {j.id}: .* 2D cell"):
-            j.update(fluxes, 0.01)
+        with pytest.raises(NonFiniteError, match=f"junction {j.id}, 2D cell"):
+            a.update(fluxes, 0.01)
 
 
 class TestGaugeCsv:

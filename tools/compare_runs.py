@@ -7,11 +7,13 @@ an unpacked `git archive` of another commit. Every preset runs with each
 junction strategy (A, B, psfp), plus test1_sub90 with two-pass coupling (A
 and B) and with transverse=zero (A), plus boundary variants that put every
 condition kind at a channel start and at a channel end (`BOUNDARY_RUNS`),
-for at most --steps steps. Each tree runs in its own interpreter. The
-report is a markdown table: per run, the steps and failure type on both
-sides and the largest relative deviation of the gauge series, the final
-channel states, the final junction states and the ledger entries. Deviations are relative to the largest magnitude of the
-compared series, except where that magnitude is itself round-off: gauge
+plus test6_network with its junctions alternating between Methods A and B
+(`MIXED_RUNS`), for at most --steps steps. Each tree runs in its own
+interpreter. The report is a markdown table: per run, the steps and failure
+type on both sides and the largest relative deviation of the gauge series,
+the final channel states, the final junction states and the ledger entries.
+Deviations are relative to the largest magnitude of the compared series,
+except where that magnitude is itself round-off: gauge
 velocities are compared relative to the gauge's largest celerity sqrt(g h),
 volumes and boundary influx relative to the initial volume, and the
 discarded transverse momentum relative to the largest final cell momentum.
@@ -21,11 +23,15 @@ rejections differ, or a deviation exceeds --rtol.
 
     python tools/compare_runs.py OLD_TREE NEW_TREE --reference [--steps 12]
 
-builds the full-2D reference of test6_network at dx = 0.1, 0.04 and 0.02
-in each tree instead and requires exact equality: of every mesh array
-(vertices, triangles, the edge table and tags, each cell's neighbours), of
-the reconstruction stencils and of the initial state, and, after --steps
-steps, of the gauge series and the final state.
+builds full-2D references in each tree instead (`REFERENCE_RUNS`: the
+test6_network reference at dx = 0.1, 0.04 and 0.02, whose open boundary is
+one inflow; test1_sub90 with an inflow and far-field edges, test4_super90
+with prescribed and far-field edges, and test1_sub90 with two inflows, at
+dx = 0.05) and requires exact equality: of every mesh array (vertices,
+triangles, the edge table and tags, each cell's neighbours), of the
+reconstruction stencils (cells, neighbours, the two slope rows of each
+operator and the regular-stencil flags) and of the initial state, and, after
+--steps steps, of the gauge series and the final state.
 """
 
 from __future__ import annotations
@@ -55,15 +61,17 @@ def inflow(amplitude, center, width):
 # No preset has a reflective end, or an inflow or prescribed one at a channel
 # end: smooth1d (run to t = 8, so that the hump reaches its ends) takes each
 # of these kinds at both ends, and test1_sub90 takes inflows on both outlets.
+TWO_INFLOWS = {("ch2", "end"): inflow(0.2, 3.0, 1.0), ("ch3", "end"): inflow(0.3, 3.0, 1.0)}
 BOUNDARY_RUNS = [
     *[("smooth1d", None, {("ch1", "start"): b, ("ch1", "end"): b}, 8.0) for b in (
         {"kind": "reflective"},
         inflow(0.2, 2.0, 0.5),
         {"kind": "prescribed", "h": 1.05, "u": 0.1},
     )],
-    *[("test1_sub90", s, {("ch2", "end"): inflow(0.2, 3.0, 1.0),
-                          ("ch3", "end"): inflow(0.3, 3.0, 1.0)}, None) for s in STRATEGIES],
+    *[("test1_sub90", s, TWO_INFLOWS, None) for s in STRATEGIES],
 ]
+# One network whose junction cells mix polygons (A) and triangles (B).
+MIXED_RUNS = ["test6_network"]
 
 
 def boundary_variant(preset, name, strategy, ends, t_end):
@@ -77,6 +85,16 @@ def boundary_variant(preset, name, strategy, ends, t_end):
     ]
     if t_end is not None:
         data["t_end"] = t_end
+    return ScenarioConfig(data)
+
+
+def mixed_strategies(preset, name):
+    """The preset with its junctions alternating between Methods A and B."""
+    from swnet import ScenarioConfig
+
+    data = preset(name, strategy="A").emit()
+    for k, junction in enumerate(data["junctions"]):
+        junction["strategy"] = "AB"[k % 2]
     return ScenarioConfig(data)
 
 
@@ -97,6 +115,8 @@ def cases(preset, preset_names):
         kinds = [f"{c}:{e}={b['kind']}" for (c, e), b in ends.items()]
         label = " ".join([name, *([s] if s else []), *kinds])
         yield label, lambda args=(name, s, ends, t_end): boundary_variant(preset, *args), {}
+    for name in MIXED_RUNS:
+        yield f"{name} A/B", lambda name=name: mixed_strategies(preset, name), {}
 
 
 def run_matrix(steps: int) -> list[dict]:
@@ -131,19 +151,30 @@ def run_matrix(steps: int) -> list[dict]:
     return out
 
 
-REFERENCE_DX = (0.1, 0.04, 0.02)
+# (scenario name, boundary entries replaced or None, dx) per reference.
+REFERENCE_RUNS = [
+    *[("test6_network", None, dx) for dx in (0.1, 0.04, 0.02)],
+    ("test1_sub90", None, 0.05),
+    ("test4_super90", None, 0.05),
+    ("test1_sub90", TWO_INFLOWS, 0.05),
+]
 MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "edge_vb",
                "edge_tags")
 
 
+def reference_label(name, ends, dx) -> str:
+    kinds = [f"{c}:{e}={b['kind']}" for (c, e), b in (ends or {}).items()]
+    return " ".join([name, *kinds, f"dx={dx}"])
+
+
 def run_reference(steps: int) -> dict:
-    """Mesh, stencils, initial state and a short run of the test6_network
-    reference at each dx, as arrays keyed "<dx>/<group>/<name>"."""
+    """Mesh, stencils, initial state and a short run of each reference, as
+    arrays keyed "<reference>/<group>/<name>"."""
     from swnet import preset, studies
 
     out = {}
-    cfg = preset("test6_network")
-    for dx in REFERENCE_DX:
+    for name, ends, dx in REFERENCE_RUNS:
+        cfg = boundary_variant(preset, name, None, ends or {}, None)
         sim = studies.build_reference_sim(cfg, dx)
         mesh = {name: np.asarray(getattr(sim.mesh, name)) for name in MESH_ARRAYS}
         mesh["edge_tags"] = mesh["edge_tags"].astype(str)
@@ -151,8 +182,10 @@ def run_reference(steps: int) -> dict:
         mesh["neighbors"] = np.concatenate([r[r >= 0] for r in rows])
         mesh["neighbor_counts"] = np.array([np.count_nonzero(r >= 0) for r in rows])
         stencils = {}
-        for k, (kind, *arrays) in enumerate(sim.field._groups):
-            stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate(arrays)}
+        for k, (kind, cells, nbr, op, good) in enumerate(sim.field._groups):
+            if kind == "exact" and op.shape[1] == 3:  # a tree that keeps the whole inverse
+                op = op[:, 1:]
+            stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate((cells, nbr, op, good))}
         q0 = sim.field.q.copy()
         res = sim.run(cfg.t_end, max_steps=steps)
         rec = res.gauges
@@ -161,28 +194,31 @@ def run_reference(steps: int) -> dict:
                **{f"u:{g}": np.array(rec.u[g]) for g in rec.u}}
         groups = {"mesh": mesh, "stencils": stencils, "initial": {"q": q0},
                   "run": run, "final": {"q": sim.field.q}}
-        out |= {f"{dx}/{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
+        label = reference_label(name, ends, dx)
+        out |= {f"{label}/{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
     return out
 
 
 def compare_reference(old: dict, new: dict):
     """(markdown lines, number of problems): equal keys, dtypes and values per
-    dx and group."""
+    reference and group."""
     groups = ("mesh", "stencils", "initial", "run", "final")
-    lines = ["| dx | cells | " + " | ".join(groups) + " |", "|---" * (2 + len(groups)) + "|"]
+    lines = ["| reference | cells | " + " | ".join(groups) + " |",
+             "|---" * (2 + len(groups)) + "|"]
     problems = 0
-    for dx in REFERENCE_DX:
-        cells = len(old[f"{dx}/mesh/triangles"])
+    for name, ends, dx in REFERENCE_RUNS:
+        label = reference_label(name, ends, dx)
+        cells = len(old[f"{label}/mesh/triangles"])
         row = []
         for g in groups:
-            prefix = f"{dx}/{g}/"
+            prefix = f"{label}/{g}/"
             keys = {k for k in old if k.startswith(prefix)}
             differ = sorted(k[len(prefix):] for k in keys ^ {k for k in new if k.startswith(prefix)})
             differ += sorted(k[len(prefix):] for k in keys & new.keys()
                              if old[k].dtype != new[k].dtype or not np.array_equal(old[k], new[k]))
             problems += len(differ)
             row.append("identical" if not differ else "differ: " + ", ".join(differ))
-        lines.append(f"| {dx} | {cells} | " + " | ".join(row) + " |")
+        lines.append(f"| {label} | {cells} | " + " | ".join(row) + " |")
     return lines, problems
 
 
@@ -263,7 +299,7 @@ def main(argv=None) -> int:
     p.add_argument("--steps", type=int, help="steps per run (default 200, 12 with --reference)")
     p.add_argument("--rtol", type=float, default=1e-12)
     p.add_argument("--reference", action="store_true",
-                   help="compare the test6_network full-2D reference bit for bit")
+                   help="compare the full-2D references bit for bit")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     steps = args.steps or (12 if args.reference else 200)
@@ -282,7 +318,7 @@ def main(argv=None) -> int:
     if args.reference:
         lines, problems = compare_reference(old, new)
         print("\n".join(lines))
-        print(f"\n{len(REFERENCE_DX)} reference meshes, {steps} steps each, {problems} problems")
+        print(f"\n{len(REFERENCE_RUNS)} references, {steps} steps each, {problems} problems")
     else:
         lines, problems = compare(old, new, args.rtol)
         print("\n".join(lines))
