@@ -152,6 +152,8 @@ class JunctionField:
         self._cpl_alpha = self._end_alpha[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
+        # Shared coupling solves the wall and coupling edges in one HLLC call.
+        self._outer_edges = np.concatenate([self._wall_edges, edges])
 
         # Each coupling edge's cell sees the adjacent 1D end cell as an extra
         # stencil neighbour.
@@ -218,22 +220,30 @@ class JunctionField:
         flux = np.empty_like(qL)
         if len(m.interior):
             flux[m.interior] = interior_edge_fluxes(self.mesh_field, qL, qR, m.interior)
-        if len(self._wall_edges):
-            flux[self._wall_edges] = boundary_edge_fluxes(m, qL, self._wall_edges, self.params)
 
         edges = self._cpl_edges
-        th = m.edge_thetas[edges]
         if self.coupling_mode == "shared":
-            # The evolved 1D face states at the junction-side faces, with
-            # momenta in the coupling edge frame.
+            # One Riemann solve over the wall edges, against their mirrored
+            # states as in `wall_flux`, and the coupling edges, against the
+            # evolved 1D face states at the junction-side faces with momenta
+            # in the coupling edge frame.
+            nw = len(self._wall_edges)
+            th = m.edge_thetas[self._outer_edges]
+            qhat = rotate_state(qL[self._outer_edges], th)
             q1 = field.faces[field.end_slot[self._ends]]
             q1[:, 1:] *= self._end_sigma[:, None]
-            q1 = q1[self._cpl_end]
-            fhat = hllc_flux(rotate_state(qL[edges], th), q1, self.params)
-            flux[edges] = rotate_back(fhat, th)
-            f_ch = fhat.copy()
+            mirror = qhat[:nw].copy()
+            mirror[:, 1] = -mirror[:, 1]
+            fhat = hllc_flux(qhat, np.concatenate([mirror, q1[self._cpl_end]]), self.params)
+            fhat[:nw, 0] = 0.0
+            fhat[:nw, 2] = 0.0
+            flux[self._outer_edges] = rotate_back(fhat, th)
+            f_ch = fhat[nw:]
             f_ch[:, 0] *= self._cpl_sigma
         else:
+            if len(self._wall_edges):
+                flux[self._wall_edges] = boundary_edge_fluxes(m, qL, self._wall_edges, self.params)
+            th = m.edge_thetas[edges]
             cells = m.edge_left[edges]
             c = self.mesh_field
             flux[edges], f_ch = _two_pass(

@@ -138,7 +138,6 @@ class ChannelField:
         self._dL, self._dR = d[:-1], d[1:]
         self._denom = self._dL * self._dL + self._dR * self._dR
 
-        self.segments = {ch.id: ChannelSegment(self, c) for c, ch in enumerate(channels)}
 
     @property
     def n(self) -> int:

@@ -23,11 +23,17 @@ from .core import (
     rotate_state,
 )
 from .geometry import TriMesh
-from .riemann import hllc_flux, wall_flux
+from .riemann import hllc_flux, hllc_rows, wall_flux
 
 
 class MeshField:
-    """Conserved cell averages plus limited gradients on a TriMesh."""
+    """Conserved cell averages plus limited gradients on a TriMesh.
+
+    `q` holds one (h, hu, hv) row per cell. The per-step kernels work
+    component-major, on one contiguous row of all cells (or edges) per
+    component: the gradients are `grad`, (2, 3, T) for (x, y), component,
+    cell, and `grad_x`/`grad_y` are its (T, 3) views.
+    """
 
     def __init__(self, mesh: TriMesh, params: PhysicalParams, order: int = 2, virtual=None):
         self.mesh = mesh
@@ -35,8 +41,7 @@ class MeshField:
         self.order = order
         T = mesh.n_cells
         self.q = np.zeros((T, 3))
-        self.grad_x = np.zeros((T, 3))
-        self.grad_y = np.zeros((T, 3))
+        self.grad = np.zeros((2, 3, T))
         # Names a cell in the errors of `update`; a junction field names the
         # junction too.
         self.cell_name = "2D cell {}".format
@@ -53,9 +58,10 @@ class MeshField:
             pos[cell, counts[cell]] = p
             counts[cell] += 1
 
-        # Per stencil size: the cells, their neighbours and the two slope rows
-        # of their reconstruction operator (rows 1-2 of the inverse of the
-        # exact three-neighbour fit, or the least-squares operator).
+        # Per stencil size: the cells (n), their neighbours (c, n) and the two
+        # slope rows of their reconstruction operator, (2, c, n): rows 1-2 of
+        # the inverse of the exact three-neighbour fit, or the least-squares
+        # operator.
         self._groups = []
         scale = float(np.sqrt(np.mean(mesh.areas)))
         for c in sorted(set(counts[counts >= 2].tolist())):
@@ -69,16 +75,31 @@ class MeshField:
                 inv = np.zeros_like(M)
                 if good.any():
                     inv[good] = np.linalg.inv(M[good])
-                self._groups.append(("exact", cells, nbr, inv[:, 1:].copy(), good))
+                op = inv[:, 1:]
             else:
                 G = np.einsum("kci,kcj->kij", offs, offs)
                 det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
                 good = np.abs(det) > 1e-12 * scale**4
-                P = np.zeros((len(cells), 2, c))
+                op = np.zeros((len(cells), 2, c))
                 if good.any():
                     Ginv = np.linalg.inv(G[good])
-                    P[good] = np.einsum("kij,kcj->kic", Ginv, offs[good])
-                self._groups.append(("lsq", cells, nbr, P, good))
+                    op[good] = np.einsum("kij,kcj->kic", Ginv, offs[good])
+            kind = "exact" if c == 3 else "lsq"
+            self._groups.append((kind, cells, nbr.T, op.transpose(1, 2, 0), good))
+        # Copied contiguous only after the stencil temporaries are released;
+        # copied earlier, they made the dx = 0.02 reference build ~6 % slower
+        # (heap placement, not work).
+        del nbrs, pos
+        for k, (kind, cells, nbr, op, good) in enumerate(self._groups):
+            self._groups[k] = (kind, cells, nbr.copy(), op.copy(), good)
+
+    @property
+    def grad_x(self) -> np.ndarray:
+        return self.grad[0].T
+
+    @property
+    def grad_y(self) -> np.ndarray:
+        return self.grad[1].T
 
     def set_uniform(self, h, u=0.0, v=0.0):
         self.q[:, 0] = h
@@ -98,76 +119,83 @@ class MeshField:
 
         Summation order: each slope is accumulated over the operator columns
         in stencil order (mesh neighbours, then virtual ones), left to right,
-        `op[:, r, 0] * v0 + op[:, r, 1] * v1 + ...`; a cell's bounds are the
+        `op[r, 0] * v0 + op[r, 1] * v1 + ...`; a cell's bounds are the
         running minimum and maximum of its neighbours in the same order, then
         against its own value. Keeping this order keeps the gradients the
         same to the bit.
         """
-        self.grad_x[:] = 0.0
-        self.grad_y[:] = 0.0
+        grad = self.grad
+        grad[:] = 0.0
         if self.order < 2:
             return
-        q = self.q
-        src = q
         if self.n_virtual:
             if virtual_values is None:
                 raise ValueError("virtual neighbor values required but not given")
-            # Virtual slot s is neighbour -(s + 1): the s-th row from the end.
-            src = np.concatenate([q, virtual_values[::-1]])
-        dmin = np.zeros_like(q)
-        dmax = np.zeros_like(q)
-        for kind, cells, nbr, op, good in self._groups:
-            qc = q.take(cells, axis=0)
-            vals = [src.take(nbr[:, j], axis=0) for j in range(nbr.shape[1])]
-            terms = vals if kind == "exact" else [v - qc for v in vals]
-            for i, grad in enumerate((self.grad_x, self.grad_y)):
-                g = op[:, i, 0, None] * terms[0]
-                for j in range(1, len(terms)):
-                    g += op[:, i, j, None] * terms[j]
-                g[~good] = 0.0
-                grad[cells] = g
-            lo, hi = vals[0], vals[0]
-            for v in vals[1:]:
-                lo = np.minimum(lo, v)
-                hi = np.maximum(hi, v)
-            dmin[cells] = np.minimum(qc, lo) - qc
-            dmax[cells] = np.maximum(qc, hi) - qc
+            # Virtual slot s is neighbour -(s + 1): the s-th column from the end.
+            src = np.concatenate([self.q.T, virtual_values[::-1].T], axis=1)
+        else:
+            src = np.ascontiguousarray(self.q.T)
+        dmin = np.zeros_like(grad[0])
+        dmax = np.zeros_like(grad[0])
+        for group in self._groups:
+            self._fit(src, *group, dmin, dmax)
+        del src  # the limiter's temporaries are the step's largest
         self._limit(dmin, dmax)
+
+    def _fit(self, src, kind, cells, nbr, op, good, dmin, dmax):
+        """Slopes and neighbour bounds of one stencil group, from the (3, n)
+        component rows `src` of the cells and the virtual values."""
+        qc = src.take(cells, axis=1)
+        vals = [src.take(row, axis=1) for row in nbr]
+        terms = vals if kind == "exact" else [v - qc for v in vals]
+        for i in range(2):
+            g = op[i, 0] * terms[0]
+            for j in range(1, len(terms)):
+                g += op[i, j] * terms[j]
+            g[:, ~good] = 0.0
+            self.grad[i][:, cells] = g
+        lo, hi = vals[0], vals[0]
+        for v in vals[1:]:
+            lo = np.minimum(lo, v)
+            hi = np.maximum(hi, v)
+        dmin[:, cells] = np.minimum(qc, lo) - qc
+        dmax[:, cells] = np.maximum(qc, hi) - qc
 
     def _limit(self, dmin, dmax):
         """Barth-Jespersen: scale each gradient by the largest phi in [0, 1]
-        that keeps its value at every vertex within [q + dmin, q + dmax].
+        that keeps its value at every vertex within [q + dmin, q + dmax];
+        dmin and dmax are (3, T).
 
         A vertex whose increment dq is zero (or NaN) allows phi = 1, so a
         padded polygon corner (zero offset) limits nothing. The minimum over
         the vertices is clipped once, which equals the minimum of the clipped
         candidates because clipping is monotone.
         """
-        ox, oy = self.mesh.vertex_offsets[:, :, :, None].transpose(1, 0, 2, 3)
-        dq = self.grad_x * ox + self.grad_y * oy
+        off = self.mesh.vertex_offsets[:, :, None, :]
+        dq = self.grad[0] * off[:, 0] + self.grad[1] * off[:, 1]
         rising = dq > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = np.where(rising, dmax, dmin) / dq
         np.copyto(cand, 1.0, where=~(rising | (dq < 0.0)))
-        phi = np.clip(cand.min(axis=0), 0.0, 1.0, out=dmin)
-        self.grad_x *= phi
-        self.grad_y *= phi
+        self.grad *= np.clip(cand.min(axis=0), 0.0, 1.0, out=dmin)
 
     def edge_states(self, dt: float):
         """Evolved boundary-extrapolated states per edge, global frame.
 
-        Returns (qL, qR); qR rows of boundary edges duplicate qL, and qR is
-        qL when every edge is a boundary edge (single-cell junctions).
+        Returns (qL, qR) as (E, 3) views of (3, E) rows; qR rows of boundary
+        edges duplicate qL, and qR is qL when every edge is a boundary edge
+        (single-cell junctions).
         """
         m = self.mesh
         sides = 2 if len(m.interior) else 1
+        qT = np.ascontiguousarray(self.q.T)
         out = []
         for cells, (dx, dy) in zip(m.edge_cells[:sides], m.edge_offsets[:sides]):
-            gx, gy = self.grad_x.take(cells, axis=0), self.grad_y.take(cells, axis=0)
-            qf = self.q.take(cells, axis=0) + gx * dx[:, None] + gy * dy[:, None]
+            gx, gy = self.grad[0].take(cells, axis=1), self.grad[1].take(cells, axis=1)
+            qf = qT.take(cells, axis=1) + gx * dx + gy * dy
             if self.order >= 2:
-                qf -= 0.5 * dt * jacobian_dot(qf, gx, gy, self.params)
-            out.append(qf)
+                qf -= 0.5 * dt * jacobian_dot(qf.T, gx.T, gy.T, self.params).T
+            out.append(qf.T)
         return out[0], out[-1]
 
     def update(self, edge_flux_global: np.ndarray, dt: float):
@@ -181,13 +209,13 @@ class MeshField:
         m = self.mesh
         interior = m.interior
         cells = np.concatenate([m.edge_left, m.edge_right.take(interior)])
-        net = np.empty_like(self.q)
+        net = np.empty((3, m.n_cells))
         for k, w in enumerate(edge_flux_global.T * m.edge_lengths):
-            net[:, k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
-        dq = net * (dt / m.areas)[:, None]
+            net[k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
+        dq = net * (dt / m.areas)
         if self.params.friction_enabled and self.params.manning_n > 0.0:
-            dq += dt * friction_source(self.q, self.params)
-        self.q = self.q + dq
+            dq += dt * friction_source(self.q, self.params).T
+        self.q = self.q + dq.T
         if not np.isfinite(self.q).all():
             k = int(np.argmin(np.isfinite(self.q).all(axis=1)))
             raise NonFiniteError(f"non-finite state in {self.cell_name(k)}")
@@ -198,12 +226,26 @@ class MeshField:
 
 def interior_edge_fluxes(field: MeshField, qL, qR, edges=slice(None)) -> np.ndarray:
     """Rotated HLLC fluxes, global frame, on `edges` (default all, where the
-    boundary rows are invalid)."""
-    thetas = field.mesh.edge_thetas[edges]
-    qhL = rotate_state(qL[edges], thetas)
-    qhR = rotate_state(qR[edges], thetas)
-    fhat = hllc_flux(qhL, qhR, field.params)
-    return rotate_back(fhat, thetas)
+    boundary rows are invalid), as an (n, 3) view of (3, n) rows.
+
+    One pass over component rows: the global-frame states are rotated into
+    each edge's normal frame inline, solved by `hllc_rows` and rotated back,
+    with the arithmetic of `rotate_state`, `hllc_flux` and `rotate_back`.
+    """
+    th = field.mesh.edge_thetas[edges]
+    c, s = np.cos(th), np.sin(th)
+    ns = -s
+    hL, huL, hvL = qL.T[:, edges]
+    hR, huR, hvR = qR.T[:, edges]
+    f0, f1, f2 = hllc_rows(
+        hL, c * huL + s * hvL, ns * huL + c * hvL,
+        hR, c * huR + s * hvR, ns * huR + c * hvR, field.params.g,
+    )
+    out = np.empty((3, len(th)))
+    out[0] = f0
+    np.subtract(c * f1, s * f2, out=out[1])
+    np.add(s * f1, c * f2, out=out[2])
+    return out.T
 
 
 def boundary_edge_fluxes(mesh: TriMesh, qL, edges, params: PhysicalParams, ghost=None):

@@ -50,7 +50,7 @@ from .junctions import JunctionField, project_transverse
 from .meshing import disjoint_union, fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import hllc_flux, wall_flux
-from .scheme1d import ChannelField
+from .scheme1d import ChannelField, ChannelSegment
 from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
 
 
@@ -397,7 +397,11 @@ class NetworkSimulation(TimeStepper):
             for ch, end in spec.connects
         }
         self.field = ChannelField(channels, params, order=order, cuts=cuts)
-        self.fields = self.field.segments
+        # One view per channel; the field does not list them, so a released
+        # network frees its arrays without the cycle collector.
+        self.fields = {
+            ch.id: ChannelSegment(self.field, c) for c, ch in enumerate(self.field.channels)
+        }
         self.junctions, self.junction_field = build_junctions(
             junction_specs, self.channels, self.field, params, order, coupling_mode
         )

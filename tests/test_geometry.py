@@ -111,7 +111,7 @@ class TestAreaDecomposition:
     def test_channels_plus_junction_tile_footprint(self):
         # trimmed channel lengths * width + junction area = full footprint
         from swnet.core import PhysicalParams
-        from swnet.scheme1d import ChannelField
+        from swnet.scheme1d import ChannelField, ChannelSegment
 
         b, Lp, Ld = 0.4, 3.0, 2.0
         g = t_junction(b)
@@ -125,7 +125,7 @@ class TestAreaDecomposition:
         field = ChannelField(
             channels, p, cuts={("ch1", "end"): cut, ("ch2", "start"): cut, ("ch3", "start"): cut}
         )
-        pieces = sum(f.ds.sum() * b for f in field.segments.values()) + g.area
+        pieces = sum(ChannelSegment(field, c).ds.sum() * b for c in range(3)) + g.area
         footprint = (Lp + 2 * Ld) * b + b * b  # three rectangles + core square
         assert np.isclose(pieces, footprint, rtol=1e-12)
 
@@ -375,7 +375,8 @@ def loop_edge_table(triangles, boundary_tags):
 
 def loop_stencil_groups(mesh, virtual):
     """`MeshField` stencil groups from per-cell neighbour and position lists;
-    an exact group keeps rows 1-2 of the inverse, which give the slopes."""
+    an exact group keeps rows 1-2 of the inverse, which give the slopes.
+    Neighbours are stored as (c, n), operators as (2, c, n)."""
     nbr_lists = [[int(j) for j in row if j >= 0] for row in mesh.neighbors]
     pos_lists = [[mesh.centroids[j] for j in row] for row in nbr_lists]
     for slot, (cell, pos) in enumerate(virtual):
@@ -395,14 +396,14 @@ def loop_stencil_groups(mesh, virtual):
             good = np.abs(np.linalg.det(M)) > 1e-12 * scale**2
             op = np.zeros_like(M)
             op[good] = np.linalg.inv(M[good])
-            groups.append(("exact", cells, nbr, op[:, 1:], good))  # the slope rows
+            groups.append(("exact", cells, nbr.T, op[:, 1:].transpose(1, 2, 0), good))
         else:
             G = np.einsum("kci,kcj->kij", offs, offs)
             det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
             good = np.abs(det) > 1e-12 * scale**4
             op = np.zeros((len(cells), 2, c))
             op[good] = np.einsum("kij,kcj->kic", np.linalg.inv(G[good]), offs[good])
-            groups.append(("lsq", cells, nbr, op, good))
+            groups.append(("lsq", cells, nbr.T, op.transpose(1, 2, 0), good))
     return groups
 
 

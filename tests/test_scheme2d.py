@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from swnet.core import NonFiniteError, PhysicalParams, PositivityError, jacobian_dot, rotate_state
+from types import SimpleNamespace
+
+from swnet.core import (
+    DryStateError,
+    NonFiniteError,
+    PhysicalParams,
+    PositivityError,
+    jacobian_dot,
+    physical_flux,
+    rotate_back,
+    rotate_state,
+)
 from swnet.geometry import ConnectedEnd, TriMesh, build_junction_polygon
 from swnet.meshing import fan_refine_mesh, rect_union_mesh
 from swnet.presets import preset
+from swnet.riemann import hllc_flux
 from swnet.scheme2d import MeshField, interior_edge_fluxes
 from swnet.simulation import Mesh2DSimulation
 from swnet.studies import build_reference_sim
@@ -54,7 +66,7 @@ class TestReconstruct2D:
         f = MeshField(m, P)
         f.grad_x[:] = 1.0
         f.grad_y[:] = 2.0  # vertex increments -3, 0 and 3
-        f._limit(np.full((1, 3), -6.0), np.full((1, 3), 1.5))
+        f._limit(np.full((3, 1), -6.0), np.full((3, 1), 1.5))
         assert np.all(f.grad_x == 0.5) and np.all(f.grad_y == 1.0)
 
     def test_virtual_neighbors_enter_stencil(self):
@@ -142,6 +154,75 @@ class TestUpdate2D:
             axis=-1,
         )
         assert np.abs(flux - expected).max() < 1e-13
+
+
+def hllc_speeds(qL, qR, g=P.g):
+    """Left, right and contact wave speeds of the HLLC solver, normal frame."""
+    hL, hR = qL[:, 0], qR[:, 0]
+    uL, uR = qL[:, 1] / hL, qR[:, 1] / hR
+    aL, aR = np.sqrt(g * hL), np.sqrt(g * hR)
+    h_star = np.maximum(0.5 * (aL + aR) + 0.25 * (uL - uR), 0.0) ** 2 / g
+    sL = uL - aL * np.where(h_star > hL, np.sqrt(0.5 * (h_star + hL) * h_star / hL**2), 1.0)
+    sR = uR + aR * np.where(h_star > hR, np.sqrt(0.5 * (h_star + hR) * h_star / hR**2), 1.0)
+    s_star = (sL * hR * (uR - sR) - sR * hL * (uL - sL)) / (hR * (uR - sR) - hL * (uL - sL))
+    return sL, sR, s_star
+
+
+class TestFusedEdgeKernel:
+    """`interior_edge_fluxes` rotates, solves and rotates back in one pass;
+    it must equal the three separate steps to the bit."""
+
+    def states(self, n=4000, seed=6):
+        # Depths and speeds wide enough for every wave configuration: both
+        # sides supersonic either way, and contacts moving either way.
+        rng = np.random.default_rng(seed)
+        th = rng.uniform(-np.pi, np.pi, n)
+        qs = []
+        for _ in range(2):
+            h = rng.uniform(0.2, 2.0, n)
+            speed = rng.uniform(0.0, 12.0, n)
+            angle = rng.uniform(-np.pi, np.pi, n)
+            qs.append(np.stack([h, h * speed * np.cos(angle), h * speed * np.sin(angle)], axis=1))
+        field = SimpleNamespace(mesh=SimpleNamespace(edge_thetas=th), params=P)
+        return field, th, qs[0], qs[1]
+
+    def test_equals_rotate_hllc_rotate_back(self):
+        field, th, qL, qR = self.states()
+        qhL, qhR = rotate_state(qL, th), rotate_state(qR, th)
+        sL, sR, s_star = hllc_speeds(qhL, qhR)
+        branches = [
+            sL >= 0.0, (sL < 0.0) & (s_star >= 0.0), (s_star < 0.0) & (sR >= 0.0), sR < 0.0
+        ]
+        assert all(b.sum() > 100 for b in branches)
+        want = rotate_back(hllc_flux(qhL, qhR, P), th)
+        assert np.array_equal(interior_edge_fluxes(field, qL, qR), want)
+        edges = np.flatnonzero(branches[1] | branches[2])[::3]
+        assert np.array_equal(interior_edge_fluxes(field, qL, qR, edges), want[edges])
+
+    def test_branches_in_the_normal_frame(self):
+        # Independent of the solver's own code: a supersonic side gives its
+        # physical flux, and the tangential flux takes the transverse
+        # velocity of the side the contact comes from.
+        _, th, qL, qR = self.states()
+        qhL, qhR = rotate_state(qL, th), rotate_state(qR, th)
+        sL, sR, s_star = hllc_speeds(qhL, qhR)
+        f = hllc_flux(qhL, qhR, P)
+        assert np.array_equal(f[sL >= 0.0], physical_flux(qhL[sL >= 0.0], P))
+        assert np.array_equal(f[sR < 0.0], physical_flux(qhR[sR < 0.0], P))
+        for side, q in ((s_star >= 0.0, qhL), (s_star < 0.0, qhR)):
+            assert side.sum() > 100
+            assert np.array_equal(f[side, 2], f[side, 0] * (q[side, 2] / q[side, 0]))
+
+    def test_dry_and_non_finite_depths_raise(self):
+        field, _, qL, qR = self.states(n=50)
+        dry = qL.copy()
+        dry[7, 0] = 0.0
+        with pytest.raises(DryStateError, match="dry depth in hllc left state: min h = 0"):
+            interior_edge_fluxes(field, dry, qR)
+        nan = qR.copy()
+        nan[3, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite depth in hllc right state"):
+            interior_edge_fluxes(field, qL, nan)
 
 
 def rotated_copy(mesh: TriMesh, phi: float):
@@ -256,8 +337,9 @@ def test_nan_flux_is_non_finite_failure():
 
 
 # Oracle for the per-step kernels: the contraction, reduction, limiter and
-# scatter forms the array kernels replaced. The kernels must match them to
-# the bit, because the summation order of every sum is part of the result.
+# scatter forms the array kernels replaced, in (T, 3) rows. The kernels must
+# match them to the bit, because the summation order of every sum is part of
+# the result.
 
 
 def oracle_gradients(field, virtual_values=None):
@@ -267,6 +349,7 @@ def oracle_gradients(field, virtual_values=None):
         return gx, gy
     qmin, qmax = q.copy(), q.copy()
     for kind, cells, nbr, op, good in field._groups:
+        nbr, op = nbr.T, op.transpose(2, 0, 1)  # stored as (c, n) and (2, c, n)
         vals = np.empty(nbr.shape + (3,))
         mesh_nbr = nbr >= 0
         vals[mesh_nbr] = q[nbr[mesh_nbr]]

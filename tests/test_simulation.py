@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +222,18 @@ class TestAdvance:
         assert not np.array_equal(seg.q, sim.fields["ch1"].q)
         assert np.array_equal(run.junctions[0].q, run.junction_field.mesh_field.q[:1])
         assert not np.array_equal(run.junctions[0].q, sim.junctions[0].q)
+
+    def test_released_network_frees_its_channel_field(self):
+        # Nothing the network owns refers back to it, so its channel arrays
+        # go when the last reference does, without the cycle collector.
+        gc.disable()
+        try:
+            sim = build_simulation(presets.preset("test1_sub90", strategy="B"))
+            field = weakref.ref(sim.field)
+            del sim
+            assert field() is None
+        finally:
+            gc.enable()
 
     def test_gauge_reads_cell_average(self):
         sim = build_simulation(straight_channel_cfg())

@@ -30,7 +30,9 @@ with prescribed and far-field edges, and test1_sub90 with two inflows, at
 dx = 0.05) and requires exact equality: of every mesh array (vertices,
 triangles, the edge table and tags, each cell's neighbours), of the
 reconstruction stencils (cells, neighbours, the two slope rows of each
-operator and the regular-stencil flags) and of the initial state, and, after
+operator and the regular-stencil flags, cell-major: a tree that keeps the
+gradients component-major in `MeshField.grad` stores the neighbours as (c, n)
+and the operators as (2, c, n), which are transposed back) and of the initial state, and, after
 --steps steps, of the gauge series and the final state.
 """
 
@@ -183,6 +185,8 @@ def run_reference(steps: int) -> dict:
         mesh["neighbor_counts"] = np.array([np.count_nonzero(r >= 0) for r in rows])
         stencils = {}
         for k, (kind, cells, nbr, op, good) in enumerate(sim.field._groups):
+            if hasattr(sim.field, "grad"):  # component-major: (c, n) and (2, c, n)
+                nbr, op = nbr.T, op.transpose(2, 0, 1)
             if kind == "exact" and op.shape[1] == 3:  # a tree that keeps the whole inverse
                 op = op[:, 1:]
             stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate((cells, nbr, op, good))}
