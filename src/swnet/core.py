@@ -97,26 +97,32 @@ def friction_source(q: np.ndarray, params: PhysicalParams) -> np.ndarray:
     return np.stack([zero, -coef * u, -coef * v], axis=-1)
 
 
+def to_normal(hu, hv, c, s):
+    """A momentum-like vector (hu, hv) in the frame whose normal has cosine c
+    and sine s: (c hu + s hv, -s hu + c hv), normal then tangential. The
+    one rotation formula; `from_normal` inverts it."""
+    return c * hu + s * hv, -s * hu + c * hv
+
+
+def from_normal(fn, ft, c, s, out=(None, None)):
+    """Inverse of `to_normal`: (c fn - s ft, s fn + c ft) on global axes,
+    written into the two arrays of `out` when given."""
+    return np.subtract(c * fn, s * ft, out=out[0]), np.add(s * fn, c * ft, out=out[1])
+
+
 def rotate_state(q: np.ndarray, theta) -> np.ndarray:
     """Rotate momenta into the frame whose normal is at angle theta.
 
-    Depth is unchanged; (hu, hv) -> (hu_n, hu_t) with
-    hu_n = cos(theta) hu + sin(theta) hv, hu_t = -sin(theta) hu + cos(theta) hv.
+    Depth is unchanged; (hu, hv) -> (hu_n, hu_t) by `to_normal`.
     """
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack(
-        [q[..., 0], c * q[..., 1] + s * q[..., 2], -s * q[..., 1] + c * q[..., 2]],
-        axis=-1,
-    )
+    return np.stack([q[..., 0], *to_normal(q[..., 1], q[..., 2], c, s)], axis=-1)
 
 
 def rotate_back(f: np.ndarray, theta) -> np.ndarray:
     """Inverse rotation: map a vector from the normal frame back to global axes."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack(
-        [f[..., 0], c * f[..., 1] - s * f[..., 2], s * f[..., 1] + c * f[..., 2]],
-        axis=-1,
-    )
+    return np.stack([f[..., 0], *from_normal(f[..., 1], f[..., 2], c, s)], axis=-1)
 
 
 def max_wave_speed(q: np.ndarray, params: PhysicalParams):

@@ -24,8 +24,10 @@ The network stepper calls, in channel end numbers of the network's
   the length-weighted average of the junction cells along its coupling
   edges, in the channel frame, at the projected distance of their weighted
   centroid beyond the end face;
-- `compute_fluxes(field, dt)` -> (edge fluxes, (ends, axial fluxes)); it
-  reads the evolved face states of the field's last `face_state` call;
+- `compute_fluxes(field, dt, batch)` -> (edge fluxes, (ends, axial
+  fluxes)); it reads the evolved face states of the field's last
+  `face_state` call and queues the Riemann problem of every edge on the
+  step's `riemann.RiemannBatch`, whose one solve fills the returned arrays;
 - `update(edge_fluxes, dt)`, whose errors name the junction and its cell;
 - `volume()`, `dt_bound()` and `ends`.
 
@@ -51,10 +53,21 @@ from functools import partial
 
 import numpy as np
 
-from .core import PhysicalParams, jacobian_dot, max_wave_speed, rotate_back, rotate_state
+from .core import (
+    PhysicalParams,
+    from_normal,
+    jacobian_dot,
+    max_wave_speed,
+    rotate_back,
+    rotate_state,
+    to_normal,
+)
 from .geometry import TriMesh
-from .riemann import hllc_flux
-from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
+from .riemann import mirrored
+# Unused here since the network step batches its Riemann problems; still
+# bound, as the benchmark's tracer test wraps it in this module.
+from .riemann import hllc_flux  # noqa: F401
+from .scheme2d import MeshField
 
 
 def project_transverse(q: np.ndarray):
@@ -82,13 +95,13 @@ def rotate_gradients(axial_slope: np.ndarray, alpha):
     return np.cos(alpha)[..., None] * s_global, np.sin(alpha)[..., None] * s_global
 
 
-def _two_pass(field, ends, alpha, theta, qhat, cell, d, dt: float, params, order: int):
+def _two_pass(field, ends, alpha, cell, d, dt: float, params, order: int):
     """Paper-style separate per-side flux passes on coupling edges, batched.
 
-    qhat holds the evolved 2D face states in the edge frames (normal angles
-    theta); cell = (q, grad_x, grad_y) are the 2D cells behind the edges and
-    d the offsets from their centroids to the edge midpoints. Returns the
-    edge fluxes in the global frame and the axial fluxes for the channels.
+    cell = (q, grad_x, grad_y) are the 2D cells behind the edges and d the
+    offsets from their centroids to the edge midpoints. Returns the 2D side's
+    neighbour states in the global frame, and the 1D side's left and right
+    states in the channel frames.
     """
     # 2D-side pass: the 1D neighbor is expressed in the global frame and
     # evolved there with its rotated gradients.
@@ -96,7 +109,6 @@ def _two_pass(field, ends, alpha, theta, qhat, cell, d, dt: float, params, order
     if order >= 2:
         b, cg = rotate_gradients(field.slopes[field.end_cell[ends]], alpha)
         qg = qg - 0.5 * dt * jacobian_dot(qg, b, cg, params)
-    edge_flux = rotate_back(hllc_flux(qhat, rotate_state(qg, theta), params), theta)
 
     # 1D-side pass: the 2D face state is rotated into the channel frame and
     # evolved along the axis.
@@ -109,7 +121,14 @@ def _two_pass(field, ends, alpha, theta, qhat, cell, d, dt: float, params, order
         q2c = q2c - 0.5 * dt * jacobian_dot(q2c, slope_n, None, params)
     q1 = field.faces[field.end_slot[ends]]
     start = (field.end_sign[ends] < 0.0)[:, None]
-    return edge_flux, hllc_flux(np.where(start, q2c, q1), np.where(start, q1, q2c), params)
+    return qg, np.where(start, q2c, q1), np.where(start, q1, q2c)
+
+
+def _normal_rows(q, c, s):
+    """(3, n) normal-frame component rows of global-frame states q (n, 3) on
+    edges whose normals have cosines c and sines s."""
+    h, hu, hv = q.T
+    return np.stack([h, *to_normal(hu, hv, c, s)])
 
 
 class JunctionField:
@@ -152,8 +171,7 @@ class JunctionField:
         self._cpl_alpha = self._end_alpha[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
-        # Shared coupling solves the wall and coupling edges in one HLLC call.
-        self._outer_edges = np.concatenate([self._wall_edges, edges])
+        self._cos, self._sin = np.cos(mesh.edge_thetas), np.sin(mesh.edge_thetas)
 
         # Each coupling edge's cell sees the adjacent 1D end cell as an extra
         # stencil neighbour.
@@ -213,47 +231,63 @@ class JunctionField:
             qavg[group] = np.matmul(w, q[cells])[:, 0]
         return self._ends, rotate_state(qavg, self._end_alpha), self._nbr_dists
 
-    def compute_fluxes(self, field, dt: float):
-        """Edge fluxes plus width-averaged axial fluxes for the channel ends."""
-        m = self.mesh
-        qL, qR = self.mesh_field.edge_states(dt)
-        flux = np.empty_like(qL)
-        if len(m.interior):
-            flux[m.interior] = interior_edge_fluxes(self.mesh_field, qL, qR, m.interior)
+    def compute_fluxes(self, field, dt: float, batch):
+        """Queue the Riemann problem of every edge on `batch` (a
+        `riemann.RiemannBatch`); returns (edge fluxes, (ends, width-averaged
+        axial fluxes)), which its solve fills.
 
-        edges = self._cpl_edges
-        if self.coupling_mode == "shared":
-            # One Riemann solve over the wall edges, against their mirrored
-            # states as in `wall_flux`, and the coupling edges, against the
-            # evolved 1D face states at the junction-side faces with momenta
-            # in the coupling edge frame.
-            nw = len(self._wall_edges)
-            th = m.edge_thetas[self._outer_edges]
-            qhat = rotate_state(qL[self._outer_edges], th)
+        Every edge's left state is its cell's evolved face state in the
+        edge's normal frame. The right state is the neighbour's on interior
+        edges, the mirrored left state on walls (whose mass and tangential
+        fluxes are then zeroed, as in `wall_flux`), and on coupling edges
+        the evolved 1D face state at the junction-side face with momenta in
+        the coupling edge frame (shared coupling) or the 1D neighbour
+        evolved in the global frame (two-pass coupling, which also queues
+        the 1D side's own solves).
+        """
+        m = self.mesh
+        c, s = self._cos, self._sin
+        qL, qR = self.mesh_field.edge_states(dt)
+        left = _normal_rows(qL, c, s)
+        right = _normal_rows(qR, c, s)
+        walls, edges = self._wall_edges, self._cpl_edges
+        right[:, walls] = mirrored(left[:, walls].T).T
+        shared = self.coupling_mode == "shared"
+        if shared:
             q1 = field.faces[field.end_slot[self._ends]]
             q1[:, 1:] *= self._end_sigma[:, None]
-            mirror = qhat[:nw].copy()
-            mirror[:, 1] = -mirror[:, 1]
-            fhat = hllc_flux(qhat, np.concatenate([mirror, q1[self._cpl_end]]), self.params)
-            fhat[:nw, 0] = 0.0
-            fhat[:nw, 2] = 0.0
-            flux[self._outer_edges] = rotate_back(fhat, th)
-            f_ch = fhat[nw:]
-            f_ch[:, 0] *= self._cpl_sigma
+            right[:, edges] = q1[self._cpl_end].T
         else:
-            if len(self._wall_edges):
-                flux[self._wall_edges] = boundary_edge_fluxes(m, qL, self._wall_edges, self.params)
-            th = m.edge_thetas[edges]
             cells = m.edge_left[edges]
-            c = self.mesh_field
-            flux[edges], f_ch = _two_pass(
-                field, self._ends[self._cpl_end], self._cpl_alpha, th,
-                rotate_state(qL[edges], th), (c.q[cells], c.grad_x[cells], c.grad_y[cells]),
+            mf = self.mesh_field
+            qg, q1L, q1R = _two_pass(
+                field, self._ends[self._cpl_end], self._cpl_alpha,
+                (mf.q[cells], mf.grad_x[cells], mf.grad_y[cells]),
                 m.edge_offsets[0][:, edges].T, dt, self.params, self.order,
             )
-        totals = np.zeros((len(self.ends), 3))
-        np.add.at(totals, self._cpl_end, f_ch * m.edge_lengths[edges][:, None])
-        return flux, (self._ends, totals / self._end_widths[:, None])
+            right[:, edges] = _normal_rows(qg, c[edges], s[edges])
+
+        flux = np.empty((3, len(c)))
+        totals = np.empty((len(self.ends), 3))
+
+        def read_edges(f):
+            f[walls, ::2] = 0.0
+            flux[0] = f[:, 0]
+            from_normal(f[:, 1], f[:, 2], c, s, out=flux[1:])
+            if shared:
+                f_ch = f[edges]
+                f_ch[:, 0] *= self._cpl_sigma
+                read_ends(f_ch)
+
+        def read_ends(f_ch):
+            sums = np.zeros_like(totals)
+            np.add.at(sums, self._cpl_end, f_ch * m.edge_lengths[edges][:, None])
+            np.divide(sums, self._end_widths[:, None], out=totals)
+
+        batch.add(left.T, right.T, read_edges)
+        if not shared:
+            batch.add(q1L, q1R, read_ends)
+        return flux.T, (self._ends, totals)
 
     def update(self, edge_fluxes: np.ndarray, dt: float):
         self.mesh_field.update(edge_fluxes, dt)

@@ -111,23 +111,28 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh
 
     Uniform refinement (each triangle into four) keeps symmetric polygons
     symmetric and subdivides coupling edges evenly. The polygon must be
-    star-shaped with respect to its centroid.
+    star-shaped with respect to its centroid. Points are rounded to 12
+    decimals by `np.round` and merged on equal coordinates, numbered in order
+    of first appearance.
     """
     center = geometry.centroid
     verts = [tuple(center)]
     index = {tuple(center): 0}
 
-    def vid(p):
-        key = (round(p[0], 12), round(p[1], 12))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(key)
-        return index[key]
+    def vids(points):
+        """Numbers of the rounded points, new ones appended in row order."""
+        out = []
+        for key in map(tuple, np.round(points, 12).tolist()):
+            if key not in index:
+                index[key] = len(verts)
+                verts.append(key)
+            out.append(index[key])
+        return out
 
     tris = []
     btags = {}
-    for e in geometry.edges:
-        ia, ib = vid(e.a), vid(e.b)
+    ids = vids([p for e in geometry.edges for p in (e.a, e.b)])
+    for e, ia, ib in zip(geometry.edges, ids[0::2], ids[1::2]):
         a, b = np.asarray(verts[ia]), np.asarray(verts[ib])
         cross = (a[0] - center[0]) * (b[1] - center[1]) - (a[1] - center[1]) * (
             b[0] - center[0]
@@ -136,34 +141,34 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh
             raise GeometryError("polygon is not star-shaped from its centroid")
         tris.append((0, ia, ib))
         btags[(min(ia, ib), max(ia, ib))] = e.tag
+    tris = np.array(tris, dtype=int)
 
     for _ in range(refinements):
-        new_tris = []
+        # Each triangle's edges (0, 1), (1, 2), (2, 0), triangle after
+        # triangle; an edge's midpoint comes from its first appearance
+        # (a + b == b + a), and new points are numbered in that order.
+        n = len(verts)
+        a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+        keys, first, edge_of = np.unique(
+            np.minimum(a, b) * n + np.maximum(a, b), return_index=True, return_inverse=True
+        )
+        v = np.array(verts)
+        order = np.argsort(first)
+        mid = np.empty(len(keys), dtype=int)
+        mid[order] = vids(0.5 * (v[a[first[order]]] + v[b[first[order]]]))
+        m01, m12, m20 = mid[edge_of].reshape(-1, 3).T
+        i0, i1, i2 = tris.T
+        tris = np.stack(
+            [i0, m01, m20, m01, i1, m12, m20, m12, i2, m01, m12, m20], axis=1
+        ).reshape(-1, 3)
         new_btags = {}
-        mids = {}  # an edge's two triangles share its midpoint (a + b == b + a)
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in mids:
-                mids[key] = vid(0.5 * (np.asarray(verts[i]) + np.asarray(verts[j])))
-            return mids[key]
-
-        boundary = dict(btags)
-        for i0, i1, i2 in tris:
-            m01, m12, m20 = midpoint(i0, i1), midpoint(i1, i2), midpoint(i2, i0)
-            new_tris += [
-                (i0, m01, m20),
-                (m01, i1, m12),
-                (m20, m12, i2),
-                (m01, m12, m20),
-            ]
-        for (ia, ib), tag in boundary.items():
-            m = midpoint(ia, ib)
+        for (ia, ib), tag in btags.items():
+            m = int(mid[np.searchsorted(keys, ia * n + ib)])
             new_btags[(min(ia, m), max(ia, m))] = tag
             new_btags[(min(m, ib), max(m, ib))] = tag
-        tris, btags = new_tris, new_btags
+        btags = new_btags
 
-    return TriMesh(np.array(verts, dtype=float), np.array(tris, dtype=int), btags)
+    return TriMesh(np.array(verts, dtype=float), tris, btags)
 
 
 def disjoint_union(parts) -> TriMesh:

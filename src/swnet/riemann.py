@@ -70,6 +70,14 @@ def hllc_rows(hL, huL, hvL, hR, huR, hvR, g: float):
     return f0, f1, f0 * v_up
 
 
+def mirrored(q: np.ndarray) -> np.ndarray:
+    """A reflective wall's mirror image of normal-frame states q: the normal
+    momentum negated."""
+    m = q.copy()
+    m[..., 1] = -m[..., 1]
+    return m
+
+
 def wall_flux(inner: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Reflective-wall flux from the symmetric (mirrored) Riemann problem.
 
@@ -77,12 +85,37 @@ def wall_flux(inner: np.ndarray, params: PhysicalParams) -> np.ndarray:
     those components are set to exact zeros and only the wall pressure is
     taken from the HLLC evaluation.
     """
-    mirror = inner.copy()
-    mirror[..., 1] = -mirror[..., 1]
-    f = hllc_flux(inner, mirror, params)
-    f[..., 0] = 0.0
-    f[..., 2] = 0.0
+    f = hllc_flux(inner, mirrored(inner), params)
+    f[..., ::2] = 0.0
     return f
+
+
+class RiemannBatch:
+    """Normal-frame Riemann problems of several producers, solved in one
+    `hllc_flux` call.
+
+    Each producer `add`s its left and right states, (n, 3), with a function
+    that takes its n rows of the fluxes; `solve` solves every block at once
+    and hands each function its rows, in the order the blocks were added.
+    HLLC works row by row, so a row's flux does not depend on the rest of the
+    batch; a dry or non-finite depth in any block fails the whole solve.
+    """
+
+    def __init__(self):
+        self._blocks = []
+
+    def add(self, qL: np.ndarray, qR: np.ndarray, read):
+        self._blocks.append((qL, qR, read))
+
+    def solve(self, params: PhysicalParams):
+        if not self._blocks:
+            return
+        left, right, reads = zip(*self._blocks)
+        flux = hllc_flux(np.concatenate(left), np.concatenate(right), params)
+        stop = 0
+        for q, read in zip(left, reads):
+            start, stop = stop, stop + len(q)
+            read(flux[start:stop])
 
 
 class RiemannConvergenceError(RuntimeError):

@@ -11,7 +11,8 @@ in one (N, 3) array, channel after channel; `offsets[c]:offsets[c + 1]` are
 the cells of channel c. Each channel has one more face than cells, so the
 network has N + C faces and cell i of channel c lies between faces i + c and
 i + c + 1. Each step then runs every stage (reconstruction, limiting, face
-states, interior HLLC, update, CFL bound) as one numpy call over all cells.
+states, update, CFL bound) as one numpy call over all cells, and queues the
+interior Riemann problems on the network step's one HLLC batch.
 Channel ends are numbered 2c ("start") and 2c + 1 ("end"); the `end_*`
 arrays map an end to its cell, its face and the side of the cell it lies on,
 and junctions and boundaries address the field only through these numbers.
@@ -37,7 +38,9 @@ from .core import (
     max_wave_speed,
 )
 from .geometry import Channel
-from .riemann import hllc_flux
+# Unused here since the network step batches its Riemann problems; still
+# bound, as the benchmark's tracer test wraps it in this module.
+from .riemann import hllc_flux  # noqa: F401
 
 
 def _trim(channel: Channel, start_cut: float, end_cut: float):
@@ -232,16 +235,22 @@ class ChannelField:
         cells = self.end_cell[ends]
         return self.q[cells] + self.slopes[cells] * self.end_off[ends][:, None]
 
-    def interior_fluxes(self) -> np.ndarray:
-        """Face flux array (N + C, 3) with the HLLC fluxes at interior faces.
+    def interior_fluxes(self, batch) -> np.ndarray:
+        """Face flux array (N + C, 3), whose interior faces get their HLLC
+        fluxes when `batch` (a `riemann.RiemannBatch`) is solved.
 
-        Reads the face states of the last `face_state` call. The channel end
-        faces hold NaN until the junction and boundary fluxes fill them.
+        Queues the face states of the last `face_state` call on the batch.
+        The channel end faces hold NaN until the junction and boundary fluxes
+        fill them.
         """
         N = self.n
         flux = np.full((N + len(self.channels), 3), np.nan)
         lc = self._lcell
-        flux[self._inner_face] = hllc_flux(self.faces[N + lc], self.faces[lc + 1], self.params)
+
+        def read(f):
+            flux[self._inner_face] = f
+
+        batch.add(self.faces[N + lc], self.faces[lc + 1], read)
         return flux
 
     def update(self, flux, dt: float):

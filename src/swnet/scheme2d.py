@@ -17,10 +17,12 @@ from .core import (
     PhysicalParams,
     PositivityError,
     friction_source,
+    from_normal,
     jacobian_dot,
     max_wave_speed,
     rotate_back,
     rotate_state,
+    to_normal,
 )
 from .geometry import TriMesh
 from .riemann import hllc_flux, hllc_rows, wall_flux
@@ -224,27 +226,25 @@ class MeshField:
             raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in {self.cell_name(k)}")
 
 
-def interior_edge_fluxes(field: MeshField, qL, qR, edges=slice(None)) -> np.ndarray:
-    """Rotated HLLC fluxes, global frame, on `edges` (default all, where the
-    boundary rows are invalid), as an (n, 3) view of (3, n) rows.
+def interior_edge_fluxes(field: MeshField, qL, qR) -> np.ndarray:
+    """Rotated HLLC fluxes, global frame, on every edge (the boundary rows
+    are invalid), as an (E, 3) view of (3, E) rows.
 
     One pass over component rows: the global-frame states are rotated into
-    each edge's normal frame inline, solved by `hllc_rows` and rotated back,
-    with the arithmetic of `rotate_state`, `hllc_flux` and `rotate_back`.
+    each edge's normal frame inline by `to_normal`, solved by `hllc_rows`
+    and rotated back by `from_normal`, with the arithmetic of `rotate_state`,
+    `hllc_flux` and `rotate_back`.
     """
-    th = field.mesh.edge_thetas[edges]
+    th = field.mesh.edge_thetas
     c, s = np.cos(th), np.sin(th)
-    ns = -s
-    hL, huL, hvL = qL.T[:, edges]
-    hR, huR, hvR = qR.T[:, edges]
+    hL, huL, hvL = qL.T
+    hR, huR, hvR = qR.T
     f0, f1, f2 = hllc_rows(
-        hL, c * huL + s * hvL, ns * huL + c * hvL,
-        hR, c * huR + s * hvR, ns * huR + c * hvR, field.params.g,
+        hL, *to_normal(huL, hvL, c, s), hR, *to_normal(huR, hvR, c, s), field.params.g
     )
     out = np.empty((3, len(th)))
     out[0] = f0
-    np.subtract(c * f1, s * f2, out=out[1])
-    np.add(s * f1, c * f2, out=out[2])
+    from_normal(f1, f2, c, s, out=out[1:])
     return out.T
 
 

@@ -10,13 +10,15 @@ bounds, with the 2D limit at half the 1D CFL number.
 (`field`; `fields` maps channel ids to their `ChannelSegment`s) and steps it
 with one call per stage. Coupling and boundary fluxes land on the field's
 face array through channel end numbers, so `advance` has no loop over
-channels. One `junctions.JunctionField` (`junction_field`) holds the cells
-of every Method-A and Method-B junction and is stepped through the calls
-described in `junctions`; `advance` loops only over the algebraic
-`PSFPJunction`s, which supply end fluxes and hold no cells. `junctions`
-lists one object per junction, in the order of the specs, and `elements`
-everything besides the channels that holds volume or bounds the step: the
-junction field, then the PSFP junctions. The benchmark's tracer times PSFP
+channels. Every Riemann problem of a step (interior faces, junction edges,
+boundary ends) is queued on one `riemann.RiemannBatch` and solved in one
+HLLC call (`step_fluxes`). One `junctions.JunctionField` (`junction_field`)
+holds the cells of every Method-A and Method-B junction and is stepped
+through the calls described in `junctions`; `advance` loops only over the
+algebraic `PSFPJunction`s, which supply end fluxes after that solve and hold
+no cells. `junctions` lists one object per junction, in the order of the
+specs, and `elements` everything besides the channels that holds volume or
+bounds the step: the junction field, then the PSFP junctions. The benchmark's tracer times PSFP
 junctions through `PSFPJunction.compute_end_fluxes`.
 
 Both solvers share one `TimeStepper.run` loop: the gauge stride, the typed
@@ -49,7 +51,10 @@ from .geometry import BOUNDARY_TAGS, Channel, TriMesh, build_junction_polygon
 from .junctions import JunctionField, project_transverse
 from .meshing import disjoint_union, fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
-from .riemann import hllc_flux, wall_flux
+from .riemann import RiemannBatch, mirrored
+# Unused here since the network step batches its Riemann problems; still
+# bound, as the benchmark's tracer test wraps it in this module.
+from .riemann import hllc_flux  # noqa: F401
 from .scheme1d import ChannelField, ChannelSegment
 from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
 
@@ -107,14 +112,17 @@ def ghost_states(kind, q, bcs, t: float, params, rows=slice(None)):
     return np.stack([h_g, hu_g, np.zeros_like(h_g)], axis=-1)
 
 
-def boundary_flux(q_face, bcs, at_start, t: float, params):
+def boundary_flux(q_face, bcs, at_start, t: float, params, batch):
     """Axial (+s frame) fluxes at channel outer faces that share one condition kind.
 
     q_face (K, 3) are the inner face states, bcs the K conditions (all of one
     kind) and at_start (K,) marks faces at a channel's start, whose outward
     normal is -s: there the axial momenta of the inner state and of the ghost
     from `ghost_states` are negated, exactly. Transparent ends feed the face
-    value back to itself; reflective walls mirror the inner state.
+    value back to itself, at once. The other kinds queue their Riemann
+    problems on `batch` (a `riemann.RiemannBatch`), whose solve fills the
+    returned rows: reflective walls against the mirrored inner state, with
+    mass and transverse fluxes zeroed as in `wall_flux`.
     """
     kind = bcs[0].kind
     if kind == "transparent":
@@ -122,11 +130,21 @@ def boundary_flux(q_face, bcs, at_start, t: float, params):
     q = q_face.copy()
     q[at_start, 1] = -q[at_start, 1]
     if kind == "reflective":
-        return wall_flux(q, params)
-    ghost = ghost_states(kind, q, bcs, t, params)
-    ghost[at_start, 1] = -ghost[at_start, 1]
-    start = at_start[:, None]
-    return hllc_flux(np.where(start, ghost, q_face), np.where(start, q_face, ghost), params)
+        qL, qR = q, mirrored(q)
+    else:
+        ghost = ghost_states(kind, q, bcs, t, params)
+        ghost[at_start, 1] = -ghost[at_start, 1]
+        start = at_start[:, None]
+        qL, qR = np.where(start, ghost, q_face), np.where(start, q_face, ghost)
+    out = np.empty_like(q_face)
+
+    def read(f):
+        out[:] = f
+        if kind == "reflective":
+            out[:, ::2] = 0.0
+
+    batch.add(qL, qR, read)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +501,9 @@ class NetworkSimulation(TimeStepper):
             nbr = cells.channel_neighbors(field)
         field.reconstruct(nbr)
 
-        # Phase 2: face states, then interior, junction and boundary fluxes
-        # on the network's face array.
+        # Phase 2: face states, then every flux of the step.
         field.face_state(dt)
-        flux = field.interior_fluxes()
-        if cells is not None:
-            edge_fluxes, (ends, f) = cells.compute_fluxes(field, dt)
-            flux[field.end_face[ends]] = f
-        for j in self.psfp_junctions:
-            ends, f = j.compute_end_fluxes(field, dt)
-            flux[field.end_face[ends]] = f
-        boundary_mass = 0.0
-        for ends, bcs, at_start, weight in self._boundary_groups:
-            f = boundary_flux(field.end_states(ends), bcs, at_start, self.t, self.params)
-            flux[field.end_face[ends]] = f
-            boundary_mass += float(np.sum(weight * f[:, 0]))
+        flux, edge_fluxes, boundary_mass = self.step_fluxes(dt)
 
         # Phase 3: updates.
         if cells is not None:
@@ -518,6 +524,38 @@ class NetworkSimulation(TimeStepper):
         self.diagnostics["boundary_influx"] += boundary_mass * dt
         self.t += dt
         self.steps += 1
+
+    def step_fluxes(self, dt: float):
+        """(face flux array, junction edge fluxes or None, boundary inflow
+        rate) of a step, from the face states of the last `face_state` call.
+
+        Every Riemann problem of the step (the interior faces, the junction
+        edges, the boundary ends) is queued on one batch and solved in one
+        HLLC call, which fills the arrays its producers returned; the
+        algebraic junctions and transparent ends need none.
+        """
+        field, params = self.field, self.params
+        cells = self.junction_field
+        batch = RiemannBatch()
+        flux = field.interior_fluxes(batch)
+        edge_fluxes = None
+        if cells is not None:
+            edge_fluxes, (cell_ends, cell_f) = cells.compute_fluxes(field, dt, batch)
+        bounds = [
+            (ends, weight, boundary_flux(field.end_states(ends), bcs, start, self.t, params, batch))
+            for ends, bcs, start, weight in self._boundary_groups
+        ]
+        batch.solve(params)
+        if cells is not None:
+            flux[field.end_face[cell_ends]] = cell_f
+        for j in self.psfp_junctions:
+            ends, f = j.compute_end_fluxes(field, dt)
+            flux[field.end_face[ends]] = f
+        boundary_mass = 0.0
+        for ends, weight, f in bounds:
+            flux[field.end_face[ends]] = f
+            boundary_mass += float(np.sum(weight * f[:, 0]))
+        return flux, edge_fluxes, boundary_mass
 
     def sample_gauges(self):
         self.recorder.times.append(self.t)

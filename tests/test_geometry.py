@@ -407,6 +407,50 @@ def loop_stencil_groups(mesh, virtual):
     return groups
 
 
+def loop_fan_refine_mesh(geometry, refinements):
+    """(vertices, triangles, boundary tags) of `fan_refine_mesh`, one point
+    at a time: every new point rounded by numpy's scalar `round`, midpoints
+    cached per edge."""
+    center = geometry.centroid
+    verts = [tuple(center)]
+    index = {tuple(center): 0}
+
+    def vid(p):
+        key = (round(p[0], 12), round(p[1], 12))
+        if key not in index:
+            index[key] = len(verts)
+            verts.append(key)
+        return index[key]
+
+    tris = []
+    btags = {}
+    for e in geometry.edges:
+        ia, ib = vid(e.a), vid(e.b)
+        tris.append((0, ia, ib))
+        btags[(min(ia, ib), max(ia, ib))] = e.tag
+
+    for _ in range(refinements):
+        new_tris = []
+        new_btags = {}
+        mids = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in mids:
+                mids[key] = vid(0.5 * (np.asarray(verts[i]) + np.asarray(verts[j])))
+            return mids[key]
+
+        for i0, i1, i2 in tris:
+            m01, m12, m20 = midpoint(i0, i1), midpoint(i1, i2), midpoint(i2, i0)
+            new_tris += [(i0, m01, m20), (m01, i1, m12), (m20, m12, i2), (m01, m12, m20)]
+        for (ia, ib), tag in btags.items():
+            m = midpoint(ia, ib)
+            new_btags[(min(ia, m), max(ia, m))] = tag
+            new_btags[(min(m, ib), max(m, ib))] = tag
+        tris, btags = new_tris, new_btags
+    return np.array(verts, dtype=float), np.array(tris, dtype=int), btags
+
+
 def diamond(cx, cy, r):
     return np.array([(cx + r, cy), (cx, cy + r), (cx - r, cy), (cx, cy - r)])
 
@@ -538,6 +582,34 @@ class TestArrayBuilders:
         virtual = list(zip(cells[::-1], far[::-1])) + [(cells[0], far[0] * 1.2)]
         assert_same_stencils(mesh, [])
         assert_same_stencils(mesh, virtual)
+
+    @pytest.mark.parametrize("refinements", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["test1_sub90", "test6_network", "random"])
+    def test_fan_refine_mesh_matches_point_loop(self, monkeypatch, name, refinements):
+        from swnet import build_simulation, preset
+
+        if name == "random":
+            # Off-grid coordinates, where Python's float `round` would give
+            # other points than numpy's.
+            rng = np.random.default_rng(refinements)
+            centre = rng.uniform(-1.0, 1.0, 2)
+            spread = 2.0 * np.pi / 3.0 * np.arange(3) + rng.uniform(-0.2, 0.2, 3)
+            angles = rng.uniform(0.0, 2.0 * np.pi) + spread
+            ends = [
+                Channel(f"c{k}", rng.uniform(0.3, 0.5), 10,
+                        centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
+                        centre + 3.0 * np.array([np.cos(a), np.sin(a)])).connected_end("start")
+                for k, a in enumerate(angles)
+            ]
+            geoms = [build_junction_polygon(ends, centre, 0.5)]
+        else:
+            geoms = [j.geom for j in build_simulation(preset(name, strategy="B")).junctions]
+        for geom in geoms:
+            _, (verts, tris, tags) = built_with(monkeypatch, fan_refine_mesh, geom, refinements)
+            want_verts, want_tris, want_tags = loop_fan_refine_mesh(geom, refinements)
+            assert verts.dtype == want_verts.dtype and verts.tobytes() == want_verts.tobytes()
+            assert np.array_equal(tris, want_tris)
+            assert list(tags.items()) == list(want_tags.items())
 
     BAD_MESHES = {
         "non-manifold": ([(0, 1, 2), (0, 3, 1), (1, 0, 4)], {}),

@@ -16,7 +16,7 @@ from swnet import presets
 from swnet.config import build_simulation
 from swnet.core import friction_source, jacobian_dot, rotate_back, rotate_state
 from swnet.junctions import rotate_gradients
-from swnet.riemann import hllc_flux, wall_flux
+from swnet.riemann import RiemannBatch, hllc_flux, wall_flux
 
 RTOL = 1e-14
 
@@ -186,7 +186,9 @@ def test_field_matches_single_cell_oracle_per_step(name, coupling):
                                rel(by_end(nbr[0], nbr[2]), by_end(o_ends, o_d)))
         field.reconstruct(nbr)
         field.face_state(dt)
-        edge, (ends, end) = jf.compute_fluxes(field, dt)
+        batch = RiemannBatch()
+        edge, (ends, end) = jf.compute_fluxes(field, dt, batch)
+        batch.solve(sim.params)
         o_edge, (o_ends, o_end) = oracle.compute_fluxes(field, dt)
         worst["edge"] = max(worst["edge"], rel(edge, o_edge))
         worst["end"] = max(worst["end"], rel(by_end(ends, end), by_end(o_ends, o_end)))

@@ -5,7 +5,7 @@ from swnet import presets
 from swnet.config import ScenarioConfig, build_simulation
 from swnet.core import PhysicalParams
 from swnet.junctions import project_transverse, rotate_gradients
-from swnet.riemann import hllc_flux
+from swnet.riemann import RiemannBatch, hllc_flux
 
 P = PhysicalParams()
 
@@ -81,6 +81,14 @@ class TestRotateGradients:
         assert np.allclose(c, [0.0, -0.1, 0.4], atol=1e-15)
 
 
+def solved_fluxes(cells, field, dt):
+    """The junction field's edge and end fluxes, solved on their own batch."""
+    batch = RiemannBatch()
+    out = cells.compute_fluxes(field, dt, batch)
+    batch.solve(cells.params)
+    return out
+
+
 def build_A(strategy="A"):
     return build_simulation(preset_test1(), strategy=strategy)
 
@@ -94,7 +102,7 @@ class TestCouplingFluxes:
         a.reconstruct(sim.field)
         sim.field.reconstruct()
         sim.field.face_state(0.01)
-        edge_fluxes, (_, end_fluxes) = a.compute_fluxes(sim.field, dt=0.01)
+        edge_fluxes, (_, end_fluxes) = solved_fluxes(a, sim.field, 0.01)
         p = 0.5 * P.g * 0.16**2
         for k, e in enumerate(j.geom.edges):
             expected = p * np.array([0.0, np.cos(e.theta), np.sin(e.theta)])
@@ -116,7 +124,7 @@ class TestCouplingFluxes:
         a.reconstruct(sim.field)
         sim.field.reconstruct(a.channel_neighbors(sim.field))
         sim.field.face_state(0.005)
-        edge_fluxes, (ends, end_fluxes) = a.compute_fluxes(sim.field, dt=0.005)
+        edge_fluxes, (ends, end_fluxes) = solved_fluxes(a, sim.field, 0.005)
         m = a.mesh
         rows = [e for e in m.boundary if m.edge_tags[e].startswith("coupling:")]
         assert len(rows) == len(j.ends) == 3
@@ -141,7 +149,7 @@ class TestCouplingFluxes:
         a.mesh_field.grad_y[:] = 0.0
         sim.field.slopes[:] = 0.0
         sim.field.face_state(0.002)
-        _, (ends, end_fluxes) = a.compute_fluxes(sim.field, dt=0.002)
+        _, (ends, end_fluxes) = solved_fluxes(a, sim.field, 0.002)
         # ch2 axis angle is pi/2: axial momentum = global y-momentum = h*v
         q2d_channel_frame = np.array([0.18, 0.18 * 0.12, 0.0])
         expected = hllc_flux(q2d_channel_frame, f2.q[0], P)
@@ -286,7 +294,7 @@ def test_junction_protocol(name, strategy, n_ends):
     nbr_ends, nbr_q, nbr_d = el.channel_neighbors(field)
     assert set(nbr_ends) == keys
     assert nbr_q.shape == (len(nbr_ends), 3) and nbr_d.shape == (len(nbr_ends),)
-    edge_fluxes, (ends, fluxes) = el.compute_fluxes(field, dt)
+    edge_fluxes, (ends, fluxes) = solved_fluxes(el, field, dt)
     assert len(ends) == len(el.ends) and set(ends) == keys
     assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
     assert edge_fluxes.shape == (len(el.mesh.edge_lengths), 3) and np.isfinite(edge_fluxes).all()

@@ -1,0 +1,316 @@
+"""One HLLC solve per network step.
+
+A network step queues every Riemann problem (interior channel faces,
+junction edges, channel ends) on one `RiemannBatch` and solves it in one
+HLLC call. The oracle below keeps the per-producer calls the step made
+before that: one HLLC solve for the interior faces, the junction field's
+interior edges, its wall and coupling edges (or, with two-pass coupling,
+walls through `wall_flux` and each pass on its own) and one per boundary
+kind. From the same state, the batched face fluxes, junction edge fluxes
+and boundary inflow rate must equal the oracle's to the bit.
+"""
+
+import numpy as np
+import pytest
+
+import swnet.riemann
+from swnet import DryStateError, NonFiniteError, ScenarioConfig, build_simulation, presets
+from swnet.core import jacobian_dot, physical_flux
+from swnet.junctions import rotate_gradients
+from swnet.riemann import RiemannBatch, hllc_flux, hllc_rows
+from swnet.simulation import ghost_states
+
+
+# -- the per-producer solves, one HLLC call each --------------------------
+
+
+def rotate_state(q, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    hu, hv = q[..., 1], q[..., 2]
+    return np.stack([q[..., 0], c * hu + s * hv, -s * hu + c * hv], axis=-1)
+
+
+def rotate_back(f, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    fn, ft = f[..., 1], f[..., 2]
+    return np.stack([f[..., 0], c * fn - s * ft, s * fn + c * ft], axis=-1)
+
+
+def wall_flux(inner, params):
+    mirror = inner.copy()
+    mirror[..., 1] = -mirror[..., 1]
+    f = hllc_flux(inner, mirror, params)
+    f[..., 0] = 0.0
+    f[..., 2] = 0.0
+    return f
+
+
+def interior_edge_fluxes(field, qL, qR, edges):
+    th = field.mesh.edge_thetas[edges]
+    c, s = np.cos(th), np.sin(th)
+    ns = -s
+    hL, huL, hvL = qL.T[:, edges]
+    hR, huR, hvR = qR.T[:, edges]
+    f0, f1, f2 = hllc_rows(
+        hL, c * huL + s * hvL, ns * huL + c * hvL,
+        hR, c * huR + s * hvR, ns * huR + c * hvR, field.params.g,
+    )
+    out = np.empty((3, len(th)))
+    out[0] = f0
+    np.subtract(c * f1, s * f2, out=out[1])
+    np.add(s * f1, c * f2, out=out[2])
+    return out.T
+
+
+def interior_fluxes(field):
+    N = field.n
+    flux = np.full((N + len(field.channels), 3), np.nan)
+    lc = field._lcell
+    flux[field._inner_face] = hllc_flux(field.faces[N + lc], field.faces[lc + 1], field.params)
+    return flux
+
+
+def boundary_flux(q_face, bcs, at_start, t, params):
+    kind = bcs[0].kind
+    if kind == "transparent":
+        return physical_flux(q_face, params)
+    q = q_face.copy()
+    q[at_start, 1] = -q[at_start, 1]
+    if kind == "reflective":
+        return wall_flux(q, params)
+    ghost = ghost_states(kind, q, bcs, t, params)
+    ghost[at_start, 1] = -ghost[at_start, 1]
+    start = at_start[:, None]
+    return hllc_flux(np.where(start, ghost, q_face), np.where(start, q_face, ghost), params)
+
+
+def two_pass(field, ends, alpha, theta, qhat, cell, d, dt, params, order):
+    qg = rotate_back(field.end_states(ends), alpha)
+    if order >= 2:
+        b, cg = rotate_gradients(field.slopes[field.end_cell[ends]], alpha)
+        qg = qg - 0.5 * dt * jacobian_dot(qg, b, cg, params)
+    edge_flux = rotate_back(hllc_flux(qhat, rotate_state(qg, theta), params), theta)
+    q, gx, gy = cell
+    q2c = rotate_state(q + gx * d[:, 0, None] + gy * d[:, 1, None], alpha)
+    if order >= 2:
+        slope_n = rotate_state(gx * np.cos(alpha)[:, None] + gy * np.sin(alpha)[:, None], alpha)
+        q2c = q2c - 0.5 * dt * jacobian_dot(q2c, slope_n, None, params)
+    q1 = field.faces[field.end_slot[ends]]
+    start = (field.end_sign[ends] < 0.0)[:, None]
+    return edge_flux, hllc_flux(np.where(start, q2c, q1), np.where(start, q1, q2c), params)
+
+
+def compute_fluxes(jf, field, dt):
+    m, params = jf.mesh, jf.params
+    qL, qR = jf.mesh_field.edge_states(dt)
+    flux = np.empty_like(qL)
+    if len(m.interior):
+        flux[m.interior] = interior_edge_fluxes(jf.mesh_field, qL, qR, m.interior)
+    edges, walls = jf._cpl_edges, jf._wall_edges
+    if jf.coupling_mode == "shared":
+        outer = np.concatenate([walls, edges])
+        nw = len(walls)
+        th = m.edge_thetas[outer]
+        qhat = rotate_state(qL[outer], th)
+        q1 = field.faces[field.end_slot[jf._ends]]
+        q1[:, 1:] *= jf._end_sigma[:, None]
+        mirror = qhat[:nw].copy()
+        mirror[:, 1] = -mirror[:, 1]
+        fhat = hllc_flux(qhat, np.concatenate([mirror, q1[jf._cpl_end]]), params)
+        fhat[:nw, 0] = 0.0
+        fhat[:nw, 2] = 0.0
+        flux[outer] = rotate_back(fhat, th)
+        f_ch = fhat[nw:]
+        f_ch[:, 0] *= jf._cpl_sigma
+    else:
+        if len(walls):
+            th = m.edge_thetas[walls]
+            flux[walls] = rotate_back(wall_flux(rotate_state(qL[walls], th), params), th)
+        th = m.edge_thetas[edges]
+        cells = m.edge_left[edges]
+        c = jf.mesh_field
+        flux[edges], f_ch = two_pass(
+            field, jf._ends[jf._cpl_end], jf._cpl_alpha, th,
+            rotate_state(qL[edges], th), (c.q[cells], c.grad_x[cells], c.grad_y[cells]),
+            m.edge_offsets[0][:, edges].T, dt, params, jf.order,
+        )
+    totals = np.zeros((len(jf.ends), 3))
+    np.add.at(totals, jf._cpl_end, f_ch * m.edge_lengths[edges][:, None])
+    return flux, (jf._ends, totals / jf._end_widths[:, None])
+
+
+def per_producer_step_fluxes(sim, dt):
+    """`NetworkSimulation.step_fluxes` with one solve per producer."""
+    field, cells = sim.field, sim.junction_field
+    flux = interior_fluxes(field)
+    edge_fluxes = None
+    if cells is not None:
+        edge_fluxes, (ends, f) = compute_fluxes(cells, field, dt)
+        flux[field.end_face[ends]] = f
+    for j in sim.psfp_junctions:
+        ends, f = j.compute_end_fluxes(field, dt)
+        flux[field.end_face[ends]] = f
+    boundary_mass = 0.0
+    for ends, bcs, at_start, weight in sim._boundary_groups:
+        f = boundary_flux(field.end_states(ends), bcs, at_start, sim.t, sim.params)
+        flux[field.end_face[ends]] = f
+        boundary_mass += float(np.sum(weight * f[:, 0]))
+    return flux, edge_fluxes, boundary_mass
+
+
+# -- scenarios --------------------------------------------------------------
+
+
+def with_ends(cfg, ends):
+    """The scenario with the boundary entries of `ends` replaced."""
+    data = cfg.emit()
+    data["boundaries"] = [
+        {"channel": b["channel"], "end": b["end"], **ends.get((b["channel"], b["end"]), b)}
+        for b in data["boundaries"]
+    ]
+    return ScenarioConfig(data)
+
+
+def inflow(amplitude):
+    return {"kind": "inflow", "inflow": {"amplitude": amplitude, "center": 0.5, "width": 1.0}}
+
+
+# Every boundary kind at a channel start and at a channel end.
+SUB90_ENDS = {
+    "inflow-transparent": {},
+    "reflective-prescribed-inflow": {
+        ("ch1", "start"): {"kind": "reflective"},
+        ("ch2", "end"): {"kind": "prescribed", "h": 0.18, "u": 0.05},
+        ("ch3", "end"): inflow(0.1),
+    },
+    "prescribed-reflective-transparent": {
+        ("ch1", "start"): {"kind": "prescribed", "h": 0.17, "u": 0.1},
+        ("ch2", "end"): {"kind": "reflective"},
+    },
+}
+
+
+def mixed_network():
+    data = presets.preset("test6_network", strategy="A").emit()
+    for k, junction in enumerate(data["junctions"]):
+        junction["strategy"] = "AB"[k % 2]
+    return ScenarioConfig(data)
+
+
+def stirred(cfg, coupling, seed=3):
+    """The network built from `cfg`, with random subcritical flowing states."""
+    sim = build_simulation(cfg, coupling=coupling)
+    rng = np.random.default_rng(seed)
+    q = sim.field.q
+    q[:, 0] = rng.uniform(0.14, 0.2, len(q))
+    q[:, 1] = q[:, 0] * rng.uniform(-0.15, 0.15, len(q))
+    if sim.junction_field is not None:
+        q = sim.junction_field.mesh_field.q
+        q[:, 0] = rng.uniform(0.14, 0.2, len(q))
+        q[:, 1:] = q[:, :1] * rng.uniform(-0.15, 0.15, (len(q), 2))
+    return sim
+
+
+CASES = [
+    *[
+        pytest.param(presets.preset("test1_sub90", strategy=s), ends, coupling,
+                     id=f"test1_sub90-{s}-{name}-{coupling}")
+        for s in ("A", "B", "psfp")
+        for name, ends in SUB90_ENDS.items()
+        for coupling in (("shared",) if s == "psfp" else ("shared", "two-pass"))
+    ],
+    *[
+        pytest.param(mixed_network(), {}, coupling, id=f"test6_network-A/B-{coupling}")
+        for coupling in ("shared", "two-pass")
+    ],
+]
+
+
+def bits(a):
+    return None if a is None else (a.shape, np.ascontiguousarray(a).tobytes())
+
+
+@pytest.mark.parametrize("cfg, ends, coupling", CASES)
+def test_batch_equals_per_producer_solves(cfg, ends, coupling):
+    cfg = with_ends(cfg, ends)
+    sim = stirred(cfg, coupling)
+    kinds = {bcs[0].kind for _, bcs, _, _ in sim._boundary_groups}
+    assert kinds == {b["kind"] for b in cfg.data["boundaries"]}
+    field, cells = sim.field, sim.junction_field
+    for _ in range(12):
+        dt = sim.compute_dt()
+        nbr = None
+        if cells is not None:
+            cells.reconstruct(field)
+            nbr = cells.channel_neighbors(field)
+        field.reconstruct(nbr)
+        field.face_state(dt)
+        got = sim.step_fluxes(dt)
+        want = per_producer_step_fluxes(sim, dt)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+        assert got[2] == want[2]
+        sim.advance(dt)
+
+
+def test_one_hllc_call_per_step(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return hllc_rows(*args)
+
+    monkeypatch.setattr(swnet.riemann, "hllc_rows", counted)
+    for cfg, coupling in [
+        (with_ends(presets.preset("test1_sub90", strategy="B"),
+                   SUB90_ENDS["reflective-prescribed-inflow"]), "two-pass"),
+        (presets.preset("test1_sub90", strategy="psfp"), "shared"),
+        (mixed_network(), "shared"),
+    ]:
+        sim = build_simulation(cfg, coupling=coupling)
+        for _ in range(5):
+            calls.clear()
+            sim.advance(sim.compute_dt())
+            assert len(calls) == 1
+
+
+# -- typed failures through the batch ---------------------------------------
+
+
+def failing(kind, side):
+    """test1_sub90 B whose ch3 end is prescribed at a zero or NaN depth,
+    which enters the batch as the right state of its Riemann problem, or
+    whose junction edge states get one such depth, the left state of an
+    edge's problem."""
+    h = 0.0 if kind == "dry" else np.nan
+    ends = {("ch3", "end"): {"kind": "prescribed", "h": 0.16, "u": 0.0}}
+    sim = build_simulation(with_ends(presets.preset("test1_sub90", strategy="B"), ends))
+    if side == "right":
+        for _, bcs, _, _ in sim._boundary_groups:
+            for bc in bcs:
+                if bc.kind == "prescribed":
+                    bc.h = h
+    else:
+        mesh_field = sim.junction_field.mesh_field
+        edge_states = mesh_field.edge_states
+
+        def spoiled(dt):
+            qL, qR = edge_states(dt)
+            qL[7, 0] = h
+            return qL, qR
+
+        mesh_field.edge_states = spoiled
+    return sim
+
+
+@pytest.mark.parametrize("kind, error", [("dry", DryStateError), ("nan", NonFiniteError)])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_typed_failures_through_the_batch(kind, error, side):
+    text = f"{'dry' if kind == 'dry' else 'non-finite'} depth in hllc {side} state"
+    sim = failing(kind, side)
+    with pytest.raises(error, match=text):
+        sim.advance(sim.compute_dt())
+    res = failing(kind, side).run(1.0)
+    assert res.status == "failed" and res.steps == 0
+    assert type(res.failure) is error and text in str(res.failure)
+

@@ -3,7 +3,7 @@ import pytest
 
 from swnet.core import PhysicalParams, PositivityError
 from swnet.geometry import Channel
-from swnet.riemann import hllc_flux
+from swnet.riemann import RiemannBatch, hllc_flux
 from swnet.scheme1d import ChannelField
 from swnet.simulation import BoundaryCondition, boundary_flux
 
@@ -18,11 +18,14 @@ def make_field(cells=50, length=10.0, order=2):
 def closed_fluxes(f, bc, dt):
     """Face fluxes of a field with condition `bc` at every channel end."""
     f.face_state(dt)
-    flux = f.interior_fluxes()
+    batch = RiemannBatch()
+    flux = f.interior_fluxes(batch)
     ends = np.arange(len(f.end_cell))
-    flux[f.end_face] = boundary_flux(
-        f.end_states(ends), [bc] * len(ends), f.end_sign < 0.0, 0.0, P
+    end_flux = boundary_flux(
+        f.end_states(ends), [bc] * len(ends), f.end_sign < 0.0, 0.0, P, batch
     )
+    batch.solve(P)
+    flux[f.end_face] = end_flux
     return flux
 
 

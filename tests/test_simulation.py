@@ -11,6 +11,7 @@ from swnet.core import NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
 from swnet.meshing import rect_union_mesh
 from swnet.psfp import PSFPFailure
+from swnet.riemann import RiemannBatch
 from swnet.simulation import (
     BoundaryCondition,
     Gauge,
@@ -24,6 +25,14 @@ from swnet.simulation import (
 from swnet.studies import build_reference_sim
 
 P = PhysicalParams()
+
+
+def solved_boundary_flux(q_face, bcs, at_start, t):
+    """`boundary_flux` solved on its own batch."""
+    batch = RiemannBatch()
+    f = boundary_flux(q_face, bcs, at_start, t, P, batch)
+    batch.solve(P)
+    return f
 
 
 def straight_channel_cfg(kind_start="transparent", kind_end="transparent", **extra):
@@ -96,8 +105,8 @@ class TestBoundaries:
     def test_reflective_zero_mass(self):
         q = np.array([0.3, 0.12, 0.0])
         for end in ("start", "end"):
-            f = boundary_flux(
-                q[None], [BoundaryCondition("reflective")], np.array([end == "start"]), 0.0, P
+            f = solved_boundary_flux(
+                q[None], [BoundaryCondition("reflective")], np.array([end == "start"]), 0.0
             )[0]
             assert f[0] == 0.0 and f[2] == 0.0
 
@@ -105,7 +114,8 @@ class TestBoundaries:
         from swnet.core import physical_flux
 
         q = np.array([0.3, 0.12, 0.0])
-        f = boundary_flux(q[None], [BoundaryCondition("transparent")], np.array([False]), 0.0, P)[0]
+        bc = BoundaryCondition("transparent")
+        f = solved_boundary_flux(q[None], [bc], np.array([False]), 0.0)[0]
         assert np.allclose(f, physical_flux(q, P), atol=1e-15)
 
     def test_inflow_velocity_peaks_at_prescribed_time(self):
@@ -141,8 +151,8 @@ def test_channel_start_end_and_2d_edge_give_one_normal_flux(bc):
     # end and 2D edges whose outward normal is +x: the same mass and normal
     # momentum fluxes, to the bit.
     q_out, t = np.array([0.3, 0.07, 0.0]), 0.4
-    f_end = boundary_flux(q_out[None], [bc], np.array([False]), t, P)[0]
-    f_start = boundary_flux((q_out * [1, -1, 1])[None], [bc], np.array([True]), t, P)[0]
+    f_end = solved_boundary_flux(q_out[None], [bc], np.array([False]), t)[0]
+    f_start = solved_boundary_flux((q_out * [1, -1, 1])[None], [bc], np.array([True]), t)[0]
     tag = "wall" if bc.kind == "reflective" else f"{bc.kind}:c:end"
     mesh = rect_union_mesh([(0, 0, 1, 0.2)], 0.1, tag_segments=[((1, 0), (1, 0.2), tag)])
     sim = Mesh2DSimulation(mesh, P, boundary_conditions={tag: bc})
@@ -176,7 +186,7 @@ class TestTwoInflows:
         rates = set()
         for b in cfg.data["boundaries"]:
             edges = np.flatnonzero(tags == f"inflow:{b['channel']}:{b['end']}")
-            own = boundary_flux(q[None], [boundary_condition(b)], np.array([False]), 3.0, P)
+            own = solved_boundary_flux(q[None], [boundary_condition(b)], np.array([False]), 3.0)
             assert len(edges) == 4 and np.all(flux[edges, 0] == own[0, 0])
             rates.add(float(own[0, 0]))
         assert len(rates) == 3

@@ -6,9 +6,10 @@ Each tree is a directory holding `src/swnet`, for example this checkout and
 an unpacked `git archive` of another commit. Every preset runs with each
 junction strategy (A, B, psfp), plus test1_sub90 with two-pass coupling (A
 and B) and with transverse=zero (A), plus boundary variants that put every
-condition kind at a channel start and at a channel end (`BOUNDARY_RUNS`),
-plus test6_network with its junctions alternating between Methods A and B
-(`MIXED_RUNS`), for at most --steps steps. Each tree runs in its own
+condition kind at a channel start and at a channel end, and a wall and a
+prescribed end beside a junction (`BOUNDARY_RUNS`), plus test6_network with
+its junctions alternating between Methods A and B (`MIXED_RUNS`), for at
+most --steps steps. Each tree runs in its own
 interpreter. The report is a markdown table: per run, the steps and failure
 type on both sides and the largest relative deviation of the gauge series,
 the final channel states, the final junction states and the ledger entries.
@@ -62,15 +63,22 @@ def inflow(amplitude, center, width):
 
 # No preset has a reflective end, or an inflow or prescribed one at a channel
 # end: smooth1d (run to t = 8, so that the hump reaches its ends) takes each
-# of these kinds at both ends, and test1_sub90 takes inflows on both outlets.
+# of these kinds at both ends, and test1_sub90 takes inflows on both outlets,
+# and a wall and a prescribed state on them, whose Riemann problems then
+# share a network step's one HLLC batch with the junction's.
 TWO_INFLOWS = {("ch2", "end"): inflow(0.2, 3.0, 1.0), ("ch3", "end"): inflow(0.3, 3.0, 1.0)}
+WALL_AND_PRESCRIBED = {
+    ("ch2", "end"): {"kind": "reflective"},
+    ("ch3", "end"): {"kind": "prescribed", "h": 1.0, "u": 0.05},
+}
 BOUNDARY_RUNS = [
     *[("smooth1d", None, {("ch1", "start"): b, ("ch1", "end"): b}, 8.0) for b in (
         {"kind": "reflective"},
         inflow(0.2, 2.0, 0.5),
         {"kind": "prescribed", "h": 1.05, "u": 0.1},
     )],
-    *[("test1_sub90", s, TWO_INFLOWS, None) for s in STRATEGIES],
+    *[("test1_sub90", s, ends, None) for ends in (TWO_INFLOWS, WALL_AND_PRESCRIBED)
+      for s in STRATEGIES],
 ]
 # One network whose junction cells mix polygons (A) and triangles (B).
 MIXED_RUNS = ["test6_network"]
