@@ -73,7 +73,11 @@ def physical_flux(q: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """x-direction flux F(Q) = (hu, hu^2/h + g h^2 / 2, hu hv / h)."""
     h, u, v = primitives(q, "physical_flux")
     hu = q[..., 1]
-    return np.stack([hu, hu * u + 0.5 * params.g * h * h, hu * v], axis=-1)
+    out = np.empty(np.shape(q))
+    out[..., 0] = hu
+    out[..., 1] = hu * u + 0.5 * params.g * h * h
+    out[..., 2] = hu * v
+    return out
 
 
 def physical_flux_y(q: np.ndarray, params: PhysicalParams) -> np.ndarray:

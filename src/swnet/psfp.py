@@ -5,25 +5,42 @@ invariants, mass conservation through the junction, and continuity of total
 head between the parent and each daughter channel. The system is solved by a
 damped Newton iteration; data outside the method's validity region (notably
 supercritical or strongly asymmetric states, for which the algebraic system
-has no real root) produce a structured failure instead of a state.
+has no real root) produce a structured failure instead of a state. Non-finite
+data raise `NonFiniteError` and a non-positive interior depth `DryStateError`.
 
 Velocity sign convention: positive toward the junction in channel 1 (parent)
 and away from it in channels 2 and 3.
+
+The iteration runs on Python floats with `math.sqrt`: on three channels a
+numpy call costs more than its arithmetic. The equations are written once, as
+float formulas (`_residual`, `_jacobian`), which `psfp_residual` and
+`psfp_jacobian` wrap in arrays. Each residual, Jacobian entry, line-search
+step and norm keeps the operand order of the array formulation, and +, -, *,
+/ and sqrt round alike in numpy and in Python, so every iterate, iteration
+count and residual norm equals that of the array iteration kept as the oracle
+in tests/test_psfp.py. The Newton step stays one `np.linalg.solve` per
+iteration: LAPACK's pivoted elimination fixes how the step rounds, and a
+hand-written elimination would round it differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import DryStateError, NonFiniteError, PhysicalParams
 
 NEWTON_TOL = 1e-10
 # After reaching NEWTON_TOL keep polishing toward round-off so the mass
 # equation holds far below the conservation budget of long runs.
 POLISH_TOL = 1e-14
 MAX_ITER = 50
+
+
+def _signs(merging: bool) -> tuple:
+    return (1.0, -1.0, 1.0 if merging else -1.0)
 
 
 @dataclass
@@ -39,13 +56,17 @@ class PSFPProblem:
         self.velocities = np.asarray(self.velocities, dtype=float)
         if not (len(self.widths) == len(self.depths) == len(self.velocities) == 3):
             raise ValueError("the junction system is defined for exactly 3 channels")
-        if np.any(self.depths <= 0.0):
-            raise ValueError("non-positive interior depth")
+        depths, velocities = self.depths.tolist(), self.velocities.tolist()
+        if not all(map(math.isfinite, depths + velocities)):
+            raise NonFiniteError(
+                f"non-finite interior state: depths {depths}, velocities {velocities}"
+            )
+        if any(h <= 0.0 for h in depths):
+            raise DryStateError(f"non-positive interior depth: depths {depths}")
 
     @property
     def invariant_signs(self) -> np.ndarray:
-        s3 = 1.0 if self.merging else -1.0
-        return np.array([1.0, -1.0, s3])
+        return np.array(_signs(self.merging))
 
 
 @dataclass
@@ -71,57 +92,92 @@ class PSFPFailure(RuntimeError):
         self.iterations = iterations
 
 
+def _invariants(depths, velocities, g, s) -> list:
+    """The interior Riemann invariants, u + s 2 sqrt(g h) per channel."""
+    return [u + si * 2.0 * math.sqrt(g * h) for h, u, si in zip(depths, velocities, s)]
+
+
+def _residual(x, k, b, s, g) -> list:
+    """The six residuals at x = [h1*, h2*, h3*, u1*, u2*, u3*] (floats, star
+    depths positive); k are the interior invariants, b the widths."""
+    h1, h2, h3, u1, u2, u3 = x
+    head = h1 + u1 * u1 / (2.0 * g)
+    return [
+        u1 + s[0] * 2.0 * math.sqrt(g * h1) - k[0],
+        u2 + s[1] * 2.0 * math.sqrt(g * h2) - k[1],
+        u3 + s[2] * 2.0 * math.sqrt(g * h3) - k[2],
+        h1 * u1 * b[0] - h2 * u2 * b[1] - h3 * u3 * b[2],
+        head - (h2 + u2 * u2 / (2.0 * g)),
+        head - (h3 + u3 * u3 / (2.0 * g)),
+    ]
+
+
+def _jacobian(x, b, s, g) -> list:
+    """The 6 x 6 Jacobian of `_residual` at x, as rows of floats."""
+    h1, h2, h3, u1, u2, u3 = x
+    return [
+        [s[0] * math.sqrt(g / h1), 0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, s[1] * math.sqrt(g / h2), 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, s[2] * math.sqrt(g / h3), 0.0, 0.0, 1.0],
+        [u1 * b[0], -u2 * b[1], -u3 * b[2], h1 * b[0], -h2 * b[1], -h3 * b[2]],
+        [1.0, -1.0, 0.0, u1 / g, -u2 / g, 0.0],
+        [1.0, 0.0, -1.0, u1 / g, 0.0, -u3 / g],
+    ]
+
+
+def _norm(r) -> float:
+    """max |r_i|, NaN when some r_i is NaN, as np.max(np.abs(r))."""
+    total = sum(r)
+    if total != total and any(v != v for v in r):
+        return math.nan
+    return max(map(abs, r))
+
+
+def _check_star_depths(x, what):
+    if any(h <= 0.0 for h in x[:3]):
+        raise ValueError(f"non-positive star depth in {what} evaluation")
+
+
 def psfp_residual(x: np.ndarray, p: PSFPProblem, params: PhysicalParams) -> np.ndarray:
     """Residual of the six equations at x = (h1*, h2*, h3*, u1*, u2*, u3*)."""
-    h, u = x[:3], x[3:]
-    if np.any(h <= 0.0):
-        raise ValueError("non-positive star depth in residual evaluation")
-    g = params.g
-    s = p.invariant_signs
-    inv = u + s * 2.0 * np.sqrt(g * h) - (p.velocities + s * 2.0 * np.sqrt(g * p.depths))
-    b = p.widths
-    mass = h[0] * u[0] * b[0] - h[1] * u[1] * b[1] - h[2] * u[2] * b[2]
-    head = h + u * u / (2.0 * g)
-    return np.array([inv[0], inv[1], inv[2], mass, head[0] - head[1], head[0] - head[2]])
+    x = np.asarray(x, dtype=float).tolist()
+    _check_star_depths(x, "residual")
+    g, s = params.g, _signs(p.merging)
+    k = _invariants(p.depths.tolist(), p.velocities.tolist(), g, s)
+    return np.array(_residual(x, k, p.widths.tolist(), s, g))
 
 
 def psfp_jacobian(x: np.ndarray, p: PSFPProblem, params: PhysicalParams) -> np.ndarray:
-    h, u = x[:3], x[3:]
-    g = params.g
-    s = p.invariant_signs
-    b = p.widths
-    J = np.zeros((6, 6))
-    for i in range(3):
-        J[i, i] = s[i] * np.sqrt(g / h[i])
-        J[i, 3 + i] = 1.0
-    J[3, :3] = (u[0] * b[0], -u[1] * b[1], -u[2] * b[2])
-    J[3, 3:] = (h[0] * b[0], -h[1] * b[1], -h[2] * b[2])
-    J[4, 0], J[4, 1] = 1.0, -1.0
-    J[4, 3], J[4, 4] = u[0] / g, -u[1] / g
-    J[5, 0], J[5, 2] = 1.0, -1.0
-    J[5, 3], J[5, 5] = u[0] / g, -u[2] / g
-    return J
+    x = np.asarray(x, dtype=float).tolist()
+    _check_star_depths(x, "Jacobian")
+    return np.array(_jacobian(x, p.widths.tolist(), _signs(p.merging), params.g))
+
+
+def _froude(h, u, g) -> list:
+    return [abs(ui) / math.sqrt(g * hi) for hi, ui in zip(h, u)]
 
 
 def psfp_solve(p: PSFPProblem, params: PhysicalParams) -> PSFPStarState:
     """Damped Newton from the interior states; raises PSFPFailure on failure."""
-    froude = np.abs(p.velocities) / np.sqrt(params.g * p.depths)
-    if np.any(froude >= 1.0):
+    g, s, b = params.g, _signs(p.merging), p.widths.tolist()
+    x = p.depths.tolist() + p.velocities.tolist()
+    froude = _froude(x[:3], x[3:], g)
+    if any(fr >= 1.0 for fr in froude):
         raise PSFPFailure(
             PSFPFailure.SUPERCRITICAL_DATA,
             f"interior Froude numbers {np.round(froude, 3)} not all < 1",
         )
 
-    x = np.concatenate([p.depths, p.velocities]).astype(float)
-    r = psfp_residual(x, p, params)
-    rnorm = float(np.max(np.abs(r)))
+    k = _invariants(x[:3], x[3:], g, s)
+    r = _residual(x, k, b, s, g)
+    rnorm = _norm(r)
     newton_iters = 0
     for it in range(1, MAX_ITER + 1):
         if rnorm < POLISH_TOL:
             break
         newton_iters = it
         try:
-            dx = np.linalg.solve(psfp_jacobian(x, p, params), -r)
+            dx = np.linalg.solve(_jacobian(x, b, s, g), [-v for v in r]).tolist()
         except np.linalg.LinAlgError:
             raise PSFPFailure(
                 PSFPFailure.COMPLEX_ROOT_REGIME,
@@ -131,10 +187,10 @@ def psfp_solve(p: PSFPProblem, params: PhysicalParams) -> PSFPStarState:
             ) from None
         lam, accepted = 1.0, False
         for _ in range(11):
-            x_new = x + lam * dx
-            if np.all(x_new[:3] > 0.0):
-                r_new = psfp_residual(x_new, p, params)
-                n_new = float(np.max(np.abs(r_new)))
+            x_new = [xi + lam * di for xi, di in zip(x, dx)]
+            if x_new[0] > 0.0 and x_new[1] > 0.0 and x_new[2] > 0.0:
+                r_new = _residual(x_new, k, b, s, g)
+                n_new = _norm(r_new)
                 if n_new < rnorm or n_new < POLISH_TOL:
                     x, r, rnorm = x_new, r_new, n_new
                     accepted = True
@@ -158,17 +214,15 @@ def psfp_solve(p: PSFPProblem, params: PhysicalParams) -> PSFPStarState:
                 iterations=MAX_ITER,
             )
 
-    star = PSFPStarState(
-        h=x[:3].copy(), u=x[3:].copy(), iterations=newton_iters, residual_norm=rnorm
-    )
-    star_froude = np.abs(star.u) / np.sqrt(params.g * star.h)
-    if np.any(star_froude >= 1.0):
+    star_froude = _froude(x[:3], x[3:], g)
+    if any(fr >= 1.0 for fr in star_froude):
         raise PSFPFailure(
             PSFPFailure.COMPLEX_ROOT_REGIME,
             f"converged to supercritical star state (Fr={np.round(star_froude, 3)})",
             residual_norm=rnorm,
         )
-    return star
+    x = np.array(x)
+    return PSFPStarState(h=x[:3], u=x[3:], iterations=newton_iters, residual_norm=rnorm)
 
 
 def psfp_boundary_fluxes(star: PSFPStarState, params: PhysicalParams) -> np.ndarray:
@@ -177,6 +231,6 @@ def psfp_boundary_fluxes(star: PSFPStarState, params: PhysicalParams) -> np.ndar
     Rows follow the solver's velocity convention; the caller reorients them
     into each channel's +s frame.
     """
-    h, u = star.h, star.u
-    hu = h * u
-    return np.column_stack([hu, hu * u + 0.5 * params.g * h * h, np.zeros(3)])
+    g = params.g
+    return np.array([[h * u, h * u * u + 0.5 * g * h * h, 0.0]
+                     for h, u in zip(star.h.tolist(), star.u.tolist())])

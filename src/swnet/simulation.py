@@ -24,11 +24,12 @@ junctions through `PSFPJunction.compute_end_fluxes`.
 Both solvers share one `TimeStepper.run` loop: the gauge stride, the typed
 failures that end a run as "failed", and the per-run volume ledger.
 
-One `ghost_states` builds the inflow and prescribed ghosts of channel ends
+One `GhostStates` builds the inflow and prescribed ghosts of channel ends
 and of 2D reference edges (keyed by tag, "<kind>:<channel>:<end>") in the
 outward-normal frame; both solvers group their boundaries by condition kind
-when built and call it once per kind and step. Transparent differs: zero
-gradient at a channel end, a pinned incoming Riemann invariant on a 2D edge.
+when built, with one `GhostStates` per inflow or prescribed group, and call
+it once per group and step. Transparent differs: zero gradient at a channel
+end, a pinned incoming Riemann invariant on a 2D edge.
 """
 
 from __future__ import annotations
@@ -90,52 +91,83 @@ def gaussian_pulse(amplitude: float, center: float, width: float = 1.0):
     return u_fn
 
 
-def ghost_states(kind, q, bcs, t: float, params, rows=slice(None)):
-    """Outward-normal-frame ghost states of "inflow" or "prescribed" faces.
+class GhostStates:
+    """Outward-normal-frame ghost states of one group of "inflow" or
+    "prescribed" faces, as `ghosts(q, t, params)`.
 
     q (K, 3) are the inner states, component 1 along the outward normal; row
     k has condition bcs[rows[k]], by default bcs[k]. Inflow pairs the inward
     velocity u_fn(t) with the interior's outgoing Riemann invariant; a
-    prescribed face holds (h, u), u positive into the domain.
+    prescribed face holds (h, u), u positive into the domain, read once here.
     """
-    if kind == "inflow":
-        g = params.g
-        u_bc = np.array([float(bc.u_fn(t)) for bc in bcs])[rows]
-        c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
-        if (c_g <= 0.0).any():
-            raise DryStateError("inflow ghost state would be dry")
-        h_g = c_g * c_g / g
-        hu_g = h_g * (-u_bc)
-    else:
-        h_g = np.array([bc.h for bc in bcs], dtype=float)[rows]
-        hu_g = -h_g * np.array([bc.u for bc in bcs], dtype=float)[rows]
-    return np.stack([h_g, hu_g, np.zeros_like(h_g)], axis=-1)
+
+    def __init__(self, kind, bcs, rows=slice(None)):
+        self.kind, self.rows = kind, rows
+        if kind == "inflow":
+            self.u_fns = [bc.u_fn for bc in bcs]
+        else:
+            h = np.array([bc.h for bc in bcs], dtype=float)[rows]
+            self.h, self.hu = h, -h * np.array([bc.u for bc in bcs], dtype=float)[rows]
+
+    def __call__(self, q, t: float, params):
+        out = np.empty((len(q), 3))
+        if self.kind == "inflow":
+            g = params.g
+            u = [float(u_fn(t)) for u_fn in self.u_fns]
+            u_bc = u[0] if len(u) == 1 else np.array(u)[self.rows]
+            c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
+            if (c_g <= 0.0).any():
+                raise DryStateError("inflow ghost state would be dry")
+            h_g = c_g * c_g / g
+            out[:, 0] = h_g
+            out[:, 1] = h_g * (-u_bc)
+        else:
+            out[:, 0] = self.h
+            out[:, 1] = self.hu
+        out[:, 2] = 0.0
+        return out
 
 
-def boundary_flux(q_face, bcs, at_start, t: float, params, batch):
-    """Axial (+s frame) fluxes at channel outer faces that share one condition kind.
+class BoundaryEnds:
+    """Channel outer faces that share one condition kind, with what their
+    fluxes read every step, set once.
 
-    q_face (K, 3) are the inner face states, bcs the K conditions (all of one
-    kind) and at_start (K,) marks faces at a channel's start, whose outward
-    normal is -s: there the axial momenta of the inner state and of the ghost
-    from `ghost_states` are negated, exactly. Transparent ends feed the face
+    bcs are the K conditions (all of one kind) and the boolean array at_start
+    (K,) marks faces at a channel's start, whose outward normal is -s.
+    `flip` (K, 3) holds -1.0 at those faces' axial momentum and 1.0
+    elsewhere: multiplying by it turns +s-frame states into the
+    outward-normal frame and back, exactly.
+    """
+
+    def __init__(self, bcs, at_start):
+        self.kind = bcs[0].kind
+        self.bcs = bcs
+        self.start = at_start[:, None]
+        self.flip = np.where(self.start, (1.0, -1.0, 1.0), 1.0)
+        self.ghosts = GhostStates(self.kind, bcs) if self.kind in ("inflow", "prescribed") else None
+
+
+def boundary_flux(q_face, group: BoundaryEnds, t: float, params, batch):
+    """Axial (+s frame) fluxes at the channel outer faces of `group`.
+
+    q_face (K, 3) are the inner face states. Transparent ends feed the face
     value back to itself, at once. The other kinds queue their Riemann
     problems on `batch` (a `riemann.RiemannBatch`), whose solve fills the
-    returned rows: reflective walls against the mirrored inner state, with
-    mass and transverse fluxes zeroed as in `wall_flux`.
+    returned rows: reflective walls against the mirrored outward-frame inner
+    state, with mass and transverse fluxes zeroed as in `wall_flux`; inflow
+    and prescribed ends against the `GhostStates` ghost, turned back into the
+    +s frame and placed on the outer side of each face.
     """
-    kind = bcs[0].kind
+    kind = group.kind
     if kind == "transparent":
         return physical_flux(q_face, params)
-    q = q_face.copy()
-    q[at_start, 1] = -q[at_start, 1]
+    q = q_face * group.flip
     if kind == "reflective":
         qL, qR = q, mirrored(q)
     else:
-        ghost = ghost_states(kind, q, bcs, t, params)
-        ghost[at_start, 1] = -ghost[at_start, 1]
-        start = at_start[:, None]
-        qL, qR = np.where(start, ghost, q_face), np.where(start, q_face, ghost)
+        ghost = group.ghosts(q, t, params)
+        ghost *= group.flip
+        qL, qR = np.where(group.start, ghost, q_face), np.where(group.start, q_face, ghost)
     out = np.empty_like(q_face)
 
     def read(f):
@@ -210,11 +242,16 @@ class PSFPJunction:
         return np.inf
 
     def compute_end_fluxes(self, field, dt):
-        qf = field.end_states(self._ends)
-        problem = PSFPProblem(
-            self.widths, qf[:, 0], self.tau * qf[:, 1] / qf[:, 0], merging=self.merging
-        )
+        q = field.end_states(self._ends).tolist()
         try:
+            # A zero depth passes its discharge as velocity: the problem
+            # rejects the depth, and a NaN discharge still reads as NaN.
+            problem = PSFPProblem(
+                self.widths,
+                [h for h, _, _ in q],
+                [t * hu / h if h else hu for t, (h, hu, _) in zip(self.tau.tolist(), q)],
+                merging=self.merging,
+            )
             star = psfp_solve(problem, self.params)
         except PSFPFailure as exc:
             raise PSFPFailure(
@@ -223,8 +260,10 @@ class PSFPJunction:
                 residual_norm=exc.residual_norm,
                 iterations=exc.iterations,
             ) from exc
-        rows = psfp_boundary_fluxes(star, self.params)
-        fluxes = np.stack([self.tau * rows[:, 0], rows[:, 1], np.zeros(3)], axis=1)
+        except (NonFiniteError, DryStateError) as exc:
+            raise type(exc)(f"junction {self.id}: {exc}") from exc
+        fluxes = psfp_boundary_fluxes(star, self.params)
+        fluxes[:, 0] *= self.tau
         return self._ends, fluxes
 
 
@@ -427,8 +466,8 @@ class NetworkSimulation(TimeStepper):
         # Everything that holds volume or bounds dt besides the channels.
         cells = [] if self.junction_field is None else [self.junction_field]
         self.elements = cells + self.psfp_junctions
-        # Boundary ends grouped by condition kind: (end numbers, conditions,
-        # at-start flags, ledger weights +-width).
+        # Boundary ends grouped by condition kind: (end numbers,
+        # `BoundaryEnds`, ledger weights +-width).
         by_kind = {}
         for key, bc in boundaries.items():
             by_kind.setdefault(bc.kind, []).append((key, bc))
@@ -437,7 +476,9 @@ class NetworkSimulation(TimeStepper):
             ends = np.array([self.field.end_index(*key) for key, _ in group])
             sign = self.field.end_sign[ends]  # the outward normal, +-s
             width = np.array([self.channels[cid].width for (cid, _), _ in group])
-            self._boundary_groups.append((ends, [bc for _, bc in group], sign < 0.0, -sign * width))
+            self._boundary_groups.append(
+                (ends, BoundaryEnds([bc for _, bc in group], sign < 0.0), -sign * width)
+            )
 
         self.t = 0.0
         self.steps = 0
@@ -542,8 +583,8 @@ class NetworkSimulation(TimeStepper):
         if cells is not None:
             edge_fluxes, (cell_ends, cell_f) = cells.compute_fluxes(field, dt, batch)
         bounds = [
-            (ends, weight, boundary_flux(field.end_states(ends), bcs, start, self.t, params, batch))
-            for ends, bcs, start, weight in self._boundary_groups
+            (ends, weight, boundary_flux(field.end_states(ends), group, self.t, params, batch))
+            for ends, group, weight in self._boundary_groups
         ]
         batch.solve(params)
         if cells is not None:
@@ -624,8 +665,8 @@ class Mesh2DSimulation(TimeStepper):
         self.gauges = list(gauges)
         self.recorder = GaugeRecorder(self.gauges)
         # Boundary edges grouped by kind (tag up to the first colon), kinds in
-        # order of first appearance and edges in boundary order; each group
-        # holds the conditions of its tags and each edge's index into them.
+        # order of first appearance and edges in boundary order; an inflow or
+        # prescribed group holds the `GhostStates` of its tags' conditions.
         tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
         names, tag_of = np.unique(tags, return_inverse=True)
         kinds = np.array([name.split(":")[0] for name in names], dtype=object)
@@ -639,9 +680,11 @@ class Mesh2DSimulation(TimeStepper):
         self._boundary_groups = []
         for k in np.argsort(first):
             sel = kind_of == k
-            used, rows = np.unique(tag_of[sel], return_inverse=True)
-            bcs = [conds.get(names[i]) for i in used]
-            self._boundary_groups.append((kind_names[k], mesh.boundary[sel], bcs, rows))
+            kind, ghosts = kind_names[k], None
+            if kind in ("inflow", "prescribed"):
+                used, rows = np.unique(tag_of[sel], return_inverse=True)
+                ghosts = GhostStates(kind, [conds[names[i]] for i in used], rows)
+            self._boundary_groups.append((kind, mesh.boundary[sel], ghosts))
         # Incoming invariant behind the transparent edges, set on the first step.
         self._far_field_r = None
         self._reset_diagnostics()
@@ -673,12 +716,12 @@ class Mesh2DSimulation(TimeStepper):
         kind; returns the volume inflow rate through the open edges."""
         m, params = self.mesh, self.params
         inflow = 0.0
-        for kind, edges, bcs, rows in self._boundary_groups:
+        for kind, edges, ghosts in self._boundary_groups:
             ghost = None  # a wall
             if kind == "transparent":
                 ghost = partial(self._far_field_ghost, edges)
-            elif kind != "wall":
-                ghost = partial(ghost_states, kind, bcs=bcs, t=self.t, params=params, rows=rows)
+            elif ghosts is not None:
+                ghost = partial(ghosts, t=self.t, params=params)
             flux[edges] = boundary_edge_fluxes(m, qL, edges, params, ghost)
             if ghost is not None:
                 inflow -= float(np.sum(m.edge_lengths[edges] * flux[edges, 0]))

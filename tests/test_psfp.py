@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from swnet.core import PhysicalParams
+from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.psfp import (
+    MAX_ITER,
+    NEWTON_TOL,
+    POLISH_TOL,
     PSFPFailure,
     PSFPProblem,
+    PSFPStarState,
+    _norm,
     psfp_boundary_fluxes,
     psfp_jacobian,
     psfp_residual,
@@ -197,3 +202,192 @@ class TestNoRealRootScan:
         e2 = H1 + U1**2 / (2 * G) - H3 - U3**2 / (2 * G)
         norm = np.maximum(np.abs(mass), np.maximum(np.abs(e1), np.abs(e2)))
         assert norm.min() > 0.01
+
+
+class TestInvalidData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["depths", "velocities"])
+    def test_non_finite_data(self, field, bad):
+        data = {"widths": [0.4, 0.2, 0.2], "depths": [0.2, 0.2, 0.2], "velocities": [0.1] * 3}
+        data[field][1] = bad
+        with pytest.raises(NonFiniteError, match="non-finite interior state"):
+            PSFPProblem(**data)
+
+    @pytest.mark.parametrize("depth", [0.0, -0.0, -0.1])
+    def test_non_positive_depth(self, depth):
+        with pytest.raises(DryStateError, match="non-positive interior depth"):
+            PSFPProblem([0.4, 0.2, 0.2], [0.2, depth, 0.2], [0.1] * 3)
+        # still a ValueError for callers that caught the untyped one
+        with pytest.raises(ValueError):
+            PSFPProblem([0.4, 0.2, 0.2], [0.2, depth, 0.2], [0.1] * 3)
+
+    @pytest.mark.parametrize("evaluate", [psfp_residual, psfp_jacobian])
+    def test_non_positive_star_depth_is_named(self, evaluate):
+        # never math.sqrt's "math domain error"
+        p = compatible_problem()
+        x = np.array([0.16, -0.01, 0.16, 0.2, 0.2, 0.2])
+        with pytest.raises(ValueError, match="non-positive star depth"):
+            evaluate(x, p, P)
+
+
+# -- the array Newton iteration, kept as the float solver's oracle ----------
+
+
+def oracle_signs(p):
+    s3 = 1.0 if p.merging else -1.0
+    return np.array([1.0, -1.0, s3])
+
+
+def oracle_residual(x, p, params):
+    h, u = x[:3], x[3:]
+    if np.any(h <= 0.0):
+        raise ValueError("non-positive star depth in residual evaluation")
+    g = params.g
+    s = oracle_signs(p)
+    inv = u + s * 2.0 * np.sqrt(g * h) - (p.velocities + s * 2.0 * np.sqrt(g * p.depths))
+    b = p.widths
+    mass = h[0] * u[0] * b[0] - h[1] * u[1] * b[1] - h[2] * u[2] * b[2]
+    head = h + u * u / (2.0 * g)
+    return np.array([inv[0], inv[1], inv[2], mass, head[0] - head[1], head[0] - head[2]])
+
+
+def oracle_jacobian(x, p, params):
+    h, u = x[:3], x[3:]
+    g = params.g
+    s = oracle_signs(p)
+    b = p.widths
+    J = np.zeros((6, 6))
+    for i in range(3):
+        J[i, i] = s[i] * np.sqrt(g / h[i])
+        J[i, 3 + i] = 1.0
+    J[3, :3] = (u[0] * b[0], -u[1] * b[1], -u[2] * b[2])
+    J[3, 3:] = (h[0] * b[0], -h[1] * b[1], -h[2] * b[2])
+    J[4, 0], J[4, 1] = 1.0, -1.0
+    J[4, 3], J[4, 4] = u[0] / g, -u[1] / g
+    J[5, 0], J[5, 2] = 1.0, -1.0
+    J[5, 3], J[5, 5] = u[0] / g, -u[2] / g
+    return J
+
+
+def oracle_solve(p, params):
+    froude = np.abs(p.velocities) / np.sqrt(params.g * p.depths)
+    if np.any(froude >= 1.0):
+        raise PSFPFailure(
+            PSFPFailure.SUPERCRITICAL_DATA,
+            f"interior Froude numbers {np.round(froude, 3)} not all < 1",
+        )
+
+    x = np.concatenate([p.depths, p.velocities]).astype(float)
+    r = oracle_residual(x, p, params)
+    rnorm = float(np.max(np.abs(r)))
+    newton_iters = 0
+    for it in range(1, MAX_ITER + 1):
+        if rnorm < POLISH_TOL:
+            break
+        newton_iters = it
+        try:
+            dx = np.linalg.solve(oracle_jacobian(x, p, params), -r)
+        except np.linalg.LinAlgError:
+            raise PSFPFailure(
+                PSFPFailure.COMPLEX_ROOT_REGIME,
+                "singular Jacobian",
+                residual_norm=rnorm,
+                iterations=it,
+            ) from None
+        lam, accepted = 1.0, False
+        for _ in range(11):
+            x_new = x + lam * dx
+            if np.all(x_new[:3] > 0.0):
+                r_new = oracle_residual(x_new, p, params)
+                n_new = float(np.max(np.abs(r_new)))
+                if n_new < rnorm or n_new < POLISH_TOL:
+                    x, r, rnorm = x_new, r_new, n_new
+                    accepted = True
+                    break
+            lam *= 0.5
+        if not accepted:
+            if rnorm < NEWTON_TOL:
+                break  # converged; line search only fails to polish further
+            raise PSFPFailure(
+                PSFPFailure.COMPLEX_ROOT_REGIME,
+                "residual cannot decrease (negative-depth or stalled iterates)",
+                residual_norm=rnorm,
+                iterations=it,
+            )
+    else:
+        if rnorm >= NEWTON_TOL:
+            raise PSFPFailure(
+                PSFPFailure.NON_CONVERGENCE,
+                f"residual {rnorm:.3e} after {MAX_ITER} iterations",
+                residual_norm=rnorm,
+                iterations=MAX_ITER,
+            )
+
+    star = PSFPStarState(
+        h=x[:3].copy(), u=x[3:].copy(), iterations=newton_iters, residual_norm=rnorm
+    )
+    star_froude = np.abs(star.u) / np.sqrt(params.g * star.h)
+    if np.any(star_froude >= 1.0):
+        raise PSFPFailure(
+            PSFPFailure.COMPLEX_ROOT_REGIME,
+            f"converged to supercritical star state (Fr={np.round(star_froude, 3)})",
+            residual_norm=rnorm,
+        )
+    return star
+
+
+def random_problems(n, seed):
+    """Subcritical data with |Fr| up to 0.99, diverging or merging at random;
+    every tenth problem has one supercritical channel."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        h = rng.uniform(0.02, 0.6, 3)
+        fr = rng.uniform(-0.99, 0.99, 3)
+        if k % 10 == 9:
+            fr[rng.integers(3)] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 1.5)
+        yield PSFPProblem(rng.uniform(0.05, 0.8, 3), h, fr * np.sqrt(G * h),
+                          merging=bool(rng.integers(2)))
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def outcome(solve, p):
+    """Everything a solve reports, with the floats as their bytes."""
+    try:
+        star = solve(p, P)
+    except PSFPFailure as exc:
+        return ("failure", exc.kind, exc.message, exc.iterations, bits(exc.residual_norm))
+    return ("star", bits(star.h), bits(star.u), star.iterations, bits(star.residual_norm))
+
+
+class TestFloatSolverOracle:
+    def test_bit_identical_to_array_iteration(self):
+        kinds = {}
+        for p in random_problems(3000, seed=2017):
+            want = outcome(oracle_solve, p)
+            assert outcome(psfp_solve, p) == want, p
+            key = (want[0] if want[0] == "star" else want[1], p.merging)
+            kinds[key] = kinds.get(key, 0) + 1
+        # both merging values reach converged stars and every failure kind
+        # the data can give
+        for merging in (False, True):
+            assert kinds.get(("star", merging), 0) > 100
+            assert kinds.get((PSFPFailure.SUPERCRITICAL_DATA, merging), 0) > 100
+            assert kinds.get((PSFPFailure.COMPLEX_ROOT_REGIME, merging), 0) > 10
+
+    @pytest.mark.parametrize("r", [
+        [1e-3, -2e-3, 0.0, -0.0, 5e-4, 1e-9],
+        [1.0, np.nan, 2.0, 0.0, 0.0, 0.0],
+        [np.nan, 1.0, 2.0, 0.0, 0.0, 0.0],
+        [np.inf, -np.inf, 1.0, 0.0, 0.0, 0.0],
+    ])
+    def test_norm_as_array_max(self, r):
+        assert bits(_norm(r)) == bits(np.max(np.abs(r)))
+
+    def test_residual_and_jacobian_wrap_the_float_formulas(self):
+        for p in random_problems(200, seed=5):
+            x = np.concatenate([p.depths * 1.05, p.velocities - 0.01])
+            assert bits(psfp_residual(x, p, P)) == bits(oracle_residual(x, p, P))
+            assert bits(psfp_jacobian(x, p, P)) == bits(oracle_jacobian(x, p, P))

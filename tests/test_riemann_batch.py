@@ -18,7 +18,7 @@ from swnet import DryStateError, NonFiniteError, ScenarioConfig, build_simulatio
 from swnet.core import jacobian_dot, physical_flux
 from swnet.junctions import rotate_gradients
 from swnet.riemann import RiemannBatch, hllc_flux, hllc_rows
-from swnet.simulation import ghost_states
+from swnet.simulation import GhostStates
 
 
 # -- the per-producer solves, one HLLC call each --------------------------
@@ -78,7 +78,7 @@ def boundary_flux(q_face, bcs, at_start, t, params):
     q[at_start, 1] = -q[at_start, 1]
     if kind == "reflective":
         return wall_flux(q, params)
-    ghost = ghost_states(kind, q, bcs, t, params)
+    ghost = GhostStates(kind, bcs)(q, t, params)
     ghost[at_start, 1] = -ghost[at_start, 1]
     start = at_start[:, None]
     return hllc_flux(np.where(start, ghost, q_face), np.where(start, q_face, ghost), params)
@@ -151,8 +151,8 @@ def per_producer_step_fluxes(sim, dt):
         ends, f = j.compute_end_fluxes(field, dt)
         flux[field.end_face[ends]] = f
     boundary_mass = 0.0
-    for ends, bcs, at_start, weight in sim._boundary_groups:
-        f = boundary_flux(field.end_states(ends), bcs, at_start, sim.t, sim.params)
+    for ends, group, weight in sim._boundary_groups:
+        f = boundary_flux(field.end_states(ends), group.bcs, group.start[:, 0], sim.t, sim.params)
         flux[field.end_face[ends]] = f
         boundary_mass += float(np.sum(weight * f[:, 0]))
     return flux, edge_fluxes, boundary_mass
@@ -234,7 +234,7 @@ def bits(a):
 def test_batch_equals_per_producer_solves(cfg, ends, coupling):
     cfg = with_ends(cfg, ends)
     sim = stirred(cfg, coupling)
-    kinds = {bcs[0].kind for _, bcs, _, _ in sim._boundary_groups}
+    kinds = {group.kind for _, group, _ in sim._boundary_groups}
     assert kinds == {b["kind"] for b in cfg.data["boundaries"]}
     field, cells = sim.field, sim.junction_field
     for _ in range(12):
@@ -286,10 +286,12 @@ def failing(kind, side):
     ends = {("ch3", "end"): {"kind": "prescribed", "h": 0.16, "u": 0.0}}
     sim = build_simulation(with_ends(presets.preset("test1_sub90", strategy="B"), ends))
     if side == "right":
-        for _, bcs, _, _ in sim._boundary_groups:
-            for bc in bcs:
-                if bc.kind == "prescribed":
+        for _, group, _ in sim._boundary_groups:
+            if group.kind == "prescribed":
+                for bc in group.bcs:
                     bc.h = h
+                # the group reads its conditions once, when built
+                group.ghosts = GhostStates(group.kind, group.bcs)
     else:
         mesh_field = sim.junction_field.mesh_field
         edge_states = mesh_field.edge_states

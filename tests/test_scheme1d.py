@@ -5,7 +5,7 @@ from swnet.core import PhysicalParams, PositivityError
 from swnet.geometry import Channel
 from swnet.riemann import RiemannBatch, hllc_flux
 from swnet.scheme1d import ChannelField
-from swnet.simulation import BoundaryCondition, boundary_flux
+from swnet.simulation import BoundaryCondition, BoundaryEnds, boundary_flux
 
 P = PhysicalParams()
 
@@ -22,7 +22,7 @@ def closed_fluxes(f, bc, dt):
     flux = f.interior_fluxes(batch)
     ends = np.arange(len(f.end_cell))
     end_flux = boundary_flux(
-        f.end_states(ends), [bc] * len(ends), f.end_sign < 0.0, 0.0, P, batch
+        f.end_states(ends), BoundaryEnds([bc] * len(ends), f.end_sign < 0.0), 0.0, P, batch
     )
     batch.solve(P)
     flux[f.end_face] = end_flux

@@ -7,13 +7,14 @@ import pytest
 
 from swnet import presets
 from swnet.config import ScenarioConfig, boundary_condition, build_simulation
-from swnet.core import NonFiniteError, PhysicalParams
+from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
 from swnet.meshing import rect_union_mesh
 from swnet.psfp import PSFPFailure
 from swnet.riemann import RiemannBatch
 from swnet.simulation import (
     BoundaryCondition,
+    BoundaryEnds,
     Gauge,
     JunctionSpec,
     Mesh2DSimulation,
@@ -30,7 +31,7 @@ P = PhysicalParams()
 def solved_boundary_flux(q_face, bcs, at_start, t):
     """`boundary_flux` solved on its own batch."""
     batch = RiemannBatch()
-    f = boundary_flux(q_face, bcs, at_start, t, P, batch)
+    f = boundary_flux(q_face, BoundaryEnds(bcs, at_start), t, P, batch)
     batch.solve(P)
     return f
 
@@ -349,6 +350,44 @@ class TestNonFinite:
         fluxes[0, 2] = np.nan
         with pytest.raises(NonFiniteError, match=f"junction {j.id}, 2D cell"):
             a.update(fluxes, 0.01)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_psfp_junction_reports_nan_end_cell(self, column):
+        # A NaN depth or momentum in a channel's end cell at a PSFP junction
+        # is non-finite data, not a Newton iteration that cannot decrease.
+        sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
+        field, j = sim.field, sim.psfp_junctions[0]
+        dt = sim.compute_dt()
+        field.q[field.end_cell[field.end_index(*j.ends[1])], column] = np.nan
+        with pytest.raises(NonFiniteError, match=f"junction {j.id}: non-finite interior state"):
+            j.compute_end_fluxes(field, dt)
+
+    @pytest.mark.parametrize("depth", [0.0, -0.01])
+    def test_psfp_junction_reports_non_positive_depth(self, depth):
+        sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
+        field, j = sim.field, sim.psfp_junctions[0]
+        dt = sim.compute_dt()
+        field.q[field.end_cell[field.end_index(*j.ends[2])], 0] = depth
+        with pytest.raises(DryStateError, match=f"junction {j.id}: non-positive interior depth"):
+            j.compute_end_fluxes(field, dt)
+
+    def test_psfp_dry_end_state_fails_the_run(self):
+        # Only the junction sees the spoiled end state: its typed error ends
+        # the run as failed instead of escaping it.
+        sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
+        j = sim.psfp_junctions[0]
+        end_states = sim.field.end_states
+
+        def spoiled(ends):
+            q = end_states(ends)
+            if ends is j._ends:
+                q[1, 0] = -0.01
+            return q
+
+        sim.field.end_states = spoiled
+        res = sim.run(1.0)
+        assert res.status == "failed" and res.steps == 0
+        assert type(res.failure) is DryStateError and f"junction {j.id}" in str(res.failure)
 
 
 class TestGaugeCsv:

@@ -7,9 +7,11 @@ an unpacked `git archive` of another commit. Every preset runs with each
 junction strategy (A, B, psfp), plus test1_sub90 with two-pass coupling (A
 and B) and with transverse=zero (A), plus boundary variants that put every
 condition kind at a channel start and at a channel end, and a wall and a
-prescribed end beside a junction (`BOUNDARY_RUNS`), plus test6_network with
-its junctions alternating between Methods A and B (`MIXED_RUNS`), for at
-most --steps steps. Each tree runs in its own
+prescribed end beside a junction (`BOUNDARY_RUNS`), plus test1_sub90 with
+its PSFP junction marked merging, which flips the sign of the third Riemann
+invariant (`MERGING_RUNS`), plus test6_network with its junctions
+alternating between Methods A and B (`MIXED_RUNS`), for at most --steps
+steps. Each tree runs in its own
 interpreter. The report is a markdown table: per run, the steps and failure
 type on both sides and the largest relative deviation of the gauge series,
 the final channel states, the final junction states and the ledger entries.
@@ -80,6 +82,9 @@ BOUNDARY_RUNS = [
     *[("test1_sub90", s, ends, None) for ends in (TWO_INFLOWS, WALL_AND_PRESCRIBED)
       for s in STRATEGIES],
 ]
+# No preset has a merging PSFP junction, so no other run takes the third
+# invariant's other sign.
+MERGING_RUNS = ["test1_sub90"]
 # One network whose junction cells mix polygons (A) and triangles (B).
 MIXED_RUNS = ["test6_network"]
 
@@ -95,6 +100,16 @@ def boundary_variant(preset, name, strategy, ends, t_end):
     ]
     if t_end is not None:
         data["t_end"] = t_end
+    return ScenarioConfig(data)
+
+
+def merging_psfp(preset, name):
+    """The preset with PSFP junctions, each marked merging."""
+    from swnet import ScenarioConfig
+
+    data = preset(name, strategy="psfp").emit()
+    for junction in data["junctions"]:
+        junction["merging"] = True
     return ScenarioConfig(data)
 
 
@@ -125,6 +140,8 @@ def cases(preset, preset_names):
         kinds = [f"{c}:{e}={b['kind']}" for (c, e), b in ends.items()]
         label = " ".join([name, *([s] if s else []), *kinds])
         yield label, lambda args=(name, s, ends, t_end): boundary_variant(preset, *args), {}
+    for name in MERGING_RUNS:
+        yield f"{name} psfp merging", lambda name=name: merging_psfp(preset, name), {}
     for name in MIXED_RUNS:
         yield f"{name} A/B", lambda name=name: mixed_strategies(preset, name), {}
 
