@@ -6,15 +6,11 @@ import json
 
 import numpy as np
 
+from .boundaries import BoundaryCondition, gaussian_pulse
 from .core import PhysicalParams
 from .geometry import Channel, GeometryError
-from .simulation import (
-    BoundaryCondition,
-    Gauge,
-    JunctionSpec,
-    NetworkSimulation,
-    gaussian_pulse,
-)
+from .junctions import JunctionSpec
+from .simulation import Gauge, NetworkSimulation
 
 
 class ConfigError(ValueError):

@@ -192,9 +192,6 @@ class JunctionGeometry:
             if np.dot(nvec, e.midpoint - self.centroid) <= 0.0:
                 raise GeometryError("junction edge normal points inward")
 
-    def coupling_edges(self) -> list[JunctionEdge]:
-        return [e for e in self.edges if e.kind == "coupling"]
-
 
 @dataclass
 class ConnectedEnd:
@@ -451,9 +448,6 @@ class TriMesh:
             [e for e in self.boundary if self.edge_tags[e].split(":")[0] == prefix],
             dtype=int,
         )
-
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
 
     def cell_containing(self, p) -> int:
         """Index of the triangle containing point p (nearest centroid fallback)."""

@@ -1,4 +1,5 @@
-"""The 2D junction cells of a network: Methods A and B as one finite-volume field.
+"""The junctions of a network: the 2D cells of Methods A and B as one
+finite-volume field, the algebraic PSFP junction, and their wiring.
 
 Methods A and B solve the 2D shallow-water equations on the junction region
 and differ only in how finely it is meshed: A uses one junction-shaped
@@ -41,6 +42,13 @@ The benchmark's tracer looks `reconstruct`, `channel_neighbors`,
 merged; both names are bound to `JunctionField` until the benchmark binds
 the protocol instead (ROADMAP item 1 drops the aliases).
 
+`PSFPJunction` is the flux-only junction of three channels: it holds no
+cells and, after the step's batch solve, supplies its channel end fluxes
+from the star states of `psfp.psfp_solve` (`compute_end_fluxes`, which the
+benchmark's tracer times). `build_junctions` turns a network's
+`JunctionSpec`s into one object per junction and the `JunctionField` of its
+A and B junctions.
+
 Frame conventions: the coupling edge normal points from the 2D cell into
 the channel. A channel attached at its "start" has sigma=+1 (edge frame and
 channel frame coincide); attached at its "end", sigma=-1 (axial components
@@ -49,11 +57,14 @@ flip). Fluxes handed to channels are in the +s axial frame.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .core import (
+    DryStateError,
+    NonFiniteError,
     PhysicalParams,
     from_normal,
     jacobian_dot,
@@ -62,7 +73,9 @@ from .core import (
     rotate_state,
     to_normal,
 )
-from .geometry import TriMesh
+from .geometry import TriMesh, build_junction_polygon
+from .meshing import disjoint_union, fan_refine_mesh
+from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import mirrored
 # Unused here since the network step batches its Riemann problems; still
 # bound, as the benchmark's tracer test wraps it in this module.
@@ -335,3 +348,109 @@ class JunctionView:
     def dt_bound(self) -> float:
         lam = max_wave_speed(self.q, self._cells.params)
         return float(np.min(self._cells.mesh.incircle_diameters[self._rows] / lam))
+
+
+@dataclass
+class JunctionSpec:
+    id: str
+    strategy: str  # "A" | "B" | "psfp"
+    position: tuple
+    connects: list  # [(channel_id, "start"|"end"), ...]; parent first for psfp
+    merging: bool = False
+    protrusion: float = 0.1
+    patch_protrusion: float = 0.5
+    patch_refine: int = 2
+
+    def __post_init__(self):
+        if self.strategy not in ("A", "B", "psfp"):
+            raise ValueError(f"unknown junction strategy {self.strategy!r}")
+        if self.strategy == "psfp" and len(self.connects) != 3:
+            raise ValueError("the algebraic junction solver handles exactly 3 channels")
+
+    @property
+    def depth_factor(self) -> float:
+        """Protrusion of the 2D region into each channel, in channel widths."""
+        if self.strategy == "psfp":
+            return 0.0
+        return self.protrusion if self.strategy == "A" else self.patch_protrusion
+
+
+class PSFPJunction:
+    """Flux-only junction: star states from the six-equation algebraic system."""
+
+    strategy = "psfp"
+
+    def __init__(self, jid, connects, merging, field, params):
+        self.id = jid
+        self.ends = list(connects)
+        self.merging = merging
+        self.params = params
+        self.widths = np.array([field.channels[field.index[ch]].width for ch, _ in self.ends])
+        self._ends = np.array([field.end_index(ch, end) for ch, end in self.ends], dtype=int)
+        # Solver velocities point toward the junction in the parent channel
+        # (the first end) and away from it in the daughters: along +s at the
+        # parent's "end" and at a daughter's "start".
+        self.tau = np.array([1.0 if (end == "end") == (k == 0) else -1.0
+                             for k, (_, end) in enumerate(self.ends)])
+
+    def compute_end_fluxes(self, field, dt):
+        q = field.end_states(self._ends).tolist()
+        try:
+            # A zero depth passes its discharge as velocity: the problem
+            # rejects the depth, and a NaN discharge still reads as NaN.
+            problem = PSFPProblem(
+                self.widths,
+                [h for h, _, _ in q],
+                [t * hu / h if h else hu for t, (h, hu, _) in zip(self.tau.tolist(), q)],
+                merging=self.merging,
+            )
+            star = psfp_solve(problem, self.params)
+        except PSFPFailure as exc:
+            raise PSFPFailure(
+                exc.kind,
+                f"junction {self.id}: {exc.message}",
+                residual_norm=exc.residual_norm,
+                iterations=exc.iterations,
+            ) from exc
+        except (NonFiniteError, DryStateError) as exc:
+            raise type(exc)(f"junction {self.id}: {exc}") from exc
+        fluxes = psfp_boundary_fluxes(star, self.params)
+        fluxes[:, 0] *= self.tau
+        return self._ends, fluxes
+
+
+def build_junctions(specs: list[JunctionSpec], channels, field, params, order, coupling_mode):
+    """The junctions of a network: (one object per spec, in spec order; the
+    `JunctionField` of every Method-A and Method-B junction, or None).
+
+    The field's mesh is the disjoint union of each A junction's polygon, one
+    cell with edges tagged "wall" or "coupling:<channel>:<end>", and each B
+    junction's fan-refined patch, in spec order; the per-spec objects are
+    its `JunctionView`s and the `PSFPJunction`s.
+    """
+    out = []
+    members = []  # (id, strategy, polygon, patch) per A or B junction
+    parts = []  # (vertices, cells, boundary tags) of their meshes
+    for spec in specs:
+        if spec.strategy == "psfp":
+            out.append(PSFPJunction(spec.id, spec.connects, spec.merging, field, params))
+            continue
+        out.append(None)
+        ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
+        geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
+        if spec.strategy == "A":
+            n = len(geom.vertices)
+            patch = None
+            parts.append((geom.vertices, [np.arange(n)],
+                          {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
+        else:
+            patch = fan_refine_mesh(geom, spec.patch_refine)
+            bound = patch.boundary
+            tags = zip(patch.edge_va[bound], patch.edge_vb[bound], (patch.edge_tags[e] for e in bound))
+            parts.append((patch.vertices, patch.triangles, {(a, b): t for a, b, t in tags}))
+        members.append((spec.id, spec.strategy, geom, patch))
+    if not members:
+        return out, None
+    jf = JunctionField(members, disjoint_union(parts), field, params, order, coupling_mode)
+    views = iter(jf.junctions)
+    return [next(views) if j is None else j for j in out], jf

@@ -1,4 +1,4 @@
-"""Time integration of channel networks and of full 2D reference domains.
+"""The two time steppers: channel networks and full 2D reference domains.
 
 Each step runs fixed phases: reconstruction everywhere, face states and
 interior, coupling and boundary fluxes, conservative updates, transverse
@@ -12,301 +12,44 @@ with one call per stage. Coupling and boundary fluxes land on the field's
 face array through channel end numbers, so `advance` has no loop over
 channels. Every Riemann problem of a step (interior faces, junction edges,
 boundary ends) is queued on one `riemann.RiemannBatch` and solved in one
-HLLC call (`step_fluxes`). One `junctions.JunctionField` (`junction_field`)
-holds the cells of every Method-A and Method-B junction and is stepped
-through the calls described in `junctions`; `advance` loops only over the
-algebraic `PSFPJunction`s, which supply end fluxes after that solve and hold
-no cells. `junctions` lists one object per junction, in the order of the
-specs, and `elements` everything besides the channels that holds volume or
-bounds the step: the junction field, then the PSFP junctions. The benchmark's tracer times PSFP
-junctions through `PSFPJunction.compute_end_fluxes`.
+HLLC call (`step_fluxes`). The channels and one `junctions.JunctionField`
+(`junction_field`, the cells of every Method-A and Method-B junction) hold
+all the volume and bound the step; `advance` loops only over the algebraic
+`junctions.PSFPJunction`s, which supply end fluxes after that solve.
+`junctions` lists one object per junction, in the order of the specs.
 
-Both solvers share one `TimeStepper.run` loop: the gauge stride, the typed
-failures that end a run as "failed", and the per-run volume ledger.
-
-One `GhostStates` builds the inflow and prescribed ghosts of channel ends
-and of 2D reference edges (keyed by tag, "<kind>:<channel>:<end>") in the
-outward-normal frame; both solvers group their boundaries by condition kind
-when built, with one `GhostStates` per inflow or prescribed group, and call
-it once per group and step. Transparent differs: zero gradient at a channel
-end, a pinned incoming Riemann invariant on a 2D edge.
+`Mesh2DSimulation` steps one `scheme2d.MeshField`: the interior edges in one
+fused HLLC kernel, and every boundary edge on one `RiemannBatch`
+(`boundary_fluxes`). Both solvers share one `TimeStepper.run` loop: the
+gauge stride, the typed failures that end a run as "failed", and the
+per-run volume ledger.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
+from .boundaries import BoundaryEnds, GhostStates, boundary_flux
 from .core import (
     DryStateError,
     NonFiniteError,
     PhysicalParams,
     PositivityError,
-    physical_flux,
-    rotate_state,
+    from_normal,
+    to_normal,
 )
-from .geometry import BOUNDARY_TAGS, Channel, TriMesh, build_junction_polygon
-from .junctions import JunctionField, project_transverse
-from .meshing import disjoint_union, fan_refine_mesh
-from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
+from .geometry import BOUNDARY_TAGS, Channel, TriMesh
+from .junctions import JunctionSpec, PSFPJunction, build_junctions, project_transverse
+from .psfp import PSFPFailure
 from .riemann import RiemannBatch, mirrored
 # Unused here since the network step batches its Riemann problems; still
 # bound, as the benchmark's tracer test wraps it in this module.
 from .riemann import hllc_flux  # noqa: F401
 from .scheme1d import ChannelField, ChannelSegment
-from .scheme2d import MeshField, boundary_edge_fluxes, interior_edge_fluxes
-
-
-# ---------------------------------------------------------------------------
-# Boundary conditions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundaryCondition:
-    kind: str  # "reflective" | "transparent" | "inflow" | "prescribed"
-    u_fn: object = None  # inflow velocity as a function of time
-    h: float = None
-    u: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("reflective", "transparent", "inflow", "prescribed"):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "inflow" and self.u_fn is None:
-            raise ValueError("inflow boundary needs a velocity time-function")
-        if self.kind == "prescribed" and self.h is None:
-            raise ValueError("prescribed boundary needs a state")
-
-
-def gaussian_pulse(amplitude: float, center: float, width: float = 1.0):
-    """u(t) = A exp(-((t - c) / w)^2 / 2), the standard inflow wave."""
-
-    def u_fn(t):
-        z = (t - center) / width
-        return amplitude * np.exp(-0.5 * z * z)
-
-    return u_fn
-
-
-class GhostStates:
-    """Outward-normal-frame ghost states of one group of "inflow" or
-    "prescribed" faces, as `ghosts(q, t, params)`.
-
-    q (K, 3) are the inner states, component 1 along the outward normal; row
-    k has condition bcs[rows[k]], by default bcs[k]. Inflow pairs the inward
-    velocity u_fn(t) with the interior's outgoing Riemann invariant; a
-    prescribed face holds (h, u), u positive into the domain, read once here.
-    """
-
-    def __init__(self, kind, bcs, rows=slice(None)):
-        self.kind, self.rows = kind, rows
-        if kind == "inflow":
-            self.u_fns = [bc.u_fn for bc in bcs]
-        else:
-            h = np.array([bc.h for bc in bcs], dtype=float)[rows]
-            self.h, self.hu = h, -h * np.array([bc.u for bc in bcs], dtype=float)[rows]
-
-    def __call__(self, q, t: float, params):
-        out = np.empty((len(q), 3))
-        if self.kind == "inflow":
-            g = params.g
-            u = [float(u_fn(t)) for u_fn in self.u_fns]
-            u_bc = u[0] if len(u) == 1 else np.array(u)[self.rows]
-            c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
-            if (c_g <= 0.0).any():
-                raise DryStateError("inflow ghost state would be dry")
-            h_g = c_g * c_g / g
-            out[:, 0] = h_g
-            out[:, 1] = h_g * (-u_bc)
-        else:
-            out[:, 0] = self.h
-            out[:, 1] = self.hu
-        out[:, 2] = 0.0
-        return out
-
-
-class BoundaryEnds:
-    """Channel outer faces that share one condition kind, with what their
-    fluxes read every step, set once.
-
-    bcs are the K conditions (all of one kind) and the boolean array at_start
-    (K,) marks faces at a channel's start, whose outward normal is -s.
-    `flip` (K, 3) holds -1.0 at those faces' axial momentum and 1.0
-    elsewhere: multiplying by it turns +s-frame states into the
-    outward-normal frame and back, exactly.
-    """
-
-    def __init__(self, bcs, at_start):
-        self.kind = bcs[0].kind
-        self.bcs = bcs
-        self.start = at_start[:, None]
-        self.flip = np.where(self.start, (1.0, -1.0, 1.0), 1.0)
-        self.ghosts = GhostStates(self.kind, bcs) if self.kind in ("inflow", "prescribed") else None
-
-
-def boundary_flux(q_face, group: BoundaryEnds, t: float, params, batch):
-    """Axial (+s frame) fluxes at the channel outer faces of `group`.
-
-    q_face (K, 3) are the inner face states. Transparent ends feed the face
-    value back to itself, at once. The other kinds queue their Riemann
-    problems on `batch` (a `riemann.RiemannBatch`), whose solve fills the
-    returned rows: reflective walls against the mirrored outward-frame inner
-    state, with mass and transverse fluxes zeroed as in `wall_flux`; inflow
-    and prescribed ends against the `GhostStates` ghost, turned back into the
-    +s frame and placed on the outer side of each face.
-    """
-    kind = group.kind
-    if kind == "transparent":
-        return physical_flux(q_face, params)
-    q = q_face * group.flip
-    if kind == "reflective":
-        qL, qR = q, mirrored(q)
-    else:
-        ghost = group.ghosts(q, t, params)
-        ghost *= group.flip
-        qL, qR = np.where(group.start, ghost, q_face), np.where(group.start, q_face, ghost)
-    out = np.empty_like(q_face)
-
-    def read(f):
-        out[:] = f
-        if kind == "reflective":
-            out[:, ::2] = 0.0
-
-    batch.add(qL, qR, read)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Junction wiring
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class JunctionSpec:
-    id: str
-    strategy: str  # "A" | "B" | "psfp"
-    position: tuple
-    connects: list  # [(channel_id, "start"|"end"), ...]; parent first for psfp
-    merging: bool = False
-    protrusion: float = 0.1
-    patch_protrusion: float = 0.5
-    patch_refine: int = 2
-
-    def __post_init__(self):
-        if self.strategy not in ("A", "B", "psfp"):
-            raise ValueError(f"unknown junction strategy {self.strategy!r}")
-        if self.strategy == "psfp" and len(self.connects) != 3:
-            raise ValueError("the algebraic junction solver handles exactly 3 channels")
-
-    @property
-    def depth_factor(self) -> float:
-        """Protrusion of the 2D region into each channel, in channel widths."""
-        if self.strategy == "psfp":
-            return 0.0
-        return self.protrusion if self.strategy == "A" else self.patch_protrusion
-
-
-class PSFPJunction:
-    """Flux-only junction: star states from the six-equation algebraic system."""
-
-    strategy = "psfp"
-
-    def __init__(self, jid, connects, merging, field, params):
-        self.id = jid
-        self.ends = list(connects)
-        self.merging = merging
-        self.params = params
-        self.widths = np.array([field.channels[field.index[ch]].width for ch, _ in self.ends])
-        self._ends = np.array([field.end_index(ch, end) for ch, end in self.ends], dtype=int)
-        # Solver velocities point toward the junction in the parent channel
-        # and away from it in the daughters.
-        self.tau = np.array(
-            [
-                (1.0 if end == "end" else -1.0)
-                if k == 0
-                else (1.0 if end == "start" else -1.0)
-                for k, (ch, end) in enumerate(self.ends)
-            ]
-        )
-
-    def set_uniform(self, h):
-        pass
-
-    def volume(self):
-        return 0.0
-
-    def dt_bound(self):
-        return np.inf
-
-    def compute_end_fluxes(self, field, dt):
-        q = field.end_states(self._ends).tolist()
-        try:
-            # A zero depth passes its discharge as velocity: the problem
-            # rejects the depth, and a NaN discharge still reads as NaN.
-            problem = PSFPProblem(
-                self.widths,
-                [h for h, _, _ in q],
-                [t * hu / h if h else hu for t, (h, hu, _) in zip(self.tau.tolist(), q)],
-                merging=self.merging,
-            )
-            star = psfp_solve(problem, self.params)
-        except PSFPFailure as exc:
-            raise PSFPFailure(
-                exc.kind,
-                f"junction {self.id}: {exc.message}",
-                residual_norm=exc.residual_norm,
-                iterations=exc.iterations,
-            ) from exc
-        except (NonFiniteError, DryStateError) as exc:
-            raise type(exc)(f"junction {self.id}: {exc}") from exc
-        fluxes = psfp_boundary_fluxes(star, self.params)
-        fluxes[:, 0] *= self.tau
-        return self._ends, fluxes
-
-
-def build_junctions(specs: list[JunctionSpec], channels, field, params, order, coupling_mode):
-    """The junctions of a network: (one object per spec, in spec order; the
-    `JunctionField` of every Method-A and Method-B junction, or None).
-
-    The field's mesh is the disjoint union of each A junction's polygon, one
-    cell with edges tagged "wall" or "coupling:<channel>:<end>", and each B
-    junction's fan-refined patch, in spec order; the per-spec objects are
-    its `JunctionView`s and the `PSFPJunction`s.
-    """
-    out = []
-    members = []  # (id, strategy, polygon, patch) per A or B junction
-    parts = []  # (vertices, cells, boundary tags) of their meshes
-    for spec in specs:
-        if spec.strategy == "psfp":
-            out.append(PSFPJunction(spec.id, spec.connects, spec.merging, field, params))
-            continue
-        out.append(None)
-        ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
-        geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
-        if spec.strategy == "A":
-            n = len(geom.vertices)
-            patch = None
-            parts.append((geom.vertices, [np.arange(n)],
-                          {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
-        else:
-            patch = fan_refine_mesh(geom, spec.patch_refine)
-            bound = patch.boundary
-            tags = zip(patch.edge_va[bound], patch.edge_vb[bound], (patch.edge_tags[e] for e in bound))
-            parts.append((patch.vertices, patch.triangles, {(a, b): t for a, b, t in tags}))
-        members.append((spec.id, spec.strategy, geom, patch))
-    if not members:
-        return out, None
-    jf = JunctionField(members, disjoint_union(parts), field, params, order, coupling_mode)
-    views = iter(jf.junctions)
-    return [next(views) if j is None else j for j in out], jf
-
-
-# ---------------------------------------------------------------------------
-# Gauges
-# ---------------------------------------------------------------------------
+from .scheme2d import MeshField, interior_edge_fluxes
 
 
 @dataclass
@@ -326,11 +69,6 @@ class GaugeRecorder:
 
     def series(self, gid):
         return np.array(self.times), np.array(self.h[gid]), np.array(self.u[gid])
-
-
-# ---------------------------------------------------------------------------
-# Network simulation
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -463,9 +201,6 @@ class NetworkSimulation(TimeStepper):
             junction_specs, self.channels, self.field, params, order, coupling_mode
         )
         self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
-        # Everything that holds volume or bounds dt besides the channels.
-        cells = [] if self.junction_field is None else [self.junction_field]
-        self.elements = cells + self.psfp_junctions
         # Boundary ends grouped by condition kind: (end numbers,
         # `BoundaryEnds`, ledger weights +-width).
         by_kind = {}
@@ -510,26 +245,28 @@ class NetworkSimulation(TimeStepper):
         self.init_junctions()
 
     def init_junctions(self):
-        """Start every junction at rest at the mean depth of its channel end cells."""
+        """Start every junction cell at rest at the mean depth of its
+        junction's channel end cells."""
+        if self.junction_field is None:
+            return
         field = self.field
-        for j in self.junctions:
+        for j in self.junction_field.junctions:
             cells = field.end_cell[[field.end_index(ch, end) for ch, end in j.ends]]
             j.set_uniform(float(np.mean(field.q[cells, 0])))
 
     def total_volume(self) -> float:
-        return float(self.field.volume() + sum(el.volume() for el in self.elements))
+        volume = self.field.volume()
+        if self.junction_field is not None:
+            volume += self.junction_field.volume()
+        return float(volume)
 
     # -- stepping ----------------------------------------------------------
 
     def compute_dt(self, t_target=np.inf) -> float:
-        return _checked_dt(
-            [
-                self.cfl * self.field.dt_bound(),
-                *(0.5 * self.cfl * el.dt_bound() for el in self.elements),
-                t_target - self.t,
-            ],
-            self.t,
-        )
+        bounds = [self.cfl * self.field.dt_bound(), t_target - self.t]
+        if self.junction_field is not None:
+            bounds.append(0.5 * self.cfl * self.junction_field.dt_bound())
+        return _checked_dt(bounds, self.t)
 
     def advance(self, dt: float):
         field = self.field
@@ -606,11 +343,6 @@ class NetworkSimulation(TimeStepper):
             self.recorder.u[g.id].append(hu / h)
 
 
-# ---------------------------------------------------------------------------
-# Full 2D reference simulation
-# ---------------------------------------------------------------------------
-
-
 class StripGauge:
     """Cross-section-averaged depth in a channel strip of a 2D mesh."""
 
@@ -665,8 +397,9 @@ class Mesh2DSimulation(TimeStepper):
         self.gauges = list(gauges)
         self.recorder = GaugeRecorder(self.gauges)
         # Boundary edges grouped by kind (tag up to the first colon), kinds in
-        # order of first appearance and edges in boundary order; an inflow or
-        # prescribed group holds the `GhostStates` of its tags' conditions.
+        # order of first appearance and edges in boundary order, with the
+        # cosines and sines of their normals; an inflow or prescribed group
+        # holds the `GhostStates` of its tags' conditions.
         tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
         names, tag_of = np.unique(tags, return_inverse=True)
         kinds = np.array([name.split(":")[0] for name in names], dtype=object)
@@ -680,11 +413,12 @@ class Mesh2DSimulation(TimeStepper):
         self._boundary_groups = []
         for k in np.argsort(first):
             sel = kind_of == k
-            kind, ghosts = kind_names[k], None
+            kind, edges, ghosts = kind_names[k], mesh.boundary[sel], None
             if kind in ("inflow", "prescribed"):
                 used, rows = np.unique(tag_of[sel], return_inverse=True)
                 ghosts = GhostStates(kind, [conds[names[i]] for i in used], rows)
-            self._boundary_groups.append((kind, mesh.boundary[sel], ghosts))
+            th = mesh.edge_thetas[edges]
+            self._boundary_groups.append((kind, edges, np.cos(th), np.sin(th), ghosts))
         # Incoming invariant behind the transparent edges, set on the first step.
         self._far_field_r = None
         self._reset_diagnostics()
@@ -712,28 +446,45 @@ class Mesh2DSimulation(TimeStepper):
         self.steps += 1
 
     def boundary_fluxes(self, qL, flux) -> float:
-        """Write the fluxes of every boundary edge into `flux`, one call per
-        kind; returns the volume inflow rate through the open edges."""
-        m, params = self.mesh, self.params
+        """Write the fluxes of every boundary edge into `flux`; returns the
+        volume inflow rate through the open edges.
+
+        Each edge is one Riemann problem in its outward-normal frame with the
+        inner state on the left, and all of them are queued on one
+        `RiemannBatch`: walls against the mirrored state (their mass and
+        tangential fluxes are then zeroed, as in `wall_flux`), inflow and
+        prescribed edges against their `GhostStates`, and transparent edges
+        against the far-field ghost.
+        """
+        batch = RiemannBatch()
+        solved = []
+        for kind, edges, c, s, ghosts in self._boundary_groups:
+            h, hu, hv = qL[edges].T
+            q = np.stack([h, *to_normal(hu, hv, c, s)], axis=-1)
+            if kind == "wall":
+                ghost = mirrored(q)
+            elif kind == "transparent":
+                ghost = self._far_field_ghost(edges, c, s, q)
+            else:
+                ghost = ghosts(q, self.t, self.params)
+            batch.add(q, ghost, solved.append)
+        batch.solve(self.params)
         inflow = 0.0
-        for kind, edges, ghosts in self._boundary_groups:
-            ghost = None  # a wall
-            if kind == "transparent":
-                ghost = partial(self._far_field_ghost, edges)
-            elif ghosts is not None:
-                ghost = partial(ghosts, t=self.t, params=params)
-            flux[edges] = boundary_edge_fluxes(m, qL, edges, params, ghost)
-            if ghost is not None:
-                inflow -= float(np.sum(m.edge_lengths[edges] * flux[edges, 0]))
+        for (kind, edges, c, s, _), f in zip(self._boundary_groups, solved):
+            if kind == "wall":
+                f[:, ::2] = 0.0
+            else:
+                inflow -= float(np.sum(self.mesh.edge_lengths[edges] * f[:, 0]))
+            flux[edges] = np.stack([f[:, 0], *from_normal(f[:, 1], f[:, 2], c, s)], axis=-1)
         return inflow
 
-    def _far_field_ghost(self, edges, q):
+    def _far_field_ghost(self, edges, c, s, q):
         """Transparent edges: ghosts that pin the incoming Riemann invariant to
         the initial data, so strong fronts do not reflect at open boundaries."""
-        g, m = self.params.g, self.mesh
+        g = self.params.g
         if self._far_field_r is None:
-            q0 = rotate_state(self.field.q[m.edge_left[edges]], m.edge_thetas[edges])
-            self._far_field_r = q0[:, 1] / q0[:, 0] - 2.0 * np.sqrt(g * q0[:, 0])
+            h0, hu0, hv0 = self.field.q[self.mesh.edge_left[edges]].T
+            self._far_field_r = to_normal(hu0, hv0, c, s)[0] / h0 - 2.0 * np.sqrt(g * h0)
         r_out = q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0])
         u_g = 0.5 * (r_out + self._far_field_r)
         c_g = 0.25 * (r_out - self._far_field_r)

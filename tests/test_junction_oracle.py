@@ -59,7 +59,7 @@ class OracleA:
         wall = np.array([e.kind == "wall" for e in edges])
         self._wall_rows = np.flatnonzero(wall)
         self._cpl_rows = np.flatnonzero(~wall)
-        cpls = [g.coupling_edges() for g in geoms]
+        cpls = [[e for e in g.edges if e.kind == "coupling"] for g in geoms]
         n_cpl = [len(cs) for cs in cpls]
         flat = [c for cs in cpls for c in cs]
         self._cpl_j = np.repeat(np.arange(J), n_cpl)

@@ -194,7 +194,9 @@ class TestJunctionRuns:
             b["kind"] = "reflective"
         sim = build_simulation(ScenarioConfig(data))
         assert {j.strategy for j in sim.junctions} == {"A", "B"}
-        assert sim.elements == [sim.junction_field]
+        field, cells = sim.field, sim.junction_field
+        assert sim.total_volume() == field.volume() + cells.volume()
+        assert sim.compute_dt() == min(sim.cfl * field.dt_bound(), 0.5 * sim.cfl * cells.dt_bound())
         res = sim.run(np.inf, max_steps=200)
         assert res.status == "completed" and res.steps == 200
         h0 = data["initial"]["h"]
@@ -265,21 +267,22 @@ class TestJunctionRuns:
 def test_junction_protocol(name, strategy, n_ends):
     # The junction field answers the calls the network stepper makes, in
     # channel end numbers of the network's field; each junction is a view of
-    # it. The algebraic junctions have no cells and only supply end fluxes.
+    # it. The algebraic junctions have no cells and only supply end fluxes:
+    # they add no volume and no step bound.
     sim = build_simulation(presets.preset(name, strategy=strategy))
     field = sim.field
     junctions = [j for j in sim.junctions if len(j.ends) == n_ends]
     assert junctions
     for j in junctions:
         assert j.strategy == strategy
-        if strategy == "psfp":
-            assert j.volume() == 0.0 and j.dt_bound() == np.inf
-        else:
+        if strategy != "psfp":
             assert j.volume() > 0.0 and np.isfinite(j.dt_bound())
     dt = sim.compute_dt()
     field.face_state(dt)
     if strategy == "psfp":
-        assert sim.junction_field is None and sim.elements == sim.psfp_junctions
+        assert sim.junction_field is None and sim.psfp_junctions == sim.junctions
+        assert sim.total_volume() == field.volume()
+        assert dt == sim.cfl * field.dt_bound()
         for j in sim.psfp_junctions:
             keys = {field.end_index(ch, end) for ch, end in j.ends}
             ends, fluxes = j.compute_end_fluxes(field, dt)
@@ -287,7 +290,8 @@ def test_junction_protocol(name, strategy, n_ends):
             assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
         return
     el = sim.junction_field
-    assert sim.elements == [el]
+    assert sim.total_volume() == field.volume() + el.volume()
+    assert dt == min(sim.cfl * field.dt_bound(), 0.5 * sim.cfl * el.dt_bound())
     keys = {field.end_index(ch, end) for ch, end in el.ends}
     assert keys == {field.end_index(ch, end) for j in sim.junctions for ch, end in j.ends}
     el.reconstruct(field)

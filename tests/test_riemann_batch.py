@@ -1,4 +1,4 @@
-"""One HLLC solve per network step.
+"""One HLLC solve per network step, and one for a reference's boundary.
 
 A network step queues every Riemann problem (interior channel faces,
 junction edges, channel ends) on one `RiemannBatch` and solves it in one
@@ -8,17 +8,26 @@ interior edges, its wall and coupling edges (or, with two-pass coupling,
 walls through `wall_flux` and each pass on its own) and one per boundary
 kind. From the same state, the batched face fluxes, junction edge fluxes
 and boundary inflow rate must equal the oracle's to the bit.
+
+The full-2D reference queues all of its boundary edges on one batch in the
+same way. Its oracle keeps one call per condition kind: the inner states
+rotated into the edges' normal frames, a wall flux or an HLLC flux against
+the ghost, and the fluxes rotated back.
 """
 
 import numpy as np
 import pytest
 
 import swnet.riemann
+import swnet.scheme2d
+import swnet.simulation
 from swnet import DryStateError, NonFiniteError, ScenarioConfig, build_simulation, presets
+from swnet.boundaries import GhostStates
 from swnet.core import jacobian_dot, physical_flux
 from swnet.junctions import rotate_gradients
 from swnet.riemann import RiemannBatch, hllc_flux, hllc_rows
-from swnet.simulation import GhostStates
+from swnet.scheme2d import interior_edge_fluxes as fused_edge_fluxes
+from swnet.studies import build_reference_sim
 
 
 # -- the per-producer solves, one HLLC call each --------------------------
@@ -316,3 +325,95 @@ def test_typed_failures_through_the_batch(kind, error, side):
     assert res.status == "failed" and res.steps == 0
     assert type(res.failure) is error and text in str(res.failure)
 
+
+# -- the full-2D reference's boundary edges ---------------------------------
+
+
+def far_field_ghost(g, r_in, q):
+    r_out = q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0])
+    u_g = 0.5 * (r_out + r_in)
+    c_g = 0.25 * (r_out - r_in)
+    h_g = c_g * c_g / g
+    return np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
+
+
+class PerKindBoundary:
+    """`Mesh2DSimulation.boundary_fluxes` with one solve per condition kind.
+    It keeps its own incoming invariant behind the transparent edges, taken
+    from the state it is built on."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        m, g = sim.mesh, sim.params.g
+        self.r_in = None
+        for kind, edges, *_ in sim._boundary_groups:
+            if kind == "transparent":
+                q0 = rotate_state(sim.field.q[m.edge_left[edges]], m.edge_thetas[edges])
+                self.r_in = q0[:, 1] / q0[:, 0] - 2.0 * np.sqrt(g * q0[:, 0])
+
+    def __call__(self, qL, flux):
+        sim = self.sim
+        m, params = sim.mesh, sim.params
+        inflow = 0.0
+        for kind, edges, _, _, ghosts in sim._boundary_groups:
+            th = m.edge_thetas[edges]
+            qhat = rotate_state(qL[edges], th)
+            if kind == "wall":
+                flux[edges] = rotate_back(wall_flux(qhat, params), th)
+                continue
+            if kind == "transparent":
+                ghost = far_field_ghost(params.g, self.r_in, qhat)
+            else:
+                ghost = ghosts(qhat, sim.t, params)
+            flux[edges] = rotate_back(hllc_flux(qhat, ghost, params), th)
+            inflow -= float(np.sum(m.edge_lengths[edges] * flux[edges, 0]))
+        return inflow
+
+
+def stirred_reference(name, seed=5):
+    """The dx = 0.05 reference of a preset, with random subcritical flowing
+    states."""
+    sim = build_reference_sim(presets.preset(name), 0.05)
+    rng = np.random.default_rng(seed)
+    q = sim.field.q
+    q[:, 0] = rng.uniform(0.14, 0.2, len(q))
+    q[:, 1:] = q[:, :1] * rng.uniform(-0.15, 0.15, (len(q), 2))
+    return sim
+
+
+@pytest.mark.parametrize("name, kinds", [
+    ("test1_sub90", {"wall", "inflow", "transparent"}),
+    ("test4_super90", {"wall", "prescribed", "transparent"}),
+])
+def test_reference_boundary_equals_per_kind_solves(name, kinds):
+    sim = stirred_reference(name)
+    assert {kind for kind, *_ in sim._boundary_groups} == kinds
+    oracle = PerKindBoundary(sim)
+    field = sim.field
+    for _ in range(8):
+        dt = sim.compute_dt()
+        field.reconstruct()
+        qL, qR = field.edge_states(dt)
+        flux = fused_edge_fluxes(field, qL, qR)
+        got, want = flux.copy(), flux.copy()
+        got_inflow = sim.boundary_fluxes(qL, got)
+        want_inflow = oracle(qL, want)
+        assert bits(got) == bits(want)
+        assert got_inflow == want_inflow != 0.0
+        sim.advance(dt)
+
+
+def test_one_hllc_call_per_reference_step(monkeypatch):
+    calls = []
+
+    def counted(qL, qR, params):
+        calls.append(len(qL))
+        return hllc_flux(qL, qR, params)
+
+    for module in (swnet.riemann, swnet.scheme2d, swnet.simulation):
+        monkeypatch.setattr(module, "hllc_flux", counted)
+    sim = build_reference_sim(presets.preset("test1_sub90"), 0.05)
+    for _ in range(3):
+        calls.clear()
+        sim.advance(sim.compute_dt())
+        assert calls == [len(sim.mesh.boundary)]

@@ -5,7 +5,7 @@ from swnet.core import PhysicalParams, PositivityError
 from swnet.geometry import Channel
 from swnet.riemann import RiemannBatch, hllc_flux
 from swnet.scheme1d import ChannelField
-from swnet.simulation import BoundaryCondition, BoundaryEnds, boundary_flux
+from swnet.boundaries import BoundaryCondition, BoundaryEnds, boundary_flux
 
 P = PhysicalParams()
 

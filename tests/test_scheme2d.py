@@ -304,7 +304,7 @@ class TestVolumeLedger:
         return rect_union_mesh([(0, 0, 2, 0.4)], 0.1, tag_segments=segs)
 
     def test_open_channel_ledger_closes(self):
-        from swnet.simulation import BoundaryCondition, gaussian_pulse
+        from swnet.boundaries import BoundaryCondition, gaussian_pulse
 
         bcs = {"inflow": BoundaryCondition("inflow", u_fn=gaussian_pulse(0.3, 0.2, 0.1))}
         sim = Mesh2DSimulation(self.channel(), P, boundary_conditions=bcs)

@@ -6,23 +6,15 @@ import numpy as np
 import pytest
 
 from swnet import presets
+from swnet.boundaries import BoundaryCondition, BoundaryEnds, boundary_flux, gaussian_pulse
 from swnet.config import ScenarioConfig, boundary_condition, build_simulation
 from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
+from swnet.junctions import JunctionSpec
 from swnet.meshing import rect_union_mesh
 from swnet.psfp import PSFPFailure
 from swnet.riemann import RiemannBatch
-from swnet.simulation import (
-    BoundaryCondition,
-    BoundaryEnds,
-    Gauge,
-    JunctionSpec,
-    Mesh2DSimulation,
-    NetworkSimulation,
-    boundary_flux,
-    gaussian_pulse,
-    write_gauge_csv,
-)
+from swnet.simulation import Gauge, Mesh2DSimulation, NetworkSimulation, write_gauge_csv
 from swnet.studies import build_reference_sim
 
 P = PhysicalParams()

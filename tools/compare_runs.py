@@ -20,9 +20,10 @@ except where that magnitude is itself round-off: gauge
 velocities are compared relative to the gauge's largest celerity sqrt(g h),
 volumes and boundary influx relative to the initial volume, and the
 discarded transverse momentum relative to the largest final cell momentum.
-Scenarios a tree rejects with a configuration error are listed with their
-messages. The exit code is 1 when steps, statuses, failure types or
-rejections differ, or a deviation exceeds --rtol.
+Failure messages that differ, and scenarios a tree rejects with a
+configuration error, are listed with their messages. The exit code is 1 when
+steps, statuses, failure types, failure messages or rejections differ, or a
+deviation exceeds --rtol.
 
     python tools/compare_runs.py OLD_TREE NEW_TREE --reference [--steps 12]
 
@@ -295,7 +296,7 @@ def compare(old: list[dict], new: list[dict], rtol: float):
         "| run | steps | failure | gauges | channels | junctions | ledger |",
         "|---|---|---|---|---|---|---|",
     ]
-    rejected = []
+    rejected, messages = [], []
     problems = 0
     for a, b in zip(old, new, strict=True):
         if a["rejected"] or b["rejected"]:
@@ -311,12 +312,18 @@ def compare(old: list[dict], new: list[dict], rtol: float):
             deviation(a["ledger"], b["ledger"], ledger_scales),
         ]
         same = (a["steps"], a["status"], a["failure"]) == (b["steps"], b["status"], b["failure"])
-        problems += (not same) + sum(d > rtol for d in devs)
+        same_message = a["message"] == b["message"]
+        problems += (not same) + (not same_message) + sum(d > rtol for d in devs)
         steps = str(a["steps"]) if a["steps"] == b["steps"] else f"{a['steps']} / {b['steps']}"
         fail = str(a["failure"] or "-")
         if a["failure"] != b["failure"]:
             fail += f" / {b['failure'] or '-'}"
+        if not same_message:
+            fail += " (message differs)"
+            messages.append(f"- {a['label']}: {a['message']} / {b['message']}")
         lines.append(f"| {a['label']} | {steps} | {fail} | " + " | ".join(f"{d:.1e}" for d in devs) + " |")
+    if messages:
+        lines += ["", "Failure messages that differ:", *messages]
     if rejected:
         lines += ["", "Rejected with a configuration error:", *rejected]
     return lines, problems
