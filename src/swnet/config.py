@@ -9,7 +9,7 @@ import numpy as np
 from .boundaries import BoundaryCondition, gaussian_pulse
 from .core import PhysicalParams
 from .geometry import Channel, GeometryError
-from .junctions import JunctionSpec
+from .junctions import JunctionSpec, wiring_errors
 from .simulation import Gauge, NetworkSimulation
 
 
@@ -96,58 +96,22 @@ def _validate(data: dict) -> dict:
     channels = data.get("channels", [])
     if not channels:
         errors.append("at least one channel is required")
-    ids = set()
     for c in channels:
         _check_keys(c, _CHANNEL_KEYS, f"channel {c.get('id')}")
         for k in _CHANNEL_KEYS:
             if k not in c:
                 errors.append(f"channel {c.get('id', '?')}: missing {k!r}")
-        if c.get("id") in ids:
-            errors.append(f"duplicate channel id {c['id']!r}")
-        ids.add(c.get("id"))
-
-    attached = {}
-
-    def attach(key, where):
-        if key in attached:
-            errors.append(f"channel end {key} attached by both {attached[key]} and {where}")
-        attached[key] = where
 
     for j in data.get("junctions", []):
         _check_keys(j, _JUNCTION_KEYS, f"junction {j.get('id')}")
         for k in ("id", "strategy", "position", "connects"):
             if k not in j:
                 errors.append(f"junction {j.get('id', '?')}: missing {k!r}")
-        strategy = j.get("strategy")
-        if strategy not in ("A", "B", "psfp"):
-            errors.append(f"junction {j.get('id')}: unknown strategy {strategy!r}")
-        connects = j.get("connects", [])
-        if strategy == "psfp" and len(connects) != 3:
-            errors.append(
-                f"junction {j.get('id')}: the algebraic solver needs exactly 3 "
-                f"channels, got {len(connects)}"
-            )
-        if len(connects) < 2:
-            errors.append(f"junction {j.get('id')}: needs at least 2 channel ends")
-        for conn in connects:
+        for conn in j.get("connects", []):
             _check_keys(conn, {"channel", "end"}, f"junction {j.get('id')} connection")
-            if conn.get("channel") not in ids:
-                errors.append(
-                    f"junction {j.get('id')}: unknown channel {conn.get('channel')!r}"
-                )
-            if conn.get("end") not in ("start", "end"):
-                errors.append(f"junction {j.get('id')}: end must be start|end")
-            else:
-                attach((conn.get("channel"), conn["end"]), f"junction {j.get('id')}")
 
     for b in data.get("boundaries", []):
         _check_keys(b, _BOUNDARY_KEYS, "boundary")
-        if b.get("channel") not in ids:
-            errors.append(f"boundary: unknown channel {b.get('channel')!r}")
-        if b.get("end") not in ("start", "end"):
-            errors.append("boundary: end must be start|end")
-        else:
-            attach((b.get("channel"), b["end"]), "boundary")
         kind = b.get("kind")
         if kind not in ("reflective", "transparent", "inflow", "prescribed"):
             errors.append(f"boundary: unknown kind {kind!r}")
@@ -162,10 +126,17 @@ def _validate(data: dict) -> dict:
         if kind == "prescribed" and "h" not in b:
             errors.append("prescribed boundary: missing h")
 
-    for cid in ids:
-        for end in ("start", "end"):
-            if (cid, end) not in attached:
-                errors.append(f"channel end ({cid}, {end}) unattached")
+    ids = [c.get("id") for c in channels]
+    errors += wiring_errors(
+        ids,
+        [
+            (j.get("id"), j.get("strategy"),
+             [(c.get("channel"), c.get("end")) for c in j.get("connects", [])])
+            for j in data.get("junctions", [])
+        ],
+        [(b.get("channel"), b.get("end")) for b in data.get("boundaries", [])],
+        [(g.get("id"), g.get("channel")) for g in data.get("gauges", [])],
+    )
 
     init = data.get("initial", {})
     _check_keys(init, _INITIAL_KEYS, "initial")
@@ -179,8 +150,6 @@ def _validate(data: dict) -> dict:
 
     for gauge in data.get("gauges", []):
         _check_keys(gauge, _GAUGE_KEYS, f"gauge {gauge.get('id')}")
-        if gauge.get("channel") not in ids:
-            errors.append(f"gauge {gauge.get('id')}: unknown channel {gauge.get('channel')!r}")
 
     if "t_end" not in data:
         errors.append("missing t_end")

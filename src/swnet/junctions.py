@@ -33,8 +33,8 @@ The network stepper calls, in channel end numbers of the network's
 - `volume()`, `dt_bound()` and `ends`.
 
 `junctions` lists one `JunctionView` per junction: `id`, `strategy`, `ends`,
-its polygon `geom`, `q` (its rows of the field's states), `set_uniform`,
-`volume` and `dt_bound`; a Method-B view also has its patch `mesh`.
+its polygon `geom`, `q` (its rows of the field's states), `set_uniform` and
+`volume`; a Method-B view also has its patch `mesh`.
 
 The benchmark's tracer looks `reconstruct`, `channel_neighbors`,
 `compute_fluxes` and `update` up in the own `__dict__` of the classes
@@ -47,7 +47,8 @@ cells and, after the step's batch solve, supplies its channel end fluxes
 from the star states of `psfp.psfp_solve` (`compute_end_fluxes`, which the
 benchmark's tracer times). `build_junctions` turns a network's
 `JunctionSpec`s into one object per junction and the `JunctionField` of its
-A and B junctions.
+A and B junctions, and `wiring_errors` holds the rules of a network's wiring
+that the scenario schema and the network stepper both check.
 
 Frame conventions: the coupling edge normal points from the 2D cell into
 the channel. A channel attached at its "start" has sigma=+1 (edge frame and
@@ -68,7 +69,6 @@ from .core import (
     PhysicalParams,
     from_normal,
     jacobian_dot,
-    max_wave_speed,
     rotate_back,
     rotate_state,
     to_normal,
@@ -345,10 +345,6 @@ class JunctionView:
     def volume(self) -> float:
         return float(np.sum(self.q[:, 0] * self._cells.mesh.areas[self._rows]))
 
-    def dt_bound(self) -> float:
-        lam = max_wave_speed(self.q, self._cells.params)
-        return float(np.min(self._cells.mesh.incircle_diameters[self._rows] / lam))
-
 
 @dataclass
 class JunctionSpec:
@@ -360,12 +356,6 @@ class JunctionSpec:
     protrusion: float = 0.1
     patch_protrusion: float = 0.5
     patch_refine: int = 2
-
-    def __post_init__(self):
-        if self.strategy not in ("A", "B", "psfp"):
-            raise ValueError(f"unknown junction strategy {self.strategy!r}")
-        if self.strategy == "psfp" and len(self.connects) != 3:
-            raise ValueError("the algebraic junction solver handles exactly 3 channels")
 
     @property
     def depth_factor(self) -> float:
@@ -417,6 +407,61 @@ class PSFPJunction:
         fluxes = psfp_boundary_fluxes(star, self.params)
         fluxes[:, 0] *= self.tau
         return self._ends, fluxes
+
+
+def wiring_errors(channel_ids, junctions, boundary_ends, gauges) -> list[str]:
+    """One message per broken wiring rule of a network; none when it is sound.
+
+    `junctions` lists (id, strategy, [(channel, end), ...]) per junction,
+    `boundary_ends` the (channel, end) of each boundary condition and
+    `gauges` (id, channel) per gauge. The rules: channel ids are unique; a
+    junction's strategy is "A", "B" or "psfp"; it joins at least 2 channel
+    ends, and a PSFP junction exactly 3; each end names a known channel and
+    is its "start" or "end"; every channel end is attached to exactly one
+    junction or boundary; every gauge sits on a known channel.
+    """
+    errors = []
+    known = {}
+    for cid in channel_ids:
+        if cid in known:
+            errors.append(f"duplicate channel id {cid!r}")
+        known[cid] = None
+    attached = {}
+
+    def attach(channel, end, where):
+        if channel not in known:
+            errors.append(f"{where}: unknown channel {channel!r}")
+        if end not in ("start", "end"):
+            errors.append(f"{where}: end must be start|end")
+            return
+        key = (channel, end)
+        if key in attached:
+            errors.append(f"channel end {key} attached twice, by {attached[key]} and {where}")
+        attached[key] = where
+
+    for jid, strategy, connects in junctions:
+        if strategy not in ("A", "B", "psfp"):
+            errors.append(f"junction {jid}: unknown strategy {strategy!r}")
+        if strategy == "psfp" and len(connects) != 3:
+            errors.append(
+                f"junction {jid}: the algebraic solver needs exactly 3 "
+                f"channels, got {len(connects)}"
+            )
+        if len(connects) < 2:
+            errors.append(f"junction {jid}: needs at least 2 channel ends")
+        where = f"junction {jid}"
+        for channel, end in connects:
+            attach(channel, end, where)
+    for channel, end in boundary_ends:
+        attach(channel, end, "boundary")
+    for cid in known:
+        for end in ("start", "end"):
+            if (cid, end) not in attached:
+                errors.append(f"channel end ({cid}, {end}) unattached")
+    for gid, channel in gauges:
+        if channel not in known:
+            errors.append(f"gauge {gid}: unknown channel {channel!r}")
+    return errors
 
 
 def build_junctions(specs: list[JunctionSpec], channels, field, params, order, coupling_mode):

@@ -37,31 +37,22 @@ def bore_state(h0: float, froude: float, g: float = G_DEFAULT):
     return float(h1), float(u1)
 
 
+def _channels(*rows):
+    """Channel entries `ch1`, `ch2`, ... from (width, cells, start, end) rows."""
+    return [
+        {"id": f"ch{k}", "width": w, "cells": n, "start": list(a), "end": list(b)}
+        for k, (w, n, a, b) in enumerate(rows, 1)
+    ]
+
+
 def _sub90_geometry(width=0.4, parent_len=3.0, daughter_len=2.0, ds=0.05):
     half = width / 2.0
-    return [
-        {
-            "id": "ch1",
-            "width": width,
-            "cells": int(round(parent_len / ds)),
-            "start": [-half - parent_len, 0.0],
-            "end": [-half, 0.0],
-        },
-        {
-            "id": "ch2",
-            "width": width,
-            "cells": int(round(daughter_len / ds)),
-            "start": [0.0, half],
-            "end": [0.0, half + daughter_len],
-        },
-        {
-            "id": "ch3",
-            "width": width,
-            "cells": int(round(daughter_len / ds)),
-            "start": [0.0, -half],
-            "end": [0.0, -half - daughter_len],
-        },
-    ]
+    daughter_cells = int(round(daughter_len / ds))
+    return _channels(
+        (width, int(round(parent_len / ds)), [-half - parent_len, 0.0], [-half, 0.0]),
+        (width, daughter_cells, [0.0, half], [0.0, half + daughter_len]),
+        (width, daughter_cells, [0.0, -half], [0.0, -half - daughter_len]),
+    )
 
 
 def _junction(jid, strategy, position, connects, **kw):
@@ -74,92 +65,79 @@ def _junction(jid, strategy, position, connects, **kw):
     }
 
 
-def test1_sub90(strategy="A") -> ScenarioConfig:
-    """Subcritical wave through a symmetric 90-degree bifurcation."""
+def _bifurcation(name, strategy, channels, inlet, initial, gauges, t_end, metadata):
+    """A three-channel junction scenario: junction `j1` at the origin joins
+    `ch1`'s end to the starts of `ch2` and `ch3`.
+
+    `inlet` is the boundary entry at `ch1`'s start without its channel and
+    end; both daughters end transparent. `gauges` lists (id, channel, s).
+    """
+    ends = [("ch1", "end"), ("ch2", "start"), ("ch3", "start")]
     return ScenarioConfig(
         {
-            "name": "test1_sub90",
+            "name": name,
             "physics": {"g": G_DEFAULT},
             "numerics": {"order": 2, "cfl": 0.9},
-            "channels": _sub90_geometry(),
-            "junctions": [
-                _junction(
-                    "j1",
-                    strategy,
-                    (0.0, 0.0),
-                    [("ch1", "end"), ("ch2", "start"), ("ch3", "start")],
-                )
-            ],
+            "channels": channels,
+            "junctions": [_junction("j1", strategy, (0.0, 0.0), ends)],
             "boundaries": [
-                {
-                    "channel": "ch1",
-                    "end": "start",
-                    "kind": "inflow",
-                    "inflow": {"amplitude": 0.5, "center": 3.0, "width": 1.0},
-                },
+                {"channel": "ch1", "end": "start", **inlet},
                 {"channel": "ch2", "end": "end", "kind": "transparent"},
                 {"channel": "ch3", "end": "end", "kind": "transparent"},
             ],
-            "initial": {"h": 0.16, "u": 0.0},
-            "gauges": [
-                {"id": "g_ch1", "channel": "ch1", "s": 1.5},
-                {"id": "g_ch2", "channel": "ch2", "s": 1.0},
-                {"id": "g_ch3", "channel": "ch3", "s": 1.0},
-            ],
-            "t_end": 8.0,
-            "metadata": {
-                "assumed": {
-                    "geometry": "widths 0.4 m, parent 3 m, daughters 2 m (not printed)",
-                    "inflow": "Gaussian velocity pulse 0.5 m/s giving max Froude ~0.4",
-                }
-            },
+            "initial": initial,
+            "gauges": [{"id": gid, "channel": ch, "s": s} for gid, ch, s in gauges],
+            "t_end": t_end,
+            "metadata": metadata,
         }
+    )
+
+
+def _inflow(amplitude):
+    return {"kind": "inflow", "inflow": {"amplitude": amplitude, "center": 3.0, "width": 1.0}}
+
+
+def _ch1_dam_break(h0, split_s, h1, u1):
+    """Still water of depth h0, with the state (h1, u1) in `ch1` before split_s."""
+    left, right = {"h": h1, "u": u1}, {"h": h0, "u": 0.0}
+    dam = {"type": "dam_break", "split_s": split_s, "left": left, "right": right}
+    return {"h": h0, "u": 0.0, "per_channel": {"ch1": dam}}
+
+
+def test1_sub90(strategy="A") -> ScenarioConfig:
+    """Subcritical wave through a symmetric 90-degree bifurcation."""
+    return _bifurcation(
+        "test1_sub90",
+        strategy,
+        _sub90_geometry(),
+        inlet=_inflow(0.5),
+        initial={"h": 0.16, "u": 0.0},
+        gauges=[("g_ch1", "ch1", 1.5), ("g_ch2", "ch2", 1.0), ("g_ch3", "ch3", 1.0)],
+        t_end=8.0,
+        metadata={
+            "assumed": {
+                "geometry": "widths 0.4 m, parent 3 m, daughters 2 m (not printed)",
+                "inflow": "Gaussian velocity pulse 0.5 m/s giving max Froude ~0.4",
+            }
+        },
     )
 
 
 def test2_asym90(strategy="A") -> ScenarioConfig:
     """Subcritical wave through an asymmetric 90-degree side branch."""
-    return ScenarioConfig(
-        {
-            "name": "test2_asym90",
-            "physics": {"g": G_DEFAULT},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": [
-                {"id": "ch1", "width": 0.4, "cells": 60, "start": [-3.2, 0.0], "end": [-0.2, 0.0]},
-                {"id": "ch2", "width": 0.3, "cells": 40, "start": [0.0, 0.2], "end": [0.0, 2.2]},
-                {"id": "ch3", "width": 0.4, "cells": 40, "start": [0.2, 0.0], "end": [2.2, 0.0]},
-            ],
-            "junctions": [
-                _junction(
-                    "j1",
-                    strategy,
-                    (0.0, 0.0),
-                    [("ch1", "end"), ("ch2", "start"), ("ch3", "start")],
-                )
-            ],
-            "boundaries": [
-                {
-                    "channel": "ch1",
-                    "end": "start",
-                    "kind": "inflow",
-                    "inflow": {"amplitude": 0.5, "center": 3.0, "width": 1.0},
-                },
-                {"channel": "ch2", "end": "end", "kind": "transparent"},
-                {"channel": "ch3", "end": "end", "kind": "transparent"},
-            ],
-            "initial": {"h": 0.16, "u": 0.0},
-            "gauges": [
-                {"id": "g_ch1", "channel": "ch1", "s": 1.5},
-                {"id": "g_ch2", "channel": "ch2", "s": 1.0},
-                {"id": "g_ch3", "channel": "ch3", "s": 1.0},
-            ],
-            "t_end": 8.0,
-            "metadata": {
-                "assumed": {
-                    "geometry": "side branch width 0.3 m, main 0.4 m (not printed)"
-                }
-            },
-        }
+    return _bifurcation(
+        "test2_asym90",
+        strategy,
+        _channels(
+            (0.4, 60, [-3.2, 0.0], [-0.2, 0.0]),
+            (0.3, 40, [0.0, 0.2], [0.0, 2.2]),
+            (0.4, 40, [0.2, 0.0], [2.2, 0.0]),
+        ),
+        inlet=_inflow(0.5),
+        initial={"h": 0.16, "u": 0.0},
+        gauges=[("g_ch1", "ch1", 1.5), ("g_ch2", "ch2", 1.0), ("g_ch3", "ch3", 1.0)],
+        t_end=8.0,
+        metadata={"assumed": {"geometry": "side branch width 0.3 m, main 0.4 m (not printed)"}},
     )
 
 
@@ -169,48 +147,24 @@ def test3_shock45(strategy="A") -> ScenarioConfig:
     h1, u1 = bore_state(h0, 0.75)
     c45, s45 = np.cos(np.pi / 4), np.sin(np.pi / 4)
     r0 = 0.5
-    return ScenarioConfig(
-        {
-            "name": "test3_shock45",
-            "physics": {"g": G_DEFAULT},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": [
-                {"id": "ch1", "width": 0.4, "cells": 40, "start": [-2.5, 0.0], "end": [-0.5, 0.0]},
-                {"id": "ch2", "width": 0.4, "cells": 40, "start": [0.5, 0.0], "end": [2.5, 0.0]},
-                {
-                    "id": "ch3",
-                    "width": 0.4,
-                    "cells": 40,
-                    "start": [r0 * c45, r0 * s45],
-                    "end": [(r0 + 2.0) * c45, (r0 + 2.0) * s45],
-                },
-            ],
-            "junctions": [
-                _junction(
-                    "j1",
-                    strategy,
-                    (0.0, 0.0),
-                    [("ch1", "end"), ("ch2", "start"), ("ch3", "start")],
-                )
-            ],
-            "boundaries": [
-                {"channel": "ch1", "end": "start", "kind": "prescribed", "h": h1, "u": u1},
-                {"channel": "ch2", "end": "end", "kind": "transparent"},
-                {"channel": "ch3", "end": "end", "kind": "transparent"},
-            ],
-            "initial": {"h": h0, "u": 0.0},
-            "gauges": [
-                {"id": "g_ch2", "channel": "ch2", "s": 1.0},
-                {"id": "g_ch3", "channel": "ch3", "s": 1.0},
-            ],
-            "t_end": 2.0,
-            "metadata": {
-                "assumed": {
-                    "shock": f"flow Froude 0.75 behind bore: h={h1:.4f}, u={u1:.4f}",
-                    "geometry": "straight-through plus 45-degree branch, widths 0.4 m",
-                }
-            },
-        }
+    return _bifurcation(
+        "test3_shock45",
+        strategy,
+        _channels(
+            (0.4, 40, [-2.5, 0.0], [-0.5, 0.0]),
+            (0.4, 40, [0.5, 0.0], [2.5, 0.0]),
+            (0.4, 40, [r0 * c45, r0 * s45], [(r0 + 2.0) * c45, (r0 + 2.0) * s45]),
+        ),
+        inlet={"kind": "prescribed", "h": h1, "u": u1},
+        initial={"h": h0, "u": 0.0},
+        gauges=[("g_ch2", "ch2", 1.0), ("g_ch3", "ch3", 1.0)],
+        t_end=2.0,
+        metadata={
+            "assumed": {
+                "shock": f"flow Froude 0.75 behind bore: h={h1:.4f}, u={u1:.4f}",
+                "geometry": "straight-through plus 45-degree branch, widths 0.4 m",
+            }
+        },
     )
 
 
@@ -218,40 +172,21 @@ def test4_super90(strategy="A") -> ScenarioConfig:
     """Supercritical bore (flow Froude 1.135) through the symmetric 90-degree split."""
     h0 = 0.1
     h1, u1 = bore_state(h0, 1.135)
-    cfg = test1_sub90(strategy).data
-    cfg["name"] = "test4_super90"
-    cfg["boundaries"][0] = {
-        "channel": "ch1",
-        "end": "start",
-        "kind": "prescribed",
-        "h": h1,
-        "u": u1,
-    }
-    cfg["initial"] = {
-        "h": h0,
-        "u": 0.0,
-        "per_channel": {
-            "ch1": {
-                "type": "dam_break",
-                "split_s": 1.5,
-                "left": {"h": h1, "u": u1},
-                "right": {"h": h0, "u": 0.0},
+    return _bifurcation(
+        "test4_super90",
+        strategy,
+        _sub90_geometry(),
+        inlet={"kind": "prescribed", "h": h1, "u": u1},
+        initial=_ch1_dam_break(h0, 1.5, h1, u1),
+        gauges=[("g_ch1", "ch1", 2.5), ("g_ch2", "ch2", 1.0), ("g_ch3", "ch3", 1.0)],
+        t_end=2.0,
+        metadata={
+            "assumed": {
+                "shock": f"flow Froude 1.135 behind bore: h={h1:.4f}, u={u1:.4f}",
+                "geometry": "as test1_sub90",
             }
         },
-    }
-    cfg["t_end"] = 2.0
-    cfg["gauges"] = [
-        {"id": "g_ch1", "channel": "ch1", "s": 2.5},
-        {"id": "g_ch2", "channel": "ch2", "s": 1.0},
-        {"id": "g_ch3", "channel": "ch3", "s": 1.0},
-    ]
-    cfg["metadata"] = {
-        "assumed": {
-            "shock": f"flow Froude 1.135 behind bore: h={h1:.4f}, u={u1:.4f}",
-            "geometry": "as test1_sub90",
-        }
-    }
-    return ScenarioConfig(cfg)
+    )
 
 
 def test5_cadam(strategy="A") -> ScenarioConfig:
@@ -268,16 +203,10 @@ def test5_cadam(strategy="A") -> ScenarioConfig:
             "name": "test5_cadam",
             "physics": {"g": G_DEFAULT},
             "numerics": {"order": 2, "cfl": 0.9},
-            "channels": [
-                {"id": "ch1", "width": b, "cells": 80, "start": [0.0, 0.0], "end": [4.0, 0.0]},
-                {
-                    "id": "ch2",
-                    "width": b,
-                    "cells": 60,
-                    "start": list(bend + r0 * np.array([c45, s45])),
-                    "end": list(bend + (r0 + 3.0) * np.array([c45, s45])),
-                },
-            ],
+            "channels": _channels(
+                (b, 80, [0.0, 0.0], [4.0, 0.0]),
+                (b, 60, bend + r0 * np.array([c45, s45]), bend + (r0 + 3.0) * np.array([c45, s45])),
+            ),
             "junctions": [
                 _junction("bend", strategy, list(bend), [("ch1", "end"), ("ch2", "start")])
             ],
@@ -413,59 +342,35 @@ def appA_angles(angle_deg: int = 90, strategy="psfp") -> ScenarioConfig:
     b1, b2 = 0.4, 0.2
     parent_len, daughter_len = 3.0, 3.0
     if angle_deg == 0:
-        channels = [
-            {"id": "ch1", "width": b1, "cells": 60, "start": [-parent_len, 0.0], "end": [0.0, 0.0]},
-            {"id": "ch2", "width": b2, "cells": 60, "start": [0.0, 0.1], "end": [daughter_len, 0.1]},
-            {"id": "ch3", "width": b2, "cells": 60, "start": [0.0, -0.1], "end": [daughter_len, -0.1]},
-        ]
+        channels = _channels(
+            (b1, 60, [-parent_len, 0.0], [0.0, 0.0]),
+            (b2, 60, [0.0, 0.1], [daughter_len, 0.1]),
+            (b2, 60, [0.0, -0.1], [daughter_len, -0.1]),
+        )
     else:
         th = np.deg2rad(angle_deg)
         r0 = 0.25
         d2 = np.array([np.cos(th), np.sin(th)])
         d3 = np.array([np.cos(th), -np.sin(th)])
-        channels = [
-            {"id": "ch1", "width": b1, "cells": 60, "start": [-r0 - parent_len, 0.0], "end": [-r0, 0.0]},
-            {"id": "ch2", "width": b2, "cells": 60, "start": list(r0 * d2), "end": list((r0 + daughter_len) * d2)},
-            {"id": "ch3", "width": b2, "cells": 60, "start": list(r0 * d3), "end": list((r0 + daughter_len) * d3)},
-        ]
-    return ScenarioConfig(
-        {
-            "name": f"appA_angle{angle_deg}",
-            "physics": {"g": G_DEFAULT},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": channels,
-            "junctions": [
-                _junction(
-                    "j1",
-                    strategy,
-                    (0.0, 0.0),
-                    [("ch1", "end"), ("ch2", "start"), ("ch3", "start")],
-                )
-            ],
-            "boundaries": [
-                {
-                    "channel": "ch1",
-                    "end": "start",
-                    "kind": "inflow",
-                    "inflow": {"amplitude": 0.4, "center": 3.0, "width": 1.0},
-                },
-                {"channel": "ch2", "end": "end", "kind": "transparent"},
-                {"channel": "ch3", "end": "end", "kind": "transparent"},
-            ],
-            "initial": {"h": 0.16, "u": 0.0},
-            "gauges": [
-                {"id": "g_ch1", "channel": "ch1", "s": 1.5},
-                {"id": "g_ch2", "channel": "ch2", "s": 1.5},
-                {"id": "g_ch3", "channel": "ch3", "s": 1.5},
-            ],
-            "t_end": 8.0,
-            "metadata": {
-                "assumed": {
-                    "geometry": f"bifurcation angle {angle_deg} deg, widths 0.4 -> 0.2+0.2, "
-                    "initial depth 16 cm, inflow 0.4*exp(-0.5*(t-3)^2)",
-                }
-            },
-        }
+        channels = _channels(
+            (b1, 60, [-r0 - parent_len, 0.0], [-r0, 0.0]),
+            (b2, 60, r0 * d2, (r0 + daughter_len) * d2),
+            (b2, 60, r0 * d3, (r0 + daughter_len) * d3),
+        )
+    return _bifurcation(
+        f"appA_angle{angle_deg}",
+        strategy,
+        channels,
+        inlet=_inflow(0.4),
+        initial={"h": 0.16, "u": 0.0},
+        gauges=[("g_ch1", "ch1", 1.5), ("g_ch2", "ch2", 1.5), ("g_ch3", "ch3", 1.5)],
+        t_end=8.0,
+        metadata={
+            "assumed": {
+                "geometry": f"bifurcation angle {angle_deg} deg, widths 0.4 -> 0.2+0.2, "
+                "initial depth 16 cm, inflow 0.4*exp(-0.5*(t-3)^2)",
+            }
+        },
     )
 
 
@@ -473,52 +378,26 @@ def appB_gridstudy(strategy="A") -> ScenarioConfig:
     """Shock-through-junction scenario for the mesh-refinement study."""
     b = 0.48
     half = b / 2.0
-    return ScenarioConfig(
-        {
-            "name": "appB_gridstudy",
-            "physics": {"g": G_DEFAULT},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": [
-                {"id": "ch1", "width": b, "cells": 48, "start": [-half - 1.92, 0.0], "end": [-half, 0.0]},
-                {"id": "ch2", "width": b, "cells": 36, "start": [0.0, half], "end": [0.0, half + 1.44]},
-                {"id": "ch3", "width": b, "cells": 36, "start": [0.0, -half], "end": [0.0, -half - 1.44]},
-            ],
-            "junctions": [
-                _junction(
-                    "j1",
-                    strategy,
-                    (0.0, 0.0),
-                    [("ch1", "end"), ("ch2", "start"), ("ch3", "start")],
-                )
-            ],
-            "boundaries": [
-                {"channel": "ch1", "end": "start", "kind": "transparent"},
-                {"channel": "ch2", "end": "end", "kind": "transparent"},
-                {"channel": "ch3", "end": "end", "kind": "transparent"},
-            ],
-            "initial": {
-                "h": 0.16,
-                "u": 0.0,
-                "per_channel": {
-                    "ch1": {
-                        "type": "dam_break",
-                        "split_s": 0.96,
-                        "left": {"h": 0.48, "u": 0.0},
-                        "right": {"h": 0.16, "u": 0.0},
-                    }
-                },
+    return _bifurcation(
+        "appB_gridstudy",
+        strategy,
+        _channels(
+            (b, 48, [-half - 1.92, 0.0], [-half, 0.0]),
+            (b, 36, [0.0, half], [0.0, half + 1.44]),
+            (b, 36, [0.0, -half], [0.0, -half - 1.44]),
+        ),
+        inlet={"kind": "transparent"},
+        initial=_ch1_dam_break(0.16, 0.96, 0.48, 0.0),
+        gauges=[("g_j", "ch2", 0.2)],
+        t_end=1.5,
+        metadata={
+            "probe": [0.2, 0.2],
+            "assumed": {
+                "scenario": "dam break in the parent channel crossing a symmetric "
+                "90-degree junction; refinement probe at the junction corner, "
+                "where the flow is most strongly two-dimensional"
             },
-            "gauges": [{"id": "g_j", "channel": "ch2", "s": 0.2}],
-            "t_end": 1.5,
-            "metadata": {
-                "probe": [0.2, 0.2],
-                "assumed": {
-                    "scenario": "dam break in the parent channel crossing a symmetric "
-                    "90-degree junction; refinement probe at the junction corner, "
-                    "where the flow is most strongly two-dimensional"
-                },
-            },
-        }
+        },
     )
 
 
@@ -529,9 +408,7 @@ def smooth1d(cells: int = 100) -> ScenarioConfig:
             "name": "smooth1d",
             "physics": {"g": G_DEFAULT},
             "numerics": {"order": 2, "cfl": 0.9},
-            "channels": [
-                {"id": "ch1", "width": 1.0, "cells": cells, "start": [0.0, 0.0], "end": [25.0, 0.0]}
-            ],
+            "channels": _channels((1.0, cells, [0.0, 0.0], [25.0, 0.0])),
             "junctions": [],
             "boundaries": [
                 {"channel": "ch1", "end": "start", "kind": "transparent"},

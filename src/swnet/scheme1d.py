@@ -305,15 +305,5 @@ class ChannelSegment:
     def n(self) -> int:
         return self._cells.stop - self._cells.start
 
-    def set_uniform(self, h, u=0.0):
-        q = self.q
-        q[:, 0] = h
-        q[:, 1] = h * u
-        q[:, 2] = 0.0
-
-    def dt_bound(self) -> float:
-        lam = max_wave_speed(self.q, self.field.params)
-        return float(np.min(self.ds / lam))
-
     def cell_at(self, s: float) -> int:
         return min(int(np.searchsorted(self.centers, s)), self.n - 1)

@@ -42,7 +42,7 @@ from .core import (
     to_normal,
 )
 from .geometry import BOUNDARY_TAGS, Channel, TriMesh
-from .junctions import JunctionSpec, PSFPJunction, build_junctions, project_transverse
+from .junctions import JunctionSpec, PSFPJunction, build_junctions, project_transverse, wiring_errors
 from .psfp import PSFPFailure
 from .riemann import RiemannBatch, mirrored
 # Unused here since the network step batches its Riemann problems; still
@@ -94,12 +94,21 @@ def _checked_dt(bounds, t: float) -> float:
 
 
 class TimeStepper:
-    """The time loop of both solvers.
-
-    A solver provides `t`, `steps`, `recorder`, `diagnostics`,
+    """The time loop of both solvers, whose `__init__` checks their order and
+    CFL number. A solver provides `recorder`, `diagnostics`,
     `_reset_diagnostics()` (the entries that cover one run), `total_volume()`,
     `compute_dt(t_target)`, `advance(dt)` and `sample_gauges()`.
     """
+
+    def __init__(self, order: int, cfl: float):
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order}")
+        if not 0.0 < cfl <= 1.0:
+            raise ValueError(f"cfl must be in (0, 1], got {cfl}")
+        self.order = order
+        self.cfl = cfl
+        self.t = 0.0
+        self.steps = 0
 
     def run(self, t_end: float, output_stride: int = 1, max_steps: int = 10**7) -> RunResult:
         """Step to t_end (or max_steps), sampling the gauges every
@@ -137,7 +146,8 @@ class TimeStepper:
 
 
 class NetworkSimulation(TimeStepper):
-    """Coupled 1D channels + junction elements."""
+    """Coupled 1D channels and junctions; a network that breaks a wiring
+    rule raises a ValueError listing each (`junctions.wiring_errors`)."""
 
     def __init__(
         self,
@@ -151,40 +161,23 @@ class NetworkSimulation(TimeStepper):
         transverse_mode: str = "project",
         gauges=(),
     ):
-        if not 0.0 < cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {cfl}")
+        super().__init__(order, cfl)
         if coupling_mode not in ("shared", "two-pass"):
             raise ValueError(f"unknown coupling mode {coupling_mode!r}")
         if transverse_mode not in ("project", "zero"):
             raise ValueError(f"unknown transverse mode {transverse_mode!r}")
         self.params = params
-        self.order = order
-        self.cfl = cfl
         self.transverse_mode = transverse_mode
         self.channels = {ch.id: ch for ch in channels}
-        if len(self.channels) != len(channels):
-            raise ValueError("duplicate channel ids")
-
-        # Wiring: every channel end belongs to exactly one junction or boundary.
-        owners = {}
-        for spec in junction_specs:
-            for ch, end in spec.connects:
-                if ch not in self.channels:
-                    raise ValueError(f"junction {spec.id}: unknown channel {ch!r}")
-                key = (ch, end)
-                if key in owners:
-                    raise ValueError(f"channel end {key} attached twice")
-                owners[key] = spec
-        for key in boundaries:
-            if key[0] not in self.channels:
-                raise ValueError(f"boundary on unknown channel {key[0]!r}")
-            if key in owners:
-                raise ValueError(f"channel end {key} attached twice")
-            owners[key] = boundaries[key]
-        for ch in self.channels.values():
-            for end in ("start", "end"):
-                if (ch.id, end) not in owners:
-                    raise ValueError(f"channel end ({ch.id}, {end}) unattached")
+        self.recorder = GaugeRecorder(gauges)
+        errors = wiring_errors(
+            [ch.id for ch in channels],
+            [(spec.id, spec.strategy, spec.connects) for spec in junction_specs],
+            boundaries,
+            [(g.id, g.channel) for g in self.recorder.gauges],
+        )
+        if errors:
+            raise ValueError("; ".join(errors))
 
         cuts = {
             (ch, end): spec.depth_factor * self.channels[ch].width
@@ -215,9 +208,6 @@ class NetworkSimulation(TimeStepper):
                 (ends, BoundaryEnds([bc for _, bc in group], sign < 0.0), -sign * width)
             )
 
-        self.t = 0.0
-        self.steps = 0
-        self.recorder = GaugeRecorder(gauges)
         self._gauge_cells = np.array(
             [
                 self.fields[g.channel].first + self.fields[g.channel].cell_at(g.s)
@@ -235,14 +225,6 @@ class NetworkSimulation(TimeStepper):
         }
 
     # -- state helpers ----------------------------------------------------
-
-    def set_uniform(self, h, u=0.0, per_channel=None):
-        """Uniform initial state; per_channel overrides as {id: (h, u)}."""
-        per_channel = per_channel or {}
-        for cid, f in self.fields.items():
-            hc, uc = per_channel.get(cid, (h, u))
-            f.set_uniform(hc, uc)
-        self.init_junctions()
 
     def init_junctions(self):
         """Start every junction cell at rest at the mean depth of its
@@ -384,16 +366,11 @@ class Mesh2DSimulation(TimeStepper):
         boundary_conditions: dict = None,
         gauges=(),
     ):
-        if not 0.0 < cfl <= 1.0:
-            raise ValueError(f"cfl must be in (0, 1], got {cfl}")
+        super().__init__(order, cfl)
         self.mesh = mesh
         self.params = params
-        self.order = order
-        self.cfl = cfl
         conds = boundary_conditions or {}
         self.field = MeshField(mesh, params, order=order)
-        self.t = 0.0
-        self.steps = 0
         self.gauges = list(gauges)
         self.recorder = GaugeRecorder(self.gauges)
         # Boundary edges grouped by kind (tag up to the first colon), kinds in
@@ -425,9 +402,6 @@ class Mesh2DSimulation(TimeStepper):
 
     def _reset_diagnostics(self):
         self.diagnostics = {"boundary_influx": 0.0}
-
-    def set_uniform(self, h, u=0.0, v=0.0):
-        self.field.set_uniform(h, u, v)
 
     def total_volume(self) -> float:
         return self.field.volume()

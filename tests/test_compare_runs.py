@@ -1,7 +1,10 @@
 """`tools/compare_runs.py` counts every difference between two runs."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
 spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
@@ -9,10 +12,13 @@ compare_runs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_runs)
 
 
-def failed_run(message, failure="PSFPFailure"):
+CONFIG = json.dumps({"name": "test1_sub90", "t_end": 8.0, "metadata": {}})
+
+
+def failed_run(message, failure="PSFPFailure", config=CONFIG):
     return {
-        "label": "test1_sub90 psfp", "rejected": None, "g": 9.81, "status": "failed",
-        "steps": 3, "failure": failure, "message": message,
+        "label": "test1_sub90 psfp", "config": config, "rejected": None, "g": 9.81,
+        "status": "failed", "steps": 3, "failure": failure, "message": message,
         "gauges": {"t": [0.0, 0.1], "h:g1": [1.0, 1.0], "u:g1": [0.0, 0.1]},
         "channels": {"ch1": [[1.0, 0.1, 0.0]]}, "junctions": {},
         "ledger": {"initial_volume": 2.0, "final_volume": 2.0},
@@ -40,3 +46,35 @@ def test_changed_failure_type_and_message_are_two_problems():
         rtol=1e-12,
     )
     assert problems == 2
+
+
+def test_changed_config_is_a_problem():
+    # A 200-step run reads neither t_end nor metadata: only the config shows them.
+    changed = json.dumps({"name": "test1_sub90", "t_end": 9.0, "metadata": {}})
+    reordered = json.dumps({"t_end": 8.0, "name": "test1_sub90", "metadata": {}})
+    old = failed_run("residual 1e-3")
+    for config, listed in ((changed, "t_end"), (reordered, "key order")):
+        lines, problems = compare_runs.compare([old], [failed_run("residual 1e-3", config=config)],
+                                               rtol=1e-12)
+        assert problems == 1
+        assert f"- test1_sub90 psfp: {listed}" in lines
+
+
+def test_changed_config_of_a_rejected_scenario_is_a_problem():
+    old = {"label": "test5_cadam psfp", "config": CONFIG, "rejected": "junction bend: 2 ends"}
+    _, problems = compare_runs.compare([old], [old | {"config": None}], rtol=1e-12)
+    assert problems == 1
+
+
+def test_changed_reference_ledger_is_a_problem(monkeypatch):
+    run = ("test1_sub90", None, 0.05)
+    monkeypatch.setattr(compare_runs, "REFERENCE_RUNS", [run])
+    label = compare_runs.reference_label(*run)
+    old = {f"{label}/mesh/triangles": np.zeros((4, 3), dtype=int),
+           **{f"{label}/ledger/{k}": np.array(1.0) for k in compare_runs.VOLUME_ENTRIES}}
+    lines, problems = compare_runs.compare_reference(old, dict(old))
+    assert problems == 0 and "differ" not in lines[-1]
+    new = old | {f"{label}/ledger/boundary_influx": np.array(np.nextafter(1.0, 2.0))}
+    lines, problems = compare_runs.compare_reference(old, new)
+    assert problems == 1
+    assert lines[-1].endswith("| differ: boundary_influx |")

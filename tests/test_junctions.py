@@ -141,7 +141,7 @@ class TestCouplingFluxes:
         sim = build_A()
         a, j = sim.junction_field, sim.junctions[0]
         f2 = sim.fields["ch2"]
-        f2.set_uniform(0.22, 0.3)
+        f2.q[:] = (0.22, 0.22 * 0.3, 0.0)
         j.set_uniform(0.18, 0.0, 0.12)  # global frame; ch2 axis is +y
         a.reconstruct(sim.field)
         sim.field.reconstruct()
@@ -276,7 +276,7 @@ def test_junction_protocol(name, strategy, n_ends):
     for j in junctions:
         assert j.strategy == strategy
         if strategy != "psfp":
-            assert j.volume() > 0.0 and np.isfinite(j.dt_bound())
+            assert j.volume() > 0.0
     dt = sim.compute_dt()
     field.face_state(dt)
     if strategy == "psfp":
@@ -303,4 +303,3 @@ def test_junction_protocol(name, strategy, n_ends):
     assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
     assert edge_fluxes.shape == (len(el.mesh.edge_lengths), 3) and np.isfinite(edge_fluxes).all()
     assert el.volume() == sum(j.volume() for j in sim.junctions) > 0.0
-    assert el.dt_bound() == min(j.dt_bound() for j in sim.junctions)

@@ -88,7 +88,7 @@ class TestReconstruct2D:
 class TestUpdate2D:
     def test_uniform_closed_box_stationary(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.set_uniform(1.0)
+        sim.field.set_uniform(1.0)
         for _ in range(50):
             sim.advance(sim.compute_dt())
         assert np.abs(sim.field.q[:, 0] - 1.0).max() < 1e-13
@@ -108,7 +108,7 @@ class TestUpdate2D:
 
     def test_closed_box_conservation_dam_break(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.set_uniform(1.0)
+        sim.field.set_uniform(1.0)
         sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
         v0 = sim.field.volume()
         for _ in range(1000):
@@ -117,7 +117,7 @@ class TestUpdate2D:
 
     def test_still_water_preserved_1000_steps(self):
         sim = Mesh2DSimulation(box_mesh(0.2), P)
-        sim.set_uniform(0.7)
+        sim.field.set_uniform(0.7)
         for _ in range(1000):
             sim.advance(sim.compute_dt())
         vel = np.abs(sim.field.q[:, 1:] / sim.field.q[:, :1]).max()
@@ -125,7 +125,7 @@ class TestUpdate2D:
 
     def test_limiter_no_new_extrema_one_step(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.set_uniform(1.0)
+        sim.field.set_uniform(1.0)
         sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
         lo, hi = sim.field.q[:, 0].min(), sim.field.q[:, 0].max()
         sim.advance(sim.compute_dt())
@@ -308,7 +308,7 @@ class TestVolumeLedger:
 
         bcs = {"inflow": BoundaryCondition("inflow", u_fn=gaussian_pulse(0.3, 0.2, 0.1))}
         sim = Mesh2DSimulation(self.channel(), P, boundary_conditions=bcs)
-        sim.set_uniform(1.0)
+        sim.field.set_uniform(1.0)
         for t_end in (0.3, 0.6):  # each run keeps its own ledger
             res = sim.run(t_end)
             d = res.diagnostics
@@ -318,7 +318,7 @@ class TestVolumeLedger:
 
     def test_closed_box_has_no_influx(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.set_uniform(1.0)
+        sim.field.set_uniform(1.0)
         sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
         d = sim.run(0.2).diagnostics
         assert d["boundary_influx"] == 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from swnet import presets
 from swnet.boundaries import BoundaryCondition, BoundaryEnds, boundary_flux, gaussian_pulse
-from swnet.config import ScenarioConfig, boundary_condition, build_simulation
+from swnet.config import ScenarioConfig, boundary_condition, build_channels, build_simulation
 from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
 from swnet.junctions import JunctionSpec
@@ -58,20 +58,20 @@ class TestComputeDt:
                        ("c", "end"): BoundaryCondition("reflective")},
             P, cfl=0.9,
         )
-        sim.set_uniform(1.0)
+        sim.field.set_uniform(1.0)
         assert np.isclose(sim.compute_dt(), 0.9 * 0.1 / np.sqrt(9.81), rtol=1e-12)
         assert np.isclose(sim.compute_dt(), 0.02874, atol=2e-5)
 
     def test_large_junction_does_not_govern(self):
         sim = build_simulation(presets.preset("test1_sub90"))
         dt_full = sim.compute_dt()
-        only_channels = min(sim.cfl * f.dt_bound() for f in sim.fields.values())
+        only_channels = sim.cfl * sim.field.dt_bound()
         assert dt_full == only_channels  # wide junction element: 1D governs
 
     def test_junction_bound_scales_with_inradius(self):
         sim = build_simulation(presets.preset("test1_sub90"))
         j = sim.junctions[0]
-        bound = 0.5 * sim.cfl * j.dt_bound()
+        bound = 0.5 * sim.cfl * sim.junction_field.dt_bound()
         from swnet.core import max_wave_speed
 
         lam = float(max_wave_speed(j.q[0], P))
@@ -82,10 +82,8 @@ class TestComputeDt:
         sim = build_simulation(presets.preset("test1_sub90"))
         for _ in range(50):
             dt = sim.compute_dt()
-            for f in sim.fields.values():
-                assert dt <= sim.cfl * f.dt_bound() + 1e-15
-            for j in sim.junctions:
-                assert dt <= 0.5 * sim.cfl * j.dt_bound() + 1e-15
+            assert dt <= sim.cfl * sim.field.dt_bound() + 1e-15
+            assert dt <= 0.5 * sim.cfl * sim.junction_field.dt_bound() + 1e-15
             sim.advance(dt)
 
     def test_clamps_to_target(self):
@@ -421,3 +419,55 @@ class TestWiring:
                 {},
                 P,
             )
+
+    @staticmethod
+    def sub90(connects, boundaries=(), gauges=()):
+        """test1_sub90's channels and boundaries, with its junction's ends
+        replaced and boundaries added."""
+        cfg = presets.preset("test1_sub90")
+        bcs = {(b["channel"], b["end"]): boundary_condition(b) for b in cfg.data["boundaries"]}
+        return NetworkSimulation(
+            build_channels(cfg), [JunctionSpec("j1", "A", (0.0, 0.0), connects)],
+            bcs | dict(boundaries), P, gauges=gauges,
+        )
+
+    def test_misspelt_junction_end_rejected(self):
+        # Read as a start, "End" would couple the junction to ch1's start
+        # cell, which the inflow writes too, beside a polygon built at
+        # ch1's end.
+        ends = [("ch1", "End"), ("ch2", "start"), ("ch3", "start")]
+        with pytest.raises(ValueError, match=r"^junction j1: end must be start\|end$"):
+            self.sub90(ends, {("ch1", "end"): BoundaryCondition("transparent")})
+
+    def test_gauge_on_unknown_channel_rejected(self):
+        ends = [("ch1", "end"), ("ch2", "start"), ("ch3", "start")]
+        with pytest.raises(ValueError, match="^gauge g: unknown channel 'nope'$"):
+            self.sub90(ends, gauges=[Gauge("g", channel="nope", s=0.5)])
+
+    def test_every_broken_rule_is_reported(self):
+        ch = Channel("c", width=1.0, cells=10, start=(0, 0), end=(1, 0))
+        with pytest.raises(ValueError) as err:
+            NetworkSimulation(
+                [ch, ch],
+                [JunctionSpec("j", "C", (0, 0), [("c", "end"), ("d", "start")])],
+                {("c", "end"): BoundaryCondition("reflective")},
+                P,
+            )
+        assert str(err.value).split("; ") == [
+            "duplicate channel id 'c'",
+            "junction j: unknown strategy 'C'",
+            "junction j: unknown channel 'd'",
+            "channel end ('c', 'end') attached twice, by junction j and boundary",
+            "channel end (c, start) unattached",
+        ]
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_both_steppers_reject_an_order_other_than_1_or_2(order):
+    ch = Channel("c", width=1.0, cells=10, start=(0, 0), end=(1, 0))
+    ends = {("c", e): BoundaryCondition("reflective") for e in ("start", "end")}
+    with pytest.raises(ValueError, match=f"^order must be 1 or 2, got {order}$"):
+        NetworkSimulation([ch], [], ends, P, order=order)
+    mesh = rect_union_mesh([(0, 0, 1, 0.2)], 0.1)
+    with pytest.raises(ValueError, match=f"^order must be 1 or 2, got {order}$"):
+        Mesh2DSimulation(mesh, P, order=order)

@@ -21,9 +21,12 @@ velocities are compared relative to the gauge's largest celerity sqrt(g h),
 volumes and boundary influx relative to the initial volume, and the
 discarded transverse momentum relative to the largest final cell momentum.
 Failure messages that differ, and scenarios a tree rejects with a
-configuration error, are listed with their messages. The exit code is 1 when
-steps, statuses, failure types, failure messages or rejections differ, or a
-deviation exceeds --rtol.
+configuration error, are listed with their messages. Each run's scenario
+config is compared as JSON text, since a short run does not read its
+`t_end`, `metadata` or a gauge it never samples; runs whose configs differ
+are listed with the top-level keys that differ. The exit code is 1 when
+configs, steps, statuses, failure types, failure messages or rejections
+differ, or a deviation exceeds --rtol.
 
     python tools/compare_runs.py OLD_TREE NEW_TREE --reference [--steps 12]
 
@@ -37,7 +40,8 @@ reconstruction stencils (cells, neighbours, the two slope rows of each
 operator and the regular-stencil flags, cell-major: a tree that keeps the
 gradients component-major in `MeshField.grad` stores the neighbours as (c, n)
 and the operators as (2, c, n), which are transposed back) and of the initial state, and, after
---steps steps, of the gauge series and the final state.
+--steps steps, of the gauge series, the final state and the volume ledger
+(initial and final volume, boundary influx and volume defect).
 """
 
 from __future__ import annotations
@@ -153,17 +157,17 @@ def run_matrix(steps: int) -> list[dict]:
 
     out = []
     for label, scenario, extra in cases(preset, preset_names):
+        run = {"label": label, "config": None, "rejected": None}
         try:
             cfg = scenario()
+            run["config"] = json.dumps(cfg.data)
             sim = build_simulation(cfg, **extra)
         except ConfigError as exc:
-            out.append({"label": label, "rejected": str(exc)})
+            out.append(run | {"rejected": str(exc)})
             continue
         res = sim.run(cfg.t_end, max_steps=steps)
         rec = res.gauges
-        out.append({
-            "label": label,
-            "rejected": None,
+        out.append(run | {
             "g": sim.params.g,
             "status": res.status,
             "steps": res.steps,
@@ -222,8 +226,9 @@ def run_reference(steps: int) -> dict:
         run = {"steps": np.array(res.steps), "status": np.array(res.status),
                "t": np.array(rec.times), **{f"h:{g}": np.array(rec.h[g]) for g in rec.h},
                **{f"u:{g}": np.array(rec.u[g]) for g in rec.u}}
+        ledger = {k: np.array(res.diagnostics[k]) for k in VOLUME_ENTRIES}
         groups = {"mesh": mesh, "stencils": stencils, "initial": {"q": q0},
-                  "run": run, "final": {"q": sim.field.q}}
+                  "run": run, "final": {"q": sim.field.q}, "ledger": ledger}
         label = reference_label(name, ends, dx)
         out |= {f"{label}/{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
     return out
@@ -232,7 +237,7 @@ def run_reference(steps: int) -> dict:
 def compare_reference(old: dict, new: dict):
     """(markdown lines, number of problems): equal keys, dtypes and values per
     reference and group."""
-    groups = ("mesh", "stencils", "initial", "run", "final")
+    groups = ("mesh", "stencils", "initial", "run", "final", "ledger")
     lines = ["| reference | cells | " + " | ".join(groups) + " |",
              "|---" * (2 + len(groups)) + "|"]
     problems = 0
@@ -290,15 +295,28 @@ def scales(run: dict) -> tuple[dict, dict]:
     return gauges, ledger
 
 
+def config_difference(a, b) -> str:
+    """What differs between two scenario configs stored as JSON text: the
+    top-level keys whose values differ, else their order."""
+    if a is None or b is None:
+        return "built on one side only"
+    a, b = json.loads(a), json.loads(b)
+    keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return ", ".join(keys) if keys else "key order"
+
+
 def compare(old: list[dict], new: list[dict], rtol: float):
     """(markdown lines, number of problems)."""
     lines = [
         "| run | steps | failure | gauges | channels | junctions | ledger |",
         "|---|---|---|---|---|---|---|",
     ]
-    rejected, messages = [], []
+    rejected, messages, configs = [], [], []
     problems = 0
     for a, b in zip(old, new, strict=True):
+        if a["config"] != b["config"]:
+            problems += 1
+            configs.append(f"- {a['label']}: {config_difference(a['config'], b['config'])}")
         if a["rejected"] or b["rejected"]:
             same = a["rejected"] == b["rejected"]
             problems += not same
@@ -322,6 +340,8 @@ def compare(old: list[dict], new: list[dict], rtol: float):
             fail += " (message differs)"
             messages.append(f"- {a['label']}: {a['message']} / {b['message']}")
         lines.append(f"| {a['label']} | {steps} | {fail} | " + " | ".join(f"{d:.1e}" for d in devs) + " |")
+    if configs:
+        lines += ["", "Scenario configs that differ:", *configs]
     if messages:
         lines += ["", "Failure messages that differ:", *messages]
     if rejected:
