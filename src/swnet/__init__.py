@@ -32,7 +32,6 @@ from .junctions import (
     JunctionSpec,
     JunctionView,
     project_transverse,
-    rotate_gradients,
 )
 from .presets import preset, preset_names
 from .psfp import PSFPFailure, PSFPProblem, PSFPStarState, psfp_residual, psfp_solve

@@ -27,15 +27,6 @@ def _load_scenario(args):
     raise ConfigError("either --config or --preset is required")
 
 
-def _overrides(args):
-    out = {}
-    for key in ("order", "cfl", "strategy", "coupling", "transverse"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
-
-
 def _write_meta(out_dir: Path, cfg, result, extra=None):
     meta = {
         "scenario": cfg.data,
@@ -78,8 +69,10 @@ def _dump_final_state(out_dir: Path, sim):
 
 
 def cmd_run(args) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be at least 1, got {args.stride}")
     cfg = _load_scenario(args)
-    sim = build_simulation(cfg, **_overrides(args))
+    sim = build_simulation(cfg, order=args.order, cfl=args.cfl, strategy=args.strategy)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_end = args.t_end if args.t_end is not None else cfg.t_end
@@ -168,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--order", type=int, choices=(1, 2))
     run.add_argument("--cfl", type=float)
     run.add_argument("--strategy", choices=("A", "B", "psfp"))
-    run.add_argument("--coupling", choices=("shared", "two-pass"))
-    run.add_argument("--transverse", choices=("project", "zero"))
     run.set_defaults(fn=cmd_run)
 
     pl = sub.add_parser("preset-list", help="list built-in scenarios")

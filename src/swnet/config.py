@@ -27,11 +27,10 @@ _TOP_KEYS = {
     "initial",
     "gauges",
     "t_end",
-    "output_stride",
     "metadata",
 }
 _PHYSICS_KEYS = {"g", "manning_n", "friction_enabled"}
-_NUMERICS_KEYS = {"order", "cfl", "coupling", "transverse"}
+_NUMERICS_KEYS = {"order", "cfl"}
 _CHANNEL_KEYS = {"id", "width", "cells", "start", "end"}
 _JUNCTION_KEYS = {
     "id",
@@ -88,10 +87,6 @@ def _validate(data: dict) -> dict:
     _check_keys(num, _NUMERICS_KEYS, "numerics")
     if num.get("order", 2) not in (1, 2):
         errors.append(f"numerics.order must be 1 or 2, got {num.get('order')}")
-    if num.get("coupling", "shared") not in ("shared", "two-pass"):
-        errors.append(f"numerics.coupling invalid: {num.get('coupling')}")
-    if num.get("transverse", "project") not in ("project", "zero"):
-        errors.append(f"numerics.transverse invalid: {num.get('transverse')}")
 
     channels = data.get("channels", [])
     if not channels:
@@ -195,22 +190,23 @@ def boundary_condition(entry: dict) -> BoundaryCondition:
     return BoundaryCondition(entry["kind"], u_fn=u_fn, h=entry.get("h"), u=entry.get("u", 0.0))
 
 
-def build_simulation(cfg: ScenarioConfig, **overrides) -> NetworkSimulation:
+def build_simulation(
+    cfg: ScenarioConfig, *, order=None, cfl=None, strategy=None
+) -> NetworkSimulation:
     """Instantiate and initialize a network simulation from a scenario.
 
-    Recognized overrides: order, cfl, strategy (applied to every junction),
-    coupling, transverse.
+    `order` and `cfl` override the scenario's numerics when given, and
+    `strategy` replaces the strategy of every junction.
     """
     data = cfg.data
-    num = dict(data.get("numerics", {}))
+    num = data.get("numerics", {})
     params = physical_params(cfg)
     channels = build_channels(cfg)
-    strategy_override = overrides.get("strategy")
     specs = []
     for j in data.get("junctions", []):
         spec = JunctionSpec(
             id=j["id"],
-            strategy=strategy_override or j["strategy"],
+            strategy=strategy or j["strategy"],
             position=tuple(j["position"]),
             connects=[(c["channel"], c["end"]) for c in j["connects"]],
             merging=j.get("merging", False),
@@ -232,10 +228,8 @@ def build_simulation(cfg: ScenarioConfig, **overrides) -> NetworkSimulation:
             specs,
             boundaries,
             params,
-            order=overrides.get("order", num.get("order", 2)),
-            cfl=overrides.get("cfl", num.get("cfl", 0.9)),
-            coupling_mode=overrides.get("coupling", num.get("coupling", "shared")),
-            transverse_mode=overrides.get("transverse", num.get("transverse", "project")),
+            order=num.get("order", 2) if order is None else order,
+            cfl=num.get("cfl", 0.9) if cfl is None else cfl,
             gauges=gauges,
         )
     except (ValueError, GeometryError) as exc:

@@ -11,11 +11,9 @@ stencil entries, the edge fluxes and the update.
 
 The field exchanges fluxes with the adjacent 1D cells by solving rotated
 Riemann problems on the coupling edges (a B patch splits each channel's
-coupling edge into sub-edges). By default one flux per coupling edge is
-computed and applied to both sides, which conserves mass and edge-normal
-momentum exactly; the two-pass variant (separate solves per side, as the
-per-side flux passes are usually organized) is available for comparison. The
-coupling mode is fixed when the field is built.
+coupling edge into sub-edges). One flux per coupling edge is computed and
+applied to both sides, which conserves mass and edge-normal momentum
+exactly.
 
 The network stepper calls, in channel end numbers of the network's
 `scheme1d.ChannelField`:
@@ -68,7 +66,6 @@ from .core import (
     NonFiniteError,
     PhysicalParams,
     from_normal,
-    jacobian_dot,
     rotate_back,
     rotate_state,
     to_normal,
@@ -97,46 +94,6 @@ def project_transverse(q: np.ndarray):
     return out, np.hypot(hu_new - hu, hv)
 
 
-def rotate_gradients(axial_slope: np.ndarray, alpha):
-    """Map axial conserved-variable slopes to global-frame gradients (b, c).
-
-    The momentum components rotate as a vector and the directional derivative
-    along the channel axis projects with (cos a, sin a). Broadcasts over a
-    leading axis of slopes (..., 3) and angles (...).
-    """
-    s_global = rotate_back(axial_slope, alpha)
-    return np.cos(alpha)[..., None] * s_global, np.sin(alpha)[..., None] * s_global
-
-
-def _two_pass(field, ends, alpha, cell, d, dt: float, params, order: int):
-    """Paper-style separate per-side flux passes on coupling edges, batched.
-
-    cell = (q, grad_x, grad_y) are the 2D cells behind the edges and d the
-    offsets from their centroids to the edge midpoints. Returns the 2D side's
-    neighbour states in the global frame, and the 1D side's left and right
-    states in the channel frames.
-    """
-    # 2D-side pass: the 1D neighbor is expressed in the global frame and
-    # evolved there with its rotated gradients.
-    qg = rotate_back(field.end_states(ends), alpha)
-    if order >= 2:
-        b, cg = rotate_gradients(field.slopes[field.end_cell[ends]], alpha)
-        qg = qg - 0.5 * dt * jacobian_dot(qg, b, cg, params)
-
-    # 1D-side pass: the 2D face state is rotated into the channel frame and
-    # evolved along the axis.
-    q, gx, gy = cell
-    q2c = rotate_state(q + gx * d[:, 0, None] + gy * d[:, 1, None], alpha)
-    if order >= 2:
-        slope_n = rotate_state(
-            gx * np.cos(alpha)[:, None] + gy * np.sin(alpha)[:, None], alpha
-        )
-        q2c = q2c - 0.5 * dt * jacobian_dot(q2c, slope_n, None, params)
-    q1 = field.faces[field.end_slot[ends]]
-    start = (field.end_sign[ends] < 0.0)[:, None]
-    return qg, np.where(start, q2c, q1), np.where(start, q1, q2c)
-
-
 def _normal_rows(q, c, s):
     """(3, n) normal-frame component rows of global-frame states q (n, 3) on
     edges whose normals have cosines c and sines s."""
@@ -154,15 +111,12 @@ class JunctionField:
         field,
         params: PhysicalParams,
         order: int = 2,
-        coupling_mode: str = "shared",
     ):
         """`junctions` lists (id, strategy, polygon, patch mesh or None for a
         single polygon cell) per junction, in the order of their cells in
         `mesh`; `field` is the network's ChannelField."""
         self.mesh = mesh
         self.params = params
-        self.order = order
-        self.coupling_mode = coupling_mode
         n_cells = [1 if patch is None else patch.n_cells for *_, patch in junctions]
         self._first_cell = np.cumsum([0] + n_cells)
         junction_of = np.repeat(np.arange(len(junctions)), n_cells)
@@ -254,9 +208,8 @@ class JunctionField:
         edges, the mirrored left state on walls (whose mass and tangential
         fluxes are then zeroed, as in `wall_flux`), and on coupling edges
         the evolved 1D face state at the junction-side face with momenta in
-        the coupling edge frame (shared coupling) or the 1D neighbour
-        evolved in the global frame (two-pass coupling, which also queues
-        the 1D side's own solves).
+        the coupling edge frame: one flux per coupling edge serves both
+        sides.
         """
         m = self.mesh
         c, s = self._cos, self._sin
@@ -265,20 +218,9 @@ class JunctionField:
         right = _normal_rows(qR, c, s)
         walls, edges = self._wall_edges, self._cpl_edges
         right[:, walls] = mirrored(left[:, walls].T).T
-        shared = self.coupling_mode == "shared"
-        if shared:
-            q1 = field.faces[field.end_slot[self._ends]]
-            q1[:, 1:] *= self._end_sigma[:, None]
-            right[:, edges] = q1[self._cpl_end].T
-        else:
-            cells = m.edge_left[edges]
-            mf = self.mesh_field
-            qg, q1L, q1R = _two_pass(
-                field, self._ends[self._cpl_end], self._cpl_alpha,
-                (mf.q[cells], mf.grad_x[cells], mf.grad_y[cells]),
-                m.edge_offsets[0][:, edges].T, dt, self.params, self.order,
-            )
-            right[:, edges] = _normal_rows(qg, c[edges], s[edges])
+        q1 = field.faces[field.end_slot[self._ends]]
+        q1[:, 1:] *= self._end_sigma[:, None]
+        right[:, edges] = q1[self._cpl_end].T
 
         flux = np.empty((3, len(c)))
         totals = np.empty((len(self.ends), 3))
@@ -287,19 +229,13 @@ class JunctionField:
             f[walls, ::2] = 0.0
             flux[0] = f[:, 0]
             from_normal(f[:, 1], f[:, 2], c, s, out=flux[1:])
-            if shared:
-                f_ch = f[edges]
-                f_ch[:, 0] *= self._cpl_sigma
-                read_ends(f_ch)
-
-        def read_ends(f_ch):
+            f_ch = f[edges]
+            f_ch[:, 0] *= self._cpl_sigma
             sums = np.zeros_like(totals)
             np.add.at(sums, self._cpl_end, f_ch * m.edge_lengths[edges][:, None])
             np.divide(sums, self._end_widths[:, None], out=totals)
 
         batch.add(left.T, right.T, read_edges)
-        if not shared:
-            batch.add(q1L, q1R, read_ends)
         return flux.T, (self._ends, totals)
 
     def update(self, edge_fluxes: np.ndarray, dt: float):
@@ -464,7 +400,7 @@ def wiring_errors(channel_ids, junctions, boundary_ends, gauges) -> list[str]:
     return errors
 
 
-def build_junctions(specs: list[JunctionSpec], channels, field, params, order, coupling_mode):
+def build_junctions(specs: list[JunctionSpec], channels, field, params, order):
     """The junctions of a network: (one object per spec, in spec order; the
     `JunctionField` of every Method-A and Method-B junction, or None).
 
@@ -496,6 +432,6 @@ def build_junctions(specs: list[JunctionSpec], channels, field, params, order, c
         members.append((spec.id, spec.strategy, geom, patch))
     if not members:
         return out, None
-    jf = JunctionField(members, disjoint_union(parts), field, params, order, coupling_mode)
+    jf = JunctionField(members, disjoint_union(parts), field, params, order)
     views = iter(jf.junctions)
     return [next(views) if j is None else j for j in out], jf

@@ -114,6 +114,8 @@ class TimeStepper:
         """Step to t_end (or max_steps), sampling the gauges every
         output_stride steps. A typed numerical failure ends the run as
         "failed"; the volume ledger covers this run."""
+        if output_stride < 1:
+            raise ValueError(f"output_stride must be at least 1, got {output_stride}")
         start = time.perf_counter()
         self._reset_diagnostics()
         v0 = self.diagnostics["initial_volume"] = self.total_volume()
@@ -157,17 +159,10 @@ class NetworkSimulation(TimeStepper):
         params: PhysicalParams,
         order: int = 2,
         cfl: float = 0.9,
-        coupling_mode: str = "shared",
-        transverse_mode: str = "project",
         gauges=(),
     ):
         super().__init__(order, cfl)
-        if coupling_mode not in ("shared", "two-pass"):
-            raise ValueError(f"unknown coupling mode {coupling_mode!r}")
-        if transverse_mode not in ("project", "zero"):
-            raise ValueError(f"unknown transverse mode {transverse_mode!r}")
         self.params = params
-        self.transverse_mode = transverse_mode
         self.channels = {ch.id: ch for ch in channels}
         self.recorder = GaugeRecorder(gauges)
         errors = wiring_errors(
@@ -191,7 +186,7 @@ class NetworkSimulation(TimeStepper):
             ch.id: ChannelSegment(self.field, c) for c, ch in enumerate(self.field.channels)
         }
         self.junctions, self.junction_field = build_junctions(
-            junction_specs, self.channels, self.field, params, order, coupling_mode
+            junction_specs, self.channels, self.field, params, order
         )
         self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
         # Boundary ends grouped by condition kind: (end numbers,
@@ -270,14 +265,10 @@ class NetworkSimulation(TimeStepper):
             cells.update(edge_fluxes, dt)
         field.update(flux, dt)
 
-        # Phase 4: transverse handling in the 1D cells next to junction cells.
+        # Phase 4: transverse projection in the 1D cells next to junction cells.
         if nbr is not None:
             cells = field.end_cell[nbr[0]]
-            if self.transverse_mode == "project":
-                field.q[cells], discarded = project_transverse(field.q[cells])
-            else:
-                discarded = np.abs(field.q[cells, 2])
-                field.q[cells, 2] = 0.0
+            field.q[cells], discarded = project_transverse(field.q[cells])
             self.diagnostics["transverse_momentum_discarded"] += float(np.sum(discarded))
 
         # Phase 5: bookkeeping.

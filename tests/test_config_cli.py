@@ -81,6 +81,29 @@ class TestParse:
         with pytest.raises(ConfigError, match="cfl"):
             build_simulation(parse_config(minimal_cfg()), cfl=cfl)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("numerics", "coupling", "two-pass"),
+        ("numerics", "transverse", "zero"),
+        (None, "output_stride", 5),
+    ])
+    def test_removed_options_rejected(self, tmp_path, capsys, section, key, value):
+        data = minimal_cfg()
+        (data.setdefault(section, {}) if section else data)[key] = value
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            parse_config(data)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["stratgy", "ordr", "coupling", "transverse"])
+    def test_build_simulation_rejects_unknown_overrides(self, name):
+        cfg = presets.preset("test1_sub90")
+        with pytest.raises(TypeError, match=name):
+            build_simulation(cfg, **{name: "psfp"})
+        sim = build_simulation(cfg, strategy="psfp", order=1)
+        assert sim.order == 1 and [j.strategy for j in sim.junctions] == ["psfp"]
+
     def test_cfl_one_accepted(self):
         assert build_simulation(parse_config(minimal_cfg()), cfl=1.0).cfl == 1.0
 
@@ -185,6 +208,13 @@ class TestCli:
         bad.write_text(json.dumps(data))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"inflow.{key}" in capsys.readouterr().err
+
+    def test_run_stride_below_one_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["run", "--preset", "smooth1d", "--t-end", "0.2", "--stride", "0", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()  # no output directory for a rejected run
+        assert "--stride must be at least 1, got 0" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         assert main(["validate", "/nonexistent/path.json"]) == 2

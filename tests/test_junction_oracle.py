@@ -15,36 +15,18 @@ import pytest
 from swnet import presets
 from swnet.config import build_simulation
 from swnet.core import friction_source, jacobian_dot, rotate_back, rotate_state
-from swnet.junctions import rotate_gradients
 from swnet.riemann import RiemannBatch, hllc_flux, wall_flux
 
 RTOL = 1e-14
 
 
-def two_pass(field, ends, alpha, theta, qhat, cell, d, dt, params, order):
-    """Separate per-side flux passes on the coupling edges."""
-    qg = rotate_back(field.end_states(ends), alpha)
-    if order >= 2:
-        b, cg = rotate_gradients(field.slopes[field.end_cell[ends]], alpha)
-        qg = qg - 0.5 * dt * jacobian_dot(qg, b, cg, params)
-    edge_flux = rotate_back(hllc_flux(qhat, rotate_state(qg, theta), params), theta)
-    q, gx, gy = cell
-    q2c = rotate_state(q + gx * d[:, 0, None] + gy * d[:, 1, None], alpha)
-    if order >= 2:
-        slope_n = rotate_state(gx * np.cos(alpha)[:, None] + gy * np.sin(alpha)[:, None], alpha)
-        q2c = q2c - 0.5 * dt * jacobian_dot(q2c, slope_n, None, params)
-    q1 = field.faces[field.end_slot[ends]]
-    start = (field.end_sign[ends] < 0.0)[:, None]
-    return edge_flux, hllc_flux(np.where(start, q2c, q1), np.where(start, q1, q2c), params)
-
-
 class OracleA:
     """Every single-cell junction of a network, from its polygon."""
 
-    def __init__(self, views, field, params, order, coupling_mode):
+    def __init__(self, views, field, params, order):
         geoms = [j.geom for j in views]
         J = len(geoms)
-        self.params, self.order, self.coupling_mode = params, order, coupling_mode
+        self.params, self.order = params, order
         self.q = np.zeros((J, 3))
         self._area = np.array([g.area for g in geoms])
         self._rho = np.array([4.0 * g.area / sum(e.length for e in g.edges) for g in geoms])
@@ -131,21 +113,12 @@ class OracleA:
         if len(self._wall_rows):
             fhat[self._wall_rows] = wall_flux(qhat[self._wall_rows], self.params)
         rows = self._cpl_rows
-        if self.coupling_mode == "shared":
-            q1 = field.faces[field.end_slot[self._cpl_ends]]
-            q1[:, 1:] *= self._sigma[:, None]
-            fc = hllc_flux(qhat[rows], q1, self.params)
-            fhat[rows] = fc
-            f_ch = fc.copy()
-            f_ch[:, 0] *= self._sigma
-        else:
-            j = self._cpl_j
-            edge_flux, f_ch = two_pass(
-                field, self._cpl_ends, self._alphas, self._thetas[rows], qhat[rows],
-                (self.q[j], self.grad_x[j], self.grad_y[j]), self._mid_off[rows], dt,
-                self.params, self.order,
-            )
-            fhat[rows] = rotate_state(edge_flux, self._thetas[rows])
+        q1 = field.faces[field.end_slot[self._cpl_ends]]
+        q1[:, 1:] *= self._sigma[:, None]
+        fc = hllc_flux(qhat[rows], q1, self.params)
+        fhat[rows] = fc
+        f_ch = fc.copy()
+        f_ch[:, 0] *= self._sigma
         return rotate_back(fhat, self._thetas), (self._cpl_ends, f_ch)
 
     def update(self, edge_fluxes, dt):
@@ -166,13 +139,13 @@ def by_end(ends, values):
     return values[np.argsort(ends)]
 
 
-@pytest.mark.parametrize("coupling", ["shared", "two-pass"])
-@pytest.mark.parametrize("name", ["test1_sub90", "test3_shock45"])
-def test_field_matches_single_cell_oracle_per_step(name, coupling):
+# Every coupling edge carries one shared flux, which the ids name.
+@pytest.mark.parametrize("name", ["test1_sub90", "test3_shock45"], ids=lambda n: f"{n}-shared")
+def test_field_matches_single_cell_oracle_per_step(name):
     cfg = presets.preset(name, strategy="A")
-    sim = build_simulation(cfg, coupling=coupling)
+    sim = build_simulation(cfg)
     jf, field = sim.junction_field, sim.field
-    oracle = OracleA(sim.junctions, field, sim.params, sim.order, coupling)
+    oracle = OracleA(sim.junctions, field, sim.params, sim.order)
     worst = dict.fromkeys(("stencil", "edge", "end", "state"), 0.0)
     steps = 0
     while steps < 100 and sim.t < cfg.t_end:

@@ -4,7 +4,7 @@ import pytest
 from swnet import presets
 from swnet.config import ScenarioConfig, build_simulation
 from swnet.core import PhysicalParams
-from swnet.junctions import project_transverse, rotate_gradients
+from swnet.junctions import project_transverse
 from swnet.riemann import RiemannBatch, hllc_flux
 
 P = PhysicalParams()
@@ -45,40 +45,6 @@ class TestProjectTransverse:
     def test_zero_speed_maps_to_zero(self):
         q, d = project_transverse(np.array([1.0, 0.0, 0.0]))
         assert np.all(q == [1.0, 0.0, 0.0]) and d == 0.0
-
-
-class TestRotateGradients:
-    def test_identity_angle(self):
-        s = np.array([0.1, 0.2, 0.3])
-        b, c = rotate_gradients(s, 0.0)
-        assert np.allclose(b, s, atol=1e-15)
-        assert np.allclose(c, 0.0, atol=1e-15)
-
-    def test_zero_gradient(self):
-        b, c = rotate_gradients(np.zeros(3), 1.234)
-        assert np.all(b == 0.0) and np.all(c == 0.0)
-
-    def test_matches_two_matrix_composition(self):
-        # independent evaluation: rotate momentum slope components as a
-        # vector, then project the axial direction onto x and y
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            s = rng.normal(size=3)
-            a = rng.uniform(0, 2 * np.pi)
-            R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-            mom_global = R @ s[1:]
-            expected_b = np.cos(a) * np.array([s[0], *mom_global])
-            expected_c = np.sin(a) * np.array([s[0], *mom_global])
-            b, c = rotate_gradients(s, a)
-            assert np.allclose(b, expected_b, atol=1e-14)
-            assert np.allclose(c, expected_c, atol=1e-14)
-
-    def test_quarter_turn_pattern(self):
-        s = np.array([0.0, 0.4, 0.1])  # axial slopes of (h, hu, hv)
-        b, c = rotate_gradients(s, np.pi / 2)
-        # at 90 degrees everything moves to the d/dy column and u/v swap
-        assert np.allclose(b, 0.0, atol=1e-16)
-        assert np.allclose(c, [0.0, -0.1, 0.4], atol=1e-15)
 
 
 def solved_fluxes(cells, field, dt):
@@ -212,20 +178,6 @@ class TestJunctionRuns:
         assert res.status == "completed"
         # parent axis is x; transverse momentum of the junction element stays 0
         assert abs(sim.junctions[0].q[0, 2]) < 1e-12
-
-    @pytest.mark.parametrize("strategy", ["A", "B"])
-    def test_two_pass_mode_close_to_shared(self, strategy):
-        cfg = preset_test1()
-        sim1 = build_simulation(cfg, strategy=strategy)
-        sim2 = build_simulation(cfg, strategy=strategy, coupling="two-pass")
-        r1 = sim1.run(4.0)
-        r2 = sim2.run(4.0)
-        h1 = np.array(r1.gauges.h["g_ch2"])
-        h2 = np.interp(r1.gauges.times, r2.gauges.times, np.array(r2.gauges.h["g_ch2"]))
-        assert np.abs(h1 - h2).max() < 5e-3
-        # shared mode conserves exactly; two-pass only approximately
-        assert abs(r1.diagnostics["volume_defect"]) < 1e-12
-        assert 1e-12 < abs(r2.diagnostics["volume_defect"]) < 1e-3
 
     def test_method_b_supercritical_completes(self):
         sim = build_simulation(preset_test4(), strategy="B")

@@ -4,9 +4,7 @@ A network step queues every Riemann problem (interior channel faces,
 junction edges, channel ends) on one `RiemannBatch` and solves it in one
 HLLC call. The oracle below keeps the per-producer calls the step made
 before that: one HLLC solve for the interior faces, the junction field's
-interior edges, its wall and coupling edges (or, with two-pass coupling,
-walls through `wall_flux` and each pass on its own) and one per boundary
-kind. From the same state, the batched face fluxes, junction edge fluxes
+interior edges, its wall and coupling edges, and one per boundary kind. From the same state, the batched face fluxes, junction edge fluxes
 and boundary inflow rate must equal the oracle's to the bit.
 
 The full-2D reference queues all of its boundary edges on one batch in the
@@ -23,8 +21,7 @@ import swnet.scheme2d
 import swnet.simulation
 from swnet import DryStateError, NonFiniteError, ScenarioConfig, build_simulation, presets
 from swnet.boundaries import GhostStates
-from swnet.core import jacobian_dot, physical_flux
-from swnet.junctions import rotate_gradients
+from swnet.core import physical_flux
 from swnet.riemann import RiemannBatch, hllc_flux, hllc_rows
 from swnet.scheme2d import interior_edge_fluxes as fused_edge_fluxes
 from swnet.studies import build_reference_sim
@@ -93,22 +90,6 @@ def boundary_flux(q_face, bcs, at_start, t, params):
     return hllc_flux(np.where(start, ghost, q_face), np.where(start, q_face, ghost), params)
 
 
-def two_pass(field, ends, alpha, theta, qhat, cell, d, dt, params, order):
-    qg = rotate_back(field.end_states(ends), alpha)
-    if order >= 2:
-        b, cg = rotate_gradients(field.slopes[field.end_cell[ends]], alpha)
-        qg = qg - 0.5 * dt * jacobian_dot(qg, b, cg, params)
-    edge_flux = rotate_back(hllc_flux(qhat, rotate_state(qg, theta), params), theta)
-    q, gx, gy = cell
-    q2c = rotate_state(q + gx * d[:, 0, None] + gy * d[:, 1, None], alpha)
-    if order >= 2:
-        slope_n = rotate_state(gx * np.cos(alpha)[:, None] + gy * np.sin(alpha)[:, None], alpha)
-        q2c = q2c - 0.5 * dt * jacobian_dot(q2c, slope_n, None, params)
-    q1 = field.faces[field.end_slot[ends]]
-    start = (field.end_sign[ends] < 0.0)[:, None]
-    return edge_flux, hllc_flux(np.where(start, q2c, q1), np.where(start, q1, q2c), params)
-
-
 def compute_fluxes(jf, field, dt):
     m, params = jf.mesh, jf.params
     qL, qR = jf.mesh_field.edge_states(dt)
@@ -116,33 +97,20 @@ def compute_fluxes(jf, field, dt):
     if len(m.interior):
         flux[m.interior] = interior_edge_fluxes(jf.mesh_field, qL, qR, m.interior)
     edges, walls = jf._cpl_edges, jf._wall_edges
-    if jf.coupling_mode == "shared":
-        outer = np.concatenate([walls, edges])
-        nw = len(walls)
-        th = m.edge_thetas[outer]
-        qhat = rotate_state(qL[outer], th)
-        q1 = field.faces[field.end_slot[jf._ends]]
-        q1[:, 1:] *= jf._end_sigma[:, None]
-        mirror = qhat[:nw].copy()
-        mirror[:, 1] = -mirror[:, 1]
-        fhat = hllc_flux(qhat, np.concatenate([mirror, q1[jf._cpl_end]]), params)
-        fhat[:nw, 0] = 0.0
-        fhat[:nw, 2] = 0.0
-        flux[outer] = rotate_back(fhat, th)
-        f_ch = fhat[nw:]
-        f_ch[:, 0] *= jf._cpl_sigma
-    else:
-        if len(walls):
-            th = m.edge_thetas[walls]
-            flux[walls] = rotate_back(wall_flux(rotate_state(qL[walls], th), params), th)
-        th = m.edge_thetas[edges]
-        cells = m.edge_left[edges]
-        c = jf.mesh_field
-        flux[edges], f_ch = two_pass(
-            field, jf._ends[jf._cpl_end], jf._cpl_alpha, th,
-            rotate_state(qL[edges], th), (c.q[cells], c.grad_x[cells], c.grad_y[cells]),
-            m.edge_offsets[0][:, edges].T, dt, params, jf.order,
-        )
+    outer = np.concatenate([walls, edges])
+    nw = len(walls)
+    th = m.edge_thetas[outer]
+    qhat = rotate_state(qL[outer], th)
+    q1 = field.faces[field.end_slot[jf._ends]]
+    q1[:, 1:] *= jf._end_sigma[:, None]
+    mirror = qhat[:nw].copy()
+    mirror[:, 1] = -mirror[:, 1]
+    fhat = hllc_flux(qhat, np.concatenate([mirror, q1[jf._cpl_end]]), params)
+    fhat[:nw, 0] = 0.0
+    fhat[:nw, 2] = 0.0
+    flux[outer] = rotate_back(fhat, th)
+    f_ch = fhat[nw:]
+    f_ch[:, 0] *= jf._cpl_sigma
     totals = np.zeros((len(jf.ends), 3))
     np.add.at(totals, jf._cpl_end, f_ch * m.edge_lengths[edges][:, None])
     return flux, (jf._ends, totals / jf._end_widths[:, None])
@@ -206,9 +174,9 @@ def mixed_network():
     return ScenarioConfig(data)
 
 
-def stirred(cfg, coupling, seed=3):
+def stirred(cfg, seed=3):
     """The network built from `cfg`, with random subcritical flowing states."""
-    sim = build_simulation(cfg, coupling=coupling)
+    sim = build_simulation(cfg)
     rng = np.random.default_rng(seed)
     q = sim.field.q
     q[:, 0] = rng.uniform(0.14, 0.2, len(q))
@@ -220,18 +188,15 @@ def stirred(cfg, coupling, seed=3):
     return sim
 
 
+# Every coupling edge carries one shared flux, which the ids name.
 CASES = [
     *[
-        pytest.param(presets.preset("test1_sub90", strategy=s), ends, coupling,
-                     id=f"test1_sub90-{s}-{name}-{coupling}")
+        pytest.param(presets.preset("test1_sub90", strategy=s), ends,
+                     id=f"test1_sub90-{s}-{name}-shared")
         for s in ("A", "B", "psfp")
         for name, ends in SUB90_ENDS.items()
-        for coupling in (("shared",) if s == "psfp" else ("shared", "two-pass"))
     ],
-    *[
-        pytest.param(mixed_network(), {}, coupling, id=f"test6_network-A/B-{coupling}")
-        for coupling in ("shared", "two-pass")
-    ],
+    pytest.param(mixed_network(), {}, id="test6_network-A/B-shared"),
 ]
 
 
@@ -239,10 +204,10 @@ def bits(a):
     return None if a is None else (a.shape, np.ascontiguousarray(a).tobytes())
 
 
-@pytest.mark.parametrize("cfg, ends, coupling", CASES)
-def test_batch_equals_per_producer_solves(cfg, ends, coupling):
+@pytest.mark.parametrize("cfg, ends", CASES)
+def test_batch_equals_per_producer_solves(cfg, ends):
     cfg = with_ends(cfg, ends)
-    sim = stirred(cfg, coupling)
+    sim = stirred(cfg)
     kinds = {group.kind for _, group, _ in sim._boundary_groups}
     assert kinds == {b["kind"] for b in cfg.data["boundaries"]}
     field, cells = sim.field, sim.junction_field
@@ -270,13 +235,13 @@ def test_one_hllc_call_per_step(monkeypatch):
         return hllc_rows(*args)
 
     monkeypatch.setattr(swnet.riemann, "hllc_rows", counted)
-    for cfg, coupling in [
-        (with_ends(presets.preset("test1_sub90", strategy="B"),
-                   SUB90_ENDS["reflective-prescribed-inflow"]), "two-pass"),
-        (presets.preset("test1_sub90", strategy="psfp"), "shared"),
-        (mixed_network(), "shared"),
+    for cfg in [
+        with_ends(presets.preset("test1_sub90", strategy="B"),
+                  SUB90_ENDS["reflective-prescribed-inflow"]),
+        presets.preset("test1_sub90", strategy="psfp"),
+        mixed_network(),
     ]:
-        sim = build_simulation(cfg, coupling=coupling)
+        sim = build_simulation(cfg)
         for _ in range(5):
             calls.clear()
             sim.advance(sim.compute_dt())

@@ -471,3 +471,13 @@ def test_both_steppers_reject_an_order_other_than_1_or_2(order):
     mesh = rect_union_mesh([(0, 0, 1, 0.2)], 0.1)
     with pytest.raises(ValueError, match=f"^order must be 1 or 2, got {order}$"):
         Mesh2DSimulation(mesh, P, order=order)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_both_steppers_reject_a_stride_below_1_before_stepping(stride):
+    sim = build_simulation(presets.preset("test1_sub90"))
+    mesh = rect_union_mesh([(0, 0, 1, 0.2)], 0.1)
+    for stepper in (sim, Mesh2DSimulation(mesh, P)):
+        with pytest.raises(ValueError, match=f"^output_stride must be at least 1, got {stride}$"):
+            stepper.run(1.0, output_stride=stride)
+        assert stepper.steps == 0 and stepper.t == 0.0

@@ -4,8 +4,7 @@
 
 Each tree is a directory holding `src/swnet`, for example this checkout and
 an unpacked `git archive` of another commit. Every preset runs with each
-junction strategy (A, B, psfp), plus test1_sub90 with two-pass coupling (A
-and B) and with transverse=zero (A), plus boundary variants that put every
+junction strategy (A, B, psfp), plus boundary variants that put every
 condition kind at a channel start and at a channel end, and a wall and a
 prescribed end beside a junction (`BOUNDARY_RUNS`), plus test1_sub90 with
 its PSFP junction marked merging, which flips the sign of the third Riemann
@@ -56,11 +55,6 @@ from pathlib import Path
 import numpy as np
 
 STRATEGIES = ("A", "B", "psfp")
-EXTRA_RUNS = [
-    ("test1_sub90", "A", {"coupling": "two-pass"}),
-    ("test1_sub90", "B", {"coupling": "two-pass"}),
-    ("test1_sub90", "A", {"transverse": "zero"}),
-]
 VOLUME_ENTRIES = ("initial_volume", "final_volume", "volume_defect", "boundary_influx")
 
 
@@ -129,26 +123,23 @@ def mixed_strategies(preset, name):
 
 
 def cases(preset, preset_names):
-    """(label, scenario factory, build overrides) for the whole matrix."""
+    """(label, scenario factory) for the whole matrix."""
     for name, _ in preset_names():
         try:
             preset(name, strategy="A")
         except TypeError:  # a preset without junctions
-            yield name, lambda name=name: preset(name), {}
+            yield name, lambda name=name: preset(name)
             continue
         for s in STRATEGIES:
-            yield f"{name} {s}", lambda name=name, s=s: preset(name, strategy=s), {}
-    for name, s, extra in EXTRA_RUNS:
-        label = f"{name} {s} " + " ".join(f"{k}={v}" for k, v in extra.items())
-        yield label, lambda name=name, s=s: preset(name, strategy=s), extra
+            yield f"{name} {s}", lambda name=name, s=s: preset(name, strategy=s)
     for name, s, ends, t_end in BOUNDARY_RUNS:
         kinds = [f"{c}:{e}={b['kind']}" for (c, e), b in ends.items()]
         label = " ".join([name, *([s] if s else []), *kinds])
-        yield label, lambda args=(name, s, ends, t_end): boundary_variant(preset, *args), {}
+        yield label, lambda args=(name, s, ends, t_end): boundary_variant(preset, *args)
     for name in MERGING_RUNS:
-        yield f"{name} psfp merging", lambda name=name: merging_psfp(preset, name), {}
+        yield f"{name} psfp merging", lambda name=name: merging_psfp(preset, name)
     for name in MIXED_RUNS:
-        yield f"{name} A/B", lambda name=name: mixed_strategies(preset, name), {}
+        yield f"{name} A/B", lambda name=name: mixed_strategies(preset, name)
 
 
 def run_matrix(steps: int) -> list[dict]:
@@ -156,12 +147,12 @@ def run_matrix(steps: int) -> list[dict]:
     from swnet import ConfigError, build_simulation, preset, preset_names
 
     out = []
-    for label, scenario, extra in cases(preset, preset_names):
+    for label, scenario in cases(preset, preset_names):
         run = {"label": label, "config": None, "rejected": None}
         try:
             cfg = scenario()
             run["config"] = json.dumps(cfg.data)
-            sim = build_simulation(cfg, **extra)
+            sim = build_simulation(cfg)
         except ConfigError as exc:
             out.append(run | {"rejected": str(exc)})
             continue
