@@ -1,11 +1,10 @@
 """Boundary conditions of channel ends and of 2D reference edges.
 
-One `GhostStates` builds the inflow and prescribed ghosts of both, in the
-outward-normal frame; both solvers group their boundaries by condition kind
-when built and call it once per group and step. Transparent differs: zero
-gradient at a channel end, a pinned incoming Riemann invariant on a 2D edge
-(`simulation.Mesh2DSimulation`). `boundary_flux` queues a `BoundaryEnds`
-group's Riemann problems on the network step's `riemann.RiemannBatch`.
+Both solvers group their boundary faces by condition kind and call
+`boundary_flux` once per group and step, on inner states in the faces'
+outward-normal frames. `GhostStates` builds the inflow and prescribed ghosts
+of both; open ends take zero gradient at a channel end and a `FarField`
+ghost on a 2D edge.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DryStateError, physical_flux
+from .core import DryStateError, physical_flux, to_normal
 from .riemann import mirrored
 
 
@@ -81,52 +80,46 @@ class GhostStates:
         return out
 
 
-class BoundaryEnds:
-    """Channel outer faces that share one condition kind, with what their
-    fluxes read every step, set once.
+class FarField:
+    """Ghost states of open 2D edges, as `ghosts(q, t, params)`, that pin the
+    incoming Riemann invariant u - 2 sqrt(g h), so that strong fronts leave
+    without reflecting, to `r_in`: its value in field.q[cells] at the first
+    call, the initial state, in the frames of normal cosines c and sines s."""
 
-    bcs are the K conditions (all of one kind) and the boolean array at_start
-    (K,) marks faces at a channel's start, whose outward normal is -s.
-    `flip` (K, 3) holds -1.0 at those faces' axial momentum and 1.0
-    elsewhere: multiplying by it turns +s-frame states into the
-    outward-normal frame and back, exactly.
+    def __init__(self, field, cells, c, s):
+        self.field, self.cells, self.cs, self.r_in = field, cells, (c, s), None
+
+    def __call__(self, q, t: float, params):
+        g = params.g
+        if self.r_in is None:
+            h0, hu0, hv0 = self.field.q[self.cells].T
+            self.r_in = to_normal(hu0, hv0, *self.cs)[0] / h0 - 2.0 * np.sqrt(g * h0)
+        r_out = q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0])
+        u_g = 0.5 * (r_out + self.r_in)
+        c_g = 0.25 * (r_out - self.r_in)
+        h_g = c_g * c_g / g
+        return np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
+
+
+def boundary_flux(q, ghost, t: float, params, batch):
+    """Outward-normal-frame fluxes (K, 3) of boundary faces with inner
+    states q (K, 3) in that frame.
+
+    A None ghost marks zero-gradient ends: q's own `physical_flux`, at once.
+    Any other face is one Riemann problem, inner state on the left, queued on
+    `batch` (a `riemann.RiemannBatch`), whose solve fills the returned rows:
+    against `riemann.mirrored` at walls, whose mass and tangential fluxes are
+    then zeroed as in `wall_flux`, else against `ghost(q, t, params)`.
     """
-
-    def __init__(self, bcs, at_start):
-        self.kind = bcs[0].kind
-        self.bcs = bcs
-        self.start = at_start[:, None]
-        self.flip = np.where(self.start, (1.0, -1.0, 1.0), 1.0)
-        self.ghosts = GhostStates(self.kind, bcs) if self.kind in ("inflow", "prescribed") else None
-
-
-def boundary_flux(q_face, group: BoundaryEnds, t: float, params, batch):
-    """Axial (+s frame) fluxes at the channel outer faces of `group`.
-
-    q_face (K, 3) are the inner face states. Transparent ends feed the face
-    value back to itself, at once. The other kinds queue their Riemann
-    problems on `batch` (a `riemann.RiemannBatch`), whose solve fills the
-    returned rows: reflective walls against the mirrored outward-frame inner
-    state, with mass and transverse fluxes zeroed as in `wall_flux`; inflow
-    and prescribed ends against the `GhostStates` ghost, turned back into the
-    +s frame and placed on the outer side of each face.
-    """
-    kind = group.kind
-    if kind == "transparent":
-        return physical_flux(q_face, params)
-    q = q_face * group.flip
-    if kind == "reflective":
-        qL, qR = q, mirrored(q)
-    else:
-        ghost = group.ghosts(q, t, params)
-        ghost *= group.flip
-        qL, qR = np.where(group.start, ghost, q_face), np.where(group.start, q_face, ghost)
-    out = np.empty_like(q_face)
+    if ghost is None:
+        return physical_flux(q, params)
+    wall = ghost is mirrored
+    out = np.empty_like(q)
 
     def read(f):
         out[:] = f
-        if kind == "reflective":
+        if wall:
             out[:, ::2] = 0.0
 
-    batch.add(qL, qR, read)
+    batch.add(q, mirrored(q) if wall else ghost(q, t, params), read)
     return out

@@ -123,14 +123,14 @@ def _validate(data: dict) -> dict:
 
     ids = [c.get("id") for c in channels]
     errors += wiring_errors(
-        ids,
+        [(c.get("id"), _length(c)) for c in channels],
         [
             (j.get("id"), j.get("strategy"),
              [(c.get("channel"), c.get("end")) for c in j.get("connects", [])])
             for j in data.get("junctions", [])
         ],
         [(b.get("channel"), b.get("end")) for b in data.get("boundaries", [])],
-        [(g.get("id"), g.get("channel")) for g in data.get("gauges", [])],
+        [(g.get("id"), g.get("channel"), g.get("s")) for g in data.get("gauges", [])],
     )
 
     init = data.get("initial", {})
@@ -152,6 +152,14 @@ def _validate(data: dict) -> dict:
     if errors:
         raise ConfigError("; ".join(errors))
     return json.loads(json.dumps(data))  # canonical plain-JSON form
+
+
+def _length(channel: dict):
+    """A channel entry's `Channel.length`; None where its ends are not points."""
+    try:
+        return float(np.hypot(*np.subtract(channel["end"], channel["start"], dtype=float)))
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def parse_config(source) -> ScenarioConfig:

@@ -450,17 +450,19 @@ class TriMesh:
         )
 
     def cell_containing(self, p) -> int:
-        """Index of the triangle containing point p (nearest centroid fallback)."""
+        """Index of the (convex) cell that contains point p, edges included
+        to 1e-12; of several, the first in `np.argsort` order of centroid
+        distance. A point in no cell is a ValueError."""
         p = np.asarray(p, dtype=float)
-        V, tri = self.vertices, self.triangles
-        for t in np.argsort(np.linalg.norm(self.centroids - p, axis=1))[:32]:
-            a, b, c = V[tri[t, 0]], V[tri[t, 1]], V[tri[t, 2]]
-            d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            d2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-            d3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-            if d1 >= -1e-12 and d2 >= -1e-12 and d3 >= -1e-12:
-                return int(t)
-        return int(np.argmin(np.linalg.norm(self.centroids - p, axis=1)))
+        cells = self.triangles
+        a = self.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (T, K, 2)
+        e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
+        d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
+        by_distance = np.argsort(np.linalg.norm(self.centroids - p, axis=1))
+        inside = by_distance[(d >= -1e-12).all(axis=1)[by_distance]]
+        if not len(inside):
+            raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
+        return int(inside[0])
 
 
 def load_trimesh(path) -> TriMesh:

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -66,8 +67,6 @@ from .core import (
     NonFiniteError,
     PhysicalParams,
     from_normal,
-    rotate_back,
-    rotate_state,
     to_normal,
 )
 from .geometry import TriMesh, build_junction_polygon
@@ -134,8 +133,10 @@ class JunctionField:
         self._cpl_sigma = self._end_sigma[self._cpl_end]
         chans = [field.channels[field.index[ch]] for ch, _ in self.ends]
         self._end_widths = np.array([ch.width for ch in chans])
-        self._end_alpha = np.array([ch.axis_angle for ch in chans])
-        self._cpl_alpha = self._end_alpha[self._cpl_end]
+        # Axis cosines and sines; the coupling edges' (sine negated) rotate back.
+        alpha = np.array([ch.axis_angle for ch in chans])
+        self._end_cs = np.cos(alpha), np.sin(alpha)
+        self._cpl_back = np.cos(alpha)[self._cpl_end], -np.sin(alpha)[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
         self._cos, self._sin = np.cos(mesh.edge_thetas), np.sin(mesh.edge_thetas)
@@ -186,7 +187,7 @@ class JunctionField:
         return self.mesh_field.dt_bound()
 
     def reconstruct(self, field):
-        vv = rotate_back(field.q[self._cpl_cells], self._cpl_alpha)
+        vv = _normal_rows(field.q[self._cpl_cells], *self._cpl_back).T
         self.mesh_field.reconstruct(virtual_values=vv)
 
     def channel_neighbors(self, field):
@@ -196,7 +197,7 @@ class JunctionField:
         qavg = np.empty((len(self.ends), 3))
         for group, cells, w in self._nbr_groups:
             qavg[group] = np.matmul(w, q[cells])[:, 0]
-        return self._ends, rotate_state(qavg, self._end_alpha), self._nbr_dists
+        return self._ends, _normal_rows(qavg, *self._end_cs).T, self._nbr_dists
 
     def compute_fluxes(self, field, dt: float, batch):
         """Queue the Riemann problem of every edge on `batch` (a
@@ -345,23 +346,25 @@ class PSFPJunction:
         return self._ends, fluxes
 
 
-def wiring_errors(channel_ids, junctions, boundary_ends, gauges) -> list[str]:
+def wiring_errors(channels, junctions, boundary_ends, gauges) -> list[str]:
     """One message per broken wiring rule of a network; none when it is sound.
 
-    `junctions` lists (id, strategy, [(channel, end), ...]) per junction,
+    `channels` lists (id, length or None where unknown) per channel,
+    `junctions` (id, strategy, [(channel, end), ...]) per junction,
     `boundary_ends` the (channel, end) of each boundary condition and
-    `gauges` (id, channel) per gauge. The rules: channel ids are unique; a
+    `gauges` (id, channel, s) per gauge. The rules: channel ids are unique; a
     junction's strategy is "A", "B" or "psfp"; it joins at least 2 channel
     ends, and a PSFP junction exactly 3; each end names a known channel and
     is its "start" or "end"; every channel end is attached to exactly one
-    junction or boundary; every gauge sits on a known channel.
+    junction or boundary; every gauge sits on a known channel, at
+    0 <= s <= its length.
     """
     errors = []
     known = {}
-    for cid in channel_ids:
+    for cid, length in channels:
         if cid in known:
             errors.append(f"duplicate channel id {cid!r}")
-        known[cid] = None
+        known[cid] = length
     attached = {}
 
     def attach(channel, end, where):
@@ -394,9 +397,12 @@ def wiring_errors(channel_ids, junctions, boundary_ends, gauges) -> list[str]:
         for end in ("start", "end"):
             if (cid, end) not in attached:
                 errors.append(f"channel end ({cid}, {end}) unattached")
-    for gid, channel in gauges:
+    for gid, channel, s in gauges:
+        length = known.get(channel)
         if channel not in known:
             errors.append(f"gauge {gid}: unknown channel {channel!r}")
+        elif length is not None and not (isinstance(s, Real) and 0.0 <= s <= length):
+            errors.append(f"gauge {gid}: s={s!r} outside channel {channel!r} of length {length:g}")
     return errors
 
 

@@ -20,9 +20,11 @@ all the volume and bound the step; `advance` loops only over the algebraic
 
 `Mesh2DSimulation` steps one `scheme2d.MeshField`: the interior edges in one
 fused HLLC kernel, and every boundary edge on one `RiemannBatch`
-(`boundary_fluxes`). Both solvers share one `TimeStepper.run` loop: the
-gauge stride, the typed failures that end a run as "failed", and the
-per-run volume ledger.
+(`boundary_fluxes`). Both solve their boundary faces in the outward-normal
+frame through `boundaries.boundary_flux` and count inflow as -sum(length *
+outward mass flux), a channel end's length being its width. Both share one
+`TimeStepper.run` loop: the gauge stride, the typed failures that end a run
+as "failed", and the per-run volume ledger.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import BoundaryEnds, GhostStates, boundary_flux
+from .boundaries import FarField, GhostStates, boundary_flux
 from .core import (
     DryStateError,
     NonFiniteError,
@@ -166,10 +168,10 @@ class NetworkSimulation(TimeStepper):
         self.channels = {ch.id: ch for ch in channels}
         self.recorder = GaugeRecorder(gauges)
         errors = wiring_errors(
-            [ch.id for ch in channels],
+            [(ch.id, ch.length) for ch in channels],
             [(spec.id, spec.strategy, spec.connects) for spec in junction_specs],
             boundaries,
-            [(g.id, g.channel) for g in self.recorder.gauges],
+            [(g.id, g.channel, g.s) for g in self.recorder.gauges],
         )
         if errors:
             raise ValueError("; ".join(errors))
@@ -189,19 +191,23 @@ class NetworkSimulation(TimeStepper):
             junction_specs, self.channels, self.field, params, order
         )
         self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
-        # Boundary ends grouped by condition kind: (end numbers,
-        # `BoundaryEnds`, ledger weights +-width).
+        # Boundary ends grouped by condition kind: (end numbers, widths, sign
+        # tables from +s-frame states to the outward-normal frame and from
+        # outward fluxes back to +s fluxes, `boundary_flux` ghost).
         by_kind = {}
         for key, bc in boundaries.items():
             by_kind.setdefault(bc.kind, []).append((key, bc))
         self._boundary_groups = []
-        for group in by_kind.values():
+        for kind, group in by_kind.items():
             ends = np.array([self.field.end_index(*key) for key, _ in group])
-            sign = self.field.end_sign[ends]  # the outward normal, +-s
             width = np.array([self.channels[cid].width for (cid, _), _ in group])
-            self._boundary_groups.append(
-                (ends, BoundaryEnds([bc for _, bc in group], sign < 0.0), -sign * width)
-            )
+            sign = self.field.end_sign[ends, None]  # the outward normal, -s at a start
+            to_out = np.where([False, True, False], sign, 1.0)  # the axial momentum flips
+            to_s = np.where([True, False, True], sign, 1.0)  # the mass and tangential fluxes
+            ghost = mirrored if kind == "reflective" else None  # transparent: zero gradient
+            if kind in ("inflow", "prescribed"):
+                ghost = GhostStates(kind, [bc for _, bc in group])
+            self._boundary_groups.append((ends, width, to_out, to_s, ghost))
 
         self._gauge_cells = np.array(
             [
@@ -292,10 +298,10 @@ class NetworkSimulation(TimeStepper):
         edge_fluxes = None
         if cells is not None:
             edge_fluxes, (cell_ends, cell_f) = cells.compute_fluxes(field, dt, batch)
-        bounds = [
-            (ends, weight, boundary_flux(field.end_states(ends), group, self.t, params, batch))
-            for ends, group, weight in self._boundary_groups
-        ]
+        bounds = []
+        for ends, width, to_out, to_s, ghost in self._boundary_groups:
+            f = boundary_flux(field.end_states(ends) * to_out, ghost, self.t, params, batch)
+            bounds.append((ends, width, to_s, f))
         batch.solve(params)
         if cells is not None:
             flux[field.end_face[cell_ends]] = cell_f
@@ -303,9 +309,9 @@ class NetworkSimulation(TimeStepper):
             ends, f = j.compute_end_fluxes(field, dt)
             flux[field.end_face[ends]] = f
         boundary_mass = 0.0
-        for ends, weight, f in bounds:
-            flux[field.end_face[ends]] = f
-            boundary_mass += float(np.sum(weight * f[:, 0]))
+        for ends, width, to_s, f in bounds:
+            flux[field.end_face[ends]] = f * to_s
+            boundary_mass -= float(np.sum(width * f[:, 0]))
         return flux, edge_fluxes, boundary_mass
 
     def sample_gauges(self):
@@ -366,8 +372,9 @@ class Mesh2DSimulation(TimeStepper):
         self.recorder = GaugeRecorder(self.gauges)
         # Boundary edges grouped by kind (tag up to the first colon), kinds in
         # order of first appearance and edges in boundary order, with the
-        # cosines and sines of their normals; an inflow or prescribed group
-        # holds the `GhostStates` of its tags' conditions.
+        # cosines and sines of their normals and their `boundary_flux`
+        # ghost: the mirror at walls, a `FarField` on open edges, and the
+        # `GhostStates` of the tags' conditions on inflow and prescribed ones.
         tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
         names, tag_of = np.unique(tags, return_inverse=True)
         kinds = np.array([name.split(":")[0] for name in names], dtype=object)
@@ -381,14 +388,16 @@ class Mesh2DSimulation(TimeStepper):
         self._boundary_groups = []
         for k in np.argsort(first):
             sel = kind_of == k
-            kind, edges, ghosts = kind_names[k], mesh.boundary[sel], None
-            if kind in ("inflow", "prescribed"):
+            kind, edges = kind_names[k], mesh.boundary[sel]
+            c, s = np.cos(mesh.edge_thetas[edges]), np.sin(mesh.edge_thetas[edges])
+            if kind == "wall":
+                ghost = mirrored
+            elif kind == "transparent":
+                ghost = FarField(self.field, mesh.edge_left[edges], c, s)
+            else:
                 used, rows = np.unique(tag_of[sel], return_inverse=True)
-                ghosts = GhostStates(kind, [conds[names[i]] for i in used], rows)
-            th = mesh.edge_thetas[edges]
-            self._boundary_groups.append((kind, edges, np.cos(th), np.sin(th), ghosts))
-        # Incoming invariant behind the transparent edges, set on the first step.
-        self._far_field_r = None
+                ghost = GhostStates(kind, [conds[names[i]] for i in used], rows)
+            self._boundary_groups.append((edges, c, s, ghost))
         self._reset_diagnostics()
 
     def _reset_diagnostics(self):
@@ -412,49 +421,21 @@ class Mesh2DSimulation(TimeStepper):
 
     def boundary_fluxes(self, qL, flux) -> float:
         """Write the fluxes of every boundary edge into `flux`; returns the
-        volume inflow rate through the open edges.
-
-        Each edge is one Riemann problem in its outward-normal frame with the
-        inner state on the left, and all of them are queued on one
-        `RiemannBatch`: walls against the mirrored state (their mass and
-        tangential fluxes are then zeroed, as in `wall_flux`), inflow and
-        prescribed edges against their `GhostStates`, and transparent edges
-        against the far-field ghost.
-        """
+        volume inflow rate, -sum(length * outward mass flux). Each group is
+        one `boundary_flux` call in its edges' outward-normal frames, all on
+        one `RiemannBatch`."""
         batch = RiemannBatch()
         solved = []
-        for kind, edges, c, s, ghosts in self._boundary_groups:
+        for edges, c, s, ghost in self._boundary_groups:
             h, hu, hv = qL[edges].T
             q = np.stack([h, *to_normal(hu, hv, c, s)], axis=-1)
-            if kind == "wall":
-                ghost = mirrored(q)
-            elif kind == "transparent":
-                ghost = self._far_field_ghost(edges, c, s, q)
-            else:
-                ghost = ghosts(q, self.t, self.params)
-            batch.add(q, ghost, solved.append)
+            solved.append(boundary_flux(q, ghost, self.t, self.params, batch))
         batch.solve(self.params)
         inflow = 0.0
-        for (kind, edges, c, s, _), f in zip(self._boundary_groups, solved):
-            if kind == "wall":
-                f[:, ::2] = 0.0
-            else:
-                inflow -= float(np.sum(self.mesh.edge_lengths[edges] * f[:, 0]))
+        for (edges, c, s, _), f in zip(self._boundary_groups, solved):
+            inflow -= float(np.sum(self.mesh.edge_lengths[edges] * f[:, 0]))
             flux[edges] = np.stack([f[:, 0], *from_normal(f[:, 1], f[:, 2], c, s)], axis=-1)
         return inflow
-
-    def _far_field_ghost(self, edges, c, s, q):
-        """Transparent edges: ghosts that pin the incoming Riemann invariant to
-        the initial data, so strong fronts do not reflect at open boundaries."""
-        g = self.params.g
-        if self._far_field_r is None:
-            h0, hu0, hv0 = self.field.q[self.mesh.edge_left[edges]].T
-            self._far_field_r = to_normal(hu0, hv0, c, s)[0] / h0 - 2.0 * np.sqrt(g * h0)
-        r_out = q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0])
-        u_g = 0.5 * (r_out + self._far_field_r)
-        c_g = 0.25 * (r_out - self._far_field_r)
-        h_g = c_g * c_g / g
-        return np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
 
     def sample_gauges(self):
         self.recorder.times.append(self.t)

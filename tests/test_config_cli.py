@@ -311,3 +311,18 @@ class TestCli:
         lines = (out / "grid_study.csv").read_text().strip().split("\n")
         assert lines[0] == "size,cells,integral,rel_diff,cpu_s"
         assert len(lines) == 3
+
+
+class TestGaugeOutsideItsChannel:
+    # ch1 of test1_sub90 is 3 m long.
+    @pytest.mark.parametrize("s", [50.0, -1.0])
+    def test_rejected_by_the_schema_and_the_cli(self, tmp_path, capsys, s):
+        data = presets.preset("test1_sub90").emit()
+        data["gauges"].append({"id": "far", "channel": "ch1", "s": s})
+        message = f"gauge far: s={s} outside channel 'ch1' of length 3"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(data)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err

@@ -142,6 +142,19 @@ class TestTriMesh:
         assert len(m.boundary) == 3
         assert len(m.interior) == 0
 
+    def test_cell_containing_searches_every_cell(self):
+        # A unit square cell and a triangle padded to its four corners.
+        verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0.5)]
+        cells = [(0, 1, 2, 3), (1, 4, 2, -1)]
+        tags = {(0, 1): "wall", (1, 4): "wall", (4, 2): "wall", (2, 3): "wall", (3, 0): "wall"}
+        m = TriMesh(verts, cells, tags)
+        assert m.cell_containing((0.1, 0.9)) == 0  # outside the square's first three corners
+        assert m.cell_containing((1.5, 0.5)) == 1
+        assert m.cell_containing((1.0, 0.5)) in (0, 1)  # on the shared edge
+        for p in [(3.0, 3.0), (-0.1, 0.5), (1.9, 0.9)]:
+            with pytest.raises(ValueError, match="lies in no cell"):
+                m.cell_containing(p)
+
     def test_two_triangles_share_one_edge(self):
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         tris = [(0, 1, 2), (0, 2, 3)]

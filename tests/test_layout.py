@@ -1,6 +1,8 @@
-"""README's "Package layout" names exactly the modules of the package, and
-its scenario example is a valid scenario."""
+"""README's "Package layout" names exactly the modules of the package, its
+scenario example is a valid scenario, and no module imports a name it never
+uses."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -41,3 +43,51 @@ def test_readme_scenario_example_builds():
     assert cfg.name == "fork"
     assert [j.strategy for j in sim.junctions] == ["A"]
     assert sim.total_volume() > 0.0
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports at module level and never uses, except on
+    import statements that carry `# noqa: F401`. A module that sets
+    `__all__` re-exports what it imports, so it has none."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if "__all__" in used:
+        return []
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(name)
+    return unused
+
+
+def test_modules_use_every_name_they_import():
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted((ROOT / "src" / "swnet").glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_imports_reads_names_and_noqa():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os.path",
+        "import numpy as np",
+        "from .core import (",
+        "    a,",
+        "    b,",
+        ")",
+        "from .riemann import hllc_flux  # noqa: F401",
+        "def f():",
+        "    return np.zeros(a)",
+    ])
+    assert unused_imports(source) == ["os", "b"]

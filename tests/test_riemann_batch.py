@@ -4,8 +4,15 @@ A network step queues every Riemann problem (interior channel faces,
 junction edges, channel ends) on one `RiemannBatch` and solves it in one
 HLLC call. The oracle below keeps the per-producer calls the step made
 before that: one HLLC solve for the interior faces, the junction field's
-interior edges, its wall and coupling edges, and one per boundary kind. From the same state, the batched face fluxes, junction edge fluxes
-and boundary inflow rate must equal the oracle's to the bit.
+interior edges, its wall and coupling edges, and one `boundary_flux` batch
+per boundary kind. From the same state, the batched face fluxes, junction
+edge fluxes and boundary inflow rate must equal the oracle's to the bit.
+
+Channel ends are solved in their outward-normal frame, with the inner state
+on the left. The formula they replaced solved them in the +s frame, with the
+ghost on the left at a channel start; HLLC is equivariant under that mirror
+away from a contact speed of exactly 0, so on random states the two must
+give equal values (`flip_formula_flux`).
 
 The full-2D reference queues all of its boundary edges on one batch in the
 same way. Its oracle keeps one call per condition kind: the inner states
@@ -20,7 +27,8 @@ import swnet.riemann
 import swnet.scheme2d
 import swnet.simulation
 from swnet import DryStateError, NonFiniteError, ScenarioConfig, build_simulation, presets
-from swnet.boundaries import GhostStates
+from swnet.boundaries import GhostStates, boundary_flux
+from swnet.config import boundary_condition
 from swnet.core import physical_flux
 from swnet.riemann import RiemannBatch, hllc_flux, hllc_rows
 from swnet.scheme2d import interior_edge_fluxes as fused_edge_fluxes
@@ -76,7 +84,10 @@ def interior_fluxes(field):
     return flux
 
 
-def boundary_flux(q_face, bcs, at_start, t, params):
+def flip_formula_flux(q_face, bcs, at_start, t, params):
+    """+s-frame fluxes of channel ends of one kind by the former formula: the
+    axial momentum flipped at starts to build the ghost, then the ghost
+    flipped back and placed on the left at starts."""
     kind = bcs[0].kind
     if kind == "transparent":
         return physical_flux(q_face, params)
@@ -128,10 +139,12 @@ def per_producer_step_fluxes(sim, dt):
         ends, f = j.compute_end_fluxes(field, dt)
         flux[field.end_face[ends]] = f
     boundary_mass = 0.0
-    for ends, group, weight in sim._boundary_groups:
-        f = boundary_flux(field.end_states(ends), group.bcs, group.start[:, 0], sim.t, sim.params)
-        flux[field.end_face[ends]] = f
-        boundary_mass += float(np.sum(weight * f[:, 0]))
+    for ends, width, to_out, to_s, ghost in sim._boundary_groups:
+        batch = RiemannBatch()
+        f = boundary_flux(field.end_states(ends) * to_out, ghost, sim.t, sim.params, batch)
+        batch.solve(sim.params)
+        flux[field.end_face[ends]] = f * to_s
+        boundary_mass -= float(np.sum(width * f[:, 0]))
     return flux, edge_fluxes, boundary_mass
 
 
@@ -208,8 +221,7 @@ def bits(a):
 def test_batch_equals_per_producer_solves(cfg, ends):
     cfg = with_ends(cfg, ends)
     sim = stirred(cfg)
-    kinds = {group.kind for _, group, _ in sim._boundary_groups}
-    assert kinds == {b["kind"] for b in cfg.data["boundaries"]}
+    assert len(sim._boundary_groups) == len({b["kind"] for b in cfg.data["boundaries"]})
     field, cells = sim.field, sim.junction_field
     for _ in range(12):
         dt = sim.compute_dt()
@@ -248,25 +260,58 @@ def test_one_hllc_call_per_step(monkeypatch):
             assert len(calls) == 1
 
 
+# Every condition kind at a channel start and at a channel end.
+FLIP_CASES = {
+    **SUB90_ENDS,
+    "transparent-inflow-prescribed": {
+        ("ch1", "start"): {"kind": "transparent"},
+        ("ch2", "end"): inflow(0.1),
+        ("ch3", "end"): {"kind": "prescribed", "h": 0.18, "u": 0.05},
+    },
+}
+
+
+@pytest.mark.parametrize("ends", FLIP_CASES.values(), ids=FLIP_CASES)
+def test_channel_ends_equal_the_flip_formula(ends):
+    cfg = with_ends(presets.preset("test1_sub90", strategy="psfp"), ends)
+    sim = stirred(cfg)
+    field = sim.field
+    groups = {}
+    for b in cfg.data["boundaries"]:
+        groups.setdefault(b["kind"], []).append(b)
+    for _ in range(12):
+        dt = sim.compute_dt()
+        field.reconstruct()
+        field.face_state(dt)
+        flux, _, inflow_rate = sim.step_fluxes(dt)
+        want_inflow = 0.0
+        for group in groups.values():
+            ends = np.array([field.end_index(b["channel"], b["end"]) for b in group])
+            at_start = np.array([b["end"] == "start" for b in group])
+            bcs = [boundary_condition(b) for b in group]
+            f = flip_formula_flux(field.end_states(ends), bcs, at_start, sim.t, sim.params)
+            assert np.array_equal(flux[field.end_face[ends]], f)
+            width = np.array([sim.channels[b["channel"]].width for b in group])
+            want_inflow += float(np.sum(np.where(at_start, width, -width) * f[:, 0]))
+        assert inflow_rate == want_inflow
+        sim.advance(dt)
+
+
 # -- typed failures through the batch ---------------------------------------
 
 
 def failing(kind, side):
-    """test1_sub90 B whose ch3 end is prescribed at a zero or NaN depth,
-    which enters the batch as the right state of its Riemann problem, or
-    whose junction edge states get one such depth, the left state of an
-    edge's problem."""
+    """test1_sub90 B with a zero or NaN depth in its first step's batch. On
+    the "right" side, ch3's end is prescribed at that depth, whose ghost is
+    the right state of its Riemann problem; at the "start", ch1's start is,
+    whose ghost is the right state too, as every boundary face puts its inner
+    state on the left. On the "left" side, one junction edge state gets it,
+    the left state of an edge's problem."""
     h = 0.0 if kind == "dry" else np.nan
-    ends = {("ch3", "end"): {"kind": "prescribed", "h": 0.16, "u": 0.0}}
+    end = ("ch1", "start") if side == "start" else ("ch3", "end")
+    ends = {end: {"kind": "prescribed", "h": 0.16 if side == "left" else h, "u": 0.0}}
     sim = build_simulation(with_ends(presets.preset("test1_sub90", strategy="B"), ends))
-    if side == "right":
-        for _, group, _ in sim._boundary_groups:
-            if group.kind == "prescribed":
-                for bc in group.bcs:
-                    bc.h = h
-                # the group reads its conditions once, when built
-                group.ghosts = GhostStates(group.kind, group.bcs)
-    else:
+    if side == "left":
         mesh_field = sim.junction_field.mesh_field
         edge_states = mesh_field.edge_states
 
@@ -280,9 +325,10 @@ def failing(kind, side):
 
 
 @pytest.mark.parametrize("kind, error", [("dry", DryStateError), ("nan", NonFiniteError)])
-@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("side", ["left", "right", "start"])
 def test_typed_failures_through_the_batch(kind, error, side):
-    text = f"{'dry' if kind == 'dry' else 'non-finite'} depth in hllc {side} state"
+    state = "left" if side == "left" else "right"
+    text = f"{'dry' if kind == 'dry' else 'non-finite'} depth in hllc {state} state"
     sim = failing(kind, side)
     with pytest.raises(error, match=text):
         sim.advance(sim.compute_dt())
@@ -302,6 +348,12 @@ def far_field_ghost(g, r_in, q):
     return np.stack([h_g, h_g * u_g, np.zeros_like(h_g)], axis=-1)
 
 
+def group_kinds(sim):
+    """The condition kind of each of a reference's boundary edge groups,
+    read from the tag of its first edge."""
+    return [sim.mesh.edge_tags[edges[0]].split(":")[0] for edges, *_ in sim._boundary_groups]
+
+
 class PerKindBoundary:
     """`Mesh2DSimulation.boundary_fluxes` with one solve per condition kind.
     It keeps its own incoming invariant behind the transparent edges, taken
@@ -311,7 +363,7 @@ class PerKindBoundary:
         self.sim = sim
         m, g = sim.mesh, sim.params.g
         self.r_in = None
-        for kind, edges, *_ in sim._boundary_groups:
+        for kind, (edges, *_) in zip(group_kinds(sim), sim._boundary_groups):
             if kind == "transparent":
                 q0 = rotate_state(sim.field.q[m.edge_left[edges]], m.edge_thetas[edges])
                 self.r_in = q0[:, 1] / q0[:, 0] - 2.0 * np.sqrt(g * q0[:, 0])
@@ -320,7 +372,7 @@ class PerKindBoundary:
         sim = self.sim
         m, params = sim.mesh, sim.params
         inflow = 0.0
-        for kind, edges, _, _, ghosts in sim._boundary_groups:
+        for kind, (edges, _, _, ghosts) in zip(group_kinds(sim), sim._boundary_groups):
             th = m.edge_thetas[edges]
             qhat = rotate_state(qL[edges], th)
             if kind == "wall":
@@ -352,7 +404,7 @@ def stirred_reference(name, seed=5):
 ])
 def test_reference_boundary_equals_per_kind_solves(name, kinds):
     sim = stirred_reference(name)
-    assert {kind for kind, *_ in sim._boundary_groups} == kinds
+    assert set(group_kinds(sim)) == kinds
     oracle = PerKindBoundary(sim)
     field = sim.field
     for _ in range(8):

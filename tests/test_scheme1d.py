@@ -3,9 +3,9 @@ import pytest
 
 from swnet.core import PhysicalParams, PositivityError
 from swnet.geometry import Channel
-from swnet.riemann import RiemannBatch, hllc_flux
+from swnet.riemann import RiemannBatch, hllc_flux, mirrored
 from swnet.scheme1d import ChannelField
-from swnet.boundaries import BoundaryCondition, BoundaryEnds, boundary_flux
+from swnet.boundaries import BoundaryCondition, boundary_flux
 
 P = PhysicalParams()
 
@@ -16,16 +16,18 @@ def make_field(cells=50, length=10.0, order=2):
 
 
 def closed_fluxes(f, bc, dt):
-    """Face fluxes of a field with condition `bc` at every channel end."""
+    """Face fluxes of a field with condition `bc` ("reflective" or
+    "transparent") at every channel end, each solved in its outward-normal
+    frame, whose normal is -s at a channel start."""
     f.face_state(dt)
     batch = RiemannBatch()
     flux = f.interior_fluxes(batch)
-    ends = np.arange(len(f.end_cell))
-    end_flux = boundary_flux(
-        f.end_states(ends), BoundaryEnds([bc] * len(ends), f.end_sign < 0.0), 0.0, P, batch
-    )
+    sign = f.end_sign[:, None]
+    q = f.end_states(np.arange(len(f.end_cell))) * np.where([False, True, False], sign, 1.0)
+    ghost = mirrored if bc.kind == "reflective" else None
+    end_flux = boundary_flux(q, ghost, 0.0, P, batch)
     batch.solve(P)
-    flux[f.end_face] = end_flux
+    flux[f.end_face] = end_flux * np.where([True, False, True], sign, 1.0)
     return flux
 
 

@@ -6,26 +6,39 @@ import numpy as np
 import pytest
 
 from swnet import presets
-from swnet.boundaries import BoundaryCondition, BoundaryEnds, boundary_flux, gaussian_pulse
+from swnet.boundaries import BoundaryCondition, gaussian_pulse
 from swnet.config import ScenarioConfig, boundary_condition, build_channels, build_simulation
 from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
 from swnet.junctions import JunctionSpec
 from swnet.meshing import rect_union_mesh
 from swnet.psfp import PSFPFailure
-from swnet.riemann import RiemannBatch
-from swnet.simulation import Gauge, Mesh2DSimulation, NetworkSimulation, write_gauge_csv
+from swnet.simulation import (
+    Gauge,
+    Mesh2DSimulation,
+    NetworkSimulation,
+    PointGauge,
+    write_gauge_csv,
+)
 from swnet.studies import build_reference_sim
 
 P = PhysicalParams()
 
 
-def solved_boundary_flux(q_face, bcs, at_start, t):
-    """`boundary_flux` solved on its own batch."""
-    batch = RiemannBatch()
-    f = boundary_flux(q_face, BoundaryEnds(bcs, at_start), t, P, batch)
-    batch.solve(P)
-    return f
+def end_flux(q, bc, end, t):
+    """The +s-frame flux at the `end` ("start" or "end") of a first-order
+    one-channel network whose cells all hold q, under condition bc, at time t."""
+    ch = Channel("c", width=0.4, cells=4, start=(0, 0), end=(1, 0))
+    other = "end" if end == "start" else "start"
+    sim = NetworkSimulation(
+        [ch], [], {("c", end): bc, ("c", other): BoundaryCondition("reflective")}, P, order=1
+    )
+    sim.field.q[:] = q
+    sim.t = t
+    sim.field.reconstruct()
+    sim.field.face_state(0.0)
+    flux, _, _ = sim.step_fluxes(0.0)
+    return flux[sim.field.end_face[sim.field.end_index("c", end)]]
 
 
 def straight_channel_cfg(kind_start="transparent", kind_end="transparent", **extra):
@@ -96,9 +109,7 @@ class TestBoundaries:
     def test_reflective_zero_mass(self):
         q = np.array([0.3, 0.12, 0.0])
         for end in ("start", "end"):
-            f = solved_boundary_flux(
-                q[None], [BoundaryCondition("reflective")], np.array([end == "start"]), 0.0
-            )[0]
+            f = end_flux(q, BoundaryCondition("reflective"), end, 0.0)
             assert f[0] == 0.0 and f[2] == 0.0
 
     def test_transparent_equals_physical(self):
@@ -106,8 +117,8 @@ class TestBoundaries:
 
         q = np.array([0.3, 0.12, 0.0])
         bc = BoundaryCondition("transparent")
-        f = solved_boundary_flux(q[None], [bc], np.array([False]), 0.0)[0]
-        assert np.allclose(f, physical_flux(q, P), atol=1e-15)
+        for end in ("start", "end"):
+            assert np.allclose(end_flux(q, bc, end, 0.0), physical_flux(q, P), atol=1e-15)
 
     def test_inflow_velocity_peaks_at_prescribed_time(self):
         fn = gaussian_pulse(0.4, 3.0, 1.0)
@@ -142,8 +153,8 @@ def test_channel_start_end_and_2d_edge_give_one_normal_flux(bc):
     # end and 2D edges whose outward normal is +x: the same mass and normal
     # momentum fluxes, to the bit.
     q_out, t = np.array([0.3, 0.07, 0.0]), 0.4
-    f_end = solved_boundary_flux(q_out[None], [bc], np.array([False]), t)[0]
-    f_start = solved_boundary_flux((q_out * [1, -1, 1])[None], [bc], np.array([True]), t)[0]
+    f_end = end_flux(q_out, bc, "end", t)
+    f_start = end_flux(q_out * [1, -1, 1], bc, "start", t)
     tag = "wall" if bc.kind == "reflective" else f"{bc.kind}:c:end"
     mesh = rect_union_mesh([(0, 0, 1, 0.2)], 0.1, tag_segments=[((1, 0), (1, 0.2), tag)])
     sim = Mesh2DSimulation(mesh, P, boundary_conditions={tag: bc})
@@ -177,9 +188,9 @@ class TestTwoInflows:
         rates = set()
         for b in cfg.data["boundaries"]:
             edges = np.flatnonzero(tags == f"inflow:{b['channel']}:{b['end']}")
-            own = solved_boundary_flux(q[None], [boundary_condition(b)], np.array([False]), 3.0)
-            assert len(edges) == 4 and np.all(flux[edges, 0] == own[0, 0])
-            rates.add(float(own[0, 0]))
+            own = end_flux(q, boundary_condition(b), "end", 3.0)
+            assert len(edges) == 4 and np.all(flux[edges, 0] == own[0])
+            rates.add(float(own[0]))
         assert len(rates) == 3
 
     def test_network_and_reference_ledgers_close(self):
@@ -481,3 +492,30 @@ def test_both_steppers_reject_a_stride_below_1_before_stepping(stride):
         with pytest.raises(ValueError, match=f"^output_stride must be at least 1, got {stride}$"):
             stepper.run(1.0, output_stride=stride)
         assert stepper.steps == 0 and stepper.t == 0.0
+
+
+class TestGaugesInsideTheirDomains:
+    @pytest.mark.parametrize("s", [50.0, -0.5])
+    def test_network_rejects_a_gauge_off_its_channel(self, s):
+        ch = Channel("ch1", width=0.4, cells=60, start=(0, 0), end=(3, 0))
+        walls = {(ch.id, end): BoundaryCondition("reflective") for end in ("start", "end")}
+        with pytest.raises(ValueError, match=f"gauge far: s={s} outside channel 'ch1' of length 3"):
+            NetworkSimulation([ch], [], walls, P, gauges=[Gauge("far", "ch1", s)])
+
+    def test_gauges_at_both_channel_ends_are_accepted(self):
+        cfg = presets.preset("test1_sub90")
+        data = cfg.emit()
+        data["gauges"] = [{"id": "a", "channel": "ch1", "s": 0.0},
+                          {"id": "b", "channel": "ch1", "s": 3.0}]
+        sim = build_simulation(ScenarioConfig(data))
+        ch1 = sim.fields["ch1"]
+        ch1.q[:, 0] = 0.1 + 0.001 * np.arange(ch1.n)
+        sim.sample_gauges()
+        assert [sim.recorder.h[g][-1] for g in "ab"] == [ch1.q[0, 0], ch1.q[-1, 0]]
+
+    def test_point_gauge_outside_the_reference_is_rejected(self):
+        sim = build_reference_sim(presets.preset("test1_sub90"), 0.1)
+        with pytest.raises(ValueError, match=r"point \(100, 100\) lies in no cell"):
+            PointGauge("p", sim.mesh, (100, 100))
+        inside = PointGauge("q", sim.mesh, (-1.49, 0.005))
+        assert len(inside.cells) == 1
