@@ -142,20 +142,32 @@ def froude(h, u, params: PhysicalParams):
     return np.abs(u) / np.sqrt(params.g * h)
 
 
-def jacobian_dot(q: np.ndarray, b: np.ndarray, c, params: PhysicalParams) -> np.ndarray:
-    """A(q) . b + B(q) . c without forming the matrices.
+def jacobian_rows(q, b, c, g: float) -> np.ndarray:
+    """A(q) . b + B(q) . c without forming the matrices, on component rows.
 
-    b and c are conserved-variable gradient vectors (..., 3); pass c=None for
-    purely one-dimensional evolution along the local axis.
+    q, b and c hold the (h, hu, hv) components along their first axis: q the
+    states, b and c the conserved-variable gradient rows along x and y (pass
+    c=None for purely one-dimensional evolution along the local axis).
+    Returns (3, ...) rows. The one Jacobian formula; `jacobian_dot` is its
+    (..., 3) wrapper.
     """
-    h, u, v = primitives(q, "jacobian_dot")
-    g = params.g
-    out = np.empty_like(b)
-    out[..., 0] = b[..., 1]
-    out[..., 1] = (g * h - u * u) * b[..., 0] + 2.0 * u * b[..., 1]
-    out[..., 2] = -u * v * b[..., 0] + v * b[..., 1] + u * b[..., 2]
+    h = q[0]
+    check_wet(h, "jacobian_dot")
+    u, v = q[1] / h, q[2] / h
+    gh = g * h
+    nuv = -u * v
+    out = np.empty(np.shape(b))
+    out[0] = b[1]
+    out[1] = (gh - u * u) * b[0] + 2.0 * u * b[1]
+    out[2] = nuv * b[0] + v * b[1] + u * b[2]
     if c is not None:
-        out[..., 0] += c[..., 2]
-        out[..., 1] += -u * v * c[..., 0] + v * c[..., 1] + u * c[..., 2]
-        out[..., 2] += (g * h - v * v) * c[..., 0] + 2.0 * v * c[..., 2]
+        out[0] += c[2]
+        out[1] += nuv * c[0] + v * c[1] + u * c[2]
+        out[2] += (gh - v * v) * c[0] + 2.0 * v * c[2]
     return out
+
+
+def jacobian_dot(q: np.ndarray, b: np.ndarray, c, params: PhysicalParams) -> np.ndarray:
+    """A(q) . b + B(q) . c for states and gradients in (..., 3) rows; see
+    `jacobian_rows`, which takes their transposes."""
+    return jacobian_rows(q.T, b.T, None if c is None else c.T, params.g).T

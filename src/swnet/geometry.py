@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -433,6 +434,17 @@ class TriMesh:
         self.neighbors = np.full((T, K), -1)
         self.neighbors[cell[by_cell], slot] = other[by_cell]
 
+    # Each edge's normal cosine and sine, read by every edge flux kernel;
+    # computed on first read, once the field's stencils are built: made
+    # with the mesh, they raised the set-up's peak memory.
+    @functools.cached_property
+    def edge_cos(self) -> np.ndarray:
+        return np.cos(self.edge_thetas)
+
+    @functools.cached_property
+    def edge_sin(self) -> np.ndarray:
+        return np.sin(self.edge_thetas)
+
     @property
     def n_cells(self) -> int:
         return len(self.triangles)
@@ -458,8 +470,11 @@ class TriMesh:
         a = self.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (T, K, 2)
         e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
         d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
-        by_distance = np.argsort(np.linalg.norm(self.centroids - p, axis=1))
-        inside = by_distance[(d >= -1e-12).all(axis=1)[by_distance]]
+        contains = (d >= -1e-12).all(axis=1)
+        inside = np.flatnonzero(contains)
+        if len(inside) > 1:
+            by_distance = np.argsort(np.linalg.norm(self.centroids - p, axis=1))
+            inside = by_distance[contains[by_distance]]
         if not len(inside):
             raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
         return int(inside[0])

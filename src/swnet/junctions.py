@@ -139,7 +139,6 @@ class JunctionField:
         self._cpl_back = np.cos(alpha)[self._cpl_end], -np.sin(alpha)[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
-        self._cos, self._sin = np.cos(mesh.edge_thetas), np.sin(mesh.edge_thetas)
 
         # Each coupling edge's cell sees the adjacent 1D end cell as an extra
         # stencil neighbour.
@@ -213,7 +212,7 @@ class JunctionField:
         sides.
         """
         m = self.mesh
-        c, s = self._cos, self._sin
+        c, s = m.edge_cos, m.edge_sin
         qL, qR = self.mesh_field.edge_states(dt)
         left = _normal_rows(qL, c, s)
         right = _normal_rows(qR, c, s)

@@ -20,7 +20,7 @@ from .core import (
     PositivityError,
     friction_source,
     from_normal,
-    jacobian_dot,
+    jacobian_rows,
     max_wave_speed,
     to_normal,
 )
@@ -153,18 +153,24 @@ class MeshField:
         qc = src.take(cells, axis=1)
         vals = [src.take(row, axis=1) for row in nbr]
         terms = vals if kind == "exact" else [v - qc for v in vals]
+        # Scattered one component row at a time: at reference size
+        # `row[cells] = v` is ~5x faster than the same write along axis 1 of
+        # the (3, T) array.
         for i in range(2):
             g = op[i, 0] * terms[0]
             for j in range(1, len(terms)):
                 g += op[i, j] * terms[j]
             g[:, ~good] = 0.0
-            self.grad[i][:, cells] = g
+            for row, v in zip(self.grad[i], g):
+                row[cells] = v
         lo, hi = vals[0], vals[0]
         for v in vals[1:]:
             lo = np.minimum(lo, v)
             hi = np.maximum(hi, v)
-        dmin[:, cells] = np.minimum(qc, lo) - qc
-        dmax[:, cells] = np.maximum(qc, hi) - qc
+        for row, v in zip(dmin, np.minimum(qc, lo) - qc):
+            row[cells] = v
+        for row, v in zip(dmax, np.maximum(qc, hi) - qc):
+            row[cells] = v
 
     def _limit(self, dmin, dmax):
         """Barth-Jespersen: scale each gradient by the largest phi in [0, 1]
@@ -194,12 +200,14 @@ class MeshField:
         m = self.mesh
         sides = 2 if len(m.interior) else 1
         qT = np.ascontiguousarray(self.q.T)
+        grad = self.grad.reshape(6, -1)
         out = []
         for cells, (dx, dy) in zip(m.edge_cells[:sides], m.edge_offsets[:sides]):
-            gx, gy = self.grad[0].take(cells, axis=1), self.grad[1].take(cells, axis=1)
+            g = grad.take(cells, axis=1)
+            gx, gy = g[:3], g[3:]
             qf = qT.take(cells, axis=1) + gx * dx + gy * dy
             if self.order >= 2:
-                qf -= 0.5 * dt * jacobian_dot(qf.T, gx.T, gy.T, self.params).T
+                qf -= 0.5 * dt * jacobian_rows(qf, gx, gy, self.params.g)
             out.append(qf.T)
         return out[0], out[-1]
 
@@ -238,14 +246,13 @@ def interior_edge_fluxes(field: MeshField, qL, qR) -> np.ndarray:
     and rotated back by `from_normal`, with the arithmetic of `rotate_state`,
     `hllc_flux` and `rotate_back`.
     """
-    th = field.mesh.edge_thetas
-    c, s = np.cos(th), np.sin(th)
+    c, s = field.mesh.edge_cos, field.mesh.edge_sin
     hL, huL, hvL = qL.T
     hR, huR, hvR = qR.T
     f0, f1, f2 = hllc_rows(
         hL, *to_normal(huL, hvL, c, s), hR, *to_normal(huR, hvR, c, s), field.params.g
     )
-    out = np.empty((3, len(th)))
+    out = np.empty((3, len(c)))
     out[0] = f0
     from_normal(f1, f2, c, s, out=out[1:])
     return out.T

@@ -389,7 +389,7 @@ class Mesh2DSimulation(TimeStepper):
         for k in np.argsort(first):
             sel = kind_of == k
             kind, edges = kind_names[k], mesh.boundary[sel]
-            c, s = np.cos(mesh.edge_thetas[edges]), np.sin(mesh.edge_thetas[edges])
+            c, s = mesh.edge_cos[edges], mesh.edge_sin[edges]
             if kind == "wall":
                 ghost = mirrored
             elif kind == "transparent":

@@ -4,11 +4,13 @@ import pytest
 from swnet.core import (
     DryStateError,
     H_DRY,
+    NonFiniteError,
     PhysicalParams,
     conserved,
     friction_source,
     froude,
     jacobian_dot,
+    jacobian_rows,
     max_wave_speed,
     physical_flux,
     physical_flux_y,
@@ -158,3 +160,62 @@ class TestJacobians:
             - physical_flux_y(q - eps * c, P)
         ) / (2 * eps)
         assert np.abs(got - fd).max() < 1e-5
+
+    def jacobian_states(self, n=400, seed=9):
+        """States and gradients with exact zeros of both signs, so that the
+        signs of zero products and sums show."""
+        rng = np.random.default_rng(seed)
+        q = random_states(n, seed=seed)
+        q[::5, 1] = 0.0
+        q[1::7, 2] = -0.0
+        b, c = rng.normal(size=(2, n, 3))
+        b[::3, 0] = -0.0
+        b[2::9, 1] = -0.0
+        c[::4, 1:] = 0.0
+        c[2::9, 2] = -0.0
+        return q, b, c
+
+    @staticmethod
+    def former_jacobian_dot(q, b, c, g):
+        # The (..., 3) formula `jacobian_rows` replaced, verbatim.
+        h, u, v = q[..., 0], q[..., 1] / q[..., 0], q[..., 2] / q[..., 0]
+        out = np.empty_like(b)
+        out[..., 0] = b[..., 1]
+        out[..., 1] = (g * h - u * u) * b[..., 0] + 2.0 * u * b[..., 1]
+        out[..., 2] = -u * v * b[..., 0] + v * b[..., 1] + u * b[..., 2]
+        if c is not None:
+            out[..., 0] += c[..., 2]
+            out[..., 1] += -u * v * c[..., 0] + v * c[..., 1] + u * c[..., 2]
+            out[..., 2] += (g * h - v * v) * c[..., 0] + 2.0 * v * c[..., 2]
+        return out
+
+    @pytest.mark.parametrize("with_c", [True, False])
+    def test_rows_equal_the_former_formula_bit_for_bit(self, with_c):
+        q, b, c = self.jacobian_states()
+        c = c if with_c else None
+        want = self.former_jacobian_dot(q, b, c, P.g)
+        rows = jacobian_rows(q.T.copy(), b.T.copy(), None if c is None else c.T.copy(), P.g)
+        for got in (rows.T, jacobian_dot(q, b, c, P)):
+            assert got.shape == want.shape
+            # Equal bits: equal values and equal signs of zero.
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert (want == 0.0).any() and np.signbit(want[want == 0.0]).any()
+
+    @pytest.mark.parametrize(
+        "depth, error, message",
+        [
+            (0.0, DryStateError, "dry depth in jacobian_dot: min h = 0.000000e+00"),
+            (np.nan, NonFiniteError, "non-finite depth in jacobian_dot"),
+        ],
+    )
+    def test_rows_and_wrapper_raise_the_same_error(self, depth, error, message):
+        q, b, c = self.jacobian_states(n=30)
+        q[11, 0] = depth
+        for call in (
+            lambda: jacobian_rows(q.T, b.T, c.T, P.g),
+            lambda: jacobian_dot(q, b, c, P),
+            lambda: jacobian_dot(q, b, None, P),
+        ):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message

@@ -13,7 +13,7 @@ from swnet.geometry import (
     polygon_area,
     save_trimesh,
 )
-from swnet.meshing import fan_refine_mesh, rect_union_mesh
+from swnet.meshing import disjoint_union, fan_refine_mesh, rect_union_mesh
 
 
 def t_junction(b=0.4, protrusion=0.1):
@@ -154,6 +154,44 @@ class TestTriMesh:
         for p in [(3.0, 3.0), (-0.1, 0.5), (1.9, 0.9)]:
             with pytest.raises(ValueError, match="lies in no cell"):
                 m.cell_containing(p)
+
+    def test_cell_containing_keeps_the_nearest_centroid_rule(self):
+        # One containing cell is returned as found; of several (a point on
+        # shared edges), the first in argsort order of centroid distance.
+        m = rect_union_mesh([(0, 0, 1, 1)], 0.25)
+        k = 5
+        assert m.cell_containing(m.centroids[k]) == k
+        e = m.interior[3]
+        mid = m.edge_midpoints[e]
+        by_distance = np.argsort(np.linalg.norm(m.centroids - mid, axis=1))
+        both = {int(m.edge_left[e]), int(m.edge_right[e])}
+        first = next(int(c) for c in by_distance if int(c) in both)
+        assert m.cell_containing(mid) == first
+        corner = m.vertices[m.triangles[k, 0]]  # shared by several cells
+        by_distance = np.argsort(np.linalg.norm(m.centroids - corner, axis=1))
+        users = set(np.flatnonzero((m.triangles == m.triangles[k, 0]).any(axis=1)).tolist())
+        assert len(users) > 2
+        assert m.cell_containing(corner) == next(int(c) for c in by_distance if c in users)
+        with pytest.raises(ValueError, match=r"point \(1.5, 0.5\) lies in no cell"):
+            m.cell_containing((1.5, 0.5))
+
+    def test_edge_normals_are_cos_and_sin_of_the_angles(self):
+        g = t_junction()
+        patch = fan_refine_mesh(g, refinements=2)
+        n = len(g.vertices)
+        bound = patch.boundary
+        union = disjoint_union([
+            (g.vertices, [np.arange(n)], {(k, (k + 1) % n): e.tag for k, e in enumerate(g.edges)}),
+            (patch.vertices, patch.triangles,
+             {(a, b): patch.edge_tags[e] for a, b, e in zip(patch.edge_va[bound],
+                                                            patch.edge_vb[bound], bound)}),
+        ])
+        for m in (rect_union_mesh([(0, 0, 2, 1), (0, 0, 1, 2)], 0.25), patch, union):
+            assert np.array_equal(m.edge_cos, np.cos(m.edge_thetas))
+            assert np.array_equal(m.edge_sin, np.sin(m.edge_thetas))
+            # As the reference's boundary groups read them: a subset of the
+            # normals equals the normals of the subset's angles.
+            assert np.array_equal(m.edge_cos[::3], np.cos(m.edge_thetas[::3]))
 
     def test_two_triangles_share_one_edge(self):
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]

@@ -183,7 +183,8 @@ class TestFusedEdgeKernel:
             speed = rng.uniform(0.0, 12.0, n)
             angle = rng.uniform(-np.pi, np.pi, n)
             qs.append(np.stack([h, h * speed * np.cos(angle), h * speed * np.sin(angle)], axis=1))
-        field = SimpleNamespace(mesh=SimpleNamespace(edge_thetas=th), params=P)
+        mesh = SimpleNamespace(edge_cos=np.cos(th), edge_sin=np.sin(th))
+        field = SimpleNamespace(mesh=mesh, params=P)
         return field, th, qs[0], qs[1]
 
     def test_equals_rotate_hllc_rotate_back(self):
@@ -470,6 +471,34 @@ class TestKernelsMatchOracle:
         f.q[:], _, _ = random_state(f, rng)
         vv, _, _ = random_state(f, rng)
         assert_kernels_match_oracle(f, rng, virtual_values=vv[: len(virtual)])
+
+    def test_degenerate_stencils(self):
+        # Virtual neighbours on a line: a corner cell's one mesh neighbour
+        # reflected through its centroid (a rank-one least-squares fit), and
+        # every other two-neighbour cell's third point on the line through
+        # its neighbours' centroids (a singular exact fit). Their gradients
+        # are masked to zero among regular cells of the same groups.
+        mesh = box_mesh(0.1)
+        counts = np.count_nonzero(mesh.neighbors >= 0, axis=1)
+        c = mesh.centroids
+        virtual = []
+        for cell in np.flatnonzero(counts == 1):
+            virtual.append((cell, 2.0 * c[cell] - c[mesh.neighbors[cell, 0]]))
+        for cell in np.flatnonzero(counts == 2)[::2]:
+            a, b = c[mesh.neighbors[cell, :2]]
+            virtual.append((cell, 3.0 * b - 2.0 * a))
+        f = MeshField(mesh, P, virtual=virtual)
+        masked = {kind for kind, _, _, _, good in f._groups if good.any() and not good.all()}
+        assert masked == {"exact", "lsq"}
+        rng = np.random.default_rng(7)
+        f.q[:], _, _ = random_state(f, rng)
+        vv, _, _ = random_state(f, rng)
+        assert_kernels_match_oracle(f, rng, virtual_values=vv[: len(virtual)])
+        # Masked, not just multiplied by a zero operator row: +0.0 even where
+        # every stencil value is negative.
+        singular = [cell for cell, _ in virtual]
+        assert not f.grad[:, :, singular].any() and not np.signbit(f.grad[:, :, singular]).any()
+        assert f.grad_x.any() and f.grad_y.any()
 
     def test_first_order(self):
         mesh = build_reference_sim(preset("test6_network"), 0.1).mesh
