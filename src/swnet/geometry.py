@@ -470,11 +470,8 @@ class TriMesh:
         a = self.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (T, K, 2)
         e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
         d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
-        contains = (d >= -1e-12).all(axis=1)
-        inside = np.flatnonzero(contains)
-        if len(inside) > 1:
-            by_distance = np.argsort(np.linalg.norm(self.centroids - p, axis=1))
-            inside = by_distance[contains[by_distance]]
+        by_distance = np.argsort(np.linalg.norm(self.centroids - p, axis=1))
+        inside = by_distance[(d >= -1e-12).all(axis=1)[by_distance]]
         if not len(inside):
             raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
         return int(inside[0])

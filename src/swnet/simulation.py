@@ -375,6 +375,8 @@ class Mesh2DSimulation(TimeStepper):
         # cosines and sines of their normals and their `boundary_flux`
         # ghost: the mirror at walls, a `FarField` on open edges, and the
         # `GhostStates` of the tags' conditions on inflow and prescribed ones.
+        # This reads `mesh.edge_cos` first, so it must follow the MeshField
+        # build above: normals made before the stencils raise the peak memory.
         tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
         names, tag_of = np.unique(tags, return_inverse=True)
         kinds = np.array([name.split(":")[0] for name in names], dtype=object)

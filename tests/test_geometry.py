@@ -156,8 +156,8 @@ class TestTriMesh:
                 m.cell_containing(p)
 
     def test_cell_containing_keeps_the_nearest_centroid_rule(self):
-        # One containing cell is returned as found; of several (a point on
-        # shared edges), the first in argsort order of centroid distance.
+        # The one containing cell; of several (a point on shared edges or a
+        # shared corner), the first in argsort order of centroid distance.
         m = rect_union_mesh([(0, 0, 1, 1)], 0.25)
         k = 5
         assert m.cell_containing(m.centroids[k]) == k
