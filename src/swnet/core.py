@@ -56,10 +56,10 @@ def conserved(h, hu=0.0, hv=0.0) -> np.ndarray:
 def check_wet(h, context="state"):
     # NaN compares false, so one reduction also rejects invalid depths; the
     # error type is only worked out once the check has failed.
-    if not np.all(np.asarray(h) > H_DRY):
+    if not (np.asarray(h) > H_DRY).all():
         if np.isnan(h).any():
             raise NonFiniteError(f"non-finite depth in {context}")
-        raise DryStateError(f"dry depth in {context}: min h = {np.min(h):.6e}")
+        raise DryStateError(f"dry depth in {context}: min h = {np.asarray(h).min():.6e}")
 
 
 def primitives(q: np.ndarray, context="state"):

@@ -13,16 +13,17 @@ The field exchanges fluxes with the adjacent 1D cells by solving rotated
 Riemann problems on the coupling edges (a B patch splits each channel's
 coupling edge into sub-edges). One flux per coupling edge is computed and
 applied to both sides, which conserves mass and edge-normal momentum
-exactly.
+exactly. The stencil, the coupling edges' face rows, signs and lengths and
+the averaging groups are built once; a step follows `scheme1d`'s per-call rule.
 
 The network stepper calls, in channel end numbers of the network's
 `scheme1d.ChannelField`:
 
 - `reconstruct(field)`;
-- `channel_neighbors(field)` -> (ends, states, distances): per channel end,
-  the length-weighted average of the junction cells along its coupling
-  edges, in the channel frame, at the projected distance of their weighted
-  centroid beyond the end face;
+- `channel_neighbors(field)` -> (`stencil`, states): per channel end, the
+  length-weighted average of the junction cells along its coupling edges, in
+  the channel frame; `stencil` is the field's `junction_stencil` of the
+  ends, at the projected distance of that weighted centroid;
 - `compute_fluxes(field, dt, batch)` -> (edge fluxes, (ends, axial
   fluxes)); it reads the evolved face states of the field's last
   `face_state` call and queues the Riemann problem of every edge on the
@@ -86,10 +87,11 @@ def project_transverse(q: np.ndarray):
     the axial component (sign of +0.0 used when the axial velocity vanishes).
     q is (..., 3). Returns (projected states, magnitudes of the momentum change).
     """
-    h, hu, hv = q[..., 0], q[..., 1], q[..., 2]
+    hu, hv = q[..., 1], q[..., 2]
     speed_mom = np.hypot(hu, hv)
     hu_new = np.where(speed_mom > 0.0, np.copysign(speed_mom, hu), 0.0)
-    out = np.stack([h, hu_new, np.zeros_like(h)], axis=-1)
+    out = np.zeros(q.shape)
+    out[..., 0], out[..., 1] = q[..., 0], hu_new
     return out, np.hypot(hu_new - hu, hv)
 
 
@@ -97,7 +99,7 @@ def _normal_rows(q, c, s):
     """(3, n) normal-frame component rows of global-frame states q (n, 3) on
     edges whose normals have cosines c and sines s."""
     h, hu, hv = q.T
-    return np.stack([h, *to_normal(hu, hv, c, s)])
+    return np.array([h, *to_normal(hu, hv, c, s)])
 
 
 class JunctionField:
@@ -138,6 +140,11 @@ class JunctionField:
         self._end_cs = np.cos(alpha), np.sin(alpha)
         self._cpl_back = np.cos(alpha)[self._cpl_end], -np.sin(alpha)[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
+        # Per coupling edge: its row of `field.faces`, and the weights of its
+        # fluxes in the end totals (sigma * length is exact: sigma is +-1).
+        self._cpl_slot = field.end_slot[self._ends][self._cpl_end]
+        lengths = mesh.edge_lengths[edges]
+        self._cpl_weights = np.array([self._cpl_sigma * lengths, lengths, lengths])
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
 
         # Each coupling edge's cell sees the adjacent 1D end cell as an extra
@@ -168,6 +175,7 @@ class JunctionField:
             d = np.matmul(cen - end_pos[group, None, :], axes[group, :, None])
             self._nbr_dists[group] = np.abs(d[:, 0, 0])
             self._nbr_groups.append((group, cells, w))
+        self.stencil = field.junction_stencil(self._ends, self._nbr_dists)
 
         end_junction = junction_of[mesh.edge_left[edges[by_end[first]]]]
         self.junctions = [
@@ -190,13 +198,13 @@ class JunctionField:
         self.mesh_field.reconstruct(virtual_values=vv)
 
     def channel_neighbors(self, field):
-        """Per channel end: the width-averaged junction state along its
-        coupling edges in the channel frame, and its stencil distance."""
+        """(`stencil`, per channel end the width-averaged junction state along
+        its coupling edges in the channel frame)."""
         q = self.mesh_field.q
         qavg = np.empty((len(self.ends), 3))
         for group, cells, w in self._nbr_groups:
             qavg[group] = np.matmul(w, q[cells])[:, 0]
-        return self._ends, _normal_rows(qavg, *self._end_cs).T, self._nbr_dists
+        return self.stencil, _normal_rows(qavg, *self._end_cs).T
 
     def compute_fluxes(self, field, dt: float, batch):
         """Queue the Riemann problem of every edge on `batch` (a
@@ -211,32 +219,31 @@ class JunctionField:
         the coupling edge frame: one flux per coupling edge serves both
         sides.
         """
-        m = self.mesh
-        c, s = m.edge_cos, m.edge_sin
+        c, s = self.mesh.edge_cos, self.mesh.edge_sin
         qL, qR = self.mesh_field.edge_states(dt)
         left = _normal_rows(qL, c, s)
         right = _normal_rows(qR, c, s)
         walls, edges = self._wall_edges, self._cpl_edges
         right[:, walls] = mirrored(left[:, walls].T).T
-        q1 = field.faces[field.end_slot[self._ends]]
-        q1[:, 1:] *= self._end_sigma[:, None]
-        right[:, edges] = q1[self._cpl_end].T
+        q1 = field.faces[self._cpl_slot]
+        q1[:, 1:] *= self._cpl_sigma[:, None]
+        right[:, edges] = q1.T
 
         flux = np.empty((3, len(c)))
-        totals = np.empty((len(self.ends), 3))
+        totals = np.empty((3, len(self.ends)))
 
         def read_edges(f):
             f[walls, ::2] = 0.0
             flux[0] = f[:, 0]
             from_normal(f[:, 1], f[:, 2], c, s, out=flux[1:])
-            f_ch = f[edges]
-            f_ch[:, 0] *= self._cpl_sigma
-            sums = np.zeros_like(totals)
-            np.add.at(sums, self._cpl_end, f_ch * m.edge_lengths[edges][:, None])
-            np.divide(sums, self._end_widths[:, None], out=totals)
+            # One running sum per end in edge order, as np.add.at sums.
+            w = f[edges].T * self._cpl_weights
+            for k in range(3):
+                totals[k] = np.bincount(self._cpl_end, w[k], len(self.ends))
+            np.divide(totals, self._end_widths, out=totals)
 
         batch.add(left.T, right.T, read_edges)
-        return flux.T, (self._ends, totals)
+        return flux.T, (self._ends, totals.T)
 
     def update(self, edge_fluxes: np.ndarray, dt: float):
         self.mesh_field.update(edge_fluxes, dt)

@@ -19,7 +19,7 @@ def hllc_flux(qL: np.ndarray, qR: np.ndarray, params: PhysicalParams) -> np.ndar
     tangential component is the mass flux times the transverse velocity
     upwinded by the sign of the contact speed.
     """
-    out = np.empty(np.broadcast_shapes(qL.shape, qR.shape), dtype=float)
+    out = np.empty(np.broadcast(qL, qR).shape)
     rows = hllc_rows(
         qL[..., 0], qL[..., 1], qL[..., 2], qR[..., 0], qR[..., 1], qR[..., 2], params.g
     )
@@ -45,9 +45,9 @@ def hllc_rows(hL, huL, hvL, hR, huR, hvR, g: float):
     # At reference size the kernel is bound by memory traffic: dropping each
     # temporary once it is used lets the next one reuse its cache-warm buffer.
     del aL, aR, h_star, qfL, qfR
-    s_star = (sL * hR * (uR - sR) - sR * hL * (uL - sL)) / (
-        hR * (uR - sR) - hL * (uL - sL)
-    )
+    dR, dL = uR - sR, uL - sL
+    s_star = (sL * hR * dR - sR * hL * dL) / (hR * dR - hL * dL)
+    del dR, dL
 
     fL0, fL1 = huL, huL * uL + 0.5 * g * hL * hL
     fR0, fR1 = huR, huR * uR + 0.5 * g * hR * hR

@@ -17,6 +17,12 @@ Channel ends are numbered 2c ("start") and 2c + 1 ("end"); the `end_*`
 arrays map an end to its cell, its face and the side of the cell it lies on,
 and junctions and boundaries address the field only through these numbers.
 
+The per-call rule. At network size a step pays per numpy call, not per cell:
+a step method does only the state's arithmetic, in ufuncs and array methods,
+not numpy's Python-level wrappers (listed in `tests/test_layout.py`). Its
+static tables are built once: the interior stencil geometry, the face rows of
+`interior_fluxes` and the junction field's `junction_stencil`.
+
 `ChannelSegment` is one channel's window onto the field. Its `q` slices
 the owner's array on every access instead of holding a numpy view taken at
 construction: `copy.deepcopy` turns a view into an independent array, so a
@@ -132,6 +138,8 @@ class ChannelField:
         has_right[last] = False
         self._lcell = np.arange(N)[has_right]
         self._inner_face = self._left_face[has_right] + 1
+        # The rows of `faces` that `interior_fluxes` queues as (left, right) states.
+        self._face_rows = N + self._lcell, self._lcell + 1
         # Static stencil geometry of the interior least-squares slopes, for
         # rows 1..N-2 of the flat array. Rows whose 3-cell stencil straddles
         # two channels are channel end cells, overwritten after use; one of
@@ -161,18 +169,29 @@ class ChannelField:
 
     def dt_bound(self) -> float:
         lam = max_wave_speed(self.q, self.params)
-        return float(np.min(self.ds / lam))
+        return float((self.ds / lam).min())
+
+    def junction_stencil(self, ends, dists):
+        """Junction-side stencil of the cells at channel ends `ends`, whose
+        junction centroids sit `dists` beyond the end face: (end cells, inner
+        neighbours, offsets of both, least-squares denominators). Static;
+        built once by the junction field, for `reconstruct`."""
+        cells, sign = self.end_cell[ends], self.end_sign[ends]
+        inner = cells - sign.astype(int)
+        off_in = (self.centers[inner] - self.centers[cells])[:, None]
+        off_nb = (sign * dists)[:, None]
+        return cells, inner, off_in, off_nb, off_in**2 + off_nb**2
 
     def reconstruct(self, nbr=None):
         """Limited least-squares slopes of the conserved variables.
 
-        `nbr` optionally supplies junction-side stencil entries as arrays
-        (ends, states, distances): channel end numbers, the junction states
-        in each channel's frame, and the projected centroid distances beyond
-        the end face. End cells without an entry keep zero slope.
+        `nbr` optionally supplies junction-side stencil entries as (stencil,
+        states): a `junction_stencil` and the junction states in each
+        channel's frame, one row per end. End cells without an entry keep
+        zero slope.
         """
         q = self.q
-        slopes = np.zeros_like(q)
+        slopes = np.zeros(q.shape)
         self.slopes = slopes
         if self.order < 2:
             return
@@ -188,22 +207,14 @@ class ChannelField:
         slopes[ends] = 0.0
         qmin[ends] = qmax[ends] = q[ends]
 
-        if nbr is not None and len(nbr[0]):
-            e, nbr_q, nbr_d = nbr
-            idx = self.end_cell[e]
-            sign = self.end_sign[e]
-            inner = idx - sign.astype(int)
-            diff_in = q[inner] - q[idx]
-            diff_nb = nbr_q - q[idx]
+        if nbr is not None:
             # Least squares over the interior neighbor and the junction
-            # element; the junction centroid sits beyond the end face, at the
-            # projected distance nbr_d along the axis.
-            off_in = (self.centers[inner] - self.centers[idx])[:, None]
-            off_nb = (sign * nbr_d)[:, None]
-            denom = off_in**2 + off_nb**2
-            slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
-            qmin[idx] = np.minimum(np.minimum(q[inner], nbr_q), q[idx])
-            qmax[idx] = np.maximum(np.maximum(q[inner], nbr_q), q[idx])
+            # element, whose centroid sits beyond the end face.
+            (idx, inner, off_in, off_nb, denom), nbr_q = nbr
+            q_in, q_end = q[inner], q[idx]
+            slopes[idx] = (off_in * (q_in - q_end) + off_nb * (nbr_q - q_end)) / denom
+            qmin[idx] = np.minimum(np.minimum(q_in, nbr_q), q_end)
+            qmax[idx] = np.maximum(np.maximum(q_in, nbr_q), q_end)
 
         self._limit(qmin, qmax)
 
@@ -217,7 +228,8 @@ class ChannelField:
         neg = dq < 0.0
         # Both faces at once: the -dq face swaps the roles of lo and hi.
         cand = np.where(pos, np.minimum(hi, -lo), np.where(neg, np.minimum(lo, -hi), 1.0))
-        self.slopes *= np.clip(cand, 0.0, 1.0)
+        # np.clip, with the bound first in each call for its signs of zero.
+        self.slopes *= np.minimum(1.0, np.maximum(0.0, cand, out=cand), out=cand)
 
     def face_state(self, dt: float) -> np.ndarray:
         """Boundary-extrapolated, half-step evolved states at both faces of
@@ -243,19 +255,18 @@ class ChannelField:
         The channel end faces hold NaN until the junction and boundary fluxes
         fill them.
         """
-        N = self.n
-        flux = np.full((N + len(self.channels), 3), np.nan)
-        lc = self._lcell
+        flux = np.full((self.n + len(self.channels), 3), np.nan)
 
         def read(f):
             flux[self._inner_face] = f
 
-        batch.add(self.faces[N + lc], self.faces[lc + 1], read)
+        left, right = self._face_rows
+        batch.add(self.faces[left], self.faces[right], read)
         return flux
 
     def update(self, flux, dt: float):
         """Conservative update from the face flux array, with explicit pointwise friction."""
-        dq = -(dt / self.ds)[:, None] * np.diff(flux, axis=0)[self._left_face]
+        dq = -(dt / self.ds)[:, None] * (flux[1:] - flux[:-1])[self._left_face]
         if self.params.friction_enabled and self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)
         self.q = self.q + dq

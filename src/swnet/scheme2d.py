@@ -140,8 +140,8 @@ class MeshField:
             src = np.concatenate([self.q.T, virtual_values[::-1].T], axis=1)
         else:
             src = np.ascontiguousarray(self.q.T)
-        dmin = np.zeros_like(grad[0])
-        dmax = np.zeros_like(grad[0])
+        dmin = np.zeros(grad[0].shape)
+        dmax = np.zeros(grad[0].shape)
         for group in self._groups:
             self._fit(src, *group, dmin, dmax)
         del src  # the limiter's temporaries are the step's largest
@@ -188,7 +188,8 @@ class MeshField:
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = np.where(rising, dmax, dmin) / dq
         np.copyto(cand, 1.0, where=~(rising | (dq < 0.0)))
-        self.grad *= np.clip(cand.min(axis=0), 0.0, 1.0, out=dmin)
+        # np.clip, with the bound first in each call for its signs of zero.
+        self.grad *= np.minimum(1.0, np.maximum(0.0, cand.min(axis=0), out=dmin), out=dmin)
 
     def edge_states(self, dt: float):
         """Evolved boundary-extrapolated states per edge, global frame.

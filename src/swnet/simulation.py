@@ -271,11 +271,12 @@ class NetworkSimulation(TimeStepper):
             cells.update(edge_fluxes, dt)
         field.update(flux, dt)
 
-        # Phase 4: transverse projection in the 1D cells next to junction cells.
+        # Phase 4: transverse projection in the 1D cells next to junction
+        # cells, the end cells of the junction stencil.
         if nbr is not None:
-            cells = field.end_cell[nbr[0]]
+            cells = nbr[0][0]
             field.q[cells], discarded = project_transverse(field.q[cells])
-            self.diagnostics["transverse_momentum_discarded"] += float(np.sum(discarded))
+            self.diagnostics["transverse_momentum_discarded"] += float(discarded.sum())
 
         # Phase 5: bookkeeping.
         self.diagnostics["boundary_influx"] += boundary_mass * dt
@@ -311,7 +312,7 @@ class NetworkSimulation(TimeStepper):
         boundary_mass = 0.0
         for ends, width, to_s, f in bounds:
             flux[field.end_face[ends]] = f * to_s
-            boundary_mass -= float(np.sum(width * f[:, 0]))
+            boundary_mass -= float((width * f[:, 0]).sum())
         return flux, edge_fluxes, boundary_mass
 
     def sample_gauges(self):

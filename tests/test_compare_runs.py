@@ -78,3 +78,32 @@ def test_changed_reference_ledger_is_a_problem(monkeypatch):
     lines, problems = compare_runs.compare_reference(old, new)
     assert problems == 1
     assert lines[-1].endswith("| differ: boundary_influx |")
+
+
+def completed_run(q=(1.0, 0.1, 0.0)):
+    return failed_run(None, failure=None) | {"status": "completed", "channels": {"ch1": [list(q)]}}
+
+
+def test_equal_runs_read_identical():
+    lines, problems = compare_runs.compare([completed_run()], [completed_run()], rtol=1e-12)
+    assert problems == 0
+    assert lines[-1].endswith("| 0.0e+00 | 0.0e+00 | 0.0e+00 | 0.0e+00 | identical |")
+
+
+def test_sign_of_a_zero_shows_in_the_bits_column_only():
+    # A zero's sign moves no deviation, so it is no problem at any rtol; only
+    # the bits column can show it.
+    old, new = completed_run((1.0, 0.1, 0.0)), completed_run((1.0, 0.1, -0.0))
+    new = json.loads(json.dumps(new))  # as the worker hands it over
+    lines, problems = compare_runs.compare([old], [new], rtol=0.0)
+    assert problems == 0
+    assert lines[-1].endswith("| 0.0e+00 | 0.0e+00 | 0.0e+00 | 0.0e+00 | differ: channels |")
+
+
+def test_each_changed_part_is_named_in_the_bits_column():
+    old = completed_run()
+    new = old | {"gauges": old["gauges"] | {"h:g1": [1.0, np.nextafter(1.0, 2.0)]},
+                 "ledger": old["ledger"] | {"final_volume": 2.0 + 1e-9}}
+    lines, problems = compare_runs.compare([old], [new], rtol=1e-12)
+    assert problems == 1  # the ledger's 5e-10 exceeds rtol, the gauge's 2e-16 does not
+    assert lines[-1].endswith("| differ: gauges, ledger |")

@@ -155,8 +155,8 @@ def test_field_matches_single_cell_oracle_per_step(name):
         oracle.reconstruct(field)
         nbr = jf.channel_neighbors(field)
         o_ends, o_q, o_d = oracle.channel_neighbors(field)
-        worst["stencil"] = max(worst["stencil"], rel(by_end(nbr[0], nbr[1]), by_end(o_ends, o_q)),
-                               rel(by_end(nbr[0], nbr[2]), by_end(o_ends, o_d)))
+        worst["stencil"] = max(worst["stencil"], rel(by_end(jf._ends, nbr[1]), by_end(o_ends, o_q)),
+                               rel(by_end(jf._ends, jf._nbr_dists), by_end(o_ends, o_d)))
         field.reconstruct(nbr)
         field.face_state(dt)
         batch = RiemannBatch()

@@ -247,9 +247,9 @@ def test_junction_protocol(name, strategy, n_ends):
     keys = {field.end_index(ch, end) for ch, end in el.ends}
     assert keys == {field.end_index(ch, end) for j in sim.junctions for ch, end in j.ends}
     el.reconstruct(field)
-    nbr_ends, nbr_q, nbr_d = el.channel_neighbors(field)
-    assert set(nbr_ends) == keys
-    assert nbr_q.shape == (len(nbr_ends), 3) and nbr_d.shape == (len(nbr_ends),)
+    (nbr_cells, *_), nbr_q = el.channel_neighbors(field)
+    assert set(nbr_cells) == set(field.end_cell[list(keys)])
+    assert nbr_q.shape == (len(nbr_cells), 3)
     edge_fluxes, (ends, fluxes) = solved_fluxes(el, field, dt)
     assert len(ends) == len(el.ends) and set(ends) == keys
     assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()

@@ -91,3 +91,66 @@ def test_unused_imports_reads_names_and_noqa():
         "    return np.zeros(a)",
     ])
     assert unused_imports(source) == ["os", "b"]
+
+
+# The per-step functions of the network solver ("function" or
+# "Class.method", nested functions included), and the numpy calls they must
+# not make: Python-level wrappers whose fixed cost exceeds the arithmetic on
+# network-sized arrays, each with an exact ufunc or method form
+# (`np.bincount` per component for `np.add.at`, `np.array` or row writes for
+# `np.stack`, `np.minimum`/`np.maximum` for `np.clip`, a slice difference
+# for `np.diff`, `x.all()` for `np.all(x)`, `np.zeros` for `np.zeros_like`).
+PER_STEP = {
+    "scheme1d.py": [f"ChannelField.{m}" for m in (
+        "dt_bound", "reconstruct", "_limit", "face_state", "end_states", "interior_fluxes",
+        "update")],
+    "junctions.py": ["project_transverse", "_normal_rows", *[f"JunctionField.{m}" for m in (
+        "dt_bound", "reconstruct", "channel_neighbors", "compute_fluxes", "update")]],
+    "simulation.py": ["NetworkSimulation.advance", "NetworkSimulation.step_fluxes"],
+    "riemann.py": ["hllc_rows", "RiemannBatch.solve"],
+    "core.py": ["check_wet"],
+    "scheme2d.py": ["MeshField._limit"],
+}
+SLOW_CALLS = {"np.stack", "np.add.at", "np.clip", "np.diff", "np.zeros_like",
+              "np.all", "np.any", "np.min", "np.sum"}
+
+
+def slow_calls(source: str, names) -> list:
+    """(function, call) for each call in SLOW_CALLS that the named functions
+    of a module make; a KeyError names a listed function the module lacks."""
+    defs = {}
+    for node in ast.parse(source).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        defs |= {prefix + f.name: f for f in members if isinstance(f, ast.FunctionDef)}
+    return [
+        (name, ast.unparse(node.func))
+        for name in names
+        for node in ast.walk(defs[name])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in SLOW_CALLS
+    ]
+
+
+def test_per_step_functions_make_no_slow_numpy_calls():
+    found = {
+        module: slow_calls((ROOT / "src" / "swnet" / module).read_text(), names)
+        for module, names in PER_STEP.items()
+    }
+    assert {module: calls for module, calls in found.items() if calls} == {}
+
+
+def test_slow_calls_reads_methods_and_nested_functions():
+    source = "\n".join([
+        "import numpy as np",
+        "def f(x):",
+        "    def g(y):",
+        "        np.add.at(y, 0, 1.0)",
+        "    return np.all(x), x.all(), np.maximum(x, 0.0)",
+        "class C:",
+        "    def m(self, x):",
+        "        return np.clip(x, 0.0, 1.0)",
+        "    def n(self, x):",
+        "        return np.stack([x, x])",
+    ])
+    assert sorted(slow_calls(source, ["f", "C.m"])) == [
+        ("C.m", "np.clip"), ("f", "np.add.at"), ("f", "np.all")]

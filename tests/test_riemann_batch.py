@@ -239,6 +239,48 @@ def test_batch_equals_per_producer_solves(cfg, ends):
         sim.advance(dt)
 
 
+class RecordingBatch(RiemannBatch):
+    """A batch that keeps a copy of each block's fluxes as its reader left them."""
+
+    def __init__(self):
+        super().__init__()
+        self.fluxes = []
+
+    def add(self, qL, qR, read):
+        def keep(f):
+            read(f)
+            self.fluxes.append(f.copy())
+
+        super().add(qL, qR, keep)
+
+
+@pytest.mark.parametrize("state", ["initial", "stirred"])
+@pytest.mark.parametrize("cfg", [presets.preset("test1_sub90", strategy="B"), mixed_network()],
+                         ids=["test1_sub90-B", "test6_network-A/B"])
+def test_coupling_totals_equal_add_at_to_the_bit(cfg, state):
+    # The end totals take one np.bincount per component; np.add.at, which
+    # they replaced, sums each end's coupling edges in the same order. The
+    # initial still water gives signed zeros.
+    sim = stirred(cfg) if state == "stirred" else build_simulation(cfg)
+    jf, field = sim.junction_field, sim.field
+    edges = jf._cpl_edges
+    lengths = jf.mesh.edge_lengths[edges][:, None]
+    for _ in range(6):
+        dt = sim.compute_dt()
+        jf.reconstruct(field)
+        field.reconstruct(jf.channel_neighbors(field))
+        field.face_state(dt)
+        batch = RecordingBatch()
+        _, (_, totals) = jf.compute_fluxes(field, dt, batch)
+        batch.solve(sim.params)
+        f_ch = batch.fluxes[0][edges]
+        f_ch[:, 0] *= jf._cpl_sigma
+        sums = np.zeros((len(jf.ends), 3))
+        np.add.at(sums, jf._cpl_end, f_ch * lengths)
+        assert bits(totals) == bits(sums / jf._end_widths[:, None])
+        sim.advance(dt)
+
+
 def test_one_hllc_call_per_step(monkeypatch):
     calls = []
 

@@ -66,7 +66,8 @@ class TestReconstruct:
         f.q[:, 1] = 0.0
         d = 0.17
         nbr_val = np.array([1.0 + slope * (f.centers[0] - d), 0.0, 0.0])
-        f.reconstruct((np.array([f.end_index("c", "start")]), nbr_val[None], np.array([d])))
+        stencil = f.junction_stencil(np.array([f.end_index("c", "start")]), np.array([d]))
+        f.reconstruct((stencil, nbr_val[None]))
         assert abs(f.slopes[0, 0] - slope) < 1e-12
 
     def test_boundary_cells_zero_slope_without_neighbor(self):
@@ -194,8 +195,77 @@ def test_channels_step_as_if_alone():
     nbr_q, nbr_d = np.array([[1.2, 0.1, 0.0]]), np.array([0.2])
     bc = BoundaryCondition("reflective")
     for f in (both, *alone):
-        nbr = (np.array([f.end_index("b", "start")]), nbr_q, nbr_d) if "b" in f.index else None
+        nbr = None
+        if "b" in f.index:
+            nbr = (f.junction_stencil(np.array([f.end_index("b", "start")]), nbr_d), nbr_q)
         f.reconstruct(nbr)
         f.update(closed_fluxes(f, bc, 0.01), 0.01)
     assert np.array_equal(both.slopes, np.concatenate([f.slopes for f in alone]))
     assert np.array_equal(both.q, np.concatenate([f.q for f in alone]))
+
+
+# -- reconstruct against the per-call junction geometry it replaced ---------
+
+
+def former_reconstruct(f, nbr):
+    """`ChannelField.reconstruct` and its limiter as they were when the
+    junction-side stencil geometry was worked out on every call from `nbr`
+    = (ends, states, distances), verbatim: the slopes of the rewrite must
+    match its to the bit."""
+    q = f.q
+    slopes = np.zeros_like(q)
+    diffL = q[:-2] - q[1:-1]
+    diffR = q[2:] - q[1:-1]
+    slopes[1:-1] = (f._dR * diffR - f._dL * diffL) / f._denom
+    qmin = np.empty_like(q)
+    qmax = np.empty_like(q)
+    qmin[1:-1] = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
+    qmax[1:-1] = np.maximum(np.maximum(q[:-2], q[2:]), q[1:-1])
+    ends = f.end_cell
+    slopes[ends] = 0.0
+    qmin[ends] = qmax[ends] = q[ends]
+
+    e, nbr_q, nbr_d = nbr
+    idx = f.end_cell[e]
+    sign = f.end_sign[e]
+    inner = idx - sign.astype(int)
+    diff_in = q[inner] - q[idx]
+    diff_nb = nbr_q - q[idx]
+    off_in = (f.centers[inner] - f.centers[idx])[:, None]
+    off_nb = (sign * nbr_d)[:, None]
+    denom = off_in**2 + off_nb**2
+    slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
+    qmin[idx] = np.minimum(np.minimum(q[inner], nbr_q), q[idx])
+    qmax[idx] = np.maximum(np.maximum(q[inner], nbr_q), q[idx])
+
+    dq = slopes * f._half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = (qmin - q) / dq
+        hi = (qmax - q) / dq
+    pos = dq > 0.0
+    neg = dq < 0.0
+    cand = np.where(pos, np.minimum(hi, -lo), np.where(neg, np.minimum(lo, -hi), 1.0))
+    return slopes * np.clip(cand, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("state", ["initial", "stirred", "signed zeros"])
+@pytest.mark.parametrize("name, strategy", [("test1_sub90", "B"), ("test6_network", "A")])
+def test_reconstruct_with_build_time_stencil_equals_former_formula(name, strategy, state):
+    from swnet import build_simulation, presets
+
+    sim = build_simulation(presets.preset(name, strategy=strategy))
+    f, jf = sim.field, sim.junction_field
+    rng = np.random.default_rng(4)
+    for q in (f.q, jf.mesh_field.q):
+        if state != "initial":
+            q[:, 0] = rng.uniform(0.14, 0.2, len(q))
+            q[:, 1:] = q[:, :1] * rng.uniform(-0.15, 0.15, (len(q), 2))
+        if state == "signed zeros":
+            q[rng.integers(0, 3, len(q)) == 0, 1] = -0.0
+            q[rng.integers(0, 3, len(q)) == 0, 1] = 0.0
+    jf.reconstruct(f)
+    nbr = jf.channel_neighbors(f)
+    f.reconstruct(nbr)
+    want = former_reconstruct(f, (jf._ends, nbr[1], jf._nbr_dists))
+    assert np.array_equal(f.slopes, want)
+    assert np.array_equal(np.signbit(f.slopes), np.signbit(want))

@@ -13,8 +13,9 @@ alternating between Methods A and B (`MIXED_RUNS`), for at most --steps
 steps. Each tree runs in its own
 interpreter. The report is a markdown table: per run, the steps and failure
 type on both sides and the largest relative deviation of the gauge series,
-the final channel states, the final junction states and the ledger entries.
-Deviations are relative to the largest magnitude of the compared series,
+the final channel states, the final junction states and the ledger entries,
+and whether those four are equal to the bit, signs of zero included: a
+deviation of 0.0e+00 cannot tell -0.0 from 0.0. Deviations are relative to the largest magnitude of the compared series,
 except where that magnitude is itself round-off: gauge
 velocities are compared relative to the gauge's largest celerity sqrt(g h),
 volumes and boundary influx relative to the initial volume, and the
@@ -274,6 +275,16 @@ def deviation(a: dict, b: dict, scales=None) -> float:
     return worst
 
 
+def bits_differ(a: dict, b: dict) -> bool:
+    """Whether the series of `a` and `b` differ in a key, a shape or a bit,
+    so also in the sign of a zero."""
+    return a.keys() != b.keys() or any(
+        np.shape(a[k]) != np.shape(b[k])
+        or np.asarray(a[k], dtype=float).tobytes() != np.asarray(b[k], dtype=float).tobytes()
+        for k in a
+    )
+
+
 def scales(run: dict) -> tuple[dict, dict]:
     """Reference magnitudes of the gauge and ledger entries of one run."""
     gauges = {
@@ -299,8 +310,8 @@ def config_difference(a, b) -> str:
 def compare(old: list[dict], new: list[dict], rtol: float):
     """(markdown lines, number of problems)."""
     lines = [
-        "| run | steps | failure | gauges | channels | junctions | ledger |",
-        "|---|---|---|---|---|---|---|",
+        "| run | steps | failure | gauges | channels | junctions | ledger | bits |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     rejected, messages, configs = [], [], []
     problems = 0
@@ -314,6 +325,8 @@ def compare(old: list[dict], new: list[dict], rtol: float):
             rejected.append(f"- {a['label']}: {a['rejected']}" + ("" if same else f" / {b['rejected']}"))
             continue
         gauge_scales, ledger_scales = scales(a)
+        parts = ("gauges", "channels", "junctions", "ledger")
+        differ = [p for p in parts if bits_differ(a[p], b[p])]
         devs = [
             deviation(a["gauges"], b["gauges"], gauge_scales),
             deviation(a["channels"], b["channels"]),
@@ -330,7 +343,9 @@ def compare(old: list[dict], new: list[dict], rtol: float):
         if not same_message:
             fail += " (message differs)"
             messages.append(f"- {a['label']}: {a['message']} / {b['message']}")
-        lines.append(f"| {a['label']} | {steps} | {fail} | " + " | ".join(f"{d:.1e}" for d in devs) + " |")
+        bits = "differ: " + ", ".join(differ) if differ else "identical"
+        lines.append(f"| {a['label']} | {steps} | {fail} | "
+                     + " | ".join(f"{d:.1e}" for d in devs) + f" | {bits} |")
     if configs:
         lines += ["", "Scenario configs that differ:", *configs]
     if messages:
