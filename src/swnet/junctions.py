@@ -84,12 +84,12 @@ def project_transverse(q: np.ndarray):
     """Rotate cell velocities onto the channel axis, zeroing the transverse part.
 
     The axial velocity magnitude becomes the full 2D speed with the sign of
-    the axial component (sign of +0.0 used when the axial velocity vanishes).
+    the axial component, positive when that is +0.0 or -0.0.
     q is (..., 3). Returns (projected states, magnitudes of the momentum change).
     """
     hu, hv = q[..., 1], q[..., 2]
     speed_mom = np.hypot(hu, hv)
-    hu_new = np.where(speed_mom > 0.0, np.copysign(speed_mom, hu), 0.0)
+    hu_new = np.where(hu < 0.0, -speed_mom, speed_mom)
     out = np.zeros(q.shape)
     out[..., 0], out[..., 1] = q[..., 0], hu_new
     return out, np.hypot(hu_new - hu, hv)

@@ -46,6 +46,14 @@ class TestProjectTransverse:
         q, d = project_transverse(np.array([1.0, 0.0, 0.0]))
         assert np.all(q == [1.0, 0.0, 0.0]) and d == 0.0
 
+    @pytest.mark.parametrize("hu, hv", [(0.0, 0.5), (-0.0, 0.5), (-0.0, -0.5), (-0.0, -0.0)])
+    def test_sign_of_a_zero_axial_momentum_is_ignored(self, hu, hv):
+        # A zero axial momentum, of either sign, counts as positive: the
+        # projected momentum points along +s, with a positive zero.
+        q, d = project_transverse(np.array([1.0, hu, hv]))
+        assert q.tolist() == [1.0, abs(hv), 0.0] and not np.signbit(q).any()
+        assert d == np.hypot(abs(hv), hv)
+
 
 def solved_fluxes(cells, field, dt):
     """The junction field's edge and end fluxes, solved on their own batch."""
