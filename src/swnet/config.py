@@ -46,6 +46,10 @@ _BOUNDARY_KEYS = {"channel", "end", "kind", "inflow", "h", "u"}
 _GAUGE_KEYS = {"id", "channel", "s"}
 _INITIAL_KEYS = {"h", "u", "per_channel"}
 _PER_CHANNEL_KEYS = {"type", "h", "u", "split_s", "left", "right", "h0", "amplitude", "center", "width"}
+_PROFILE_KEYS = {  # the keys each initial profile type requires
+    "dam_break": ("split_s", "left", "right"),
+    "hump": ("h0", "amplitude", "center", "width"),
+}
 
 
 def _check_keys(obj, allowed, where):
@@ -85,8 +89,8 @@ def _validate(data: dict) -> dict:
     _check_keys(phys, _PHYSICS_KEYS, "physics")
     num = data.get("numerics", {})
     _check_keys(num, _NUMERICS_KEYS, "numerics")
-    if num.get("order", 2) not in (1, 2):
-        errors.append(f"numerics.order must be 1 or 2, got {num.get('order')}")
+    if "order" in num and num["order"] not in (1, 2):
+        errors.append(f"numerics.order must be 1 or 2, got {num['order']}")
 
     channels = data.get("channels", [])
     if not channels:
@@ -142,9 +146,16 @@ def _validate(data: dict) -> dict:
         kind = section.get("type", "uniform")
         if kind not in ("uniform", "dam_break", "hump"):
             errors.append(f"initial.per_channel[{cid}]: unknown type {kind!r}")
+        for k in _PROFILE_KEYS.get(kind, ()):
+            if k not in section:
+                errors.append(f"initial.per_channel[{cid}]: missing {k!r}")
+            elif k in ("left", "right") and "h" not in section[k]:
+                errors.append(f"initial.per_channel[{cid}].{k}: missing 'h'")
 
     for gauge in data.get("gauges", []):
         _check_keys(gauge, _GAUGE_KEYS, f"gauge {gauge.get('id')}")
+        if "id" not in gauge:
+            errors.append(f"gauge on {gauge.get('channel')!r}: missing 'id'")
 
     if "t_end" not in data:
         errors.append("missing t_end")
@@ -177,25 +188,41 @@ def parse_config(source) -> ScenarioConfig:
 
 
 def physical_params(cfg: ScenarioConfig) -> PhysicalParams:
-    phys = cfg.data.get("physics", {})
-    return PhysicalParams(
-        g=phys.get("g", 9.81),
-        manning_n=phys.get("manning_n", 0.0),
-        friction_enabled=phys.get("friction_enabled", False),
-    )
+    return PhysicalParams(**cfg.data.get("physics", {}))
 
 
 def build_channels(cfg: ScenarioConfig) -> list[Channel]:
     return [Channel(**c) for c in cfg.data.get("channels", [])]
 
 
+def junction_specs(cfg: ScenarioConfig, strategy=None) -> list[JunctionSpec]:
+    """The junctions of a scenario; `strategy`, when given, replaces each one's."""
+    return [
+        JunctionSpec(**{
+            **j,
+            "strategy": strategy or j["strategy"],
+            "position": tuple(j["position"]),
+            "connects": [(c["channel"], c["end"]) for c in j["connects"]],
+        })
+        for j in cfg.data.get("junctions", [])
+    ]
+
+
 def boundary_condition(entry: dict) -> BoundaryCondition:
     """The condition of one `boundaries` entry of a scenario."""
-    u_fn = None
-    if entry["kind"] == "inflow":
-        spec = entry["inflow"]
-        u_fn = gaussian_pulse(spec["amplitude"], spec["center"], spec.get("width", 1.0))
-    return BoundaryCondition(entry["kind"], u_fn=u_fn, h=entry.get("h"), u=entry.get("u", 0.0))
+    u_fn = gaussian_pulse(**entry["inflow"]) if entry["kind"] == "inflow" else None
+    state = {k: entry[k] for k in ("h", "u") if k in entry}
+    return BoundaryCondition(entry["kind"], u_fn=u_fn, **state)
+
+
+def boundary_conditions(cfg: ScenarioConfig) -> dict:
+    """The boundary conditions of a scenario by (channel, end)."""
+    entries = cfg.data.get("boundaries", [])
+    return {(b["channel"], b["end"]): boundary_condition(b) for b in entries}
+
+
+def gauges(cfg: ScenarioConfig) -> list[Gauge]:
+    return [Gauge(**g) for g in cfg.data.get("gauges", [])]
 
 
 def build_simulation(
@@ -206,55 +233,42 @@ def build_simulation(
     `order` and `cfl` override the scenario's numerics when given, and
     `strategy` replaces the strategy of every junction.
     """
-    data = cfg.data
-    num = data.get("numerics", {})
-    params = physical_params(cfg)
-    channels = build_channels(cfg)
-    specs = []
-    for j in data.get("junctions", []):
-        spec = JunctionSpec(
-            id=j["id"],
-            strategy=strategy or j["strategy"],
-            position=tuple(j["position"]),
-            connects=[(c["channel"], c["end"]) for c in j["connects"]],
-            merging=j.get("merging", False),
-            protrusion=j.get("protrusion", 0.1),
-            patch_protrusion=j.get("patch_protrusion", 0.5),
-            patch_refine=j.get("patch_refine", 2),
-        )
-        specs.append(spec)
-    boundaries = {
-        (b["channel"], b["end"]): boundary_condition(b) for b in data.get("boundaries", [])
+    numerics = cfg.data.get("numerics", {}) | {
+        k: v for k, v in (("order", order), ("cfl", cfl)) if v is not None
     }
-    gauges = [
-        Gauge(id=g["id"], channel=g["channel"], s=g["s"])
-        for g in data.get("gauges", [])
-    ]
     try:
         sim = NetworkSimulation(
-            channels,
-            specs,
-            boundaries,
-            params,
-            order=num.get("order", 2) if order is None else order,
-            cfl=num.get("cfl", 0.9) if cfl is None else cfl,
-            gauges=gauges,
+            build_channels(cfg),
+            junction_specs(cfg, strategy),
+            boundary_conditions(cfg),
+            physical_params(cfg),
+            gauges=gauges(cfg),
+            **numerics,
         )
     except (ValueError, GeometryError) as exc:
         raise ConfigError(str(exc)) from exc
-    apply_initial(sim, cfg)
+    init = cfg.data.get("initial", {})
+    for cid, f in sim.fields.items():
+        h, u = initial_profile(init, cid, f.centers)
+        f.q[:, 0] = h
+        f.q[:, 1] = h * u
+        f.q[:, 2] = 0.0
+    sim.init_junctions()
     return sim
 
 
-def initial_profile(section: dict, s, h0: float, u0: float):
-    """Initial depth and axial velocity of one channel at axial positions s.
+def initial_profile(initial: dict, channel, s):
+    """Initial depth and axial velocity of a channel at axial positions s.
 
-    `section` is the channel's `initial.per_channel` entry; an empty one
-    means the scenario-wide uniform state (h0, u0).
+    `initial` is a scenario's `initial` section. A channel without a
+    `per_channel` entry (or None) takes the uniform state (h, u), by default
+    (1, 0).
     """
+    section = initial.get("per_channel", {}).get(channel, {})
     kind = section.get("type", "uniform")
     if kind == "uniform":
-        return np.full_like(s, section.get("h", h0)), np.full_like(s, section.get("u", u0))
+        h, u = section.get("h", initial.get("h", 1.0)), section.get("u", initial.get("u", 0.0))
+        return np.full_like(s, h), np.full_like(s, u)
     if kind == "dam_break":
         left, right = section["left"], section["right"]
         mask = s < section["split_s"]
@@ -266,13 +280,3 @@ def initial_profile(section: dict, s, h0: float, u0: float):
     )
     return h, np.full_like(h, section.get("u", 0.0))
 
-
-def apply_initial(sim: NetworkSimulation, cfg: ScenarioConfig):
-    init = cfg.data.get("initial", {})
-    per = init.get("per_channel", {})
-    for cid, f in sim.fields.items():
-        h, u = initial_profile(per.get(cid, {}), f.centers, init.get("h", 1.0), init.get("u", 0.0))
-        f.q[:, 0] = h
-        f.q[:, 1] = h * u
-        f.q[:, 2] = 0.0
-    sim.init_junctions()

@@ -20,7 +20,7 @@ The network stepper calls, in channel end numbers of the network's
 `scheme1d.ChannelField`:
 
 - `reconstruct(field)`;
-- `channel_neighbors(field)` -> (`stencil`, states): per channel end, the
+- `channel_neighbors()` -> (`stencil`, states): per channel end, the
   length-weighted average of the junction cells along its coupling edges, in
   the channel frame; `stencil` is the field's `junction_stencil` of the
   ends, at the projected distance of that weighted centroid;
@@ -197,7 +197,7 @@ class JunctionField:
         vv = _normal_rows(field.q[self._cpl_cells], *self._cpl_back).T
         self.mesh_field.reconstruct(virtual_values=vv)
 
-    def channel_neighbors(self, field):
+    def channel_neighbors(self):
         """(`stencil`, per channel end the width-averaged junction state along
         its coupling edges in the channel frame)."""
         q = self.mesh_field.q
@@ -326,7 +326,7 @@ class PSFPJunction:
         self.tau = np.array([1.0 if (end == "end") == (k == 0) else -1.0
                              for k, (_, end) in enumerate(self.ends)])
 
-    def compute_end_fluxes(self, field, dt):
+    def compute_end_fluxes(self, field):
         q = field.end_states(self._ends).tolist()
         try:
             # A zero depth passes its discharge as velocity: the problem

@@ -129,7 +129,7 @@ def _depth_fn(h, hK, aK, g):
     return np.where(h <= hK, rare, shock)
 
 
-def _depth_fn_deriv(h, hK, aK, g):
+def _depth_fn_deriv(h, hK, g):
     rare = g / np.sqrt(g * h)
     gk = np.sqrt(0.5 * g * (h + hK) / (h * hK))
     shock = gk - 0.25 * g * (h - hK) / (gk * h * h)
@@ -153,7 +153,7 @@ def exact_riemann_star(hL, uL, hR, uR, params: PhysicalParams, tol=1e-12, max_it
     h = max((0.5 * (aL + aR) + 0.25 * (uL - uR)) ** 2 / g, H_DRY * 10.0)
     for _ in range(max_iter):
         f = _depth_fn(h, hL, aL, g) + _depth_fn(h, hR, aR, g) + uR - uL
-        df = _depth_fn_deriv(h, hL, aL, g) + _depth_fn_deriv(h, hR, aR, g)
+        df = _depth_fn_deriv(h, hL, g) + _depth_fn_deriv(h, hR, g)
         dh = f / df
         h_new = h - dh
         if h_new <= 0.0:

@@ -57,9 +57,8 @@ from .scheme2d import MeshField, interior_edge_fluxes
 @dataclass
 class Gauge:
     id: str
-    channel: str = None
-    s: float = None
-    point: tuple = None  # 2D domains: sample the containing cell
+    channel: str
+    s: float
 
 
 class GaugeRecorder:
@@ -96,13 +95,14 @@ def _checked_dt(bounds, t: float) -> float:
 
 
 class TimeStepper:
-    """The time loop of both solvers, whose `__init__` checks their order and
-    CFL number. A solver provides `recorder`, `diagnostics`,
+    """The time loop of both solvers, whose `__init__` takes and checks their
+    order and CFL number, the keyword arguments that each solver passes on
+    to it. A solver provides `recorder`, `diagnostics`,
     `_reset_diagnostics()` (the entries that cover one run), `total_volume()`,
     `compute_dt(t_target)`, `advance(dt)` and `sample_gauges()`.
     """
 
-    def __init__(self, order: int, cfl: float):
+    def __init__(self, order: int = 2, cfl: float = 0.9):
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
         if not 0.0 < cfl <= 1.0:
@@ -159,11 +159,10 @@ class NetworkSimulation(TimeStepper):
         junction_specs: list[JunctionSpec],
         boundaries: dict,
         params: PhysicalParams,
-        order: int = 2,
-        cfl: float = 0.9,
         gauges=(),
+        **numerics,
     ):
-        super().__init__(order, cfl)
+        super().__init__(**numerics)
         self.params = params
         self.channels = {ch.id: ch for ch in channels}
         self.recorder = GaugeRecorder(gauges)
@@ -181,14 +180,14 @@ class NetworkSimulation(TimeStepper):
             for spec in junction_specs
             for ch, end in spec.connects
         }
-        self.field = ChannelField(channels, params, order=order, cuts=cuts)
+        self.field = ChannelField(channels, params, order=self.order, cuts=cuts)
         # One view per channel; the field does not list them, so a released
         # network frees its arrays without the cycle collector.
         self.fields = {
             ch.id: ChannelSegment(self.field, c) for c, ch in enumerate(self.field.channels)
         }
         self.junctions, self.junction_field = build_junctions(
-            junction_specs, self.channels, self.field, params, order
+            junction_specs, self.channels, self.field, params, self.order
         )
         self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
         # Boundary ends grouped by condition kind: (end numbers, widths, sign
@@ -259,7 +258,7 @@ class NetworkSimulation(TimeStepper):
         nbr = None
         if cells is not None:
             cells.reconstruct(field)
-            nbr = cells.channel_neighbors(field)
+            nbr = cells.channel_neighbors()
         field.reconstruct(nbr)
 
         # Phase 2: face states, then every flux of the step.
@@ -307,7 +306,7 @@ class NetworkSimulation(TimeStepper):
         if cells is not None:
             flux[field.end_face[cell_ends]] = cell_f
         for j in self.psfp_junctions:
-            ends, f = j.compute_end_fluxes(field, dt)
+            ends, f = j.compute_end_fluxes(field)
             flux[field.end_face[ends]] = f
         boundary_mass = 0.0
         for ends, width, to_s, f in bounds:
@@ -323,18 +322,22 @@ class NetworkSimulation(TimeStepper):
             self.recorder.u[g.id].append(hu / h)
 
 
-class StripGauge:
-    """Cross-section-averaged depth in a channel strip of a 2D mesh."""
+def strip_coordinates(mesh: TriMesh, channel: Channel):
+    """(along, across): each cell centroid's distance along a channel's axis
+    from its start, and its offset to the left of that axis."""
+    axis = channel.axis
+    rel = mesh.centroids - channel.start
+    return rel @ axis, rel @ np.array([-axis[1], axis[0]])
 
-    def __init__(self, gid, mesh: TriMesh, channel: Channel, s: float, half_width=None):
+
+class StripGauge:
+    """Cross-section-averaged depth in a channel strip of a 2D mesh: the
+    cells across the channel within one mean cell size of s."""
+
+    def __init__(self, gid, mesh: TriMesh, channel: Channel, s: float):
         self.id = gid
-        axis = channel.axis
-        perp = np.array([-axis[1], axis[0]])
-        rel = mesh.centroids - channel.start
-        along = rel @ axis
-        across = rel @ perp
-        if half_width is None:
-            half_width = float(np.sqrt(np.mean(mesh.areas)))
+        along, across = strip_coordinates(mesh, channel)
+        half_width = float(np.sqrt(np.mean(mesh.areas)))
         sel = (
             (np.abs(along - s) <= half_width)
             & (np.abs(across) <= channel.width / 2.0)
@@ -359,16 +362,15 @@ class Mesh2DSimulation(TimeStepper):
         self,
         mesh: TriMesh,
         params: PhysicalParams,
-        order: int = 2,
-        cfl: float = 0.9,
         boundary_conditions: dict = None,
         gauges=(),
+        **numerics,
     ):
-        super().__init__(order, cfl)
+        super().__init__(**numerics)
         self.mesh = mesh
         self.params = params
         conds = boundary_conditions or {}
-        self.field = MeshField(mesh, params, order=order)
+        self.field = MeshField(mesh, params, order=self.order)
         self.gauges = list(gauges)
         self.recorder = GaugeRecorder(self.gauges)
         # Boundary edges grouped by kind (tag up to the first colon), kinds in

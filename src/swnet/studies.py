@@ -6,16 +6,18 @@ import numpy as np
 
 from .config import (
     ScenarioConfig,
-    boundary_condition,
+    boundary_conditions,
     build_channels,
     build_simulation,
+    gauges,
     initial_profile,
+    junction_specs,
     physical_params,
 )
 from .geometry import Channel, GeometryError, MeshError, build_junction_polygon
 from .meshing import rect_union_mesh
 from .presets import smooth1d
-from .simulation import Mesh2DSimulation, PointGauge, StripGauge
+from .simulation import Mesh2DSimulation, PointGauge, StripGauge, strip_coordinates
 
 
 def _axis_aligned_rect(ch: Channel):
@@ -34,7 +36,7 @@ def _axis_aligned_rect(ch: Channel):
 
 
 def build_reference_sim(
-    cfg: ScenarioConfig, dx: float, extra_point_gauges=(), order=2, cfl=0.9
+    cfg: ScenarioConfig, dx: float, extra_point_gauges=()
 ) -> Mesh2DSimulation:
     """Full-2D simulation of a network scenario's physical footprint.
 
@@ -44,75 +46,62 @@ def build_reference_sim(
     end's condition; everything else is a wall. Network gauges turn into
     cross-section-averaged strip gauges.
     """
-    data = cfg.data
-    params = physical_params(cfg)
     channels = {ch.id: ch for ch in build_channels(cfg)}
     rects = [_axis_aligned_rect(ch) for ch in channels.values()]
 
     cores = []
-    for j in data.get("junctions", []):
-        ends = [channels[c["channel"]].connected_end(c["end"]) for c in j["connects"]]
+    for spec in junction_specs(cfg):
+        ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
         try:
-            cores.append(build_junction_polygon(ends, j["position"], 0.0).vertices)
+            cores.append(build_junction_polygon(ends, spec.position, 0.0).vertices)
         except GeometryError:
             pass  # zero-area core (e.g. collinear pass-through): rectangles cover it
 
     tag_segments = []
     bcs = {}
-    for b in data.get("boundaries", []):
-        if b["kind"] == "reflective":
+    for (cid, end), bc in boundary_conditions(cfg).items():
+        if bc.kind == "reflective":
             continue  # untagged boundary edges are walls
-        ch = channels[b["channel"]]
-        center = ch.end_point(b["end"])
+        ch = channels[cid]
+        center = ch.end_point(end)
         half = 0.5 * ch.width * np.array([-ch.axis[1], ch.axis[0]])
-        tag = f"{b['kind']}:{b['channel']}:{b['end']}"
+        tag = f"{bc.kind}:{cid}:{end}"
         tag_segments.append((center - half, center + half, tag))
-        bcs[tag] = boundary_condition(b)
+        bcs[tag] = bc
 
     mesh = rect_union_mesh(rects, dx, tag_segments=tag_segments, polygons=cores)
 
-    # Initial conditions: locate each cell in its channel strip.
-    init = data.get("initial", {})
-    h0, u0 = init.get("h", 1.0), init.get("u", 0.0)
-    per = init.get("per_channel", {})
-    q = np.zeros((mesh.n_cells, 3))
-    q[:, 0] = h0
+    strips = [StripGauge(g.id, mesh, channels[g.channel], g.s) for g in gauges(cfg)]
+    points = [PointGauge(gid, mesh, p) for gid, p in extra_point_gauges]
+    sim = Mesh2DSimulation(
+        mesh, physical_params(cfg), boundary_conditions=bcs, gauges=strips + points
+    )
+
+    # Initial state: the uniform depth at rest in the junction cores, and
+    # each channel's profile in the cells of its strip.
+    init = cfg.data.get("initial", {})
+    q = sim.field.q
+    q[:, 0] = initial_profile(init, None, q[:, 0])[0]
     for cid, ch in channels.items():
-        axis = ch.axis
-        perp = np.array([-axis[1], axis[0]])
-        rel = mesh.centroids - ch.start
-        along = rel @ axis
-        across = rel @ perp
+        along, across = strip_coordinates(mesh, ch)
         inside = (along >= -1e-9) & (along <= ch.length + 1e-9) & (
             np.abs(across) <= ch.width / 2.0 + 1e-9
         )
-        h, u = initial_profile(per.get(cid, {}), along[inside], h0, u0)
+        h, u = initial_profile(init, cid, along[inside])
         q[inside, 0] = h
-        q[inside, 1] = h * u * axis[0]
-        q[inside, 2] = h * u * axis[1]
-
-    gauges = [
-        StripGauge(g["id"], mesh, channels[g["channel"]], g["s"])
-        for g in data.get("gauges", [])
-    ]
-    gauges += [PointGauge(gid, mesh, p) for gid, p in extra_point_gauges]
-
-    sim = Mesh2DSimulation(
-        mesh, params, order=order, cfl=cfl, boundary_conditions=bcs, gauges=gauges
-    )
-    sim.field.q[:] = q
+        q[inside, 1] = h * u * ch.axis[0]
+        q[inside, 2] = h * u * ch.axis[1]
     return sim
 
 
-def grid_independence(cfg: ScenarioConfig, sizes, point=None, t_end=None) -> list[dict]:
+def grid_independence(cfg: ScenarioConfig, sizes, t_end=None) -> list[dict]:
     """Refinement study on the 2D reference domain of a scenario.
 
     Runs the scenario at each mesh size, integrates the free-surface elevation
-    in time at a probe point (default: the first junction's center), and
-    reports the change relative to the previous level.
+    in time at a probe point (`metadata.probe`, else the first junction's
+    center), and reports the change relative to the previous level.
     """
-    if point is None:
-        point = cfg.data.get("metadata", {}).get("probe")
+    point = cfg.data.get("metadata", {}).get("probe")
     if point is None:
         point = tuple(cfg.data["junctions"][0]["position"])
     t_end = t_end if t_end is not None else cfg.t_end
@@ -138,20 +127,21 @@ def grid_independence(cfg: ScenarioConfig, sizes, point=None, t_end=None) -> lis
     return rows
 
 
-def convergence_order(order=2, base_cells=50, levels=4, t_end=1.0, cfl=0.9, ref_margin=3) -> dict:
-    """L1 self-convergence of the 1D scheme on a smooth hump.
+def convergence_order(order=2, base_cells=50, levels=4) -> dict:
+    """L1 self-convergence of the 1D scheme on `presets.smooth1d` at its
+    t_end.
 
-    A much finer run of the same scheme (ref_margin refinements beyond the
-    last measured level, so its own error is negligible) serves as the
+    A much finer run of the same scheme (three refinements beyond the last
+    measured level, so its own error is negligible) serves as the
     reference; nested factor-2 grids make the projection exact.
     """
     cell_counts = [base_cells * 2**k for k in range(levels)]
-    ref_cells = base_cells * 2 ** (levels - 1 + ref_margin)
+    ref_cells = base_cells * 2 ** (levels + 2)
     solutions = {}
     for cells in cell_counts + [ref_cells]:
         cfg = smooth1d(cells=cells)
-        sim = build_simulation(cfg, order=order, cfl=cfl)
-        res = sim.run(t_end)
+        sim = build_simulation(cfg, order=order)
+        res = sim.run(cfg.t_end)
         if res.status != "completed":
             raise RuntimeError(f"convergence run at {cells} cells failed: {res.failure}")
         f = sim.fields["ch1"]
@@ -169,45 +159,28 @@ def convergence_order(order=2, base_cells=50, levels=4, t_end=1.0, cfl=0.9, ref_
     return {"cells": cell_counts, "errors": errors, "orders": orders}
 
 
-def compare_methods(
-    cfg: ScenarioConfig,
-    ref_dx: float,
-    strategies=("A", "B"),
-    t_end=None,
-    samples: int = 400,
-) -> dict:
+def compare_methods(cfg: ScenarioConfig, ref_dx: float, strategies=("A", "B"), t_end=None) -> dict:
     """Run junction strategies against the full-2D reference on one scenario.
 
-    Returns per-method wall times and gauge series resampled on a shared time
-    grid, so callers can compute error norms between methods.
+    Returns per-method wall times and gauge series resampled on a shared
+    400-point time grid, so callers can compute error norms between methods.
     """
     t_end = t_end if t_end is not None else cfg.t_end
-    grid = np.linspace(0.0, t_end, samples)
+    grid = np.linspace(0.0, t_end, 400)
     out = {"time_grid": grid, "methods": {}}
-
-    ref = build_reference_sim(cfg, ref_dx)
-    res = ref.run(t_end)
-    if res.status != "completed":
-        raise RuntimeError(f"reference run failed: {res.failure}")
-    out["methods"]["ref2d"] = {
-        "wall_time": res.wall_time,
-        "steps": res.steps,
-        "cells": ref.mesh.n_cells,
-        "series": {
-            g.id: np.interp(grid, *res.gauges.series(g.id)[:2]) for g in ref.gauges
-        },
-    }
-    for strategy in strategies:
-        sim = build_simulation(cfg, strategy=strategy)
+    for name in ("ref2d", *strategies):
+        ref = name == "ref2d"
+        sim = build_reference_sim(cfg, ref_dx) if ref else build_simulation(cfg, strategy=name)
         res = sim.run(t_end)
         if res.status != "completed":
-            raise RuntimeError(f"strategy {strategy} run failed: {res.failure}")
-        out["methods"][strategy] = {
+            raise RuntimeError(f"{name} run failed: {res.failure}")
+        out["methods"][name] = {
             "wall_time": res.wall_time,
             "steps": res.steps,
             "series": {
-                g.id: np.interp(grid, *res.gauges.series(g.id)[:2])
-                for g in sim.recorder.gauges
+                g.id: np.interp(grid, *res.gauges.series(g.id)[:2]) for g in res.gauges.gauges
             },
         }
+        if ref:
+            out["methods"][name]["cells"] = sim.mesh.n_cells
     return out

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from swnet import presets
 from swnet.cli import main
 from swnet.config import ConfigError, ScenarioConfig, build_simulation, parse_config
+from swnet.studies import build_reference_sim
 
 
 def minimal_cfg():
@@ -103,6 +105,19 @@ class TestParse:
             build_simulation(cfg, **{name: "psfp"})
         sim = build_simulation(cfg, strategy="psfp", order=1)
         assert sim.order == 1 and [j.strategy for j in sim.junctions] == ["psfp"]
+
+    @pytest.mark.parametrize("section, entry, message", [
+        ("physics", {"g": 0.0}, "g must be positive"),
+        ("channels", {"end": [0, 0]}, "zero length"),
+    ])
+    def test_out_of_range_physics_or_channel_is_config_error(self, section, entry, message):
+        data = minimal_cfg()
+        if section == "physics":
+            data["physics"] = entry
+        else:
+            data["channels"][0].update(entry)
+        with pytest.raises(ConfigError, match=message):
+            build_simulation(parse_config(data))
 
     def test_cfl_one_accepted(self):
         assert build_simulation(parse_config(minimal_cfg()), cfl=1.0).cfl == 1.0
@@ -326,3 +341,121 @@ class TestGaugeOutsideItsChannel:
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+DAM_BREAK = {"type": "dam_break", "split_s": 1.0, "left": {"h": 0.3, "u": 0.1}, "right": {"h": 0.2}}
+HUMP = {"type": "hump", "h0": 0.2, "amplitude": 0.05, "center": 1.0, "width": 0.3}
+
+
+class TestIncompleteEntries:
+    """An entry without a key that its build reads is a configuration error
+    that names the key, from the schema and as the CLI's exit 2."""
+
+    @pytest.mark.parametrize("section, key, message", [
+        *[(DAM_BREAK, (k,), f"initial.per_channel[a]: missing {k!r}")
+          for k in ("split_s", "left", "right")],
+        *[(DAM_BREAK, (side, "h"), f"initial.per_channel[a].{side}: missing 'h'")
+          for side in ("left", "right")],
+        *[(HUMP, (k,), f"initial.per_channel[a]: missing {k!r}")
+          for k in ("h0", "amplitude", "center", "width")],
+    ])
+    def test_initial_profile_key(self, tmp_path, capsys, section, key, message):
+        data = minimal_cfg()
+        data["initial"]["per_channel"] = {"a": json.loads(json.dumps(section))}
+        build_simulation(parse_config(data))
+        entry = data["initial"]["per_channel"]["a"]
+        for k in key[:-1]:
+            entry = entry[k]
+        del entry[key[-1]]
+        self.assert_rejected(tmp_path, capsys, data, message)
+
+    def test_gauge_id(self, tmp_path, capsys):
+        data = minimal_cfg()
+        data["gauges"] = [{"channel": "a", "s": 1.0}]
+        self.assert_rejected(tmp_path, capsys, data, "gauge on 'a': missing 'id'")
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(data)
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def fork(explicit: bool, strategy: str = "A") -> dict:
+    """A fork like README's example, with every optional key left out, or
+    with each spelt out at the default that README's "Scenario files"
+    section documents."""
+    junction = {"id": "j1", "strategy": strategy, "position": [0, 0],
+                "connects": [{"channel": "ch1", "end": "end"},
+                             {"channel": "ch2", "end": "start"},
+                             {"channel": "ch3", "end": "start"}]}
+    inflow = {"amplitude": 0.5, "center": 0.2}
+    prescribed = {"channel": "ch2", "end": "end", "kind": "prescribed", "h": 1.0}
+    per_channel = {
+        "ch2": {"h": 1.02},
+        "ch3": {"type": "hump", "h0": 1.0, "amplitude": 0.05, "center": 1.0, "width": 0.3},
+        "ch1": {"type": "dam_break", "split_s": 1.5, "left": {"h": 1.05}, "right": {"h": 1.0}},
+    }
+    data = {
+        "channels": [
+            {"id": "ch1", "width": 0.4, "cells": 30, "start": [-3.2, 0], "end": [-0.2, 0]},
+            {"id": "ch2", "width": 0.4, "cells": 20, "start": [0, 0.2], "end": [0, 2.2]},
+            {"id": "ch3", "width": 0.4, "cells": 20, "start": [0, -0.2], "end": [0, -2.2]},
+        ],
+        "junctions": [junction],
+        "boundaries": [{"channel": "ch1", "end": "start", "kind": "inflow", "inflow": inflow},
+                       prescribed,
+                       {"channel": "ch3", "end": "end", "kind": "transparent"}],
+        "initial": {"per_channel": per_channel},
+        "gauges": [{"id": "g2", "channel": "ch2", "s": 1.0},
+                   {"id": "g3", "channel": "ch3", "s": 1.0}],
+        "t_end": 1.0,
+    }
+    if explicit:
+        data["physics"] = {"g": 9.81, "manning_n": 0.0, "friction_enabled": False}
+        data["numerics"] = {"order": 2, "cfl": 0.9}
+        data["initial"].update(h=1.0, u=0.0)
+        inflow["width"] = 1.0
+        junction.update(merging=False, protrusion=0.1, patch_protrusion=0.5, patch_refine=2)
+        prescribed["u"] = 0.0
+        per_channel["ch2"].update(type="uniform", u=0.0)
+        per_channel["ch3"]["u"] = 0.0
+        for side in ("left", "right"):
+            per_channel["ch1"][side]["u"] = 0.0
+    return data
+
+
+def run_bits(sim, steps=5) -> list:
+    """The bytes of a simulation's build and of a few of its steps: its
+    numerics, states, junction cells or mesh, gauge series and ledger."""
+    arrays = [sim.field.q]
+    cells = getattr(sim, "junction_field", None)
+    if cells is not None:
+        arrays += [cells.mesh.vertices, cells.mesh_field.q]
+    if hasattr(sim, "mesh"):
+        arrays += [sim.mesh.vertices, sim.mesh.triangles]
+    built = [sim.params, sim.order, sim.cfl, *(np.asarray(a).tobytes() for a in arrays)]
+    res = sim.run(1.0, max_steps=steps)
+    assert res.status == "completed" and res.steps == steps
+    series = [np.array(s).tobytes() for g in res.gauges.gauges for s in res.gauges.series(g.id)]
+    return [*built, sim.field.q.tobytes(), *series, res.diagnostics]
+
+
+class TestDefaultsWrittenOnce:
+    """A scenario that leaves out every optional key builds and runs exactly
+    like one that spells out README's defaults."""
+
+    @pytest.mark.parametrize("strategy", ["A", "B", "psfp"])
+    def test_network(self, strategy):
+        sparse, explicit = (
+            build_simulation(parse_config(fork(e, strategy))) for e in (False, True))
+        assert [j.strategy for j in sparse.junctions] == [strategy]
+        assert run_bits(sparse) == run_bits(explicit)
+
+    def test_reference(self):
+        sparse, explicit = (build_reference_sim(parse_config(fork(e)), 0.1) for e in (False, True))
+        assert run_bits(sparse) == run_bits(explicit)

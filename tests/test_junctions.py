@@ -96,7 +96,7 @@ class TestCouplingFluxes:
         a, j = sim.junction_field, sim.junctions[0]
         j.set_uniform(0.2, 0.1, -0.05)
         a.reconstruct(sim.field)
-        sim.field.reconstruct(a.channel_neighbors(sim.field))
+        sim.field.reconstruct(a.channel_neighbors())
         sim.field.face_state(0.005)
         edge_fluxes, (ends, end_fluxes) = solved_fluxes(a, sim.field, 0.005)
         m = a.mesh
@@ -245,7 +245,7 @@ def test_junction_protocol(name, strategy, n_ends):
         assert dt == sim.cfl * field.dt_bound()
         for j in sim.psfp_junctions:
             keys = {field.end_index(ch, end) for ch, end in j.ends}
-            ends, fluxes = j.compute_end_fluxes(field, dt)
+            ends, fluxes = j.compute_end_fluxes(field)
             assert len(ends) == len(j.ends) and set(ends) == keys
             assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
         return
@@ -255,7 +255,7 @@ def test_junction_protocol(name, strategy, n_ends):
     keys = {field.end_index(ch, end) for ch, end in el.ends}
     assert keys == {field.end_index(ch, end) for j in sim.junctions for ch, end in j.ends}
     el.reconstruct(field)
-    (nbr_cells, *_), nbr_q = el.channel_neighbors(field)
+    (nbr_cells, *_), nbr_q = el.channel_neighbors()
     assert set(nbr_cells) == set(field.end_cell[list(keys)])
     assert nbr_q.shape == (len(nbr_cells), 3)
     edge_fluxes, (ends, fluxes) = solved_fluxes(el, field, dt)

@@ -1,6 +1,6 @@
 """README's "Package layout" names exactly the modules of the package, its
-scenario example is a valid scenario, and no module imports a name it never
-uses."""
+scenario example is a valid scenario, no module imports a name it never
+uses, and no function takes a parameter it never reads."""
 
 import ast
 import re
@@ -154,3 +154,71 @@ def test_slow_calls_reads_methods_and_nested_functions():
     ])
     assert sorted(slow_calls(source, ["f", "C.m"])) == [
         ("C.m", "np.clip"), ("f", "np.add.at"), ("f", "np.all")]
+
+
+# Parameters that a caller's protocol fixes and the function ignores: each
+# boundary ghost is called as ghost(q, t, params), and `FarField`'s does not
+# depend on the time.
+PROTOCOL_PARAMETERS = {("boundaries.py", "FarField.__call__", "t")}
+
+
+def unused_parameters(source: str) -> list:
+    """(function, parameter) for each parameter that a function never reads
+    ("function", "Class.method" or "outer.inner"; lambdas as "<lambda>").
+    Exempt are a method's first parameter, unless it is a staticmethod, and
+    names that begin with "_", Python's mark of an argument kept for the
+    caller's sake."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                          if p]
+                decorators = getattr(child, "decorator_list", [])
+                static = any(ast.unparse(d) == "staticmethod" for d in decorators)
+                if in_class and not static:
+                    params = params[1:]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend((name, p) for p in params if p not in read and not p.startswith("_"))
+                visit(child, f"{name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_functions_read_every_parameter():
+    found = {
+        (path.name, name, param)
+        for path in sorted((ROOT / "src" / "swnet").glob("*.py"))
+        for name, param in unused_parameters(path.read_text())
+    }
+    assert found - PROTOCOL_PARAMETERS == set()
+    assert PROTOCOL_PARAMETERS <= found  # an exception that no longer applies goes
+
+
+def test_unused_parameters_reads_methods_nested_functions_and_lambdas():
+    source = "\n".join([
+        "def f(a, b, *args, c, _d, **kw):",
+        "    def g(x, y=a):",
+        "        return x",
+        "    h = lambda z: 0",
+        "    b = 1",
+        "    return g(c, *args), h, kw",
+        "class C:",
+        "    def m(self, q):",
+        "        return 0",
+        "    @staticmethod",
+        "    def s(p):",
+        "        return 0",
+    ])
+    assert unused_parameters(source) == [
+        ("f", "b"), ("f.g", "y"), ("f.<lambda>", "z"), ("C.m", "q"), ("C.s", "p")]

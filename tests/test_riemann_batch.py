@@ -136,7 +136,7 @@ def per_producer_step_fluxes(sim, dt):
         edge_fluxes, (ends, f) = compute_fluxes(cells, field, dt)
         flux[field.end_face[ends]] = f
     for j in sim.psfp_junctions:
-        ends, f = j.compute_end_fluxes(field, dt)
+        ends, f = j.compute_end_fluxes(field)
         flux[field.end_face[ends]] = f
     boundary_mass = 0.0
     for ends, width, to_out, to_s, ghost in sim._boundary_groups:
@@ -228,7 +228,7 @@ def test_batch_equals_per_producer_solves(cfg, ends):
         nbr = None
         if cells is not None:
             cells.reconstruct(field)
-            nbr = cells.channel_neighbors(field)
+            nbr = cells.channel_neighbors()
         field.reconstruct(nbr)
         field.face_state(dt)
         got = sim.step_fluxes(dt)
@@ -268,7 +268,7 @@ def test_coupling_totals_equal_add_at_to_the_bit(cfg, state):
     for _ in range(6):
         dt = sim.compute_dt()
         jf.reconstruct(field)
-        field.reconstruct(jf.channel_neighbors(field))
+        field.reconstruct(jf.channel_neighbors())
         field.face_state(dt)
         batch = RecordingBatch()
         _, (_, totals) = jf.compute_fluxes(field, dt, batch)

@@ -264,7 +264,7 @@ def test_reconstruct_with_build_time_stencil_equals_former_formula(name, strateg
             q[rng.integers(0, 3, len(q)) == 0, 1] = -0.0
             q[rng.integers(0, 3, len(q)) == 0, 1] = 0.0
     jf.reconstruct(f)
-    nbr = jf.channel_neighbors(f)
+    nbr = jf.channel_neighbors()
     f.reconstruct(nbr)
     want = former_reconstruct(f, (jf._ends, nbr[1], jf._nbr_dists))
     assert np.array_equal(f.slopes, want)

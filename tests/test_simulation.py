@@ -358,19 +358,17 @@ class TestNonFinite:
         # is non-finite data, not a Newton iteration that cannot decrease.
         sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
         field, j = sim.field, sim.psfp_junctions[0]
-        dt = sim.compute_dt()
         field.q[field.end_cell[field.end_index(*j.ends[1])], column] = np.nan
         with pytest.raises(NonFiniteError, match=f"junction {j.id}: non-finite interior state"):
-            j.compute_end_fluxes(field, dt)
+            j.compute_end_fluxes(field)
 
     @pytest.mark.parametrize("depth", [0.0, -0.01])
     def test_psfp_junction_reports_non_positive_depth(self, depth):
         sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
         field, j = sim.field, sim.psfp_junctions[0]
-        dt = sim.compute_dt()
         field.q[field.end_cell[field.end_index(*j.ends[2])], 0] = depth
         with pytest.raises(DryStateError, match=f"junction {j.id}: non-positive interior depth"):
-            j.compute_end_fluxes(field, dt)
+            j.compute_end_fluxes(field)
 
     def test_psfp_dry_end_state_fails_the_run(self):
         # Only the junction sees the spoiled end state: its typed error ends
