@@ -24,8 +24,6 @@ from .geometry import (
     MeshError,
     TriMesh,
     build_junction_polygon,
-    load_trimesh,
-    save_trimesh,
 )
 from .junctions import (
     JunctionField,
@@ -34,7 +32,7 @@ from .junctions import (
     project_transverse,
 )
 from .presets import preset, preset_names
-from .psfp import PSFPFailure, PSFPProblem, PSFPStarState, psfp_residual, psfp_solve
+from .psfp import PSFPFailure, PSFPProblem, PSFPStarState, psfp_solve
 from .riemann import exact_riemann_sample, exact_riemann_star, hllc_flux, wall_flux
 from .simulation import Gauge, Mesh2DSimulation, NetworkSimulation, RunResult, write_gauge_csv
 from .studies import build_reference_sim, compare_methods, convergence_order, grid_independence

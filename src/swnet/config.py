@@ -29,7 +29,7 @@ _TOP_KEYS = {
     "t_end",
     "metadata",
 }
-_PHYSICS_KEYS = {"g", "manning_n", "friction_enabled"}
+_PHYSICS_KEYS = {"g", "manning_n"}
 _NUMERICS_KEYS = {"order", "cfl"}
 _CHANNEL_KEYS = {"id", "width", "cells", "start", "end"}
 _JUNCTION_KEYS = {

@@ -32,11 +32,11 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Physical constants: gravity, Manning friction coefficient."""
+    """Physical constants: gravity, Manning friction coefficient (friction
+    applies when `manning_n > 0`)."""
 
     g: float = 9.81
     manning_n: float = 0.0
-    friction_enabled: bool = False
 
     def __post_init__(self):
         if self.g <= 0.0:

@@ -15,7 +15,7 @@ class GeometryError(ValueError):
 
 
 class MeshError(ValueError):
-    """Malformed triangular mesh or mesh file."""
+    """Malformed triangular mesh."""
 
 
 def _rot90ccw(v):
@@ -309,8 +309,8 @@ class TriMesh:
 
     `triangles` is (T, K) corner indices, K >= 3, each cell counter-clockwise;
     a cell with fewer than K corners ends its row in -1 padding. Triangles
-    (every cell of a mesh file) keep the three-point formulas for area,
-    centroid and perimeter; polygons take the shoelace formulas.
+    keep the three-point formulas for area, centroid and perimeter; polygons
+    take the shoelace formulas.
 
     Boundary tags are strings: "wall", "coupling:<channel_id>:<start|end>"
     (junction cells), or "<kind>:<channel_id>:<start|end>" with kind
@@ -476,47 +476,3 @@ class TriMesh:
             raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
         return int(inside[0])
 
-
-def load_trimesh(path) -> TriMesh:
-    """Read a mesh file: header "nv nt nb", vertex, triangle and boundary lines."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
-    try:
-        nv, nt, nb = (int(tok) for tok in lines[0].split())
-    except (ValueError, IndexError) as exc:
-        raise MeshError(f"{path}: bad header line: {lines[0]!r}") from exc
-    if len(lines) != 1 + nv + nt + nb:
-        raise MeshError(
-            f"{path}: expected {1 + nv + nt + nb} lines, found {len(lines)}"
-        )
-    try:
-        verts = np.array(
-            [[float(tok) for tok in ln.split()] for ln in lines[1 : 1 + nv]]
-        )
-        tris = np.array(
-            [[int(tok) for tok in ln.split()] for ln in lines[1 + nv : 1 + nv + nt]]
-        )
-    except ValueError as exc:
-        raise MeshError(f"{path}: malformed vertex or triangle line") from exc
-    tags = {}
-    for ln in lines[1 + nv + nt :]:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise MeshError(f"{path}: malformed boundary line: {ln!r}")
-        a, b, tag = int(toks[0]), int(toks[1]), toks[2]
-        kind = tag.split(":")[0]
-        if kind not in BOUNDARY_TAGS and kind != "coupling":
-            raise MeshError(f"{path}: unknown boundary tag {tag!r}")
-        tags[(min(a, b), max(a, b))] = tag
-    return TriMesh(verts, tris, tags)
-
-
-def save_trimesh(path, vertices, triangles, boundary_tags: dict):
-    with open(path, "w") as f:
-        f.write(f"{len(vertices)} {len(triangles)} {len(boundary_tags)}\n")
-        for x, y in vertices:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in triangles:
-            f.write(f"{int(i)} {int(j)} {int(k)}\n")
-        for (a, b), tag in boundary_tags.items():
-            f.write(f"{int(a)} {int(b)} {tag}\n")

@@ -1,11 +1,9 @@
 """Mesh construction helpers for reference domains and junction patches.
 
-These build the grids consumed through `TriMesh`; scenario presets write them
-to mesh files or pass them in memory. Two generators are provided: a
-structured split-quad mesher for unions of axis-aligned rectangles (full 2D
-reference domains) and a fan-plus-refine mesher for junction-shaped polygons
-(local 2D patches). `disjoint_union` joins the cells of a network's
-junctions into one mesh.
+Two generators build `TriMesh` grids: a structured split-quad mesher for
+unions of axis-aligned rectangles (full 2D reference domains) and a
+fan-plus-refine mesher for junction-shaped polygons (local 2D patches).
+`disjoint_union` joins the cells of a network's junctions into one mesh.
 """
 
 from __future__ import annotations

@@ -312,7 +312,7 @@ def test6_network(strategy="A", supercritical=False) -> ScenarioConfig:
     return ScenarioConfig(
         {
             "name": "test6_network_super" if supercritical else "test6_network",
-            "physics": {"g": G_DEFAULT, "manning_n": 0.0, "friction_enabled": False},
+            "physics": {"g": G_DEFAULT, "manning_n": 0.0},
             "numerics": {"order": 2, "cfl": 0.9},
             "channels": channels,
             "junctions": junctions,

@@ -13,12 +13,11 @@ and away from it in channels 2 and 3.
 
 The iteration runs on Python floats with `math.sqrt`: on three channels a
 numpy call costs more than its arithmetic. The equations are written once, as
-float formulas (`_residual`, `_jacobian`), which `psfp_residual` and
-`psfp_jacobian` wrap in arrays. Each residual, Jacobian entry, line-search
-step and norm keeps the operand order of the array formulation, and +, -, *,
-/ and sqrt round alike in numpy and in Python, so every iterate, iteration
-count and residual norm equals that of the array iteration kept as the oracle
-in tests/test_psfp.py. The Newton step stays one `np.linalg.solve` per
+float formulas (`_residual`, `_jacobian`). Each residual, Jacobian entry,
+line-search step and norm keeps the operand order of the array iteration kept
+as the oracle in tests/test_psfp.py, and +, -, *, / and sqrt round alike in
+numpy and in Python, so every iterate, iteration count and residual norm
+equals the oracle's. The Newton step stays one `np.linalg.solve` per
 iteration: LAPACK's pivoted elimination fixes how the step rounds, and a
 hand-written elimination would round it differently.
 """
@@ -131,26 +130,6 @@ def _norm(r) -> float:
     if total != total and any(v != v for v in r):
         return math.nan
     return max(map(abs, r))
-
-
-def _check_star_depths(x, what):
-    if any(h <= 0.0 for h in x[:3]):
-        raise ValueError(f"non-positive star depth in {what} evaluation")
-
-
-def psfp_residual(x: np.ndarray, p: PSFPProblem, params: PhysicalParams) -> np.ndarray:
-    """Residual of the six equations at x = (h1*, h2*, h3*, u1*, u2*, u3*)."""
-    x = np.asarray(x, dtype=float).tolist()
-    _check_star_depths(x, "residual")
-    g, s = params.g, _signs(p.merging)
-    k = _invariants(p.depths.tolist(), p.velocities.tolist(), g, s)
-    return np.array(_residual(x, k, p.widths.tolist(), s, g))
-
-
-def psfp_jacobian(x: np.ndarray, p: PSFPProblem, params: PhysicalParams) -> np.ndarray:
-    x = np.asarray(x, dtype=float).tolist()
-    _check_star_depths(x, "Jacobian")
-    return np.array(_jacobian(x, p.widths.tolist(), _signs(p.merging), params.g))
 
 
 def _froude(h, u, g) -> list:

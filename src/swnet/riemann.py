@@ -118,6 +118,10 @@ class RiemannBatch:
             read(flux[start:stop])
 
 
+EXACT_TOL = 1e-12
+EXACT_MAX_ITER = 100
+
+
 class RiemannConvergenceError(RuntimeError):
     """Exact Riemann iteration failed to converge."""
 
@@ -136,7 +140,7 @@ def _depth_fn_deriv(h, hK, g):
     return np.where(h <= hK, rare, shock)
 
 
-def exact_riemann_star(hL, uL, hR, uR, params: PhysicalParams, tol=1e-12, max_iter=100):
+def exact_riemann_star(hL, uL, hR, uR, params: PhysicalParams):
     """Star depth and velocity of the exact two-wave solution.
 
     Newton iteration on the depth function starting from the two-rarefaction
@@ -151,24 +155,24 @@ def exact_riemann_star(hL, uL, hR, uR, params: PhysicalParams, tol=1e-12, max_it
             "dry state would be generated (depth positivity violated)"
         )
     h = max((0.5 * (aL + aR) + 0.25 * (uL - uR)) ** 2 / g, H_DRY * 10.0)
-    for _ in range(max_iter):
+    for _ in range(EXACT_MAX_ITER):
         f = _depth_fn(h, hL, aL, g) + _depth_fn(h, hR, aR, g) + uR - uL
         df = _depth_fn_deriv(h, hL, g) + _depth_fn_deriv(h, hR, g)
         dh = f / df
         h_new = h - dh
         if h_new <= 0.0:
             h_new = 0.5 * h
-        if abs(h_new - h) <= tol * max(h_new, 1.0) and abs(f) < 1e-10:
+        if abs(h_new - h) <= EXACT_TOL * max(h_new, 1.0) and abs(f) < 1e-10:
             h = h_new
             break
         h = h_new
     else:
-        raise RiemannConvergenceError(f"no convergence after {max_iter} iterations")
+        raise RiemannConvergenceError(f"no convergence after {EXACT_MAX_ITER} iterations")
     u = 0.5 * (uL + uR) + 0.5 * (_depth_fn(h, hR, aR, g) - _depth_fn(h, hL, aL, g))
     return float(h), float(u)
 
 
-def exact_riemann_sample(qL, qR, xi, params: PhysicalParams, tol=1e-12):
+def exact_riemann_sample(qL, qR, xi, params: PhysicalParams):
     """Sample the exact Riemann solution at similarity coordinate xi = s/t.
 
     The transverse velocity is advected with the contact. Returns a conserved
@@ -178,7 +182,7 @@ def exact_riemann_sample(qL, qR, xi, params: PhysicalParams, tol=1e-12):
     hL, hR = float(qL[0]), float(qR[0])
     uL, uR = float(qL[1]) / hL, float(qR[1]) / hR
     vL, vR = float(qL[2]) / hL, float(qR[2]) / hR
-    hs, us = exact_riemann_star(hL, uL, hR, uR, params, tol=tol)
+    hs, us = exact_riemann_star(hL, uL, hR, uR, params)
     aL, aR, a_s = np.sqrt(g * hL), np.sqrt(g * hR), np.sqrt(g * hs)
 
     if xi <= us:  # left of contact

@@ -267,7 +267,7 @@ class ChannelField:
     def update(self, flux, dt: float):
         """Conservative update from the face flux array, with explicit pointwise friction."""
         dq = -(dt / self.ds)[:, None] * (flux[1:] - flux[:-1])[self._left_face]
-        if self.params.friction_enabled and self.params.manning_n > 0.0:
+        if self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)
         self.q = self.q + dq
         if not np.isfinite(self.q).all():

@@ -36,8 +36,7 @@ class MeshField:
 
     `q` holds one (h, hu, hv) row per cell. The per-step kernels work
     component-major, on one contiguous row of all cells (or edges) per
-    component: the gradients are `grad`, (2, 3, T) for (x, y), component,
-    cell, and `grad_x`/`grad_y` are its (T, 3) views.
+    component: the gradients are `grad`, (2, 3, T) for (x, y), component, cell.
     """
 
     def __init__(self, mesh: TriMesh, params: PhysicalParams, order: int = 2, virtual=None):
@@ -97,14 +96,6 @@ class MeshField:
         del nbrs, pos
         for k, (kind, cells, nbr, op, good) in enumerate(self._groups):
             self._groups[k] = (kind, cells, nbr.copy(), op.copy(), good)
-
-    @property
-    def grad_x(self) -> np.ndarray:
-        return self.grad[0].T
-
-    @property
-    def grad_y(self) -> np.ndarray:
-        return self.grad[1].T
 
     def set_uniform(self, h, u=0.0, v=0.0):
         self.q[:, 0] = h
@@ -227,7 +218,7 @@ class MeshField:
         for k, w in enumerate(edge_flux_global.T * m.edge_lengths):
             net[k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
         dq = net * (dt / m.areas)
-        if self.params.friction_enabled and self.params.manning_n > 0.0:
+        if self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params).T
         self.q = self.q + dq.T
         if not np.isfinite(self.q).all():

@@ -87,6 +87,7 @@ class TestParse:
         ("numerics", "coupling", "two-pass"),
         ("numerics", "transverse", "zero"),
         (None, "output_stride", 5),
+        ("physics", "friction_enabled", True),
     ])
     def test_removed_options_rejected(self, tmp_path, capsys, section, key, value):
         data = minimal_cfg()
@@ -167,7 +168,7 @@ class TestPresets:
         cfg = presets.preset("test6_network")
         assert len(cfg.data["junctions"]) == 16
         assert len(cfg.data["channels"]) == 25
-        assert cfg.data["physics"]["friction_enabled"] is False
+        assert cfg.data["physics"]["manning_n"] == 0.0
 
     def test_appA_inflow_matches_reference_relation(self):
         cfg = presets.preset("appA_angle45")
@@ -416,7 +417,7 @@ def fork(explicit: bool, strategy: str = "A") -> dict:
         "t_end": 1.0,
     }
     if explicit:
-        data["physics"] = {"g": 9.81, "manning_n": 0.0, "friction_enabled": False}
+        data["physics"] = {"g": 9.81, "manning_n": 0.0}
         data["numerics"] = {"order": 2, "cfl": 0.9}
         data["initial"].update(h=1.0, u=0.0)
         inflow["width"] = 1.0

@@ -57,17 +57,17 @@ class TestFriction:
         assert np.all(friction_source(q, P) == 0.0)
 
     def test_no_motion_no_friction(self):
-        p = PhysicalParams(manning_n=0.05, friction_enabled=True)
+        p = PhysicalParams(manning_n=0.05)
         assert np.all(friction_source(np.array([1.0, 0.0, 0.0]), p) == 0.0)
 
     def test_hand_value(self):
         # h=1, u=1, v=0, n=0.01: -g h n^2 u sqrt(u^2+v^2)/h^(4/3) = -9.81e-4
-        p = PhysicalParams(manning_n=0.01, friction_enabled=True)
+        p = PhysicalParams(manning_n=0.01)
         f = friction_source(np.array([1.0, 1.0, 0.0]), p)
         assert np.allclose(f, [0.0, -9.81e-4, 0.0], atol=1e-16)
 
     def test_opposes_motion(self):
-        p = PhysicalParams(manning_n=0.03, friction_enabled=True)
+        p = PhysicalParams(manning_n=0.03)
         q = random_states(200, seed=3)
         f = friction_source(q, p)
         moving = np.hypot(q[:, 1], q[:, 2]) > 1e-12

@@ -8,10 +8,8 @@ from swnet.geometry import (
     MeshError,
     TriMesh,
     build_junction_polygon,
-    load_trimesh,
     point_in_polygon,
     polygon_area,
-    save_trimesh,
 )
 from swnet.meshing import disjoint_union, fan_refine_mesh, rect_union_mesh
 
@@ -220,24 +218,6 @@ class TestTriMesh:
         verts = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(MeshError, match="no tag"):
             TriMesh(verts, [(0, 1, 2)], {(0, 1): "wall"})
-
-    def test_file_round_trip(self, tmp_path):
-        m = rect_union_mesh([(0, 0, 1, 1)], 0.5)
-        path = tmp_path / "box.mesh"
-        tags = {}
-        for e in m.boundary:
-            key = (min(m.edge_va[e], m.edge_vb[e]), max(m.edge_va[e], m.edge_vb[e]))
-            tags[key] = m.edge_tags[e]
-        save_trimesh(path, m.vertices, m.triangles, tags)
-        m2 = load_trimesh(path)
-        assert m2.n_cells == m.n_cells
-        assert np.allclose(m2.areas.sum(), m.areas.sum())
-
-    def test_bad_tag_rejected(self, tmp_path):
-        path = tmp_path / "bad.mesh"
-        path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 wall\n1 2 bogus\n0 2 wall\n")
-        with pytest.raises(MeshError, match="unknown boundary tag"):
-            load_trimesh(path)
 
 
 class TestMeshers:

@@ -124,7 +124,7 @@ class OracleA:
     def update(self, edge_fluxes, dt):
         net = np.add.reduceat(self._lengths[:, None] * edge_fluxes, self._edge_start, axis=0)
         dq = (-dt / self._area)[:, None] * net
-        if self.params.friction_enabled and self.params.manning_n > 0.0:
+        if self.params.manning_n > 0.0:
             dq = dq + dt * friction_source(self.q, self.params)
         self.q = self.q + dq
 

@@ -119,8 +119,8 @@ class TestCouplingFluxes:
         j.set_uniform(0.18, 0.0, 0.12)  # global frame; ch2 axis is +y
         a.reconstruct(sim.field)
         sim.field.reconstruct()
-        a.mesh_field.grad_x[:] = 0.0
-        a.mesh_field.grad_y[:] = 0.0
+        a.mesh_field.grad[0].T[:] = 0.0
+        a.mesh_field.grad[1].T[:] = 0.0
         sim.field.slopes[:] = 0.0
         sim.field.face_state(0.002)
         _, (ends, end_fluxes) = solved_fluxes(a, sim.field, 0.002)

@@ -164,7 +164,7 @@ class TestUpdate:
             f.update(np.vstack([-huge, zero, huge]), 0.1)
 
     def test_friction_applied_pointwise(self):
-        p = PhysicalParams(manning_n=0.02, friction_enabled=True)
+        p = PhysicalParams(manning_n=0.02)
         ch = Channel("c", width=1.0, cells=10, start=(0, 0), end=(1, 0))
         f = ChannelField([ch], p)
         f.set_uniform(1.0, 1.0)

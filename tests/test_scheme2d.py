@@ -33,8 +33,8 @@ class TestReconstruct2D:
         f = MeshField(box_mesh(), P)
         f.set_uniform(0.8, 0.1, -0.2)
         f.reconstruct()
-        assert np.abs(f.grad_x).max() == 0.0
-        assert np.abs(f.grad_y).max() == 0.0
+        assert np.abs(f.grad[0].T).max() == 0.0
+        assert np.abs(f.grad[1].T).max() == 0.0
 
     def test_linear_field_recovered_interior(self):
         # The limiter keeps vertex values within neighbor-centroid bounds, so
@@ -48,8 +48,8 @@ class TestReconstruct2D:
         f.q[:, 2] = 0.0
         f.reconstruct()
         interior = np.count_nonzero(m.neighbors >= 0, axis=1) == 3
-        assert np.abs(f.grad_x[interior, 0] - 0.2).max() < 1e-12
-        assert np.abs(f.grad_y[interior, 0] + 0.1).max() < 1e-12
+        assert np.abs(f.grad[0].T[interior, 0] - 0.2).max() < 1e-12
+        assert np.abs(f.grad[1].T[interior, 0] + 0.1).max() < 1e-12
 
     def test_local_maximum_fully_limited(self):
         m = box_mesh(0.25)
@@ -58,16 +58,16 @@ class TestReconstruct2D:
         k = int(np.argmin(np.linalg.norm(m.centroids - 0.5, axis=1)))
         f.q[k, 0] = 2.0  # exceeds every neighbor
         f.reconstruct()
-        assert f.grad_x[k, 0] == 0.0 and f.grad_y[k, 0] == 0.0
+        assert f.grad[0].T[k, 0] == 0.0 and f.grad[1].T[k, 0] == 0.0
 
     def test_limiter_allows_full_slope_where_a_vertex_is_level(self):
         verts = [(0, 0), (3, 0), (0, 3)]  # vertex offsets (-1, -1), (2, -1), (-1, 2)
         m = TriMesh(verts, [(0, 1, 2)], {(0, 1): "wall", (1, 2): "wall", (0, 2): "wall"})
         f = MeshField(m, P)
-        f.grad_x[:] = 1.0
-        f.grad_y[:] = 2.0  # vertex increments -3, 0 and 3
+        f.grad[0].T[:] = 1.0
+        f.grad[1].T[:] = 2.0  # vertex increments -3, 0 and 3
         f._limit(np.full((3, 1), -6.0), np.full((3, 1), 1.5))
-        assert np.all(f.grad_x == 0.5) and np.all(f.grad_y == 1.0)
+        assert np.all(f.grad[0].T == 0.5) and np.all(f.grad[1].T == 1.0)
 
     def test_virtual_neighbors_enter_stencil(self):
         verts = [(0, 0), (1, 0), (0, 1)]
@@ -81,8 +81,8 @@ class TestReconstruct2D:
         f.q[0, 0] = grad_fn(c)
         vv = np.array([[grad_fn(p), 0, 0] for _, p in virt])
         f.reconstruct(virtual_values=vv)
-        assert abs(f.grad_x[0, 0] - 0.2) < 1e-12
-        assert abs(f.grad_y[0, 0] - 0.1) < 1e-12
+        assert abs(f.grad[0].T[0, 0] - 0.2) < 1e-12
+        assert abs(f.grad[1].T[0, 0] - 0.1) < 1e-12
 
 
 class TestUpdate2D:
@@ -418,7 +418,7 @@ def random_state(field, rng):
 def assert_kernels_match_oracle(field, rng, virtual_values=None):
     g0x, g0y = oracle_gradients(field, virtual_values)
     field.reconstruct(virtual_values=virtual_values)
-    assert np.array_equal(field.grad_x, g0x) and np.array_equal(field.grad_y, g0y)
+    assert np.array_equal(field.grad[0].T, g0x) and np.array_equal(field.grad[1].T, g0y)
 
     dt = 0.2 * field.dt_bound()
     qL, qR = field.edge_states(dt)
@@ -445,11 +445,11 @@ class TestKernelsMatchOracle:
         # gradients are limited to zero; its y-momentum is zero, so there the
         # vertex increments dq are exactly zero. Spikes above all their
         # neighbours lose their depth gradient.
-        assert not f.grad_x[flat].any() and not f.grad_y[flat].any()
+        assert not f.grad[0].T[flat].any() and not f.grad[1].T[flat].any()
         nb = f.mesh.neighbors[spikes]
         peak = np.all((nb < 0) | (h[spikes, None] > h[nb]), axis=1)
         assert peak.sum() > len(spikes) // 2
-        assert not f.grad_x[spikes[peak], 0].any() and not f.grad_y[spikes[peak], 0].any()
+        assert not f.grad[0].T[spikes[peak], 0].any() and not f.grad[1].T[spikes[peak], 0].any()
         assert_kernels_match_oracle(f, rng)  # a second step from the first's result
 
     def test_patch_with_virtual_neighbors(self):
@@ -498,7 +498,7 @@ class TestKernelsMatchOracle:
         # every stencil value is negative.
         singular = [cell for cell, _ in virtual]
         assert not f.grad[:, :, singular].any() and not np.signbit(f.grad[:, :, singular]).any()
-        assert f.grad_x.any() and f.grad_y.any()
+        assert f.grad[0].T.any() and f.grad[1].T.any()
 
     def test_first_order(self):
         mesh = build_reference_sim(preset("test6_network"), 0.1).mesh
@@ -506,4 +506,4 @@ class TestKernelsMatchOracle:
         rng = np.random.default_rng(5)
         f.q[:], _, _ = random_state(f, rng)
         assert_kernels_match_oracle(f, rng)
-        assert not f.grad_x.any() and not f.grad_y.any()
+        assert not f.grad[0].T.any() and not f.grad[1].T.any()
