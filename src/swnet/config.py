@@ -53,9 +53,20 @@ _PROFILE_KEYS = {  # the keys each initial profile type requires
 
 
 def _check_keys(obj, allowed, where):
-    unknown = set(obj) - allowed
+    unknown = set(_typed(obj, dict, where)) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _typed(value, kind, where):
+    """`value`, which must be a JSON object (kind dict) or a list of objects
+    (kind list)."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{where}: must be {expected}, got {type(value).__name__}")
+    for k, entry in enumerate(value if kind is list else ()):
+        _typed(entry, dict, f"{where}[{k}]")
+    return value
 
 
 class ScenarioConfig:
@@ -92,7 +103,8 @@ def _validate(data: dict) -> dict:
     if "order" in num and num["order"] not in (1, 2):
         errors.append(f"numerics.order must be 1 or 2, got {num['order']}")
 
-    channels = data.get("channels", [])
+    channels, junctions, boundaries, gauges = (
+        _typed(data.get(k, []), list, k) for k in ("channels", "junctions", "boundaries", "gauges"))
     if not channels:
         errors.append("at least one channel is required")
     for c in channels:
@@ -101,15 +113,15 @@ def _validate(data: dict) -> dict:
             if k not in c:
                 errors.append(f"channel {c.get('id', '?')}: missing {k!r}")
 
-    for j in data.get("junctions", []):
+    for j in junctions:
         _check_keys(j, _JUNCTION_KEYS, f"junction {j.get('id')}")
         for k in ("id", "strategy", "position", "connects"):
             if k not in j:
                 errors.append(f"junction {j.get('id', '?')}: missing {k!r}")
-        for conn in j.get("connects", []):
+        for conn in _typed(j.get("connects", []), list, f"junction {j.get('id')} connects"):
             _check_keys(conn, {"channel", "end"}, f"junction {j.get('id')} connection")
 
-    for b in data.get("boundaries", []):
+    for b in boundaries:
         _check_keys(b, _BOUNDARY_KEYS, "boundary")
         kind = b.get("kind")
         if kind not in ("reflective", "transparent", "inflow", "prescribed"):
@@ -131,15 +143,16 @@ def _validate(data: dict) -> dict:
         [
             (j.get("id"), j.get("strategy"),
              [(c.get("channel"), c.get("end")) for c in j.get("connects", [])])
-            for j in data.get("junctions", [])
+            for j in junctions
         ],
-        [(b.get("channel"), b.get("end")) for b in data.get("boundaries", [])],
-        [(g.get("id"), g.get("channel"), g.get("s")) for g in data.get("gauges", [])],
+        [(b.get("channel"), b.get("end")) for b in boundaries],
+        [(g.get("id"), g.get("channel"), g.get("s")) for g in gauges],
     )
 
     init = data.get("initial", {})
     _check_keys(init, _INITIAL_KEYS, "initial")
-    for cid, section in init.get("per_channel", {}).items():
+    per_channel = _typed(init.get("per_channel", {}), dict, "initial.per_channel")
+    for cid, section in per_channel.items():
         if cid not in ids:
             errors.append(f"initial.per_channel: unknown channel {cid!r}")
         _check_keys(section, _PER_CHANNEL_KEYS, f"initial.per_channel[{cid}]")
@@ -149,14 +162,16 @@ def _validate(data: dict) -> dict:
         for k in _PROFILE_KEYS.get(kind, ()):
             if k not in section:
                 errors.append(f"initial.per_channel[{cid}]: missing {k!r}")
-            elif k in ("left", "right") and "h" not in section[k]:
+            elif k in ("left", "right") and "h" not in _typed(
+                    section[k], dict, f"initial.per_channel[{cid}].{k}"):
                 errors.append(f"initial.per_channel[{cid}].{k}: missing 'h'")
 
-    for gauge in data.get("gauges", []):
+    for gauge in gauges:
         _check_keys(gauge, _GAUGE_KEYS, f"gauge {gauge.get('id')}")
         if "id" not in gauge:
             errors.append(f"gauge on {gauge.get('channel')!r}: missing 'id'")
 
+    _typed(data.get("metadata", {}), dict, "metadata")
     if "t_end" not in data:
         errors.append("missing t_end")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import (
+    ConfigError,
     ScenarioConfig,
     boundary_conditions,
     build_channels,
@@ -103,6 +104,8 @@ def grid_independence(cfg: ScenarioConfig, sizes, t_end=None) -> list[dict]:
     """
     point = cfg.data.get("metadata", {}).get("probe")
     if point is None:
+        if not cfg.data.get("junctions"):
+            raise ConfigError(f"{cfg.name}: a grid study needs metadata.probe or a junction")
         point = tuple(cfg.data["junctions"][0]["position"])
     t_end = t_end if t_end is not None else cfg.t_end
     rows = []

@@ -328,6 +328,15 @@ class TestCli:
         assert lines[0] == "size,cells,integral,rel_diff,cpu_s"
         assert len(lines) == 3
 
+    def test_grid_study_without_probe_is_config_error(self, tmp_path, capsys):
+        code = main([
+            "grid-study", "--preset", "smooth1d", "--sizes", "0.5", "--t-end", "0.1",
+            "--out", str(tmp_path / "gs"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: smooth1d: a grid study needs metadata.probe" in err
+
 
 class TestGaugeOutsideItsChannel:
     # ch1 of test1_sub90 is 3 m long.
@@ -384,6 +393,35 @@ class TestIncompleteEntries:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+class TestMistypedEntries:
+    """A section or list entry of the wrong JSON type is a configuration
+    error that names it, from the schema and as the CLI's exit 2."""
+
+    @pytest.mark.parametrize("path, where", [
+        *[((key,), key) for key in ("physics", "numerics", "initial", "metadata")],
+        (("initial", "per_channel"), "initial.per_channel"),
+        (("initial", "per_channel", "a"), "initial.per_channel[a]"),
+        (("initial", "per_channel", "a", "left"), "initial.per_channel[a].left"),
+        *[((key,), key) for key in ("channels", "junctions", "boundaries", "gauges")],
+        *[((key, 0), f"{key}[0]") for key in ("channels", "junctions", "boundaries", "gauges")],
+        (("junctions", 0, "connects"), "junction j connects"),
+        (("junctions", 0, "connects", 1), "junction j connects[1]"),
+    ])
+    def test_named_as_config_error(self, tmp_path, capsys, path, where):
+        data = minimal_cfg()
+        data["initial"]["per_channel"] = {"a": json.loads(json.dumps(DAM_BREAK))}
+        data["gauges"] = [{"id": "g", "channel": "a", "s": 1.0}]
+        build_simulation(parse_config(data))
+        entry = data
+        for k in path[:-1]:
+            entry = entry[k]
+        entry[path[-1]] = 3
+        lists = ("channels", "junctions", "boundaries", "gauges", "connects")
+        expected = "a list" if path[-1] in lists else "an object"
+        message = f"{where}: must be {expected}, got int"
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
 
 
 def fork(explicit: bool, strategy: str = "A") -> dict:
@@ -460,3 +498,43 @@ class TestDefaultsWrittenOnce:
     def test_reference(self):
         sparse, explicit = (build_reference_sim(parse_config(fork(e)), 0.1) for e in (False, True))
         assert run_bits(sparse) == run_bits(explicit)
+
+
+class TestFriction:
+    """`manning_n > 0` alone applies Manning friction, in the network and in
+    the full-2D reference: uniform flow between open ends loses momentum
+    against the same run at `manning_n: 0`, at no more than the pointwise
+    rate g n^2 |u| / h^(4/3) of the initial state."""
+
+    T, H, U, N = 0.5, 0.2, 0.3, 0.03
+
+    def scenario(self, manning_n):
+        data = minimal_cfg()
+        data["physics"] = {"manning_n": manning_n}
+        data["initial"].update(h=self.H, u=self.U)
+        for b in data["boundaries"]:
+            b["kind"] = "transparent"
+        return parse_config(data)
+
+    def assert_friction_loss(self, momentum):
+        rate = 9.81 * self.N**2 * self.U / self.H ** (4.0 / 3.0)
+        pointwise = 1.0 - np.exp(-rate * self.T)
+        loss = 1.0 - momentum(self.N) / momentum(0.0)
+        assert 0.5 * pointwise < loss < 1.01 * pointwise
+
+    def test_network(self):
+        def momentum(manning_n):
+            sim = build_simulation(self.scenario(manning_n))
+            assert sim.params.manning_n == manning_n
+            assert sim.run(self.T).status == "completed"
+            return sum(float(np.sum(f.q[:, 1] * f.ds)) for f in sim.fields.values())
+
+        self.assert_friction_loss(momentum)
+
+    def test_reference(self):
+        def momentum(manning_n):
+            sim = build_reference_sim(self.scenario(manning_n), 0.125)
+            assert sim.run(self.T).status == "completed"
+            return float(np.sum(sim.field.q[:, 1] * sim.mesh.areas))
+
+        self.assert_friction_loss(momentum)
