@@ -1,6 +1,7 @@
 """README's "Package layout" names exactly the modules of the package, its
 scenario example is a valid scenario, no module imports a name it never
-uses, and no function takes a parameter it never reads."""
+uses, no function takes a parameter it never reads, and the package reads
+every function, class and method it defines."""
 
 import ast
 import re
@@ -222,3 +223,66 @@ def test_unused_parameters_reads_methods_nested_functions_and_lambdas():
     ])
     assert unused_parameters(source) == [
         ("f", "b"), ("f.g", "y"), ("f.<lambda>", "z"), ("C.m", "q"), ("C.s", "p")]
+
+
+# Definitions that no module of the package reads, each with its reader.
+KEPT = {
+    "emit": "ScenarioConfig.emit: the benchmark and tools/compare_runs.py",
+    "conserved": "the tests' state constructor",
+    "physical_flux_y": "criterion 8's oracle",
+    "invariant_signs": "criterion 2",
+    "exact_riemann_sample": "the tests' exact Riemann oracle",
+    "compare_methods": "criteria 9 and 12",
+    "wall_flux": "the benchmark's tracer, until its layers are rebound",
+    "rotate_state": "the benchmark's tracer, until its layers are rebound",
+    "rotate_back": "the benchmark's tracer, until its layers are rebound",
+}
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) for each function, class or method (dunders excepted)
+    defined in the modules `sources` ({file name: source}) whose name no
+    module reads as a name or an attribute; `__init__.py` does not count."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        if module == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, module)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for name, module in defined.items() if name not in read)
+
+
+def test_package_reads_every_definition():
+    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "swnet").glob("*.py"))}
+    found = {name for _, name in unread_definitions(sources)}
+    assert found - set(KEPT) == set()
+    assert set(KEPT) <= found  # an exemption that no longer applies goes
+
+
+def test_unread_definitions_reads_names_and_attributes():
+    sources = {
+        "__init__.py": "from .a import lonely",
+        "a.py": "\n".join([
+            "def lonely(): pass",
+            "def called(): pass",
+            "class C:",
+            "    def __init__(self): pass",
+            "    def method(self): pass",
+            "    def unread(self): pass",
+            "    def _private(self): pass",
+        ]),
+        "b.py": "\n".join([
+            "from .a import C, called",
+            "called()",
+            "C().method()",
+            "getattr(C(), '_private')",
+        ]),
+    }
+    assert unread_definitions(sources) == [("a.py", "_private"), ("a.py", "lonely"),
+                                           ("a.py", "unread")]

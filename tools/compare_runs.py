@@ -9,9 +9,9 @@ condition kind at a channel start and at a channel end, and a wall and a
 prescribed end beside a junction (`BOUNDARY_RUNS`), plus test1_sub90 with
 its PSFP junction marked merging, which flips the sign of the third Riemann
 invariant (`MERGING_RUNS`), plus test6_network with its junctions
-alternating between Methods A and B (`MIXED_RUNS`), for at most --steps
-steps. Each tree runs in its own
-interpreter. The report is a markdown table: per run, the steps and failure
+alternating between Methods A and B (`MIXED_RUNS`), plus smooth1d with
+Manning friction (`FRICTION_RUNS`), for at most --steps steps. Each tree
+runs in its own interpreter. The report is a markdown table: per run, the steps and failure
 type on both sides and the largest relative deviation of the gauge series,
 the final channel states, the final junction states and the ledger entries,
 and whether those four are equal to the bit, signs of zero included: a
@@ -87,6 +87,9 @@ BOUNDARY_RUNS = [
 MERGING_RUNS = ["test1_sub90"]
 # One network whose junction cells mix polygons (A) and triangles (B).
 MIXED_RUNS = ["test6_network"]
+# No preset sets a Manning coefficient: smooth1d, run to t = 8 like its
+# boundary runs so that the spreading hump moves water, takes one.
+FRICTION_RUNS = [("smooth1d", 0.03, 8.0)]
 
 
 def boundary_variant(preset, name, strategy, ends, t_end):
@@ -123,6 +126,16 @@ def mixed_strategies(preset, name):
     return ScenarioConfig(data)
 
 
+def with_friction(preset, name, manning_n, t_end):
+    """The preset with Manning friction, run to `t_end`."""
+    from swnet import ScenarioConfig
+
+    data = preset(name).emit()
+    data["physics"]["manning_n"] = manning_n
+    data["t_end"] = t_end
+    return ScenarioConfig(data)
+
+
 def cases(preset, preset_names):
     """(label, scenario factory) for the whole matrix."""
     for name, _ in preset_names():
@@ -141,6 +154,9 @@ def cases(preset, preset_names):
         yield f"{name} psfp merging", lambda name=name: merging_psfp(preset, name)
     for name in MIXED_RUNS:
         yield f"{name} A/B", lambda name=name: mixed_strategies(preset, name)
+    for name, manning_n, t_end in FRICTION_RUNS:
+        yield (f"{name} manning_n={manning_n}",
+               lambda args=(name, manning_n, t_end): with_friction(preset, *args))
 
 
 def run_matrix(steps: int) -> list[dict]:
