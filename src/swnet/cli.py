@@ -116,9 +116,9 @@ def cmd_validate(args) -> int:
 def cmd_grid_study(args) -> int:
     cfg = _load_scenario(args)
     sizes = [float(tok) for tok in args.sizes.split(",")]
+    rows = grid_independence(cfg, sizes, t_end=args.t_end)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = grid_independence(cfg, sizes, t_end=args.t_end)
     with open(out_dir / "grid_study.csv", "w") as f:
         f.write("size,cells,integral,rel_diff,cpu_s\n")
         for r in rows:

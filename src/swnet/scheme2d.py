@@ -96,6 +96,51 @@ class MeshField:
         del nbrs, pos
         for k, (kind, cells, nbr, op, good) in enumerate(self._groups):
             self._groups[k] = (kind, cells, nbr.copy(), op.copy(), good)
+        # Per group, the positions of its singular stencils: a group with
+        # none skips the write that zeroes their slopes.
+        self._singular = [np.flatnonzero(~good) for *_, good in self._groups]
+        if virtual:
+            self._build_junction_tables()
+
+    def _build_junction_tables(self):
+        """Static tables of the junction kernels: one padded stencil table
+        for `_fit_padded`, and each edge side's cells and midpoint offsets.
+
+        The table holds, per stencil slot (up to the widest stencil, cmax,
+        and at least 2) and cell, three columns of the `_fit_padded` source rows
+        `[q.T | 0 | virtual values reversed]` (source, centre, bound) and the
+        two operator rows. A least-squares entry takes its neighbour minus
+        the cell; an exact entry its neighbour minus the zero column. A pad
+        takes the zero column minus itself times an operator of -0.0, which
+        adds -0.0 and so leaves every sum to the bit; its bound column
+        repeats the cell's last real neighbour, which leaves the running
+        minimum and maximum to the bit (a pad from the cell itself would
+        flip the sign of a zero bound: `np.minimum` and `np.maximum` return
+        their second operand when -0.0 and +0.0 tie). Singular stencils and
+        cells with fewer than 2 neighbours have their slopes set to +0.0.
+        """
+        T = self.mesh.n_cells
+        cmax = max([2] + [len(nbr) for _, _, nbr, _, _ in self._groups])
+        table = np.full((3, cmax, T), T)
+        op = np.full((2, cmax, T), -0.0)
+        fitted = np.zeros(T, dtype=bool)
+        for kind, cells, nbr, gop, good in self._groups:
+            c = len(nbr)
+            table[0, :c][:, cells] = nbr
+            if kind == "lsq":
+                table[1, :c][:, cells] = cells
+            table[2, :c][:, cells] = nbr
+            table[2, c:][:, cells] = nbr[-1]
+            op[:, :c][:, :, cells] = gop
+            fitted[cells[good]] = True
+        self._table, self._op = table, op
+        self._unfitted = np.flatnonzero(~fitted)
+        self._zero_column = np.zeros((3, 1))
+
+        m = self.mesh
+        sides = 2 if len(m.interior) else 1
+        self._edge_cells = np.array(m.edge_cells[:sides])
+        self._edge_offsets = np.array(m.edge_offsets[:sides]).transpose(1, 0, 2).copy()
 
     def set_uniform(self, h, u=0.0, v=0.0):
         self.q[:, 0] = h
@@ -108,7 +153,7 @@ class MeshField:
     def dt_bound(self) -> float:
         """min over cells of incircle_diameter / wave_speed (no CFL factor)."""
         lam = max_wave_speed(self.q, self.params)
-        return float(np.min(self.mesh.incircle_diameters / lam))
+        return float((self.mesh.incircle_diameters / lam).min())
 
     def reconstruct(self, virtual_values=None):
         """Compute limited gradients; zero for cells with fewer than 2 neighbors.
@@ -119,28 +164,57 @@ class MeshField:
         running minimum and maximum of its neighbours in the same order, then
         against its own value. Keeping this order keeps the gradients the
         same to the bit.
+
+        A field with virtual slots (the junction cells) fits every cell on
+        one padded stencil table; the 2D reference, at whose size the padded
+        table was slower, fits one group per stencil size.
         """
         grad = self.grad
-        grad[:] = 0.0
         if self.order < 2:
+            grad[:] = 0.0
             return
         if self.n_virtual:
             if virtual_values is None:
                 raise ValueError("virtual neighbor values required but not given")
-            # Virtual slot s is neighbour -(s + 1): the s-th column from the end.
-            src = np.concatenate([self.q.T, virtual_values[::-1].T], axis=1)
+            dmin, dmax = self._fit_padded(virtual_values)
         else:
+            grad[:] = 0.0
             src = np.ascontiguousarray(self.q.T)
-        dmin = np.zeros(grad[0].shape)
-        dmax = np.zeros(grad[0].shape)
-        for group in self._groups:
-            self._fit(src, *group, dmin, dmax)
-        del src  # the limiter's temporaries are the step's largest
+            dmin = np.zeros(grad[0].shape)
+            dmax = np.zeros(grad[0].shape)
+            for (kind, cells, nbr, op, _), singular in zip(self._groups, self._singular):
+                self._fit(src, kind, cells, nbr, op, singular, dmin, dmax)
+            del src  # the limiter's temporaries are the step's largest
         self._limit(dmin, dmax)
 
-    def _fit(self, src, kind, cells, nbr, op, good, dmin, dmax):
-        """Slopes and neighbour bounds of one stencil group, from the (3, n)
-        component rows `src` of the cells and the virtual values."""
+    def _fit_padded(self, virtual_values):
+        """Slopes of every cell into `grad`, and its neighbour bounds
+        (dmin, dmax), from the padded stencil table."""
+        # Virtual slot s is neighbour -(s + 1): the s-th column from the end.
+        src = np.concatenate([self.q.T, self._zero_column, virtual_values[::-1].T], axis=1)
+        vals = src.take(self._table, axis=1)  # (component, column, slot, cell)
+        prod = self._op[:, None] * (vals[:, 0] - vals[:, 1])
+        grad = np.add(prod[:, :, 0], prod[:, :, 1], out=self.grad)
+        for j in range(2, prod.shape[2]):
+            grad += prod[:, :, j]
+        if len(self._unfitted):
+            grad[:, :, self._unfitted] = 0.0
+        bounds = vals[:, 2]
+        lo = hi = bounds[:, 0]
+        for j in range(1, bounds.shape[1]):
+            lo = np.minimum(lo, bounds[:, j])
+            hi = np.maximum(hi, bounds[:, j])
+        qc = src[:, : self.mesh.n_cells]
+        dmin = np.minimum(qc, lo)
+        dmin -= qc
+        dmax = np.maximum(qc, hi)
+        dmax -= qc
+        return dmin, dmax
+
+    def _fit(self, src, kind, cells, nbr, op, singular, dmin, dmax):
+        """Slopes and neighbour bounds of one stencil group, from the (3, T)
+        component rows `src` of the cells; `singular` indexes the group's
+        singular stencils."""
         qc = src.take(cells, axis=1)
         vals = [src.take(row, axis=1) for row in nbr]
         terms = vals if kind == "exact" else [v - qc for v in vals]
@@ -151,7 +225,8 @@ class MeshField:
             g = op[i, 0] * terms[0]
             for j in range(1, len(terms)):
                 g += op[i, j] * terms[j]
-            g[:, ~good] = 0.0
+            if len(singular):
+                g[:, singular] = 0.0
             for row, v in zip(self.grad[i], g):
                 row[cells] = v
         lo, hi = vals[0], vals[0]
@@ -187,21 +262,33 @@ class MeshField:
 
         Returns (qL, qR) as (E, 3) views of (3, E) rows; qR rows of boundary
         edges duplicate qL, and qR is qL when every edge is a boundary edge
-        (single-cell junctions).
+        (single-cell junctions). A field with virtual slots evolves both
+        sides in one pass, as views of one (3, sides, E) array; the 2D
+        reference, whose peak memory that raised, one side at a time.
         """
-        m = self.mesh
-        sides = 2 if len(m.interior) else 1
         qT = np.ascontiguousarray(self.q.T)
-        grad = self.grad.reshape(6, -1)
-        out = []
-        for cells, (dx, dy) in zip(m.edge_cells[:sides], m.edge_offsets[:sides]):
-            g = grad.take(cells, axis=1)
-            gx, gy = g[:3], g[3:]
-            qf = qT.take(cells, axis=1) + gx * dx + gy * dy
-            if self.order >= 2:
-                qf -= 0.5 * dt * jacobian_rows(qf, gx, gy, self.params.g)
-            out.append(qf.T)
+        if self.n_virtual:
+            qf = self._face_states(qT, self._edge_cells, *self._edge_offsets, dt)
+            out = [qf[:, k].T for k in range(qf.shape[1])]
+        else:
+            m = self.mesh
+            sides = 2 if len(m.interior) else 1
+            out = [
+                self._face_states(qT, cells, dx, dy, dt).T
+                for cells, (dx, dy) in zip(m.edge_cells[:sides], m.edge_offsets[:sides])
+            ]
         return out[0], out[-1]
+
+    def _face_states(self, qT, cells, dx, dy, dt):
+        """(3, *cells.shape) states of `cells`, from the (3, T) rows `qT`,
+        extrapolated by the offsets (dx, dy) and evolved by half a step
+        through the flux Jacobians."""
+        g = self.grad.reshape(6, -1).take(cells, axis=1)
+        gx, gy = g[:3], g[3:]
+        qf = qT.take(cells, axis=1) + gx * dx + gy * dy
+        if self.order >= 2:
+            qf -= 0.5 * dt * jacobian_rows(qf, gx, gy, self.params.g)
+        return qf
 
     def update(self, edge_flux_global: np.ndarray, dt: float):
         """Apply per-unit-length global-frame edge fluxes (positive out of left).
@@ -224,7 +311,7 @@ class MeshField:
         if not np.isfinite(self.q).all():
             k = int(np.argmin(np.isfinite(self.q).all(axis=1)))
             raise NonFiniteError(f"non-finite state in {self.cell_name(k)}")
-        if np.any(self.q[:, 0] <= 0.0):
+        if (self.q[:, 0] <= 0.0).any():
             k = int(np.argmin(self.q[:, 0]))
             raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in {self.cell_name(k)}")
 

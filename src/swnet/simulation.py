@@ -29,6 +29,7 @@ as "failed", and the per-run volume ledger.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -84,12 +85,13 @@ class RunResult:
 
 
 def _checked_dt(bounds, t: float) -> float:
-    """The smallest of the step bounds; a NaN bound (one np.min, so a NaN
-    anywhere reaches the check) or a non-positive step is an error."""
-    dt = np.min(bounds)
+    """The smallest of the step bounds (a list of 2 or 3 floats); a NaN bound
+    or a non-positive step is an error. NaN is tested in every place: the
+    builtin `min` returns a NaN only when it comes first."""
+    if any(map(math.isnan, bounds)):
+        raise NonFiniteError(f"non-finite wave speed at t={t:.6g}")
+    dt = min(bounds)
     if not dt > 0.0:
-        if np.isnan(dt):
-            raise NonFiniteError(f"non-finite wave speed at t={t:.6g}")
         raise RuntimeError(f"non-positive time step dt={dt}")
     return float(dt)
 

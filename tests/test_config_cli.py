@@ -336,6 +336,7 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error: smooth1d: a grid study needs metadata.probe" in err
+        assert not (tmp_path / "gs").exists()  # a rejected study leaves no directory
 
 
 class TestGaugeOutsideItsChannel:

@@ -100,17 +100,22 @@ def test_unused_imports_reads_names_and_noqa():
 # network-sized arrays, each with an exact ufunc or method form
 # (`np.bincount` per component for `np.add.at`, `np.array` or row writes for
 # `np.stack`, `np.minimum`/`np.maximum` for `np.clip`, a slice difference
-# for `np.diff`, `x.all()` for `np.all(x)`, `np.zeros` for `np.zeros_like`).
+# for `np.diff`, `x.all()` for `np.all(x)`, `x.any()` for `np.any(x)`,
+# `x.min()` for `np.min(x)`, the builtin `min` over a list of a few floats,
+# `np.zeros` for `np.zeros_like`). The junction cells' 2D kernels in
+# `MeshField` are per-step network code too.
 PER_STEP = {
     "scheme1d.py": [f"ChannelField.{m}" for m in (
         "dt_bound", "reconstruct", "_limit", "face_state", "end_states", "interior_fluxes",
         "update")],
     "junctions.py": ["project_transverse", "_normal_rows", *[f"JunctionField.{m}" for m in (
         "dt_bound", "reconstruct", "channel_neighbors", "compute_fluxes", "update")]],
-    "simulation.py": ["NetworkSimulation.advance", "NetworkSimulation.step_fluxes"],
+    "simulation.py": ["_checked_dt", "NetworkSimulation.advance", "NetworkSimulation.step_fluxes"],
     "riemann.py": ["hllc_rows", "RiemannBatch.solve"],
     "core.py": ["check_wet"],
-    "scheme2d.py": ["MeshField._limit"],
+    "scheme2d.py": [f"MeshField.{m}" for m in (
+        "dt_bound", "reconstruct", "_fit_padded", "_fit", "_limit", "edge_states", "_face_states",
+        "update")],
 }
 SLOW_CALLS = {"np.stack", "np.add.at", "np.clip", "np.diff", "np.zeros_like",
               "np.all", "np.any", "np.min", "np.sum"}

@@ -3,6 +3,7 @@ import pytest
 
 from types import SimpleNamespace
 
+from swnet.config import build_simulation
 from swnet.core import (
     DryStateError,
     NonFiniteError,
@@ -507,3 +508,77 @@ class TestKernelsMatchOracle:
         f.q[:], _, _ = random_state(f, rng)
         assert_kernels_match_oracle(f, rng)
         assert not f.grad[0].T.any() and not f.grad[1].T.any()
+
+
+# The junction cells' kernels: the padded stencil table against the
+# per-size stencil groups that the 2D reference runs, and both edge sides in
+# one pass against the oracle, each to the bit, signs of zero included.
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def junction_mesh_field(name, strategy):
+    return build_simulation(preset(name, strategy=strategy)).junction_field.mesh_field
+
+
+def junction_state(n, rng):
+    """Depths from two levels, so that differences and bounds tie; momenta
+    mostly +0.0 or -0.0, so that whole sums and bounds are signed zeros."""
+    q = np.empty((n, 3))
+    q[:, 0] = rng.choice([1.0, 1.25], size=n)
+    q[:, 1:] = rng.choice([0.0, -0.0], size=(n, 2))
+    some = rng.random((n, 2)) < 0.2
+    q[:, 1:][some] = rng.standard_normal(some.sum())
+    return q
+
+
+def group_fit(field, virtual_values):
+    """Unlimited slopes and (dmin, dmax) bounds of the per-size group path."""
+    T = field.mesh.n_cells
+    src = np.concatenate([field.q.T, virtual_values[::-1].T], axis=1)
+    field.grad[:] = 0.0
+    dmin, dmax = np.zeros((3, T)), np.zeros((3, T))
+    for (kind, cells, nbr, op, _), singular in zip(field._groups, field._singular):
+        field._fit(src, kind, cells, nbr, op, singular, dmin, dmax)
+    return field.grad.copy(), dmin, dmax
+
+
+# A Method-B patch (sides == 2) and the one-cell polygons of Method A
+# (sides == 1); both have stencils narrower than the table, so pads.
+JUNCTION_FIELDS = [("test1_sub90", "B"), ("test6_network", "A")]
+
+
+@pytest.mark.parametrize("name, strategy", JUNCTION_FIELDS)
+def test_padded_table_matches_the_groups_with_signed_zeros(name, strategy):
+    f = junction_mesh_field(name, strategy)
+    assert f._table.shape[1] > min(len(nbr) for _, _, nbr, _, _ in f._groups)
+    rng = np.random.default_rng(11)
+    negative_zeros = 0
+    for _ in range(100):
+        f.q[:] = junction_state(f.mesh.n_cells, rng)
+        vv = junction_state(f.n_virtual, rng)
+        want = group_fit(f, vv)
+        dmin, dmax = f._fit_padded(vv)
+        for got, w in zip((f.grad, dmin, dmax), want):
+            assert np.array_equal(bits(got), bits(w))
+        negative_zeros += np.count_nonzero((f.grad == 0.0) & np.signbit(f.grad))
+    assert negative_zeros > 100  # the pads met -0.0 sums
+
+
+@pytest.mark.parametrize("name, strategy", JUNCTION_FIELDS)
+def test_both_edge_sides_in_one_pass_match_the_oracle(name, strategy):
+    f = junction_mesh_field(name, strategy)
+    rng = np.random.default_rng(12)
+    f.q[:] = junction_state(f.mesh.n_cells, rng)
+    f.q[:, 1:] += 0.1 * rng.standard_normal((f.mesh.n_cells, 2))
+    f.reconstruct(virtual_values=junction_state(f.n_virtual, rng))
+    dt = 0.2 * f.dt_bound()
+    qL, qR = f.edge_states(dt)
+    wantL, wantR = oracle_edge_states(f, f.grad[0].T, f.grad[1].T, dt)
+    assert np.array_equal(bits(qL), bits(wantL)) and np.array_equal(bits(qR), bits(wantR))
+    if strategy == "A":
+        assert qR is qL
+    else:
+        assert len(f.mesh.interior) and qL.base is qR.base  # views of one array

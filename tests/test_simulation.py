@@ -18,6 +18,7 @@ from swnet.simulation import (
     Mesh2DSimulation,
     NetworkSimulation,
     PointGauge,
+    _checked_dt,
     write_gauge_csv,
 )
 from swnet.studies import build_reference_sim
@@ -322,6 +323,18 @@ class TestNonFinite:
         sim.fields["ch2"].q[5, 1] = np.nan
         with pytest.raises(NonFiniteError):
             sim.compute_dt()
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    def test_checked_dt_sees_nan_in_every_place(self, place):
+        # The builtin min keeps a NaN only in first place: min([1.0, nan])
+        # is 1.0.
+        bounds = [0.5, 0.25, 1.0]
+        bounds[place] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite wave speed at t=2"):
+            _checked_dt(bounds, 2.0)
+        assert _checked_dt([0.5, 0.25, 1.0], 2.0) == 0.25
+        with pytest.raises(RuntimeError, match="non-positive time step"):
+            _checked_dt([0.5, 0.0], 2.0)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_raises_non_finite(self, order):
