@@ -500,6 +500,10 @@ class TestKernelsMatchOracle:
         singular = [cell for cell, _ in virtual]
         assert not f.grad[:, :, singular].any() and not np.signbit(f.grad[:, :, singular]).any()
         assert f.grad[0].T.any() and f.grad[1].T.any()
+        # So does the per-size group path that the 2D reference runs.
+        slopes, _, _ = group_fit(f, vv[: len(virtual)])
+        assert not slopes[:, :, singular].any() and not np.signbit(slopes[:, :, singular]).any()
+        assert slopes.any()
 
     def test_first_order(self):
         mesh = build_reference_sim(preset("test6_network"), 0.1).mesh
