@@ -52,6 +52,34 @@ _PROFILE_KEYS = {  # the keys each initial profile type requires
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_NUMBER, _INTEGER, _POINT = "a number", "an integer", "a point [x, y]"
+_IS = {
+    _NUMBER: _is_number,
+    _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    _POINT: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+}
+# The type of each scalar value, per section.
+_PHYSICS_TYPES = {"g": _NUMBER, "manning_n": _NUMBER}
+_CHANNEL_TYPES = {"width": _NUMBER, "cells": _INTEGER, "start": _POINT, "end": _POINT}
+_JUNCTION_TYPES = {"position": _POINT, "protrusion": _NUMBER, "patch_protrusion": _NUMBER,
+                   "patch_refine": _INTEGER}
+_STATE_TYPES = {"h": _NUMBER, "u": _NUMBER}
+
+
+def _scalar_errors(entry, types, where) -> list:
+    """One message per key of `entry` whose value is not of its type in
+    `types` ({key: _NUMBER, _INTEGER or _POINT}); missing keys pass."""
+    return [
+        f"{where}: {key!r} must be {kind}, got {entry[key]!r}"
+        for key, kind in types.items()
+        if key in entry and not _IS[kind](entry[key])
+    ]
+
+
 def _check_keys(obj, allowed, where):
     unknown = set(_typed(obj, dict, where)) - allowed
     if unknown:
@@ -98,8 +126,10 @@ def _validate(data: dict) -> dict:
 
     phys = data.get("physics", {})
     _check_keys(phys, _PHYSICS_KEYS, "physics")
+    errors += _scalar_errors(phys, _PHYSICS_TYPES, "physics")
     num = data.get("numerics", {})
     _check_keys(num, _NUMERICS_KEYS, "numerics")
+    errors += _scalar_errors(num, {"cfl": _NUMBER}, "numerics")
     if "order" in num and num["order"] not in (1, 2):
         errors.append(f"numerics.order must be 1 or 2, got {num['order']}")
 
@@ -112,17 +142,20 @@ def _validate(data: dict) -> dict:
         for k in _CHANNEL_KEYS:
             if k not in c:
                 errors.append(f"channel {c.get('id', '?')}: missing {k!r}")
+        errors += _scalar_errors(c, _CHANNEL_TYPES, f"channel {c.get('id', '?')}")
 
     for j in junctions:
         _check_keys(j, _JUNCTION_KEYS, f"junction {j.get('id')}")
         for k in ("id", "strategy", "position", "connects"):
             if k not in j:
                 errors.append(f"junction {j.get('id', '?')}: missing {k!r}")
+        errors += _scalar_errors(j, _JUNCTION_TYPES, f"junction {j.get('id', '?')}")
         for conn in _typed(j.get("connects", []), list, f"junction {j.get('id')} connects"):
             _check_keys(conn, {"channel", "end"}, f"junction {j.get('id')} connection")
 
     for b in boundaries:
         _check_keys(b, _BOUNDARY_KEYS, "boundary")
+        errors += _scalar_errors(b, _STATE_TYPES, "boundary")
         kind = b.get("kind")
         if kind not in ("reflective", "transparent", "inflow", "prescribed"):
             errors.append(f"boundary: unknown kind {kind!r}")
@@ -151,6 +184,7 @@ def _validate(data: dict) -> dict:
 
     init = data.get("initial", {})
     _check_keys(init, _INITIAL_KEYS, "initial")
+    errors += _scalar_errors(init, _STATE_TYPES, "initial")
     per_channel = _typed(init.get("per_channel", {}), dict, "initial.per_channel")
     for cid, section in per_channel.items():
         if cid not in ids:
@@ -174,6 +208,7 @@ def _validate(data: dict) -> dict:
     _typed(data.get("metadata", {}), dict, "metadata")
     if "t_end" not in data:
         errors.append("missing t_end")
+    errors += _scalar_errors(data, {"t_end": _NUMBER}, "config")
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -67,6 +67,7 @@ from .core import (
     DryStateError,
     NonFiniteError,
     PhysicalParams,
+    flat_rows,
     from_normal,
     to_normal,
 )
@@ -146,6 +147,11 @@ class JunctionField:
         lengths = mesh.edge_lengths[edges]
         self._cpl_weights = np.array([self._cpl_sigma * lengths, lengths, lengths])
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
+        # Flat `put` indices of the wall and coupling columns of the (3, E)
+        # right states, and of the walls' mass and tangential fluxes.
+        cols = len(mesh.edge_lengths) * np.arange(3)[:, None]
+        self._wall_put, self._cpl_put = (cols + self._wall_edges).ravel(), (cols + edges).ravel()
+        self._wall_zero = (3 * self._wall_edges[:, None] + np.array([0, 2])).ravel()
 
         # Each coupling edge's cell sees the adjacent 1D end cell as an extra
         # stencil neighbour.
@@ -174,7 +180,7 @@ class JunctionField:
             cen = np.matmul(w, mesh.centroids[cells])
             d = np.matmul(cen - end_pos[group, None, :], axes[group, :, None])
             self._nbr_dists[group] = np.abs(d[:, 0, 0])
-            self._nbr_groups.append((group, cells, w))
+            self._nbr_groups.append((flat_rows(group), cells, w))
         self.stencil = field.junction_stencil(self._ends, self._nbr_dists)
 
         end_junction = junction_of[mesh.edge_left[edges[by_end[first]]]]
@@ -194,7 +200,7 @@ class JunctionField:
         return self.mesh_field.dt_bound()
 
     def reconstruct(self, field):
-        vv = _normal_rows(field.q[self._cpl_cells], *self._cpl_back).T
+        vv = _normal_rows(field.q.take(self._cpl_cells, axis=0), *self._cpl_back).T
         self.mesh_field.reconstruct(virtual_values=vv)
 
     def channel_neighbors(self):
@@ -202,8 +208,8 @@ class JunctionField:
         its coupling edges in the channel frame)."""
         q = self.mesh_field.q
         qavg = np.empty((len(self.ends), 3))
-        for group, cells, w in self._nbr_groups:
-            qavg[group] = np.matmul(w, q[cells])[:, 0]
+        for put, cells, w in self._nbr_groups:
+            qavg.put(put, np.matmul(w, q.take(cells, axis=0)))
         return self.stencil, _normal_rows(qavg, *self._end_cs).T
 
     def compute_fluxes(self, field, dt: float, batch):
@@ -224,20 +230,20 @@ class JunctionField:
         left = _normal_rows(qL, c, s)
         right = _normal_rows(qR, c, s)
         walls, edges = self._wall_edges, self._cpl_edges
-        right[:, walls] = mirrored(left[:, walls].T).T
-        q1 = field.faces[self._cpl_slot]
+        right.put(self._wall_put, mirrored(left.take(walls, axis=1).T).T)
+        q1 = field.faces.take(self._cpl_slot, axis=0)
         q1[:, 1:] *= self._cpl_sigma[:, None]
-        right[:, edges] = q1.T
+        right.put(self._cpl_put, q1.T)
 
         flux = np.empty((3, len(c)))
         totals = np.empty((3, len(self.ends)))
 
         def read_edges(f):
-            f[walls, ::2] = 0.0
+            f.put(self._wall_zero, 0.0)
             flux[0] = f[:, 0]
             from_normal(f[:, 1], f[:, 2], c, s, out=flux[1:])
             # One running sum per end in edge order, as np.add.at sums.
-            w = f[edges].T * self._cpl_weights
+            w = f.take(edges, axis=0).T * self._cpl_weights
             for k in range(3):
                 totals[k] = np.bincount(self._cpl_end, w[k], len(self.ends))
             np.divide(totals, self._end_widths, out=totals)
@@ -319,15 +325,16 @@ class PSFPJunction:
         self.merging = merging
         self.params = params
         self.widths = np.array([field.channels[field.index[ch]].width for ch, _ in self.ends])
-        self._ends = np.array([field.end_index(ch, end) for ch, end in self.ends], dtype=int)
         # Solver velocities point toward the junction in the parent channel
         # (the first end) and away from it in the daughters: along +s at the
         # parent's "end" and at a daughter's "start".
         self.tau = np.array([1.0 if (end == "end") == (k == 0) else -1.0
                              for k, (_, end) in enumerate(self.ends)])
 
-    def compute_end_fluxes(self, field):
-        q = field.end_states(self._ends).tolist()
+    def compute_end_fluxes(self, q):
+        """+s-frame fluxes (3, 3) at the junction's channel ends, in `ends`
+        order, from their boundary-extrapolated states `q` (3, 3)."""
+        q = q.tolist()
         try:
             # A zero depth passes its discharge as velocity: the problem
             # rejects the depth, and a NaN discharge still reads as NaN.
@@ -349,7 +356,7 @@ class PSFPJunction:
             raise type(exc)(f"junction {self.id}: {exc}") from exc
         fluxes = psfp_boundary_fluxes(star, self.params)
         fluxes[:, 0] *= self.tau
-        return self._ends, fluxes
+        return fluxes
 
 
 def wiring_errors(channels, junctions, boundary_ends, gauges) -> list[str]:

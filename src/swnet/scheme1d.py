@@ -39,6 +39,7 @@ from .core import (
     NonFiniteError,
     PhysicalParams,
     PositivityError,
+    flat_rows,
     friction_source,
     jacobian_dot,
     max_wave_speed,
@@ -130,6 +131,7 @@ class ChannelField:
         self.end_sign[0::2] = -1.0
         self.end_slot = self.end_cell + N * (self.end_sign > 0.0)  # row in `faces`
         self.end_off = self.end_sign * (0.5 * self.ds[self.end_cell])
+        self._end_put = flat_rows(self.end_cell)
 
         self._half = 0.5 * self.ds[:, None]
         # Cells with a right neighbor in the same channel; the face between
@@ -138,6 +140,7 @@ class ChannelField:
         has_right[last] = False
         self._lcell = np.arange(N)[has_right]
         self._inner_face = self._left_face[has_right] + 1
+        self._inner_put = flat_rows(self._inner_face)
         # The rows of `faces` that `interior_fluxes` queues as (left, right) states.
         self._face_rows = N + self._lcell, self._lcell + 1
         # Static stencil geometry of the interior least-squares slopes, for
@@ -173,14 +176,15 @@ class ChannelField:
 
     def junction_stencil(self, ends, dists):
         """Junction-side stencil of the cells at channel ends `ends`, whose
-        junction centroids sit `dists` beyond the end face: (end cells, inner
-        neighbours, offsets of both, least-squares denominators). Static;
-        built once by the junction field, for `reconstruct`."""
+        junction centroids sit `dists` beyond the end face: (end cells, their
+        `flat_rows`, inner neighbours, offsets of both, least-squares
+        denominators). Static; built once by the junction field, for
+        `reconstruct`."""
         cells, sign = self.end_cell[ends], self.end_sign[ends]
         inner = cells - sign.astype(int)
         off_in = (self.centers[inner] - self.centers[cells])[:, None]
         off_nb = (sign * dists)[:, None]
-        return cells, inner, off_in, off_nb, off_in**2 + off_nb**2
+        return cells, flat_rows(cells), inner, off_in, off_nb, off_in**2 + off_nb**2
 
     def reconstruct(self, nbr=None):
         """Limited least-squares slopes of the conserved variables.
@@ -203,18 +207,19 @@ class ChannelField:
         qmax = np.empty_like(q)
         qmin[1:-1] = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
         qmax[1:-1] = np.maximum(np.maximum(q[:-2], q[2:]), q[1:-1])
-        ends = self.end_cell
-        slopes[ends] = 0.0
-        qmin[ends] = qmax[ends] = q[ends]
+        ends, q_ends = self._end_put, q.take(self.end_cell, axis=0)
+        slopes.put(ends, 0.0)
+        qmin.put(ends, q_ends)
+        qmax.put(ends, q_ends)
 
         if nbr is not None:
             # Least squares over the interior neighbor and the junction
             # element, whose centroid sits beyond the end face.
-            (idx, inner, off_in, off_nb, denom), nbr_q = nbr
-            q_in, q_end = q[inner], q[idx]
-            slopes[idx] = (off_in * (q_in - q_end) + off_nb * (nbr_q - q_end)) / denom
-            qmin[idx] = np.minimum(np.minimum(q_in, nbr_q), q_end)
-            qmax[idx] = np.maximum(np.maximum(q_in, nbr_q), q_end)
+            (idx, put, inner, off_in, off_nb, denom), nbr_q = nbr
+            q_in, q_end = q.take(inner, axis=0), q.take(idx, axis=0)
+            slopes.put(put, (off_in * (q_in - q_end) + off_nb * (nbr_q - q_end)) / denom)
+            qmin.put(put, np.minimum(np.minimum(q_in, nbr_q), q_end))
+            qmax.put(put, np.maximum(np.maximum(q_in, nbr_q), q_end))
 
         self._limit(qmin, qmax)
 
@@ -244,8 +249,8 @@ class ChannelField:
 
     def end_states(self, ends) -> np.ndarray:
         """Boundary-extrapolated states at channel end faces, not evolved."""
-        cells = self.end_cell[ends]
-        return self.q[cells] + self.slopes[cells] * self.end_off[ends][:, None]
+        cells, off = self.end_cell.take(ends), self.end_off.take(ends)[:, None]
+        return self.q.take(cells, axis=0) + self.slopes.take(cells, axis=0) * off
 
     def interior_fluxes(self, batch) -> np.ndarray:
         """Face flux array (N + C, 3), whose interior faces get their HLLC
@@ -258,15 +263,15 @@ class ChannelField:
         flux = np.full((self.n + len(self.channels), 3), np.nan)
 
         def read(f):
-            flux[self._inner_face] = f
+            flux.put(self._inner_put, f)
 
         left, right = self._face_rows
-        batch.add(self.faces[left], self.faces[right], read)
+        batch.add(self.faces.take(left, axis=0), self.faces.take(right, axis=0), read)
         return flux
 
     def update(self, flux, dt: float):
         """Conservative update from the face flux array, with explicit pointwise friction."""
-        dq = -(dt / self.ds)[:, None] * (flux[1:] - flux[:-1])[self._left_face]
+        dq = -(dt / self.ds)[:, None] * (flux[1:] - flux[:-1]).take(self._left_face, axis=0)
         if self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params)
         self.q = self.q + dq

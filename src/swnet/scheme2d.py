@@ -134,13 +134,17 @@ class MeshField:
             op[:, :c][:, :, cells] = gop
             fitted[cells[good]] = True
         self._table, self._op = table, op
-        self._unfitted = np.flatnonzero(~fitted)
+        # The flat `put` index of the unfitted cells' six gradient entries.
+        self._unfitted = (T * np.arange(6)[:, None] + np.flatnonzero(~fitted)).ravel()
         self._zero_column = np.zeros((3, 1))
 
         m = self.mesh
         sides = 2 if len(m.interior) else 1
         self._edge_cells = np.array(m.edge_cells[:sides])
         self._edge_offsets = np.array(m.edge_offsets[:sides]).transpose(1, 0, 2).copy()
+        # The `update` bin of each component-major weight: k T + cell.
+        cells = np.concatenate([m.edge_left, m.edge_right.take(m.interior)])
+        self._net_bins = (T * np.arange(3)[:, None] + cells).ravel()
 
     def set_uniform(self, h, u=0.0, v=0.0):
         self.q[:, 0] = h
@@ -198,7 +202,7 @@ class MeshField:
         for j in range(2, prod.shape[2]):
             grad += prod[:, :, j]
         if len(self._unfitted):
-            grad[:, :, self._unfitted] = 0.0
+            grad.put(self._unfitted, 0.0)
         bounds = vals[:, 2]
         lo = hi = bounds[:, 0]
         for j in range(1, bounds.shape[1]):
@@ -296,14 +300,21 @@ class MeshField:
         Summation order: each cell's net flux is one running sum from zero
         that subtracts the fluxes of the edges it is left of, then adds those
         of the interior edges it is right of, each in edge order. Keeping
-        this order keeps the updated states the same to the bit.
+        this order keeps the updated states the same to the bit. The junction
+        cells sum all components in one bincount over static bins; the 2D
+        reference, whose peak memory stored bins would raise, one at a time.
         """
         m = self.mesh
         interior = m.interior
-        cells = np.concatenate([m.edge_left, m.edge_right.take(interior)])
-        net = np.empty((3, m.n_cells))
-        for k, w in enumerate(edge_flux_global.T * m.edge_lengths):
-            net[k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
+        if self.n_virtual:
+            w = edge_flux_global.T * m.edge_lengths
+            w = np.concatenate([-w, w.take(interior, axis=1)], axis=1)
+            net = np.bincount(self._net_bins, w.ravel(), 3 * m.n_cells).reshape(3, -1)
+        else:
+            cells = np.concatenate([m.edge_left, m.edge_right.take(interior)])
+            net = np.empty((3, m.n_cells))
+            for k, w in enumerate(edge_flux_global.T * m.edge_lengths):
+                net[k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
         dq = net * (dt / m.areas)
         if self.params.manning_n > 0.0:
             dq += dt * friction_source(self.q, self.params).T

@@ -41,6 +41,7 @@ from .core import (
     NonFiniteError,
     PhysicalParams,
     PositivityError,
+    flat_rows,
     from_normal,
     to_normal,
 )
@@ -192,15 +193,20 @@ class NetworkSimulation(TimeStepper):
             junction_specs, self.channels, self.field, params, self.order
         )
         self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
-        # Boundary ends grouped by condition kind: (end numbers, widths, sign
-        # tables from +s-frame states to the outward-normal frame and from
-        # outward fluxes back to +s fluxes, `boundary_flux` ghost).
+        # The channel-end table of `step_fluxes`: the junction field's ends,
+        # then `read`, the ends whose states it reads.
+        cell_ends = [] if self.junction_field is None else self.junction_field.ends
+        read = []
+        # Boundary ends grouped by condition kind: (rows of `read`, widths,
+        # sign tables from +s-frame states to the outward-normal frame and
+        # from outward fluxes back to +s fluxes, `boundary_flux` ghost).
         by_kind = {}
         for key, bc in boundaries.items():
             by_kind.setdefault(bc.kind, []).append((key, bc))
         self._boundary_groups = []
         for kind, group in by_kind.items():
-            ends = np.array([self.field.end_index(*key) for key, _ in group])
+            ends = [self.field.end_index(*key) for key, _ in group]
+            rows, read = slice(len(read), len(read) + len(ends)), read + ends
             width = np.array([self.channels[cid].width for (cid, _), _ in group])
             sign = self.field.end_sign[ends, None]  # the outward normal, -s at a start
             to_out = np.where([False, True, False], sign, 1.0)  # the axial momentum flips
@@ -208,7 +214,13 @@ class NetworkSimulation(TimeStepper):
             ghost = mirrored if kind == "reflective" else None  # transparent: zero gradient
             if kind in ("inflow", "prescribed"):
                 ghost = GhostStates(kind, [bc for _, bc in group])
-            self._boundary_groups.append((ends, width, to_out, to_s, ghost))
+            self._boundary_groups.append((rows, width, to_out, to_s, ghost))
+        self._psfp_rows = [(j, slice(len(read) + 3 * k, len(read) + 3 * k + 3))
+                           for k, j in enumerate(self.psfp_junctions)]
+        read += [self.field.end_index(*key) for j in self.psfp_junctions for key in j.ends]
+        self._end_read = np.array(read, dtype=int)
+        self.end_table = np.array([self.field.end_index(*key) for key in cell_ends] + read, dtype=int)
+        self._end_put = flat_rows(self.field.end_face[self.end_table])
 
         self._gauge_cells = np.array(
             [
@@ -275,8 +287,9 @@ class NetworkSimulation(TimeStepper):
         # Phase 4: transverse projection in the 1D cells next to junction
         # cells, the end cells of the junction stencil.
         if nbr is not None:
-            cells = nbr[0][0]
-            field.q[cells], discarded = project_transverse(field.q[cells])
+            cells, put = nbr[0][:2]
+            projected, discarded = project_transverse(field.q.take(cells, axis=0))
+            field.q.put(put, projected)
             self.diagnostics["transverse_momentum_discarded"] += float(discarded.sum())
 
         # Phase 5: bookkeeping.
@@ -292,28 +305,34 @@ class NetworkSimulation(TimeStepper):
         edges, the boundary ends) is queued on one batch and solved in one
         HLLC call, which fills the arrays its producers returned; the
         algebraic junctions and transparent ends need none.
+
+        The channel-end table `end_table`, built once, lists every channel
+        end once: the junction field's, each boundary group's, each PSFP
+        junction's. One `end_states` call reads the boundary and PSFP ends,
+        each group and junction on its own static rows; every end flux lands
+        on the face array in one `put`. The NaN of `interior_fluxes` stays
+        on any face the table would miss.
         """
         field, params = self.field, self.params
         cells = self.junction_field
         batch = RiemannBatch()
         flux = field.interior_fluxes(batch)
-        edge_fluxes = None
+        q = field.end_states(self._end_read)
+        edge_fluxes, end_fluxes = None, []
         if cells is not None:
-            edge_fluxes, (cell_ends, cell_f) = cells.compute_fluxes(field, dt, batch)
+            edge_fluxes, (_, cell_f) = cells.compute_fluxes(field, dt, batch)
+            end_fluxes.append(cell_f)
         bounds = []
-        for ends, width, to_out, to_s, ghost in self._boundary_groups:
-            f = boundary_flux(field.end_states(ends) * to_out, ghost, self.t, params, batch)
-            bounds.append((ends, width, to_s, f))
+        for rows, width, to_out, to_s, ghost in self._boundary_groups:
+            f = boundary_flux(q[rows] * to_out, ghost, self.t, params, batch)
+            bounds.append((width, to_s, f))
         batch.solve(params)
-        if cells is not None:
-            flux[field.end_face[cell_ends]] = cell_f
-        for j in self.psfp_junctions:
-            ends, f = j.compute_end_fluxes(field)
-            flux[field.end_face[ends]] = f
         boundary_mass = 0.0
-        for ends, width, to_s, f in bounds:
-            flux[field.end_face[ends]] = f * to_s
+        for width, to_s, f in bounds:
+            end_fluxes.append(f * to_s)
             boundary_mass -= float((width * f[:, 0]).sum())
+        end_fluxes += [j.compute_end_fluxes(q[rows]) for j, rows in self._psfp_rows]
+        flux.put(self._end_put, np.concatenate(end_fluxes))
         return flux, edge_fluxes, boundary_mass
 
     def sample_gauges(self):

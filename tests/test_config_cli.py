@@ -425,6 +425,29 @@ class TestMistypedEntries:
         TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
 
 
+class TestMistypedScalars:
+    """A scalar value of the wrong type is a configuration error that names
+    the field, from the schema and as the CLI's exit 2; before, the first
+    three failed the run (exit 3), the next two passed as valid and the last
+    read as a self-intersecting junction polygon."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("channels", 0, "width"), "x", "channel a: 'width' must be a number, got 'x'"),
+        (("junctions", 0, "position"), 3, "junction j: 'position' must be a point [x, y], got 3"),
+        (("initial", "h"), "x", "initial: 'h' must be a number, got 'x'"),
+        (("channels", 0, "cells"), 2.5, "channel a: 'cells' must be an integer, got 2.5"),
+        (("t_end",), "x", "config: 't_end' must be a number, got 'x'"),
+        (("channels", 0, "start"), 3, "channel a: 'start' must be a point [x, y], got 3"),
+    ], ids=["width", "position", "initial.h", "cells", "t_end", "start"])
+    def test_named_as_config_error(self, tmp_path, capsys, path, value, message):
+        data = minimal_cfg()
+        entry = data
+        for k in path[:-1]:
+            entry = entry[k]
+        entry[path[-1]] = value
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+
 def fork(explicit: bool, strategy: str = "A") -> dict:
     """A fork like README's example, with every optional key left out, or
     with each spelt out at the default that README's "Scenario files"

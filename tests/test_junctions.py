@@ -243,9 +243,10 @@ def test_junction_protocol(name, strategy, n_ends):
         assert sim.junction_field is None and sim.psfp_junctions == sim.junctions
         assert sim.total_volume() == field.volume()
         assert dt == sim.cfl * field.dt_bound()
-        for j in sim.psfp_junctions:
+        for j, rows in sim._psfp_rows:
             keys = {field.end_index(ch, end) for ch, end in j.ends}
-            ends, fluxes = j.compute_end_fluxes(field)
+            ends = sim._end_read[rows]
+            fluxes = j.compute_end_fluxes(field.end_states(ends))
             assert len(ends) == len(j.ends) and set(ends) == keys
             assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
         return

@@ -121,14 +121,21 @@ SLOW_CALLS = {"np.stack", "np.add.at", "np.clip", "np.diff", "np.zeros_like",
               "np.all", "np.any", "np.min", "np.sum"}
 
 
-def slow_calls(source: str, names) -> list:
-    """(function, call) for each call in SLOW_CALLS that the named functions
-    of a module make; a KeyError names a listed function the module lacks."""
+def functions(source: str) -> dict:
+    """The module-level functions and methods of a module, by "function" or
+    "Class.method"."""
     defs = {}
     for node in ast.parse(source).body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
         prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
         defs |= {prefix + f.name: f for f in members if isinstance(f, ast.FunctionDef)}
+    return defs
+
+
+def slow_calls(source: str, names) -> list:
+    """(function, call) for each call in SLOW_CALLS that the named functions
+    of a module make; a KeyError names a listed function the module lacks."""
+    defs = functions(source)
     return [
         (name, ast.unparse(node.func))
         for name in names
@@ -160,6 +167,58 @@ def test_slow_calls_reads_methods_and_nested_functions():
     ])
     assert sorted(slow_calls(source, ["f", "C.m"])) == [
         ("C.m", "np.clip"), ("f", "np.add.at"), ("f", "np.all")]
+
+
+# The per-step functions also move rows through index tables built once:
+# `x.take(rows, axis=0)` gathers and `x.put(flat, v)` scatters on a flat
+# (3 row + component) table, each a few times cheaper than `x[rows]` at
+# network size. The heuristic: an index, or an entry of a tuple index, that
+# is an attribute (`x[self._inner_face]`) or an item of one
+# (`x[field.end_face[e]]`) names such a table, so `[]` on it fails. An index
+# held in a local name is not judged, nor is a slice or a constant. No
+# per-step function needs an exemption.
+
+
+def attribute_indexing(source: str, names) -> list:
+    """(function, subscript) for each `x[...]` in the named functions of a
+    module whose index is an attribute or an item of one."""
+    defs = functions(source)
+
+    def by_attribute(index):
+        if isinstance(index, ast.Subscript):
+            index = index.value
+        return isinstance(index, ast.Attribute)
+
+    found = []
+    for name in names:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Subscript):
+                index = node.slice
+                entries = index.elts if isinstance(index, ast.Tuple) else [index]
+                if any(map(by_attribute, entries)):
+                    found.append((name, ast.unparse(node)))
+    return found
+
+
+def test_per_step_functions_index_no_rows_by_attribute():
+    found = {
+        module: attribute_indexing((ROOT / "src" / "swnet" / module).read_text(), names)
+        for module, names in PER_STEP.items()
+    }
+    assert {module: subs for module, subs in found.items() if subs} == {}
+
+
+def test_attribute_indexing_reads_attributes_and_their_items():
+    source = "\n".join([
+        "class C:",
+        "    def m(self, x, field, e, rows):",
+        "        x[self._inner_face] = 0.0",
+        "        y = x[field.end_face[e]] + x[:, self.cols] + x[rows] + x[1:-1] + x[0]",
+        "        return x.take(self._inner_face, axis=0), self.q[rows], y",
+    ])
+    assert attribute_indexing(source, ["C.m"]) == [
+        ("C.m", "x[self._inner_face]"), ("C.m", "x[field.end_face[e]]"),
+        ("C.m", "x[:, self.cols]")]
 
 
 # Parameters that a caller's protocol fixes and the function ignores: each

@@ -135,11 +135,13 @@ def per_producer_step_fluxes(sim, dt):
     if cells is not None:
         edge_fluxes, (ends, f) = compute_fluxes(cells, field, dt)
         flux[field.end_face[ends]] = f
-    for j in sim.psfp_junctions:
-        ends, f = j.compute_end_fluxes(field)
+    for j, rows in sim._psfp_rows:
+        ends = sim._end_read[rows]
+        f = j.compute_end_fluxes(field.end_states(ends))
         flux[field.end_face[ends]] = f
     boundary_mass = 0.0
-    for ends, width, to_out, to_s, ghost in sim._boundary_groups:
+    for rows, width, to_out, to_s, ghost in sim._boundary_groups:
+        ends = sim._end_read[rows]
         batch = RiemannBatch()
         f = boundary_flux(field.end_states(ends) * to_out, ghost, sim.t, sim.params, batch)
         batch.solve(sim.params)

@@ -7,7 +7,13 @@ import pytest
 
 from swnet import presets
 from swnet.boundaries import BoundaryCondition, gaussian_pulse
-from swnet.config import ScenarioConfig, boundary_condition, build_channels, build_simulation
+from swnet.config import (
+    ConfigError,
+    ScenarioConfig,
+    boundary_condition,
+    build_channels,
+    build_simulation,
+)
 from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
 from swnet.junctions import JunctionSpec
@@ -370,36 +376,74 @@ class TestNonFinite:
         # A NaN depth or momentum in a channel's end cell at a PSFP junction
         # is non-finite data, not a Newton iteration that cannot decrease.
         sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
-        field, j = sim.field, sim.psfp_junctions[0]
+        field, ((j, rows),) = sim.field, sim._psfp_rows
         field.q[field.end_cell[field.end_index(*j.ends[1])], column] = np.nan
         with pytest.raises(NonFiniteError, match=f"junction {j.id}: non-finite interior state"):
-            j.compute_end_fluxes(field)
+            j.compute_end_fluxes(field.end_states(sim._end_read[rows]))
 
     @pytest.mark.parametrize("depth", [0.0, -0.01])
     def test_psfp_junction_reports_non_positive_depth(self, depth):
         sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
-        field, j = sim.field, sim.psfp_junctions[0]
+        field, ((j, rows),) = sim.field, sim._psfp_rows
         field.q[field.end_cell[field.end_index(*j.ends[2])], 0] = depth
         with pytest.raises(DryStateError, match=f"junction {j.id}: non-positive interior depth"):
-            j.compute_end_fluxes(field)
+            j.compute_end_fluxes(field.end_states(sim._end_read[rows]))
 
     def test_psfp_dry_end_state_fails_the_run(self):
         # Only the junction sees the spoiled end state: its typed error ends
         # the run as failed instead of escaping it.
         sim = build_simulation(presets.preset("test1_sub90"), strategy="psfp")
-        j = sim.psfp_junctions[0]
+        ((j, rows),) = sim._psfp_rows
         end_states = sim.field.end_states
 
         def spoiled(ends):
             q = end_states(ends)
-            if ends is j._ends:
-                q[1, 0] = -0.01
+            if ends is sim._end_read:
+                q[rows][1, 0] = -0.01
             return q
 
         sim.field.end_states = spoiled
         res = sim.run(1.0)
         assert res.status == "failed" and res.steps == 0
         assert type(res.failure) is DryStateError and f"junction {j.id}" in str(res.failure)
+
+
+def end_table_problems(sim, table) -> list:
+    """One message per channel end that a channel-end table does not list
+    exactly once."""
+    counts = np.bincount(table, minlength=2 * len(sim.field.channels))
+    return [f"end {e} listed {n} times" for e, n in enumerate(counts) if n != 1]
+
+
+def step_flux(sim):
+    """The face flux array of the next step of a network."""
+    dt = sim.compute_dt()
+    nbr = None
+    if sim.junction_field is not None:
+        sim.junction_field.reconstruct(sim.field)
+        nbr = sim.junction_field.channel_neighbors()
+    sim.field.reconstruct(nbr)
+    sim.field.face_state(dt)
+    return sim.step_fluxes(dt)[0]
+
+
+@pytest.mark.parametrize("strategy", ["A", "B", "psfp"])
+@pytest.mark.parametrize("name", [name for name, _ in presets.preset_names()])
+def test_end_table_covers_every_channel_end(name, strategy):
+    try:
+        sim = build_simulation(presets.preset(name), strategy=strategy)
+    except ConfigError:
+        pytest.skip(f"{name} does not build with strategy {strategy}")
+    assert end_table_problems(sim, sim.end_table) == []
+    assert not np.isnan(step_flux(sim)).any()
+    # A table without its first end misses it, and its face keeps the NaN
+    # of `interior_fluxes`.
+    missing = sim.end_table[0]
+    assert end_table_problems(sim, sim.end_table[1:]) == [f"end {missing} listed 0 times"]
+    sim._end_put = sim._end_put[3:]
+    flux = step_flux(sim)
+    assert np.isnan(flux[sim.field.end_face[missing]]).all()
+    assert np.isnan(flux).sum() == 3
 
 
 class TestGaugeCsv:
