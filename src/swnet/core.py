@@ -114,9 +114,9 @@ def from_normal(fn, ft, c, s, out=(None, None)):
     return np.subtract(c * fn, s * ft, out=out[0]), np.add(s * fn, c * ft, out=out[1])
 
 
-def flat_rows(rows) -> np.ndarray:
+def flat_rows(rows: np.ndarray) -> np.ndarray:
     """Flat indices 3 row + component of `rows` of an (n, 3) array: a `put` index."""
-    return (3 * np.asarray(rows)[:, None] + np.arange(3)).ravel()
+    return (3 * rows[:, None] + np.arange(3)).ravel()
 
 
 def rotate_state(q: np.ndarray, theta) -> np.ndarray:

@@ -92,16 +92,13 @@ class Channel:
     def __post_init__(self):
         self.start = np.asarray(self.start, dtype=float)
         self.end = np.asarray(self.end, dtype=float)
+        self.length = float(np.hypot(*(self.end - self.start)))
         if self.width <= 0.0:
             raise GeometryError(f"channel {self.id}: width must be positive")
         if self.cells < 2:
             raise GeometryError(f"channel {self.id}: need at least 2 cells")
         if self.length <= 0.0:
             raise GeometryError(f"channel {self.id}: zero length")
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.end - self.start)))
 
     @property
     def axis(self) -> np.ndarray:

@@ -42,9 +42,10 @@ merged; both names are bound to `JunctionField` until the benchmark binds
 the protocol instead (ROADMAP item 1 drops the aliases).
 
 `PSFPJunction` is the flux-only junction of three channels: it holds no
-cells and, after the step's batch solve, supplies its channel end fluxes
-from the star states of `psfp.psfp_solve` (`compute_end_fluxes`, which the
-benchmark's tracer times). `build_junctions` turns a network's
+cells and, after the step's batch solve, turns the states at its three
+channel ends, which the network stepper reads for it, into their fluxes
+through the star states of `psfp.psfp_solve` (`compute_end_fluxes`, which
+the benchmark's tracer times). `build_junctions` turns a network's
 `JunctionSpec`s into one object per junction and the `JunctionField` of its
 A and B junctions, and `wiring_errors` holds the rules of a network's wiring
 that the scenario schema and the network stepper both check.

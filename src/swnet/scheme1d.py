@@ -21,7 +21,13 @@ The per-call rule. At network size a step pays per numpy call, not per cell:
 a step method does only the state's arithmetic, in ufuncs and array methods,
 not numpy's Python-level wrappers (listed in `tests/test_layout.py`). Its
 static tables are built once: the interior stencil geometry, the face rows of
-`interior_fluxes` and the junction field's `junction_stencil`.
+`interior_fluxes` and the junction field's `junction_stencil`. It moves rows
+through them with `x.take(rows, axis=0)` and `x.put(flat, v)`, where `flat`
+is the `core.flat_rows` table (3 row + component) of the rows, not with
+`x[rows]`, which costs a few times more at network size. The network stepper
+keeps one such table of every channel end (`NetworkSimulation.step_fluxes`):
+one `end_states` call reads its boundary and PSFP ends, and one `put` writes
+every end flux.
 
 `ChannelSegment` is one channel's window onto the field. Its `q` slices
 the owner's array on every access instead of holding a numpy view taken at
@@ -322,4 +328,4 @@ class ChannelSegment:
         return self._cells.stop - self._cells.start
 
     def cell_at(self, s: float) -> int:
-        return min(int(np.searchsorted(self.centers, s)), self.n - 1)
+        return min(int(self.centers.searchsorted(s)), self.n - 1)

@@ -9,7 +9,10 @@ bounds, with the 2D limit at half the 1D CFL number.
 `NetworkSimulation` holds every channel cell in one `scheme1d.ChannelField`
 (`field`; `fields` maps channel ids to their `ChannelSegment`s) and steps it
 with one call per stage. Coupling and boundary fluxes land on the field's
-face array through channel end numbers, so `advance` has no loop over
+face array through one channel-end table, `end_table`, built once: it lists
+every channel end once (the junction field's, each boundary group's, each
+PSFP junction's), so a step reads the boundary and PSFP end states in one
+call and writes every end flux in one `put`, and `advance` has no loop over
 channels. Every Riemann problem of a step (interior faces, junction edges,
 boundary ends) is queued on one `riemann.RiemannBatch` and solved in one
 HLLC call (`step_fluxes`). The channels and one `junctions.JunctionField`
@@ -218,9 +221,9 @@ class NetworkSimulation(TimeStepper):
         self._psfp_rows = [(j, slice(len(read) + 3 * k, len(read) + 3 * k + 3))
                            for k, j in enumerate(self.psfp_junctions)]
         read += [self.field.end_index(*key) for j in self.psfp_junctions for key in j.ends]
-        self._end_read = np.array(read, dtype=int)
-        self.end_table = np.array([self.field.end_index(*key) for key in cell_ends] + read, dtype=int)
-        self._end_put = flat_rows(self.field.end_face[self.end_table])
+        self.end_table = np.array([self.field.end_index(*key) for key in cell_ends] + read)
+        self._end_read = self.end_table[len(cell_ends):]
+        self._end_put = flat_rows(self.field.end_face.take(self.end_table))
 
         self._gauge_cells = np.array(
             [
