@@ -68,6 +68,8 @@ _CHANNEL_TYPES = {"width": _NUMBER, "cells": _INTEGER, "start": _POINT, "end": _
 _JUNCTION_TYPES = {"position": _POINT, "protrusion": _NUMBER, "patch_protrusion": _NUMBER,
                    "patch_refine": _INTEGER}
 _STATE_TYPES = {"h": _NUMBER, "u": _NUMBER}
+_INFLOW_TYPES = dict.fromkeys(("amplitude", "center", "width"), _NUMBER)
+_PROFILE_TYPES = dict.fromkeys(("h", "u", "split_s", "h0", "amplitude", "center", "width"), _NUMBER)
 
 
 def _scalar_errors(entry, types, where) -> list:
@@ -165,6 +167,7 @@ def _validate(data: dict) -> dict:
                 errors.append("inflow boundary: missing inflow {amplitude, center, width}")
             else:
                 _check_keys(inflow, {"amplitude", "center", "width"}, "inflow")
+                errors += _scalar_errors(inflow, _INFLOW_TYPES, "inflow")
                 missing = [k for k in ("amplitude", "center") if k not in inflow]
                 errors += [f"inflow boundary: missing inflow.{k}" for k in missing]
         if kind == "prescribed" and "h" not in b:
@@ -193,12 +196,15 @@ def _validate(data: dict) -> dict:
         kind = section.get("type", "uniform")
         if kind not in ("uniform", "dam_break", "hump"):
             errors.append(f"initial.per_channel[{cid}]: unknown type {kind!r}")
+        errors += _scalar_errors(section, _PROFILE_TYPES, f"initial.per_channel[{cid}]")
         for k in _PROFILE_KEYS.get(kind, ()):
             if k not in section:
                 errors.append(f"initial.per_channel[{cid}]: missing {k!r}")
-            elif k in ("left", "right") and "h" not in _typed(
-                    section[k], dict, f"initial.per_channel[{cid}].{k}"):
-                errors.append(f"initial.per_channel[{cid}].{k}: missing 'h'")
+            elif k in ("left", "right"):
+                side = _typed(section[k], dict, f"initial.per_channel[{cid}].{k}")
+                if "h" not in side:
+                    errors.append(f"initial.per_channel[{cid}].{k}: missing 'h'")
+                errors += _scalar_errors(side, _STATE_TYPES, f"initial.per_channel[{cid}].{k}")
 
     for gauge in gauges:
         _check_keys(gauge, _GAUGE_KEYS, f"gauge {gauge.get('id')}")

@@ -143,10 +143,12 @@ class JunctionField:
         self._cpl_back = np.cos(alpha)[self._cpl_end], -np.sin(alpha)[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         # Per coupling edge: its row of `field.faces`, and the weights of its
-        # fluxes in the end totals (sigma * length is exact: sigma is +-1).
+        # fluxes in the end totals (sigma * length is exact: sigma is +-1)
+        # with their bins, k * ends + end for component k.
         self._cpl_slot = field.end_slot[self._ends][self._cpl_end]
         lengths = mesh.edge_lengths[edges]
         self._cpl_weights = np.array([self._cpl_sigma * lengths, lengths, lengths])
+        self._cpl_bins = (len(self.ends) * np.arange(3)[:, None] + self._cpl_end).ravel()
         self._wall_edges = mesh.boundary_edges_by_tag("wall")
         # Flat `put` indices of the wall and coupling columns of the (3, E)
         # right states, and of the walls' mass and tangential fluxes.
@@ -243,11 +245,11 @@ class JunctionField:
             f.put(self._wall_zero, 0.0)
             flux[0] = f[:, 0]
             from_normal(f[:, 1], f[:, 2], c, s, out=flux[1:])
-            # One running sum per end in edge order, as np.add.at sums.
+            # One running sum per end and component in edge order, as
+            # np.add.at sums.
             w = f.take(edges, axis=0).T * self._cpl_weights
-            for k in range(3):
-                totals[k] = np.bincount(self._cpl_end, w[k], len(self.ends))
-            np.divide(totals, self._end_widths, out=totals)
+            sums = np.bincount(self._cpl_bins, w.ravel(), totals.size).reshape(totals.shape)
+            np.divide(sums, self._end_widths, out=totals)
 
         batch.add(left.T, right.T, read_edges)
         return flux.T, (self._ends, totals.T)

@@ -427,9 +427,9 @@ class TestMistypedEntries:
 
 class TestMistypedScalars:
     """A scalar value of the wrong type is a configuration error that names
-    the field, from the schema and as the CLI's exit 2; before, the first
-    three failed the run (exit 3), the next two passed as valid and the last
-    read as a self-intersecting junction polygon."""
+    the field, from the schema and as the CLI's exit 2. Before, the first
+    three and the last failed the run (exit 3), `cells` and `t_end` passed
+    as valid and `start` read as a self-intersecting junction polygon."""
 
     @pytest.mark.parametrize("path, value, message", [
         (("channels", 0, "width"), "x", "channel a: 'width' must be a number, got 'x'"),
@@ -438,7 +438,9 @@ class TestMistypedScalars:
         (("channels", 0, "cells"), 2.5, "channel a: 'cells' must be an integer, got 2.5"),
         (("t_end",), "x", "config: 't_end' must be a number, got 'x'"),
         (("channels", 0, "start"), 3, "channel a: 'start' must be a point [x, y], got 3"),
-    ], ids=["width", "position", "initial.h", "cells", "t_end", "start"])
+        (("initial", "per_channel"), {"a": {"h": "x"}},
+         "initial.per_channel[a]: 'h' must be a number, got 'x'"),
+    ], ids=["width", "position", "initial.h", "cells", "t_end", "start", "per_channel.h"])
     def test_named_as_config_error(self, tmp_path, capsys, path, value, message):
         data = minimal_cfg()
         entry = data
