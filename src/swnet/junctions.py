@@ -143,8 +143,8 @@ class JunctionField:
         self._cpl_back = np.cos(alpha)[self._cpl_end], -np.sin(alpha)[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         # Per coupling edge: its row of `field.faces`, and the weights of its
-        # fluxes in the end totals (sigma * length is exact: sigma is +-1)
-        # with their bins, k * ends + end for component k.
+        # fluxes in the end totals (sigma * length is exact: sigma is +-1) and
+        # their bins, k * ends + end for component k.
         self._cpl_slot = field.end_slot[self._ends][self._cpl_end]
         lengths = mesh.edge_lengths[edges]
         self._cpl_weights = np.array([self._cpl_sigma * lengths, lengths, lengths])
@@ -245,8 +245,7 @@ class JunctionField:
             f.put(self._wall_zero, 0.0)
             flux[0] = f[:, 0]
             from_normal(f[:, 1], f[:, 2], c, s, out=flux[1:])
-            # One running sum per end and component in edge order, as
-            # np.add.at sums.
+            # One running sum per end and component in edge order, as np.add.at sums.
             w = f.take(edges, axis=0).T * self._cpl_weights
             sums = np.bincount(self._cpl_bins, w.ravel(), totals.size).reshape(totals.shape)
             np.divide(sums, self._end_widths, out=totals)

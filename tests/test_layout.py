@@ -177,8 +177,6 @@ def test_slow_calls_reads_methods_and_nested_functions():
 # (`x[field.end_face[e]]`) names such a table, so `[]` on it fails. An index
 # held in a local name is not judged, nor is a slice or a constant. No
 # per-step function needs an exemption.
-
-
 def attribute_indexing(source: str, names) -> list:
     """(function, subscript) for each `x[...]` in the named functions of a
     module whose index is an attribute or an item of one."""
