@@ -6,26 +6,26 @@ and differ only in how finely it is meshed: A uses one junction-shaped
 polygon cell, B a fan-refined triangular patch. `JunctionField` holds every
 A and B junction of a network as one `scheme2d.MeshField` on one mesh of
 their cells, junction after junction (`meshing.disjoint_union`). Each step
-is then one call per stage for all of them: reconstruction, the channel
-stencil entries, the edge fluxes and the update.
+is then one call per stage for all of them: reconstruction, the junction
+states the channel end cells see, the edge fluxes and the update.
 
 The field exchanges fluxes with the adjacent 1D cells by solving rotated
 Riemann problems on the coupling edges (a B patch splits each channel's
 coupling edge into sub-edges). One flux per coupling edge is computed and
 applied to both sides, which conserves mass and edge-normal momentum
-exactly. The stencil, the coupling edges' face rows, signs and lengths and
-the averaging groups are built once; a step follows `scheme1d`'s per-call rule.
+exactly. The coupling edges' face rows, signs and lengths and the
+averaging groups are built once; a step follows `scheme1d`'s per-call rule.
 
 The network stepper calls, in channel end numbers of the network's
 `scheme1d.ChannelField`:
 
 - `reconstruct(field)`;
-- `channel_neighbors()` -> (`stencil`, states): per channel end, the
-  length-weighted average of the junction cells along its coupling edges, in
-  the channel frame; `stencil` is the field's `junction_stencil` of the
-  ends, at the projected distance of that weighted centroid;
-- `compute_fluxes(field, dt, batch)` -> (edge fluxes, (ends, axial
-  fluxes)); it reads the evolved face states of the field's last
+- `channel_neighbors()` -> states: per channel end, the length-weighted
+  average of the junction cells along its coupling edges, in the channel
+  frame, for the channel field's `reconstruct`; the build attaches the ends
+  there at the projected distance of that weighted centroid;
+- `compute_fluxes(field, dt, batch)` -> (edge fluxes, axial fluxes per
+  channel end); it reads the evolved face states of the field's last
   `face_state` call and queues the Riemann problem of every edge on the
   step's `riemann.RiemannBatch`, whose one solve fills the returned arrays;
 - `update(edge_fluxes, dt)`, whose errors name the junction and its cell;
@@ -184,7 +184,7 @@ class JunctionField:
             d = np.matmul(cen - end_pos[group, None, :], axes[group, :, None])
             self._nbr_dists[group] = np.abs(d[:, 0, 0])
             self._nbr_groups.append((flat_rows(group), cells, w))
-        self.stencil = field.junction_stencil(self._ends, self._nbr_dists)
+        field.attach_junctions(self._ends, self._nbr_dists)
 
         end_junction = junction_of[mesh.edge_left[edges[by_end[first]]]]
         self.junctions = [
@@ -207,18 +207,18 @@ class JunctionField:
         self.mesh_field.reconstruct(virtual_values=vv)
 
     def channel_neighbors(self):
-        """(`stencil`, per channel end the width-averaged junction state along
-        its coupling edges in the channel frame)."""
+        """Per channel end, the width-averaged junction state along its
+        coupling edges in the channel frame."""
         q = self.mesh_field.q
         qavg = np.empty((len(self.ends), 3))
         for put, cells, w in self._nbr_groups:
             qavg.put(put, np.matmul(w, q.take(cells, axis=0)))
-        return self.stencil, _normal_rows(qavg, *self._end_cs).T
+        return _normal_rows(qavg, *self._end_cs).T
 
     def compute_fluxes(self, field, dt: float, batch):
         """Queue the Riemann problem of every edge on `batch` (a
-        `riemann.RiemannBatch`); returns (edge fluxes, (ends, width-averaged
-        axial fluxes)), which its solve fills.
+        `riemann.RiemannBatch`); returns (edge fluxes, width-averaged axial
+        fluxes per channel end), which its solve fills.
 
         Every edge's left state is its cell's evolved face state in the
         edge's normal frame. The right state is the neighbour's on interior
@@ -251,7 +251,7 @@ class JunctionField:
             np.divide(sums, self._end_widths, out=totals)
 
         batch.add(left.T, right.T, read_edges)
-        return flux.T, (self._ends, totals.T)
+        return flux.T, totals.T
 
     def update(self, edge_fluxes: np.ndarray, dt: float):
         self.mesh_field.update(edge_fluxes, dt)

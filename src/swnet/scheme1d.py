@@ -20,9 +20,10 @@ and junctions and boundaries address the field only through these numbers.
 The per-call rule. At network size a step pays per numpy call, not per cell:
 a step method does only the state's arithmetic, in ufuncs and array methods,
 not numpy's Python-level wrappers (listed in `tests/test_layout.py`). Its
-static tables are built once: the interior stencil geometry, the face rows of
-`interior_fluxes` and the junction field's `junction_stencil`. It moves rows
-through them with `x.take(rows, axis=0)` and `x.put(flat, v)`, where `flat`
+static tables are built once: the face rows of `interior_fluxes` and the
+two stencil neighbours of every cell, with which `reconstruct` is one gather,
+slope and bound pass over interior, boundary and junction end cells alike.
+A step moves rows through them with `x.take(rows, axis=0)` and `x.put(flat, v)`, where `flat`
 is the `core.flat_rows` table (3 row + component) of the rows, not with
 `x[rows]`, which costs a few times more at network size. The network stepper
 keeps one such table of every channel end (`NetworkSimulation.step_fluxes`):
@@ -137,7 +138,6 @@ class ChannelField:
         self.end_sign[0::2] = -1.0
         self.end_slot = self.end_cell + N * (self.end_sign > 0.0)  # row in `faces`
         self.end_off = self.end_sign * (0.5 * self.ds[self.end_cell])
-        self._end_put = flat_rows(self.end_cell)
 
         self._half = 0.5 * self.ds[:, None]
         # Cells with a right neighbor in the same channel; the face between
@@ -149,15 +149,18 @@ class ChannelField:
         self._inner_put = flat_rows(self._inner_face)
         # The rows of `faces` that `interior_fluxes` queues as (left, right) states.
         self._face_rows = N + self._lcell, self._lcell + 1
-        # Static stencil geometry of the interior least-squares slopes, for
-        # rows 1..N-2 of the flat array. Rows whose 3-cell stencil straddles
-        # two channels are channel end cells, overwritten after use; one of
-        # their two spacings lies inside the channel, so the denominator
-        # stays positive.
-        d = (self.centers[1:] - self.centers[:-1])[:, None]
-        self._dL, self._dR = d[:-1], d[1:]
-        self._denom = self._dL * self._dL + self._dR * self._dR
-
+        # Two least-squares stencil neighbours per cell, rows of the source
+        # array of `reconstruct`, at signed axial offsets: an interior cell's
+        # left and right cells, and an end cell itself twice at offset 1
+        # (slope +0.0, bounds q) unless `attach_junctions` gives it a junction.
+        self._nbr = np.arange(N) + np.array([[-1], [1]])
+        self._nbr[:, self.end_cell] = self.end_cell
+        self._off = np.ones((2, N, 1))
+        d = self.centers[1:] - self.centers[:-1]
+        self._off[0, 1:, 0], self._off[1, :-1, 0] = -d, d
+        self._off[:, self.end_cell] = 1.0
+        self._denom = self._off[0] * self._off[0] + self._off[1] * self._off[1]
+        self.junction_cells = self.junction_put = np.empty(0, dtype=int)
 
     @property
     def n(self) -> int:
@@ -180,54 +183,37 @@ class ChannelField:
         lam = max_wave_speed(self.q, self.params)
         return float((self.ds / lam).min())
 
-    def junction_stencil(self, ends, dists):
-        """Junction-side stencil of the cells at channel ends `ends`, whose
-        junction centroids sit `dists` beyond the end face: (end cells, their
-        `flat_rows`, inner neighbours, offsets of both, least-squares
-        denominators). Static; built once by the junction field, for
-        `reconstruct`."""
+    def attach_junctions(self, ends, dists):
+        """Give the cells at channel ends `ends` their junction neighbour:
+        row N + k of `reconstruct`'s source, the junction state of end k,
+        whose centroid sits `dists[k]` beyond the end face. Static; the
+        junction field calls it once. Keeps the cells as `junction_cells` and
+        their `flat_rows` as `junction_put`."""
         cells, sign = self.end_cell[ends], self.end_sign[ends]
         inner = cells - sign.astype(int)
         off_in = (self.centers[inner] - self.centers[cells])[:, None]
         off_nb = (sign * dists)[:, None]
-        return cells, flat_rows(cells), inner, off_in, off_nb, off_in**2 + off_nb**2
+        self._nbr[:, cells] = inner, self.n + np.arange(len(cells))
+        self._off[:, cells] = off_in, off_nb
+        self._denom[cells] = off_in**2 + off_nb**2
+        self.junction_cells, self.junction_put = cells, flat_rows(cells)
 
     def reconstruct(self, nbr=None):
-        """Limited least-squares slopes of the conserved variables.
+        """Limited least-squares slopes of the conserved variables, each from
+        the cell's two neighbours in the stencil table.
 
-        `nbr` optionally supplies junction-side stencil entries as (stencil,
-        states): a `junction_stencil` and the junction states in each
-        channel's frame, one row per end. End cells without an entry keep
-        zero slope.
+        `nbr` holds the junction states of the ends given to
+        `attach_junctions`, one row per end in its channel's frame; a field
+        with attached junctions needs them.
         """
         q = self.q
-        slopes = np.zeros(q.shape)
-        self.slopes = slopes
         if self.order < 2:
+            self.slopes = np.zeros(q.shape)
             return
-
-        diffL = q[:-2] - q[1:-1]
-        diffR = q[2:] - q[1:-1]
-        slopes[1:-1] = (self._dR * diffR - self._dL * diffL) / self._denom
-        qmin = np.empty_like(q)
-        qmax = np.empty_like(q)
-        qmin[1:-1] = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
-        qmax[1:-1] = np.maximum(np.maximum(q[:-2], q[2:]), q[1:-1])
-        ends, q_ends = self._end_put, q.take(self.end_cell, axis=0)
-        slopes.put(ends, 0.0)
-        qmin.put(ends, q_ends)
-        qmax.put(ends, q_ends)
-
-        if nbr is not None:
-            # Least squares over the interior neighbor and the junction
-            # element, whose centroid sits beyond the end face.
-            (idx, put, inner, off_in, off_nb, denom), nbr_q = nbr
-            q_in, q_end = q.take(inner, axis=0), q.take(idx, axis=0)
-            slopes.put(put, (off_in * (q_in - q_end) + off_nb * (nbr_q - q_end)) / denom)
-            qmin.put(put, np.minimum(np.minimum(q_in, nbr_q), q_end))
-            qmax.put(put, np.maximum(np.maximum(q_in, nbr_q), q_end))
-
-        self._limit(qmin, qmax)
+        src = q if nbr is None else np.concatenate([q, nbr])
+        qa, qb = src.take(self._nbr, axis=0)
+        self.slopes = (self._off[0] * (qa - q) + self._off[1] * (qb - q)) / self._denom
+        self._limit(np.minimum(np.minimum(qa, qb), q), np.maximum(np.maximum(qa, qb), q))
 
     def _limit(self, qmin, qmax):
         """Barth-Jespersen: face values must not exceed stencil bounds."""

@@ -271,7 +271,7 @@ class NetworkSimulation(TimeStepper):
         field = self.field
         cells = self.junction_field
         # Phase 1: reconstruction (the junction cells first supply the
-        # cross-dimensional stencil entries for the channel end cells).
+        # junction states in the stencils of the channel end cells).
         nbr = None
         if cells is not None:
             cells.reconstruct(field)
@@ -288,11 +288,10 @@ class NetworkSimulation(TimeStepper):
         field.update(flux, dt)
 
         # Phase 4: transverse projection in the 1D cells next to junction
-        # cells, the end cells of the junction stencil.
+        # cells, whose stencils reach the junction states.
         if nbr is not None:
-            cells, put = nbr[0][:2]
-            projected, discarded = project_transverse(field.q.take(cells, axis=0))
-            field.q.put(put, projected)
+            projected, discarded = project_transverse(field.q.take(field.junction_cells, axis=0))
+            field.q.put(field.junction_put, projected)
             self.diagnostics["transverse_momentum_discarded"] += float(discarded.sum())
 
         # Phase 5: bookkeeping.
@@ -323,7 +322,7 @@ class NetworkSimulation(TimeStepper):
         q = field.end_states(self._end_read)
         edge_fluxes, end_fluxes = None, []
         if cells is not None:
-            edge_fluxes, (_, cell_f) = cells.compute_fluxes(field, dt, batch)
+            edge_fluxes, cell_f = cells.compute_fluxes(field, dt, batch)
             end_fluxes.append(cell_f)
         bounds = []
         for rows, width, to_out, to_s, ghost in self._boundary_groups:

@@ -74,9 +74,9 @@ class TestCouplingFluxes:
         sim = build_A()
         a, j = sim.junction_field, sim.junctions[0]
         a.reconstruct(sim.field)
-        sim.field.reconstruct()
+        sim.field.reconstruct(a.channel_neighbors())
         sim.field.face_state(0.01)
-        edge_fluxes, (_, end_fluxes) = solved_fluxes(a, sim.field, 0.01)
+        edge_fluxes, end_fluxes = solved_fluxes(a, sim.field, 0.01)
         p = 0.5 * P.g * 0.16**2
         for k, e in enumerate(j.geom.edges):
             expected = p * np.array([0.0, np.cos(e.theta), np.sin(e.theta)])
@@ -98,14 +98,14 @@ class TestCouplingFluxes:
         a.reconstruct(sim.field)
         sim.field.reconstruct(a.channel_neighbors())
         sim.field.face_state(0.005)
-        edge_fluxes, (ends, end_fluxes) = solved_fluxes(a, sim.field, 0.005)
+        edge_fluxes, end_fluxes = solved_fluxes(a, sim.field, 0.005)
         m = a.mesh
         rows = [e for e in m.boundary if m.edge_tags[e].startswith("coupling:")]
         assert len(rows) == len(j.ends) == 3
         for row in rows:
             _, ch, end = m.edge_tags[row].split(":")
             sigma = 1.0 if end == "start" else -1.0
-            k = list(ends).index(sim.field.end_index(ch, end))
+            k = list(a._ends).index(sim.field.end_index(ch, end))
             width = sim.channels[ch].width
             assert end_fluxes[k][0] == sigma * edge_fluxes[row][0] * m.edge_lengths[row] / width
 
@@ -118,16 +118,16 @@ class TestCouplingFluxes:
         f2.q[:] = (0.22, 0.22 * 0.3, 0.0)
         j.set_uniform(0.18, 0.0, 0.12)  # global frame; ch2 axis is +y
         a.reconstruct(sim.field)
-        sim.field.reconstruct()
+        sim.field.reconstruct(a.channel_neighbors())
         a.mesh_field.grad[0].T[:] = 0.0
         a.mesh_field.grad[1].T[:] = 0.0
         sim.field.slopes[:] = 0.0
         sim.field.face_state(0.002)
-        _, (ends, end_fluxes) = solved_fluxes(a, sim.field, 0.002)
+        _, end_fluxes = solved_fluxes(a, sim.field, 0.002)
         # ch2 axis angle is pi/2: axial momentum = global y-momentum = h*v
         q2d_channel_frame = np.array([0.18, 0.18 * 0.12, 0.0])
         expected = hllc_flux(q2d_channel_frame, f2.q[0], P)
-        k = list(ends).index(sim.field.end_index("ch2", "start"))
+        k = list(a._ends).index(sim.field.end_index("ch2", "start"))
         assert np.allclose(end_fluxes[k], expected, atol=1e-13)
 
     def test_momentum_update_identity(self):
@@ -256,10 +256,11 @@ def test_junction_protocol(name, strategy, n_ends):
     keys = {field.end_index(ch, end) for ch, end in el.ends}
     assert keys == {field.end_index(ch, end) for j in sim.junctions for ch, end in j.ends}
     el.reconstruct(field)
-    (nbr_cells, *_), nbr_q = el.channel_neighbors()
+    nbr_cells, nbr_q = field.junction_cells, el.channel_neighbors()
     assert set(nbr_cells) == set(field.end_cell[list(keys)])
     assert nbr_q.shape == (len(nbr_cells), 3)
-    edge_fluxes, (ends, fluxes) = solved_fluxes(el, field, dt)
+    edge_fluxes, fluxes = solved_fluxes(el, field, dt)
+    ends = el._ends
     assert len(ends) == len(el.ends) and set(ends) == keys
     assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
     assert edge_fluxes.shape == (len(el.mesh.edge_lengths), 3) and np.isfinite(edge_fluxes).all()

@@ -273,7 +273,7 @@ def test_coupling_totals_equal_add_at_to_the_bit(cfg, state):
         field.reconstruct(jf.channel_neighbors())
         field.face_state(dt)
         batch = RecordingBatch()
-        _, (_, totals) = jf.compute_fluxes(field, dt, batch)
+        _, totals = jf.compute_fluxes(field, dt, batch)
         batch.solve(sim.params)
         f_ch = batch.fluxes[0][edges]
         f_ch[:, 0] *= jf._cpl_sigma

@@ -66,8 +66,8 @@ class TestReconstruct:
         f.q[:, 1] = 0.0
         d = 0.17
         nbr_val = np.array([1.0 + slope * (f.centers[0] - d), 0.0, 0.0])
-        stencil = f.junction_stencil(np.array([f.end_index("c", "start")]), np.array([d]))
-        f.reconstruct((stencil, nbr_val[None]))
+        f.attach_junctions(np.array([f.end_index("c", "start")]), np.array([d]))
+        f.reconstruct(nbr_val[None])
         assert abs(f.slopes[0, 0] - slope) < 1e-12
 
     def test_boundary_cells_zero_slope_without_neighbor(self):
@@ -197,7 +197,8 @@ def test_channels_step_as_if_alone():
     for f in (both, *alone):
         nbr = None
         if "b" in f.index:
-            nbr = (f.junction_stencil(np.array([f.end_index("b", "start")]), nbr_d), nbr_q)
+            f.attach_junctions(np.array([f.end_index("b", "start")]), nbr_d)
+            nbr = nbr_q
         f.reconstruct(nbr)
         f.update(closed_fluxes(f, bc, 0.01), 0.01)
     assert np.array_equal(both.slopes, np.concatenate([f.slopes for f in alone]))
@@ -209,14 +210,17 @@ def test_channels_step_as_if_alone():
 
 def former_reconstruct(f, nbr):
     """`ChannelField.reconstruct` and its limiter as they were when the
-    junction-side stencil geometry was worked out on every call from `nbr`
-    = (ends, states, distances), verbatim: the slopes of the rewrite must
-    match its to the bit."""
+    stencil geometry was worked out on every call, the junction side from
+    `nbr` = (ends, states, distances) or None without junctions, verbatim:
+    the slopes of the stencil table must match its to the bit."""
+    d = (f.centers[1:] - f.centers[:-1])[:, None]
+    dL, dR = d[:-1], d[1:]
+    denom = dL * dL + dR * dR
     q = f.q
     slopes = np.zeros_like(q)
     diffL = q[:-2] - q[1:-1]
     diffR = q[2:] - q[1:-1]
-    slopes[1:-1] = (f._dR * diffR - f._dL * diffL) / f._denom
+    slopes[1:-1] = (dR * diffR - dL * diffL) / denom
     qmin = np.empty_like(q)
     qmax = np.empty_like(q)
     qmin[1:-1] = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
@@ -225,18 +229,19 @@ def former_reconstruct(f, nbr):
     slopes[ends] = 0.0
     qmin[ends] = qmax[ends] = q[ends]
 
-    e, nbr_q, nbr_d = nbr
-    idx = f.end_cell[e]
-    sign = f.end_sign[e]
-    inner = idx - sign.astype(int)
-    diff_in = q[inner] - q[idx]
-    diff_nb = nbr_q - q[idx]
-    off_in = (f.centers[inner] - f.centers[idx])[:, None]
-    off_nb = (sign * nbr_d)[:, None]
-    denom = off_in**2 + off_nb**2
-    slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
-    qmin[idx] = np.minimum(np.minimum(q[inner], nbr_q), q[idx])
-    qmax[idx] = np.maximum(np.maximum(q[inner], nbr_q), q[idx])
+    if nbr is not None:
+        e, nbr_q, nbr_d = nbr
+        idx = f.end_cell[e]
+        sign = f.end_sign[e]
+        inner = idx - sign.astype(int)
+        diff_in = q[inner] - q[idx]
+        diff_nb = nbr_q - q[idx]
+        off_in = (f.centers[inner] - f.centers[idx])[:, None]
+        off_nb = (sign * nbr_d)[:, None]
+        denom = off_in**2 + off_nb**2
+        slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
+        qmin[idx] = np.minimum(np.minimum(q[inner], nbr_q), q[idx])
+        qmax[idx] = np.maximum(np.maximum(q[inner], nbr_q), q[idx])
 
     dq = slopes * f._half
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -248,24 +253,43 @@ def former_reconstruct(f, nbr):
     return slopes * np.clip(cand, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("state", ["initial", "stirred", "signed zeros"])
-@pytest.mark.parametrize("name, strategy", [("test1_sub90", "B"), ("test6_network", "A")])
-def test_reconstruct_with_build_time_stencil_equals_former_formula(name, strategy, state):
-    from swnet import build_simulation, presets
+def scenario(name, strategy):
+    """A preset with every junction of `strategy`, or with its junctions
+    alternating between Methods A and B for "A/B"."""
+    from swnet import ScenarioConfig, presets
 
-    sim = build_simulation(presets.preset(name, strategy=strategy))
+    if strategy != "A/B":
+        return presets.preset(name, strategy=strategy)
+    data = presets.preset(name, strategy="A").emit()
+    for k, junction in enumerate(data["junctions"]):
+        junction["strategy"] = "AB"[k % 2]
+    return ScenarioConfig(data)
+
+
+@pytest.mark.parametrize("state", ["initial", "stirred", "signed zeros"])
+@pytest.mark.parametrize("name, strategy", [
+    ("test1_sub90", "B"), ("test6_network", "A"), ("test1_sub90", "psfp"), ("test6_network", "A/B"),
+])
+def test_reconstruct_with_build_time_stencil_equals_former_formula(name, strategy, state):
+    from swnet import build_simulation
+
+    sim = build_simulation(scenario(name, strategy))
     f, jf = sim.field, sim.junction_field
     rng = np.random.default_rng(4)
-    for q in (f.q, jf.mesh_field.q):
+    for q in (f.q,) if jf is None else (f.q, jf.mesh_field.q):
         if state != "initial":
             q[:, 0] = rng.uniform(0.14, 0.2, len(q))
             q[:, 1:] = q[:, :1] * rng.uniform(-0.15, 0.15, (len(q), 2))
         if state == "signed zeros":
             q[rng.integers(0, 3, len(q)) == 0, 1] = -0.0
             q[rng.integers(0, 3, len(q)) == 0, 1] = 0.0
-    jf.reconstruct(f)
-    nbr = jf.channel_neighbors()
-    f.reconstruct(nbr)
-    want = former_reconstruct(f, (jf._ends, nbr[1], jf._nbr_dists))
+    if jf is None:  # a PSFP junction: every end cell keeps a zero slope
+        f.reconstruct()
+        want = former_reconstruct(f, None)
+    else:
+        jf.reconstruct(f)
+        nbr = jf.channel_neighbors()
+        f.reconstruct(nbr)
+        want = former_reconstruct(f, (jf._ends, nbr, jf._nbr_dists))
     assert np.array_equal(f.slopes, want)
     assert np.array_equal(np.signbit(f.slopes), np.signbit(want))
