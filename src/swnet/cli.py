@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import traceback
@@ -19,12 +20,29 @@ from .simulation import RunResult, write_gauge_csv
 from .studies import convergence_order, grid_independence
 
 
-def _load_scenario(args):
-    if args.preset:
-        return preset(args.preset)
+def _load_scenario(args, default_preset=None):
+    """The scenario of --config or --preset (which exclude each other), else
+    of `default_preset`."""
     if args.config:
         return parse_config(args.config)
-    raise ConfigError("either --config or --preset is required")
+    name = args.preset or default_preset
+    if name is None:
+        raise ConfigError("either --config or --preset is required")
+    known = [n for n, _ in preset_names()]
+    if name not in known:
+        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(known)}")
+    return preset(name)
+
+
+def _sizes(text):
+    """The mesh sizes of a comma-separated --sizes list, each a positive number."""
+    try:
+        sizes = [float(tok) for tok in text.split(",")]
+        if all(0.0 < s < math.inf for s in sizes):
+            return sizes
+    except ValueError:
+        pass
+    raise ConfigError(f"--sizes must list positive numbers, got {text!r}")
 
 
 def _write_meta(out_dir: Path, cfg, result, extra=None):
@@ -114,9 +132,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_grid_study(args) -> int:
-    cfg = _load_scenario(args)
-    sizes = [float(tok) for tok in args.sizes.split(",")]
-    rows = grid_independence(cfg, sizes, t_end=args.t_end)
+    cfg = _load_scenario(args, default_preset="appB_gridstudy")
+    rows = grid_independence(cfg, _sizes(args.sizes), t_end=args.t_end)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid_study.csv", "w") as f:
@@ -153,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario")
-    run.add_argument("--config", help="scenario JSON file")
-    run.add_argument("--preset", help="built-in scenario name")
+    source = run.add_mutually_exclusive_group()
+    source.add_argument("--config", help="scenario JSON file")
+    source.add_argument("--preset", help="built-in scenario name")
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--t-end", type=float, default=None)
     run.add_argument("--stride", type=int, default=1, help="gauge sampling stride")
@@ -171,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(fn=cmd_validate)
 
     gs = sub.add_parser("grid-study", help="mesh refinement study on the 2D reference")
-    gs.add_argument("--config")
-    gs.add_argument("--preset", default="appB_gridstudy")
+    source = gs.add_mutually_exclusive_group()
+    source.add_argument("--config", help="scenario JSON file")
+    source.add_argument("--preset", help="built-in scenario name (default: appB_gridstudy)")
     gs.add_argument("--sizes", default="0.16,0.08,0.04")
     gs.add_argument("--t-end", type=float, default=None)
     gs.add_argument("--out", default="out")

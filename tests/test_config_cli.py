@@ -338,6 +338,46 @@ class TestCli:
         assert "configuration error: smooth1d: a grid study needs metadata.probe" in err
         assert not (tmp_path / "gs").exists()  # a rejected study leaves no directory
 
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["run", "--preset", "nope"], "unknown preset 'nope'; known: appA_angle0, ",
+                     id="preset-nope"),
+        *[pytest.param(["grid-study", "--sizes", sizes],
+                       f"--sizes must list positive numbers, got {sizes!r}", id=f"sizes-{sizes}")
+          for sizes in ("abc", "0", "-0.16", "0.16,nan", "inf")],
+    ])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "grid-study"])
+    def test_config_and_preset_exclude_each_other(self, tmp_path, capsys, verb):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(presets.preset("test1_sub90").emit()))
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(path), "--preset", "smooth1d", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_study_runs_the_given_config(self, tmp_path):
+        # Not the default preset: a study of the file's own scenario, whose
+        # probe sits on the dam of the parent channel.
+        from swnet.studies import grid_independence
+
+        data = presets.preset("appB_gridstudy").emit()
+        data["name"] = "my_study"
+        data["metadata"]["probe"] = [-1.2, 0.0]
+        path = tmp_path / "my_study.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "gs"
+        args = ["grid-study", "--config", str(path), "--sizes", "0.16", "--t-end", "0.1"]
+        assert main([*args, "--out", str(out)]) == 0
+        want = grid_independence(parse_config(path), [0.16], t_end=0.1)[0]
+        row = (out / "grid_study.csv").read_text().strip().split("\n")[1].split(",")
+        assert row[:3] == [repr(0.16), str(want["cells"]), repr(want["integral"])]
+
 
 class TestGaugeOutsideItsChannel:
     # ch1 of test1_sub90 is 3 m long.
