@@ -10,8 +10,10 @@ prescribed end beside a junction (`BOUNDARY_RUNS`), plus test1_sub90 with
 its PSFP junction marked merging, which flips the sign of the third Riemann
 invariant (`MERGING_RUNS`), plus test6_network with its junctions
 alternating between Methods A and B (`MIXED_RUNS`), plus smooth1d with
-Manning friction (`FRICTION_RUNS`), for at most --steps steps. Each tree
-runs in its own interpreter. The report is a markdown table: per run, the steps and failure
+Manning friction (`FRICTION_RUNS`), plus test1_sub90 with each junction
+strategy and test6_network with Method A at first order, the only runs of
+the first-order reconstruction and face states (`ORDER1_RUNS`), for at most
+--steps steps. Each tree runs in its own interpreter. The report is a markdown table: per run, the steps and failure
 type on both sides and the largest relative deviation of the gauge series,
 the final channel states, the final junction states and the ledger entries,
 and whether those four are equal to the bit, signs of zero included: a
@@ -90,6 +92,8 @@ MIXED_RUNS = ["test6_network"]
 # No preset sets a Manning coefficient: smooth1d, run to t = 8 like its
 # boundary runs so that the spreading hump moves water, takes one.
 FRICTION_RUNS = [("smooth1d", 0.03, 8.0)]
+# Every preset steps at second order: these networks take `numerics.order = 1`.
+ORDER1_RUNS = [*[("test1_sub90", s) for s in STRATEGIES], ("test6_network", "A")]
 
 
 def boundary_variant(preset, name, strategy, ends, t_end):
@@ -136,6 +140,15 @@ def with_friction(preset, name, manning_n, t_end):
     return ScenarioConfig(data)
 
 
+def first_order(preset, name, strategy):
+    """The preset with `strategy` at every junction, stepped at first order."""
+    from swnet import ScenarioConfig
+
+    data = preset(name, strategy=strategy).emit()
+    data["numerics"]["order"] = 1
+    return ScenarioConfig(data)
+
+
 def cases(preset, preset_names):
     """(label, scenario factory) for the whole matrix."""
     for name, _ in preset_names():
@@ -157,6 +170,8 @@ def cases(preset, preset_names):
     for name, manning_n, t_end in FRICTION_RUNS:
         yield (f"{name} manning_n={manning_n}",
                lambda args=(name, manning_n, t_end): with_friction(preset, *args))
+    for name, s in ORDER1_RUNS:
+        yield f"{name} {s} order=1", lambda args=(name, s): first_order(preset, *args)
 
 
 def run_matrix(steps: int) -> list[dict]:
