@@ -21,28 +21,12 @@ from .studies import convergence_order, grid_independence
 
 
 def _load_scenario(args, default_preset=None):
-    """The scenario of --config or --preset (which exclude each other), else
-    of `default_preset`."""
+    """The scenario of --config, else of --preset or `default_preset`."""
     if args.config:
         return parse_config(args.config)
-    name = args.preset or default_preset
-    if name is None:
-        raise ConfigError("either --config or --preset is required")
-    known = [n for n, _ in preset_names()]
-    if name not in known:
-        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(known)}")
-    return preset(name)
-
-
-def _sizes(text):
-    """The mesh sizes of a comma-separated --sizes list, each a positive number."""
-    try:
-        sizes = [float(tok) for tok in text.split(",")]
-        if all(0.0 < s < math.inf for s in sizes):
-            return sizes
-    except ValueError:
-        pass
-    raise ConfigError(f"--sizes must list positive numbers, got {text!r}")
+    if args.preset or default_preset:
+        return preset(args.preset or default_preset)
+    raise ConfigError("either --config or --preset is required")
 
 
 def _write_meta(out_dir: Path, cfg, result, extra=None):
@@ -133,7 +117,13 @@ def cmd_validate(args) -> int:
 
 def cmd_grid_study(args) -> int:
     cfg = _load_scenario(args, default_preset="appB_gridstudy")
-    rows = grid_independence(cfg, _sizes(args.sizes), t_end=args.t_end)
+    try:
+        sizes = [float(tok) for tok in args.sizes.split(",")]
+        if not all(0.0 < s < math.inf for s in sizes):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"--sizes must list positive numbers, got {args.sizes!r}") from None
+    rows = grid_independence(cfg, sizes, t_end=args.t_end)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid_study.csv", "w") as f:

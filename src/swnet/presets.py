@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 
 G_DEFAULT = 9.81
 
@@ -450,7 +450,7 @@ PRESETS = {
 
 def preset(name: str, **kwargs) -> ScenarioConfig:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
+        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     return PRESETS[name][0](**kwargs)
 
 
