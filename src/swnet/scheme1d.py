@@ -23,12 +23,12 @@ not numpy's Python-level wrappers (listed in `tests/test_layout.py`). Its
 static tables are built once: the face rows of `interior_fluxes` and the
 two stencil neighbours of every cell, with which `reconstruct` is one gather,
 slope and bound pass over interior, boundary and junction end cells alike.
-A step moves rows through them with `x.take(rows, axis=0)` and `x.put(flat, v)`, where `flat`
-is the `core.flat_rows` table (3 row + component) of the rows, not with
-`x[rows]`, which costs a few times more at network size. The network stepper
-keeps one such table of every channel end (`NetworkSimulation.step_fluxes`):
-one `end_states` call reads its boundary and PSFP ends, and one `put` writes
-every end flux.
+A step moves rows through them with `x.take(rows, axis=0)` and
+`x.put(flat, v)`, where `flat` is the `core.flat_rows` table (3 row +
+component) of the rows, not with `x[rows]`, which costs a few times more at
+network size. The network stepper keeps one such table of every channel end
+(`NetworkSimulation.step_fluxes`): one `end_states` call reads its boundary
+and PSFP ends, and one `put` writes every end flux.
 
 `ChannelSegment` is one channel's window onto the field. Its `q` slices
 the owner's array on every access instead of holding a numpy view taken at
@@ -153,13 +153,13 @@ class ChannelField:
         # array of `reconstruct`, at signed axial offsets: an interior cell's
         # left and right cells, and an end cell itself twice at offset 1
         # (slope +0.0, bounds q) unless `attach_junctions` gives it a junction.
-        self._nbr = np.arange(N) + np.array([[-1], [1]])
-        self._nbr[:, self.end_cell] = self.end_cell
-        self._off = np.ones((2, N, 1))
-        d = self.centers[1:] - self.centers[:-1]
-        self._off[0, 1:, 0], self._off[1, :-1, 0] = -d, d
-        self._off[:, self.end_cell] = 1.0
-        self._denom = self._off[0] * self._off[0] + self._off[1] * self._off[1]
+        # Built from 1D arrays: fancy writes to 2D ones cost ~10x more.
+        a, b = np.arange(-1, N - 1), np.arange(1, N + 1)
+        a[self.end_cell] = b[self.end_cell] = self.end_cell
+        off_a, off_b = self.centers.take(a) - self.centers, self.centers.take(b) - self.centers
+        off_a[self.end_cell] = off_b[self.end_cell] = 1.0
+        self._nbr, self._off = (a, b), (off_a[:, None], off_b[:, None])
+        self._denom = self._off[0] ** 2 + self._off[1] ** 2
         self.junction_cells = self.junction_put = np.empty(0, dtype=int)
 
     @property
@@ -193,8 +193,9 @@ class ChannelField:
         inner = cells - sign.astype(int)
         off_in = (self.centers[inner] - self.centers[cells])[:, None]
         off_nb = (sign * dists)[:, None]
-        self._nbr[:, cells] = inner, self.n + np.arange(len(cells))
-        self._off[:, cells] = off_in, off_nb
+        (a, b), (off_a, off_b) = self._nbr, self._off
+        a[cells], b[cells] = inner, self.n + np.arange(len(cells))
+        off_a[cells], off_b[cells] = off_in, off_nb
         self._denom[cells] = off_in**2 + off_nb**2
         self.junction_cells, self.junction_put = cells, flat_rows(cells)
 
@@ -211,8 +212,9 @@ class ChannelField:
             self.slopes = np.zeros(q.shape)
             return
         src = q if nbr is None else np.concatenate([q, nbr])
-        qa, qb = src.take(self._nbr, axis=0)
-        self.slopes = (self._off[0] * (qa - q) + self._off[1] * (qb - q)) / self._denom
+        (a, b), (off_a, off_b) = self._nbr, self._off
+        qa, qb = src.take(a, axis=0), src.take(b, axis=0)
+        self.slopes = (off_a * (qa - q) + off_b * (qb - q)) / self._denom
         self._limit(np.minimum(np.minimum(qa, qb), q), np.maximum(np.maximum(qa, qb), q))
 
     def _limit(self, qmin, qmax):
