@@ -21,7 +21,9 @@ from .studies import convergence_order, grid_independence
 
 
 def _load_scenario(args, default_preset=None):
-    """The scenario of --config, else of --preset or `default_preset`."""
+    """The scenario of --config, else of --preset or `default_preset`; checks --t-end."""
+    if args.t_end is not None and not 0.0 < args.t_end < math.inf:
+        raise ConfigError(f"--t-end must be a positive finite number, got {args.t_end!r}")
     if args.config:
         return parse_config(args.config)
     if args.preset or default_preset:

@@ -215,6 +215,8 @@ def _validate(data: dict) -> dict:
     if "t_end" not in data:
         errors.append("missing t_end")
     errors += _scalar_errors(data, {"t_end": _NUMBER}, "config")
+    if _is_number(data.get("t_end")) and not 0.0 < data["t_end"] < np.inf:
+        errors.append(f"config: 't_end' must be a positive finite number, got {data['t_end']!r}")
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -18,32 +18,34 @@ class MeshError(ValueError):
     """Malformed triangular mesh."""
 
 
-def _rot90ccw(v):
-    return np.array([-v[1], v[0]])
-
-
-def _unit(v):
-    n = np.hypot(v[0], v[1])
+def _unit(x, y):
+    """(x, y) scaled to unit length by libm's `hypot` (numpy's)."""
+    n = float(np.hypot(x, y))
     if n < _TOL:
         raise GeometryError("zero-length direction vector")
-    return np.asarray(v, dtype=float) / n
+    return x / n, y / n
+
+
+def _next(a):
+    """`np.roll(a, -1, axis=-1)`: each polygon's next vertex."""
+    return np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
 
 
 def polygon_area(vertices: np.ndarray):
     """Signed shoelace area of (n, 2) vertices, or of each polygon of an
     (..., n, 2) stack; positive for counter-clockwise polygons."""
     x, y = vertices[..., 0], vertices[..., 1]
-    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+    return 0.5 * (x * _next(y) - _next(x) * y).sum(axis=-1)
 
 
 def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     """Centroid of (n, 2) vertices, or (..., 2) of an (..., n, 2) stack."""
     x, y = vertices[..., 0], vertices[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    xn, yn = _next(x), _next(y)
     cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross, axis=-1)
-    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
-    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
+    a = 0.5 * cross.sum(axis=-1)
+    cx = ((x + xn) * cross).sum(axis=-1) / (6.0 * a)
+    cy = ((y + yn) * cross).sum(axis=-1) / (6.0 * a)
     return np.stack([cx, cy], axis=-1)
 
 
@@ -68,17 +70,6 @@ def point_in_polygon(p, vertices: np.ndarray):
     return bool(inside) if inside.ndim == 0 else inside
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    """Proper intersection test for open segments (shared endpoints excluded)."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
 @dataclass
 class Channel:
     """Straight rectangular channel discretized into uniform 1D cells."""
@@ -100,10 +91,13 @@ class Channel:
         if self.length <= 0.0:
             raise GeometryError(f"channel {self.id}: zero length")
 
-    @property
+    @functools.cached_property
     def axis(self) -> np.ndarray:
-        """Unit vector along positive s (start -> end)."""
-        return _unit(self.end - self.start)
+        """Unit vector along positive s (start -> end); one read-only array
+        per channel, since `start` and `end` are fixed."""
+        a = np.array(_unit(*(self.end - self.start)))
+        a.flags.writeable = False
+        return a
 
     @property
     def axis_angle(self) -> float:
@@ -141,14 +135,10 @@ class JunctionEdge:
         return float(np.hypot(*(self.b - self.a)))
 
     @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.a + self.b)
-
-    @property
     def theta(self) -> float:
         """Outward normal angle (edges are stored in CCW traversal order)."""
-        t = _unit(self.b - self.a)
-        return float(np.arctan2(-t[0], t[1]))
+        tx, ty = _unit(*(self.b - self.a))
+        return float(np.arctan2(-tx, ty))
 
     @property
     def tag(self) -> str:
@@ -173,22 +163,27 @@ class JunctionGeometry:
         self._validate()
 
     def _validate(self):
-        n = len(self.vertices)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue
-                if _segments_intersect(
-                    self.vertices[i],
-                    self.vertices[(i + 1) % n],
-                    self.vertices[j],
-                    self.vertices[(j + 1) % n],
-                ):
-                    raise GeometryError("junction polygon self-intersects")
-        for e in self.edges:
-            nvec = np.array([np.cos(e.theta), np.sin(e.theta)])
-            if np.dot(nvec, e.midpoint - self.centroid) <= 0.0:
-                raise GeometryError("junction edge normal points inward")
+        # left[s, v]: vertex v lies strictly left of side s (vertex s to
+        # s + 1) by `(b - a) x (c - a) > 0`. Sides that are not adjacent
+        # cross when each has the other's two ends on different sides.
+        x, y = self.vertices.T
+        ex, ey = _next(x) - x, _next(y) - y
+        left = ex[:, None] * (y - y[:, None]) - ey[:, None] * (x - x[:, None]) > 0
+        splits = left != _next(left)
+        gap = np.subtract.outer(np.arange(len(x)), np.arange(len(x))) % len(x)
+        if (splits & splits.T & (gap > 1) & (gap < len(x) - 1)).any():
+            raise GeometryError("junction polygon self-intersects")
+        # The first edge too short for a direction, or whose outward normal
+        # (at `JunctionEdge.theta`) points to the centroid's side, fails.
+        a, b = np.array([(e.a, e.b) for e in self.edges]).transpose(1, 0, 2)
+        d, m = b - a, 0.5 * (a + b) - self.centroid
+        length = np.hypot(d[:, 0], d[:, 1])
+        t = d / np.where(length < _TOL, 1.0, length)[:, None]
+        theta = np.arctan2(-t[:, 0], t[:, 1])
+        bad = (length < _TOL) | (np.cos(theta) * m[:, 0] + np.sin(theta) * m[:, 1] <= 0.0)
+        if bad.any():
+            raise GeometryError("zero-length direction vector" if length[bad.argmax()] < _TOL
+                                else "junction edge normal points inward")
 
 
 @dataclass
@@ -216,59 +211,51 @@ def build_junction_polygon(
     """
     if len(ends) < 2:
         raise GeometryError("a junction needs at least two channels")
-    P = np.asarray(junction_point, dtype=float)
+    P = tuple(map(float, junction_point))
     scale = max(e.width for e in ends)
 
+    # Points are (x, y) Python floats, which round + - * / as numpy does;
+    # `np.hypot`, `np.arctan2 % 2 pi` and the `np.dot` offset stay numpy's.
     entries = []
     for e in ends:
-        d = _unit(e.direction)
-        t = _rot90ccw(d)
-        c = np.asarray(e.mouth, dtype=float) + protrusion * e.width * d
-        entries.append(
-            {
-                "end": e,
-                "d": d,
-                "t": t,
-                "A": c - 0.5 * e.width * t,
-                "B": c + 0.5 * e.width * t,
-                "angle": np.arctan2(d[1], d[0]) % (2.0 * np.pi),
-                "offset": float(np.dot(np.asarray(e.mouth, dtype=float) - P, t)),
-            }
-        )
+        dx, dy = _unit(*map(float, e.direction))
+        mx, my = map(float, e.mouth)
+        cx, cy = mx + protrusion * e.width * dx, my + protrusion * e.width * dy
+        hx, hy = 0.5 * e.width * -dy, 0.5 * e.width * dx  # along t = (-dy, dx)
+        angle = np.arctan2(dy, dx) % (2.0 * np.pi)
+        offset = float(np.dot(np.subtract(e.mouth, P), (-dy, dx)))
+        entries.append({"end": e, "d": (dx, dy), "A": (cx - hx, cy - hy), "B": (cx + hx, cy + hy),
+                        "angle": angle, "offset": offset})
     entries.sort(key=lambda r: (r["angle"], r["offset"]))
 
     tol = 1e-9 * scale
-    verts: list[np.ndarray] = []
-    edges: list[JunctionEdge] = []
+    verts = [entries[0]["A"]]
+    points = []  # each edge's two ends, edge after edge
+    kinds = []  # each edge's (kind, channel, channel end)
+
+    def apart(a, b):
+        return np.hypot(b[0] - a[0], b[1] - a[1]) > tol
 
     def push_wall(a, b):
-        if np.hypot(*(b - a)) > tol:
-            edges.append(JunctionEdge(a=a.copy(), b=b.copy(), kind="wall"))
-            verts.append(b.copy())
+        if apart(a, b):
+            points.extend((a, b))
+            kinds.append(("wall", None, None))
+            verts.append(b)
 
     for k, cur in enumerate(entries):
-        if k == 0:
-            verts.append(cur["A"].copy())
-        edges.append(
-            JunctionEdge(
-                a=cur["A"].copy(),
-                b=cur["B"].copy(),
-                kind="coupling",
-                channel=cur["end"].channel,
-                channel_end=cur["end"].end,
-            )
-        )
-        verts.append(cur["B"].copy())
+        points.extend((cur["A"], cur["B"]))
+        kinds.append(("coupling", cur["end"].channel, cur["end"].end))
+        verts.append(cur["B"])
         nxt = entries[(k + 1) % len(entries)]
         Bi, Aj = cur["B"], nxt["A"]
-        di, dj = cur["d"], nxt["d"]
-        gap = Aj - Bi
-        if np.hypot(*gap) <= tol:
+        (bx, by), (ax, ay) = Bi, Aj
+        (dix, diy), (djx, djy) = cur["d"], nxt["d"]
+        if not apart(Bi, Aj):
             pass  # edges share a vertex
         else:
-            cross = di[0] * dj[1] - di[1] * dj[0]
+            cross = dix * djy - diy * djx
             if abs(cross) < 1e-12:
-                if abs(di[0] * gap[1] - di[1] * gap[0]) < tol:
+                if abs(dix * (ay - by) - diy * (ax - bx)) < tol:
                     push_wall(Bi, Aj)  # collinear side walls
                 else:
                     raise GeometryError(
@@ -278,19 +265,24 @@ def build_junction_polygon(
             else:
                 # Bi - t1*di = Aj - t2*dj; both t >= 0 means the walls meet on
                 # the junction side of the coupling edges.
-                rhs = Bi - Aj
-                t1 = (rhs[0] * dj[1] - rhs[1] * dj[0]) / cross
-                t2 = (rhs[0] * di[1] - rhs[1] * di[0]) / cross
+                rx, ry = bx - ax, by - ay
+                t1 = (rx * djy - ry * djx) / cross
+                t2 = (rx * diy - ry * dix) / cross
                 if t1 >= -tol and t2 >= -tol:
-                    X = Bi - t1 * di
+                    X = (bx - t1 * dix, by - t1 * diy)
                     push_wall(Bi, X)
                     push_wall(X, Aj)
                 else:
                     push_wall(Bi, P)
                     push_wall(P, Aj)
 
-    if np.hypot(*(verts[-1] - verts[0])) <= tol:
+    if not apart(verts[0], verts[-1]):
         verts.pop()
+    pts = np.array(points)
+    edges = [
+        JunctionEdge(a=pts[2 * k], b=pts[2 * k + 1], kind=kind, channel=ch, channel_end=end)
+        for k, (kind, ch, end) in enumerate(kinds)
+    ]
     return JunctionGeometry(vertices=np.array(verts), edges=edges)
 
 

@@ -111,7 +111,10 @@ def grid_independence(cfg: ScenarioConfig, sizes, t_end=None) -> list[dict]:
     rows = []
     prev = None
     for dx in sizes:
-        sim = build_reference_sim(cfg, dx, extra_point_gauges=[("probe", point)])
+        try:
+            sim = build_reference_sim(cfg, dx, extra_point_gauges=[("probe", point)])
+        except MeshError as exc:
+            raise ConfigError(f"{cfg.name}: no reference mesh at size {dx!r}: {exc}") from exc
         res = sim.run(t_end)
         if res.status != "completed":
             raise RuntimeError(f"reference run at dx={dx} failed: {res.failure}")

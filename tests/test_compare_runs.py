@@ -21,6 +21,7 @@ def failed_run(message, failure="PSFPFailure", config=CONFIG):
         "status": "failed", "steps": 3, "failure": failure, "message": message,
         "gauges": {"t": [0.0, 0.1], "h:g1": [1.0, 1.0], "u:g1": [0.0, 0.1]},
         "channels": {"ch1": [[1.0, 0.1, 0.0]]}, "junctions": {},
+        "geometry": {"field.ds": ("float64", [0.1]), "field.centers": ("float64", [0.05])},
         "ledger": {"initial_volume": 2.0, "final_volume": 2.0},
     }
 
@@ -107,3 +108,20 @@ def test_each_changed_part_is_named_in_the_bits_column():
     lines, problems = compare_runs.compare([old], [new], rtol=1e-12)
     assert problems == 1  # the ledger's 5e-10 exceeds rtol, the gauge's 2e-16 does not
     assert lines[-1].endswith("| differ: gauges, ledger |")
+
+
+def test_changed_geometry_is_a_problem_per_array():
+    # Geometry is compared to the bit at any rtol, dtypes included.
+    old = completed_run()
+    centers = old["geometry"]["field.centers"][1]
+    new = json.loads(json.dumps(old | {"geometry": old["geometry"] | {
+        "field.centers": ("float64", [np.nextafter(centers[0], 1.0)]),
+        "junction_field.mesh.areas": ("float64", [0.5]),
+    }}))
+    lines, problems = compare_runs.compare([old], [new], rtol=1.0)
+    assert problems == 2
+    assert "- test1_sub90 psfp: field.centers, junction_field.mesh.areas" in lines
+    for array in ("field.ds", "field.centers"):
+        retyped = old | {"geometry": old["geometry"] | {array: ("float32", [0.1])}}
+        _, problems = compare_runs.compare([old], [retyped], rtol=1.0)
+        assert problems == 1

@@ -351,6 +351,55 @@ class TestCli:
         assert f"configuration error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, size, message", [
+        ("file", "0.16", "test1_sub90: no reference mesh at size 0.16: "
+                         "coordinate -0.2 does not sit on the dx=0.16 grid"),
+        ("test3_shock45", "0.05", "test3_shock45: no reference mesh at size 0.05: "
+                                  "channel ch3 is not axis-aligned"),
+    ])
+    def test_grid_study_footprint_off_the_mesher_is_config_error(
+        self, tmp_path, capsys, source, size, message
+    ):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(presets.preset("test1_sub90").emit()))
+        scenario = ["--config", str(path)] if source == "file" else ["--preset", source]
+        out = tmp_path / "gs"
+        args = ["grid-study", *scenario, "--sizes", size, "--t-end", "0.1", "--out", str(out)]
+        assert main(args) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0, float("nan"), float("inf")], ids=repr)
+    @pytest.mark.parametrize("where", ["validate", "run", "run --t-end", "grid-study --t-end"])
+    def test_end_time_must_be_positive_and_finite(self, tmp_path, capsys, monkeypatch, where,
+                                                  t_end):
+        from swnet.simulation import Mesh2DSimulation, NetworkSimulation
+
+        def run(*args, **kwargs):
+            raise AssertionError("a rejected end time started a run")
+
+        monkeypatch.setattr(NetworkSimulation, "run", run)
+        monkeypatch.setattr(Mesh2DSimulation, "run", run)
+        data = presets.preset("test1_sub90").emit()
+        if where in ("validate", "run"):
+            data["t_end"] = t_end
+            message = f"config: 't_end' must be a positive finite number, got {t_end!r}"
+        else:
+            message = f"--t-end must be a positive finite number, got {t_end!r}"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        args = {
+            "validate": ["validate", str(path)],
+            "run": ["run", "--config", str(path), "--out", str(out)],
+            "run --t-end": ["run", "--config", str(path), "--t-end", str(t_end), "--out", str(out)],
+            "grid-study --t-end": ["grid-study", "--sizes", "0.16,0.08", "--t-end", str(t_end),
+                                   "--out", str(out)],
+        }[where]
+        assert main(args) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["run", "grid-study"])
     def test_config_and_preset_exclude_each_other(self, tmp_path, capsys, verb):
         path = tmp_path / "s.json"

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from swnet.geometry import (
     Channel,
     ConnectedEnd,
     GeometryError,
+    JunctionEdge,
+    JunctionGeometry,
     MeshError,
     TriMesh,
     build_junction_polygon,
@@ -69,7 +73,7 @@ class TestJunctionPolygon:
         g = t_junction()
         for e in g.edges:
             n = np.array([np.cos(e.theta), np.sin(e.theta)])
-            assert np.dot(n, e.midpoint - g.centroid) > 0.0
+            assert np.dot(n, 0.5 * (e.a + e.b) - g.centroid) > 0.0
 
     def test_parallel_offset_walls_rejected(self):
         # two channels entering from the same direction with offset
@@ -280,6 +284,253 @@ class TestChannelField:
         f = ChannelField([ch], PhysicalParams(), cuts={("c", "start"): 0.2})  # 4 cells of 0.05
         assert f.n == 36
         assert np.isclose(f.centers[0], 0.225, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# build_junction_polygon against the per-vertex code it was rewritten from
+# ---------------------------------------------------------------------------
+
+
+def former_unit(v):
+    n = np.hypot(v[0], v[1])
+    if n < 1e-12:
+        raise GeometryError("zero-length direction vector")
+    return np.asarray(v, dtype=float) / n
+
+
+def former_rot90ccw(v):
+    return np.array([-v[1], v[0]])
+
+
+def former_polygon_area(vertices):
+    x, y = vertices[..., 0], vertices[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+
+
+def former_polygon_centroid(vertices):
+    x, y = vertices[..., 0], vertices[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    a = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
+    return np.stack([cx, cy], axis=-1)
+
+
+def former_segments_intersect(p1, p2, q1, q2) -> bool:
+    """Proper intersection test for open segments (shared endpoints excluded)."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+@dataclass
+class FormerEdge:
+    a: np.ndarray
+    b: np.ndarray
+    kind: str
+    channel: str | None = None
+    channel_end: str | None = None
+
+    @property
+    def midpoint(self):
+        return 0.5 * (self.a + self.b)
+
+    @property
+    def theta(self):
+        t = former_unit(self.b - self.a)
+        return float(np.arctan2(-t[0], t[1]))
+
+
+def former_validate(vertices, edges, centroid):
+    n = len(vertices)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if former_segments_intersect(
+                vertices[i],
+                vertices[(i + 1) % n],
+                vertices[j],
+                vertices[(j + 1) % n],
+            ):
+                raise GeometryError("junction polygon self-intersects")
+    for e in edges:
+        nvec = np.array([np.cos(e.theta), np.sin(e.theta)])
+        if np.dot(nvec, e.midpoint - centroid) <= 0.0:
+            raise GeometryError("junction edge normal points inward")
+
+
+def former_build_junction_polygon(ends, junction_point, protrusion=0.1):
+    """`build_junction_polygon` and `JunctionGeometry`'s checks as they were
+    on 2-element arrays, verbatim: (vertices, edges, area, centroid)."""
+    if len(ends) < 2:
+        raise GeometryError("a junction needs at least two channels")
+    P = np.asarray(junction_point, dtype=float)
+    scale = max(e.width for e in ends)
+
+    entries = []
+    for e in ends:
+        d = former_unit(e.direction)
+        t = former_rot90ccw(d)
+        c = np.asarray(e.mouth, dtype=float) + protrusion * e.width * d
+        entries.append(
+            {
+                "end": e,
+                "d": d,
+                "t": t,
+                "A": c - 0.5 * e.width * t,
+                "B": c + 0.5 * e.width * t,
+                "angle": np.arctan2(d[1], d[0]) % (2.0 * np.pi),
+                "offset": float(np.dot(np.asarray(e.mouth, dtype=float) - P, t)),
+            }
+        )
+    entries.sort(key=lambda r: (r["angle"], r["offset"]))
+
+    tol = 1e-9 * scale
+    verts = []
+    edges = []
+
+    def push_wall(a, b):
+        if np.hypot(*(b - a)) > tol:
+            edges.append(FormerEdge(a=a.copy(), b=b.copy(), kind="wall"))
+            verts.append(b.copy())
+
+    for k, cur in enumerate(entries):
+        if k == 0:
+            verts.append(cur["A"].copy())
+        edges.append(
+            FormerEdge(
+                a=cur["A"].copy(),
+                b=cur["B"].copy(),
+                kind="coupling",
+                channel=cur["end"].channel,
+                channel_end=cur["end"].end,
+            )
+        )
+        verts.append(cur["B"].copy())
+        nxt = entries[(k + 1) % len(entries)]
+        Bi, Aj = cur["B"], nxt["A"]
+        di, dj = cur["d"], nxt["d"]
+        gap = Aj - Bi
+        if np.hypot(*gap) <= tol:
+            pass  # edges share a vertex
+        else:
+            cross = di[0] * dj[1] - di[1] * dj[0]
+            if abs(cross) < 1e-12:
+                if abs(di[0] * gap[1] - di[1] * gap[0]) < tol:
+                    push_wall(Bi, Aj)  # collinear side walls
+                else:
+                    raise GeometryError(
+                        "adjacent side walls are parallel and non-intersecting "
+                        f"(channels {cur['end'].channel} / {nxt['end'].channel})"
+                    )
+            else:
+                rhs = Bi - Aj
+                t1 = (rhs[0] * dj[1] - rhs[1] * dj[0]) / cross
+                t2 = (rhs[0] * di[1] - rhs[1] * di[0]) / cross
+                if t1 >= -tol and t2 >= -tol:
+                    X = Bi - t1 * di
+                    push_wall(Bi, X)
+                    push_wall(X, Aj)
+                else:
+                    push_wall(Bi, P)
+                    push_wall(P, Aj)
+
+    if np.hypot(*(verts[-1] - verts[0])) <= tol:
+        verts.pop()
+    vertices = np.array(verts)
+    area = float(former_polygon_area(vertices))
+    if area <= 0.0:
+        raise GeometryError("junction polygon is not counter-clockwise or empty")
+    centroid = former_polygon_centroid(vertices)
+    former_validate(vertices, edges, centroid)
+    return vertices, edges, area, centroid
+
+
+def preset_junction_ends():
+    """(label, channel ends, position) of every junction of every preset."""
+    from swnet import preset, preset_names
+
+    out = []
+    for name, _ in preset_names():
+        data = preset(name).data
+        channels = {
+            c["id"]: Channel(c["id"], c["width"], c["cells"], c["start"], c["end"])
+            for c in data["channels"]
+        }
+        for j in data["junctions"]:
+            ends = [channels[c["channel"]].connected_end(c["end"]) for c in j["connects"]]
+            out.append((f"{name}:{j['id']}", ends, j["position"]))
+    return out
+
+
+def random_junction(seed):
+    """(label, channel ends, position, protrusion) of a junction of two to
+    four channels at off-grid angles, widths, offsets and protrusion, where
+    a reordered product rounds differently."""
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    centre = rng.uniform(-1.0, 1.0, 2)
+    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi / k * np.arange(k) + rng.uniform(
+        -0.4, 0.4, k)
+    ends = []
+    for i, a in enumerate(angles):
+        u = np.array([np.cos(a), np.sin(a)])
+        start, end = centre + rng.uniform(0.1, 0.4) * u, centre + 3.0 * u
+        ends.append(Channel(f"c{i}", rng.uniform(0.2, 0.5), 10, start, end).connected_end("start"))
+    return f"random:{seed}", ends, centre, rng.uniform(0.05, 0.6)
+
+
+def bits(a) -> bytes:
+    """The shape and bytes of a float64 array or scalar: equal only where
+    every value is, the sign of every zero included."""
+    a = np.asarray(a)
+    assert a.dtype == np.float64
+    return bytes(str(a.shape), "ascii") + a.tobytes()
+
+
+class TestJunctionPolygonOracle:
+    def test_junctions_equal_the_former_build_to_the_bit(self):
+        presets = preset_junction_ends()
+        assert len(presets) > 40
+        cases = [(*junction, p) for p in (0.0, 0.1, 0.5) for junction in presets]
+        cases += [random_junction(seed) for seed in range(100)]
+        messages = set()
+        for label, ends, position, protrusion in cases:
+            try:
+                want = former_build_junction_polygon(ends, position, protrusion)
+            except GeometryError as exc:
+                with pytest.raises(GeometryError) as got:
+                    build_junction_polygon(ends, position, protrusion)
+                assert str(got.value) == str(exc), (label, protrusion)
+                messages.add(str(exc))
+                continue
+            g = build_junction_polygon(ends, position, protrusion)
+            vertices, edges, area, centroid = want
+            assert bits(g.vertices) == bits(vertices), (label, protrusion)
+            assert bits(g.area) == bits(area) and bits(g.centroid) == bits(centroid)
+            assert [(e.kind, e.channel, e.channel_end) for e in g.edges] == [
+                (e.kind, e.channel, e.channel_end) for e in edges]
+            for e, f in zip(g.edges, edges):
+                assert bits(e.a) == bits(f.a) and bits(e.b) == bits(f.b), (label, protrusion)
+        # Both of the polygon checks reject some preset junction.
+        assert {"junction polygon self-intersects", "junction edge normal points inward"} <= messages
+
+    def test_bow_tie_self_intersects(self):
+        # Side (0,3)-(1,-1) crosses side (0,0)-(4,0); the net area is +4.5,
+        # so only the crossing test can reject it.
+        v = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (1.0, -1.0)])
+        edges = [JunctionEdge(a=v[k], b=v[(k + 1) % 4], kind="wall") for k in range(4)]
+        assert former_polygon_area(v) == 4.5
+        with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
+            JunctionGeometry(vertices=v, edges=edges)
+        with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
+            former_validate(v, edges, former_polygon_centroid(v))
 
 
 # ---------------------------------------------------------------------------

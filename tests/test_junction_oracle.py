@@ -37,7 +37,7 @@ class OracleA:
         edges = [e for g in geoms for e in g.edges]
         self._thetas = np.array([e.theta for e in edges])
         self._lengths = np.array([e.length for e in edges])
-        self._mid_off = np.array([e.midpoint for e in edges]) - centroids[self._edge_j]
+        self._mid_off = np.array([0.5 * (e.a + e.b) for e in edges]) - centroids[self._edge_j]
         wall = np.array([e.kind == "wall" for e in edges])
         self._wall_rows = np.flatnonzero(wall)
         self._cpl_rows = np.flatnonzero(~wall)

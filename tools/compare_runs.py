@@ -23,12 +23,17 @@ velocities are compared relative to the gauge's largest celerity sqrt(g h),
 volumes and boundary influx relative to the initial volume, and the
 discarded transverse momentum relative to the largest final cell momentum.
 Failure messages that differ, and scenarios a tree rejects with a
-configuration error, are listed with their messages. Each run's scenario
-config is compared as JSON text, since a short run does not read its
-`t_end`, `metadata` or a gauge it never samples; runs whose configs differ
-are listed with the top-level keys that differ. The exit code is 1 when
-configs, steps, statuses, failure types, failure messages or rejections
-differ, or a deviation exceeds --rtol.
+configuration error, are listed with their messages. Each network's built
+geometry must be equal to the bit, dtypes included (`GEOMETRY_ARRAYS`): the
+channel field's cell sizes and centres, and the junction field mesh's
+vertices, cells, areas, centroids, incircle diameters, edge lengths and edge
+normal angles; runs whose geometry differs are listed with the arrays that
+differ, each one problem. Each run's scenario config is compared as JSON
+text, since a short run does not read its `t_end`, `metadata` or a gauge it
+never samples; runs whose configs differ are listed with the top-level keys
+that differ. The exit code is 1 when
+configs, geometry, steps, statuses, failure types, failure messages or
+rejections differ, or a deviation exceeds --rtol.
 
     python tools/compare_runs.py OLD_TREE NEW_TREE --reference [--steps 12]
 
@@ -174,6 +179,24 @@ def cases(preset, preset_names):
         yield f"{name} {s} order=1", lambda args=(name, s): first_order(preset, *args)
 
 
+# The built geometry of a network: arrays of its channel field and of its
+# junction field's mesh, by owner.
+GEOMETRY_ARRAYS = {
+    "field": ("ds", "centers"),
+    "junction_field.mesh": ("vertices", "triangles", "areas", "centroids", "incircle_diameters",
+                            "edge_lengths", "edge_thetas"),
+}
+
+
+def geometry(sim) -> dict:
+    """{"<owner>.<array>": (dtype name, values)} of a network's
+    `GEOMETRY_ARRAYS`; a network without Method-A or Method-B junctions has
+    no junction field."""
+    owners = {"field": sim.field, "junction_field.mesh": getattr(sim.junction_field, "mesh", None)}
+    return {f"{owner}.{n}": (str(getattr(obj, n).dtype), getattr(obj, n).tolist())
+            for owner, obj in owners.items() if obj is not None for n in GEOMETRY_ARRAYS[owner]}
+
+
 def run_matrix(steps: int) -> list[dict]:
     """Run every case with the swnet on sys.path; plain-data results."""
     from swnet import ConfigError, build_simulation, preset, preset_names
@@ -188,9 +211,11 @@ def run_matrix(steps: int) -> list[dict]:
         except ConfigError as exc:
             out.append(run | {"rejected": str(exc)})
             continue
+        built = geometry(sim)
         res = sim.run(cfg.t_end, max_steps=steps)
         rec = res.gauges
         out.append(run | {
+            "geometry": built,
             "g": sim.params.g,
             "status": res.status,
             "steps": res.steps,
@@ -316,6 +341,15 @@ def bits_differ(a: dict, b: dict) -> bool:
     )
 
 
+def geometry_differences(a: dict, b: dict) -> list:
+    """The geometry arrays of two runs that differ in presence, dtype, shape
+    or a bit."""
+    return sorted(
+        k for k in a.keys() | b.keys()
+        if k not in a or k not in b or a[k][0] != b[k][0] or bits_differ({k: a[k][1]}, {k: b[k][1]})
+    )
+
+
 def scales(run: dict) -> tuple[dict, dict]:
     """Reference magnitudes of the gauge and ledger entries of one run."""
     gauges = {
@@ -344,7 +378,7 @@ def compare(old: list[dict], new: list[dict], rtol: float):
         "| run | steps | failure | gauges | channels | junctions | ledger | bits |",
         "|---|---|---|---|---|---|---|---|",
     ]
-    rejected, messages, configs = [], [], []
+    rejected, messages, configs, geometries = [], [], [], []
     problems = 0
     for a, b in zip(old, new, strict=True):
         if a["config"] != b["config"]:
@@ -355,6 +389,10 @@ def compare(old: list[dict], new: list[dict], rtol: float):
             problems += not same
             rejected.append(f"- {a['label']}: {a['rejected']}" + ("" if same else f" / {b['rejected']}"))
             continue
+        differ_geometry = geometry_differences(a["geometry"], b["geometry"])
+        if differ_geometry:
+            problems += len(differ_geometry)
+            geometries.append(f"- {a['label']}: {', '.join(differ_geometry)}")
         gauge_scales, ledger_scales = scales(a)
         parts = ("gauges", "channels", "junctions", "ledger")
         differ = [p for p in parts if bits_differ(a[p], b[p])]
@@ -379,6 +417,8 @@ def compare(old: list[dict], new: list[dict], rtol: float):
                      + " | ".join(f"{d:.1e}" for d in devs) + f" | {bits} |")
     if configs:
         lines += ["", "Scenario configs that differ:", *configs]
+    if geometries:
+        lines += ["", "Geometry that differs:", *geometries]
     if messages:
         lines += ["", "Failure messages that differ:", *messages]
     if rejected:
