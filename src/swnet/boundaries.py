@@ -17,15 +17,18 @@ from .core import DryStateError, physical_flux, to_normal
 from .riemann import mirrored
 
 
+BOUNDARY_KINDS = ("reflective", "transparent", "inflow", "prescribed")
+
+
 @dataclass
 class BoundaryCondition:
-    kind: str  # "reflective" | "transparent" | "inflow" | "prescribed"
+    kind: str  # one of BOUNDARY_KINDS
     u_fn: object = None  # inflow velocity as a function of time
     h: float = None
     u: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("reflective", "transparent", "inflow", "prescribed"):
+        if self.kind not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "inflow" and self.u_fn is None:
             raise ValueError("inflow boundary needs a velocity time-function")

@@ -15,6 +15,7 @@ import traceback
 from pathlib import Path
 
 from .config import ConfigError, build_simulation, parse_config
+from .junctions import STRATEGIES
 from .presets import preset, preset_names
 from .simulation import RunResult, write_gauge_csv
 from .studies import convergence_order, grid_independence
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stride", type=int, default=1, help="gauge sampling stride")
     run.add_argument("--order", type=int, choices=(1, 2))
     run.add_argument("--cfl", type=float)
-    run.add_argument("--strategy", choices=("A", "B", "psfp"))
+    run.add_argument("--strategy", choices=STRATEGIES)
     run.set_defaults(fn=cmd_run)
 
     pl = sub.add_parser("preset-list", help="list built-in scenarios")
@@ -203,9 +204,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failures and solver aborts

@@ -6,9 +6,9 @@ import json
 
 import numpy as np
 
-from .boundaries import BoundaryCondition, gaussian_pulse
+from .boundaries import BOUNDARY_KINDS, BoundaryCondition, gaussian_pulse
 from .core import PhysicalParams
-from .geometry import Channel, GeometryError
+from .geometry import Channel
 from .junctions import JunctionSpec, wiring_errors
 from .simulation import Gauge, NetworkSimulation
 
@@ -17,75 +17,57 @@ class ConfigError(ValueError):
     """Invalid scenario configuration; message lists the offending fields."""
 
 
-_TOP_KEYS = {
-    "name",
-    "physics",
-    "numerics",
-    "channels",
-    "junctions",
-    "boundaries",
-    "initial",
-    "gauges",
-    "t_end",
-    "metadata",
-}
-_PHYSICS_KEYS = {"g", "manning_n"}
-_NUMERICS_KEYS = {"order", "cfl"}
-_CHANNEL_KEYS = {"id", "width", "cells", "start", "end"}
-_JUNCTION_KEYS = {
-    "id",
-    "strategy",
-    "position",
-    "connects",
-    "merging",
-    "protrusion",
-    "patch_protrusion",
-    "patch_refine",
-}
-_BOUNDARY_KEYS = {"channel", "end", "kind", "inflow", "h", "u"}
-_GAUGE_KEYS = {"id", "channel", "s"}
-_INITIAL_KEYS = {"h", "u", "per_channel"}
-_PER_CHANNEL_KEYS = {"type", "h", "u", "split_s", "left", "right", "h0", "amplitude", "center", "width"}
-_PROFILE_KEYS = {  # the keys each initial profile type requires
-    "dam_break": ("split_s", "left", "right"),
-    "hump": ("h0", "amplitude", "center", "width"),
-}
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _NUMBER, _INTEGER, _POINT = "a number", "an integer", "a point [x, y]"
+_STRING, _BOOL = "a string", "true or false"
 _IS = {
     _NUMBER: _is_number,
     _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
     _POINT: lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+    _STRING: lambda v: isinstance(v, str),
+    _BOOL: lambda v: isinstance(v, bool),
 }
-# The type of each scalar value, per section.
-_PHYSICS_TYPES = {"g": _NUMBER, "manning_n": _NUMBER}
-_CHANNEL_TYPES = {"width": _NUMBER, "cells": _INTEGER, "start": _POINT, "end": _POINT}
-_JUNCTION_TYPES = {"position": _POINT, "protrusion": _NUMBER, "patch_protrusion": _NUMBER,
-                   "patch_refine": _INTEGER}
-_STATE_TYPES = {"h": _NUMBER, "u": _NUMBER}
-_INFLOW_TYPES = dict.fromkeys(("amplitude", "center", "width"), _NUMBER)
-_PROFILE_TYPES = dict.fromkeys(("h", "u", "split_s", "h0", "amplitude", "center", "width"), _NUMBER)
+# Each section's keys and the kind of each key's value; None marks a
+# sub-section or list, checked on its own.
+_TOP = {"name": _STRING, "physics": None, "numerics": None, "channels": None, "junctions": None,
+        "boundaries": None, "initial": None, "gauges": None, "t_end": _NUMBER, "metadata": None}
+_PHYSICS = {"g": _NUMBER, "manning_n": _NUMBER}
+_NUMERICS = {"order": _INTEGER, "cfl": _NUMBER}
+_CHANNEL = {"id": _STRING, "width": _NUMBER, "cells": _INTEGER, "start": _POINT, "end": _POINT}
+_JUNCTION = {"id": _STRING, "strategy": _STRING, "position": _POINT, "connects": None,
+             "merging": _BOOL, "protrusion": _NUMBER, "patch_protrusion": _NUMBER,
+             "patch_refine": _INTEGER}
+_CONNECTION = {"channel": _STRING, "end": _STRING}
+_STATE = {"h": _NUMBER, "u": _NUMBER}
+_BOUNDARY = {"channel": _STRING, "end": _STRING, "kind": _STRING, "inflow": None, **_STATE}
+_INFLOW = dict.fromkeys(("amplitude", "center", "width"), _NUMBER)
+_GAUGE = {"id": _STRING, "channel": _STRING, "s": _NUMBER}
+_INITIAL = {**_STATE, "per_channel": None}
+_PROFILE = {"type": _STRING, "left": None, "right": None,
+            **dict.fromkeys(("h", "u", "split_s", "h0", "amplitude", "center", "width"), _NUMBER)}
+_METADATA = {"probe": _POINT}  # other metadata keys are free-form
+_PROFILE_KEYS = {  # the keys each initial profile type requires
+    "uniform": (),
+    "dam_break": ("split_s", "left", "right"),
+    "hump": ("h0", "amplitude", "center", "width"),
+}
 
 
-def _scalar_errors(entry, types, where) -> list:
-    """One message per key of `entry` whose value is not of its type in
-    `types` ({key: _NUMBER, _INTEGER or _POINT}); missing keys pass."""
+def _errors(entry, table, where, closed=True) -> list:
+    """One message per value of `entry`, which must be a JSON object, that is
+    not of its kind in `table`; missing keys pass. A key outside `table`
+    raises, unless the section is open (`closed=False`)."""
+    unknown = set(_typed(entry, dict, where)) - table.keys()
+    if unknown and closed:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     return [
         f"{where}: {key!r} must be {kind}, got {entry[key]!r}"
-        for key, kind in types.items()
-        if key in entry and not _IS[kind](entry[key])
+        for key, kind in table.items()
+        if kind and key in entry and not _IS[kind](entry[key])
     ]
-
-
-def _check_keys(obj, allowed, where):
-    unknown = set(_typed(obj, dict, where)) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _typed(value, kind, where):
@@ -123,15 +105,10 @@ class ScenarioConfig:
 def _validate(data: dict) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
-    _check_keys(data, _TOP_KEYS, "config")
-    errors = []
-
-    phys = data.get("physics", {})
-    _check_keys(phys, _PHYSICS_KEYS, "physics")
-    errors += _scalar_errors(phys, _PHYSICS_TYPES, "physics")
+    errors = _errors(data, _TOP, "config")
+    errors += _errors(data.get("physics", {}), _PHYSICS, "physics")
     num = data.get("numerics", {})
-    _check_keys(num, _NUMERICS_KEYS, "numerics")
-    errors += _scalar_errors(num, {"cfl": _NUMBER}, "numerics")
+    errors += _errors(num, _NUMERICS, "numerics")
     if "order" in num and num["order"] not in (1, 2):
         errors.append(f"numerics.order must be 1 or 2, got {num['order']}")
 
@@ -140,108 +117,96 @@ def _validate(data: dict) -> dict:
     if not channels:
         errors.append("at least one channel is required")
     for c in channels:
-        _check_keys(c, _CHANNEL_KEYS, f"channel {c.get('id')}")
-        for k in _CHANNEL_KEYS:
-            if k not in c:
-                errors.append(f"channel {c.get('id', '?')}: missing {k!r}")
-        errors += _scalar_errors(c, _CHANNEL_TYPES, f"channel {c.get('id', '?')}")
+        where = f"channel {c.get('id', '?')}"
+        errors += _errors(c, _CHANNEL, where)
+        errors += [f"{where}: missing {k!r}" for k in _CHANNEL if k not in c]
 
     for j in junctions:
-        _check_keys(j, _JUNCTION_KEYS, f"junction {j.get('id')}")
-        for k in ("id", "strategy", "position", "connects"):
-            if k not in j:
-                errors.append(f"junction {j.get('id', '?')}: missing {k!r}")
-        errors += _scalar_errors(j, _JUNCTION_TYPES, f"junction {j.get('id', '?')}")
-        for conn in _typed(j.get("connects", []), list, f"junction {j.get('id')} connects"):
-            _check_keys(conn, {"channel", "end"}, f"junction {j.get('id')} connection")
+        where = f"junction {j.get('id', '?')}"
+        errors += _errors(j, _JUNCTION, where)
+        errors += [f"{where}: missing {k!r}" for k in ("id", "strategy", "position", "connects")
+                   if k not in j]
+        for conn in _typed(j.get("connects", []), list, f"{where} connects"):
+            errors += _errors(conn, _CONNECTION, f"{where} connection")
 
     for b in boundaries:
-        _check_keys(b, _BOUNDARY_KEYS, "boundary")
-        errors += _scalar_errors(b, _STATE_TYPES, "boundary")
+        errors += _errors(b, _BOUNDARY, "boundary")
         kind = b.get("kind")
-        if kind not in ("reflective", "transparent", "inflow", "prescribed"):
+        if kind not in BOUNDARY_KINDS:
             errors.append(f"boundary: unknown kind {kind!r}")
         if kind == "inflow":
             inflow = b.get("inflow")
             if not isinstance(inflow, dict):
                 errors.append("inflow boundary: missing inflow {amplitude, center, width}")
             else:
-                _check_keys(inflow, {"amplitude", "center", "width"}, "inflow")
-                errors += _scalar_errors(inflow, _INFLOW_TYPES, "inflow")
-                missing = [k for k in ("amplitude", "center") if k not in inflow]
-                errors += [f"inflow boundary: missing inflow.{k}" for k in missing]
+                errors += _errors(inflow, _INFLOW, "inflow")
+                errors += [f"inflow boundary: missing inflow.{k}" for k in ("amplitude", "center")
+                           if k not in inflow]
         if kind == "prescribed" and "h" not in b:
             errors.append("prescribed boundary: missing h")
 
-    ids = [c.get("id") for c in channels]
-    errors += wiring_errors(
-        [(c.get("id"), _length(c)) for c in channels],
-        [
-            (j.get("id"), j.get("strategy"),
-             [(c.get("channel"), c.get("end")) for c in j.get("connects", [])])
-            for j in junctions
-        ],
-        [(b.get("channel"), b.get("end")) for b in boundaries],
-        [(g.get("id"), g.get("channel"), g.get("s")) for g in gauges],
-    )
-
     init = data.get("initial", {})
-    _check_keys(init, _INITIAL_KEYS, "initial")
-    errors += _scalar_errors(init, _STATE_TYPES, "initial")
-    per_channel = _typed(init.get("per_channel", {}), dict, "initial.per_channel")
-    for cid, section in per_channel.items():
+    errors += _errors(init, _INITIAL, "initial")
+    ids = [c.get("id") for c in channels]
+    for cid, section in _typed(init.get("per_channel", {}), dict, "initial.per_channel").items():
+        where = f"initial.per_channel[{cid}]"
         if cid not in ids:
             errors.append(f"initial.per_channel: unknown channel {cid!r}")
-        _check_keys(section, _PER_CHANNEL_KEYS, f"initial.per_channel[{cid}]")
+        errors += _errors(section, _PROFILE, where)
         kind = section.get("type", "uniform")
-        if kind not in ("uniform", "dam_break", "hump"):
-            errors.append(f"initial.per_channel[{cid}]: unknown type {kind!r}")
-        errors += _scalar_errors(section, _PROFILE_TYPES, f"initial.per_channel[{cid}]")
-        for k in _PROFILE_KEYS.get(kind, ()):
+        required = _PROFILE_KEYS.get(kind) if isinstance(kind, str) else ()
+        if required is None:
+            errors.append(f"{where}: unknown type {kind!r}")
+        for k in required or ():
             if k not in section:
-                errors.append(f"initial.per_channel[{cid}]: missing {k!r}")
+                errors.append(f"{where}: missing {k!r}")
             elif k in ("left", "right"):
-                side = _typed(section[k], dict, f"initial.per_channel[{cid}].{k}")
-                if "h" not in side:
-                    errors.append(f"initial.per_channel[{cid}].{k}: missing 'h'")
-                errors += _scalar_errors(side, _STATE_TYPES, f"initial.per_channel[{cid}].{k}")
+                errors += _errors(section[k], _STATE, f"{where}.{k}")
+                if "h" not in section[k]:
+                    errors.append(f"{where}.{k}: missing 'h'")
 
     for gauge in gauges:
-        _check_keys(gauge, _GAUGE_KEYS, f"gauge {gauge.get('id')}")
+        errors += _errors(gauge, _GAUGE, f"gauge {gauge.get('id', '?')}")
         if "id" not in gauge:
             errors.append(f"gauge on {gauge.get('channel')!r}: missing 'id'")
 
-    _typed(data.get("metadata", {}), dict, "metadata")
+    errors += _errors(data.get("metadata", {}), _METADATA, "metadata", closed=False)
     if "t_end" not in data:
         errors.append("missing t_end")
-    errors += _scalar_errors(data, {"t_end": _NUMBER}, "config")
     if _is_number(data.get("t_end")) and not 0.0 < data["t_end"] < np.inf:
         errors.append(f"config: 't_end' must be a positive finite number, got {data['t_end']!r}")
 
+    if not errors:  # the wiring rules key on names, so only once they are strings
+        errors = wiring_errors(
+            # each channel's `Channel.length`
+            [(c["id"], float(np.hypot(*np.subtract(c["end"], c["start"], dtype=float))))
+             for c in channels],
+            [(j["id"], j["strategy"], [(c.get("channel"), c.get("end")) for c in j["connects"]])
+             for j in junctions],
+            [(b.get("channel"), b.get("end")) for b in boundaries],
+            [(g["id"], g.get("channel"), g.get("s")) for g in gauges],
+        )
     if errors:
         raise ConfigError("; ".join(errors))
     return json.loads(json.dumps(data))  # canonical plain-JSON form
 
 
-def _length(channel: dict):
-    """A channel entry's `Channel.length`; None where its ends are not points."""
-    try:
-        return float(np.hypot(*np.subtract(channel["end"], channel["start"], dtype=float)))
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def parse_config(source) -> ScenarioConfig:
-    """Parse a scenario from a path, JSON string, or dict."""
+    """Parse a scenario from a path, JSON string, or dict; a file that cannot
+    be read as UTF-8 JSON is a ConfigError."""
     if isinstance(source, dict):
         return ScenarioConfig(source)
     if isinstance(source, str) and source.lstrip().startswith("{"):
         return ScenarioConfig(json.loads(source))
-    with open(source) as f:
-        try:
+    try:
+        with open(source, encoding="utf-8") as f:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}: line {exc.lineno}: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source}: line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source}: not UTF-8 text: {exc}") from exc
     return ScenarioConfig(data)
 
 
@@ -303,7 +268,7 @@ def build_simulation(
             gauges=gauges(cfg),
             **numerics,
         )
-    except (ValueError, GeometryError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     init = cfg.data.get("initial", {})
     for cid, f in sim.fields.items():

@@ -297,10 +297,13 @@ class JunctionView:
         return float(np.sum(self.q[:, 0] * self._cells.mesh.areas[self._rows]))
 
 
+STRATEGIES = ("A", "B", "psfp")
+
+
 @dataclass
 class JunctionSpec:
     id: str
-    strategy: str  # "A" | "B" | "psfp"
+    strategy: str  # one of STRATEGIES
     position: tuple
     connects: list  # [(channel_id, "start"|"end"), ...]; parent first for psfp
     merging: bool = False
@@ -394,7 +397,7 @@ def wiring_errors(channels, junctions, boundary_ends, gauges) -> list[str]:
         attached[key] = where
 
     for jid, strategy, connects in junctions:
-        if strategy not in ("A", "B", "psfp"):
+        if strategy not in STRATEGIES:
             errors.append(f"junction {jid}: unknown strategy {strategy!r}")
         if strategy == "psfp" and len(connects) != 3:
             errors.append(

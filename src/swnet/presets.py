@@ -65,32 +65,41 @@ def _junction(jid, strategy, position, connects, **kw):
     }
 
 
-def _bifurcation(name, strategy, channels, inlet, initial, gauges, t_end, metadata):
-    """A three-channel junction scenario: junction `j1` at the origin joins
-    `ch1`'s end to the starts of `ch2` and `ch3`.
-
-    `inlet` is the boundary entry at `ch1`'s start without its channel and
-    end; both daughters end transparent. `gauges` lists (id, channel, s).
-    """
-    ends = [("ch1", "end"), ("ch2", "start"), ("ch3", "start")]
+def _scenario(name, channels, junctions, boundaries, initial, gauges, t_end, metadata,
+              physics=None):
+    """A scenario stepped at second order and CFL 0.9, with g = G_DEFAULT
+    unless `physics` is given; `gauges` lists (id, channel, s)."""
     return ScenarioConfig(
         {
             "name": name,
-            "physics": {"g": G_DEFAULT},
+            "physics": physics or {"g": G_DEFAULT},
             "numerics": {"order": 2, "cfl": 0.9},
             "channels": channels,
-            "junctions": [_junction("j1", strategy, (0.0, 0.0), ends)],
-            "boundaries": [
-                {"channel": "ch1", "end": "start", **inlet},
-                {"channel": "ch2", "end": "end", "kind": "transparent"},
-                {"channel": "ch3", "end": "end", "kind": "transparent"},
-            ],
+            "junctions": junctions,
+            "boundaries": boundaries,
             "initial": initial,
             "gauges": [{"id": gid, "channel": ch, "s": s} for gid, ch, s in gauges],
             "t_end": t_end,
             "metadata": metadata,
         }
     )
+
+
+def _bifurcation(name, strategy, channels, inlet, initial, gauges, t_end, metadata):
+    """A three-channel junction scenario: junction `j1` at the origin joins
+    `ch1`'s end to the starts of `ch2` and `ch3`.
+
+    `inlet` is the boundary entry at `ch1`'s start without its channel and
+    end; both daughters end transparent.
+    """
+    ends = [("ch1", "end"), ("ch2", "start"), ("ch3", "start")]
+    boundaries = [
+        {"channel": "ch1", "end": "start", **inlet},
+        {"channel": "ch2", "end": "end", "kind": "transparent"},
+        {"channel": "ch3", "end": "end", "kind": "transparent"},
+    ]
+    junctions = [_junction("j1", strategy, (0.0, 0.0), ends)]
+    return _scenario(name, channels, junctions, boundaries, initial, gauges, t_end, metadata)
 
 
 def _inflow(amplitude):
@@ -198,39 +207,28 @@ def test5_cadam(strategy="A") -> ScenarioConfig:
     r0 = 0.5 * b
     c45, s45 = np.cos(np.pi / 4), np.sin(np.pi / 4)
     bend = np.array([4.0 + r0, 0.0])
-    return ScenarioConfig(
-        {
-            "name": "test5_cadam",
-            "physics": {"g": G_DEFAULT},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": _channels(
-                (b, 80, [0.0, 0.0], [4.0, 0.0]),
-                (b, 60, bend + r0 * np.array([c45, s45]), bend + (r0 + 3.0) * np.array([c45, s45])),
-            ),
-            "junctions": [
-                _junction("bend", strategy, list(bend), [("ch1", "end"), ("ch2", "start")])
-            ],
-            "boundaries": [
-                {"channel": "ch1", "end": "start", "kind": "prescribed", "h": h_gate, "u": float(u_gate)},
-                {"channel": "ch2", "end": "end", "kind": "transparent"},
-            ],
-            "initial": {"h": 0.01, "u": 0.0},
-            "gauges": [
-                {"id": "g2", "channel": "ch1", "s": 1.0},
-                {"id": "g4", "channel": "ch1", "s": 3.0},
-                {"id": "g6", "channel": "ch2", "s": 0.5},
-                {"id": "g9", "channel": "ch2", "s": 2.0},
-            ],
-            "t_end": 6.0,
-            "metadata": {
-                "assumed": {
-                    "reservoir": "replaced by the critical gate state of a 0.25 m "
-                    "reservoir (h=4/9*0.25, u=2/3*sqrt(g*0.25))",
-                    "downstream": "0.01 m wet bed substitutes the dry experiment bed",
-                    "lengths": "desk scale: 4 m to the bend, 3 m downstream leg",
-                }
-            },
-        }
+    return _scenario(
+        "test5_cadam",
+        _channels(
+            (b, 80, [0.0, 0.0], [4.0, 0.0]),
+            (b, 60, bend + r0 * np.array([c45, s45]), bend + (r0 + 3.0) * np.array([c45, s45])),
+        ),
+        [_junction("bend", strategy, list(bend), [("ch1", "end"), ("ch2", "start")])],
+        [
+            {"channel": "ch1", "end": "start", "kind": "prescribed", "h": h_gate, "u": float(u_gate)},
+            {"channel": "ch2", "end": "end", "kind": "transparent"},
+        ],
+        initial={"h": 0.01, "u": 0.0},
+        gauges=[("g2", "ch1", 1.0), ("g4", "ch1", 3.0), ("g6", "ch2", 0.5), ("g9", "ch2", 2.0)],
+        t_end=6.0,
+        metadata={
+            "assumed": {
+                "reservoir": "replaced by the critical gate state of a 0.25 m "
+                "reservoir (h=4/9*0.25, u=2/3*sqrt(g*0.25))",
+                "downstream": "0.01 m wet bed substitutes the dry experiment bed",
+                "lengths": "desk scale: 4 m to the bend, 3 m downstream leg",
+            }
+        },
     )
 
 
@@ -259,39 +257,19 @@ def _grid_network(strategy="A", spacing=1.6, width=0.2, ds=0.05):
                 _junction(f"j{i}{j}", strategy, (x, y), connects, patch_refine=1)
             )
     cells = int(round((spacing - width) / ds))
+
+    def channel(cid, start, end):
+        return {"id": cid, "width": width, "cells": cells, "start": start, "end": end}
+
     for i in range(n - 1):
         for j in range(n):
             x, y = pos(i, j)
-            channels.append(
-                {
-                    "id": f"h{i}_{j}",
-                    "width": width,
-                    "cells": cells,
-                    "start": [x + half, y],
-                    "end": [x + spacing - half, y],
-                }
-            )
+            channels.append(channel(f"h{i}_{j}", [x + half, y], [x + spacing - half, y]))
     for i in range(n):
         for j in range(n - 1):
             x, y = pos(i, j)
-            channels.append(
-                {
-                    "id": f"v{i}_{j}",
-                    "width": width,
-                    "cells": cells,
-                    "start": [x, y + half],
-                    "end": [x, y + spacing - half],
-                }
-            )
-    channels.append(
-        {
-            "id": "feeder",
-            "width": width,
-            "cells": cells,
-            "start": [-spacing + half, 0.0],
-            "end": [-half, 0.0],
-        }
-    )
+            channels.append(channel(f"v{i}_{j}", [x, y + half], [x, y + spacing - half]))
+    channels.append(channel("feeder", [-spacing + half, 0.0], [-half, 0.0]))
     return channels, junctions
 
 
@@ -301,37 +279,25 @@ def test6_network(strategy="A", supercritical=False) -> ScenarioConfig:
     h0 = 0.16
     if supercritical:
         h1, u1 = bore_state(h0, 1.135)
-        boundary = {"channel": "feeder", "end": "start", "kind": "prescribed", "h": h1, "u": u1}
+        inlet = {"kind": "prescribed", "h": h1, "u": u1}
     else:
-        boundary = {
-            "channel": "feeder",
-            "end": "start",
-            "kind": "inflow",
-            "inflow": {"amplitude": 0.4, "center": 3.0, "width": 1.0},
-        }
-    return ScenarioConfig(
-        {
-            "name": "test6_network_super" if supercritical else "test6_network",
-            "physics": {"g": G_DEFAULT, "manning_n": 0.0},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": channels,
-            "junctions": junctions,
-            "boundaries": [boundary],
-            "initial": {"h": h0, "u": 0.0},
-            "gauges": [
-                {"id": "p1", "channel": "h0_0", "s": 0.7},
-                {"id": "p3", "channel": "v1_1", "s": 0.7},
-                {"id": "p6", "channel": "h1_2", "s": 0.7},
-                {"id": "p8", "channel": "h2_3", "s": 0.7},
-            ],
-            "t_end": 4.0 if supercritical else 6.0,
-            "metadata": {
-                "assumed": {
-                    "geometry": "4x4 junction grid, 1.6 m spacing, 0.2 m widths "
-                    "(figure gives topology only); friction and slope zero",
-                }
-            },
-        }
+        inlet = _inflow(0.4)
+    return _scenario(
+        "test6_network_super" if supercritical else "test6_network",
+        channels,
+        junctions,
+        [{"channel": "feeder", "end": "start", **inlet}],
+        initial={"h": h0, "u": 0.0},
+        gauges=[(gid, ch, 0.7) for gid, ch in (("p1", "h0_0"), ("p3", "v1_1"), ("p6", "h1_2"),
+                                                ("p8", "h2_3"))],
+        t_end=4.0 if supercritical else 6.0,
+        metadata={
+            "assumed": {
+                "geometry": "4x4 junction grid, 1.6 m spacing, 0.2 m widths "
+                "(figure gives topology only); friction and slope zero",
+            }
+        },
+        physics={"g": G_DEFAULT, "manning_n": 0.0},
     )
 
 
@@ -403,28 +369,16 @@ def appB_gridstudy(strategy="A") -> ScenarioConfig:
 
 def smooth1d(cells: int = 100) -> ScenarioConfig:
     """Single channel with a smooth depth hump, for convergence studies."""
-    return ScenarioConfig(
-        {
-            "name": "smooth1d",
-            "physics": {"g": G_DEFAULT},
-            "numerics": {"order": 2, "cfl": 0.9},
-            "channels": _channels((1.0, cells, [0.0, 0.0], [25.0, 0.0])),
-            "junctions": [],
-            "boundaries": [
-                {"channel": "ch1", "end": "start", "kind": "transparent"},
-                {"channel": "ch1", "end": "end", "kind": "transparent"},
-            ],
-            "initial": {
-                "h": 1.0,
-                "u": 0.0,
-                "per_channel": {
-                    "ch1": {"type": "hump", "h0": 1.0, "amplitude": 0.1, "center": 12.5, "width": 2.0}
-                },
-            },
-            "gauges": [{"id": "mid", "channel": "ch1", "s": 12.5}],
-            "t_end": 1.0,
-            "metadata": {},
-        }
+    hump = {"type": "hump", "h0": 1.0, "amplitude": 0.1, "center": 12.5, "width": 2.0}
+    return _scenario(
+        "smooth1d",
+        _channels((1.0, cells, [0.0, 0.0], [25.0, 0.0])),
+        [],
+        [{"channel": "ch1", "end": end, "kind": "transparent"} for end in ("start", "end")],
+        initial={"h": 1.0, "u": 0.0, "per_channel": {"ch1": hump}},
+        gauges=[("mid", "ch1", 12.5)],
+        t_end=1.0,
+        metadata={},
     )
 
 

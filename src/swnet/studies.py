@@ -115,6 +115,8 @@ def grid_independence(cfg: ScenarioConfig, sizes, t_end=None) -> list[dict]:
             sim = build_reference_sim(cfg, dx, extra_point_gauges=[("probe", point)])
         except MeshError as exc:
             raise ConfigError(f"{cfg.name}: no reference mesh at size {dx!r}: {exc}") from exc
+        except ValueError as exc:  # a probe outside the footprint, among others
+            raise ConfigError(f"{cfg.name}: reference at size {dx!r} with probe {point}: {exc}") from exc
         res = sim.run(t_end)
         if res.status != "completed":
             raise RuntimeError(f"reference run at dx={dx} failed: {res.failure}")

@@ -539,6 +539,99 @@ class TestMistypedScalars:
         TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
 
 
+
+def assert_invalid(tmp_path, capsys, data, message):
+    """`data` is a ConfigError with `message`, from the schema and as the
+    exit 2 of `swnet validate`."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(data)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+class TestMistypedNames:
+    """A name, a reference or a switch of the wrong type is a configuration
+    error that names the field. Before, a list in the first six failed the
+    build with a TypeError (exit 3), a dict junction id and a numeric name
+    passed, and `merging: "no"` built a merging PSFP junction."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("channels", 0, "id"), ["a"], "channel ['a']: 'id' must be a string, got ['a']"),
+        (("gauges", 0, "id"), ["g"], "gauge ['g']: 'id' must be a string, got ['g']"),
+        (("gauges", 0, "channel"), ["a"], "gauge g: 'channel' must be a string, got ['a']"),
+        (("boundaries", 0, "channel"), ["a"], "boundary: 'channel' must be a string, got ['a']"),
+        (("junctions", 0, "connects", 0, "channel"), ["a"],
+         "junction j connection: 'channel' must be a string, got ['a']"),
+        (("initial", "per_channel", "a", "type"), ["hump"],
+         "initial.per_channel[a]: 'type' must be a string, got ['hump']"),
+        (("junctions", 0, "id"), {"k": 1}, "junction {'k': 1}: 'id' must be a string, got {'k': 1}"),
+        (("name",), 5, "config: 'name' must be a string, got 5"),
+    ], ids=["channel.id", "gauge.id", "gauge.channel", "boundary.channel", "connection.channel",
+            "per_channel.type", "junction.id", "name"])
+    def test_named_as_config_error(self, tmp_path, capsys, path, value, message):
+        data = minimal_cfg()
+        data["initial"]["per_channel"] = {"a": json.loads(json.dumps(HUMP))}
+        data["gauges"] = [{"id": "g", "channel": "a", "s": 1.0}]
+        build_simulation(parse_config(data))
+        entry = data
+        for k in path[:-1]:
+            entry = entry[k]
+        entry[path[-1]] = value
+        assert_invalid(tmp_path, capsys, data, message)
+
+    @pytest.mark.parametrize("merging", ["no", 0, None])
+    def test_merging_is_true_or_false(self, tmp_path, capsys, merging):
+        data = presets.preset("test1_sub90", strategy="psfp").emit()
+        data["junctions"][0]["merging"] = merging
+        message = f"junction j1: 'merging' must be true or false, got {merging!r}"
+        assert_invalid(tmp_path, capsys, data, message)
+
+
+class TestUnreadableScenarioFile:
+    """A scenario path that cannot be read as UTF-8 text is a configuration
+    error (exit 2), not a numerical failure (exit 3)."""
+
+    def test_directory(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="Is a directory"):
+            parse_config(str(tmp_path))
+        assert main(["validate", str(tmp_path)]) == 2
+        assert "configuration error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        data = minimal_cfg() | {"name": "caf\u00e9"}
+        path.write_bytes(json.dumps(data, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            parse_config(path)
+        assert main(["validate", str(path)]) == 2
+        assert f"configuration error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
+class TestProbe:
+    """`metadata.probe` is a point inside the reference footprint; any other
+    is a configuration error (exit 2) that leaves no output directory.
+    Before, the first failed the study (exit 3), the second ran with the
+    probe at (0.2, 0.2), and the third failed it in the mesh lookup."""
+
+    @pytest.mark.parametrize("probe, message", [
+        ("ab", "metadata: 'probe' must be a point [x, y], got 'ab'"),
+        ([0.2], "metadata: 'probe' must be a point [x, y], got [0.2]"),
+        ([9.0, 9.0], "appB_gridstudy: reference at size 0.16 with probe [9.0, 9.0]: "
+                     "point (9, 9) lies in no cell of the mesh"),
+    ], ids=["string", "one-number", "outside"])
+    def test_grid_study(self, tmp_path, capsys, probe, message):
+        data = presets.preset("appB_gridstudy").emit()
+        data["metadata"].update(probe=probe, notes=[None])  # other keys are free-form
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "gs"
+        args = ["grid-study", "--config", str(path), "--sizes", "0.16", "--t-end", "0.1"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 def fork(explicit: bool, strategy: str = "A") -> dict:
     """A fork like README's example, with every optional key left out, or
     with each spelt out at the default that README's "Scenario files"
