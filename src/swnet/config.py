@@ -38,8 +38,7 @@ _PHYSICS = {"g": _NUMBER, "manning_n": _NUMBER}
 _NUMERICS = {"order": _INTEGER, "cfl": _NUMBER}
 _CHANNEL = {"id": _STRING, "width": _NUMBER, "cells": _INTEGER, "start": _POINT, "end": _POINT}
 _JUNCTION = {"id": _STRING, "strategy": _STRING, "position": _POINT, "connects": None,
-             "merging": _BOOL, "protrusion": _NUMBER, "patch_protrusion": _NUMBER,
-             "patch_refine": _INTEGER}
+             "merging": _BOOL, "patch_refine": _INTEGER}
 _CONNECTION = {"channel": _STRING, "end": _STRING}
 _STATE = {"h": _NUMBER, "u": _NUMBER}
 _BOUNDARY = {"channel": _STRING, "end": _STRING, "kind": _STRING, "inflow": None, **_STATE}
@@ -68,6 +67,15 @@ def _errors(entry, table, where, closed=True) -> list:
         for key, kind in table.items()
         if kind and key in entry and not _IS[kind](entry[key])
     ]
+
+
+def _positive(entry, key, where) -> list:
+    """A message when `entry[key]`, which a build divides by, is a number
+    that is not positive."""
+    value = entry.get(key)
+    if _is_number(value) and not value > 0.0:
+        return [f"{where}: {key!r} must be positive, got {value!r}"]
+    return []
 
 
 def _typed(value, kind, where):
@@ -139,7 +147,7 @@ def _validate(data: dict) -> dict:
             if not isinstance(inflow, dict):
                 errors.append("inflow boundary: missing inflow {amplitude, center, width}")
             else:
-                errors += _errors(inflow, _INFLOW, "inflow")
+                errors += _errors(inflow, _INFLOW, "inflow") + _positive(inflow, "width", "inflow")
                 errors += [f"inflow boundary: missing inflow.{k}" for k in ("amplitude", "center")
                            if k not in inflow]
         if kind == "prescribed" and "h" not in b:
@@ -152,7 +160,7 @@ def _validate(data: dict) -> dict:
         where = f"initial.per_channel[{cid}]"
         if cid not in ids:
             errors.append(f"initial.per_channel: unknown channel {cid!r}")
-        errors += _errors(section, _PROFILE, where)
+        errors += _errors(section, _PROFILE, where) + _positive(section, "width", where)
         kind = section.get("type", "uniform")
         required = _PROFILE_KEYS.get(kind) if isinstance(kind, str) else ()
         if required is None:
@@ -192,17 +200,20 @@ def _validate(data: dict) -> dict:
 
 
 def parse_config(source) -> ScenarioConfig:
-    """Parse a scenario from a path, JSON string, or dict; a file that cannot
-    be read as UTF-8 JSON is a ConfigError."""
+    """Parse a scenario from a path, JSON string, or dict; a string or file
+    that cannot be read as UTF-8 JSON is a ConfigError."""
     if isinstance(source, dict):
         return ScenarioConfig(source)
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        return ScenarioConfig(json.loads(source))
+    text = isinstance(source, str) and source.lstrip().startswith("{")
     try:
-        with open(source, encoding="utf-8") as f:
-            data = json.load(f)
+        if text:
+            data = json.loads(source)
+        else:
+            with open(source, encoding="utf-8") as f:
+                data = json.load(f)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{source}: line {exc.lineno}: {exc.msg}") from exc
+        where = "scenario JSON" if text else source
+        raise ConfigError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
     except UnicodeDecodeError as exc:

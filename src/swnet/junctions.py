@@ -3,11 +3,12 @@ finite-volume field, the algebraic PSFP junction, and their wiring.
 
 Methods A and B solve the 2D shallow-water equations on the junction region
 and differ only in how finely it is meshed: A uses one junction-shaped
-polygon cell, B a fan-refined triangular patch. `JunctionField` holds every
-A and B junction of a network as one `scheme2d.MeshField` on one mesh of
-their cells, junction after junction (`meshing.disjoint_union`). Each step
-is then one call per stage for all of them: reconstruction, the junction
-states the channel end cells see, the edge fluxes and the update.
+polygon cell, B a fan-refined triangular patch. `JunctionField` builds every
+A and B junction of a network from its `JunctionSpec` and holds them as one
+`scheme2d.MeshField` on one mesh of their cells, junction after junction in
+spec order (`meshing.disjoint_union`). Each step is then one call per stage
+for all of them: reconstruction, the junction states the channel end cells
+see, the edge fluxes and the update.
 
 The field exchanges fluxes with the adjacent 1D cells by solving rotated
 Riemann problems on the coupling edges (a B patch splits each channel's
@@ -45,10 +46,10 @@ the protocol instead (ROADMAP item 1 drops the aliases).
 cells and, after the step's batch solve, turns the states at its three
 channel ends, which the network stepper reads for it, into their fluxes
 through the star states of `psfp.psfp_solve` (`compute_end_fluxes`, which
-the benchmark's tracer times). `build_junctions` turns a network's
-`JunctionSpec`s into one object per junction and the `JunctionField` of its
-A and B junctions, and `wiring_errors` holds the rules of a network's wiring
-that the scenario schema and the network stepper both check.
+the benchmark's tracer times). A junction's strategy fixes how far its 2D
+region protrudes into the channels (`DEPTH_FACTORS`), and `wiring_errors`
+holds the rules of a network's wiring that the scenario schema and the
+network stepper both check.
 
 Frame conventions: the coupling edge normal points from the 2D cell into
 the channel. A channel attached at its "start" has sigma=+1 (edge frame and
@@ -72,7 +73,7 @@ from .core import (
     from_normal,
     to_normal,
 )
-from .geometry import TriMesh, build_junction_polygon
+from .geometry import build_junction_polygon
 from .meshing import disjoint_union, fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import mirrored
@@ -107,22 +108,33 @@ def _normal_rows(q, c, s):
 class JunctionField:
     """Every Method-A polygon and Method-B patch of a network, stepped as one field."""
 
-    def __init__(
-        self,
-        junctions: list,
-        mesh: TriMesh,
-        field,
-        params: PhysicalParams,
-        order: int = 2,
-    ):
-        """`junctions` lists (id, strategy, polygon, patch mesh or None for a
-        single polygon cell) per junction, in the order of their cells in
-        `mesh`; `field` is the network's ChannelField."""
-        self.mesh = mesh
+    def __init__(self, specs: list, channels: dict, field, params: PhysicalParams, order: int = 2):
+        """The cells of the Method-A and Method-B `specs`, in their order: an
+        A junction's polygon, one cell with edges tagged "wall" or
+        "coupling:<channel>:<end>", or a B junction's fan-refined patch of it.
+        `channels` maps ids to `Channel`s; `field` is the network's ChannelField."""
+        members = []  # (polygon, patch or None) per junction
+        parts = []  # (vertices, cells, boundary tags) of their meshes
+        for spec in specs:
+            ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
+            geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
+            if spec.strategy == "A":
+                n = len(geom.vertices)
+                patch = None
+                parts.append((geom.vertices, [np.arange(n)],
+                              {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
+            else:
+                patch = fan_refine_mesh(geom, spec.patch_refine)
+                bound = patch.boundary
+                tags = zip(patch.edge_va[bound], patch.edge_vb[bound],
+                           (patch.edge_tags[e] for e in bound))
+                parts.append((patch.vertices, patch.triangles, {(a, b): t for a, b, t in tags}))
+            members.append((geom, patch))
+        self.mesh = mesh = disjoint_union(parts)
         self.params = params
-        n_cells = [1 if patch is None else patch.n_cells for *_, patch in junctions]
+        n_cells = [len(cells) for _, cells, _ in parts]
         self._first_cell = np.cumsum([0] + n_cells)
-        junction_of = np.repeat(np.arange(len(junctions)), n_cells)
+        junction_of = np.repeat(np.arange(len(specs)), n_cells)
 
         # Coupling edges (or sub-edges) in edge order; the channel ends in
         # order of their first coupling edge, so junction after junction.
@@ -161,7 +173,7 @@ class JunctionField:
         end_pos = field.positions(field.end_cell[self._ends])
         virtual = list(zip(mesh.edge_left[edges], end_pos[self._cpl_end]))
         self.mesh_field = MeshField(mesh, params, order=order, virtual=virtual)
-        ids = [jid for jid, *_ in junctions]
+        ids = [spec.id for spec in specs]
         self.mesh_field.cell_name = partial(_cell_name, ids, self._first_cell)
 
         # Per channel end: the cells along its coupling edges and their
@@ -190,10 +202,10 @@ class JunctionField:
         self.junctions = [
             JunctionView(
                 self.mesh_field, slice(self._first_cell[k], self._first_cell[k + 1]),
-                jid, strategy, geom, [self.ends[e] for e in np.flatnonzero(end_junction == k)],
-                patch,
+                spec.id, spec.strategy, geom,
+                [self.ends[e] for e in np.flatnonzero(end_junction == k)], patch,
             )
-            for k, (jid, strategy, geom, patch) in enumerate(junctions)
+            for k, (spec, (geom, patch)) in enumerate(zip(specs, members))
         ]
 
     def volume(self) -> float:
@@ -297,7 +309,11 @@ class JunctionView:
         return float(np.sum(self.q[:, 0] * self._cells.mesh.areas[self._rows]))
 
 
-STRATEGIES = ("A", "B", "psfp")
+# The protrusion of each strategy's 2D region into every channel it joins,
+# in channel widths: the Method-A polygon's, the Method-B patch's, and none
+# for the algebraic junction.
+DEPTH_FACTORS = {"A": 0.1, "B": 0.5, "psfp": 0.0}
+STRATEGIES = tuple(DEPTH_FACTORS)
 
 
 @dataclass
@@ -307,16 +323,12 @@ class JunctionSpec:
     position: tuple
     connects: list  # [(channel_id, "start"|"end"), ...]; parent first for psfp
     merging: bool = False
-    protrusion: float = 0.1
-    patch_protrusion: float = 0.5
     patch_refine: int = 2
 
     @property
     def depth_factor(self) -> float:
         """Protrusion of the 2D region into each channel, in channel widths."""
-        if self.strategy == "psfp":
-            return 0.0
-        return self.protrusion if self.strategy == "A" else self.patch_protrusion
+        return DEPTH_FACTORS[self.strategy]
 
 
 class PSFPJunction:
@@ -324,10 +336,10 @@ class PSFPJunction:
 
     strategy = "psfp"
 
-    def __init__(self, jid, connects, merging, field, params):
-        self.id = jid
-        self.ends = list(connects)
-        self.merging = merging
+    def __init__(self, spec: JunctionSpec, field, params):
+        self.id = spec.id
+        self.ends = list(spec.connects)
+        self.merging = spec.merging
         self.params = params
         self.widths = np.array([field.channels[field.index[ch]].width for ch, _ in self.ends])
         # Solver velocities point toward the junction in the parent channel
@@ -370,19 +382,18 @@ def wiring_errors(channels, junctions, boundary_ends, gauges) -> list[str]:
     `channels` lists (id, length or None where unknown) per channel,
     `junctions` (id, strategy, [(channel, end), ...]) per junction,
     `boundary_ends` the (channel, end) of each boundary condition and
-    `gauges` (id, channel, s) per gauge. The rules: channel ids are unique; a
-    junction's strategy is "A", "B" or "psfp"; it joins at least 2 channel
-    ends, and a PSFP junction exactly 3; each end names a known channel and
-    is its "start" or "end"; every channel end is attached to exactly one
-    junction or boundary; every gauge sits on a known channel, at
-    0 <= s <= its length.
+    `gauges` (id, channel, s) per gauge. The rules: channel, junction and
+    gauge ids are each unique; a junction's strategy is "A", "B" or "psfp";
+    it joins at least 2 channel ends, and a PSFP junction exactly 3; each end
+    names a known channel and is its "start" or "end"; every channel end is
+    attached to exactly one junction or boundary; every gauge sits on a known
+    channel, at 0 <= s <= its length.
     """
     errors = []
-    known = {}
-    for cid, length in channels:
-        if cid in known:
-            errors.append(f"duplicate channel id {cid!r}")
-        known[cid] = length
+    for kind, entries in (("channel", channels), ("junction", junctions), ("gauge", gauges)):
+        ids = [entry[0] for entry in entries]
+        errors += [f"duplicate {kind} id {i!r}" for k, i in enumerate(ids) if i in ids[:k]]
+    known = dict(channels)
     attached = {}
 
     def attach(channel, end, where):
@@ -423,39 +434,3 @@ def wiring_errors(channels, junctions, boundary_ends, gauges) -> list[str]:
             errors.append(f"gauge {gid}: s={s!r} outside channel {channel!r} of length {length:g}")
     return errors
 
-
-def build_junctions(specs: list[JunctionSpec], channels, field, params, order):
-    """The junctions of a network: (one object per spec, in spec order; the
-    `JunctionField` of every Method-A and Method-B junction, or None).
-
-    The field's mesh is the disjoint union of each A junction's polygon, one
-    cell with edges tagged "wall" or "coupling:<channel>:<end>", and each B
-    junction's fan-refined patch, in spec order; the per-spec objects are
-    its `JunctionView`s and the `PSFPJunction`s.
-    """
-    out = []
-    members = []  # (id, strategy, polygon, patch) per A or B junction
-    parts = []  # (vertices, cells, boundary tags) of their meshes
-    for spec in specs:
-        if spec.strategy == "psfp":
-            out.append(PSFPJunction(spec.id, spec.connects, spec.merging, field, params))
-            continue
-        out.append(None)
-        ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
-        geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
-        if spec.strategy == "A":
-            n = len(geom.vertices)
-            patch = None
-            parts.append((geom.vertices, [np.arange(n)],
-                          {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
-        else:
-            patch = fan_refine_mesh(geom, spec.patch_refine)
-            bound = patch.boundary
-            tags = zip(patch.edge_va[bound], patch.edge_vb[bound], (patch.edge_tags[e] for e in bound))
-            parts.append((patch.vertices, patch.triangles, {(a, b): t for a, b, t in tags}))
-        members.append((spec.id, spec.strategy, geom, patch))
-    if not members:
-        return out, None
-    jf = JunctionField(members, disjoint_union(parts), field, params, order)
-    views = iter(jf.junctions)
-    return [next(views) if j is None else j for j in out], jf

@@ -49,7 +49,7 @@ from .core import (
     to_normal,
 )
 from .geometry import BOUNDARY_TAGS, Channel, TriMesh
-from .junctions import JunctionSpec, PSFPJunction, build_junctions, project_transverse, wiring_errors
+from .junctions import JunctionField, JunctionSpec, PSFPJunction, project_transverse, wiring_errors
 from .psfp import PSFPFailure
 from .riemann import RiemannBatch, mirrored
 # Unused here since the network step batches its Riemann problems; still
@@ -192,10 +192,15 @@ class NetworkSimulation(TimeStepper):
         self.fields = {
             ch.id: ChannelSegment(self.field, c) for c, ch in enumerate(self.field.channels)
         }
-        self.junctions, self.junction_field = build_junctions(
-            junction_specs, self.channels, self.field, params, self.order
-        )
-        self.psfp_junctions = [j for j in self.junctions if isinstance(j, PSFPJunction)]
+        # One field holds the cells of every Method-A and Method-B junction;
+        # `junctions` lists its views and the PSFP junctions in spec order.
+        cells = [spec for spec in junction_specs if spec.strategy != "psfp"]
+        self.junction_field = (JunctionField(cells, self.channels, self.field, params, self.order)
+                               if cells else None)
+        self.psfp_junctions = [PSFPJunction(spec, self.field, params)
+                               for spec in junction_specs if spec.strategy == "psfp"]
+        views, psfp = iter(self.junction_field.junctions if cells else ()), iter(self.psfp_junctions)
+        self.junctions = [next(psfp if spec.strategy == "psfp" else views) for spec in junction_specs]
         # The channel-end table of `step_fluxes`: the junction field's ends,
         # then `read`, the ends whose states it reads.
         cell_ends = [] if self.junction_field is None else self.junction_field.ends

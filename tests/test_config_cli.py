@@ -589,6 +589,59 @@ class TestMistypedNames:
         assert_invalid(tmp_path, capsys, data, message)
 
 
+class TestDuplicateIds:
+    """Two junctions or two gauges that share an id are a wiring error, from
+    the schema and as the CLI's exit 2. Before, both ran: two gauges named
+    g sampled into one series, so gauges.csv wrote one channel's value on
+    both rows, and two junctions overwrote each other in final_state.json."""
+
+    def test_gauges(self, tmp_path, capsys):
+        data = presets.preset("test1_sub90").emit()
+        data["gauges"] = [{"id": "g", "channel": ch, "s": 1.0} for ch in ("ch1", "ch2")]
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, "duplicate gauge id 'g'")
+
+    def test_junctions(self, tmp_path, capsys):
+        data = presets.preset("test6_network").emit()
+        data["junctions"][5]["id"] = "j00"
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, "duplicate junction id 'j00'")
+
+
+class TestPositiveWidths:
+    """A width that a build divides by must be positive: a configuration
+    error that names the field, from the schema and as the CLI's exit 2.
+    Before, a hump `width` of 0 validated and then ran a flat profile or
+    failed the run (exit 3), and an inflow `width` of 0 failed `swnet run`
+    with an untyped ZeroDivisionError."""
+
+    @pytest.mark.parametrize("width", [0, 0.0, -0.3])
+    def test_hump(self, tmp_path, capsys, width):
+        data = minimal_cfg()
+        data["initial"]["per_channel"] = {"a": {**HUMP, "width": width}}
+        message = f"initial.per_channel[a]: 'width' must be positive, got {width!r}"
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+    @pytest.mark.parametrize("width", [0, 0.0, -1.0])
+    def test_inflow(self, tmp_path, capsys, width):
+        data = minimal_cfg()
+        data["boundaries"][0] = {"channel": "a", "end": "start", "kind": "inflow",
+                                 "inflow": {"amplitude": 0.1, "center": 0.5, "width": width}}
+        message = f"inflow: 'width' must be positive, got {width!r}"
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+
+class TestScenarioText:
+    def test_bad_syntax_is_a_config_error(self, capsys):
+        """A JSON string that does not parse is a configuration error (exit
+        2) that gives the line, as for a file; before, it was a numerical
+        failure (exit 3)."""
+        text = '{\n  "t_end": 1,\n}'
+        message = "scenario JSON: line 3: Expecting property name enclosed in double quotes"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        assert main(["validate", text]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 class TestUnreadableScenarioFile:
     """A scenario path that cannot be read as UTF-8 text is a configuration
     error (exit 2), not a numerical failure (exit 3)."""
@@ -667,7 +720,7 @@ def fork(explicit: bool, strategy: str = "A") -> dict:
         data["numerics"] = {"order": 2, "cfl": 0.9}
         data["initial"].update(h=1.0, u=0.0)
         inflow["width"] = 1.0
-        junction.update(merging=False, protrusion=0.1, patch_protrusion=0.5, patch_refine=2)
+        junction.update(merging=False, patch_refine=2)
         prescribed["u"] = 0.0
         per_channel["ch2"].update(type="uniform", u=0.0)
         per_channel["ch3"]["u"] = 0.0

@@ -4,7 +4,7 @@ import pytest
 from swnet import presets
 from swnet.config import ScenarioConfig, build_simulation
 from swnet.core import PhysicalParams
-from swnet.junctions import project_transverse
+from swnet.junctions import JunctionView, PSFPJunction, project_transverse
 from swnet.riemann import RiemannBatch, hllc_flux
 
 P = PhysicalParams()
@@ -265,3 +265,36 @@ def test_junction_protocol(name, strategy, n_ends):
     assert fluxes.shape == (len(ends), 3) and np.isfinite(fluxes).all()
     assert edge_fluxes.shape == (len(el.mesh.edge_lengths), 3) and np.isfinite(edge_fluxes).all()
     assert el.volume() == sum(j.volume() for j in sim.junctions) > 0.0
+
+
+def test_junctions_follow_the_specs_on_a_mixed_network():
+    # test6_network with PSFP at its three-channel junctions and Methods A
+    # and B alternating at the others: `junctions` holds one object per
+    # spec, in spec order and of its strategy's type; the PSFP junctions and
+    # the junction field's views split it between them, each in spec order.
+    data = presets.preset("test6_network", strategy="A").emit()
+    for k, junction in enumerate(data["junctions"]):
+        junction["strategy"] = "psfp" if len(junction["connects"]) == 3 else "AB"[k % 2]
+    specs = data["junctions"]
+    assert {s["strategy"] for s in specs[:2]} == {"psfp"} and specs[3]["strategy"] == "B"
+    sim = build_simulation(ScenarioConfig(data))
+    assert len(sim.junctions) == len(specs)
+    for j, spec in zip(sim.junctions, specs):
+        ends = [(c["channel"], c["end"]) for c in spec["connects"]]
+        assert (j.id, j.strategy) == (spec["id"], spec["strategy"])
+        if spec["strategy"] == "psfp":
+            assert isinstance(j, PSFPJunction) and j.ends == ends
+        else:
+            assert isinstance(j, JunctionView) and sorted(j.ends) == sorted(ends)
+            assert hasattr(j, "mesh") == (spec["strategy"] == "B") and j.volume() > 0.0
+    assert sim.psfp_junctions == [j for j in sim.junctions if j.strategy == "psfp"]
+    assert sim.junction_field.junctions == [j for j in sim.junctions if j.strategy != "psfp"]
+    # Each view's rows are its own cells of the field, junction after junction.
+    rows = [j._rows for j in sim.junction_field.junctions]
+    assert rows[0].start == 0 and rows[-1].stop == sim.junction_field.mesh.n_cells
+    assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    field = sim.field
+    for j, read in sim._psfp_rows:
+        assert sim._end_read[read].tolist() == [field.end_index(ch, end) for ch, end in j.ends]
+    res = sim.run(np.inf, max_steps=20)
+    assert res.status == "completed" and res.steps == 20

@@ -11,8 +11,10 @@ from swnet.config import (
     ConfigError,
     ScenarioConfig,
     boundary_condition,
+    boundary_conditions,
     build_channels,
     build_simulation,
+    junction_specs,
 )
 from swnet.core import DryStateError, NonFiniteError, PhysicalParams
 from swnet.geometry import Channel
@@ -509,6 +511,17 @@ class TestWiring:
         ends = [("ch1", "end"), ("ch2", "start"), ("ch3", "start")]
         with pytest.raises(ValueError, match="^gauge g: unknown channel 'nope'$"):
             self.sub90(ends, gauges=[Gauge("g", channel="nope", s=0.5)])
+
+    def test_duplicate_junction_and_gauge_ids_rejected(self):
+        ends = [("ch1", "end"), ("ch2", "start"), ("ch3", "start")]
+        gauges = [Gauge("g", channel=ch, s=0.5) for ch in ("ch1", "ch2")]
+        with pytest.raises(ValueError, match="^duplicate gauge id 'g'$"):
+            self.sub90(ends, gauges=gauges)
+        cfg = presets.preset("test6_network")
+        specs = junction_specs(cfg)
+        specs[1].id = specs[0].id
+        with pytest.raises(ValueError, match="^duplicate junction id 'j00'$"):
+            NetworkSimulation(build_channels(cfg), specs, boundary_conditions(cfg), P)
 
     def test_every_broken_rule_is_reported(self):
         ch = Channel("c", width=1.0, cells=10, start=(0, 0), end=(1, 0))

@@ -9,7 +9,8 @@ condition kind at a channel start and at a channel end, and a wall and a
 prescribed end beside a junction (`BOUNDARY_RUNS`), plus test1_sub90 with
 its PSFP junction marked merging, which flips the sign of the third Riemann
 invariant (`MERGING_RUNS`), plus test6_network with its junctions
-alternating between Methods A and B (`MIXED_RUNS`), plus smooth1d with
+alternating between Methods A and B, and with PSFP junctions at its nine
+three-channel junctions among them (`MIXED_RUNS`), plus smooth1d with
 Manning friction (`FRICTION_RUNS`), plus test1_sub90 with each junction
 strategy and test6_network with Method A at first order, the only runs of
 the first-order reconstruction and face states (`ORDER1_RUNS`), for at most
@@ -92,8 +93,10 @@ BOUNDARY_RUNS = [
 # No preset has a merging PSFP junction, so no other run takes the third
 # invariant's other sign.
 MERGING_RUNS = ["test1_sub90"]
-# One network whose junction cells mix polygons (A) and triangles (B).
-MIXED_RUNS = ["test6_network"]
+# One network whose junction cells mix polygons (A) and triangles (B), on
+# its own and with algebraic junctions among them, which no preset mixes
+# with junction cells: (preset, whether three-channel junctions are PSFP).
+MIXED_RUNS = [("test6_network", False), ("test6_network", True)]
 # No preset sets a Manning coefficient: smooth1d, run to t = 8 like its
 # boundary runs so that the spreading hump moves water, takes one.
 FRICTION_RUNS = [("smooth1d", 0.03, 8.0)]
@@ -125,13 +128,15 @@ def merging_psfp(preset, name):
     return ScenarioConfig(data)
 
 
-def mixed_strategies(preset, name):
-    """The preset with its junctions alternating between Methods A and B."""
+def mixed_strategies(preset, name, psfp):
+    """The preset with its junctions alternating between Methods A and B;
+    with `psfp`, every junction of three channels is PSFP instead."""
     from swnet import ScenarioConfig
 
     data = preset(name, strategy="A").emit()
     for k, junction in enumerate(data["junctions"]):
-        junction["strategy"] = "AB"[k % 2]
+        three = psfp and len(junction["connects"]) == 3
+        junction["strategy"] = "psfp" if three else "AB"[k % 2]
     return ScenarioConfig(data)
 
 
@@ -170,8 +175,9 @@ def cases(preset, preset_names):
         yield label, lambda args=(name, s, ends, t_end): boundary_variant(preset, *args)
     for name in MERGING_RUNS:
         yield f"{name} psfp merging", lambda name=name: merging_psfp(preset, name)
-    for name in MIXED_RUNS:
-        yield f"{name} A/B", lambda name=name: mixed_strategies(preset, name)
+    for name, psfp in MIXED_RUNS:
+        yield (f"{name} A/B" + "/psfp" * psfp,
+               lambda args=(name, psfp): mixed_strategies(preset, *args))
     for name, manning_n, t_end in FRICTION_RUNS:
         yield (f"{name} manning_n={manning_n}",
                lambda args=(name, manning_n, t_end): with_friction(preset, *args))
