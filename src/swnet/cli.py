@@ -142,6 +142,8 @@ def cmd_grid_study(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    if args.levels < 2:
+        raise ConfigError(f"--levels must be at least 2, got {args.levels}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = convergence_order(

@@ -104,10 +104,6 @@ class Channel:
         a = self.axis
         return float(np.arctan2(a[1], a[0]))
 
-    @property
-    def ds(self) -> float:
-        return self.length / self.cells
-
     def end_point(self, which: str) -> np.ndarray:
         return self.start if which == "start" else self.end
 
@@ -129,16 +125,6 @@ class JunctionEdge:
     kind: str  # "coupling" or "wall"
     channel: str | None = None
     channel_end: str | None = None
-
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.b - self.a)))
-
-    @property
-    def theta(self) -> float:
-        """Outward normal angle (edges are stored in CCW traversal order)."""
-        tx, ty = _unit(*(self.b - self.a))
-        return float(np.arctan2(-tx, ty))
 
     @property
     def tag(self) -> str:
@@ -174,7 +160,7 @@ class JunctionGeometry:
         if (splits & splits.T & (gap > 1) & (gap < len(x) - 1)).any():
             raise GeometryError("junction polygon self-intersects")
         # The first edge too short for a direction, or whose outward normal
-        # (at `JunctionEdge.theta`) points to the centroid's side, fails.
+        # points to the centroid's side, fails.
         a, b = np.array([(e.a, e.b) for e in self.edges]).transpose(1, 0, 2)
         d, m = b - a, 0.5 * (a + b) - self.centroid
         length = np.hypot(d[:, 0], d[:, 1])

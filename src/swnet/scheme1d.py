@@ -170,11 +170,6 @@ class ChannelField:
         """Number of the channel end ("start" or "end") of a channel."""
         return 2 * self.index[channel_id] + (end == "end")
 
-    def set_uniform(self, h, u=0.0):
-        self.q[:, 0] = h
-        self.q[:, 1] = h * u
-        self.q[:, 2] = 0.0
-
     def volume(self) -> float:
         per_channel = np.add.reduceat(self.q[:, 0] * self.ds, self.offsets[:-1])
         return float(np.sum(per_channel * self.widths))

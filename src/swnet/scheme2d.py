@@ -146,11 +146,6 @@ class MeshField:
         cells = np.concatenate([m.edge_left, m.edge_right.take(m.interior)])
         self._net_bins = (T * np.arange(3)[:, None] + cells).ravel()
 
-    def set_uniform(self, h, u=0.0, v=0.0):
-        self.q[:, 0] = h
-        self.q[:, 1] = h * u
-        self.q[:, 2] = h * v
-
     def volume(self) -> float:
         return float(np.sum(self.q[:, 0] * self.mesh.areas))
 

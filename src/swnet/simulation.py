@@ -48,7 +48,7 @@ from .core import (
     from_normal,
     to_normal,
 )
-from .geometry import BOUNDARY_TAGS, Channel, TriMesh
+from .geometry import BOUNDARY_TAGS, Channel, MeshError, TriMesh
 from .junctions import JunctionField, JunctionSpec, PSFPJunction, project_transverse, wiring_errors
 from .psfp import PSFPFailure
 from .riemann import RiemannBatch, mirrored
@@ -416,6 +416,10 @@ class Mesh2DSimulation(TimeStepper):
                 raise ValueError(f"unsupported boundary tag {name!r} in 2D domain")
             if kind in ("inflow", "prescribed") and getattr(conds.get(name), "kind", None) != kind:
                 raise ValueError(f"mesh has {name} edges but no {kind} condition for them")
+        # A condition whose tag marks no boundary edge would go unused.
+        unused = sorted(set(conds).difference(names))
+        if unused:
+            raise MeshError(f"no boundary edge carries the tag of condition {', '.join(unused)}")
         per_edge = kinds[tag_of]
         kind_names, first, kind_of = np.unique(per_edge, return_index=True, return_inverse=True)
         self._boundary_groups = []

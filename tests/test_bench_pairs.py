@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.py` applies the pair rule for a claimed gain."""
+"""`tools/bench_pairs.py` applies the pair rule for a claimed gain and the
+no-regression rule of each end-to-end metric."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,30 @@ def test_report_lists_every_metric():
     rows = {"wall_s": bench_pairs.summary(OLD, [v - 10.0 for v in OLD], "lower")}
     table = bench_pairs.report(rows)
     assert "| wall_s | 99 / 100 / 101 | 89 / 90 / 91 | 10 of 10 | holds |" in table
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    # The old median is 100 and the bound a quarter of it.
+    assert bench_pairs.summary(OLD, [v + 30.0 for v in OLD], "lower", 0.25)["regression"] == "worse"
+    assert bench_pairs.summary(OLD, [v + 20.0 for v in OLD], "lower", 0.25)["regression"] == "no worse"
+    assert bench_pairs.summary(OLD, [v - 30.0 for v in OLD], "higher", 0.25)["regression"] == "worse"
+    assert bench_pairs.summary(OLD, [v + 30.0 for v in OLD], "higher", 0.25)["regression"] == "no worse"
+
+
+def test_an_old_spread_wider_than_the_bound_is_unresolved():
+    # The old interquartile range is 2 % of its median, twice the bound.
+    assert bench_pairs.summary(OLD, OLD, "lower", 0.01)["regression"] == "unresolved"
+    # unless every new run beats every old run ...
+    assert bench_pairs.summary(OLD, [v - 10.0 for v in OLD], "lower", 0.01)["regression"] == "no worse"
+    one_slow = [v - 10.0 for v in OLD[:9]] + [OLD[9]]
+    assert bench_pairs.summary(OLD, one_slow, "lower", 0.01)["regression"] == "unresolved"
+    # ... and a median worse by more than the bound is worse all the same.
+    assert bench_pairs.summary(OLD, [v + 5.0 for v in OLD], "lower", 0.01)["regression"] == "worse"
+
+
+def test_report_gives_the_regression_verdict_of_end_to_end_metrics_only():
+    rows = {"wall_s": bench_pairs.summary(OLD, OLD, "lower", 0.25),
+            "simulation.steps": bench_pairs.summary(OLD, OLD, "lower")}
+    table = bench_pairs.report(rows)
+    assert "| wall_s | 99 / 100 / 101 | 99 / 100 / 101 | 0 of 10 (10 ties) | no | no worse |" in table
+    assert "| simulation.steps | 99 / 100 / 101 | 99 / 100 / 101 | 0 of 10 (10 ties) | no | - |" in table

@@ -344,6 +344,10 @@ class TestCli:
         *[pytest.param(["grid-study", "--sizes", sizes],
                        f"--sizes must list positive numbers, got {sizes!r}", id=f"sizes-{sizes}")
           for sizes in ("abc", "0", "-0.16", "0.16,nan", "inf")],
+        # fewer than two levels give no observed order
+        *[pytest.param(["convergence", "--levels", levels],
+                       f"--levels must be at least 2, got {levels}", id=f"levels-{levels}")
+          for levels in ("1", "0", "-1")],
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, args, message):
         out = tmp_path / "o"

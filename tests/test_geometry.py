@@ -50,7 +50,7 @@ class TestJunctionPolygon:
         coupling = [e for e in g.edges if e.kind == "coupling"]
         assert len(coupling) == 3
         for e in coupling:
-            assert np.isclose(e.length, b, atol=1e-14)
+            assert np.isclose(np.hypot(*(e.b - e.a)), b, atol=1e-14)
 
     def test_shoelace_on_unequal_widths(self):
         th = np.pi / 3
@@ -72,8 +72,9 @@ class TestJunctionPolygon:
     def test_outward_normals(self):
         g = t_junction()
         for e in g.edges:
-            n = np.array([np.cos(e.theta), np.sin(e.theta)])
-            assert np.dot(n, 0.5 * (e.a + e.b) - g.centroid) > 0.0
+            # a counter-clockwise edge's direction turned clockwise
+            dx, dy = e.b - e.a
+            assert np.dot([dy, -dx], 0.5 * (e.a + e.b) - g.centroid) > 0.0
 
     def test_parallel_offset_walls_rejected(self):
         # two channels entering from the same direction with offset
@@ -274,7 +275,7 @@ class TestChannelField:
         for cut in (0.02, 0.04, 0.2, 0.23):
             f = ChannelField([ch], PhysicalParams(), cuts={("c", "start"): cut})
             assert np.isclose(f.ds.sum(), 2.0 - cut, atol=1e-14)
-            assert f.ds.min() > 0.4 * ch.ds  # no sliver cells
+            assert f.ds.min() > 0.4 * ch.length / ch.cells  # no sliver cells
 
     def test_trim_drops_whole_cells(self):
         from swnet.core import PhysicalParams

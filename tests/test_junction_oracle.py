@@ -29,14 +29,16 @@ class OracleA:
         self.params, self.order = params, order
         self.q = np.zeros((J, 3))
         self._area = np.array([g.area for g in geoms])
-        self._rho = np.array([4.0 * g.area / sum(e.length for e in g.edges) for g in geoms])
         centroids = np.array([g.centroid for g in geoms])
         n_edges = [len(g.edges) for g in geoms]
         self._edge_start = np.concatenate([[0], np.cumsum(n_edges)[:-1]])
         self._edge_j = np.repeat(np.arange(J), n_edges)
         edges = [e for g in geoms for e in g.edges]
-        self._thetas = np.array([e.theta for e in edges])
-        self._lengths = np.array([e.length for e in edges])
+        d = np.array([e.b - e.a for e in edges])
+        self._lengths = np.hypot(d[:, 0], d[:, 1])
+        t = d / self._lengths[:, None]
+        self._thetas = np.arctan2(-t[:, 0], t[:, 1])  # outward normals of CCW edges
+        self._rho = 4.0 * self._area / np.bincount(self._edge_j, self._lengths)
         self._mid_off = np.array([0.5 * (e.a + e.b) for e in edges]) - centroids[self._edge_j]
         wall = np.array([e.kind == "wall" for e in edges])
         self._wall_rows = np.flatnonzero(wall)

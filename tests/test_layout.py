@@ -1,13 +1,26 @@
 """README's "Package layout" names exactly the modules of the package, its
 scenario example is a valid scenario, no module imports a name it never
-uses, no function takes a parameter it never reads, and the package reads
-every function, class and method it defines."""
+uses, no function takes a parameter it never reads, and every function and
+method it defines is entered from an entry point or kept for a named
+reader."""
 
 import ast
+import importlib.util
+import json
+import os
 import re
+import sys
 from pathlib import Path
 
-from swnet import build_simulation, parse_config
+from swnet import (
+    ConfigError,
+    build_reference_sim,
+    build_simulation,
+    cli,
+    parse_config,
+    preset,
+    preset_names,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -287,64 +300,184 @@ def test_unused_parameters_reads_methods_nested_functions_and_lambdas():
         ("f", "b"), ("f.g", "y"), ("f.<lambda>", "z"), ("C.m", "q"), ("C.s", "p")]
 
 
-# Definitions that no module of the package reads, each with its reader.
+# Definitions that no entry point enters, by "<module>.<qualified name>"
+# (Python's `__qualname__`: "Class.method", "function.<locals>.inner"), each
+# with its reader.
 KEPT = {
-    "emit": "ScenarioConfig.emit: the benchmark and tools/compare_runs.py",
-    "conserved": "the tests' state constructor",
-    "physical_flux_y": "criterion 8's oracle",
-    "invariant_signs": "criterion 2",
-    "exact_riemann_sample": "the tests' exact Riemann oracle",
-    "compare_methods": "criteria 9 and 12",
-    "wall_flux": "the benchmark's tracer, until its layers are rebound",
-    "rotate_state": "the benchmark's tracer, until its layers are rebound",
-    "rotate_back": "the benchmark's tracer, until its layers are rebound",
+    "config.ScenarioConfig.__eq__": "test oracle: the emit round trip in tests/test_config_cli.py",
+    "core.conserved": "test oracle: the tests' state constructor, and criterion 8",
+    "core.froude": "criterion 1 (tests/test_acceptance.py:26)",
+    "core.physical_flux_y": "criterion 8's oracle",
+    "core.rotate_state": "the benchmark's tracer (core.rotate), and criterion 8",
+    "core.rotate_back": "the benchmark's tracer (core.rotate), and criterion 8",
+    "junctions._cell_name": "error path: a non-finite junction cell names its junction and cell",
+    "psfp.PSFPProblem.invariant_signs": "criterion 2",
+    "riemann.wall_flux": "the benchmark's tracer (riemann.wall_flux)",
+    "riemann.exact_riemann_star": "test oracle: the exact Riemann solver of tests/test_riemann.py",
+    "riemann.exact_riemann_sample": "test oracle: the exact Riemann solver of tests/test_riemann.py",
+    "riemann._depth_fn": "test oracle: the exact Riemann solver of tests/test_riemann.py",
+    "riemann._depth_fn_deriv": "test oracle: the exact Riemann solver of tests/test_riemann.py",
+    "scheme1d.ChannelField._cell_name": "error path: a non-finite or negative channel cell "
+                                        "names its channel and cell",
+    "studies.compare_methods": "criteria 9 and 12",
 }
 
 
-def unread_definitions(sources: dict) -> list:
-    """(module, name) for each function, class or method (dunders excepted)
-    defined in the modules `sources` ({file name: source}) whose name no
-    module reads as a name or an attribute; `__init__.py` does not count."""
-    defined, read = {}, set()
-    for module, source in sources.items():
-        if module == "__init__.py":
+def definitions(path: Path) -> dict:
+    """{(file, first line): "<module>.<qualified name>"} of every function
+    and method a module defines, properties and nested functions included,
+    lambdas not. A decorated definition's first line is its first
+    decorator's, as in its code object's `co_firstlineno`."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                found[(str(path.resolve()), line)] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return found
+
+
+def entered(entry) -> set:
+    """(file, first line) of every Python function that `entry()` enters,
+    recorded under `sys.setprofile`."""
+    codes = set()
+
+    def record(frame, event, _arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        entry()
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
+
+
+def reach_problems(defined: dict, reached: set, kept: dict) -> list:
+    """What a reachability pass finds wrong, sorted: each definition of
+    `defined` ({(file, first line): name}) that is not in `reached` nor
+    `kept`, each name of `kept` that was reached, and each that names no
+    definition."""
+    names = set(defined.values())
+    missed = {name for key, name in defined.items() if key not in reached}
+    return sorted([
+        *(f"unreached: {name}" for name in missed - kept.keys()),
+        *(f"kept but reached: {name}" for name in kept.keys() & (names - missed)),
+        *(f"kept but not defined: {name}" for name in kept.keys() - names),
+    ])
+
+
+def run_entry_points(out: Path):
+    """Build and step 3 times every scenario of `tools/compare_runs.py` and
+    every one of its references, then run each CLI verb at a small size."""
+    spec = importlib.util.spec_from_file_location("compare_runs", ROOT / "tools" / "compare_runs.py")
+    compare_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_runs)
+    for _, scenario in compare_runs.cases(preset, preset_names):
+        try:
+            cfg = scenario()
+            sim = build_simulation(cfg)
+        except ConfigError:
             continue
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, module)
-            elif isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted((module, name) for name, module in defined.items() if name not in read)
+        sim.run(cfg.t_end, max_steps=3)
+    for name, ends, dx in compare_runs.REFERENCE_RUNS:
+        cfg = compare_runs.boundary_variant(preset, name, None, ends or {}, None)
+        build_reference_sim(cfg, dx).run(cfg.t_end, max_steps=3)
+    scenario = out / "scenario.json"
+    scenario.write_text(json.dumps(preset("test1_sub90").emit()))
+    verbs = [
+        (["preset-list"], 0),
+        (["validate", str(scenario)], 0),
+        (["run", "--preset", "test2_asym90", "--t-end", "0.05", "--out", str(out / "preset")], 0),
+        (["run", "--config", str(scenario), "--t-end", "0.05", "--out", str(out / "file")], 0),
+        (["run", "--preset", "test4_super90", "--strategy", "psfp", "--out", str(out / "fail")], 3),
+        (["convergence", "--base-cells", "10", "--levels", "2", "--out", str(out / "conv")], 0),
+        (["grid-study", "--sizes", "0.16,0.08", "--t-end", "0.05", "--out", str(out / "grid")], 0),
+    ]
+    for argv, code in verbs:
+        assert cli.main(argv) == code, argv
 
 
-def test_package_reads_every_definition():
-    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "swnet").glob("*.py"))}
-    found = {name for _, name in unread_definitions(sources)}
-    assert found - set(KEPT) == set()
-    assert set(KEPT) <= found  # an exemption that no longer applies goes
+def test_entry_points_enter_every_definition(tmp_path):
+    reached = entered(lambda: run_entry_points(tmp_path))
+    defined = {}
+    for path in sorted((ROOT / "src" / "swnet").glob("*.py")):
+        defined |= definitions(path)
+    problems = reach_problems(defined, reached, KEPT)
+    assert not problems, "\n".join(problems)
 
 
-def test_unread_definitions_reads_names_and_attributes():
-    sources = {
-        "__init__.py": "from .a import lonely",
-        "a.py": "\n".join([
-            "def lonely(): pass",
-            "def called(): pass",
-            "class C:",
-            "    def __init__(self): pass",
-            "    def method(self): pass",
-            "    def unread(self): pass",
-            "    def _private(self): pass",
-        ]),
-        "b.py": "\n".join([
-            "from .a import C, called",
-            "called()",
-            "C().method()",
-            "getattr(C(), '_private')",
-        ]),
-    }
-    assert unread_definitions(sources) == [("a.py", "_private"), ("a.py", "lonely"),
-                                           ("a.py", "unread")]
+SAMPLE = """\
+import functools
+
+
+def entry():
+    c = C()
+    return c.method(), c.size, C.helper(), outer()
+
+
+def outer():
+    def inner():
+        pass
+
+    return lambda: inner
+
+
+@functools.cache
+def cached():
+    pass
+
+
+def spare():
+    pass
+
+
+class C:
+    def method(self):
+        return 0
+
+    def unread(self):
+        pass
+
+    @property
+    def size(self):
+        return 1
+
+    @property
+    def shape(self):
+        return ()
+
+    @staticmethod
+    def helper(
+        x=0,
+    ):
+        return x
+"""
+
+
+def test_reach_problems_reads_methods_nested_properties_and_decorators(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE)
+    spec = importlib.util.spec_from_file_location("sample", path)
+    sample = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sample)
+    reached = entered(sample.entry)
+    kept = {"sample.spare": "a test", "sample.outer": "a test", "sample.gone": "a test"}
+    assert reach_problems(definitions(path), reached, kept) == [
+        "kept but not defined: sample.gone",
+        "kept but reached: sample.outer",
+        "unreached: sample.C.shape",
+        "unreached: sample.C.unread",
+        "unreached: sample.cached",
+        "unreached: sample.outer.<locals>.inner",
+    ]

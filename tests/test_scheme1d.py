@@ -38,7 +38,7 @@ def total_variation(f):
 class TestReconstruct:
     def test_constant_field_zero_slopes(self):
         f = make_field()
-        f.set_uniform(0.7, 0.2)
+        f.q[:] = (0.7, 0.7 * 0.2, 0.0)
         f.reconstruct()
         assert np.all(f.slopes == 0.0)
 
@@ -52,7 +52,7 @@ class TestReconstruct:
 
     def test_local_extremum_limited_to_zero(self):
         f = make_field(cells=5)
-        f.set_uniform(1.0)
+        f.q[:] = (1.0, 0.0, 0.0)
         f.q[2, 0] = 1.5  # neighbors both lower
         f.reconstruct()
         assert f.slopes[2, 0] == 0.0
@@ -80,14 +80,14 @@ class TestReconstruct:
 class TestHalfStepEvolution:
     def test_zero_slopes_unchanged(self):
         f = make_field()
-        f.set_uniform(0.9, 0.4)
+        f.q[:] = (0.9, 0.9 * 0.4, 0.0)
         f.reconstruct()
         q = f.face_state(dt=0.05)[f.n + 10]  # right face of cell 10
         assert np.allclose(q, f.q[10], atol=1e-15)
 
     def test_still_water_unchanged(self):
         f = make_field()
-        f.set_uniform(1.3)
+        f.q[:] = (1.3, 0.0, 0.0)
         f.reconstruct()
         assert np.allclose(f.face_state(0.1)[5], f.q[5], atol=1e-15)  # left face of cell 5
 
@@ -95,7 +95,7 @@ class TestHalfStepEvolution:
 class TestUpdate:
     def test_uniform_state_stationary(self):
         f = make_field()
-        f.set_uniform(1.0, 0.5)
+        f.q[:] = (1.0, 0.5, 0.0)
         f.reconstruct()
         dt = 0.01
         bc = BoundaryCondition("transparent")
@@ -105,7 +105,7 @@ class TestUpdate:
 
     def test_update_formula_exact(self):
         f = make_field(cells=2, length=1.0)
-        f.set_uniform(1.0)
+        f.q[:] = (1.0, 0.0, 0.0)
         dt = 0.01
         fl = np.array([0.3, 0.1, 0.0])
         fm = np.array([[0.2, 0.4, 0.0]])
@@ -157,7 +157,7 @@ class TestUpdate:
 
     def test_positivity_abort(self):
         f = make_field(cells=4, length=1.0)
-        f.set_uniform(1e-3)
+        f.q[:] = (1e-3, 0.0, 0.0)
         huge = np.array([10.0, 0.0, 0.0])
         zero = np.zeros((3, 3))
         with pytest.raises(PositivityError):
@@ -167,7 +167,7 @@ class TestUpdate:
         p = PhysicalParams(manning_n=0.02)
         ch = Channel("c", width=1.0, cells=10, start=(0, 0), end=(1, 0))
         f = ChannelField([ch], p)
-        f.set_uniform(1.0, 1.0)
+        f.q[:] = (1.0, 1.0, 0.0)
         f.reconstruct()
         dt = 0.01
         flux = hllc_flux(f.q[:1], f.q[:1], p)[0]

@@ -32,7 +32,7 @@ def box_mesh(dx=0.1, size=1.0):
 class TestReconstruct2D:
     def test_constant_field(self):
         f = MeshField(box_mesh(), P)
-        f.set_uniform(0.8, 0.1, -0.2)
+        f.q[:] = (0.8, 0.8 * 0.1, 0.8 * -0.2)
         f.reconstruct()
         assert np.abs(f.grad[0].T).max() == 0.0
         assert np.abs(f.grad[1].T).max() == 0.0
@@ -55,7 +55,7 @@ class TestReconstruct2D:
     def test_local_maximum_fully_limited(self):
         m = box_mesh(0.25)
         f = MeshField(m, P)
-        f.set_uniform(1.0)
+        f.q[:] = (1.0, 0.0, 0.0)
         k = int(np.argmin(np.linalg.norm(m.centroids - 0.5, axis=1)))
         f.q[k, 0] = 2.0  # exceeds every neighbor
         f.reconstruct()
@@ -76,7 +76,7 @@ class TestReconstruct2D:
         # two virtual neighbors make the gradient computable on a single cell
         virt = [(0, np.array([1.0, 1.0])), (0, np.array([-1.0, 0.3]))]
         f = MeshField(m, P, virtual=virt)
-        f.set_uniform(1.0)
+        f.q[:] = (1.0, 0.0, 0.0)
         grad_fn = lambda p: 1.0 + 0.2 * p[0] + 0.1 * p[1]
         c = m.centroids[0]
         f.q[0, 0] = grad_fn(c)
@@ -89,7 +89,7 @@ class TestReconstruct2D:
 class TestUpdate2D:
     def test_uniform_closed_box_stationary(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.field.set_uniform(1.0)
+        sim.field.q[:] = (1.0, 0.0, 0.0)
         for _ in range(50):
             sim.advance(sim.compute_dt())
         assert np.abs(sim.field.q[:, 0] - 1.0).max() < 1e-13
@@ -99,7 +99,7 @@ class TestUpdate2D:
         verts = [(0, 0), (1, 0), (0, 1)]
         m = TriMesh(verts, [(0, 1, 2)], {(0, 1): "wall", (1, 2): "wall", (0, 2): "wall"})
         f = MeshField(m, P)
-        f.set_uniform(1.0)
+        f.q[:] = (1.0, 0.0, 0.0)
         fluxes = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.05, 0.0, 0.1]])
         q0 = f.q.copy()
         f.update(fluxes, 0.01)
@@ -109,7 +109,7 @@ class TestUpdate2D:
 
     def test_closed_box_conservation_dam_break(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.field.set_uniform(1.0)
+        sim.field.q[:] = (1.0, 0.0, 0.0)
         sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
         v0 = sim.field.volume()
         for _ in range(1000):
@@ -118,7 +118,7 @@ class TestUpdate2D:
 
     def test_still_water_preserved_1000_steps(self):
         sim = Mesh2DSimulation(box_mesh(0.2), P)
-        sim.field.set_uniform(0.7)
+        sim.field.q[:] = (0.7, 0.0, 0.0)
         for _ in range(1000):
             sim.advance(sim.compute_dt())
         vel = np.abs(sim.field.q[:, 1:] / sim.field.q[:, :1]).max()
@@ -126,7 +126,7 @@ class TestUpdate2D:
 
     def test_limiter_no_new_extrema_one_step(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.field.set_uniform(1.0)
+        sim.field.q[:] = (1.0, 0.0, 0.0)
         sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
         lo, hi = sim.field.q[:, 0].min(), sim.field.q[:, 0].max()
         sim.advance(sim.compute_dt())
@@ -137,7 +137,7 @@ class TestUpdate2D:
         verts = [(0, 0), (1, 0), (0, 1)]
         m = TriMesh(verts, [(0, 1, 2)], {(0, 1): "wall", (1, 2): "wall", (0, 2): "wall"})
         f = MeshField(m, P)
-        f.set_uniform(1e-4)
+        f.q[:] = (1e-4, 0.0, 0.0)
         out = np.array([[1.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]])
         with pytest.raises(PositivityError):
             f.update(out, 0.1)
@@ -145,7 +145,7 @@ class TestUpdate2D:
     def test_hydrostatic_edge_fluxes(self):
         m = box_mesh(0.5)
         f = MeshField(m, P)
-        f.set_uniform(1.0)
+        f.q[:] = (1.0, 0.0, 0.0)
         f.reconstruct()
         qL, qR = f.edge_states(0.01)
         flux = interior_edge_fluxes(f, qL, qR)
@@ -310,7 +310,7 @@ class TestVolumeLedger:
 
         bcs = {"inflow": BoundaryCondition("inflow", u_fn=gaussian_pulse(0.3, 0.2, 0.1))}
         sim = Mesh2DSimulation(self.channel(), P, boundary_conditions=bcs)
-        sim.field.set_uniform(1.0)
+        sim.field.q[:] = (1.0, 0.0, 0.0)
         for t_end in (0.3, 0.6):  # each run keeps its own ledger
             res = sim.run(t_end)
             d = res.diagnostics
@@ -320,7 +320,7 @@ class TestVolumeLedger:
 
     def test_closed_box_has_no_influx(self):
         sim = Mesh2DSimulation(box_mesh(0.1), P)
-        sim.field.set_uniform(1.0)
+        sim.field.q[:] = (1.0, 0.0, 0.0)
         sim.field.q[sim.mesh.centroids[:, 0] < 0.5, 0] = 2.0
         d = sim.run(0.2).diagnostics
         assert d["boundary_influx"] == 0.0
@@ -329,7 +329,7 @@ class TestVolumeLedger:
 
 def test_nan_flux_is_non_finite_failure():
     f = MeshField(box_mesh(), P)
-    f.set_uniform(1.0)
+    f.q[:] = (1.0, 0.0, 0.0)
     flux = np.zeros((len(f.mesh.edge_lengths), 3))
     flux[7, 1] = np.nan
     with pytest.raises(NonFiniteError, match="2D cell"):

@@ -17,7 +17,7 @@ from swnet.config import (
     junction_specs,
 )
 from swnet.core import DryStateError, NonFiniteError, PhysicalParams
-from swnet.geometry import Channel
+from swnet.geometry import Channel, MeshError
 from swnet.junctions import JunctionSpec
 from swnet.meshing import rect_union_mesh
 from swnet.psfp import PSFPFailure
@@ -80,7 +80,7 @@ class TestComputeDt:
                        ("c", "end"): BoundaryCondition("reflective")},
             P, cfl=0.9,
         )
-        sim.field.set_uniform(1.0)
+        sim.field.q[:] = (1.0, 0.0, 0.0)
         assert np.isclose(sim.compute_dt(), 0.9 * 0.1 / np.sqrt(9.81), rtol=1e-12)
         assert np.isclose(sim.compute_dt(), 0.02874, atol=2e-5)
 
@@ -97,7 +97,7 @@ class TestComputeDt:
         from swnet.core import max_wave_speed
 
         lam = float(max_wave_speed(j.q[0], P))
-        rho = 4.0 * j.geom.area / sum(e.length for e in j.geom.edges)
+        rho = 4.0 * j.geom.area / sum(np.hypot(*(e.b - e.a)) for e in j.geom.edges)
         assert np.isclose(bound, 0.5 * sim.cfl * rho / lam, rtol=1e-12)
 
     def test_dt_respects_every_local_bound(self):
@@ -174,6 +174,22 @@ def test_channel_start_end_and_2d_edge_give_one_normal_flux(bc):
     assert len(edges) == 2
     for f in (f_start[:2] * [-1, 1], *flux[edges, :2]):
         assert np.array_equal(f, f_end[:2])
+
+
+def test_mesh_simulation_rejects_conditions_that_tag_no_edge():
+    # The second inflow's segment lies outside the box, so no edge carries
+    # its tag, nor the prescribed condition's; neither may be dropped.
+    segs = [((0, 0), (0, 0.5), "inflow:c1:start"), ((3, 0), (3, 0.5), "inflow:c2:start")]
+    mesh = rect_union_mesh([(0, 0, 2, 0.5)], 0.1, tag_segments=segs)
+    inflow = BoundaryCondition("inflow", u_fn=gaussian_pulse(0.3, 0.5, 0.2))
+    bcs = {"inflow:c1:start": inflow, "inflow:c2:start": inflow,
+           "prescribed:c3:end": BoundaryCondition("prescribed", h=0.35, u=0.2)}
+    with pytest.raises(MeshError, match="condition inflow:c2:start, prescribed:c3:end$"):
+        Mesh2DSimulation(mesh, P, boundary_conditions=bcs)
+    del bcs["inflow:c2:start"], bcs["prescribed:c3:end"]
+    sim = Mesh2DSimulation(mesh, P, boundary_conditions=bcs)
+    sim.field.q[:] = (0.3, 0.0, 0.0)
+    assert sim.run(0.05).status == "completed"
 
 
 class TestTwoInflows:

@@ -1,4 +1,5 @@
-"""Paired benchmark runs of two commits, with the pair rule for a claimed gain.
+"""Paired benchmark runs of two commits, with the rules for a claimed gain
+and for no regression.
 
     python tools/bench_pairs.py OLD_REV NEW_REV --workload bifurcation_psfp \
         [--pairs 10] [--seconds 12] [--trace 0] [--seed 1]
@@ -15,8 +16,13 @@ For each metric, the report gives each side's median and quartiles, the pairs
 the new commit wins (ties count for neither side), and whether the gain rule
 holds: the new commit wins at least nine tenths of the pairs, and its median
 is better than the old one's by more than the old side's interquartile
-range. The exit code is 1 when a run fails its correctness gate or exits
-non-zero, else 0. Nothing under `bench/` is changed.
+range. For each end-to-end metric it also applies the no-regression rule
+with the metric's `bound` from `BENCHMARK.json`, a share of the old median:
+"worse" when the new median is worse than the old one by more than the
+bound; else "unresolved" when the old side's interquartile range, as a share
+of its median, is wider than the bound, unless every new run beats every old
+run; else "no worse". The exit code is 1 when a run fails its correctness
+gate or exits non-zero, else 0. Nothing under `bench/` is changed.
 """
 
 from __future__ import annotations
@@ -59,17 +65,25 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     return metrics, proc.returncode == 0 and result["correct"]
 
 
-def summary(old, new, better: str) -> dict:
+def summary(old, new, better: str, bound=None) -> dict:
     """The pair statistics of one metric: each side's quartiles (q1, median,
-    q3), the pairs the new side wins and ties, and whether the gain rule
-    holds. `old` and `new` hold one value per pair, in pair order; `better`
-    is "lower" or "higher"."""
+    q3), the pairs the new side wins and ties, whether the gain rule holds
+    and, given the metric's `bound`, the no-regression verdict ("worse",
+    "unresolved" or "no worse"; None without a bound). `old` and `new` hold
+    one value per pair, in pair order; `better` is "lower" or "higher"."""
     old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
     sign = 1.0 if better == "lower" else -1.0
     gain = sign * (old - new)  # positive where the new side wins
     q_old, q_new = (tuple(np.percentile(v, [25, 50, 75]).tolist()) for v in (old, new))
     wins, ties = int((gain > 0).sum()), int((gain == 0).sum())
     gap = sign * (q_old[1] - q_new[1])
+    regression = None
+    if bound is not None:
+        limit = bound * abs(q_old[1])
+        beats_all = (sign * new).max() < (sign * old).min()
+        regression = ("worse" if -gap > limit
+                      else "unresolved" if q_old[2] - q_old[0] > limit and not beats_all
+                      else "no worse")
     return {
         "old": q_old,
         "new": q_new,
@@ -77,17 +91,20 @@ def summary(old, new, better: str) -> dict:
         "ties": ties,
         "pairs": len(old),
         "holds": bool(10 * wins >= 9 * len(old) and gap > q_old[2] - q_old[0]),
+        "regression": regression,
     }
 
 
 def report(rows: dict) -> str:
     """A markdown table of `summary` results by metric name."""
-    lines = ["| metric | old q1 / median / q3 | new q1 / median / q3 | new wins | rule |",
-             "|---|---|---|---|---|"]
+    lines = ["| metric | old q1 / median / q3 | new q1 / median / q3 | new wins | rule "
+             "| regression |",
+             "|---|---|---|---|---|---|"]
     for name, s in rows.items():
         old, new = (" / ".join(f"{v:.6g}" for v in s[side]) for side in ("old", "new"))
         wins = f"{s['wins']} of {s['pairs']}" + (f" ({s['ties']} ties)" if s["ties"] else "")
-        lines.append(f"| {name} | {old} | {new} | {wins} | {'holds' if s['holds'] else 'no'} |")
+        lines.append(f"| {name} | {old} | {new} | {wins} | {'holds' if s['holds'] else 'no'} "
+                     f"| {s['regression'] or '-'} |")
     return "\n".join(lines)
 
 
@@ -107,6 +124,7 @@ def main(argv=None) -> int:
                                                                      ("new", args.new))}
         spec = json.loads((trees["new"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         values = {"old": [], "new": []}
         failed = False
         for k in range(args.pairs):
@@ -122,7 +140,7 @@ def main(argv=None) -> int:
                 for n in names[:4]), flush=True)
     rows = {
         name: summary([m.get(name, np.nan) for m in values["old"]],
-                      [m.get(name, np.nan) for m in values["new"]], rule)
+                      [m.get(name, np.nan) for m in values["new"]], rule, bounds.get(name))
         for name, rule in better.items()
         if any(name in m for m in values["old"])
     }
