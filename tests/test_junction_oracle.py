@@ -29,6 +29,8 @@ class OracleA:
         self.params, self.order = params, order
         self.q = np.zeros((J, 3))
         self._area = np.array([g.area for g in geoms])
+        self._rho = np.array([4.0 * g.area / sum(np.hypot(*(e.b - e.a)) for e in g.edges)
+                              for g in geoms])
         centroids = np.array([g.centroid for g in geoms])
         n_edges = [len(g.edges) for g in geoms]
         self._edge_start = np.concatenate([[0], np.cumsum(n_edges)[:-1]])
@@ -38,7 +40,6 @@ class OracleA:
         self._lengths = np.hypot(d[:, 0], d[:, 1])
         t = d / self._lengths[:, None]
         self._thetas = np.arctan2(-t[:, 0], t[:, 1])  # outward normals of CCW edges
-        self._rho = 4.0 * self._area / np.bincount(self._edge_j, self._lengths)
         self._mid_off = np.array([0.5 * (e.a + e.b) for e in edges]) - centroids[self._edge_j]
         wall = np.array([e.kind == "wall" for e in edges])
         self._wall_rows = np.flatnonzero(wall)
