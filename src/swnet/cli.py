@@ -144,11 +144,14 @@ def cmd_grid_study(args) -> int:
 def cmd_convergence(args) -> int:
     if args.levels < 2:
         raise ConfigError(f"--levels must be at least 2, got {args.levels}")
+    try:
+        report = convergence_order(
+            order=args.order, base_cells=args.base_cells, levels=args.levels
+        )
+    except ConfigError as exc:  # the study's scenarios take their size from --base-cells
+        raise ConfigError(f"--base-cells {args.base_cells}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = convergence_order(
-        order=args.order, base_cells=args.base_cells, levels=args.levels
-    )
     with open(out_dir / "convergence.csv", "w") as f:
         f.write("cells,l1_error,observed_order\n")
         for k, cells in enumerate(report["cells"]):

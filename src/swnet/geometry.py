@@ -345,8 +345,14 @@ class TriMesh:
         tag_keys = np.array(list(tagged), dtype=np.int64).reshape(-1, 2)
         base = 1 + max(int(cells.max()), int(tag_keys.max(initial=0)))
         keys = np.minimum(ha, hb) * base + np.maximum(ha, hb)
-        codes, first, uses = np.unique(keys, return_index=True, return_counts=True)
-        last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
+        # One stable sort keeps each code's half-edges in half-edge order:
+        # its first and last uses start and end the code's run.
+        by_code = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_code]
+        starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
+        ends = np.append(starts[1:], len(keys))
+        codes, first, last = sorted_keys[starts], by_code[starts], by_code[ends - 1]
+        uses = ends - starts
         tag_codes = tag_keys @ [base, 1]
         tag_edge = np.minimum(np.searchsorted(codes, tag_codes), len(codes) - 1)
         on_boundary = (codes[tag_edge] == tag_codes) & (uses[tag_edge] == 1)

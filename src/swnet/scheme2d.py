@@ -65,15 +65,18 @@ class MeshField:
         # Per stencil size: the cells (n), their neighbours (c, n) and the two
         # slope rows of their reconstruction operator, (2, c, n): rows 1-2 of
         # the inverse of the exact three-neighbour fit, or the least-squares
-        # operator.
+        # operator. Each distinct set of offsets is fitted once, and its
+        # operator and regular flag are gathered back to its cells.
         self._groups = []
         scale = float(np.sqrt(np.mean(mesh.areas)))
         for c in sorted(set(counts[counts >= 2].tolist())):
             cells = np.flatnonzero(counts == c)
             nbr = nbrs[cells, :c]
             offs = pos.take(cells, axis=0)[:, :c] - mesh.centroids.take(cells, axis=0)[:, None, :]
+            rows, stencil = _distinct_rows(offs)
+            offs = offs[rows]
             if c == 3:
-                M = np.concatenate([np.ones((len(cells), 3, 1)), offs], axis=2)
+                M = np.concatenate([np.ones((len(offs), 3, 1)), offs], axis=2)
                 det = np.linalg.det(M)
                 good = np.abs(det) > 1e-12 * scale**2
                 inv = np.zeros_like(M)
@@ -84,12 +87,14 @@ class MeshField:
                 G = np.einsum("kci,kcj->kij", offs, offs)
                 det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
                 good = np.abs(det) > 1e-12 * scale**4
-                op = np.zeros((len(cells), 2, c))
+                op = np.zeros((len(offs), 2, c))
                 if good.any():
                     Ginv = np.linalg.inv(G[good])
                     op[good] = np.einsum("kij,kcj->kic", Ginv, offs[good])
             kind = "exact" if c == 3 else "lsq"
-            self._groups.append((kind, cells, nbr.T, op.transpose(1, 2, 0), good))
+            self._groups.append(
+                (kind, cells, nbr.T, op[stencil].transpose(1, 2, 0), good[stencil])
+            )
         # Copied contiguous only after the stencil temporaries are released;
         # copied earlier, they made the dx = 0.02 reference build ~6 % slower
         # (heap placement, not work).
@@ -320,6 +325,19 @@ class MeshField:
         if (self.q[:, 0] <= 0.0).any():
             k = int(np.argmin(self.q[:, 0]))
             raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in {self.cell_name(k)}")
+
+
+def _distinct_rows(a: np.ndarray):
+    """(rows, inverse): `a[rows]` are the distinct rows of the float array
+    `a` and `a[rows][inverse]` equals `a`. Rows are compared by their bits,
+    so +0.0 and -0.0 stay apart and a row's fit is its own to the bit."""
+    bits = a.reshape(len(a), -1).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    ordered = bits[order]
+    new = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def interior_edge_fluxes(field: MeshField, qL, qR) -> np.ndarray:

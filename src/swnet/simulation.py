@@ -350,12 +350,23 @@ class NetworkSimulation(TimeStepper):
             self.recorder.u[g.id].append(hu / h)
 
 
-def strip_coordinates(mesh: TriMesh, channel: Channel):
-    """(along, across): each cell centroid's distance along a channel's axis
-    from its start, and its offset to the left of that axis."""
+def strip_cells(mesh: TriMesh, channel: Channel, s0: float, s1: float, half: float):
+    """(cells, along, across) of the cells whose centroids may lie within
+    [s0, s1] along a channel's axis and within `half` across it: those in
+    that rectangle's bounding box, grown far beyond round-off, narrower side
+    first. `along` is a centroid's distance along the axis from the start,
+    `across` its offset to the left; neither takes a matrix product, whose
+    rounding on an oblique axis depends on the number of rows."""
     axis = channel.axis
-    rel = mesh.centroids - channel.start
-    return rel @ axis, rel @ np.array([-axis[1], axis[0]])
+    mid = channel.start + 0.5 * (s0 + s1) * axis
+    ext = 0.5 * (s1 - s0) * np.abs(axis) + half * np.abs(axis[::-1])
+    ext += 1e-9 * (1.0 + np.abs(mid).max() + ext.max())
+    k = int(np.argmin(ext))
+    c = mesh.centroids
+    cells = np.flatnonzero(np.abs(c[:, k] - mid[k]) <= ext[k])
+    cells = cells[np.abs(c[cells, 1 - k] - mid[1 - k]) <= ext[1 - k]]
+    rx, ry = (c.take(cells, axis=0) - channel.start).T
+    return cells, rx * axis[0] + ry * axis[1], ry * axis[0] - rx * axis[1]
 
 
 class StripGauge:
@@ -364,13 +375,10 @@ class StripGauge:
 
     def __init__(self, gid, mesh: TriMesh, channel: Channel, s: float):
         self.id = gid
-        along, across = strip_coordinates(mesh, channel)
         half_width = float(np.sqrt(np.mean(mesh.areas)))
-        sel = (
-            (np.abs(along - s) <= half_width)
-            & (np.abs(across) <= channel.width / 2.0)
-        )
-        self.cells = np.flatnonzero(sel)
+        half = channel.width / 2.0
+        cells, along, across = strip_cells(mesh, channel, s - half_width, s + half_width, half)
+        self.cells = cells[(np.abs(along - s) <= half_width) & (np.abs(across) <= half)]
         if len(self.cells) == 0:
             raise ValueError(f"gauge {gid}: no cells in strip at s={s}")
         self.weights = mesh.areas[self.cells] / mesh.areas[self.cells].sum()
@@ -408,7 +416,7 @@ class Mesh2DSimulation(TimeStepper):
         # `GhostStates` of the tags' conditions on inflow and prescribed ones.
         # This reads `mesh.edge_cos` first, so it must follow the MeshField
         # build above: normals made before the stencils raise the peak memory.
-        tags = np.array(mesh.edge_tags, dtype=object)[mesh.boundary]
+        tags = np.array([mesh.edge_tags[e] for e in mesh.boundary.tolist()], dtype=object)
         names, tag_of = np.unique(tags, return_inverse=True)
         kinds = np.array([name.split(":")[0] for name in names], dtype=object)
         for name, kind in zip(names, kinds):

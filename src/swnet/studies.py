@@ -18,7 +18,7 @@ from .config import (
 from .geometry import Channel, GeometryError, MeshError, build_junction_polygon
 from .meshing import rect_union_mesh
 from .presets import smooth1d
-from .simulation import Mesh2DSimulation, PointGauge, StripGauge, strip_coordinates
+from .simulation import Mesh2DSimulation, PointGauge, StripGauge, strip_cells
 
 
 def _axis_aligned_rect(ch: Channel):
@@ -84,14 +84,14 @@ def build_reference_sim(
     q = sim.field.q
     q[:, 0] = initial_profile(init, None, q[:, 0])[0]
     for cid, ch in channels.items():
-        along, across = strip_coordinates(mesh, ch)
-        inside = (along >= -1e-9) & (along <= ch.length + 1e-9) & (
-            np.abs(across) <= ch.width / 2.0 + 1e-9
-        )
+        s0, s1, half = -1e-9, ch.length + 1e-9, ch.width / 2.0 + 1e-9
+        cells, along, across = strip_cells(mesh, ch, s0, s1, half)
+        inside = (along >= s0) & (along <= s1) & (np.abs(across) <= half)
+        cells = cells[inside]
         h, u = initial_profile(init, cid, along[inside])
-        q[inside, 0] = h
-        q[inside, 1] = h * u * ch.axis[0]
-        q[inside, 2] = h * u * ch.axis[1]
+        q[cells, 0] = h
+        q[cells, 1] = h * u * ch.axis[0]
+        q[cells, 2] = h * u * ch.axis[1]
     return sim
 
 

@@ -348,6 +348,11 @@ class TestCli:
         *[pytest.param(["convergence", "--levels", levels],
                        f"--levels must be at least 2, got {levels}", id=f"levels-{levels}")
           for levels in ("1", "0", "-1")],
+        # the study's coarsest channel cannot be built: no directory is made
+        *[pytest.param(["convergence", "--base-cells", cells, "--levels", "2"],
+                       f"--base-cells {cells}: channel ch1: need at least 2 cells",
+                       id=f"base-cells-{cells}")
+          for cells in ("1", "0")],
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, args, message):
         out = tmp_path / "o"

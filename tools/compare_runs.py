@@ -49,7 +49,9 @@ operator and the regular-stencil flags, cell-major: a tree that keeps the
 gradients component-major in `MeshField.grad` stores the neighbours as (c, n)
 and the operators as (2, c, n), which are transposed back) and of the initial state, and, after
 --steps steps, of the gauge series, the final state and the volume ledger
-(initial and final volume, boundary influx and volume defect).
+(initial and final volume, boundary influx and volume defect). Each tree
+builds each reference `BUILDS` times, and a second table gives the median
+build time per reference and tree, for information: it is not compared.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +247,7 @@ REFERENCE_RUNS = [
     ("test4_super90", None, 0.05),
     ("test1_sub90", TWO_INFLOWS, 0.05),
 ]
+BUILDS = 3
 MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "edge_vb",
                "edge_tags")
 
@@ -255,13 +259,18 @@ def reference_label(name, ends, dx) -> str:
 
 def run_reference(steps: int) -> dict:
     """Mesh, stencils, initial state and a short run of each reference, as
-    arrays keyed "<reference>/<group>/<name>"."""
+    arrays keyed "<reference>/<group>/<name>", and the wall times of its
+    `BUILDS` builds, as "<reference>/timing/build_s"."""
     from swnet import preset, studies
 
     out = {}
     for name, ends, dx in REFERENCE_RUNS:
         cfg = boundary_variant(preset, name, None, ends or {}, None)
-        sim = studies.build_reference_sim(cfg, dx)
+        build_s = []
+        for _ in range(BUILDS):
+            start = time.perf_counter()
+            sim = studies.build_reference_sim(cfg, dx)
+            build_s.append(time.perf_counter() - start)
         mesh = {name: np.asarray(getattr(sim.mesh, name)) for name in MESH_ARRAYS}
         mesh["edge_tags"] = mesh["edge_tags"].astype(str)
         rows = [np.asarray(r, dtype=int) for r in sim.mesh.neighbors]
@@ -282,7 +291,8 @@ def run_reference(steps: int) -> dict:
                **{f"u:{g}": np.array(rec.u[g]) for g in rec.u}}
         ledger = {k: np.array(res.diagnostics[k]) for k in VOLUME_ENTRIES}
         groups = {"mesh": mesh, "stencils": stencils, "initial": {"q": q0},
-                  "run": run, "final": {"q": sim.field.q}, "ledger": ledger}
+                  "run": run, "final": {"q": sim.field.q}, "ledger": ledger,
+                  "timing": {"build_s": np.array(build_s)}}
         label = reference_label(name, ends, dx)
         out |= {f"{label}/{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
     return out
@@ -309,6 +319,17 @@ def compare_reference(old: dict, new: dict):
             row.append("identical" if not differ else "differ: " + ", ".join(differ))
         lines.append(f"| {label} | {cells} | " + " | ".join(row) + " |")
     return lines, problems
+
+
+def build_times(old: dict, new: dict) -> list:
+    """Markdown lines: the median build time of each reference per tree."""
+    lines = [f"| reference | old build, ms (median of {BUILDS}) | new build, ms | new / old |",
+             "|---|---|---|---|"]
+    for name, ends, dx in REFERENCE_RUNS:
+        label = reference_label(name, ends, dx)
+        a, b = (np.median(t[f"{label}/timing/build_s"]) for t in (old, new))
+        lines.append(f"| {label} | {1e3 * a:.1f} | {1e3 * b:.1f} | {b / a:.3f} |")
+    return lines
 
 
 def run_tree(tree: Path, steps: int, reference=False):
@@ -458,6 +479,8 @@ def main(argv=None) -> int:
         lines, problems = compare_reference(old, new)
         print("\n".join(lines))
         print(f"\n{len(REFERENCE_RUNS)} references, {steps} steps each, {problems} problems")
+        print("\nBuild times, for information (not compared):\n")
+        print("\n".join(build_times(old, new)))
     else:
         lines, problems = compare(old, new, args.rtol)
         print("\n".join(lines))
