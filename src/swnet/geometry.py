@@ -279,6 +279,19 @@ def build_junction_polygon(
 BOUNDARY_TAGS = ("wall", "transparent", "inflow", "prescribed")
 
 
+def _runs(keys):
+    """(codes, first, last, uses): the distinct values of `keys` in
+    ascending order, the positions of each one's first and last use, and
+    its count. One stable sort keeps each code's positions in order, so its
+    first and last uses start and end its run; the sort's temporaries go
+    with this call, and a mesh build holds no more than its four results."""
+    by_code = np.argsort(keys, kind="stable")
+    ordered = keys[by_code]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], len(keys))
+    return ordered[starts], by_code[starts], by_code[ends - 1], ends - starts
+
+
 class TriMesh:
     """Unstructured mesh of triangles and polygons with edge adjacency and boundary tags.
 
@@ -345,14 +358,7 @@ class TriMesh:
         tag_keys = np.array(list(tagged), dtype=np.int64).reshape(-1, 2)
         base = 1 + max(int(cells.max()), int(tag_keys.max(initial=0)))
         keys = np.minimum(ha, hb) * base + np.maximum(ha, hb)
-        # One stable sort keeps each code's half-edges in half-edge order:
-        # its first and last uses start and end the code's run.
-        by_code = np.argsort(keys, kind="stable")
-        sorted_keys = keys[by_code]
-        starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
-        ends = np.append(starts[1:], len(keys))
-        codes, first, last = sorted_keys[starts], by_code[starts], by_code[ends - 1]
-        uses = ends - starts
+        codes, first, last, uses = _runs(keys)
         tag_codes = tag_keys @ [base, 1]
         tag_edge = np.minimum(np.searchsorted(codes, tag_codes), len(codes) - 1)
         on_boundary = (codes[tag_edge] == tag_codes) & (uses[tag_edge] == 1)
