@@ -18,6 +18,9 @@ from .riemann import mirrored
 
 
 BOUNDARY_KINDS = ("reflective", "transparent", "inflow", "prescribed")
+# The kinds of 2D reference edge tags, the part before the first colon;
+# "wall" is the reflective kind.
+BOUNDARY_TAGS = ("wall", *BOUNDARY_KINDS[1:])
 
 
 @dataclass
@@ -51,25 +54,24 @@ class GhostStates:
     "prescribed" faces, as `ghosts(q, t, params)`.
 
     q (K, 3) are the inner states, component 1 along the outward normal; row
-    k has condition bcs[rows[k]], by default bcs[k]. Inflow pairs the inward
-    velocity u_fn(t) with the interior's outgoing Riemann invariant; a
-    prescribed face holds (h, u), u positive into the domain, read once here.
+    k has condition bcs[k]. Inflow pairs the inward velocity u_fn(t) with the
+    interior's outgoing Riemann invariant; a prescribed face holds (h, u), u
+    positive into the domain, read once here.
     """
 
-    def __init__(self, kind, bcs, rows=slice(None)):
-        self.kind, self.rows = kind, rows
+    def __init__(self, kind, bcs):
+        self.kind = kind
         if kind == "inflow":
             self.u_fns = [bc.u_fn for bc in bcs]
         else:
-            h = np.array([bc.h for bc in bcs], dtype=float)[rows]
-            self.h, self.hu = h, -h * np.array([bc.u for bc in bcs], dtype=float)[rows]
+            h = np.array([bc.h for bc in bcs], dtype=float)
+            self.h, self.hu = h, -h * np.array([bc.u for bc in bcs], dtype=float)
 
     def __call__(self, q, t: float, params):
         out = np.empty((len(q), 3))
         if self.kind == "inflow":
             g = params.g
-            u = [float(u_fn(t)) for u_fn in self.u_fns]
-            u_bc = u[0] if len(u) == 1 else np.array(u)[self.rows]
+            u_bc = np.array([float(u_fn(t)) for u_fn in self.u_fns])
             c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
             if (c_g <= 0.0).any():
                 raise DryStateError("inflow ghost state would be dry")

@@ -32,6 +32,25 @@ def _load_scenario(args, default_preset=None):
     raise ConfigError("either --config or --preset is required")
 
 
+def _out_dir(args) -> Path:
+    """The directory of --out, which must not name a file or lie under one;
+    a verb checks it before any build or study and makes it with `_make_dir`
+    after success."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {args.out}: {existing} is not a directory")
+    return out
+
+
+def _make_dir(out: Path) -> Path:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror}") from exc
+    return out
+
+
 def _write_meta(out_dir: Path, cfg, result, extra=None):
     meta = {
         "scenario": cfg.data,
@@ -76,10 +95,10 @@ def _dump_final_state(out_dir: Path, sim):
 def cmd_run(args) -> int:
     if args.stride < 1:
         raise ConfigError(f"--stride must be at least 1, got {args.stride}")
+    out_dir = _out_dir(args)
     cfg = _load_scenario(args)
     sim = build_simulation(cfg, order=args.order, cfl=args.cfl, strategy=args.strategy)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     t_end = args.t_end if args.t_end is not None else cfg.t_end
     start = time.perf_counter()
     try:
@@ -119,6 +138,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_grid_study(args) -> int:
+    out_dir = _out_dir(args)
     cfg = _load_scenario(args, default_preset="appB_gridstudy")
     try:
         sizes = [float(tok) for tok in args.sizes.split(",")]
@@ -127,9 +147,7 @@ def cmd_grid_study(args) -> int:
     except ValueError:
         raise ConfigError(f"--sizes must list positive numbers, got {args.sizes!r}") from None
     rows = grid_independence(cfg, sizes, t_end=args.t_end)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "grid_study.csv", "w") as f:
+    with open(_make_dir(out_dir) / "grid_study.csv", "w") as f:
         f.write("size,cells,integral,rel_diff,cpu_s\n")
         for r in rows:
             rel = "" if r["rel_diff"] is None else repr(r["rel_diff"])
@@ -144,15 +162,14 @@ def cmd_grid_study(args) -> int:
 def cmd_convergence(args) -> int:
     if args.levels < 2:
         raise ConfigError(f"--levels must be at least 2, got {args.levels}")
+    out_dir = _out_dir(args)
     try:
         report = convergence_order(
             order=args.order, base_cells=args.base_cells, levels=args.levels
         )
     except ConfigError as exc:  # the study's scenarios take their size from --base-cells
         raise ConfigError(f"--base-cells {args.base_cells}: {exc}") from exc
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "convergence.csv", "w") as f:
+    with open(_make_dir(out_dir) / "convergence.csv", "w") as f:
         f.write("cells,l1_error,observed_order\n")
         for k, cells in enumerate(report["cells"]):
             order = "" if k == 0 else repr(report["orders"][k - 1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -21,6 +22,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """False for the NaN and infinities that Python's `json` reads."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 _NUMBER, _INTEGER, _POINT = "a number", "an integer", "a point [x, y]"
 _STRING, _BOOL = "a string", "true or false"
 _IS = {
@@ -31,9 +37,9 @@ _IS = {
     _BOOL: lambda v: isinstance(v, bool),
 }
 # Each section's keys and the kind of each key's value; None marks a
-# sub-section or list, checked on its own.
+# sub-section, a list or `t_end`, checked on its own.
 _TOP = {"name": _STRING, "physics": None, "numerics": None, "channels": None, "junctions": None,
-        "boundaries": None, "initial": None, "gauges": None, "t_end": _NUMBER, "metadata": None}
+        "boundaries": None, "initial": None, "gauges": None, "t_end": None, "metadata": None}
 _PHYSICS = {"g": _NUMBER, "manning_n": _NUMBER}
 _NUMERICS = {"order": _INTEGER, "cfl": _NUMBER}
 _CHANNEL = {"id": _STRING, "width": _NUMBER, "cells": _INTEGER, "start": _POINT, "end": _POINT}
@@ -57,16 +63,22 @@ _PROFILE_KEYS = {  # the keys each initial profile type requires
 
 def _errors(entry, table, where, closed=True) -> list:
     """One message per value of `entry`, which must be a JSON object, that is
-    not of its kind in `table`; missing keys pass. A key outside `table`
-    raises, unless the section is open (`closed=False`)."""
+    not of its kind in `table`, or is a number or point that is not finite;
+    missing keys pass. A key outside `table` raises, unless the section is
+    open (`closed=False`)."""
     unknown = set(_typed(entry, dict, where)) - table.keys()
     if unknown and closed:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    return [
-        f"{where}: {key!r} must be {kind}, got {entry[key]!r}"
-        for key, kind in table.items()
-        if kind and key in entry and not _IS[kind](entry[key])
-    ]
+    errors = []
+    for key, kind in table.items():
+        if not kind or key not in entry:
+            continue
+        value = entry[key]
+        if not _IS[kind](value):
+            errors.append(f"{where}: {key!r} must be {kind}, got {value!r}")
+        elif not all(map(_is_finite, value if kind == _POINT else [value])):
+            errors.append(f"{where}: {key!r} must be finite, got {value!r}")
+    return errors
 
 
 def _positive(entry, key, where) -> list:
@@ -134,6 +146,9 @@ def _validate(data: dict) -> dict:
         errors += _errors(j, _JUNCTION, where)
         errors += [f"{where}: missing {k!r}" for k in ("id", "strategy", "position", "connects")
                    if k not in j]
+        refine = j.get("patch_refine")
+        if _IS[_INTEGER](refine) and refine < 0:
+            errors.append(f"{where}: 'patch_refine' must be at least 0, got {refine}")
         for conn in _typed(j.get("connects", []), list, f"{where} connects"):
             errors += _errors(conn, _CONNECTION, f"{where} connection")
 
@@ -179,10 +194,13 @@ def _validate(data: dict) -> dict:
             errors.append(f"gauge on {gauge.get('channel')!r}: missing 'id'")
 
     errors += _errors(data.get("metadata", {}), _METADATA, "metadata", closed=False)
+    t_end = data.get("t_end")
     if "t_end" not in data:
         errors.append("missing t_end")
-    if _is_number(data.get("t_end")) and not 0.0 < data["t_end"] < np.inf:
-        errors.append(f"config: 't_end' must be a positive finite number, got {data['t_end']!r}")
+    elif not _is_number(t_end):
+        errors.append(f"config: 't_end' must be a number, got {t_end!r}")
+    elif not 0.0 < t_end < np.inf:
+        errors.append(f"config: 't_end' must be a positive finite number, got {t_end!r}")
 
     if not errors:  # the wiring rules key on names, so only once they are strings
         errors = wiring_errors(

@@ -39,10 +39,10 @@ class PhysicalParams:
     manning_n: float = 0.0
 
     def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.manning_n < 0.0:
-            raise ValueError(f"manning_n must be >= 0, got {self.manning_n}")
+        if not 0.0 < self.g < np.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
+        if not 0.0 <= self.manning_n < np.inf:
+            raise ValueError(f"manning_n must be >= 0 and finite, got {self.manning_n}")
 
 
 def conserved(h, hu=0.0, hv=0.0) -> np.ndarray:

@@ -276,9 +276,6 @@ def build_junction_polygon(
 # Triangular meshes
 # ---------------------------------------------------------------------------
 
-BOUNDARY_TAGS = ("wall", "transparent", "inflow", "prescribed")
-
-
 def _runs(keys):
     """(codes, first, last, uses): the distinct values of `keys` in
     ascending order, the positions of each one's first and last use, and
@@ -441,12 +438,6 @@ class TriMesh:
         # Computed on access: stepping reads `edge_offsets`, so no copy is kept.
         V = self.vertices
         return 0.5 * (V.take(self.edge_va, axis=0) + V.take(self.edge_vb, axis=0))
-
-    def boundary_edges_by_tag(self, prefix: str) -> np.ndarray:
-        return np.array(
-            [e for e in self.boundary if self.edge_tags[e].split(":")[0] == prefix],
-            dtype=int,
-        )
 
     def cell_containing(self, p) -> int:
         """Index of the (convex) cell that contains point p, edges included

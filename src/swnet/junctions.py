@@ -136,9 +136,12 @@ class JunctionField:
         self._first_cell = np.cumsum([0] + n_cells)
         junction_of = np.repeat(np.arange(len(specs)), n_cells)
 
-        # Coupling edges (or sub-edges) in edge order; the channel ends in
-        # order of their first coupling edge, so junction after junction.
-        edges = np.array([e for e in mesh.boundary if mesh.edge_tags[e].startswith("coupling:")])
+        # Coupling edges (or sub-edges) and wall edges, every other boundary
+        # edge, in edge order; the channel ends in order of their first
+        # coupling edge, so junction after junction.
+        bound = mesh.boundary
+        coupling = np.array([mesh.edge_tags[e].startswith("coupling:") for e in bound.tolist()])
+        edges, self._wall_edges = bound[coupling], bound[~coupling]
         keys = [tuple(mesh.edge_tags[e].split(":")[1:]) for e in edges]
         self.ends = list(dict.fromkeys(keys))
         slot = {key: k for k, key in enumerate(self.ends)}
@@ -161,7 +164,6 @@ class JunctionField:
         lengths = mesh.edge_lengths[edges]
         self._cpl_weights = np.array([self._cpl_sigma * lengths, lengths, lengths])
         self._cpl_bins = (len(self.ends) * np.arange(3)[:, None] + self._cpl_end).ravel()
-        self._wall_edges = mesh.boundary_edges_by_tag("wall")
         # Flat `put` indices of the wall and coupling columns of the (3, E)
         # right states, and of the walls' mass and tangential fluxes.
         cols = len(mesh.edge_lengths) * np.arange(3)[:, None]

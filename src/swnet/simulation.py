@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import FarField, GhostStates, boundary_flux
+from .boundaries import BOUNDARY_TAGS, FarField, GhostStates, boundary_flux
 from .core import (
     DryStateError,
     NonFiniteError,
@@ -48,7 +48,7 @@ from .core import (
     from_normal,
     to_normal,
 )
-from .geometry import BOUNDARY_TAGS, Channel, MeshError, TriMesh
+from .geometry import Channel, MeshError, TriMesh
 from .junctions import JunctionField, JunctionSpec, PSFPJunction, project_transverse, wiring_errors
 from .psfp import PSFPFailure
 from .riemann import RiemannBatch, mirrored
@@ -413,36 +413,34 @@ class Mesh2DSimulation(TimeStepper):
         # order of first appearance and edges in boundary order, with the
         # cosines and sines of their normals and their `boundary_flux`
         # ghost: the mirror at walls, a `FarField` on open edges, and the
-        # `GhostStates` of the tags' conditions on inflow and prescribed ones.
+        # `GhostStates` of each edge's condition on inflow and prescribed ones.
         # This reads `mesh.edge_cos` first, so it must follow the MeshField
         # build above: normals made before the stencils raise the peak memory.
-        tags = np.array([mesh.edge_tags[e] for e in mesh.boundary.tolist()], dtype=object)
-        names, tag_of = np.unique(tags, return_inverse=True)
-        kinds = np.array([name.split(":")[0] for name in names], dtype=object)
-        for name, kind in zip(names, kinds):
+        tags = [mesh.edge_tags[e] for e in mesh.boundary.tolist()]
+        for name in sorted(set(tags)):
+            kind = name.split(":")[0]
             if kind not in BOUNDARY_TAGS:
                 raise ValueError(f"unsupported boundary tag {name!r} in 2D domain")
             if kind in ("inflow", "prescribed") and getattr(conds.get(name), "kind", None) != kind:
                 raise ValueError(f"mesh has {name} edges but no {kind} condition for them")
-        per_edge = kinds[tag_of]
-        kind_names, first, kind_of = np.unique(per_edge, return_index=True, return_inverse=True)
+        by_kind = {}
+        for k, name in enumerate(tags):
+            by_kind.setdefault(name.split(":")[0], []).append(k)
         self._boundary_groups = []
-        for k in np.argsort(first):
-            sel = kind_of == k
-            kind, edges = kind_names[k], mesh.boundary[sel]
+        for kind, rows in by_kind.items():
+            edges = mesh.boundary[rows]
             c, s = mesh.edge_cos[edges], mesh.edge_sin[edges]
             if kind == "wall":
                 ghost = mirrored
             elif kind == "transparent":
                 ghost = FarField(self.field, mesh.edge_left[edges], c, s)
             else:
-                used, rows = np.unique(tag_of[sel], return_inverse=True)
-                ghost = GhostStates(kind, [conds[names[i]] for i in used], rows)
+                ghost = GhostStates(kind, [conds[tags[k]] for k in rows])
             self._boundary_groups.append((edges, c, s, ghost))
         # A condition whose tag marks no boundary edge would go unused. This
         # check comes last: made before the groups above, it raised the peak
         # memory of the dx = 0.02 reference by 2.4 MB.
-        unused = sorted(set(conds).difference(names))
+        unused = sorted(set(conds).difference(tags))
         if unused:
             raise MeshError(f"no boundary edge carries the tag of condition {', '.join(unused)}")
         self._reset_diagnostics()

@@ -1,12 +1,14 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from swnet import presets
+from swnet import cli, presets
 from swnet.cli import main
 from swnet.config import ConfigError, ScenarioConfig, build_simulation, parse_config
+from swnet.core import PhysicalParams
 from swnet.studies import build_reference_sim
 
 
@@ -353,12 +355,27 @@ class TestCli:
                        f"--base-cells {cells}: channel ch1: need at least 2 cells",
                        id=f"base-cells-{cells}")
           for cells in ("1", "0")],
+        # an --out that names a file or lies under one, found before any
+        # build or study; FILE stands for that file
+        *[pytest.param([*args, "--out", out], f"--out {out}: FILE is not a directory",
+                       id=f"out-{where}-{args[0]}")
+          for args in (["run", "--preset", "test1_sub90"], ["grid-study"], ["convergence"])
+          for out, where in (("FILE", "file"), ("FILE/o", "under-file"))],
     ])
-    def test_bad_input_is_config_error(self, tmp_path, capsys, args, message):
-        out = tmp_path / "o"
-        assert main([*args, "--out", str(out)]) == 2
+    def test_bad_input_is_config_error(self, tmp_path, capsys, monkeypatch, args, message):
+        out, file = tmp_path / "o", tmp_path / "file"
+        file.write_text("kept\n")
+        if "--out" in args:  # nothing may be built before --out is checked
+            def started(*args, **kwargs):
+                raise AssertionError("a build or study started before --out was checked")
+
+            for name in ("build_simulation", "grid_independence", "convergence_order"):
+                monkeypatch.setattr(cli, name, started)
+        verb, *rest = [a.replace("FILE", str(file)) for a in args]
+        assert main([verb, "--out", str(out), *rest]) == 2
+        message = message.replace("FILE", str(file))
         assert f"configuration error: {message}" in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and file.read_text() == "kept\n"
 
     @pytest.mark.parametrize("source, size, message", [
         ("file", "0.16", "test1_sub90: no reference mesh at size 0.16: "
@@ -636,6 +653,67 @@ class TestPositiveWidths:
                                  "inflow": {"amplitude": 0.1, "center": 0.5, "width": width}}
         message = f"inflow: 'width' must be positive, got {width!r}"
         TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+
+class TestPatchRefine:
+    """A negative `patch_refine` is a configuration error that names the
+    junction, from the schema and as the CLI's exit 2. Before, -1 built and
+    ran a Method-B patch as 0."""
+
+    @pytest.mark.parametrize("refine", [-1, -2])
+    def test_negative(self, tmp_path, capsys, refine):
+        data = presets.preset("test1_sub90", strategy="B").emit()
+        data["junctions"][0]["patch_refine"] = refine
+        message = f"junction j1: 'patch_refine' must be at least 0, got {refine}"
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+    def test_zero_builds(self):
+        data = presets.preset("test1_sub90", strategy="B").emit()
+        data["junctions"][0]["patch_refine"] = 0
+        assert build_simulation(parse_config(data)).junctions[0].mesh.n_cells == 8
+
+
+class TestNonFinite:
+    """Python's `json` reads NaN and Infinity; a scenario number or point
+    value that is not finite is a configuration error that names the field,
+    from the schema and as the CLI's exit 2. Before, `physics.g: Infinity`
+    validated and failed the run with an untyped "non-positive time step",
+    and `physics.manning_n: NaN` ran without friction."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("physics", "g"), math.inf, "physics: 'g' must be finite, got inf"),
+        (("physics", "manning_n"), math.nan, "physics: 'manning_n' must be finite, got nan"),
+        (("physics", "g"), math.nan, "physics: 'g' must be finite, got nan"),
+        (("initial", "h"), math.nan, "initial: 'h' must be finite, got nan"),
+        (("channels", 0, "width"), -math.inf, "channel a: 'width' must be finite, got -inf"),
+        (("channels", 0, "start"), [0, math.nan],
+         "channel a: 'start' must be finite, got [0, nan]"),
+        (("junctions", 0, "position"), [math.inf, 0.0],
+         "junction j: 'position' must be finite, got [inf, 0.0]"),
+        (("boundaries", 0), {"channel": "a", "end": "start", "kind": "prescribed",
+                             "h": 0.2, "u": math.nan},
+         "boundary: 'u' must be finite, got nan"),
+        (("metadata",), {"probe": [math.nan, 0.0]},
+         "metadata: 'probe' must be finite, got [nan, 0.0]"),
+    ], ids=["g-inf", "manning-nan", "g-nan", "initial.h", "width", "start", "position",
+            "boundary.u", "probe"])
+    def test_named_as_config_error(self, tmp_path, capsys, path, value, message):
+        data = {**minimal_cfg(), "physics": {}}
+        entry = data
+        for k in path[:-1]:
+            entry = entry[k]
+        entry[path[-1]] = value
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+    @pytest.mark.parametrize("physics, message", [
+        ({"g": math.inf}, "g must be positive and finite, got inf"),
+        ({"g": math.nan}, "g must be positive and finite, got nan"),
+        ({"manning_n": math.nan}, "manning_n must be >= 0 and finite, got nan"),
+        ({"manning_n": math.inf}, "manning_n must be >= 0 and finite, got inf"),
+    ])
+    def test_physical_params(self, physics, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PhysicalParams(**physics)
 
 
 class TestScenarioText:

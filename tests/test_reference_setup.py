@@ -1,20 +1,26 @@
 """The full-2D reference's set-up equals its former formulas to the bit.
 
 Each oracle below is a verbatim copy of the formula that it replaced: the
-edge table from two `np.unique` calls, one stencil fit per cell, and the
-initial state and strip gauges selected by scanning every cell centroid.
+edge table from two `np.unique` calls, one stencil fit per cell, the
+initial state and strip gauges selected by scanning every cell centroid,
+and the boundary groups from three `np.unique` calls.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swnet import preset
+from swnet import preset, studies
+from swnet.boundaries import BoundaryCondition, FarField, GhostStates, gaussian_pulse
 from swnet.config import build_channels, build_simulation, gauges, initial_profile
-from swnet.core import PhysicalParams
+from swnet.core import DryStateError, PhysicalParams
 from swnet.geometry import Channel, GeometryError, MeshError, TriMesh, build_junction_polygon
-from swnet.meshing import fan_refine_mesh
+from swnet.meshing import fan_refine_mesh, rect_union_mesh
+from swnet.riemann import mirrored
 from swnet.scheme2d import MeshField, _distinct_rows
-from swnet.simulation import StripGauge, strip_cells
+from swnet.simulation import Mesh2DSimulation, StripGauge, strip_cells
 from swnet.studies import build_reference_sim
 
 # Every preset and size at which `build_reference_sim` builds a reference.
@@ -446,3 +452,129 @@ class TestCellSelection:
             ch = Channel("c", 2.0 * abs(off[k]), 4, ch.start, ch.end)
             for s in (along[k] + hw, along[k] - hw):
                 gauge_cells(mesh, ch, s, scanned_strip_coordinates)
+
+
+# ---------------------------------------------------------------------------
+# Boundary groups
+# ---------------------------------------------------------------------------
+
+
+class FormerGhostStates:
+    """`GhostStates` by its former formula: row k took condition
+    bcs[rows[k]], and an inflow evaluated each condition once."""
+
+    def __init__(self, kind, bcs, rows=slice(None)):
+        self.kind, self.rows = kind, rows
+        if kind == "inflow":
+            self.u_fns = [bc.u_fn for bc in bcs]
+        else:
+            h = np.array([bc.h for bc in bcs], dtype=float)[rows]
+            self.h, self.hu = h, -h * np.array([bc.u for bc in bcs], dtype=float)[rows]
+
+    def __call__(self, q, t: float, params):
+        out = np.empty((len(q), 3))
+        if self.kind == "inflow":
+            g = params.g
+            u = [float(u_fn(t)) for u_fn in self.u_fns]
+            u_bc = u[0] if len(u) == 1 else np.array(u)[self.rows]
+            c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
+            if (c_g <= 0.0).any():
+                raise DryStateError("inflow ghost state would be dry")
+            h_g = c_g * c_g / g
+            out[:, 0] = h_g
+            out[:, 1] = h_g * (-u_bc)
+        else:
+            out[:, 0] = self.h
+            out[:, 1] = self.hu
+        out[:, 2] = 0.0
+        return out
+
+
+def former_boundary_groups(mesh, field, conds):
+    """`Mesh2DSimulation`'s boundary groups by the former formula, three
+    `np.unique` calls and an `argsort` of first uses: (kind, edges, cosines,
+    sines, ghost) per group."""
+    tags = np.array([mesh.edge_tags[e] for e in mesh.boundary.tolist()], dtype=object)
+    names, tag_of = np.unique(tags, return_inverse=True)
+    kinds = np.array([name.split(":")[0] for name in names], dtype=object)
+    per_edge = kinds[tag_of]
+    kind_names, first, kind_of = np.unique(per_edge, return_index=True, return_inverse=True)
+    groups = []
+    for k in np.argsort(first):
+        sel = kind_of == k
+        kind, edges = kind_names[k], mesh.boundary[sel]
+        c, s = mesh.edge_cos[edges], mesh.edge_sin[edges]
+        if kind == "wall":
+            ghost = mirrored
+        elif kind == "transparent":
+            ghost = FarField(field, mesh.edge_left[edges], c, s)
+        else:
+            used, rows = np.unique(tag_of[sel], return_inverse=True)
+            ghost = FormerGhostStates(kind, [conds[names[i]] for i in used], rows)
+        groups.append((kind, edges, c, s, ghost))
+    return groups
+
+
+def assert_former_boundary_groups(sim, conds):
+    """Kinds in the same order, the same edges, cosines and sines to the
+    bit, the same ghost types, and the same per-edge ghosts of random inner
+    states at a few times."""
+    former = former_boundary_groups(sim.mesh, sim.field, conds)
+    kinds = [{mirrored: "wall"}.get(g, getattr(g, "kind", "transparent"))
+             for *_, g in sim._boundary_groups]
+    assert kinds == [kind for kind, *_ in former]
+    rng = np.random.default_rng(7)
+    for (edges, c, s, ghost), (kind, *arrays, was) in zip(sim._boundary_groups, former):
+        assert [bits(a) for a in (edges, c, s)] == [bits(a) for a in arrays]
+        if kind == "wall":
+            assert ghost is mirrored
+        elif kind == "transparent":
+            assert type(ghost) is FarField and ghost.field is was.field
+            assert [bits(a) for a in (ghost.cells, *ghost.cs)] == [
+                bits(a) for a in (was.cells, *was.cs)]
+        else:
+            assert type(ghost) is GhostStates
+            q = rng.uniform([0.5, -0.3, -0.1], [1.5, 0.3, 0.1], (len(edges), 3))
+            for t in (0.0, 0.9, 3.0):
+                assert bits(ghost(q, t, sim.params)) == bits(was(q, t, sim.params))
+    return kinds
+
+
+def compare_runs_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+COMPARE_RUNS = compare_runs_tool()
+
+
+class TestBoundaryGroups:
+    @pytest.mark.parametrize("name, ends, dx", [run for run in COMPARE_RUNS.REFERENCE_RUNS
+                                                if run[2] >= 0.05])
+    def test_references(self, monkeypatch, name, ends, dx):
+        calls = recorded(monkeypatch, studies, "Mesh2DSimulation")
+        cfg = COMPARE_RUNS.boundary_variant(preset, name, None, ends or {}, None)
+        sim = build_reference_sim(cfg, dx)
+        assert_former_boundary_groups(sim, calls[0][1]["boundary_conditions"])
+
+    def test_interleaved_inflow_and_prescribed_tags(self):
+        """Two inflows and two prescribed states alternate along the left
+        side, so each kind's edges come from several tags, out of tag order."""
+        names = ["inflow:d:start", "prescribed:c:start", "inflow:a:start", "prescribed:b:start"]
+        segs = [((0, 0.1 * k), (0, 0.1 * (k + 1)), names[k % 4]) for k in range(8)]
+        segs.append(((2, 0), (2, 0.8), "transparent"))
+        mesh = rect_union_mesh([(0, 0, 2, 0.8)], 0.1, tag_segments=segs)
+        conds = {
+            "inflow:d:start": BoundaryCondition("inflow", u_fn=gaussian_pulse(0.2, 0.5, 0.3)),
+            "inflow:a:start": BoundaryCondition("inflow", u_fn=gaussian_pulse(0.4, 1.0, 0.5)),
+            "prescribed:c:start": BoundaryCondition("prescribed", h=1.1, u=0.1),
+            "prescribed:b:start": BoundaryCondition("prescribed", h=0.9, u=-0.05),
+        }
+        sim = Mesh2DSimulation(mesh, PhysicalParams(), boundary_conditions=conds)
+        open_tags = [t for t in (mesh.edge_tags[e] for e in mesh.boundary) if t in conds]
+        assert open_tags == [names[k % 4] for k in range(8)]
+        assert assert_former_boundary_groups(sim, conds) == [
+            "wall", "inflow", "prescribed", "transparent"]

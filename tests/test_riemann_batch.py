@@ -346,16 +346,20 @@ def test_channel_ends_equal_the_flip_formula(ends):
 
 def failing(kind, side):
     """test1_sub90 B with a zero or NaN depth in its first step's batch. On
-    the "right" side, ch3's end is prescribed at that depth, whose ghost is
-    the right state of its Riemann problem; at the "start", ch1's start is,
-    whose ghost is the right state too, as every boundary face puts its inner
-    state on the left. On the "left" side, one junction edge state gets it,
-    the left state of an edge's problem."""
+    the "right" side, ch3's end is prescribed, and its ghost, the right state
+    of its Riemann problem, is set to that depth once built (a scenario's
+    numbers are finite); at the "start", ch1's start is, whose ghost is the
+    right state too, as every boundary face puts its inner state on the
+    left. On the "left" side, one junction edge state gets it, the left
+    state of an edge's problem."""
     h = 0.0 if kind == "dry" else np.nan
     end = ("ch1", "start") if side == "start" else ("ch3", "end")
-    ends = {end: {"kind": "prescribed", "h": 0.16 if side == "left" else h, "u": 0.0}}
+    ends = {end: {"kind": "prescribed", "h": 0.16, "u": 0.0}}
     sim = build_simulation(with_ends(presets.preset("test1_sub90", strategy="B"), ends))
-    if side == "left":
+    if side != "left":
+        (ghost,) = [g for *_, g in sim._boundary_groups if getattr(g, "kind", "") == "prescribed"]
+        ghost.h[:] = h
+    else:
         mesh_field = sim.junction_field.mesh_field
         edge_states = mesh_field.edge_states
 

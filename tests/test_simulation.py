@@ -192,6 +192,23 @@ def test_mesh_simulation_rejects_conditions_that_tag_no_edge():
     assert sim.run(0.05).status == "completed"
 
 
+@pytest.mark.parametrize("tags, bcs, message", [
+    (["coupling:c:end"], {}, "unsupported boundary tag 'coupling:c:end' in 2D domain"),
+    (["inflow:c:start"], {}, "mesh has inflow:c:start edges but no inflow condition for them"),
+    (["prescribed:c:end"], {"prescribed:c:end": BoundaryCondition("transparent")},
+     "mesh has prescribed:c:end edges but no prescribed condition for them"),
+    # of several bad tags, the first in sorted order is named
+    (["outlet", "inflow:c:start"], {}, "mesh has inflow:c:start edges but no inflow condition"),
+    (["inflow:c:start", "bad"], {}, "unsupported boundary tag 'bad' in 2D domain"),
+], ids=["unsupported", "no-condition", "wrong-kind", "sorted-first-missing",
+        "sorted-first-unsupported"])
+def test_mesh_simulation_rejects_a_tag_it_cannot_close(tags, bcs, message):
+    segs = [((0, 0), (0, 0.5), tags[0]), ((2, 0), (2, 0.5), tags[-1])]
+    mesh = rect_union_mesh([(0, 0, 2, 0.5)], 0.1, tag_segments=segs)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        Mesh2DSimulation(mesh, P, boundary_conditions=bcs)
+
+
 class TestTwoInflows:
     # test1_sub90 with its two transparent outlets turned into inflows.
     def cfg(self):
