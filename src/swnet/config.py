@@ -81,6 +81,16 @@ def _errors(entry, table, where, closed=True) -> list:
     return errors
 
 
+def _non_finite(value, where) -> list:
+    """One message per NaN or infinity at any depth of a free-form JSON
+    value, named by its key path: strict JSON has no such numbers."""
+    if isinstance(value, dict):
+        return [m for k, v in value.items() for m in _non_finite(v, f"{where}.{k}")]
+    if isinstance(value, list):
+        return [m for k, v in enumerate(value) for m in _non_finite(v, f"{where}[{k}]")]
+    return [] if _is_finite(value) else [f"{where} must be finite, got {value!r}"]
+
+
 def _positive(entry, key, where) -> list:
     """A message when `entry[key]`, which a build divides by, is a number
     that is not positive."""
@@ -193,7 +203,9 @@ def _validate(data: dict) -> dict:
         if "id" not in gauge:
             errors.append(f"gauge on {gauge.get('channel')!r}: missing 'id'")
 
-    errors += _errors(data.get("metadata", {}), _METADATA, "metadata", closed=False)
+    metadata = data.get("metadata", {})
+    errors += _errors(metadata, _METADATA, "metadata", closed=False)
+    errors += _non_finite({k: v for k, v in metadata.items() if k not in _METADATA}, "metadata")
     t_end = data.get("t_end")
     if "t_end" not in data:
         errors.append("missing t_end")

@@ -31,6 +31,14 @@ def _next(a):
     return np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
 
 
+def row_lengths(d: np.ndarray) -> np.ndarray:
+    """Length of each (x, y) row of `d` (..., 2): the bits of
+    `np.linalg.norm(d, axis=-1)`, which forms x * x + y * y and takes its
+    square root, without its reduction over a 2-long axis."""
+    x, y = d[..., 0], d[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def polygon_area(vertices: np.ndarray):
     """Signed shoelace area of (n, 2) vertices, or of each polygon of an
     (..., n, 2) stack; positive for counter-clockwise polygons."""
@@ -327,17 +335,13 @@ class TriMesh:
         ) * (p2[:, 0] - p0[:, 0])
         self.areas = 0.5 * cross
         self.centroids = (p0 + p1 + p2) / 3.0
-        per = (
-            np.linalg.norm(p1 - p0, axis=1)
-            + np.linalg.norm(p2 - p1, axis=1)
-            + np.linalg.norm(p0 - p2, axis=1)
-        )
+        per = row_lengths(p1 - p0) + row_lengths(p2 - p1) + row_lengths(p0 - p2)
         poly = np.flatnonzero(corners > 3)
         if len(poly):
             P = V[filled[poly]]
             self.areas[poly] = polygon_area(P)
             self.centroids[poly] = polygon_centroid(P)
-            per[poly] = np.linalg.norm(np.roll(P, -1, axis=1) - P, axis=2).sum(axis=1)
+            per[poly] = row_lengths(np.roll(P, -1, axis=1) - P).sum(axis=1)
         if np.any(self.areas <= 0.0):
             bad = int(np.argmax(self.areas <= 0.0))
             raise MeshError(f"cell {bad} is not counter-clockwise (or degenerate)")
@@ -384,7 +388,7 @@ class TriMesh:
         self.edge_vb = hb[h1]
         self.edge_tags = tag_of[order].tolist()
         evec = V.take(self.edge_vb, axis=0) - V.take(self.edge_va, axis=0)
-        self.edge_lengths = np.linalg.norm(evec, axis=1)
+        self.edge_lengths = row_lengths(evec)
         if np.any(self.edge_lengths <= 0.0):
             raise MeshError("zero-length edge")
         tdir = evec / self.edge_lengths[:, None]
@@ -442,15 +446,34 @@ class TriMesh:
     def cell_containing(self, p) -> int:
         """Index of the (convex) cell that contains point p, edges included
         to 1e-12; of several, the first in `np.argsort` order of centroid
-        distance. A point in no cell is a ValueError."""
+        distance. A point in no cell is a ValueError.
+
+        Only cells whose centroid lies within the largest centroid-to-corner
+        distance of p, grown by a margin, are tested first. When one of them
+        contains p, every cell farther out is farther from p than it, so the
+        nearest of them is the answer unless two tie in distance; a tie, or
+        no containing cell among them, takes the full sort."""
         p = np.asarray(p, dtype=float)
-        cells = self.triangles
-        a = self.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (T, K, 2)
-        e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
-        d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
-        by_distance = np.argsort(np.linalg.norm(self.centroids - p, axis=1))
-        inside = by_distance[(d >= -1e-12).all(axis=1)[by_distance]]
+        distance = row_lengths(self.centroids - p)
+        ox, oy = self.vertex_offsets[:, 0], self.vertex_offsets[:, 1]
+        reach = float(np.sqrt((ox * ox + oy * oy).max()))
+        near = np.flatnonzero(distance <= reach * (1.0 + 1e-6) + 1e-9)
+        inside = near[self._contains(near, p)]
+        if len(inside):
+            nearest = distance[inside] == distance[inside].min()
+            if np.count_nonzero(nearest) == 1:
+                return int(inside[nearest.argmax()])
+        by_distance = np.argsort(distance)
+        inside = by_distance[self._contains(slice(None), p)[by_distance]]
         if not len(inside):
             raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
         return int(inside[0])
 
+    def _contains(self, rows, p) -> np.ndarray:
+        """Whether each cell of `rows` holds p: p lies left of each of its
+        edges, or on it to 1e-12. Padded corners repeat the first one."""
+        cells = self.triangles[rows]
+        a = self.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (n, K, 2)
+        e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
+        d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
+        return (d >= -1e-12).all(axis=1)

@@ -52,30 +52,41 @@ def rect_union_mesh(rects, dx, tag_segments=None, polygons=()):
 
     cx = x_min + dx * (np.arange(nx) + 0.5)
     cy = y_min + dx * (np.arange(ny) + 0.5)
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
     mask = np.zeros((nx, ny), dtype=bool)
     eps = 1e-9 * dx
+
+    def box(lo_x, hi_x, lo_y, hi_y):
+        """The index block of the centres with lo < c < hi on both axes;
+        `cx` and `cy` ascend."""
+        return (slice(np.searchsorted(cx, lo_x, "right"), np.searchsorted(cx, hi_x, "left")),
+                slice(np.searchsorted(cy, lo_y, "right"), np.searchsorted(cy, hi_y, "left")))
+
     for x0, y0, x1, y1 in rects:
-        mask |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
+        mask[box(x0 - eps, x1 + eps, y0 - eps, y1 + eps)] = True
     for poly in polygons:
         poly = np.asarray(poly, dtype=float)
         # Centres outside the bounding box cross no edge, or an even number.
         (px0, py0), (px1, py1) = poly.min(axis=0) - eps, poly.max(axis=0) + eps
-        test = ~mask & (CX > px0) & (CX < px1) & (CY > py0) & (CY < py1)
-        mask[test] = point_in_polygon(np.stack([CX[test], CY[test]], axis=1), poly)
+        bi, bj = box(px0, px1, py0, py1)
+        sub = mask[bi, bj]
+        ti, tj = np.nonzero(~sub)
+        sub[ti, tj] = point_in_polygon(np.stack([cx[bi][ti], cy[bj][tj]], axis=1), poly)
     if not mask.any():
         raise MeshError("empty footprint")
 
     # Corners (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) of every cell,
-    # cells in (i, j) order; nodes are numbered by first use in that list.
+    # cells in (i, j) order; nodes are numbered by first use in that list,
+    # found on a table of the (nx + 1)(ny + 1) grid nodes.
     ci, cj = np.nonzero(mask)
-    corners = (ci[:, None] + [0, 1, 1, 0]) * (ny + 1) + cj[:, None] + [0, 0, 1, 1]
-    keys, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    v00, v10, v11, v01 = number[inverse].reshape(-1, 4).T
-    node_i, node_j = np.divmod(keys[order], ny + 1)
+    corners = ((ci[:, None] + [0, 1, 1, 0]) * (ny + 1) + cj[:, None] + [0, 0, 1, 1]).ravel()
+    first = np.full((nx + 1) * (ny + 1), len(corners))
+    np.minimum.at(first, corners, np.arange(len(corners)))
+    used = np.flatnonzero(first < len(corners))
+    keys = used[np.argsort(first[used])]
+    number = np.empty_like(first)
+    number[keys] = np.arange(len(keys))
+    v00, v10, v11, v01 = number[corners].reshape(-1, 4).T
+    node_i, node_j = np.divmod(keys, ny + 1)
     verts = np.stack([x_min + node_i * dx, y_min + node_j * dx], axis=1)
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 

@@ -125,3 +125,35 @@ def test_changed_geometry_is_a_problem_per_array():
         retyped = old | {"geometry": old["geometry"] | {array: ("float32", [0.1])}}
         _, problems = compare_runs.compare([old], [retyped], rtol=1.0)
         assert problems == 1
+
+
+def test_changed_gauge_cell_is_a_problem(monkeypatch):
+    run = ("test6_network", None, 0.02)
+    monkeypatch.setattr(compare_runs, "REFERENCE_RUNS", [run])
+    label = compare_runs.reference_label(*run)
+    assert compare_runs.POINT_GAUGES[label]
+    old = {f"{label}/mesh/triangles": np.zeros((4, 3), dtype=int),
+           f"{label}/gauges/inlet:cells": np.array([10])}
+    lines, problems = compare_runs.compare_reference(old, old | {
+        f"{label}/gauges/inlet:cells": np.array([11])})
+    assert problems == 1
+    assert "| differ: inlet:cells |" in lines[-1]
+
+
+def test_build_timings_alternate_which_tree_goes_first(monkeypatch):
+    """A drift of the host during the timings falls on both trees: the tree
+    that builds first alternates from round to round, over at least five
+    rounds, and each round's times go to the tree that made them."""
+    order = []
+
+    def timed_round(tree):
+        order.append(tree)
+        return {"ref": float(len(order))}
+
+    monkeypatch.setattr(compare_runs, "timed_round", timed_round)
+    old, new = compare_runs.time_builds(["old", "new"])
+    rounds = [order[k : k + 2] for k in range(0, len(order), 2)]
+    assert len(rounds) >= 5
+    assert rounds == [["old", "new"] if k % 2 == 0 else ["new", "old"] for k in range(len(rounds))]
+    assert old == {"ref": [k + 1.0 for k, tree in enumerate(order) if tree == "old"]}
+    assert new == {"ref": [k + 1.0 for k, tree in enumerate(order) if tree == "new"]}

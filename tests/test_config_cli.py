@@ -705,6 +705,18 @@ class TestNonFinite:
         entry[path[-1]] = value
         TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
 
+    @pytest.mark.parametrize("assumed, message", [
+        ({"slope": math.nan}, "metadata.assumed.slope must be finite, got nan"),
+        ({"a": {"b": [1.0, [2.0, -math.inf]]}},
+         "metadata.assumed.a.b[1][1] must be finite, got -inf"),
+    ], ids=["nan", "nested-inf"])
+    def test_in_free_form_metadata(self, tmp_path, capsys, assumed, message):
+        """`run_meta.json` copies `metadata.assumed`; before, a NaN there
+        ran and was written as a bare `NaN`, which strict JSON rejects."""
+        data = presets.preset("smooth1d").emit()
+        data["metadata"]["assumed"] = assumed
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
     @pytest.mark.parametrize("physics, message", [
         ({"g": math.inf}, "g must be positive and finite, got inf"),
         ({"g": math.nan}, "g must be positive and finite, got nan"),

@@ -3,10 +3,14 @@
 Each oracle below is a verbatim copy of the formula that it replaced: the
 edge table from two `np.unique` calls, one stencil fit per cell, the
 initial state and strip gauges selected by scanning every cell centroid,
-and the boundary groups from three `np.unique` calls.
+the boundary groups from three `np.unique` calls, the point gauge's cell
+from a sort of every centroid distance, the footprint rasterized on every
+cell centre and its nodes numbered by `np.unique`, and row lengths from
+`np.linalg.norm`.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,15 @@ from swnet import preset, studies
 from swnet.boundaries import BoundaryCondition, FarField, GhostStates, gaussian_pulse
 from swnet.config import build_channels, build_simulation, gauges, initial_profile
 from swnet.core import DryStateError, PhysicalParams
-from swnet.geometry import Channel, GeometryError, MeshError, TriMesh, build_junction_polygon
+from swnet.geometry import (
+    Channel,
+    GeometryError,
+    MeshError,
+    TriMesh,
+    build_junction_polygon,
+    point_in_polygon,
+    row_lengths,
+)
 from swnet.meshing import fan_refine_mesh, rect_union_mesh
 from swnet.riemann import mirrored
 from swnet.scheme2d import MeshField, _distinct_rows
@@ -578,3 +590,182 @@ class TestBoundaryGroups:
         assert open_tags == [names[k % 4] for k in range(8)]
         assert assert_former_boundary_groups(sim, conds) == [
             "wall", "inflow", "prescribed", "transparent"]
+
+
+# ---------------------------------------------------------------------------
+# Point gauge cells
+# ---------------------------------------------------------------------------
+
+
+def former_cell_containing(mesh, p) -> int:
+    p = np.asarray(p, dtype=float)
+    cells = mesh.triangles
+    a = mesh.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (T, K, 2)
+    e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
+    d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
+    by_distance = np.argsort(np.linalg.norm(mesh.centroids - p, axis=1))
+    inside = by_distance[(d >= -1e-12).all(axis=1)[by_distance]]
+    if not len(inside):
+        raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
+    return int(inside[0])
+
+
+def assert_former_cell(mesh, p):
+    """`cell_containing(p)` returns the former cell, or raises the same
+    ValueError; the cell, or None."""
+    try:
+        want = former_cell_containing(mesh, p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            mesh.cell_containing(p)
+        return None
+    assert mesh.cell_containing(p) == want
+    return want
+
+
+def assert_former_cells(mesh, seed, n=40):
+    """Up to `n` corners, edge midpoints and centroids, `n` random points in
+    the bounding box and a few points past it."""
+    rng = np.random.default_rng(seed)
+
+    def pick(a):
+        return a[rng.choice(len(a), min(n, len(a)), replace=False)]
+
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    points = [*pick(mesh.vertices), *pick(mesh.edge_midpoints), *pick(mesh.centroids),
+              *rng.uniform(lo, hi, (n, 2)), hi + 0.1, lo - 0.1, (lo[0] - 1e-9, hi[1]),
+              (np.nan, lo[1])]
+    found = [assert_former_cell(mesh, p) for p in points]
+    assert sum(c is None for c in found) >= 3
+    assert sum(c is not None for c in found) >= min(n, mesh.n_cells)  # the centroids at least
+
+
+class TestPointGaugeCells:
+    @pytest.mark.parametrize("name, dx", REFERENCES)
+    def test_references(self, name, dx):
+        assert_former_cells(build_reference_sim(preset(name), dx).mesh, seed=int(100 * dx))
+
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_junction_fields(self, strategy):
+        mesh = build_simulation(preset("test6_network", strategy=strategy)).junction_field.mesh
+        assert (mesh.triangles.shape[1] > 3) == (strategy == "A")
+        assert_former_cells(mesh, seed=7, n=200)
+
+    def test_split_quad_centre(self):
+        """At dx = 0.02, (-1.49, 0.01) is the centre of a split quad: two
+        cells contain it, at centroid distances that differ in the last bits."""
+        mesh = build_reference_sim(preset("test6_network"), 0.02).mesh
+        p = np.array([-1.49, 0.01])
+        both = np.flatnonzero(mesh._contains(slice(None), p))
+        distance = np.linalg.norm(mesh.centroids[both] - p, axis=1)
+        assert len(both) == 2 and distance[0] != distance[1]
+        assert abs(distance[0] - distance[1]) < 1e-15
+        assert assert_former_cell(mesh, p) == both[np.argmin(distance)]
+
+    def test_tie_in_distance_keeps_the_sort_order(self):
+        """Two triangles mirrored about x = 0 both hold points of their
+        shared edge, at exactly equal centroid distances."""
+        mesh = walled([(-1, 0), (0, -1), (0, 1), (1, 0)], [[0, 1, 2], [3, 2, 1]])
+        assert mesh.centroids.tolist() == [[-1 / 3, 0.0], [1 / 3, 0.0]]
+        for y in (0.25, -0.5, 0.0, 1.0):
+            p = (0.0, y)
+            distance = np.linalg.norm(mesh.centroids - p, axis=1)
+            assert distance[0] == distance[1] and mesh._contains(slice(None), np.array(p)).all()
+            assert assert_former_cell(mesh, p) is not None
+
+
+# ---------------------------------------------------------------------------
+# Footprint raster and node numbering
+# ---------------------------------------------------------------------------
+
+
+def former_rect_union_nodes(rects, dx, tag_segments=None, polygons=()):
+    """(vertices, triangles) of `rect_union_mesh` by the former formula:
+    every rectangle and polygon tested on every cell centre, nodes numbered
+    by `np.unique`."""
+    rects = [tuple(map(float, r)) for r in rects]
+    xs = [r[0] for r in rects] + [r[2] for r in rects]
+    ys = [r[1] for r in rects] + [r[3] for r in rects]
+    for p in polygons:
+        xs += list(np.asarray(p)[:, 0])
+        ys += list(np.asarray(p)[:, 1])
+    x_min, y_min = min(xs), min(ys)
+    nx = int(round((max(xs) - x_min) / dx))
+    ny = int(round((max(ys) - y_min) / dx))
+
+    cx = x_min + dx * (np.arange(nx) + 0.5)
+    cy = y_min + dx * (np.arange(ny) + 0.5)
+    CX, CY = np.meshgrid(cx, cy, indexing="ij")
+    mask = np.zeros((nx, ny), dtype=bool)
+    eps = 1e-9 * dx
+    for x0, y0, x1, y1 in rects:
+        mask |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
+    for poly in polygons:
+        poly = np.asarray(poly, dtype=float)
+        # Centres outside the bounding box cross no edge, or an even number.
+        (px0, py0), (px1, py1) = poly.min(axis=0) - eps, poly.max(axis=0) + eps
+        test = ~mask & (CX > px0) & (CX < px1) & (CY > py0) & (CY < py1)
+        mask[test] = point_in_polygon(np.stack([CX[test], CY[test]], axis=1), poly)
+
+    # Corners (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) of every cell,
+    # cells in (i, j) order; nodes are numbered by first use in that list.
+    ci, cj = np.nonzero(mask)
+    corners = (ci[:, None] + [0, 1, 1, 0]) * (ny + 1) + cj[:, None] + [0, 0, 1, 1]
+    keys, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    v00, v10, v11, v01 = number[inverse].reshape(-1, 4).T
+    node_i, node_j = np.divmod(keys[order], ny + 1)
+    verts = np.stack([x_min + node_i * dx, y_min + node_j * dx], axis=1)
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return verts, tris
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("name, dx", REFERENCES)
+    def test_references(self, monkeypatch, name, dx):
+        calls = recorded(monkeypatch, studies, "rect_union_mesh")
+        sim = build_reference_sim(preset(name), dx)
+        (args, kwargs), = calls
+        verts, tris = former_rect_union_nodes(*args, **kwargs)
+        assert bits(sim.mesh.vertices) == bits(verts)
+        assert bits(sim.mesh.triangles) == bits(tris)
+
+    def test_centres_on_the_box_bounds(self):
+        """Polygons whose bounding box, widened by 1e-9 dx, ends a few ulps
+        short of, on and past the first and last cell centres of a row."""
+        dx, eps = 0.1, 1e-9 * 0.1
+        rects = [(0.0, 0.0, 1.0, 0.5), (0.4, 0.5, 0.6, 1.0)]
+        cx = dx * (np.arange(10) + 0.5)
+        hits = set()
+        for k in range(-3, 4):
+            x0 = cx[0] + eps + k * np.spacing(cx[0])
+            x1 = cx[-1] - eps + k * np.spacing(cx[-1])
+            hits |= {side for side, hit in (("low", x0 - eps == cx[0]),
+                                            ("high", x1 + eps == cx[-1])) if hit}
+            poly = np.array([(x0, 1.0), (x1, 1.0), (x1, 1.2), (x0, 1.3)])
+            mesh = rect_union_mesh(rects, dx, polygons=[poly])
+            verts, tris = former_rect_union_nodes(rects, dx, polygons=[poly])
+            assert bits(mesh.vertices) == bits(verts) and bits(mesh.triangles) == bits(tris)
+        assert hits == {"low", "high"}
+
+
+# ---------------------------------------------------------------------------
+# Row lengths
+# ---------------------------------------------------------------------------
+
+
+def test_row_lengths_are_the_norm_to_the_bit():
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    rows = np.array([
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (tiny, 0.0), (-tiny, tiny),
+        (1e-160, 1e-160), (2.2e-308, -1e-310), (huge, 0.0), (1e200, 1e200), (-huge, -huge),
+        (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.nan, np.inf), (3.0, 4.0),
+    ])
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([rows, rng.standard_normal((1000, 2)) * 10.0 ** rng.integers(-300, 300, (1000, 2))])
+    with np.errstate(over="ignore", under="ignore"):
+        assert bits(row_lengths(rows)) == bits(np.linalg.norm(rows, axis=1))
+        stack = rows[:1014].reshape(-1, 3, 2)
+        assert bits(row_lengths(stack)) == bits(np.linalg.norm(stack, axis=2))

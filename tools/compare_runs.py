@@ -42,21 +42,27 @@ builds full-2D references in each tree instead (`REFERENCE_RUNS`: the
 test6_network reference at dx = 0.1, 0.04 and 0.02, whose open boundary is
 one inflow; test1_sub90 with an inflow and far-field edges, test4_super90
 with prescribed and far-field edges, and test1_sub90 with two inflows, at
-dx = 0.05) and requires exact equality: of every mesh array (vertices,
+dx = 0.05; the one at dx = 0.02 also holds the point gauges of
+`POINT_GAUGES`) and requires exact equality: of every mesh array (vertices,
 triangles, the edge table and tags, each cell's neighbours), of the
 reconstruction stencils (cells, neighbours, the two slope rows of each
 operator and the regular-stencil flags, cell-major: a tree that keeps the
 gradients component-major in `MeshField.grad` stores the neighbours as (c, n)
-and the operators as (2, c, n), which are transposed back) and of the initial state, and, after
---steps steps, of the gauge series, the final state and the volume ledger
-(initial and final volume, boundary influx and volume defect). Each tree
-builds each reference `BUILDS` times, and a second table gives the median
+and the operators as (2, c, n), which are transposed back), of the initial state
+and of each gauge's cells and weights, and, after --steps steps, of the
+gauge series, the final state and the volume ledger (initial and final
+volume, boundary influx and volume defect). A second table gives the median
 build time per reference and tree, for information: it is not compared.
+The builds are timed in `ROUNDS` rounds, one fresh interpreter per tree and
+round, which build each reference once untimed and once timed; the tree
+that builds first alternates from round to round, so that a drift of the
+host falls on both trees alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import subprocess
@@ -247,7 +253,11 @@ REFERENCE_RUNS = [
     ("test4_super90", None, 0.05),
     ("test1_sub90", TWO_INFLOWS, 0.05),
 ]
-BUILDS = 3
+# Point gauges of a reference, by label: the benchmark's inlet point, and
+# the centre of a split quad, which two cells contain at centroid distances
+# that differ only in their last bits.
+POINT_GAUGES = {"test6_network dx=0.02": [("inlet", (-1.49, 0.005)), ("split", (-1.49, 0.01))]}
+ROUNDS = 5
 MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "edge_vb",
                "edge_tags")
 
@@ -257,20 +267,24 @@ def reference_label(name, ends, dx) -> str:
     return " ".join([name, *kinds, f"dx={dx}"])
 
 
-def run_reference(steps: int) -> dict:
-    """Mesh, stencils, initial state and a short run of each reference, as
-    arrays keyed "<reference>/<group>/<name>", and the wall times of its
-    `BUILDS` builds, as "<reference>/timing/build_s"."""
+def references():
+    """(label, scenario, build) per reference, where `build()` builds it
+    with the swnet on sys.path."""
     from swnet import preset, studies
 
-    out = {}
     for name, ends, dx in REFERENCE_RUNS:
+        label = reference_label(name, ends, dx)
         cfg = boundary_variant(preset, name, None, ends or {}, None)
-        build_s = []
-        for _ in range(BUILDS):
-            start = time.perf_counter()
-            sim = studies.build_reference_sim(cfg, dx)
-            build_s.append(time.perf_counter() - start)
+        yield label, cfg, functools.partial(studies.build_reference_sim, cfg, dx,
+                                             extra_point_gauges=POINT_GAUGES.get(label, []))
+
+
+def run_reference(steps: int) -> dict:
+    """Mesh, stencils, initial state, gauge cells and a short run of each
+    reference, as arrays keyed "<reference>/<group>/<name>"."""
+    out = {}
+    for label, cfg, build in references():
+        sim = build()
         mesh = {name: np.asarray(getattr(sim.mesh, name)) for name in MESH_ARRAYS}
         mesh["edge_tags"] = mesh["edge_tags"].astype(str)
         rows = [np.asarray(r, dtype=int) for r in sim.mesh.neighbors]
@@ -283,6 +297,7 @@ def run_reference(steps: int) -> dict:
             if kind == "exact" and op.shape[1] == 3:  # a tree that keeps the whole inverse
                 op = op[:, 1:]
             stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate((cells, nbr, op, good))}
+        gauges = {f"{g.id}:{k}": getattr(g, k) for g in sim.gauges for k in ("cells", "weights")}
         q0 = sim.field.q.copy()
         res = sim.run(cfg.t_end, max_steps=steps)
         rec = res.gauges
@@ -290,10 +305,8 @@ def run_reference(steps: int) -> dict:
                "t": np.array(rec.times), **{f"h:{g}": np.array(rec.h[g]) for g in rec.h},
                **{f"u:{g}": np.array(rec.u[g]) for g in rec.u}}
         ledger = {k: np.array(res.diagnostics[k]) for k in VOLUME_ENTRIES}
-        groups = {"mesh": mesh, "stencils": stencils, "initial": {"q": q0},
-                  "run": run, "final": {"q": sim.field.q}, "ledger": ledger,
-                  "timing": {"build_s": np.array(build_s)}}
-        label = reference_label(name, ends, dx)
+        groups = {"mesh": mesh, "stencils": stencils, "initial": {"q": q0}, "gauges": gauges,
+                  "run": run, "final": {"q": sim.field.q}, "ledger": ledger}
         out |= {f"{label}/{g}/{k}": v for g, arrays in groups.items() for k, v in arrays.items()}
     return out
 
@@ -301,7 +314,7 @@ def run_reference(steps: int) -> dict:
 def compare_reference(old: dict, new: dict):
     """(markdown lines, number of problems): equal keys, dtypes and values per
     reference and group."""
-    groups = ("mesh", "stencils", "initial", "run", "final", "ledger")
+    groups = ("mesh", "stencils", "initial", "gauges", "run", "final", "ledger")
     lines = ["| reference | cells | " + " | ".join(groups) + " |",
              "|---" * (2 + len(groups)) + "|"]
     problems = 0
@@ -321,13 +334,42 @@ def compare_reference(old: dict, new: dict):
     return lines, problems
 
 
+def build_seconds() -> dict:
+    """{label: seconds} of one timed build of each reference, after one
+    untimed build, with the swnet on sys.path."""
+    out = {}
+    for label, _, build in references():
+        build()
+        start = time.perf_counter()
+        build()
+        out[label] = time.perf_counter() - start
+    return out
+
+
+def timed_round(tree: Path) -> dict:
+    """`build_seconds()` of `tree`, in a fresh interpreter."""
+    cmd = [sys.executable, __file__, "--worker", str(tree), "--time-builds"]
+    return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+
+
+def time_builds(trees) -> list:
+    """[{label: [seconds, ...]}, ...], one dict per tree: in each round both
+    trees time every build, the first tree first in even rounds and the
+    second first in odd ones."""
+    times = [{}, {}]
+    for k in range(ROUNDS):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            for label, seconds in timed_round(trees[side]).items():
+                times[side].setdefault(label, []).append(seconds)
+    return times
+
+
 def build_times(old: dict, new: dict) -> list:
     """Markdown lines: the median build time of each reference per tree."""
-    lines = [f"| reference | old build, ms (median of {BUILDS}) | new build, ms | new / old |",
+    lines = ["| reference | old build, ms (median) | new build, ms | new / old |",
              "|---|---|---|---|"]
-    for name, ends, dx in REFERENCE_RUNS:
-        label = reference_label(name, ends, dx)
-        a, b = (np.median(t[f"{label}/timing/build_s"]) for t in (old, new))
+    for label in old:
+        a, b = np.median(old[label]), np.median(new[label])
         lines.append(f"| {label} | {1e3 * a:.1f} | {1e3 * b:.1f} | {b / a:.3f} |")
     return lines
 
@@ -461,11 +503,14 @@ def main(argv=None) -> int:
     p.add_argument("--reference", action="store_true",
                    help="compare the full-2D references bit for bit")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--time-builds", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     steps = args.steps or (12 if args.reference else 200)
     if args.worker:
         sys.path.insert(0, str(args.worker / "src"))
-        if args.reference:
+        if args.time_builds:
+            json.dump(build_seconds(), sys.stdout)
+        elif args.reference:
             buf = io.BytesIO()
             np.savez(buf, **run_reference(steps))
             sys.stdout.buffer.write(buf.getvalue())
@@ -479,8 +524,8 @@ def main(argv=None) -> int:
         lines, problems = compare_reference(old, new)
         print("\n".join(lines))
         print(f"\n{len(REFERENCE_RUNS)} references, {steps} steps each, {problems} problems")
-        print("\nBuild times, for information (not compared):\n")
-        print("\n".join(build_times(old, new)))
+        print(f"\nBuild times in {ROUNDS} alternating rounds, for information (not compared):\n")
+        print("\n".join(build_times(*time_builds(args.trees))))
     else:
         lines, problems = compare(old, new, args.rtol)
         print("\n".join(lines))
