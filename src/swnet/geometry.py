@@ -352,9 +352,9 @@ class TriMesh:
         # Edges are numbered by their first use in half-edge order; the
         # first user is the edge's left cell, the second its right one.
         nxt = np.where(np.arange(1, K + 1) < corners[:, None], np.arange(1, K + 1), 0)
-        hcell, hk = np.nonzero(real)
-        ha = cells[hcell, hk]
-        hb = cells[hcell, nxt[hcell, hk]]
+        hcell = np.repeat(np.arange(T), corners)
+        ha = cells[real]
+        hb = np.take_along_axis(cells, nxt, axis=1)[real]
         tagged = {(min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()}
         tag_keys = np.array(list(tagged), dtype=np.int64).reshape(-1, 2)
         base = 1 + max(int(cells.max()), int(tag_keys.max(initial=0)))

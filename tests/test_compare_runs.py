@@ -148,7 +148,7 @@ def test_build_timings_alternate_which_tree_goes_first(monkeypatch):
 
     def timed_round(tree):
         order.append(tree)
-        return {"ref": float(len(order))}
+        return {"ref": [float(len(order))]}
 
     monkeypatch.setattr(compare_runs, "timed_round", timed_round)
     old, new = compare_runs.time_builds(["old", "new"])

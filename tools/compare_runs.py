@@ -54,7 +54,8 @@ gauge series, the final state and the volume ledger (initial and final
 volume, boundary influx and volume defect). A second table gives the median
 build time per reference and tree, for information: it is not compared.
 The builds are timed in `ROUNDS` rounds, one fresh interpreter per tree and
-round, which build each reference once untimed and once timed; the tree
+round, which builds each reference once untimed and then `TIMED_BUILDS`
+times, each after a garbage collection; the tree
 that builds first alternates from round to round, so that a drift of the
 host falls on both trees alike.
 """
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import subprocess
@@ -257,7 +259,7 @@ REFERENCE_RUNS = [
 # the centre of a split quad, which two cells contain at centroid distances
 # that differ only in their last bits.
 POINT_GAUGES = {"test6_network dx=0.02": [("inlet", (-1.49, 0.005)), ("split", (-1.49, 0.01))]}
-ROUNDS = 5
+ROUNDS, TIMED_BUILDS = 5, 3
 MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "edge_vb",
                "edge_tags")
 
@@ -335,14 +337,18 @@ def compare_reference(old: dict, new: dict):
 
 
 def build_seconds() -> dict:
-    """{label: seconds} of one timed build of each reference, after one
-    untimed build, with the swnet on sys.path."""
+    """{label: [seconds, ...]} of `TIMED_BUILDS` timed builds of each
+    reference, after one untimed build, each after a garbage collection,
+    with the swnet on sys.path."""
     out = {}
     for label, _, build in references():
         build()
-        start = time.perf_counter()
-        build()
-        out[label] = time.perf_counter() - start
+        out[label] = []
+        for _ in range(TIMED_BUILDS):
+            gc.collect()
+            start = time.perf_counter()
+            build()
+            out[label].append(time.perf_counter() - start)
     return out
 
 
@@ -360,7 +366,7 @@ def time_builds(trees) -> list:
     for k in range(ROUNDS):
         for side in (0, 1) if k % 2 == 0 else (1, 0):
             for label, seconds in timed_round(trees[side]).items():
-                times[side].setdefault(label, []).append(seconds)
+                times[side].setdefault(label, []).extend(seconds)
     return times
 
 
@@ -524,7 +530,8 @@ def main(argv=None) -> int:
         lines, problems = compare_reference(old, new)
         print("\n".join(lines))
         print(f"\n{len(REFERENCE_RUNS)} references, {steps} steps each, {problems} problems")
-        print(f"\nBuild times in {ROUNDS} alternating rounds, for information (not compared):\n")
+        print(f"\nBuild times, {TIMED_BUILDS} in each of {ROUNDS} alternating rounds, "
+              "for information (not compared):\n")
         print("\n".join(build_times(*time_builds(args.trees))))
     else:
         lines, problems = compare(old, new, args.rtol)
