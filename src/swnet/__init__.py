@@ -33,7 +33,7 @@ from .junctions import (
 )
 from .presets import preset, preset_names
 from .psfp import PSFPFailure, PSFPProblem, PSFPStarState, psfp_solve
-from .riemann import exact_riemann_sample, exact_riemann_star, hllc_flux, wall_flux
+from .riemann import hllc_flux, wall_flux
 from .simulation import Gauge, Mesh2DSimulation, NetworkSimulation, RunResult, write_gauge_csv
 from .studies import build_reference_sim, compare_methods, convergence_order, grid_independence
 

@@ -34,7 +34,9 @@ The network stepper calls, in channel end numbers of the network's
 
 `junctions` lists one `JunctionView` per junction: `id`, `strategy`, `ends`,
 its polygon `geom`, `q` (its rows of the field's states), `set_uniform` and
-`volume`; a Method-B view also has its patch `mesh`.
+`volume`; a Method-B view also has its patch `mesh`, a `TriMesh` built on
+first read: the field steps one mesh of all its junctions and needs none
+per patch.
 
 The benchmark's tracer looks `reconstruct`, `channel_neighbors`,
 `compute_fluxes` and `update` up in the own `__dict__` of the classes
@@ -59,8 +61,8 @@ flip). Fluxes handed to channels are in the +s axial frame.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 
 import numpy as np
@@ -73,7 +75,7 @@ from .core import (
     from_normal,
     to_normal,
 )
-from .geometry import build_junction_polygon
+from .geometry import TriMesh, build_junction_polygon
 from .meshing import disjoint_union, fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import mirrored
@@ -113,7 +115,7 @@ class JunctionField:
         A junction's polygon, one cell with edges tagged "wall" or
         "coupling:<channel>:<end>", or a B junction's fan-refined patch of it.
         `channels` maps ids to `Channel`s; `field` is the network's ChannelField."""
-        members = []  # (polygon, patch or None) per junction
+        members = []  # (polygon, patch parts or None) per junction
         parts = []  # (vertices, cells, boundary tags) of their meshes
         for spec in specs:
             ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
@@ -125,10 +127,7 @@ class JunctionField:
                               {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
             else:
                 patch = fan_refine_mesh(geom, spec.patch_refine)
-                bound = patch.boundary
-                tags = zip(patch.edge_va[bound], patch.edge_vb[bound],
-                           (patch.edge_tags[e] for e in bound))
-                parts.append((patch.vertices, patch.triangles, {(a, b): t for a, b, t in tags}))
+                parts.append(patch)
             members.append((geom, patch))
         self.mesh = mesh = disjoint_union(parts)
         self.params = params
@@ -176,7 +175,7 @@ class JunctionField:
         virtual = list(zip(mesh.edge_left[edges], end_pos[self._cpl_end]))
         self.mesh_field = MeshField(mesh, params, order=order, virtual=virtual)
         ids = [spec.id for spec in specs]
-        self.mesh_field.cell_name = partial(_cell_name, ids, self._first_cell)
+        self.mesh_field.cell_name = functools.partial(_cell_name, ids, self._first_cell)
 
         # Per channel end: the cells along its coupling edges and their
         # length weights, grouped by the number of edges, so that each group
@@ -281,7 +280,9 @@ def _cell_name(ids, first_cell, k) -> str:
 
 
 class JunctionView:
-    """One junction of a `JunctionField`: rows `rows` of its cell states.
+    """One junction of a `JunctionField`: rows `rows` of its cell states;
+    `patch` holds the (vertices, triangles, boundary tags) of a Method-B
+    junction's patch.
 
     `q` slices the field's states on every access, so it follows the field
     through its updates and through `copy.deepcopy`. A view refers to the
@@ -297,8 +298,14 @@ class JunctionView:
         self.ends = ends
         self._cells = cells
         self._rows = rows
-        if patch is not None:
-            self.mesh = patch
+        self._patch = patch
+
+    @functools.cached_property
+    def mesh(self) -> TriMesh:
+        """The `TriMesh` of a Method-B junction's patch, built on first read."""
+        if self._patch is None:
+            raise AttributeError(f"junction {self.id} ({self.strategy}) has no patch mesh")
+        return TriMesh(*self._patch)
 
     @property
     def q(self) -> np.ndarray:

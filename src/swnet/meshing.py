@@ -1,9 +1,11 @@
 """Mesh construction helpers for reference domains and junction patches.
 
-Two generators build `TriMesh` grids: a structured split-quad mesher for
-unions of axis-aligned rectangles (full 2D reference domains) and a
-fan-plus-refine mesher for junction-shaped polygons (local 2D patches).
-`disjoint_union` joins the cells of a network's junctions into one mesh.
+Two generators triangulate: a structured split-quad mesher for unions of
+axis-aligned rectangles (full 2D reference domains), which builds their
+`TriMesh`, and a fan-plus-refine mesher for junction-shaped polygons (local
+2D patches), which returns the (vertices, triangles, boundary tags) of a
+patch and builds no mesh. `disjoint_union` joins the cells of a network's
+junctions, patches included, into one `TriMesh`, which validates them all.
 """
 
 from __future__ import annotations
@@ -115,14 +117,16 @@ def rect_union_mesh(rects, dx, tag_segments=None, polygons=()):
     return TriMesh(verts, tris, dict(zip(keys, tags.tolist())))
 
 
-def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh:
-    """Triangulate a junction polygon by fanning from the centroid and refining.
+def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2):
+    """(vertices, triangles, boundary tags) of a junction polygon fanned
+    from its centroid and refined, the parts of `disjoint_union` and of
+    `TriMesh`: no mesh is built or validated here.
 
     Uniform refinement (each triangle into four) keeps symmetric polygons
     symmetric and subdivides coupling edges evenly. The polygon must be
     star-shaped with respect to its centroid. Points are rounded to 12
     decimals by `np.round` and merged on equal coordinates, numbered in order
-    of first appearance.
+    of first appearance. The tags are keyed (a, b) with a < b.
     """
     center = geometry.centroid
     verts = [tuple(center)]
@@ -140,13 +144,11 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh
 
     tris = []
     btags = {}
+    cx, cy = center.tolist()
     ids = vids([p for e in geometry.edges for p in (e.a, e.b)])
     for e, ia, ib in zip(geometry.edges, ids[0::2], ids[1::2]):
-        a, b = np.asarray(verts[ia]), np.asarray(verts[ib])
-        cross = (a[0] - center[0]) * (b[1] - center[1]) - (a[1] - center[1]) * (
-            b[0] - center[0]
-        )
-        if cross <= 0.0:
+        (ax, ay), (bx, by) = verts[ia], verts[ib]
+        if (ax - cx) * (by - cy) - (ay - cy) * (bx - cx) <= 0.0:
             raise GeometryError("polygon is not star-shaped from its centroid")
         tris.append((0, ia, ib))
         btags[(min(ia, ib), max(ia, ib))] = e.tag
@@ -170,14 +172,16 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2) -> TriMesh
         tris = np.stack(
             [i0, m01, m20, m01, i1, m12, m20, m12, i2, m01, m12, m20], axis=1
         ).reshape(-1, 3)
+        # Keyed a < b: each boundary edge's code is a * n + b.
+        ends = np.array(list(btags), dtype=int).reshape(-1, 2)
+        halves = mid[np.searchsorted(keys, ends[:, 0] * n + ends[:, 1])].tolist()
         new_btags = {}
-        for (ia, ib), tag in btags.items():
-            m = int(mid[np.searchsorted(keys, ia * n + ib)])
+        for (ia, ib), m, tag in zip(btags, halves, btags.values()):
             new_btags[(min(ia, m), max(ia, m))] = tag
             new_btags[(min(m, ib), max(m, ib))] = tag
         btags = new_btags
 
-    return TriMesh(np.array(verts, dtype=float), tris, btags)
+    return np.array(verts, dtype=float), tris, btags
 
 
 def disjoint_union(parts) -> TriMesh:

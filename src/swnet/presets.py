@@ -232,10 +232,13 @@ def test5_cadam(strategy="A") -> ScenarioConfig:
     )
 
 
-def _grid_network(strategy="A", spacing=1.6, width=0.2, ds=0.05):
+def _grid_network(strategy="A", spacing=1.6, width=0.2, ds=0.05, n=4):
+    """Channels and junctions of an n x n grid of junctions fed through one
+    corner. Junction (i, j) is `j{i}{j}`, or `j{i}_{j}` for n > 10, where
+    the short form stops being unique (`j111` is (1, 11) and (11, 1))."""
     half = width / 2.0
-    channels, junctions, boundaries = [], [], []
-    n = 4
+    channels, junctions = [], []
+    jid = "j{}_{}".format if n > 10 else "j{}{}".format
     pos = lambda i, j: (spacing * i, spacing * j)
     for i in range(n):
         for j in range(n):
@@ -254,7 +257,7 @@ def _grid_network(strategy="A", spacing=1.6, width=0.2, ds=0.05):
             # Patch cells comparable to the reference-plateau mesh size keep
             # the many small patches from throttling the global time step.
             junctions.append(
-                _junction(f"j{i}{j}", strategy, (x, y), connects, patch_refine=1)
+                _junction(jid(i, j), strategy, (x, y), connects, patch_refine=1)
             )
     cells = int(round((spacing - width) / ds))
 

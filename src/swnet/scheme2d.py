@@ -51,11 +51,13 @@ class MeshField:
         self.cell_name = "2D cell {}".format
 
         # Stencil of each cell: its mesh neighbours, then its virtual ones in
-        # slot order; virtual slot s is stored as neighbour -(s + 1).
+        # slot order; virtual slot s is stored as neighbour -(s + 1). The
+        # table is padded to the most virtual slots of one cell.
         virtual = list(virtual or [])
         self.n_virtual = len(virtual)
         counts = np.count_nonzero(mesh.neighbors >= 0, axis=1)
-        nbrs = np.concatenate([mesh.neighbors, np.full((T, len(virtual)), -1)], axis=1)
+        per_cell = np.bincount(np.array([cell for cell, _ in virtual], dtype=int), minlength=T)
+        nbrs = np.concatenate([mesh.neighbors, np.full((T, per_cell.max(initial=0)), -1)], axis=1)
         pos = mesh.centroids.take(nbrs, axis=0)  # padding entries are never read
         for slot, (cell, p) in enumerate(virtual):
             nbrs[cell, counts[cell]] = -(slot + 1)

@@ -157,3 +157,23 @@ def test_build_timings_alternate_which_tree_goes_first(monkeypatch):
     assert rounds == [["old", "new"] if k % 2 == 0 else ["new", "old"] for k in range(len(rounds))]
     assert old == {"ref": [k + 1.0 for k, tree in enumerate(order) if tree == "old"]}
     assert new == {"ref": [k + 1.0 for k, tree in enumerate(order) if tree == "new"]}
+
+
+def test_moved_patch_vertex_is_a_problem():
+    # Each Method-B junction's patch mesh is compared to the bit, and its
+    # edge tags as lists.
+    from swnet import build_simulation, preset
+
+    sim = build_simulation(preset("test1_sub90", strategy="B"))
+    (view,) = sim.junctions
+    old = completed_run() | {"geometry": compare_runs.geometry(sim)}
+    owner = f"junctions.{view.id}.mesh"
+    assert {f"{owner}.{n}" for n in compare_runs.PATCH_ARRAYS} <= old["geometry"].keys()
+    _, problems = compare_runs.compare([old], [json.loads(json.dumps(old))], rtol=1.0)
+    assert problems == 0
+    view.mesh.vertices[5, 1] = np.nextafter(view.mesh.vertices[5, 1], 1.0)
+    view.mesh.edge_tags[0] = "wall" if view.mesh.edge_tags[0] != "wall" else "coupling:ch1:end"
+    new = json.loads(json.dumps(old | {"geometry": compare_runs.geometry(sim)}))
+    lines, problems = compare_runs.compare([old], [new], rtol=1.0)
+    assert problems == 2
+    assert f"- test1_sub90 psfp: {owner}.edge_tags, {owner}.vertices" in lines

@@ -180,7 +180,7 @@ class TestTriMesh:
 
     def test_edge_normals_are_cos_and_sin_of_the_angles(self):
         g = t_junction()
-        patch = fan_refine_mesh(g, refinements=2)
+        patch = TriMesh(*fan_refine_mesh(g, refinements=2))
         n = len(g.vertices)
         bound = patch.boundary
         union = disjoint_union([
@@ -244,7 +244,7 @@ class TestMeshers:
 
     def test_fan_refine_preserves_area_and_symmetry(self):
         g = t_junction()
-        m = fan_refine_mesh(g, refinements=2)
+        m = TriMesh(*fan_refine_mesh(g, refinements=2))
         assert np.isclose(m.areas.sum(), g.area, rtol=1e-12)
         # coupling sub-edges of each channel sum to the channel width
         for ch in ("ch1", "ch2", "ch3"):
@@ -761,8 +761,9 @@ def network_cores():
 
 
 def built_with(monkeypatch, mesher, *args, **kwargs):
-    """The mesh `mesher` returns and the (vertices, triangles, tags) it built
-    it from."""
+    """The mesh of what `mesher` returns and the (vertices, triangles, tags)
+    it was built from: the mesh the mesher builds, or of the parts it
+    returns without one."""
     from swnet import meshing
 
     seen = []
@@ -773,6 +774,8 @@ def built_with(monkeypatch, mesher, *args, **kwargs):
 
     monkeypatch.setattr(meshing, "TriMesh", record)
     mesh = mesher(*args, **kwargs)
+    if isinstance(mesh, tuple):
+        mesh = record(*mesh)
     (inputs,) = seen
     return mesh, inputs
 

@@ -311,12 +311,12 @@ KEPT = {
     "core.rotate_state": "the benchmark's tracer (core.rotate), and criterion 8",
     "core.rotate_back": "the benchmark's tracer (core.rotate), and criterion 8",
     "junctions._cell_name": "error path: a non-finite junction cell names its junction and cell",
+    "junctions.JunctionView.mesh": "the benchmark's Workload.cells "
+                                   "(bench/swnet_bench/workloads.py:56), tools/compare_runs.py, "
+                                   "tests/test_config_cli.py, test_junctions.py and "
+                                   "test_simulation.py",
     "psfp.PSFPProblem.invariant_signs": "criterion 2",
     "riemann.wall_flux": "the benchmark's tracer (riemann.wall_flux)",
-    "riemann.exact_riemann_star": "test oracle: the exact Riemann solver of tests/test_riemann.py",
-    "riemann.exact_riemann_sample": "test oracle: the exact Riemann solver of tests/test_riemann.py",
-    "riemann._depth_fn": "test oracle: the exact Riemann solver of tests/test_riemann.py",
-    "riemann._depth_fn_deriv": "test oracle: the exact Riemann solver of tests/test_riemann.py",
     "scheme1d.ChannelField._cell_name": "error path: a non-finite or negative channel cell "
                                         "names its channel and cell",
     "studies.compare_methods": "criteria 9 and 12",

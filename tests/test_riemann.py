@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from swnet.core import DryStateError, PhysicalParams, conserved, physical_flux
-from swnet.riemann import (
-    RiemannConvergenceError,
-    exact_riemann_sample,
-    exact_riemann_star,
-    hllc_flux,
-    hllc_rows,
-    mirrored,
-    wall_flux,
-)
+from swnet.riemann import hllc_flux, hllc_rows, mirrored, wall_flux
+
+from exact_riemann import RiemannConvergenceError, exact_riemann_sample, exact_riemann_star
 
 P = PhysicalParams()
 G = P.g

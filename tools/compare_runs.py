@@ -26,10 +26,12 @@ discarded transverse momentum relative to the largest final cell momentum.
 Failure messages that differ, and scenarios a tree rejects with a
 configuration error, are listed with their messages. Each network's built
 geometry must be equal to the bit, dtypes included (`GEOMETRY_ARRAYS`): the
-channel field's cell sizes and centres, and the junction field mesh's
+channel field's cell sizes and centres, the junction field mesh's
 vertices, cells, areas, centroids, incircle diameters, edge lengths and edge
-normal angles; runs whose geometry differs are listed with the arrays that
-differ, each one problem. Each run's scenario config is compared as JSON
+normal angles, and each Method-B junction's patch mesh, which a tree may
+build on first read (`PATCH_ARRAYS`: its cell count, vertices, triangles,
+edge ends and edge tags, the tags compared as lists); runs whose geometry
+differs are listed with the arrays that differ, each one problem. Each run's scenario config is compared as JSON
 text, since a short run does not read its `t_end`, `metadata` or a gauge it
 never samples; runs whose configs differ are listed with the top-level keys
 that differ. The exit code is 1 when
@@ -197,21 +199,29 @@ def cases(preset, preset_names):
 
 
 # The built geometry of a network: arrays of its channel field and of its
-# junction field's mesh, by owner.
+# junction field's mesh, by owner, and of each Method-B junction's patch mesh.
 GEOMETRY_ARRAYS = {
     "field": ("ds", "centers"),
     "junction_field.mesh": ("vertices", "triangles", "areas", "centroids", "incircle_diameters",
                             "edge_lengths", "edge_thetas"),
 }
+PATCH_ARRAYS = ("n_cells", "vertices", "triangles", "edge_va", "edge_vb", "edge_tags")
 
 
 def geometry(sim) -> dict:
     """{"<owner>.<array>": (dtype name, values)} of a network's
-    `GEOMETRY_ARRAYS`; a network without Method-A or Method-B junctions has
-    no junction field."""
+    `GEOMETRY_ARRAYS`, and of the `PATCH_ARRAYS` of each Method-B junction's
+    patch mesh, owned by "junctions.<id>.mesh"; a network without Method-A or
+    Method-B junctions has no junction field."""
     owners = {"field": sim.field, "junction_field.mesh": getattr(sim.junction_field, "mesh", None)}
-    return {f"{owner}.{n}": (str(getattr(obj, n).dtype), getattr(obj, n).tolist())
-            for owner, obj in owners.items() if obj is not None for n in GEOMETRY_ARRAYS[owner]}
+    out = {f"{owner}.{n}": (str(getattr(obj, n).dtype), getattr(obj, n).tolist())
+           for owner, obj in owners.items() if obj is not None for n in GEOMETRY_ARRAYS[owner]}
+    for j in sim.junctions:
+        if j.strategy == "B":
+            arrays = {n: np.asarray(getattr(j.mesh, n)) for n in PATCH_ARRAYS}
+            out |= {f"junctions.{j.id}.mesh.{n}": (str(a.dtype), a.tolist())
+                    for n, a in arrays.items()}
+    return out
 
 
 def run_matrix(steps: int) -> list[dict]:
@@ -418,10 +428,16 @@ def bits_differ(a: dict, b: dict) -> bool:
 
 def geometry_differences(a: dict, b: dict) -> list:
     """The geometry arrays of two runs that differ in presence, dtype, shape
-    or a bit."""
+    or a bit; object arrays (edge tags, None on interior edges) as lists."""
+
+    def differ(x, y):
+        if x[0] == "object":
+            return x[1] != y[1]
+        return bits_differ({"": x[1]}, {"": y[1]})
+
     return sorted(
         k for k in a.keys() | b.keys()
-        if k not in a or k not in b or a[k][0] != b[k][0] or bits_differ({k: a[k][1]}, {k: b[k][1]})
+        if k not in a or k not in b or a[k][0] != b[k][0] or differ(a[k], b[k])
     )
 
 
