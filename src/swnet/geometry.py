@@ -1,4 +1,13 @@
-"""Network topology, junction-shaped polygons, and triangular meshes."""
+"""Network topology, junction-shaped polygons, and triangular meshes.
+
+`build_junction_polygons` builds every junction polygon of a network in one
+pass: each channel end's unit direction, angle and offset in one array call
+each over all ends, each junction's walls joined on Python floats, and the
+checks of all polygons (area, crossing sides, edge normals) on one stack per
+vertex count and one array of all edges. Every value has the bits of the
+junction built alone (`build_junction_polygon`, the batch of one), and the
+first junction in spec order that fails raises its error.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _TOL = 1e-12
+_LEFT = np.array([-1.0, 1.0])  # (y, x) * _LEFT: (x, y) turned 90 degrees to the left
 
 
 class GeometryError(ValueError):
@@ -26,9 +36,21 @@ def _unit(x, y):
     return x / n, y / n
 
 
+_RINGS = {}  # n -> `_ring(n)`
+
+
+def _ring(n: int):
+    """(the index of each vertex's next one, the (n, n) mask of the side
+    pairs that share no vertex) of an n-gon, made once per n."""
+    if n not in _RINGS:
+        gap = np.subtract.outer(np.arange(n), np.arange(n)) % n
+        _RINGS[n] = np.roll(np.arange(n), -1), (gap > 1) & (gap < n - 1)
+    return _RINGS[n]
+
+
 def _next(a):
     """`np.roll(a, -1, axis=-1)`: each polygon's next vertex."""
-    return np.concatenate([a[..., 1:], a[..., :1]], axis=-1)
+    return a.take(_ring(a.shape[-1])[0], axis=-1)
 
 
 def row_lengths(d: np.ndarray) -> np.ndarray:
@@ -39,22 +61,16 @@ def row_lengths(d: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y)
 
 
-def polygon_area(vertices: np.ndarray):
-    """Signed shoelace area of (n, 2) vertices, or of each polygon of an
-    (..., n, 2) stack; positive for counter-clockwise polygons."""
-    x, y = vertices[..., 0], vertices[..., 1]
-    return 0.5 * (x * _next(y) - _next(x) * y).sum(axis=-1)
-
-
-def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
-    """Centroid of (n, 2) vertices, or (..., 2) of an (..., n, 2) stack."""
-    x, y = vertices[..., 0], vertices[..., 1]
-    xn, yn = _next(x), _next(y)
-    cross = x * yn - xn * y
+def polygon_area_centroid(vertices: np.ndarray):
+    """(signed shoelace area, centroid) of (n, 2) vertices, or (areas,
+    (..., 2) centroids) of each polygon of an (..., n, 2) stack; the area is
+    positive for counter-clockwise polygons. Each sum runs over a polygon's
+    vertices on the last axis, so a stack rounds as each polygon alone."""
+    v = vertices.swapaxes(-1, -2)  # x and y rows
+    vn = _next(v)
+    cross = v[..., 0, :] * vn[..., 1, :] - vn[..., 0, :] * v[..., 1, :]
     a = 0.5 * cross.sum(axis=-1)
-    cx = ((x + xn) * cross).sum(axis=-1) / (6.0 * a)
-    cy = ((y + yn) * cross).sum(axis=-1) / (6.0 * a)
-    return np.stack([cx, cy], axis=-1)
+    return a, ((v + vn) * cross[..., None, :]).sum(axis=-1) / (6.0 * a)[..., None]
 
 
 def point_in_polygon(p, vertices: np.ndarray):
@@ -142,7 +158,9 @@ class JunctionEdge:
 
 @dataclass
 class JunctionGeometry:
-    """Junction-shaped polygon with typed edges, built by `build_junction_polygon`."""
+    """Junction-shaped polygon with typed edges, built by
+    `build_junction_polygons`; one constructed directly passes the same
+    checks (`_check_polygons`) as a batch of one."""
 
     vertices: np.ndarray
     edges: list[JunctionEdge]
@@ -150,34 +168,72 @@ class JunctionGeometry:
     centroid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.area = float(polygon_area(self.vertices))
-        if self.area <= 0.0:
-            raise GeometryError("junction polygon is not counter-clockwise or empty")
-        self.centroid = polygon_centroid(self.vertices)
-        self._validate()
+        points = np.array([(e.a, e.b) for e in self.edges], dtype=float).reshape(-1, 2)
+        _, areas, centroids = _check_polygons(
+            np.asarray(self.vertices, dtype=float), [range(len(self.vertices))], points,
+            [len(self.edges)])
+        self.area, self.centroid = float(areas[0]), centroids[0]
 
-    def _validate(self):
-        # left[s, v]: vertex v lies strictly left of side s (vertex s to
-        # s + 1) by `(b - a) x (c - a) > 0`. Sides that are not adjacent
-        # cross when each has the other's two ends on different sides.
-        x, y = self.vertices.T
-        ex, ey = _next(x) - x, _next(y) - y
-        left = ex[:, None] * (y - y[:, None]) - ey[:, None] * (x - x[:, None]) > 0
-        splits = left != _next(left)
-        gap = np.subtract.outer(np.arange(len(x)), np.arange(len(x))) % len(x)
-        if (splits & splits.T & (gap > 1) & (gap < len(x) - 1)).any():
-            raise GeometryError("junction polygon self-intersects")
-        # The first edge too short for a direction, or whose outward normal
-        # points to the centroid's side, fails.
-        a, b = np.array([(e.a, e.b) for e in self.edges]).transpose(1, 0, 2)
-        d, m = b - a, 0.5 * (a + b) - self.centroid
+
+def _check_polygons(nodes, polygons, points, sides):
+    """(vertices, areas, centroids) of junction polygons.
+
+    `polygons` holds the numbers of each polygon's vertices among the
+    (N, 2) `nodes`; `points` (2 E, 2) the two ends of every edge, edge after
+    edge and polygon after polygon; `sides` each polygon's number of edges.
+    Polygons of one vertex count are checked as one (m, n, 2) stack, whose
+    rows are the returned vertices, and the edges all at once. A polygon
+    fails on the first of: an area that is not positive; two sides that
+    cross; an edge too short for a direction, or whose outward normal
+    points to the centroid's side, the first such edge. The first polygon
+    that fails raises its GeometryError.
+    """
+    count = len(polygons)
+    vertices, areas = [None] * count, np.empty(count)
+    centroids, crossing = np.empty((count, 2)), np.zeros(count, dtype=bool)
+    groups = {}
+    for k, v in enumerate(polygons):
+        groups.setdefault(len(v), []).append(k)
+    # A polygon without area gets a centroid that no check reads.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n, group in groups.items():
+            rows = group if len(groups) > 1 else slice(None)  # one group: no scatter
+            V = nodes[np.array([polygons[k] for k in group])]
+            for k, v in zip(group, V):
+                vertices[k] = v
+            areas[rows], centroids[rows] = polygon_area_centroid(V)
+            # left[p, s, v]: vertex v of polygon p lies strictly left of its
+            # side s (vertex s to s + 1) by `(b - a) x (c - a) > 0`. Sides
+            # that are not adjacent cross when each has the other's two ends
+            # on different sides.
+            xy = V.swapaxes(1, 2)
+            e = _next(xy) - xy
+            r = xy[..., None, :] - xy[..., None]  # r[p, :, s, v]: vertex v from vertex s
+            left = e[:, 0, :, None] * r[:, 1] - e[:, 1, :, None] * r[:, 0] > 0
+            splits = left != _next(left)
+            crossing[rows] = (splits & splits.transpose(0, 2, 1) & _ring(n)[1]).any(axis=(1, 2))
+        # The edge-normal test, over all edges at once.
+        a, b = points[0::2], points[1::2]
+        d, m = b - a, 0.5 * (a + b) - centroids.repeat(sides, axis=0)
         length = np.hypot(d[:, 0], d[:, 1])
-        t = d / np.where(length < _TOL, 1.0, length)[:, None]
+        short = length < _TOL
+        t = d / (length + short)[:, None]  # a short edge fails, whatever its direction
         theta = np.arctan2(-t[:, 0], t[:, 1])
-        bad = (length < _TOL) | (np.cos(theta) * m[:, 0] + np.sin(theta) * m[:, 1] <= 0.0)
-        if bad.any():
-            raise GeometryError("zero-length direction vector" if length[bad.argmax()] < _TOL
-                                else "junction edge normal points inward")
+        bad = (short | (np.cos(theta) * m[:, 0] + np.sin(theta) * m[:, 1] <= 0.0)).nonzero()[0]
+    fails = (areas <= 0.0) | crossing
+    if len(bad):
+        owner = np.arange(count).repeat(sides)[bad]
+        fails[owner] = True
+    failed = fails.nonzero()[0]
+    if len(failed):
+        k = failed[0]
+        if areas[k] <= 0.0:
+            raise GeometryError("junction polygon is not counter-clockwise or empty")
+        if crossing[k]:
+            raise GeometryError("junction polygon self-intersects")
+        raise GeometryError("zero-length direction vector" if short[bad[owner == k][0]]
+                            else "junction edge normal points inward")
+    return vertices, areas, centroids
 
 
 @dataclass
@@ -194,7 +250,7 @@ class ConnectedEnd:
 def build_junction_polygon(
     ends: list[ConnectedEnd], junction_point, protrusion: float = 0.1
 ) -> JunctionGeometry:
-    """Construct the junction-shaped 2D element.
+    """The junction-shaped 2D element: `build_junction_polygons` of one junction.
 
     Each channel contributes a coupling edge of length equal to its width,
     placed `protrusion * width` inside the channel mouth and perpendicular to
@@ -203,28 +259,99 @@ def build_junction_polygon(
     collinear side walls join directly, and walls that diverge are closed
     through an auxiliary vertex at the nominal junction point.
     """
-    if len(ends) < 2:
-        raise GeometryError("a junction needs at least two channels")
-    P = tuple(map(float, junction_point))
-    scale = max(e.width for e in ends)
+    return build_junction_polygons([(ends, junction_point, protrusion)])[0]
 
-    # Points are (x, y) Python floats, which round + - * / as numpy does;
-    # `np.hypot`, `np.arctan2 % 2 pi` and the `np.dot` offset stay numpy's.
-    entries = []
-    for e in ends:
-        dx, dy = _unit(*map(float, e.direction))
-        mx, my = map(float, e.mouth)
+
+def build_junction_polygons(specs) -> list[JunctionGeometry]:
+    """`build_junction_polygon` of each (ends, junction point, protrusion)
+    of `specs`, with the values of every channel end in one array call each
+    and the checks of every polygon in one pass (`_check_polygons`).
+
+    The first junction in spec order that fails raises its GeometryError;
+    within a junction, its construction fails before its checks.
+    """
+    counts = [len(ends) for ends, _, _ in specs]
+    ends = [e for es, _, _ in specs for e in es]
+    points_at = [tuple(map(float, point)) for _, point, _ in specs]
+    # Per end: its junction and the junction point; its mouth and its
+    # direction into the channel, made a unit one in place.
+    at = np.array([(k, *P) for k, ((es, _, _), P) in enumerate(zip(specs, points_at))
+                   for _ in es], dtype=float).reshape(-1, 3)
+    junction, P = at[:, 0], at[:, 1:]
+    md = np.array([(e.mouth, e.direction) for e in ends], dtype=float).reshape(-1, 2, 2)
+    mouth, u = md[:, 0], md[:, 1]
+    # The bits of `_unit`, `np.arctan2 % 2 pi` and `np.dot` (kept by
+    # `np.vecdot`) on one end at a time.
+    length = np.hypot(u[:, 0], u[:, 1])
+    short = length < _TOL
+    u /= (length + short)[:, None]  # a short direction fails, whatever it gives
+    angle = np.arctan2(u[:, 1], u[:, 0]) % (2.0 * np.pi)
+    offset = np.vecdot(mouth - P, u[:, ::-1] * _LEFT)
+    # Each junction's ends counter-clockwise, by angle and then offset.
+    order = np.lexsort((offset, angle, junction))
+    rows = md.take(order, axis=0).tolist()
+    ends = [ends[i] for i in order.tolist()]
+
+    # A junction of fewer than two ends, or with a short direction, fails
+    # here; one whose side walls cannot be joined, in `_join_walls`.
+    stop = next((k for k, n in enumerate(counts) if n < 2), len(specs))
+    short_ends = short.nonzero()[0]
+    if len(short_ends):
+        stop = min(stop, int(junction[short_ends[0]]))
+    failure = None
+    if stop < len(specs):
+        failure = GeometryError("a junction needs at least two channels" if counts[stop] < 2
+                                else "zero-length direction vector")
+    polygons, points, kinds, sides = [], [], [], []
+    first = 0
+    for k in range(stop):
+        last = first + counts[k]
+        try:
+            verts, edge_points, edge_kinds = _join_walls(
+                rows[first:last], ends[first:last], points_at[k], specs[k][2])
+        except GeometryError as exc:
+            failure = exc
+            break
+        polygons.append([len(points) + i for i in verts])
+        points += edge_points
+        kinds += edge_kinds
+        sides.append(len(edge_kinds))
+        first = last
+
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    vertices, areas, centroids = _check_polygons(pts, polygons, pts, sides)
+    if failure:
+        raise failure
+    edges = [JunctionEdge(a, b, *kind) for a, b, kind in zip(pts[0::2], pts[1::2], kinds)]
+    geoms = []
+    first = 0
+    for v, n, area, centroid in zip(vertices, sides, areas.tolist(), centroids):
+        # Checked above: built without `__post_init__`, which would check again.
+        g = object.__new__(JunctionGeometry)
+        g.vertices, g.edges, g.area, g.centroid = v, edges[first : first + n], area, centroid
+        geoms.append(g)
+        first += n
+    return geoms
+
+
+def _join_walls(rows, ends, P, protrusion):
+    """(vertices, edge points, edge kinds) of one junction polygon.
+
+    `rows` holds, for each channel end of `ends` counter-clockwise, its
+    mouth and its unit direction into the channel. Each edge adds its two
+    ends to the points and its (kind, channel, channel end) to the kinds;
+    the vertices are the numbers of their points, from the first coupling
+    edge's first end. Points are (x, y) Python floats, which round + - * /
+    as numpy does; distances are `np.hypot`'s.
+    """
+    tol = 1e-9 * max(e.width for e in ends)
+    coupling = []  # each end's coupling edge A B and direction d
+    for ((mx, my), (dx, dy)), e in zip(rows, ends):
         cx, cy = mx + protrusion * e.width * dx, my + protrusion * e.width * dy
         hx, hy = 0.5 * e.width * -dy, 0.5 * e.width * dx  # along t = (-dy, dx)
-        angle = np.arctan2(dy, dx) % (2.0 * np.pi)
-        offset = float(np.dot(np.subtract(e.mouth, P), (-dy, dx)))
-        entries.append({"end": e, "d": (dx, dy), "A": (cx - hx, cy - hy), "B": (cx + hx, cy + hy),
-                        "angle": angle, "offset": offset})
-    entries.sort(key=lambda r: (r["angle"], r["offset"]))
-
-    tol = 1e-9 * scale
-    verts = [entries[0]["A"]]
+        coupling.append(((cx - hx, cy - hy), (cx + hx, cy + hy), (dx, dy)))
     points = []  # each edge's two ends, edge after edge
+    verts = [0]  # the numbers of the polygon's vertices among the points
     kinds = []  # each edge's (kind, channel, channel end)
 
     def apart(a, b):
@@ -234,50 +361,42 @@ def build_junction_polygon(
         if apart(a, b):
             points.extend((a, b))
             kinds.append(("wall", None, None))
-            verts.append(b)
+            verts.append(len(points) - 1)
 
-    for k, cur in enumerate(entries):
-        points.extend((cur["A"], cur["B"]))
-        kinds.append(("coupling", cur["end"].channel, cur["end"].end))
-        verts.append(cur["B"])
-        nxt = entries[(k + 1) % len(entries)]
-        Bi, Aj = cur["B"], nxt["A"]
-        (bx, by), (ax, ay) = Bi, Aj
-        (dix, diy), (djx, djy) = cur["d"], nxt["d"]
+    for k, (Ai, Bi, (dix, diy)) in enumerate(coupling):
+        points.extend((Ai, Bi))
+        kinds.append(("coupling", ends[k].channel, ends[k].end))
+        verts.append(len(points) - 1)
+        Aj, _, (djx, djy) = coupling[(k + 1) % len(coupling)]
+        (bx, by), (ajx, ajy) = Bi, Aj
         if not apart(Bi, Aj):
-            pass  # edges share a vertex
-        else:
-            cross = dix * djy - diy * djx
-            if abs(cross) < 1e-12:
-                if abs(dix * (ay - by) - diy * (ax - bx)) < tol:
-                    push_wall(Bi, Aj)  # collinear side walls
-                else:
-                    raise GeometryError(
-                        "adjacent side walls are parallel and non-intersecting "
-                        f"(channels {cur['end'].channel} / {nxt['end'].channel})"
-                    )
+            continue  # edges share a vertex
+        cross = dix * djy - diy * djx
+        if abs(cross) < 1e-12:
+            if abs(dix * (ajy - by) - diy * (ajx - bx)) < tol:
+                push_wall(Bi, Aj)  # collinear side walls
             else:
-                # Bi - t1*di = Aj - t2*dj; both t >= 0 means the walls meet on
-                # the junction side of the coupling edges.
-                rx, ry = bx - ax, by - ay
-                t1 = (rx * djy - ry * djx) / cross
-                t2 = (rx * diy - ry * dix) / cross
-                if t1 >= -tol and t2 >= -tol:
-                    X = (bx - t1 * dix, by - t1 * diy)
-                    push_wall(Bi, X)
-                    push_wall(X, Aj)
-                else:
-                    push_wall(Bi, P)
-                    push_wall(P, Aj)
+                raise GeometryError(
+                    "adjacent side walls are parallel and non-intersecting "
+                    f"(channels {ends[k].channel} / {ends[(k + 1) % len(ends)].channel})"
+                )
+        else:
+            # Bi - t1*di = Aj - t2*dj; both t >= 0 means the walls meet on
+            # the junction side of the coupling edges.
+            rx, ry = bx - ajx, by - ajy
+            t1 = (rx * djy - ry * djx) / cross
+            t2 = (rx * diy - ry * dix) / cross
+            if t1 >= -tol and t2 >= -tol:
+                X = (bx - t1 * dix, by - t1 * diy)
+                push_wall(Bi, X)
+                push_wall(X, Aj)
+            else:
+                push_wall(Bi, P)
+                push_wall(P, Aj)
 
-    if not apart(verts[0], verts[-1]):
+    if not apart(points[0], points[verts[-1]]):
         verts.pop()
-    pts = np.array(points)
-    edges = [
-        JunctionEdge(a=pts[2 * k], b=pts[2 * k + 1], kind=kind, channel=ch, channel_end=end)
-        for k, (kind, ch, end) in enumerate(kinds)
-    ]
-    return JunctionGeometry(vertices=np.array(verts), edges=edges)
+    return verts, points, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +458,7 @@ class TriMesh:
         poly = np.flatnonzero(corners > 3)
         if len(poly):
             P = V[filled[poly]]
-            self.areas[poly] = polygon_area(P)
-            self.centroids[poly] = polygon_centroid(P)
+            self.areas[poly], self.centroids[poly] = polygon_area_centroid(P)
             per[poly] = row_lengths(np.roll(P, -1, axis=1) - P).sum(axis=1)
         if np.any(self.areas <= 0.0):
             bad = int(np.argmax(self.areas <= 0.0))

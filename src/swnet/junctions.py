@@ -4,7 +4,8 @@ finite-volume field, the algebraic PSFP junction, and their wiring.
 Methods A and B solve the 2D shallow-water equations on the junction region
 and differ only in how finely it is meshed: A uses one junction-shaped
 polygon cell, B a fan-refined triangular patch. `JunctionField` builds every
-A and B junction of a network from its `JunctionSpec` and holds them as one
+A and B junction of a network from its `JunctionSpec`, their polygons in one
+call (`geometry.build_junction_polygons`), and holds them as one
 `scheme2d.MeshField` on one mesh of their cells, junction after junction in
 spec order (`meshing.disjoint_union`). Each step is then one call per stage
 for all of them: reconstruction, the junction states the channel end cells
@@ -75,7 +76,7 @@ from .core import (
     from_normal,
     to_normal,
 )
-from .geometry import TriMesh, build_junction_polygon
+from .geometry import TriMesh, build_junction_polygons
 from .meshing import disjoint_union, fan_refine_mesh
 from .psfp import PSFPFailure, PSFPProblem, psfp_boundary_fluxes, psfp_solve
 from .riemann import mirrored
@@ -117,9 +118,10 @@ class JunctionField:
         `channels` maps ids to `Channel`s; `field` is the network's ChannelField."""
         members = []  # (polygon, patch parts or None) per junction
         parts = []  # (vertices, cells, boundary tags) of their meshes
-        for spec in specs:
-            ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
-            geom = build_junction_polygon(ends, spec.position, spec.depth_factor)
+        geoms = build_junction_polygons([
+            ([channels[ch].connected_end(end) for ch, end in spec.connects],
+             spec.position, spec.depth_factor) for spec in specs])
+        for spec, geom in zip(specs, geoms):
             if spec.strategy == "A":
                 n = len(geom.vertices)
                 patch = None
@@ -400,8 +402,11 @@ def wiring_errors(channels, junctions, boundary_ends, gauges) -> list[str]:
     """
     errors = []
     for kind, entries in (("channel", channels), ("junction", junctions), ("gauge", gauges)):
-        ids = [entry[0] for entry in entries]
-        errors += [f"duplicate {kind} id {i!r}" for k, i in enumerate(ids) if i in ids[:k]]
+        seen = set()
+        for entry in entries:
+            if entry[0] in seen:
+                errors.append(f"duplicate {kind} id {entry[0]!r}")
+            seen.add(entry[0])
     known = dict(channels)
     attached = {}
 

@@ -177,3 +177,31 @@ def test_moved_patch_vertex_is_a_problem():
     lines, problems = compare_runs.compare([old], [new], rtol=1.0)
     assert problems == 2
     assert f"- test1_sub90 psfp: {owner}.edge_tags, {owner}.vertices" in lines
+
+
+def test_moved_polygon_vertex_is_a_problem():
+    # Each Method-A and Method-B junction's polygon is compared to the bit:
+    # vertices, edge points, edge kinds (as lists), area and centroid.
+    from swnet import build_simulation, preset
+
+    sim = build_simulation(preset("test1_sub90", strategy="A"))
+    (view,) = sim.junctions
+    old = completed_run() | {"geometry": compare_runs.geometry(sim)}
+    owner = f"junctions.{view.id}.geom"
+    assert {f"{owner}.{n}" for n in compare_runs.POLYGON_ARRAYS} <= old["geometry"].keys()
+    _, problems = compare_runs.compare([old], [json.loads(json.dumps(old))], rtol=1.0)
+    assert problems == 0
+    view.geom.vertices[2, 0] = np.nextafter(view.geom.vertices[2, 0], 1.0)
+    new = json.loads(json.dumps(old | {"geometry": compare_runs.geometry(sim)}))
+    lines, problems = compare_runs.compare([old], [new], rtol=1.0)
+    assert problems == 1
+    assert f"- test1_sub90 psfp: {owner}.vertices" in lines
+    for edge in view.geom.edges:
+        if edge.kind == "wall":
+            edge.kind = "coupling"
+            break
+    view.geom.area = np.nextafter(view.geom.area, 0.0)
+    new = json.loads(json.dumps(old | {"geometry": compare_runs.geometry(sim)}))
+    lines, problems = compare_runs.compare([old], [new], rtol=1.0)
+    assert problems == 3
+    assert f"- test1_sub90 psfp: {owner}.area, {owner}.edge_kinds, {owner}.vertices" in lines

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +13,8 @@ from swnet.geometry import (
     MeshError,
     TriMesh,
     build_junction_polygon,
+    build_junction_polygons,
     point_in_polygon,
-    polygon_area,
 )
 from swnet.meshing import disjoint_union, fan_refine_mesh, rect_union_mesh
 
@@ -495,6 +496,17 @@ def bits(a) -> bytes:
     return bytes(str(a.shape), "ascii") + a.tobytes()
 
 
+def assert_former_bits(g, want, label):
+    """`g` is the former build's (vertices, edges, area, centroid) to the bit."""
+    vertices, edges, area, centroid = want
+    assert bits(g.vertices) == bits(vertices), label
+    assert bits(g.area) == bits(area) and bits(g.centroid) == bits(centroid), label
+    assert [(e.kind, e.channel, e.channel_end) for e in g.edges] == [
+        (e.kind, e.channel, e.channel_end) for e in edges], label
+    for e, f in zip(g.edges, edges, strict=True):
+        assert bits(e.a) == bits(f.a) and bits(e.b) == bits(f.b), label
+
+
 class TestJunctionPolygonOracle:
     def test_junctions_equal_the_former_build_to_the_bit(self):
         presets = preset_junction_ends()
@@ -511,14 +523,8 @@ class TestJunctionPolygonOracle:
                 assert str(got.value) == str(exc), (label, protrusion)
                 messages.add(str(exc))
                 continue
-            g = build_junction_polygon(ends, position, protrusion)
-            vertices, edges, area, centroid = want
-            assert bits(g.vertices) == bits(vertices), (label, protrusion)
-            assert bits(g.area) == bits(area) and bits(g.centroid) == bits(centroid)
-            assert [(e.kind, e.channel, e.channel_end) for e in g.edges] == [
-                (e.kind, e.channel, e.channel_end) for e in edges]
-            for e, f in zip(g.edges, edges):
-                assert bits(e.a) == bits(f.a) and bits(e.b) == bits(f.b), (label, protrusion)
+            assert_former_bits(build_junction_polygon(ends, position, protrusion), want,
+                               (label, protrusion))
         # Both of the polygon checks reject some preset junction.
         assert {"junction polygon self-intersects", "junction edge normal points inward"} <= messages
 
@@ -532,6 +538,104 @@ class TestJunctionPolygonOracle:
             JunctionGeometry(vertices=v, edges=edges)
         with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
             former_validate(v, edges, former_polygon_centroid(v))
+
+
+@functools.cache
+def oracle_junctions():
+    """(label, (ends, position, protrusion), outcome) of every preset
+    junction at three protrusions and of 200 random ones, and of three that
+    fail to build: with one channel, with parallel side walls and with a
+    direction of no length. The outcome is the former build's (vertices,
+    edges, area, centroid), or the message of its GeometryError."""
+    cases = [(label, (ends, position, p)) for p in (0.0, 0.1, 0.5)
+             for label, ends, position in preset_junction_ends()]
+    cases += [(label, (ends, position, p))
+              for label, ends, position, p in map(random_junction, range(200))]
+    _, (ends, position, _) = cases[0]
+    parallel = [ConnectedEnd("a", "end", mouth=(0, 0.3), direction=(-1, 0), width=0.2),
+                ConnectedEnd("b", "end", mouth=(0, -0.3), direction=(-1, 0), width=0.2)]
+    pointless = [*ends[:-1], ConnectedEnd("z", "start", mouth=(0, 0), direction=(0, 0), width=0.2)]
+    cases += [("one channel", (ends[:1], position, 0.1)),
+              ("parallel walls", (parallel, (0, 0), 0.1)),
+              ("no direction", (pointless, position, 0.1))]
+    out = []
+    for label, spec in cases:
+        try:
+            outcome = former_build_junction_polygon(*spec)
+        except GeometryError as exc:
+            outcome = str(exc)
+        out.append((label, spec, outcome))
+    return out
+
+
+CHECK_FAILURES = ("junction polygon is not counter-clockwise or empty",
+                  "junction polygon self-intersects", "junction edge normal points inward")
+
+
+def failing(check=None):
+    """The oracle junctions whose former build fails: with the message
+    `check`, or else in construction, before any check."""
+    return [j for j in oracle_junctions() if isinstance(j[2], str)
+            and (j[2] == check if check else j[2] not in CHECK_FAILURES)]
+
+
+def built():
+    """The oracle junctions that the former build builds."""
+    return [j for j in oracle_junctions() if not isinstance(j[2], str)]
+
+
+def raised_by(batch) -> str:
+    with pytest.raises(GeometryError) as exc:
+        build_junction_polygons([spec for _, spec, _ in batch])
+    return str(exc.value)
+
+
+class TestBatchedJunctionPolygons:
+    """`build_junction_polygons` builds each junction of a batch as the
+    former one-at-a-time build did, to the bit, and raises the error of the
+    first junction in the batch that fails."""
+
+    def test_batches_equal_the_former_build_to_the_bit(self):
+        rng = np.random.default_rng(32)
+        channels, corners = set(), set()
+        for size in [1, 40, *rng.integers(1, 41, 30)]:
+            batch = [built()[i] for i in rng.choice(len(built()), size)]
+            geoms = build_junction_polygons([spec for _, spec, _ in batch])
+            for g, (label, spec, want) in zip(geoms, batch, strict=True):
+                assert_former_bits(g, want, label)
+            channels.update(len(spec[0]) for _, spec, _ in batch)
+            corners.update(len(g.vertices) for g in geoms)
+        assert channels == {2, 3, 4} and len(corners) >= 6
+
+    def test_the_first_failing_junction_raises(self):
+        rng = np.random.default_rng(33)
+        junctions = oracle_junctions()
+        assert {j[2] for j in failing()} == {
+            "a junction needs at least two channels", "zero-length direction vector",
+            "adjacent side walls are parallel and non-intersecting (channels a / b)"}
+        assert all(failing(check) for check in CHECK_FAILURES)
+        for size in rng.integers(1, 41, 60):
+            batch = [junctions[i] for i in rng.choice(len(junctions), size)]
+            want = next((o for _, _, o in batch if isinstance(o, str)), None)
+            if want is None:
+                build_junction_polygons([spec for _, spec, _ in batch])
+            else:
+                assert raised_by(batch) == want
+
+    @pytest.mark.parametrize("check", CHECK_FAILURES)
+    def test_a_check_failure_before_a_construction_failure_raises(self, check):
+        good = built()[0]
+        for construction in failing():
+            assert raised_by([good, failing(check)[0], good, construction]) == check
+            assert raised_by([good, construction, failing(check)[0]]) == construction[2]
+
+    def test_of_two_junctions_that_fail_different_checks_the_first_raises(self):
+        good = built()[0]
+        for first in CHECK_FAILURES:
+            for second in CHECK_FAILURES:
+                if first != second:
+                    batch = [good, failing(first)[0], good, failing(second)[0], good]
+                    assert raised_by(batch) == first
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from swnet import presets
 from swnet.config import ScenarioConfig, build_simulation
 from swnet.core import PhysicalParams
-from swnet.junctions import JunctionView, PSFPJunction, project_transverse
+from swnet.junctions import JunctionView, PSFPJunction, project_transverse, wiring_errors
 from swnet.riemann import RiemannBatch, hllc_flux
 
 P = PhysicalParams()
@@ -299,3 +299,68 @@ def test_junctions_follow_the_specs_on_a_mixed_network():
         assert sim._end_read[read].tolist() == [field.end_index(ch, end) for ch, end in j.ends]
     res = sim.run(np.inf, max_steps=20)
     assert res.status == "completed" and res.steps == 20
+
+
+# ---------------------------------------------------------------------------
+# wiring_errors' duplicate ids against the list comprehension it replaced
+# ---------------------------------------------------------------------------
+
+
+def former_duplicate_errors(channels, junctions, gauges):
+    """The duplicate-id messages as they were found, each id tested against
+    the list of the ids before it."""
+    errors = []
+    for kind, entries in (("channel", channels), ("junction", junctions), ("gauge", gauges)):
+        ids = [entry[0] for entry in entries]
+        errors += [f"duplicate {kind} id {i!r}" for k, i in enumerate(ids) if i in ids[:k]]
+    return errors
+
+
+def generated_wiring(seed):
+    """Channels, junctions and gauges whose ids repeat at random, some three
+    times or more, every channel end attached to a boundary."""
+    rng = np.random.default_rng(seed)
+    pick = lambda prefix, n, pool: [f"{prefix}{i}" for i in rng.integers(0, pool, n)]
+    channels = [(cid, 1.0) for cid in pick("c", rng.integers(0, 30), 20)]
+    junctions = [(jid, "A", []) for jid in pick("j", rng.integers(0, 12), 8)]
+    gauges = [(gid, "c0", 0.5) for gid in pick("g", rng.integers(0, 12), 6)]
+    boundaries = [(cid, end) for cid, _ in dict(channels).items() for end in ("start", "end")]
+    return channels, junctions, boundaries, gauges
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_duplicate_ids_match_the_former_comprehension(seed):
+    channels, junctions, boundaries, gauges = generated_wiring(seed)
+    errors = wiring_errors(channels, junctions, boundaries, gauges)
+    want = former_duplicate_errors(channels, junctions, gauges)
+    assert [e for e in errors if e.startswith("duplicate ")] == want
+    assert errors[: len(want)] == want
+
+
+def test_an_id_used_three_times_yields_two_messages():
+    channels = [("a", 1.0), ("b", 1.0), ("a", 1.0), ("a", 1.0)]
+    ends = [(c, e) for c in "ab" for e in ("start", "end")]
+    assert wiring_errors(channels, [], ends, []) == ["duplicate channel id 'a'"] * 2
+
+
+class CountedId(str):
+    """A str id that counts the equality tests made on it."""
+
+    tests = 0
+
+    def __eq__(self, other):
+        CountedId.tests += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_duplicate_id_check_is_linear():
+    # Testing each id against the ids before it takes n (n - 1) / 2 equality
+    # tests on n distinct ids; a set of the ids seen takes none.
+    n = 2000
+    channels = [(CountedId(f"c{i}"), 1.0) for i in range(n)]
+    ends = [(c, e) for c, _ in channels for e in ("start", "end")]
+    CountedId.tests = 0
+    assert wiring_errors(channels, [], ends, []) == []
+    assert CountedId.tests < n

@@ -304,12 +304,16 @@ def test_unused_parameters_reads_methods_nested_functions_and_lambdas():
 # (Python's `__qualname__`: "Class.method", "function.<locals>.inner"), each
 # with its reader.
 KEPT = {
-    "config.ScenarioConfig.__eq__": "test oracle: the emit round trip in tests/test_config_cli.py",
+    "config.ScenarioConfig.__eq__": "the benchmark's test_seed_determines_scenario "
+                                    "(bench/test_bench.py:70), and the emit round trip in "
+                                    "tests/test_config_cli.py",
     "core.conserved": "test oracle: the tests' state constructor, and criterion 8",
     "core.froude": "criterion 1 (tests/test_acceptance.py:26)",
     "core.physical_flux_y": "criterion 8's oracle",
     "core.rotate_state": "the benchmark's tracer (core.rotate), and criterion 8",
     "core.rotate_back": "the benchmark's tracer (core.rotate), and criterion 8",
+    "geometry.JunctionGeometry.__post_init__": "a polygon built directly runs the batch's "
+                                               "checks: the bow tie of tests/test_geometry.py",
     "junctions._cell_name": "error path: a non-finite junction cell names its junction and cell",
     "junctions.JunctionView.mesh": "the benchmark's Workload.cells "
                                    "(bench/swnet_bench/workloads.py:56), tools/compare_runs.py, "

@@ -28,10 +28,13 @@ configuration error, are listed with their messages. Each network's built
 geometry must be equal to the bit, dtypes included (`GEOMETRY_ARRAYS`): the
 channel field's cell sizes and centres, the junction field mesh's
 vertices, cells, areas, centroids, incircle diameters, edge lengths and edge
-normal angles, and each Method-B junction's patch mesh, which a tree may
-build on first read (`PATCH_ARRAYS`: its cell count, vertices, triangles,
-edge ends and edge tags, the tags compared as lists); runs whose geometry
-differs are listed with the arrays that differ, each one problem. Each run's scenario config is compared as JSON
+normal angles, each Method-A and Method-B junction's polygon
+(`POLYGON_ARRAYS`: its vertices, edge points, edge kinds, area and
+centroid, the kinds compared as lists), and each Method-B junction's patch
+mesh, which a tree may build on first read (`PATCH_ARRAYS`: its cell count,
+vertices, triangles, edge ends and edge tags, the tags compared as lists);
+runs whose geometry differs are listed with the arrays that differ, each
+one problem. Each run's scenario config is compared as JSON
 text, since a short run does not read its `t_end`, `metadata` or a gauge it
 never samples; runs whose configs differ are listed with the top-level keys
 that differ. The exit code is 1 when
@@ -206,17 +209,37 @@ GEOMETRY_ARRAYS = {
                             "edge_lengths", "edge_thetas"),
 }
 PATCH_ARRAYS = ("n_cells", "vertices", "triangles", "edge_va", "edge_vb", "edge_tags")
+POLYGON_ARRAYS = ("vertices", "edge_points", "edge_kinds", "area", "centroid")
+
+
+def polygon(geom) -> dict:
+    """The `POLYGON_ARRAYS` of a junction polygon: its vertices, each edge's
+    two ends as (E, 2, 2), each edge's (kind, channel, channel end), its
+    area and its centroid."""
+    return {
+        "vertices": np.asarray(geom.vertices),
+        "edge_points": np.array([(e.a, e.b) for e in geom.edges]),
+        "edge_kinds": np.array([(e.kind, e.channel, e.channel_end) for e in geom.edges],
+                               dtype=object),
+        "area": np.asarray(geom.area),
+        "centroid": np.asarray(geom.centroid),
+    }
 
 
 def geometry(sim) -> dict:
     """{"<owner>.<array>": (dtype name, values)} of a network's
-    `GEOMETRY_ARRAYS`, and of the `PATCH_ARRAYS` of each Method-B junction's
-    patch mesh, owned by "junctions.<id>.mesh"; a network without Method-A or
-    Method-B junctions has no junction field."""
+    `GEOMETRY_ARRAYS`; of the `POLYGON_ARRAYS` of each Method-A and Method-B
+    junction's polygon, owned by "junctions.<id>.geom"; and of the
+    `PATCH_ARRAYS` of each Method-B junction's patch mesh, owned by
+    "junctions.<id>.mesh". A network without Method-A or Method-B junctions
+    has no junction field."""
     owners = {"field": sim.field, "junction_field.mesh": getattr(sim.junction_field, "mesh", None)}
     out = {f"{owner}.{n}": (str(getattr(obj, n).dtype), getattr(obj, n).tolist())
            for owner, obj in owners.items() if obj is not None for n in GEOMETRY_ARRAYS[owner]}
     for j in sim.junctions:
+        if j.strategy in ("A", "B"):
+            out |= {f"junctions.{j.id}.geom.{n}": (str(a.dtype), a.tolist())
+                    for n, a in polygon(j.geom).items()}
         if j.strategy == "B":
             arrays = {n: np.asarray(getattr(j.mesh, n)) for n in PATCH_ARRAYS}
             out |= {f"junctions.{j.id}.mesh.{n}": (str(a.dtype), a.tolist())
