@@ -6,13 +6,14 @@ each over all ends, each junction's walls joined on Python floats, and the
 checks of all polygons (area, crossing sides, edge normals) on one stack per
 vertex count and one array of all edges. Every value has the bits of the
 junction built alone (`build_junction_polygon`, the batch of one), and the
-first junction in spec order that fails raises its error.
+first junction in spec order that fails raises its error. A polygon's
+vertex ring is what its Method-A cell and its Method-B patch are meshed from.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,15 +132,11 @@ class Channel:
     def end_point(self, which: str) -> np.ndarray:
         return self.start if which == "start" else self.end
 
-    def outward_dir(self, which: str) -> np.ndarray:
-        """Unit vector pointing from the attached junction into the channel."""
-        return self.axis if which == "start" else -self.axis
-
     def connected_end(self, which: str) -> ConnectedEnd:
-        """This channel's `which` end as seen from the junction attached there."""
-        return ConnectedEnd(
-            self.id, which, self.end_point(which), self.outward_dir(which), self.width
-        )
+        """This channel's `which` end as seen from the junction attached
+        there, whose direction points from the junction into the channel."""
+        axis = self.axis if which == "start" else -self.axis
+        return ConnectedEnd(self.id, which, self.end_point(which), axis, self.width)
 
 
 @dataclass
@@ -158,29 +155,33 @@ class JunctionEdge:
 
 @dataclass
 class JunctionGeometry:
-    """Junction-shaped polygon with typed edges, built by
-    `build_junction_polygons`; one constructed directly passes the same
-    checks (`_check_polygons`) as a batch of one."""
+    """Junction-shaped polygon with typed edges, a record made and checked
+    only by `build_junction_polygons`: its (n, 2) counter-clockwise vertex
+    ring, its n edges, edge k from vertex k to vertex k + 1 (mod n), its
+    area and its centroid. Both junction meshes are numbered from the ring;
+    where two edges nearly meet, their own ends may differ from the ring's
+    shared vertex by the builder's tolerance."""
 
     vertices: np.ndarray
     edges: list[JunctionEdge]
-    area: float = field(init=False)
-    centroid: np.ndarray = field(init=False)
+    area: float
+    centroid: np.ndarray
 
-    def __post_init__(self):
-        points = np.array([(e.a, e.b) for e in self.edges], dtype=float).reshape(-1, 2)
-        _, areas, centroids = _check_polygons(
-            np.asarray(self.vertices, dtype=float), [range(len(self.vertices))], points,
-            [len(self.edges)])
-        self.area, self.centroid = float(areas[0]), centroids[0]
+    def ring_tags(self, first: int = 0) -> dict:
+        """Each edge's tag keyed by the numbers (a, b), a < b, of its two
+        ring vertices when vertex k is numbered `first + k`; in edge order."""
+        *edges, last = self.edges
+        tags = {(first + k, first + k + 1): e.tag for k, e in enumerate(edges)}
+        tags[first, first + len(edges)] = last.tag
+        return tags
 
 
-def _check_polygons(nodes, polygons, points, sides):
+def _check_polygons(points, polygons, sides):
     """(vertices, areas, centroids) of junction polygons.
 
-    `polygons` holds the numbers of each polygon's vertices among the
-    (N, 2) `nodes`; `points` (2 E, 2) the two ends of every edge, edge after
-    edge and polygon after polygon; `sides` each polygon's number of edges.
+    `points` (2 E, 2) holds the two ends of every edge, edge after edge and
+    polygon after polygon; `polygons` the numbers of each polygon's vertices
+    among them; `sides` each polygon's number of edges.
     Polygons of one vertex count are checked as one (m, n, 2) stack, whose
     rows are the returned vertices, and the edges all at once. A polygon
     fails on the first of: an area that is not positive; two sides that
@@ -198,7 +199,7 @@ def _check_polygons(nodes, polygons, points, sides):
     with np.errstate(divide="ignore", invalid="ignore"):
         for n, group in groups.items():
             rows = group if len(groups) > 1 else slice(None)  # one group: no scatter
-            V = nodes[np.array([polygons[k] for k in group])]
+            V = points[np.array([polygons[k] for k in group])]
             for k, v in zip(group, V):
                 vertices[k] = v
             areas[rows], centroids[rows] = polygon_area_centroid(V)
@@ -268,7 +269,8 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
     and the checks of every polygon in one pass (`_check_polygons`).
 
     The first junction in spec order that fails raises its GeometryError;
-    within a junction, its construction fails before its checks.
+    within a junction, its construction fails before its checks. Every
+    `JunctionGeometry` is made here, after its checks.
     """
     counts = [len(ends) for ends, _, _ in specs]
     ends = [e for es, _, _ in specs for e in es]
@@ -319,19 +321,13 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
         first = last
 
     pts = np.array(points, dtype=float).reshape(-1, 2)
-    vertices, areas, centroids = _check_polygons(pts, polygons, pts, sides)
+    vertices, areas, centroids = _check_polygons(pts, polygons, sides)
     if failure:
         raise failure
     edges = [JunctionEdge(a, b, *kind) for a, b, kind in zip(pts[0::2], pts[1::2], kinds)]
-    geoms = []
-    first = 0
-    for v, n, area, centroid in zip(vertices, sides, areas.tolist(), centroids):
-        # Checked above: built without `__post_init__`, which would check again.
-        g = object.__new__(JunctionGeometry)
-        g.vertices, g.edges, g.area, g.centroid = v, edges[first : first + n], area, centroid
-        geoms.append(g)
-        first += n
-    return geoms
+    last = np.cumsum(sides).tolist()
+    return [JunctionGeometry(v, edges[k - n : k], area, centroid)
+            for v, n, k, area, centroid in zip(vertices, sides, last, areas.tolist(), centroids)]
 
 
 def _join_walls(rows, ends, P, protrusion):
@@ -340,8 +336,8 @@ def _join_walls(rows, ends, P, protrusion):
     `rows` holds, for each channel end of `ends` counter-clockwise, its
     mouth and its unit direction into the channel. Each edge adds its two
     ends to the points and its (kind, channel, channel end) to the kinds;
-    the vertices are the numbers of their points, from the first coupling
-    edge's first end. Points are (x, y) Python floats, which round + - * /
+    the vertices are the numbers of their points, one per edge, from the
+    first coupling edge's first end. Points are (x, y) Python floats, which round + - * /
     as numpy does; distances are `np.hypot`'s.
     """
     tol = 1e-9 * max(e.width for e in ends)
@@ -394,8 +390,7 @@ def _join_walls(rows, ends, P, protrusion):
                 push_wall(Bi, P)
                 push_wall(P, Aj)
 
-    if not apart(points[0], points[verts[-1]]):
-        verts.pop()
+    verts.pop()  # the last edge ends on the first vertex, or within 2 tol of it
     return verts, points, kinds
 
 

@@ -123,10 +123,8 @@ class JunctionField:
              spec.position, spec.depth_factor) for spec in specs])
         for spec, geom in zip(specs, geoms):
             if spec.strategy == "A":
-                n = len(geom.vertices)
                 patch = None
-                parts.append((geom.vertices, [np.arange(n)],
-                              {(k, (k + 1) % n): e.tag for k, e in enumerate(geom.edges)}))
+                parts.append((geom.vertices, [np.arange(len(geom.vertices))], geom.ring_tags()))
             else:
                 patch = fan_refine_mesh(geom, spec.patch_refine)
                 parts.append(patch)

@@ -4,8 +4,10 @@ Two generators triangulate: a structured split-quad mesher for unions of
 axis-aligned rectangles (full 2D reference domains), which builds their
 `TriMesh`, and a fan-plus-refine mesher for junction-shaped polygons (local
 2D patches), which returns the (vertices, triangles, boundary tags) of a
-patch and builds no mesh. `disjoint_union` joins the cells of a network's
-junctions, patches included, into one `TriMesh`, which validates them all.
+patch and builds no mesh; a patch is numbered from its polygon's vertex
+ring, as a Method-A cell is, and no point is looked up by its coordinates.
+`disjoint_union` joins the cells of a network's junctions, patches
+included, into one `TriMesh`, which validates them all.
 """
 
 from __future__ import annotations
@@ -122,37 +124,24 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2):
     from its centroid and refined, the parts of `disjoint_union` and of
     `TriMesh`: no mesh is built or validated here.
 
-    Uniform refinement (each triangle into four) keeps symmetric polygons
-    symmetric and subdivides coupling edges evenly. The polygon must be
-    star-shaped with respect to its centroid. Points are rounded to 12
-    decimals by `np.round` and merged on equal coordinates, numbered in order
-    of first appearance. The tags are keyed (a, b) with a < b.
+    The centroid is point 0 and ring vertex k point k + 1 (`np.round` to 12
+    decimals); edge k's triangle joins the centroid to ring vertices k and
+    k + 1, and its tag is keyed as `geometry.ring_tags(1)`. The polygon must
+    be star-shaped with respect to its centroid. Uniform refinement (each
+    triangle into four) keeps symmetric polygons symmetric and subdivides
+    coupling edges evenly; each level appends its edge midpoints, rounded
+    alike, in order of first appearance, and splits each tagged edge in
+    two, in edge order. The tags are keyed (a, b) with a < b.
     """
-    center = geometry.centroid
-    verts = [tuple(center)]
-    index = {tuple(center): 0}
-
-    def vids(points):
-        """Numbers of the rounded points, new ones appended in row order."""
-        out = []
-        for key in map(tuple, np.round(points, 12).tolist()):
-            if key not in index:
-                index[key] = len(verts)
-                verts.append(key)
-            out.append(index[key])
-        return out
-
-    tris = []
-    btags = {}
-    cx, cy = center.tolist()
-    ids = vids([p for e in geometry.edges for p in (e.a, e.b)])
-    for e, ia, ib in zip(geometry.edges, ids[0::2], ids[1::2]):
-        (ax, ay), (bx, by) = verts[ia], verts[ib]
-        if (ax - cx) * (by - cy) - (ay - cy) * (bx - cx) <= 0.0:
-            raise GeometryError("polygon is not star-shaped from its centroid")
-        tris.append((0, ia, ib))
-        btags[(min(ia, ib), max(ia, ib))] = e.tag
-    tris = np.array(tris, dtype=int)
+    center, ring = geometry.centroid, np.round(geometry.vertices, 12)
+    d, dn = ring - center, np.roll(ring - center, -1, axis=0)
+    if (d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0] <= 0.0).any():
+        raise GeometryError("polygon is not star-shaped from its centroid")
+    verts = np.concatenate([center[None], ring])
+    k = np.arange(1, len(verts))
+    tris = np.stack([np.zeros_like(k), k, np.roll(k, -1)], axis=1)
+    btags = geometry.ring_tags(1)
+    ends, tags = np.array(list(btags), dtype=int).reshape(-1, 2), list(btags.values())
 
     for _ in range(refinements):
         # Each triangle's edges (0, 1), (1, 2), (2, 0), triangle after
@@ -160,28 +149,23 @@ def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2):
         # (a + b == b + a), and new points are numbered in that order.
         n = len(verts)
         a, b = tris.ravel(), tris[:, [1, 2, 0]].ravel()
-        keys, first, edge_of = np.unique(
-            np.minimum(a, b) * n + np.maximum(a, b), return_index=True, return_inverse=True
-        )
-        v = np.array(verts)
+        keys, first, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                         return_index=True, return_inverse=True)
         order = np.argsort(first)
-        mid = np.empty(len(keys), dtype=int)
-        mid[order] = vids(0.5 * (v[a[first[order]]] + v[b[first[order]]]))
+        mid = n + np.argsort(order)
+        a, b = a[first[order]], b[first[order]]
+        verts = np.concatenate([verts, np.round(0.5 * (verts[a] + verts[b]), 12)])
         m01, m12, m20 = mid[edge_of].reshape(-1, 3).T
         i0, i1, i2 = tris.T
-        tris = np.stack(
-            [i0, m01, m20, m01, i1, m12, m20, m12, i2, m01, m12, m20], axis=1
-        ).reshape(-1, 3)
-        # Keyed a < b: each boundary edge's code is a * n + b.
-        ends = np.array(list(btags), dtype=int).reshape(-1, 2)
-        halves = mid[np.searchsorted(keys, ends[:, 0] * n + ends[:, 1])].tolist()
-        new_btags = {}
-        for (ia, ib), m, tag in zip(btags, halves, btags.values()):
-            new_btags[(min(ia, m), max(ia, m))] = tag
-            new_btags[(min(m, ib), max(m, ib))] = tag
-        btags = new_btags
+        tris = np.stack([i0, m01, m20, m01, i1, m12, m20, m12, i2, m01, m12, m20],
+                        axis=1).reshape(-1, 3)
+        # Tagged edge (a, b), a < b, splits into (a, m) and (b, m): its
+        # midpoint m is newer than both ends.
+        halves = mid[np.searchsorted(keys, ends[:, 0] * n + ends[:, 1])]
+        ends = np.column_stack([ends.ravel(), halves.repeat(2)])
+        tags = [tag for tag in tags for _ in range(2)]
 
-    return np.array(verts, dtype=float), tris, btags
+    return verts, tris, dict(zip(map(tuple, ends.tolist()), tags))
 
 
 def disjoint_union(parts) -> TriMesh:

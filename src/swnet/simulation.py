@@ -32,6 +32,7 @@ as "failed", and the per-run volume ledger.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 from dataclasses import dataclass
@@ -493,11 +494,11 @@ class Mesh2DSimulation(TimeStepper):
 
 
 def write_gauge_csv(path, recorder: GaugeRecorder):
-    """Gauge CSV: header t,gauge_id,h,u; time-major, gauge-minor rows."""
+    """Gauge CSV: header t,gauge_id,h,u; time-major, gauge-minor rows; a
+    gauge id that holds a comma, a quote or a line break is quoted."""
     with open(path, "w") as f:
-        f.write("t,gauge_id,h,u\n")
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(("t", "gauge_id", "h", "u"))
         for k, t in enumerate(recorder.times):
-            for g in recorder.gauges:
-                f.write(
-                    f"{t!r},{g.id},{recorder.h[g.id][k]!r},{recorder.u[g.id][k]!r}\n"
-                )
+            out.writerows((t, g.id, recorder.h[g.id][k], recorder.u[g.id][k])
+                          for g in recorder.gauges)

@@ -9,9 +9,9 @@ from swnet.geometry import (
     ConnectedEnd,
     GeometryError,
     JunctionEdge,
-    JunctionGeometry,
     MeshError,
     TriMesh,
+    _check_polygons,
     build_junction_polygon,
     build_junction_polygons,
     point_in_polygon,
@@ -531,13 +531,112 @@ class TestJunctionPolygonOracle:
     def test_bow_tie_self_intersects(self):
         # Side (0,3)-(1,-1) crosses side (0,0)-(4,0); the net area is +4.5,
         # so only the crossing test can reject it.
+        # `build_junction_polygons` makes no bow tie, so its checks are fed
+        # one directly: the edge points, vertex k the start of edge k.
         v = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (1.0, -1.0)])
         edges = [JunctionEdge(a=v[k], b=v[(k + 1) % 4], kind="wall") for k in range(4)]
         assert former_polygon_area(v) == 4.5
+        points = np.array([(e.a, e.b) for e in edges]).reshape(-1, 2)
         with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
-            JunctionGeometry(vertices=v, edges=edges)
+            _check_polygons(points, [range(0, 8, 2)], [4])
         with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
             former_validate(v, edges, former_polygon_centroid(v))
+
+
+def near_corner_t(eps):
+    """A T of width 0.4 whose up channel's mouth sits `eps` above its
+    neighbours' shared corner: the polygon drops the near-duplicate vertex
+    (within 1e-9 x width) that rounding to 12 decimals keeps apart."""
+    ends = [ConnectedEnd("ch1", "start", (-0.2, 0.0), (-1.0, 0.0), 0.4),
+            ConnectedEnd("ch2", "start", (0.0, 0.2 + eps), (0.0, 1.0), 0.4),
+            ConnectedEnd("ch3", "start", (0.0, -0.2), (0.0, -1.0), 0.4)]
+    return build_junction_polygon(ends, (0.0, 0.0), 0.0)
+
+
+def closing_corner_t(eps):
+    """A T whose first coupling edge, by angle, starts `eps` right of and
+    above the last one's end: the side walls between them meet within
+    1e-9 x width of both ends, so neither is pushed, and from eps = 2.9e-10
+    the two ends lie farther apart than that."""
+    ends = [ConnectedEnd("r", "start", (0.2 + eps, eps), (1.0, 0.0), 0.4),
+            ConnectedEnd("l", "start", (-0.2, 0.0), (-1.0, 0.0), 0.4),
+            ConnectedEnd("d", "start", (0.0, -0.2), (0.0, -1.0), 0.4)]
+    return build_junction_polygon(ends, (0.0, 0.0), 0.0)
+
+
+def assert_fan_of_the_ring(g):
+    """`fan_refine_mesh(g, 0)` is the unrounded centroid, then the rounded
+    vertex ring, fanned edge by edge and tagged as `g.ring_tags(1)`."""
+    verts, tris, tags = fan_refine_mesh(g, 0)
+    want = np.concatenate([g.centroid[None], np.round(g.vertices, 12)])
+    assert verts.tobytes() == want.tobytes()
+    n = len(g.vertices)
+    assert tris.tolist() == [[0, k + 1, (k + 1) % n + 1] for k in range(n)]
+    assert list(tags.items()) == list(g.ring_tags(1).items())
+
+
+class TestVertexRing:
+    """A junction polygon's edge k joins its vertices k and k + 1 (mod n),
+    and both junction meshes, a Method-A cell and a Method-B fan, are
+    numbered from that ring."""
+
+    @pytest.mark.parametrize("corner, eps", [
+        (near_corner_t, 0.0), (near_corner_t, 1e-13), (near_corner_t, 3e-12),
+        (near_corner_t, 1e-11), (closing_corner_t, 2e-10), (closing_corner_t, 3.2e-10)])
+    def test_a_near_corner_meshes_into_a_valid_cell_and_patch(self, corner, eps):
+        g = corner(eps)
+        assert len(g.vertices) == len(g.edges) == 4
+        cell = TriMesh(g.vertices, [np.arange(4)], g.ring_tags())
+        mesh = TriMesh(*fan_refine_mesh(g, 1))
+        assert mesh.n_cells == 16
+        for m in (cell, mesh):
+            assert np.isclose(m.areas.sum(), g.area, rtol=1e-12)
+        assert sorted(mesh.edge_tags[e] for e in mesh.boundary) == sorted(
+            [e.tag for e in g.edges for _ in range(2)])
+
+    def test_edge_k_joins_ring_vertices_k_and_k_plus_1(self):
+        built = 0
+        for seed in range(300):
+            _, ends, position, protrusion = random_junction(seed)
+            try:
+                g = build_junction_polygon(ends, position, protrusion)
+            except GeometryError:
+                continue
+            built += 1
+            n, tol = len(g.vertices), 1e-9 * max(e.width for e in ends)
+            assert len(g.edges) == n
+            a = np.array([e.a for e in g.edges])
+            b = np.array([e.b for e in g.edges])
+            assert np.abs(a - g.vertices).max() <= 2 * tol
+            assert np.abs(b - np.roll(g.vertices, -1, axis=0)).max() <= 2 * tol
+            assert_fan_of_the_ring(g)
+        assert built > 50
+
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_preset_junction_meshes_follow_the_ring(self, strategy):
+        from swnet import ConfigError, build_simulation, preset, preset_names
+
+        checked = 0
+        for name, _ in preset_names():
+            try:
+                sim = build_simulation(preset(name), strategy=strategy)
+            except ConfigError:
+                continue
+            if sim.junction_field is None:
+                continue
+            mesh = sim.junction_field.mesh
+            for j in sim.junction_field.junctions:
+                assert_fan_of_the_ring(j.geom)
+                if strategy == "A":
+                    cell = j._rows.start
+                    first = int(mesh.triangles[cell, 0])
+                    own = np.flatnonzero(mesh.edge_left == cell)
+                    tags = {tuple(sorted((int(mesh.edge_va[e]) - first,
+                                          int(mesh.edge_vb[e]) - first))): mesh.edge_tags[e]
+                            for e in own}
+                    assert tags == j.geom.ring_tags()
+                checked += 1
+        assert checked > 10
 
 
 @functools.cache

@@ -312,8 +312,6 @@ KEPT = {
     "core.physical_flux_y": "criterion 8's oracle",
     "core.rotate_state": "the benchmark's tracer (core.rotate), and criterion 8",
     "core.rotate_back": "the benchmark's tracer (core.rotate), and criterion 8",
-    "geometry.JunctionGeometry.__post_init__": "a polygon built directly runs the batch's "
-                                               "checks: the bow tie of tests/test_geometry.py",
     "junctions._cell_name": "error path: a non-finite junction cell names its junction and cell",
     "junctions.JunctionView.mesh": "the benchmark's Workload.cells "
                                    "(bench/swnet_bench/workloads.py:56), tools/compare_runs.py, "

@@ -1,4 +1,5 @@
 import copy
+import csv
 import gc
 import weakref
 
@@ -503,6 +504,19 @@ class TestGaugeCsv:
             write_gauge_csv(p, res.gauges)
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_an_id_with_a_comma_and_quotes_reads_back(self, tmp_path):
+        data = presets.preset("smooth1d").emit()
+        data["gauges"][0]["id"] = 'mid,"1"'
+        res = build_simulation(ScenarioConfig(data)).run(0.2)
+        path = tmp_path / "gauges.csv"
+        write_gauge_csv(path, res.gauges)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["t", "gauge_id", "h", "u"]
+        assert len(rows) == len(res.gauges.times) + 1 > 2
+        for row, t, h, u in zip(rows[1:], *res.gauges.series('mid,"1"')):
+            assert row == [repr(float(t)), 'mid,"1"', repr(float(h)), repr(float(u))]
 
 
 class TestWiring:
