@@ -51,7 +51,7 @@ def _make_dir(out: Path) -> Path:
     return out
 
 
-def _write_meta(out_dir: Path, cfg, result, extra=None):
+def _write_meta(out_dir: Path, cfg, result):
     meta = {
         "scenario": cfg.data,
         "status": result.status,
@@ -66,8 +66,6 @@ def _write_meta(out_dir: Path, cfg, result, extra=None):
     if result.failure is not None:
         meta["failure"] = str(result.failure)
         meta["failure_type"] = type(result.failure).__name__
-    if extra:
-        meta.update(extra)
     with open(out_dir / "run_meta.json", "w") as f:
         json.dump(meta, f, indent=2, default=str)
         f.write("\n")

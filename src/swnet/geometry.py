@@ -6,8 +6,8 @@ each over all ends, each junction's walls joined on Python floats, and the
 checks of all polygons (area, crossing sides, edge normals) on one stack per
 vertex count and one array of all edges. Every value has the bits of the
 junction built alone (`build_junction_polygon`, the batch of one), and the
-first junction in spec order that fails raises its error. A polygon's
-vertex ring is what its Method-A cell and its Method-B patch are meshed from.
+first junction in spec order that fails raises its error. Both junction
+meshes are numbered from a polygon's vertex ring, which is its edge chain.
 """
 
 from __future__ import annotations
@@ -158,9 +158,10 @@ class JunctionGeometry:
     """Junction-shaped polygon with typed edges, a record made and checked
     only by `build_junction_polygons`: its (n, 2) counter-clockwise vertex
     ring, its n edges, edge k from vertex k to vertex k + 1 (mod n), its
-    area and its centroid. Both junction meshes are numbered from the ring;
-    where two edges nearly meet, their own ends may differ from the ring's
-    shared vertex by the builder's tolerance."""
+    area and its centroid. The ring is the edge chain: vertex 0 is edge 0's
+    start and vertex k edge k - 1's end. Both junction meshes are numbered
+    from the ring; where two edges nearly meet, an edge's start may differ
+    from its ring vertex by the builder's tolerance."""
 
     vertices: np.ndarray
     edges: list[JunctionEdge]
@@ -176,12 +177,14 @@ class JunctionGeometry:
         return tags
 
 
-def _check_polygons(points, polygons, sides):
+def _check_polygons(points, sides):
     """(vertices, areas, centroids) of junction polygons.
 
     `points` (2 E, 2) holds the two ends of every edge, edge after edge and
-    polygon after polygon; `polygons` the numbers of each polygon's vertices
-    among them; `sides` each polygon's number of edges.
+    polygon after polygon, and `sides` each polygon's number of edges n. Its
+    vertex ring is its edge chain: from its first point p, the points p,
+    p + 1, p + 3, ..., p + 2 n - 3, its first edge's start and then the end
+    of each edge but the last.
     Polygons of one vertex count are checked as one (m, n, 2) stack, whose
     rows are the returned vertices, and the edges all at once. A polygon
     fails on the first of: an area that is not positive; two sides that
@@ -189,20 +192,21 @@ def _check_polygons(points, polygons, sides):
     points to the centroid's side, the first such edge. The first polygon
     that fails raises its GeometryError.
     """
-    count = len(polygons)
+    count = len(sides)
     vertices, areas = [None] * count, np.empty(count)
     centroids, crossing = np.empty((count, 2)), np.zeros(count, dtype=bool)
+    first = 2 * np.cumsum([0, *sides])[:-1]
     groups = {}
-    for k, v in enumerate(polygons):
-        groups.setdefault(len(v), []).append(k)
+    for k, n in enumerate(sides):
+        groups.setdefault(n, []).append(k)
     # A polygon without area gets a centroid that no check reads.
     with np.errstate(divide="ignore", invalid="ignore"):
         for n, group in groups.items():
-            rows = group if len(groups) > 1 else slice(None)  # one group: no scatter
-            V = points[np.array([polygons[k] for k in group])]
+            ring = np.arange(-1, 2 * n - 2, 2).clip(0)  # 0, 1, 3, ..., 2 n - 3
+            V = points[first[group, None] + ring]
             for k, v in zip(group, V):
                 vertices[k] = v
-            areas[rows], centroids[rows] = polygon_area_centroid(V)
+            areas[group], centroids[group] = polygon_area_centroid(V)
             # left[p, s, v]: vertex v of polygon p lies strictly left of its
             # side s (vertex s to s + 1) by `(b - a) x (c - a) > 0`. Sides
             # that are not adjacent cross when each has the other's two ends
@@ -212,7 +216,7 @@ def _check_polygons(points, polygons, sides):
             r = xy[..., None, :] - xy[..., None]  # r[p, :, s, v]: vertex v from vertex s
             left = e[:, 0, :, None] * r[:, 1] - e[:, 1, :, None] * r[:, 0] > 0
             splits = left != _next(left)
-            crossing[rows] = (splits & splits.transpose(0, 2, 1) & _ring(n)[1]).any(axis=(1, 2))
+            crossing[group] = (splits & splits.transpose(0, 2, 1) & _ring(n)[1]).any(axis=(1, 2))
         # The edge-normal test, over all edges at once.
         a, b = points[0::2], points[1::2]
         d, m = b - a, 0.5 * (a + b) - centroids.repeat(sides, axis=0)
@@ -221,13 +225,11 @@ def _check_polygons(points, polygons, sides):
         t = d / (length + short)[:, None]  # a short edge fails, whatever its direction
         theta = np.arctan2(-t[:, 0], t[:, 1])
         bad = (short | (np.cos(theta) * m[:, 0] + np.sin(theta) * m[:, 1] <= 0.0)).nonzero()[0]
+    owner = np.arange(count).repeat(sides)[bad]
     fails = (areas <= 0.0) | crossing
-    if len(bad):
-        owner = np.arange(count).repeat(sides)[bad]
-        fails[owner] = True
-    failed = fails.nonzero()[0]
-    if len(failed):
-        k = failed[0]
+    fails[owner] = True
+    if fails.any():
+        k = fails.argmax()  # the first that fails
         if areas[k] <= 0.0:
             raise GeometryError("junction polygon is not counter-clockwise or empty")
         if crossing[k]:
@@ -249,7 +251,7 @@ class ConnectedEnd:
 
 
 def build_junction_polygon(
-    ends: list[ConnectedEnd], junction_point, protrusion: float = 0.1
+    ends: list[ConnectedEnd], junction_point, protrusion: float
 ) -> JunctionGeometry:
     """The junction-shaped 2D element: `build_junction_polygons` of one junction.
 
@@ -268,18 +270,18 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
     of `specs`, with the values of every channel end in one array call each
     and the checks of every polygon in one pass (`_check_polygons`).
 
-    The first junction in spec order that fails raises its GeometryError;
-    within a junction, its construction fails before its checks. Every
-    `JunctionGeometry` is made here, after its checks.
+    Junctions are joined in spec order until one fails: with fewer than two
+    ends, a direction too short to scale, or in `_join_walls`. The polygons
+    before it are checked first, so the first junction that fails raises its
+    GeometryError, a construction failure before any check of its own.
+    Every `JunctionGeometry` is made here, after its checks.
     """
     counts = [len(ends) for ends, _, _ in specs]
     ends = [e for es, _, _ in specs for e in es]
-    points_at = [tuple(map(float, point)) for _, point, _ in specs]
+    points_at = np.array([point for _, point, _ in specs], dtype=float).reshape(-1, 2)
     # Per end: its junction and the junction point; its mouth and its
     # direction into the channel, made a unit one in place.
-    at = np.array([(k, *P) for k, ((es, _, _), P) in enumerate(zip(specs, points_at))
-                   for _ in es], dtype=float).reshape(-1, 3)
-    junction, P = at[:, 0], at[:, 1:]
+    junction, P = np.repeat(np.arange(len(specs)), counts), points_at.repeat(counts, axis=0)
     md = np.array([(e.mouth, e.direction) for e in ends], dtype=float).reshape(-1, 2, 2)
     mouth, u = md[:, 0], md[:, 1]
     # The bits of `_unit`, `np.arctan2 % 2 pi` and `np.dot` (kept by
@@ -294,34 +296,27 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
     rows = md.take(order, axis=0).tolist()
     ends = [ends[i] for i in order.tolist()]
 
-    # A junction of fewer than two ends, or with a short direction, fails
-    # here; one whose side walls cannot be joined, in `_join_walls`.
-    stop = next((k for k, n in enumerate(counts) if n < 2), len(specs))
-    short_ends = short.nonzero()[0]
-    if len(short_ends):
-        stop = min(stop, int(junction[short_ends[0]]))
-    failure = None
-    if stop < len(specs):
-        failure = GeometryError("a junction needs at least two channels" if counts[stop] < 2
-                                else "zero-length direction vector")
-    polygons, points, kinds, sides = [], [], [], []
-    first = 0
-    for k in range(stop):
-        last = first + counts[k]
+    points, kinds, sides = [], [], []
+    failure, first = None, 0
+    for (_, _, protrusion), point, n in zip(specs, points_at.tolist(), counts):
+        last = first + n
         try:
-            verts, edge_points, edge_kinds = _join_walls(
-                rows[first:last], ends[first:last], points_at[k], specs[k][2])
+            if n < 2:
+                raise GeometryError("a junction needs at least two channels")
+            if short[first:last].any():
+                raise GeometryError("zero-length direction vector")
+            edge_points, edge_kinds = _join_walls(
+                rows[first:last], ends[first:last], point, protrusion)
         except GeometryError as exc:
             failure = exc
             break
-        polygons.append([len(points) + i for i in verts])
         points += edge_points
         kinds += edge_kinds
         sides.append(len(edge_kinds))
         first = last
 
     pts = np.array(points, dtype=float).reshape(-1, 2)
-    vertices, areas, centroids = _check_polygons(pts, polygons, sides)
+    vertices, areas, centroids = _check_polygons(pts, sides)
     if failure:
         raise failure
     edges = [JunctionEdge(a, b, *kind) for a, b, kind in zip(pts[0::2], pts[1::2], kinds)]
@@ -331,14 +326,16 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
 
 
 def _join_walls(rows, ends, P, protrusion):
-    """(vertices, edge points, edge kinds) of one junction polygon.
+    """(edge points, edge kinds) of one junction polygon.
 
     `rows` holds, for each channel end of `ends` counter-clockwise, its
     mouth and its unit direction into the channel. Each edge adds its two
-    ends to the points and its (kind, channel, channel end) to the kinds;
-    the vertices are the numbers of their points, one per edge, from the
-    first coupling edge's first end. Points are (x, y) Python floats, which round + - * /
-    as numpy does; distances are `np.hypot`'s.
+    ends to the points and its (kind, channel, channel end) to the kinds,
+    from the first coupling edge on. The edges form a closed chain, each
+    starting where the one before it ends, or within 2 tol of it, and the
+    polygon's vertex ring is the chain (`_check_polygons`). Points are
+    (x, y) Python floats, which round + - * / as numpy does; distances are
+    `np.hypot`'s.
     """
     tol = 1e-9 * max(e.width for e in ends)
     coupling = []  # each end's coupling edge A B and direction d
@@ -347,7 +344,6 @@ def _join_walls(rows, ends, P, protrusion):
         hx, hy = 0.5 * e.width * -dy, 0.5 * e.width * dx  # along t = (-dy, dx)
         coupling.append(((cx - hx, cy - hy), (cx + hx, cy + hy), (dx, dy)))
     points = []  # each edge's two ends, edge after edge
-    verts = [0]  # the numbers of the polygon's vertices among the points
     kinds = []  # each edge's (kind, channel, channel end)
 
     def apart(a, b):
@@ -357,12 +353,10 @@ def _join_walls(rows, ends, P, protrusion):
         if apart(a, b):
             points.extend((a, b))
             kinds.append(("wall", None, None))
-            verts.append(len(points) - 1)
 
     for k, (Ai, Bi, (dix, diy)) in enumerate(coupling):
         points.extend((Ai, Bi))
         kinds.append(("coupling", ends[k].channel, ends[k].end))
-        verts.append(len(points) - 1)
         Aj, _, (djx, djy) = coupling[(k + 1) % len(coupling)]
         (bx, by), (ajx, ajy) = Bi, Aj
         if not apart(Bi, Aj):
@@ -390,8 +384,7 @@ def _join_walls(rows, ends, P, protrusion):
                 push_wall(Bi, P)
                 push_wall(P, Aj)
 
-    verts.pop()  # the last edge ends on the first vertex, or within 2 tol of it
-    return verts, points, kinds
+    return points, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -116,19 +116,13 @@ class JunctionField:
         A junction's polygon, one cell with edges tagged "wall" or
         "coupling:<channel>:<end>", or a B junction's fan-refined patch of it.
         `channels` maps ids to `Channel`s; `field` is the network's ChannelField."""
-        members = []  # (polygon, patch parts or None) per junction
-        parts = []  # (vertices, cells, boundary tags) of their meshes
         geoms = build_junction_polygons([
             ([channels[ch].connected_end(end) for ch, end in spec.connects],
              spec.position, spec.depth_factor) for spec in specs])
-        for spec, geom in zip(specs, geoms):
-            if spec.strategy == "A":
-                patch = None
-                parts.append((geom.vertices, [np.arange(len(geom.vertices))], geom.ring_tags()))
-            else:
-                patch = fan_refine_mesh(geom, spec.patch_refine)
-                parts.append(patch)
-            members.append((geom, patch))
+        # (vertices, cells, boundary tags) of each junction's mesh
+        parts = [(geom.vertices, [np.arange(len(geom.vertices))], geom.ring_tags())
+                 if spec.strategy == "A" else fan_refine_mesh(geom, spec.patch_refine)
+                 for spec, geom in zip(specs, geoms)]
         self.mesh = mesh = disjoint_union(parts)
         self.params = params
         n_cells = [len(cells) for _, cells, _ in parts]
@@ -204,9 +198,10 @@ class JunctionField:
             JunctionView(
                 self.mesh_field, slice(self._first_cell[k], self._first_cell[k + 1]),
                 spec.id, spec.strategy, geom,
-                [self.ends[e] for e in np.flatnonzero(end_junction == k)], patch,
+                [self.ends[e] for e in np.flatnonzero(end_junction == k)],
+                None if spec.strategy == "A" else part,
             )
-            for k, (spec, (geom, patch)) in enumerate(zip(specs, members))
+            for k, (spec, geom, part) in enumerate(zip(specs, geoms, parts))
         ]
 
     def volume(self) -> float:

@@ -119,7 +119,7 @@ def rect_union_mesh(rects, dx, tag_segments=None, polygons=()):
     return TriMesh(verts, tris, dict(zip(keys, tags.tolist())))
 
 
-def fan_refine_mesh(geometry: JunctionGeometry, refinements: int = 2):
+def fan_refine_mesh(geometry: JunctionGeometry, refinements: int):
     """(vertices, triangles, boundary tags) of a junction polygon fanned
     from its centroid and refined, the parts of `disjoint_union` and of
     `TriMesh`: no mesh is built or validated here.

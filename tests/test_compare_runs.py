@@ -205,3 +205,16 @@ def test_moved_polygon_vertex_is_a_problem():
     lines, problems = compare_runs.compare([old], [new], rtol=1.0)
     assert problems == 3
     assert f"- test1_sub90 psfp: {owner}.area, {owner}.edge_kinds, {owner}.vertices" in lines
+
+
+def test_cases_include_the_grid_networks():
+    # One junction field of 64 junctions, each of the run's strategy.
+    from swnet import build_simulation, preset, preset_names
+
+    grids = {label: scenario for label, scenario in compare_runs.cases(preset, preset_names)
+             if "8x8" in label}
+    assert list(grids) == ["test6_network 8x8 A", "test6_network 8x8 B", "test6_network 8x8 A/B"]
+    for label, scenario in grids.items():
+        sim = build_simulation(scenario())
+        assert len(sim.junction_field.junctions) == len(sim.junctions) == 64
+        assert {j.strategy for j in sim.junctions} == set(label.split()[-1].split("/"))

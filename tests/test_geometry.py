@@ -532,13 +532,13 @@ class TestJunctionPolygonOracle:
         # Side (0,3)-(1,-1) crosses side (0,0)-(4,0); the net area is +4.5,
         # so only the crossing test can reject it.
         # `build_junction_polygons` makes no bow tie, so its checks are fed
-        # one directly: the edge points, vertex k the start of edge k.
+        # one directly: the edge points, whose chain is the ring v.
         v = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (1.0, -1.0)])
         edges = [JunctionEdge(a=v[k], b=v[(k + 1) % 4], kind="wall") for k in range(4)]
         assert former_polygon_area(v) == 4.5
         points = np.array([(e.a, e.b) for e in edges]).reshape(-1, 2)
         with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
-            _check_polygons(points, [range(0, 8, 2)], [4])
+            _check_polygons(points, [4])
         with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
             former_validate(v, edges, former_polygon_centroid(v))
 
@@ -575,14 +575,54 @@ def assert_fan_of_the_ring(g):
     assert list(tags.items()) == list(g.ring_tags(1).items())
 
 
+# Ts with two edges that nearly meet: from eps > 0 on, one edge's start
+# differs in its bits from the end of the edge before it.
+NEAR_CORNERS = [(near_corner_t, 0.0), (near_corner_t, 1e-13), (near_corner_t, 3e-12),
+                (near_corner_t, 1e-11), (closing_corner_t, 2e-10), (closing_corner_t, 3.2e-10)]
+
+
+def assert_ring_is_the_edge_chain(g, label):
+    """Vertex 0 has the bits of edge 0's start and vertex k those of edge
+    k - 1's end."""
+    chain = [g.edges[0].a, *(e.b for e in g.edges[:-1])]
+    for k, (v, p) in enumerate(zip(g.vertices, chain, strict=True)):
+        assert bits(v) == bits(p), (label, k)
+
+
 class TestVertexRing:
     """A junction polygon's edge k joins its vertices k and k + 1 (mod n),
     and both junction meshes, a Method-A cell and a Method-B fan, are
     numbered from that ring."""
 
-    @pytest.mark.parametrize("corner, eps", [
-        (near_corner_t, 0.0), (near_corner_t, 1e-13), (near_corner_t, 3e-12),
-        (near_corner_t, 1e-11), (closing_corner_t, 2e-10), (closing_corner_t, 3.2e-10)])
+    def test_the_ring_is_the_edge_chain(self):
+        from swnet import ConfigError, build_simulation, preset, preset_names
+
+        polygons = {"A": 0, "B": 0, "core": 0, "random": 0}
+        for name, _ in preset_names():
+            for strategy in ("A", "B"):
+                try:
+                    sim = build_simulation(preset(name), strategy=strategy)
+                except ConfigError:
+                    continue
+                for j in sim.junction_field.junctions if sim.junction_field else ():
+                    assert_ring_is_the_edge_chain(j.geom, (name, strategy, j.id))
+                    polygons[strategy] += 1
+        # The zero-protrusion cores of the reference footprints, and random
+        # junctions of two to four channels.
+        cases = [("core", ends, position, 0.0) for _, ends, position in preset_junction_ends()]
+        cases += [("random", *random_junction(seed)[1:]) for seed in range(300)]
+        for kind, ends, position, protrusion in cases:
+            try:
+                g = build_junction_polygon(ends, position, protrusion)
+            except GeometryError:
+                continue
+            assert_ring_is_the_edge_chain(g, (kind, position, protrusion))
+            polygons[kind] += 1
+        assert min(polygons.values()) > 10, polygons
+        for corner, eps in NEAR_CORNERS:
+            assert_ring_is_the_edge_chain(corner(eps), (corner.__name__, eps))
+
+    @pytest.mark.parametrize("corner, eps", NEAR_CORNERS)
     def test_a_near_corner_meshes_into_a_valid_cell_and_patch(self, corner, eps):
         g = corner(eps)
         assert len(g.vertices) == len(g.edges) == 4

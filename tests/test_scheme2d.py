@@ -460,7 +460,7 @@ class TestKernelsMatchOracle:
             ConnectedEnd("ch2", "start", mouth=(0.0, half), direction=(0, 1), width=0.4),
             ConnectedEnd("ch3", "start", mouth=(0.0, -half), direction=(0, -1), width=0.4),
         ]
-        mesh = TriMesh(*fan_refine_mesh(build_junction_polygon(ends, (0.0, 0.0)), refinements=2))
+        mesh = TriMesh(*fan_refine_mesh(build_junction_polygon(ends, (0.0, 0.0), 0.1), refinements=2))
         # Boundary cells take virtual neighbours out of order, one cell two.
         cells = mesh.edge_left[mesh.boundary[::2]]
         far = mesh.edge_midpoints[mesh.boundary[::2]] * 1.5

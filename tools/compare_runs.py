@@ -13,10 +13,13 @@ alternating between Methods A and B, and with PSFP junctions at its nine
 three-channel junctions among them (`MIXED_RUNS`), plus smooth1d with
 Manning friction (`FRICTION_RUNS`), plus test1_sub90 with each junction
 strategy and test6_network with Method A at first order, the only runs of
-the first-order reconstruction and face states (`ORDER1_RUNS`), for at most
---steps steps. Each tree runs in its own interpreter. The report is a markdown table: per run, the steps and failure
-type on both sides and the largest relative deviation of the gauge series,
-the final channel states, the final junction states and the ledger entries,
+the first-order reconstruction and face states (`ORDER1_RUNS`), plus
+test6_network as an 8 x 8 grid of 64 junctions, its feeder inflow kept,
+with Method A, with Method B and alternating between them (`GRID_RUNS`),
+for at most --steps steps. Each tree runs in its own interpreter. The
+report is a markdown table: per run, the steps and failure type on both
+sides and the largest relative deviation of the gauge series, the final
+channel states, the final junction states and the ledger entries,
 and whether those four are equal to the bit, signs of zero included: a
 deviation of 0.0e+00 cannot tell -0.0 from 0.0. Deviations are relative to the largest magnitude of the compared series,
 except where that magnitude is itself round-off: gauge
@@ -118,6 +121,9 @@ MIXED_RUNS = [("test6_network", False), ("test6_network", True)]
 FRICTION_RUNS = [("smooth1d", 0.03, 8.0)]
 # Every preset steps at second order: these networks take `numerics.order = 1`.
 ORDER1_RUNS = [*[("test1_sub90", s) for s in STRATEGIES], ("test6_network", "A")]
+# test6_network is a 4 x 4 grid: these networks of one junction field of 64
+# junctions take the 8 x 8 one (junction strategy, or "A/B" alternating).
+GRID_SIZE, GRID_RUNS = 8, ("A", "B", "A/B")
 
 
 def boundary_variant(preset, name, strategy, ends, t_end):
@@ -175,6 +181,19 @@ def first_order(preset, name, strategy):
     return ScenarioConfig(data)
 
 
+def grid(preset, strategy, n):
+    """test6_network as an n x n grid of `presets._grid_network`, its
+    feeder inflow kept; "A/B" alternates between Methods A and B."""
+    from swnet import ScenarioConfig, presets
+
+    data = preset("test6_network", strategy="A").emit()
+    data["channels"], data["junctions"] = presets._grid_network(strategy[0], n=n)
+    if strategy == "A/B":
+        for k, junction in enumerate(data["junctions"]):
+            junction["strategy"] = "AB"[k % 2]
+    return ScenarioConfig(data)
+
+
 def cases(preset, preset_names):
     """(label, scenario factory) for the whole matrix."""
     for name, _ in preset_names():
@@ -199,6 +218,9 @@ def cases(preset, preset_names):
                lambda args=(name, manning_n, t_end): with_friction(preset, *args))
     for name, s in ORDER1_RUNS:
         yield f"{name} {s} order=1", lambda args=(name, s): first_order(preset, *args)
+    for s in GRID_RUNS:
+        yield (f"test6_network {GRID_SIZE}x{GRID_SIZE} {s}",
+               lambda s=s: grid(preset, s, GRID_SIZE))
 
 
 # The built geometry of a network: arrays of its channel field and of its
