@@ -18,7 +18,6 @@ from .core import (
 from .config import ConfigError, ScenarioConfig, build_simulation, parse_config
 from .geometry import (
     Channel,
-    ConnectedEnd,
     GeometryError,
     JunctionGeometry,
     MeshError,

@@ -1,13 +1,14 @@
 """Network topology, junction-shaped polygons, and triangular meshes.
 
 `build_junction_polygons` builds every junction polygon of a network in one
-pass: each channel end's unit direction, angle and offset in one array call
-each over all ends, each junction's walls joined on Python floats, and the
-checks of all polygons (area, crossing sides, edge normals) on one stack per
-vertex count and one array of all edges. Every value has the bits of the
-junction built alone (`build_junction_polygon`, the batch of one), and the
-first junction in spec order that fails raises its error. Both junction
-meshes are numbered from a polygon's vertex ring, which is its edge chain.
+pass, read from its channel ends, each a (`Channel`, "start" | "end") pair:
+each end's unit direction, angle and offset in one array call each over all
+ends, each junction's walls joined on Python floats, and the checks of all
+polygons (area, crossing sides, edge normals) on one stack per vertex count
+and one array of all edges. Every value has the bits of the junction built
+alone (`build_junction_polygon`, the batch of one), and the first junction
+in spec order that fails raises its error. Both junction meshes are
+numbered from a polygon's vertex ring, which is its edge chain.
 """
 
 from __future__ import annotations
@@ -132,12 +133,6 @@ class Channel:
     def end_point(self, which: str) -> np.ndarray:
         return self.start if which == "start" else self.end
 
-    def connected_end(self, which: str) -> ConnectedEnd:
-        """This channel's `which` end as seen from the junction attached
-        there, whose direction points from the junction into the channel."""
-        axis = self.axis if which == "start" else -self.axis
-        return ConnectedEnd(self.id, which, self.end_point(which), axis, self.width)
-
 
 @dataclass
 class JunctionEdge:
@@ -239,21 +234,9 @@ def _check_polygons(points, sides):
     return vertices, areas, centroids
 
 
-@dataclass
-class ConnectedEnd:
-    """One channel end attached to a junction, as seen from the junction."""
-
-    channel: str
-    end: str  # "start" or "end"
-    mouth: np.ndarray  # channel end cross-section center
-    direction: np.ndarray  # unit vector from junction into the channel
-    width: float
-
-
-def build_junction_polygon(
-    ends: list[ConnectedEnd], junction_point, protrusion: float
-) -> JunctionGeometry:
-    """The junction-shaped 2D element: `build_junction_polygons` of one junction.
+def build_junction_polygon(ends, junction_point, protrusion: float) -> JunctionGeometry:
+    """The junction-shaped 2D element of the channel ends `ends`, each a
+    (`Channel`, "start" | "end") pair: `build_junction_polygons` of one junction.
 
     Each channel contributes a coupling edge of length equal to its width,
     placed `protrusion * width` inside the channel mouth and perpendicular to
@@ -271,24 +254,24 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
     and the checks of every polygon in one pass (`_check_polygons`).
 
     Junctions are joined in spec order until one fails: with fewer than two
-    ends, a direction too short to scale, or in `_join_walls`. The polygons
-    before it are checked first, so the first junction that fails raises its
-    GeometryError, a construction failure before any check of its own.
-    Every `JunctionGeometry` is made here, after its checks.
+    ends, or in `_join_walls`. The polygons before it are checked first, so
+    the first junction that fails raises its GeometryError, a construction
+    failure before any check of its own. Every `JunctionGeometry` is made
+    here, after its checks.
     """
     counts = [len(ends) for ends, _, _ in specs]
     ends = [e for es, _, _ in specs for e in es]
     points_at = np.array([point for _, point, _ in specs], dtype=float).reshape(-1, 2)
     # Per end: its junction and the junction point; its mouth and its
-    # direction into the channel, made a unit one in place.
+    # direction into the channel, the channel's axis negated at its "end",
+    # scaled to unit length again in place.
     junction, P = np.repeat(np.arange(len(specs)), counts), points_at.repeat(counts, axis=0)
-    md = np.array([(e.mouth, e.direction) for e in ends], dtype=float).reshape(-1, 2, 2)
+    md = np.array([(ch.end_point(which), ch.axis) for ch, which in ends]).reshape(-1, 2, 2)
     mouth, u = md[:, 0], md[:, 1]
+    u[[which == "end" for _, which in ends]] *= -1.0
     # The bits of `_unit`, `np.arctan2 % 2 pi` and `np.dot` (kept by
     # `np.vecdot`) on one end at a time.
-    length = np.hypot(u[:, 0], u[:, 1])
-    short = length < _TOL
-    u /= (length + short)[:, None]  # a short direction fails, whatever it gives
+    u /= np.hypot(u[:, 0], u[:, 1])[:, None]
     angle = np.arctan2(u[:, 1], u[:, 0]) % (2.0 * np.pi)
     offset = np.vecdot(mouth - P, u[:, ::-1] * _LEFT)
     # Each junction's ends counter-clockwise, by angle and then offset.
@@ -303,8 +286,6 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
         try:
             if n < 2:
                 raise GeometryError("a junction needs at least two channels")
-            if short[first:last].any():
-                raise GeometryError("zero-length direction vector")
             edge_points, edge_kinds = _join_walls(
                 rows[first:last], ends[first:last], point, protrusion)
         except GeometryError as exc:
@@ -328,7 +309,7 @@ def build_junction_polygons(specs) -> list[JunctionGeometry]:
 def _join_walls(rows, ends, P, protrusion):
     """(edge points, edge kinds) of one junction polygon.
 
-    `rows` holds, for each channel end of `ends` counter-clockwise, its
+    `rows` holds, for each (channel, end) of `ends` counter-clockwise, its
     mouth and its unit direction into the channel. Each edge adds its two
     ends to the points and its (kind, channel, channel end) to the kinds,
     from the first coupling edge on. The edges form a closed chain, each
@@ -337,12 +318,12 @@ def _join_walls(rows, ends, P, protrusion):
     (x, y) Python floats, which round + - * / as numpy does; distances are
     `np.hypot`'s.
     """
-    tol = 1e-9 * max(e.width for e in ends)
-    coupling = []  # each end's coupling edge A B and direction d
-    for ((mx, my), (dx, dy)), e in zip(rows, ends):
-        cx, cy = mx + protrusion * e.width * dx, my + protrusion * e.width * dy
-        hx, hy = 0.5 * e.width * -dy, 0.5 * e.width * dx  # along t = (-dy, dx)
-        coupling.append(((cx - hx, cy - hy), (cx + hx, cy + hy), (dx, dy)))
+    tol = 1e-9 * max(ch.width for ch, _ in ends)
+    coupling = []  # each end's coupling edge A B, direction d and labels
+    for ((mx, my), (dx, dy)), (ch, end) in zip(rows, ends):
+        cx, cy = mx + protrusion * ch.width * dx, my + protrusion * ch.width * dy
+        hx, hy = 0.5 * ch.width * -dy, 0.5 * ch.width * dx  # along t = (-dy, dx)
+        coupling.append(((cx - hx, cy - hy), (cx + hx, cy + hy), (dx, dy), ch.id, end))
     points = []  # each edge's two ends, edge after edge
     kinds = []  # each edge's (kind, channel, channel end)
 
@@ -354,10 +335,10 @@ def _join_walls(rows, ends, P, protrusion):
             points.extend((a, b))
             kinds.append(("wall", None, None))
 
-    for k, (Ai, Bi, (dix, diy)) in enumerate(coupling):
+    for k, (Ai, Bi, (dix, diy), channel, end) in enumerate(coupling):
         points.extend((Ai, Bi))
-        kinds.append(("coupling", ends[k].channel, ends[k].end))
-        Aj, _, (djx, djy) = coupling[(k + 1) % len(coupling)]
+        kinds.append(("coupling", channel, end))
+        Aj, _, (djx, djy), following, _ = coupling[(k + 1) % len(coupling)]
         (bx, by), (ajx, ajy) = Bi, Aj
         if not apart(Bi, Aj):
             continue  # edges share a vertex
@@ -368,7 +349,7 @@ def _join_walls(rows, ends, P, protrusion):
             else:
                 raise GeometryError(
                     "adjacent side walls are parallel and non-intersecting "
-                    f"(channels {ends[k].channel} / {ends[(k + 1) % len(ends)].channel})"
+                    f"(channels {channel} / {following})"
                 )
         else:
             # Bi - t1*di = Aj - t2*dj; both t >= 0 means the walls meet on

@@ -111,13 +111,13 @@ def _normal_rows(q, c, s):
 class JunctionField:
     """Every Method-A polygon and Method-B patch of a network, stepped as one field."""
 
-    def __init__(self, specs: list, channels: dict, field, params: PhysicalParams, order: int = 2):
+    def __init__(self, specs: list, channels: dict, field, params: PhysicalParams, order: int):
         """The cells of the Method-A and Method-B `specs`, in their order: an
         A junction's polygon, one cell with edges tagged "wall" or
         "coupling:<channel>:<end>", or a B junction's fan-refined patch of it.
         `channels` maps ids to `Channel`s; `field` is the network's ChannelField."""
         geoms = build_junction_polygons([
-            ([channels[ch].connected_end(end) for ch, end in spec.connects],
+            ([(channels[ch], end) for ch, end in spec.connects],
              spec.position, spec.depth_factor) for spec in specs])
         # (vertices, cells, boundary tags) of each junction's mesh
         parts = [(geom.vertices, [np.arange(len(geom.vertices))], geom.ring_tags())
@@ -277,7 +277,7 @@ def _cell_name(ids, first_cell, k) -> str:
 class JunctionView:
     """One junction of a `JunctionField`: rows `rows` of its cell states;
     `patch` holds the (vertices, triangles, boundary tags) of a Method-B
-    junction's patch.
+    junction's patch, and is None for a Method-A one.
 
     `q` slices the field's states on every access, so it follows the field
     through its updates and through `copy.deepcopy`. A view refers to the
@@ -286,7 +286,7 @@ class JunctionView:
     collector.
     """
 
-    def __init__(self, cells: MeshField, rows: slice, jid, strategy, geom, ends, patch=None):
+    def __init__(self, cells: MeshField, rows: slice, jid, strategy, geom, ends, patch):
         self.id = jid
         self.strategy = strategy
         self.geom = geom

@@ -14,11 +14,11 @@ from .config import ConfigError, ScenarioConfig
 G_DEFAULT = 9.81
 
 
-def bore_state(h0: float, froude: float, g: float = G_DEFAULT):
+def bore_state(h0: float, froude: float):
     """Depth and velocity behind a bore advancing into still water of depth h0.
 
-    `froude` is the flow Froude number of the post-shock state. Solved from
-    the jump conditions by bisection on the depth ratio.
+    `froude` is the flow Froude number of the post-shock state, at g =
+    G_DEFAULT. Solved from the jump conditions by bisection on the depth ratio.
     """
 
     def flow_froude(r):
@@ -33,7 +33,7 @@ def bore_state(h0: float, froude: float, g: float = G_DEFAULT):
             hi = mid
     r = 0.5 * (lo + hi)
     h1 = r * h0
-    u1 = (h1 - h0) * np.sqrt(g * (h1 + h0) / (2.0 * h1 * h0))
+    u1 = (h1 - h0) * np.sqrt(G_DEFAULT * (h1 + h0) / (2.0 * h1 * h0))
     return float(h1), float(u1)
 
 
@@ -45,7 +45,8 @@ def _channels(*rows):
     ]
 
 
-def _sub90_geometry(width=0.4, parent_len=3.0, daughter_len=2.0, ds=0.05):
+def _sub90_geometry():
+    width, parent_len, daughter_len, ds = 0.4, 3.0, 2.0, 0.05
     half = width / 2.0
     daughter_cells = int(round(daughter_len / ds))
     return _channels(
@@ -232,10 +233,11 @@ def test5_cadam(strategy="A") -> ScenarioConfig:
     )
 
 
-def _grid_network(strategy="A", spacing=1.6, width=0.2, ds=0.05, n=4):
+def _grid_network(strategy, n=4):
     """Channels and junctions of an n x n grid of junctions fed through one
     corner. Junction (i, j) is `j{i}{j}`, or `j{i}_{j}` for n > 10, where
     the short form stops being unique (`j111` is (1, 11) and (11, 1))."""
+    spacing, width, ds = 1.6, 0.2, 0.05
     half = width / 2.0
     channels, junctions = [], []
     jid = "j{}_{}".format if n > 10 else "j{}{}".format
@@ -304,7 +306,7 @@ def test6_network(strategy="A", supercritical=False) -> ScenarioConfig:
     )
 
 
-def appA_angles(angle_deg: int = 90, strategy="psfp") -> ScenarioConfig:
+def appA_angles(angle_deg: int, strategy) -> ScenarioConfig:
     """Subcritical wave through a symmetric bifurcation of the given angle."""
     if angle_deg not in (0, 15, 45, 90):
         raise ValueError("supported bifurcation angles: 0, 15, 45, 90 degrees")

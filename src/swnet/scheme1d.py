@@ -311,4 +311,7 @@ class ChannelSegment:
         return self._cells.stop - self._cells.start
 
     def cell_at(self, s: float) -> int:
-        return min(int(self.centers.searchsorted(s)), self.n - 1)
+        """The cell whose faces bracket s, where s within 1e-9 ds below a face
+        counts as past it, as in `_trim`; clamped to the channel's cells."""
+        right = self.centers + (0.5 - 1e-9) * self.ds  # each right face, less 1e-9 ds
+        return min(int(right.searchsorted(s, side="right")), self.n - 1)

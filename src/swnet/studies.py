@@ -52,7 +52,7 @@ def build_reference_sim(
 
     cores = []
     for spec in junction_specs(cfg):
-        ends = [channels[ch].connected_end(end) for ch, end in spec.connects]
+        ends = [(channels[ch], end) for ch, end in spec.connects]
         try:
             cores.append(build_junction_polygon(ends, spec.position, 0.0).vertices)
         except GeometryError:

@@ -218,3 +218,26 @@ def test_cases_include_the_grid_networks():
         sim = build_simulation(scenario())
         assert len(sim.junction_field.junctions) == len(sim.junctions) == 64
         assert {j.strategy for j in sim.junctions} == set(label.split()[-1].split("/"))
+
+
+def test_cases_include_the_generated_junctions():
+    # Twelve seeds with Methods A and B, and with PSFP where the junction
+    # joins three channels; each seed gives one valid scenario.
+    from swnet import preset, preset_names
+
+    runs = {label: scenario for label, scenario in compare_runs.cases(preset, preset_names)
+            if label.startswith("generated ")}
+    generator = compare_runs.generator()
+    want = []
+    for seed in range(12):
+        data = generator.junction_scenario(seed, "B")
+        assert json.dumps(data) == json.dumps(generator.junction_scenario(seed, "B"))
+        channels = data["channels"]
+        assert 2 <= len(channels) <= 4 and data["junctions"][0]["strategy"] == "B"
+        for c in channels:
+            assert 0.2 <= c["width"] <= 0.5 and c["cells"] in range(20, 61, 2)
+            assert 0.3 <= np.hypot(*c["start"]) <= 0.5
+        want += [f"generated {seed} {s}" for s in ("A", "B", "psfp")[: 2 + (len(channels) == 3)]]
+    assert list(runs) == want and "generated 1 psfp" in runs
+    for label, scenario in runs.items():
+        assert scenario().data["junctions"][0]["strategy"] == label.split()[-1]

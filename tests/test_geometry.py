@@ -1,4 +1,5 @@
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from swnet.geometry import (
     Channel,
-    ConnectedEnd,
     GeometryError,
     JunctionEdge,
     MeshError,
@@ -19,12 +19,20 @@ from swnet.geometry import (
 from swnet.meshing import disjoint_union, fan_refine_mesh, rect_union_mesh
 
 
+def channel_end(channel, end, mouth, direction, width):
+    """(Channel, end): a channel of `width` whose `end` lies at `mouth`,
+    running from there along `direction`."""
+    mouth = np.asarray(mouth, dtype=float)
+    far = mouth + direction
+    return Channel(channel, width, 10, *((mouth, far) if end == "start" else (far, mouth))), end
+
+
 def t_junction(b=0.4, protrusion=0.1):
     half = b / 2.0
     ends = [
-        ConnectedEnd("ch1", "end", mouth=(-half, 0.0), direction=(-1, 0), width=b),
-        ConnectedEnd("ch2", "start", mouth=(0.0, half), direction=(0, 1), width=b),
-        ConnectedEnd("ch3", "start", mouth=(0.0, -half), direction=(0, -1), width=b),
+        channel_end("ch1", "end", mouth=(-half, 0.0), direction=(-1, 0), width=b),
+        channel_end("ch2", "start", mouth=(0.0, half), direction=(0, 1), width=b),
+        channel_end("ch3", "start", mouth=(0.0, -half), direction=(0, -1), width=b),
     ]
     return build_junction_polygon(ends, (0.0, 0.0), protrusion)
 
@@ -33,8 +41,8 @@ class TestJunctionPolygon:
     def test_collinear_channels_make_rectangle(self):
         b = 0.4
         ends = [
-            ConnectedEnd("a", "end", mouth=(0, 0), direction=(-1, 0), width=b),
-            ConnectedEnd("b", "start", mouth=(0, 0), direction=(1, 0), width=b),
+            channel_end("a", "end", mouth=(0, 0), direction=(-1, 0), width=b),
+            channel_end("b", "start", mouth=(0, 0), direction=(1, 0), width=b),
         ]
         g = build_junction_polygon(ends, (0, 0), 0.1)
         assert np.isclose(g.area, 0.2 * b * b, atol=1e-15)
@@ -56,11 +64,11 @@ class TestJunctionPolygon:
     def test_shoelace_on_unequal_widths(self):
         th = np.pi / 3
         ends = [
-            ConnectedEnd("p", "end", mouth=(-0.3, 0), direction=(-1, 0), width=0.4),
-            ConnectedEnd("d1", "start", mouth=(0.3 * np.cos(th), 0.3 * np.sin(th)),
-                         direction=(np.cos(th), np.sin(th)), width=0.3),
-            ConnectedEnd("d2", "start", mouth=(0.3 * np.cos(th), -0.3 * np.sin(th)),
-                         direction=(np.cos(th), -np.sin(th)), width=0.3),
+            channel_end("p", "end", mouth=(-0.3, 0), direction=(-1, 0), width=0.4),
+            channel_end("d1", "start", mouth=(0.3 * np.cos(th), 0.3 * np.sin(th)),
+                        direction=(np.cos(th), np.sin(th)), width=0.3),
+            channel_end("d2", "start", mouth=(0.3 * np.cos(th), -0.3 * np.sin(th)),
+                        direction=(np.cos(th), -np.sin(th)), width=0.3),
         ]
         g = build_junction_polygon(ends, (0, 0), 0.1)
         # independent shoelace evaluation on the emitted vertex list
@@ -81,23 +89,23 @@ class TestJunctionPolygon:
         # two channels entering from the same direction with offset
         # centerlines have parallel non-intersecting side walls
         ends = [
-            ConnectedEnd("a", "end", mouth=(0, 0.3), direction=(-1, 0), width=0.2),
-            ConnectedEnd("b", "end", mouth=(0, -0.3), direction=(-1, 0), width=0.2),
+            channel_end("a", "end", mouth=(0, 0.3), direction=(-1, 0), width=0.2),
+            channel_end("b", "end", mouth=(0, -0.3), direction=(-1, 0), width=0.2),
         ]
         with pytest.raises(GeometryError):
             build_junction_polygon(ends, (0, 0), 0.1)
 
     def test_single_channel_rejected(self):
-        ends = [ConnectedEnd("a", "end", mouth=(0, 0), direction=(-1, 0), width=0.2)]
+        ends = [channel_end("a", "end", mouth=(0, 0), direction=(-1, 0), width=0.2)]
         with pytest.raises(GeometryError):
             build_junction_polygon(ends, (0, 0), 0.1)
 
     def test_45_degree_bend(self):
         c45 = np.cos(np.pi / 4)
         ends = [
-            ConnectedEnd("c1", "end", mouth=(-0.25, 0), direction=(-1, 0), width=0.5),
-            ConnectedEnd("c2", "start", mouth=(0.25 * c45, 0.25 * c45),
-                         direction=(c45, c45), width=0.5),
+            channel_end("c1", "end", mouth=(-0.25, 0), direction=(-1, 0), width=0.5),
+            channel_end("c2", "start", mouth=(0.25 * c45, 0.25 * c45),
+                        direction=(c45, c45), width=0.5),
         ]
         g = build_junction_polygon(ends, (0, 0), 0.1)
         assert g.area > 0
@@ -106,7 +114,7 @@ class TestJunctionPolygon:
     def test_four_way_crossing(self):
         b = 0.2
         ends = [
-            ConnectedEnd(c, "start", mouth=(0.1 * dx, 0.1 * dy), direction=(dx, dy), width=b)
+            channel_end(c, "start", mouth=(0.1 * dx, 0.1 * dy), direction=(dx, dy), width=b)
             for c, (dx, dy) in zip("nesw", [(0, 1), (1, 0), (0, -1), (-1, 0)])
         ]
         g = build_junction_polygon(ends, (0, 0), 0.1)
@@ -367,6 +375,23 @@ def former_validate(vertices, edges, centroid):
             raise GeometryError("junction edge normal points inward")
 
 
+@dataclass
+class FormerEnd:
+    """One channel end attached to a junction, as the former build read it."""
+
+    channel: str
+    end: str  # "start" or "end"
+    mouth: np.ndarray  # channel end cross-section center
+    direction: np.ndarray  # unit vector from junction into the channel
+    width: float
+
+
+def former_ends(ends):
+    """The `FormerEnd` of each (Channel, end) pair of `ends`."""
+    return [FormerEnd(ch.id, end, ch.end_point(end), ch.axis if end == "start" else -ch.axis,
+                      ch.width) for ch, end in ends]
+
+
 def former_build_junction_polygon(ends, junction_point, protrusion=0.1):
     """`build_junction_polygon` and `JunctionGeometry`'s checks as they were
     on 2-element arrays, verbatim: (vertices, edges, area, centroid)."""
@@ -466,7 +491,7 @@ def preset_junction_ends():
             for c in data["channels"]
         }
         for j in data["junctions"]:
-            ends = [channels[c["channel"]].connected_end(c["end"]) for c in j["connects"]]
+            ends = [(channels[c["channel"]], c["end"]) for c in j["connects"]]
             out.append((f"{name}:{j['id']}", ends, j["position"]))
     return out
 
@@ -484,7 +509,7 @@ def random_junction(seed):
     for i, a in enumerate(angles):
         u = np.array([np.cos(a), np.sin(a)])
         start, end = centre + rng.uniform(0.1, 0.4) * u, centre + 3.0 * u
-        ends.append(Channel(f"c{i}", rng.uniform(0.2, 0.5), 10, start, end).connected_end("start"))
+        ends.append((Channel(f"c{i}", rng.uniform(0.2, 0.5), 10, start, end), "start"))
     return f"random:{seed}", ends, centre, rng.uniform(0.05, 0.6)
 
 
@@ -516,7 +541,7 @@ class TestJunctionPolygonOracle:
         messages = set()
         for label, ends, position, protrusion in cases:
             try:
-                want = former_build_junction_polygon(ends, position, protrusion)
+                want = former_build_junction_polygon(former_ends(ends), position, protrusion)
             except GeometryError as exc:
                 with pytest.raises(GeometryError) as got:
                     build_junction_polygon(ends, position, protrusion)
@@ -547,9 +572,9 @@ def near_corner_t(eps):
     """A T of width 0.4 whose up channel's mouth sits `eps` above its
     neighbours' shared corner: the polygon drops the near-duplicate vertex
     (within 1e-9 x width) that rounding to 12 decimals keeps apart."""
-    ends = [ConnectedEnd("ch1", "start", (-0.2, 0.0), (-1.0, 0.0), 0.4),
-            ConnectedEnd("ch2", "start", (0.0, 0.2 + eps), (0.0, 1.0), 0.4),
-            ConnectedEnd("ch3", "start", (0.0, -0.2), (0.0, -1.0), 0.4)]
+    ends = [channel_end("ch1", "start", (-0.2, 0.0), (-1.0, 0.0), 0.4),
+            channel_end("ch2", "start", (0.0, 0.2 + eps), (0.0, 1.0), 0.4),
+            channel_end("ch3", "start", (0.0, -0.2), (0.0, -1.0), 0.4)]
     return build_junction_polygon(ends, (0.0, 0.0), 0.0)
 
 
@@ -558,9 +583,9 @@ def closing_corner_t(eps):
     above the last one's end: the side walls between them meet within
     1e-9 x width of both ends, so neither is pushed, and from eps = 2.9e-10
     the two ends lie farther apart than that."""
-    ends = [ConnectedEnd("r", "start", (0.2 + eps, eps), (1.0, 0.0), 0.4),
-            ConnectedEnd("l", "start", (-0.2, 0.0), (-1.0, 0.0), 0.4),
-            ConnectedEnd("d", "start", (0.0, -0.2), (0.0, -1.0), 0.4)]
+    ends = [channel_end("r", "start", (0.2 + eps, eps), (1.0, 0.0), 0.4),
+            channel_end("l", "start", (-0.2, 0.0), (-1.0, 0.0), 0.4),
+            channel_end("d", "start", (0.0, -0.2), (0.0, -1.0), 0.4)]
     return build_junction_polygon(ends, (0.0, 0.0), 0.0)
 
 
@@ -643,7 +668,7 @@ class TestVertexRing:
             except GeometryError:
                 continue
             built += 1
-            n, tol = len(g.vertices), 1e-9 * max(e.width for e in ends)
+            n, tol = len(g.vertices), 1e-9 * max(ch.width for ch, _ in ends)
             assert len(g.edges) == n
             a = np.array([e.a for e in g.edges])
             b = np.array([e.b for e in g.edges])
@@ -682,25 +707,24 @@ class TestVertexRing:
 @functools.cache
 def oracle_junctions():
     """(label, (ends, position, protrusion), outcome) of every preset
-    junction at three protrusions and of 200 random ones, and of three that
-    fail to build: with one channel, with parallel side walls and with a
-    direction of no length. The outcome is the former build's (vertices,
-    edges, area, centroid), or the message of its GeometryError."""
+    junction at three protrusions and of 200 random ones, and of two that
+    fail to build: with one channel and with parallel side walls. The
+    outcome is the former build's (vertices, edges, area, centroid), or the
+    message of its GeometryError."""
     cases = [(label, (ends, position, p)) for p in (0.0, 0.1, 0.5)
              for label, ends, position in preset_junction_ends()]
     cases += [(label, (ends, position, p))
               for label, ends, position, p in map(random_junction, range(200))]
     _, (ends, position, _) = cases[0]
-    parallel = [ConnectedEnd("a", "end", mouth=(0, 0.3), direction=(-1, 0), width=0.2),
-                ConnectedEnd("b", "end", mouth=(0, -0.3), direction=(-1, 0), width=0.2)]
-    pointless = [*ends[:-1], ConnectedEnd("z", "start", mouth=(0, 0), direction=(0, 0), width=0.2)]
+    parallel = [channel_end("a", "end", mouth=(0, 0.3), direction=(-1, 0), width=0.2),
+                channel_end("b", "end", mouth=(0, -0.3), direction=(-1, 0), width=0.2)]
     cases += [("one channel", (ends[:1], position, 0.1)),
-              ("parallel walls", (parallel, (0, 0), 0.1)),
-              ("no direction", (pointless, position, 0.1))]
+              ("parallel walls", (parallel, (0, 0), 0.1))]
     out = []
     for label, spec in cases:
+        ends, position, protrusion = spec
         try:
-            outcome = former_build_junction_polygon(*spec)
+            outcome = former_build_junction_polygon(former_ends(ends), position, protrusion)
         except GeometryError as exc:
             outcome = str(exc)
         out.append((label, spec, outcome))
@@ -750,7 +774,7 @@ class TestBatchedJunctionPolygons:
         rng = np.random.default_rng(33)
         junctions = oracle_junctions()
         assert {j[2] for j in failing()} == {
-            "a junction needs at least two channels", "zero-length direction vector",
+            "a junction needs at least two channels",
             "adjacent side walls are parallel and non-intersecting (channels a / b)"}
         assert all(failing(check) for check in CHECK_FAILURES)
         for size in rng.integers(1, 41, 60):
@@ -775,6 +799,32 @@ class TestBatchedJunctionPolygons:
                 if first != second:
                     batch = [good, failing(first)[0], good, failing(second)[0], good]
                     assert raised_by(batch) == first
+
+    def test_the_order_of_a_junctions_ends_changes_no_bit(self):
+        """The builder sorts each junction's ends by angle and then offset,
+        so any order of them gives the same polygon, or the same error."""
+        rng = np.random.default_rng(35)
+        cases = [(label, list(itertools.permutations(ends)), position, p)
+                 for p in (0.0, 0.1, 0.5) for label, ends, position in preset_junction_ends()]
+        for label, ends, position, p in map(random_junction, range(200)):
+            reordered = [[ends[i] for i in rng.permutation(len(ends))] for _ in range(3)]
+            cases.append((label, [ends, *reordered], position, p))
+        outcomes = set()
+        for label, (ends, *reordered), position, p in cases:
+            try:
+                g = build_junction_polygon(ends, position, p)
+            except GeometryError as exc:
+                for other in reordered:
+                    with pytest.raises(GeometryError) as got:
+                        build_junction_polygon(other, position, p)
+                    assert str(got.value) == str(exc), (label, p)
+                outcomes.add(str(exc))
+                continue
+            outcomes.add("built")
+            for h in build_junction_polygons([(other, position, p) for other in reordered]):
+                assert_former_bits(h, (g.vertices, g.edges, g.area, g.centroid), (label, p))
+        assert {"built", "junction polygon self-intersects",
+                "junction edge normal points inward"} <= outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +1044,7 @@ def network_cores():
     }
     cores = []
     for j in data["junctions"]:
-        ends = [channels[c["channel"]].connected_end(c["end"]) for c in j["connects"]]
+        ends = [(channels[c["channel"]], c["end"]) for c in j["connects"]]
         try:
             cores.append(build_junction_polygon(ends, j["position"], 0.0).vertices)
         except GeometryError:
@@ -1127,9 +1177,9 @@ class TestArrayBuilders:
             spread = 2.0 * np.pi / 3.0 * np.arange(3) + rng.uniform(-0.2, 0.2, 3)
             angles = rng.uniform(0.0, 2.0 * np.pi) + spread
             ends = [
-                Channel(f"c{k}", rng.uniform(0.3, 0.5), 10,
-                        centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
-                        centre + 3.0 * np.array([np.cos(a), np.sin(a)])).connected_end("start")
+                (Channel(f"c{k}", rng.uniform(0.3, 0.5), 10,
+                         centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
+                         centre + 3.0 * np.array([np.cos(a), np.sin(a)])), "start")
                 for k, a in enumerate(angles)
             ]
             geoms = [build_junction_polygon(ends, centre, 0.5)]

@@ -136,9 +136,9 @@ def random_patch_parts(seed):
     angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi / 3.0 * np.arange(3)
     angles += rng.uniform(-0.3, 0.3, 3)
     ends = [
-        Channel(f"c{k}", rng.uniform(0.2, 0.5), 10,
-                centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
-                centre + 3.0 * np.array([np.cos(a), np.sin(a)])).connected_end("start")
+        (Channel(f"c{k}", rng.uniform(0.2, 0.5), 10,
+                 centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
+                 centre + 3.0 * np.array([np.cos(a), np.sin(a)])), "start")
         for k, a in enumerate(angles)
     ]
     try:

@@ -14,13 +14,14 @@ from swnet.core import (
     rotate_back,
     rotate_state,
 )
-from swnet.geometry import ConnectedEnd, TriMesh, build_junction_polygon
+from swnet.geometry import TriMesh
 from swnet.meshing import fan_refine_mesh, rect_union_mesh
 from swnet.presets import preset
 from swnet.riemann import hllc_flux
 from swnet.scheme2d import MeshField, interior_edge_fluxes
 from swnet.simulation import Mesh2DSimulation
 from swnet.studies import build_reference_sim
+from test_geometry import t_junction
 
 P = PhysicalParams()
 
@@ -454,13 +455,7 @@ class TestKernelsMatchOracle:
         assert_kernels_match_oracle(f, rng)  # a second step from the first's result
 
     def test_patch_with_virtual_neighbors(self):
-        half = 0.2
-        ends = [
-            ConnectedEnd("ch1", "end", mouth=(-half, 0.0), direction=(-1, 0), width=0.4),
-            ConnectedEnd("ch2", "start", mouth=(0.0, half), direction=(0, 1), width=0.4),
-            ConnectedEnd("ch3", "start", mouth=(0.0, -half), direction=(0, -1), width=0.4),
-        ]
-        mesh = TriMesh(*fan_refine_mesh(build_junction_polygon(ends, (0.0, 0.0), 0.1), refinements=2))
+        mesh = TriMesh(*fan_refine_mesh(t_junction(0.4, 0.1), refinements=2))
         # Boundary cells take virtual neighbours out of order, one cell two.
         cells = mesh.edge_left[mesh.boundary[::2]]
         far = mesh.edge_midpoints[mesh.boundary[::2]] * 1.5

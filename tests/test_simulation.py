@@ -296,6 +296,21 @@ class TestAdvance:
         cell = sim.fields["ch1"].cell_at(3.0)
         assert sim.recorder.h["mid"][-1] == sim.fields["ch1"].q[cell, 0]
 
+    def test_gauge_reads_the_cell_that_holds_it(self):
+        # smooth1d's 100 cells are 0.25 long: s = 12.7 lies in cell 50,
+        # [12.5, 12.75], past its centre 12.625.
+        data = presets.preset("smooth1d").emit()
+        data["gauges"] = [{"id": "g", "channel": "ch1", "s": 12.7}]
+        sim = build_simulation(ScenarioConfig(data))
+        sim.sample_gauges()
+        segment = sim.fields["ch1"]
+        assert sim.recorder.h["g"][-1] == segment.q[50, 0] != segment.q[51, 0]
+        for k in range(100):
+            assert segment.cell_at(0.25 * (k + 0.2)) == segment.cell_at(0.25 * (k + 0.8)) == k
+            # A point within round-off below a face reads the cell right of it.
+            assert segment.cell_at(0.25 * k - 1e-12) == k
+        assert segment.cell_at(-1.0) == 0 and segment.cell_at(30.0) == 99
+
     def test_volume_ledger_with_inflow(self):
         sim = build_simulation(straight_channel_cfg(kind_start="inflow"))
         res = sim.run(6.0)

@@ -16,6 +16,9 @@ strategy and test6_network with Method A at first order, the only runs of
 the first-order reconstruction and face states (`ORDER1_RUNS`), plus
 test6_network as an 8 x 8 grid of 64 junctions, its feeder inflow kept,
 with Method A, with Method B and alternating between them (`GRID_RUNS`),
+plus the seeded junctions of `tests/generated.py`, one junction of two to
+four channels at arbitrary angles, widths and mouth offsets, with Methods A
+and B, and with PSFP where it joins three channels (`GENERATED_SEEDS`),
 for at most --steps steps. Each tree runs in its own interpreter. The
 report is a markdown table: per run, the steps and failure type on both
 sides and the largest relative deviation of the gauge series, the final
@@ -73,6 +76,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib.util
 import io
 import json
 import subprocess
@@ -124,6 +128,9 @@ ORDER1_RUNS = [*[("test1_sub90", s) for s in STRATEGIES], ("test6_network", "A")
 # test6_network is a 4 x 4 grid: these networks of one junction field of 64
 # junctions take the 8 x 8 one (junction strategy, or "A/B" alternating).
 GRID_SIZE, GRID_RUNS = 8, ("A", "B", "A/B")
+# The presets that build with Methods A and B join channels at 0, 45 and 90
+# degrees only: these seeds of `tests/generated.py` join them at any angle.
+GENERATED_SEEDS = range(12)
 
 
 def boundary_variant(preset, name, strategy, ends, t_end):
@@ -194,6 +201,24 @@ def grid(preset, strategy, n):
     return ScenarioConfig(data)
 
 
+@functools.cache
+def generator():
+    """The module `tests/generated.py` beside this tool: both trees run its
+    scenarios."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "generated.py"
+    spec = importlib.util.spec_from_file_location("generated", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated(seed, strategy):
+    """The generated junction scenario of `seed` with `strategy`."""
+    from swnet import ScenarioConfig
+
+    return ScenarioConfig(generator().junction_scenario(seed, strategy))
+
+
 def cases(preset, preset_names):
     """(label, scenario factory) for the whole matrix."""
     for name, _ in preset_names():
@@ -221,6 +246,10 @@ def cases(preset, preset_names):
     for s in GRID_RUNS:
         yield (f"test6_network {GRID_SIZE}x{GRID_SIZE} {s}",
                lambda s=s: grid(preset, s, GRID_SIZE))
+    for seed in GENERATED_SEEDS:
+        three = len(generator().junction_scenario(seed, "A")["channels"]) == 3
+        for s in STRATEGIES[: 2 + three]:
+            yield f"generated {seed} {s}", lambda args=(seed, s): generated(*args)
 
 
 # The built geometry of a network: arrays of its channel field and of its
