@@ -55,8 +55,14 @@ def build_reference_sim(
         ends = [(channels[ch], end) for ch, end in spec.connects]
         try:
             cores.append(build_junction_polygon(ends, spec.position, 0.0).vertices)
-        except GeometryError:
-            pass  # zero-area core (e.g. collinear pass-through): rectangles cover it
+        except GeometryError as exc:
+            # Parallel channels (e.g. a collinear pass-through) have a
+            # zero-area core, which their rectangles cover; any other core
+            # that does not build would leave a hole in the footprint.
+            axes = np.array([ch.axis for ch, _ in ends])
+            if np.abs(axes[:, 0] * axes[0, 1] - axes[:, 1] * axes[0, 0]).max() > 1e-12:
+                raise MeshError(
+                    f"junction {spec.id}: its core polygon does not build: {exc}") from exc
 
     tag_segments = []
     bcs = {}

@@ -1,10 +1,11 @@
 import functools
 import itertools
-from dataclasses import dataclass
+import re
 
 import numpy as np
 import pytest
 
+from swnet.core import PhysicalParams
 from swnet.geometry import (
     Channel,
     GeometryError,
@@ -17,6 +18,9 @@ from swnet.geometry import (
     point_in_polygon,
 )
 from swnet.meshing import disjoint_union, fan_refine_mesh, rect_union_mesh
+from swnet.scheme2d import MeshField
+
+from generated import random_junction
 
 
 def channel_end(channel, end, mouth, direction, width):
@@ -296,189 +300,6 @@ class TestChannelField:
         assert np.isclose(f.centers[0], 0.225, atol=1e-14)
 
 
-# ---------------------------------------------------------------------------
-# build_junction_polygon against the per-vertex code it was rewritten from
-# ---------------------------------------------------------------------------
-
-
-def former_unit(v):
-    n = np.hypot(v[0], v[1])
-    if n < 1e-12:
-        raise GeometryError("zero-length direction vector")
-    return np.asarray(v, dtype=float) / n
-
-
-def former_rot90ccw(v):
-    return np.array([-v[1], v[0]])
-
-
-def former_polygon_area(vertices):
-    x, y = vertices[..., 0], vertices[..., 1]
-    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
-
-
-def former_polygon_centroid(vertices):
-    x, y = vertices[..., 0], vertices[..., 1]
-    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
-    cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross, axis=-1)
-    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * a)
-    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * a)
-    return np.stack([cx, cy], axis=-1)
-
-
-def former_segments_intersect(p1, p2, q1, q2) -> bool:
-    """Proper intersection test for open segments (shared endpoints excluded)."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-@dataclass
-class FormerEdge:
-    a: np.ndarray
-    b: np.ndarray
-    kind: str
-    channel: str | None = None
-    channel_end: str | None = None
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.a + self.b)
-
-    @property
-    def theta(self):
-        t = former_unit(self.b - self.a)
-        return float(np.arctan2(-t[0], t[1]))
-
-
-def former_validate(vertices, edges, centroid):
-    n = len(vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if former_segments_intersect(
-                vertices[i],
-                vertices[(i + 1) % n],
-                vertices[j],
-                vertices[(j + 1) % n],
-            ):
-                raise GeometryError("junction polygon self-intersects")
-    for e in edges:
-        nvec = np.array([np.cos(e.theta), np.sin(e.theta)])
-        if np.dot(nvec, e.midpoint - centroid) <= 0.0:
-            raise GeometryError("junction edge normal points inward")
-
-
-@dataclass
-class FormerEnd:
-    """One channel end attached to a junction, as the former build read it."""
-
-    channel: str
-    end: str  # "start" or "end"
-    mouth: np.ndarray  # channel end cross-section center
-    direction: np.ndarray  # unit vector from junction into the channel
-    width: float
-
-
-def former_ends(ends):
-    """The `FormerEnd` of each (Channel, end) pair of `ends`."""
-    return [FormerEnd(ch.id, end, ch.end_point(end), ch.axis if end == "start" else -ch.axis,
-                      ch.width) for ch, end in ends]
-
-
-def former_build_junction_polygon(ends, junction_point, protrusion=0.1):
-    """`build_junction_polygon` and `JunctionGeometry`'s checks as they were
-    on 2-element arrays, verbatim: (vertices, edges, area, centroid)."""
-    if len(ends) < 2:
-        raise GeometryError("a junction needs at least two channels")
-    P = np.asarray(junction_point, dtype=float)
-    scale = max(e.width for e in ends)
-
-    entries = []
-    for e in ends:
-        d = former_unit(e.direction)
-        t = former_rot90ccw(d)
-        c = np.asarray(e.mouth, dtype=float) + protrusion * e.width * d
-        entries.append(
-            {
-                "end": e,
-                "d": d,
-                "t": t,
-                "A": c - 0.5 * e.width * t,
-                "B": c + 0.5 * e.width * t,
-                "angle": np.arctan2(d[1], d[0]) % (2.0 * np.pi),
-                "offset": float(np.dot(np.asarray(e.mouth, dtype=float) - P, t)),
-            }
-        )
-    entries.sort(key=lambda r: (r["angle"], r["offset"]))
-
-    tol = 1e-9 * scale
-    verts = []
-    edges = []
-
-    def push_wall(a, b):
-        if np.hypot(*(b - a)) > tol:
-            edges.append(FormerEdge(a=a.copy(), b=b.copy(), kind="wall"))
-            verts.append(b.copy())
-
-    for k, cur in enumerate(entries):
-        if k == 0:
-            verts.append(cur["A"].copy())
-        edges.append(
-            FormerEdge(
-                a=cur["A"].copy(),
-                b=cur["B"].copy(),
-                kind="coupling",
-                channel=cur["end"].channel,
-                channel_end=cur["end"].end,
-            )
-        )
-        verts.append(cur["B"].copy())
-        nxt = entries[(k + 1) % len(entries)]
-        Bi, Aj = cur["B"], nxt["A"]
-        di, dj = cur["d"], nxt["d"]
-        gap = Aj - Bi
-        if np.hypot(*gap) <= tol:
-            pass  # edges share a vertex
-        else:
-            cross = di[0] * dj[1] - di[1] * dj[0]
-            if abs(cross) < 1e-12:
-                if abs(di[0] * gap[1] - di[1] * gap[0]) < tol:
-                    push_wall(Bi, Aj)  # collinear side walls
-                else:
-                    raise GeometryError(
-                        "adjacent side walls are parallel and non-intersecting "
-                        f"(channels {cur['end'].channel} / {nxt['end'].channel})"
-                    )
-            else:
-                rhs = Bi - Aj
-                t1 = (rhs[0] * dj[1] - rhs[1] * dj[0]) / cross
-                t2 = (rhs[0] * di[1] - rhs[1] * di[0]) / cross
-                if t1 >= -tol and t2 >= -tol:
-                    X = Bi - t1 * di
-                    push_wall(Bi, X)
-                    push_wall(X, Aj)
-                else:
-                    push_wall(Bi, P)
-                    push_wall(P, Aj)
-
-    if np.hypot(*(verts[-1] - verts[0])) <= tol:
-        verts.pop()
-    vertices = np.array(verts)
-    area = float(former_polygon_area(vertices))
-    if area <= 0.0:
-        raise GeometryError("junction polygon is not counter-clockwise or empty")
-    centroid = former_polygon_centroid(vertices)
-    former_validate(vertices, edges, centroid)
-    return vertices, edges, area, centroid
-
-
 def preset_junction_ends():
     """(label, channel ends, position) of every junction of every preset."""
     from swnet import preset, preset_names
@@ -496,23 +317,6 @@ def preset_junction_ends():
     return out
 
 
-def random_junction(seed):
-    """(label, channel ends, position, protrusion) of a junction of two to
-    four channels at off-grid angles, widths, offsets and protrusion, where
-    a reordered product rounds differently."""
-    rng = np.random.default_rng(seed)
-    k = 2 + seed % 3
-    centre = rng.uniform(-1.0, 1.0, 2)
-    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi / k * np.arange(k) + rng.uniform(
-        -0.4, 0.4, k)
-    ends = []
-    for i, a in enumerate(angles):
-        u = np.array([np.cos(a), np.sin(a)])
-        start, end = centre + rng.uniform(0.1, 0.4) * u, centre + 3.0 * u
-        ends.append((Channel(f"c{i}", rng.uniform(0.2, 0.5), 10, start, end), "start"))
-    return f"random:{seed}", ends, centre, rng.uniform(0.05, 0.6)
-
-
 def bits(a) -> bytes:
     """The shape and bytes of a float64 array or scalar: equal only where
     every value is, the sign of every zero included."""
@@ -521,38 +325,17 @@ def bits(a) -> bytes:
     return bytes(str(a.shape), "ascii") + a.tobytes()
 
 
-def assert_former_bits(g, want, label):
-    """`g` is the former build's (vertices, edges, area, centroid) to the bit."""
-    vertices, edges, area, centroid = want
-    assert bits(g.vertices) == bits(vertices), label
-    assert bits(g.area) == bits(area) and bits(g.centroid) == bits(centroid), label
+def assert_same_polygon(g, h, label):
+    """Junction polygons `g` and `h` are equal to the bit."""
+    assert bits(g.vertices) == bits(h.vertices), label
+    assert bits(g.area) == bits(h.area) and bits(g.centroid) == bits(h.centroid), label
     assert [(e.kind, e.channel, e.channel_end) for e in g.edges] == [
-        (e.kind, e.channel, e.channel_end) for e in edges], label
-    for e, f in zip(g.edges, edges, strict=True):
+        (e.kind, e.channel, e.channel_end) for e in h.edges], label
+    for e, f in zip(g.edges, h.edges, strict=True):
         assert bits(e.a) == bits(f.a) and bits(e.b) == bits(f.b), label
 
 
 class TestJunctionPolygonOracle:
-    def test_junctions_equal_the_former_build_to_the_bit(self):
-        presets = preset_junction_ends()
-        assert len(presets) > 40
-        cases = [(*junction, p) for p in (0.0, 0.1, 0.5) for junction in presets]
-        cases += [random_junction(seed) for seed in range(100)]
-        messages = set()
-        for label, ends, position, protrusion in cases:
-            try:
-                want = former_build_junction_polygon(former_ends(ends), position, protrusion)
-            except GeometryError as exc:
-                with pytest.raises(GeometryError) as got:
-                    build_junction_polygon(ends, position, protrusion)
-                assert str(got.value) == str(exc), (label, protrusion)
-                messages.add(str(exc))
-                continue
-            assert_former_bits(build_junction_polygon(ends, position, protrusion), want,
-                               (label, protrusion))
-        # Both of the polygon checks reject some preset junction.
-        assert {"junction polygon self-intersects", "junction edge normal points inward"} <= messages
-
     def test_bow_tie_self_intersects(self):
         # Side (0,3)-(1,-1) crosses side (0,0)-(4,0); the net area is +4.5,
         # so only the crossing test can reject it.
@@ -560,12 +343,11 @@ class TestJunctionPolygonOracle:
         # one directly: the edge points, whose chain is the ring v.
         v = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (1.0, -1.0)])
         edges = [JunctionEdge(a=v[k], b=v[(k + 1) % 4], kind="wall") for k in range(4)]
-        assert former_polygon_area(v) == 4.5
+        x, y = v.T
+        assert 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) == 4.5
         points = np.array([(e.a, e.b) for e in edges]).reshape(-1, 2)
         with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
             _check_polygons(points, [4])
-        with pytest.raises(GeometryError, match="^junction polygon self-intersects$"):
-            former_validate(v, edges, former_polygon_centroid(v))
 
 
 def near_corner_t(eps):
@@ -635,7 +417,7 @@ class TestVertexRing:
         # The zero-protrusion cores of the reference footprints, and random
         # junctions of two to four channels.
         cases = [("core", ends, position, 0.0) for _, ends, position in preset_junction_ends()]
-        cases += [("random", *random_junction(seed)[1:]) for seed in range(300)]
+        cases += [("random", *random_junction(seed)) for seed in range(300)]
         for kind, ends, position, protrusion in cases:
             try:
                 g = build_junction_polygon(ends, position, protrusion)
@@ -662,7 +444,7 @@ class TestVertexRing:
     def test_edge_k_joins_ring_vertices_k_and_k_plus_1(self):
         built = 0
         for seed in range(300):
-            _, ends, position, protrusion = random_junction(seed)
+            ends, position, protrusion = random_junction(seed)
             try:
                 g = build_junction_polygon(ends, position, protrusion)
             except GeometryError:
@@ -704,17 +486,21 @@ class TestVertexRing:
         assert checked > 10
 
 
+def random_junctions(n):
+    """(label, (ends, position, protrusion)) of random junctions 0 to n - 1."""
+    return [(f"random:{seed}", random_junction(seed)) for seed in range(n)]
+
+
 @functools.cache
 def oracle_junctions():
     """(label, (ends, position, protrusion), outcome) of every preset
     junction at three protrusions and of 200 random ones, and of two that
     fail to build: with one channel and with parallel side walls. The
-    outcome is the former build's (vertices, edges, area, centroid), or the
-    message of its GeometryError."""
+    outcome is the polygon of the one-at-a-time build, whose bits
+    `tests/bit_record.json` pins, or the message of its GeometryError."""
     cases = [(label, (ends, position, p)) for p in (0.0, 0.1, 0.5)
              for label, ends, position in preset_junction_ends()]
-    cases += [(label, (ends, position, p))
-              for label, ends, position, p in map(random_junction, range(200))]
+    cases += random_junctions(200)
     _, (ends, position, _) = cases[0]
     parallel = [channel_end("a", "end", mouth=(0, 0.3), direction=(-1, 0), width=0.2),
                 channel_end("b", "end", mouth=(0, -0.3), direction=(-1, 0), width=0.2)]
@@ -724,7 +510,7 @@ def oracle_junctions():
     for label, spec in cases:
         ends, position, protrusion = spec
         try:
-            outcome = former_build_junction_polygon(former_ends(ends), position, protrusion)
+            outcome = build_junction_polygon(ends, position, protrusion)
         except GeometryError as exc:
             outcome = str(exc)
         out.append((label, spec, outcome))
@@ -736,14 +522,14 @@ CHECK_FAILURES = ("junction polygon is not counter-clockwise or empty",
 
 
 def failing(check=None):
-    """The oracle junctions whose former build fails: with the message
+    """The oracle junctions whose build fails: with the message
     `check`, or else in construction, before any check."""
     return [j for j in oracle_junctions() if isinstance(j[2], str)
             and (j[2] == check if check else j[2] not in CHECK_FAILURES)]
 
 
 def built():
-    """The oracle junctions that the former build builds."""
+    """The oracle junctions that build."""
     return [j for j in oracle_junctions() if not isinstance(j[2], str)]
 
 
@@ -755,7 +541,7 @@ def raised_by(batch) -> str:
 
 class TestBatchedJunctionPolygons:
     """`build_junction_polygons` builds each junction of a batch as the
-    former one-at-a-time build did, to the bit, and raises the error of the
+    one-at-a-time build does, to the bit, and raises the error of the
     first junction in the batch that fails."""
 
     def test_batches_equal_the_former_build_to_the_bit(self):
@@ -765,7 +551,7 @@ class TestBatchedJunctionPolygons:
             batch = [built()[i] for i in rng.choice(len(built()), size)]
             geoms = build_junction_polygons([spec for _, spec, _ in batch])
             for g, (label, spec, want) in zip(geoms, batch, strict=True):
-                assert_former_bits(g, want, label)
+                assert_same_polygon(g, want, label)
             channels.update(len(spec[0]) for _, spec, _ in batch)
             corners.update(len(g.vertices) for g in geoms)
         assert channels == {2, 3, 4} and len(corners) >= 6
@@ -806,7 +592,7 @@ class TestBatchedJunctionPolygons:
         rng = np.random.default_rng(35)
         cases = [(label, list(itertools.permutations(ends)), position, p)
                  for p in (0.0, 0.1, 0.5) for label, ends, position in preset_junction_ends()]
-        for label, ends, position, p in map(random_junction, range(200)):
+        for label, (ends, position, p) in random_junctions(200):
             reordered = [[ends[i] for i in rng.permutation(len(ends))] for _ in range(3)]
             cases.append((label, [ends, *reordered], position, p))
         outcomes = set()
@@ -822,211 +608,99 @@ class TestBatchedJunctionPolygons:
                 continue
             outcomes.add("built")
             for h in build_junction_polygons([(other, position, p) for other in reordered]):
-                assert_former_bits(h, (g.vertices, g.edges, g.area, g.centroid), (label, p))
+                assert_same_polygon(h, g, (label, p))
         assert {"built", "junction polygon self-intersects",
                 "junction edge normal points inward"} <= outcomes
 
 
 # ---------------------------------------------------------------------------
-# The array builders against the per-cell loops they replaced
+# The array builders and the rules that their former per-cell loops stated
 # ---------------------------------------------------------------------------
 
 
-def loop_point_in_polygon(p, vertices):
-    """Scalar ray cast: half-open crossings in y, counted where xi > x."""
-    x, y = p
-    inside = False
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if xi > x:
-                inside = not inside
-    return inside
+def assert_edge_table(mesh):
+    """Each edge runs from va to vb along a side of its left cell, counter-
+    clockwise, and back along a side of its right cell, if any, which comes
+    later; every side of every cell is one edge's; edges come in order of
+    first use, cell by cell and side by side; boundary edges, and only they,
+    carry a tag; each cell lists the cells across its interior edges, in
+    edge order."""
+    cells = mesh.triangles
+    T, K = cells.shape
+    k = np.arange(K)
+    corners = np.count_nonzero(cells >= 0, axis=1)[:, None]
+    real = k < corners
+    nxt = np.take_along_axis(cells, np.where(k + 1 < corners, k + 1, 0), axis=1)
+    left, right, va, vb = mesh.edge_left, mesh.edge_right, mesh.edge_va, mesh.edge_vb
+    side = real[left] & (cells[left] == va[:, None]) & (nxt[left] == vb[:, None])
+    assert (side.sum(axis=1) == 1).all()
+    assert (np.diff(left * K + side.argmax(axis=1)) > 0).all()
+    inner = np.flatnonzero(right >= 0)
+    r = right[inner]
+    back = real[r] & (cells[r] == vb[inner, None]) & (nxt[r] == va[inner, None])
+    assert (back.sum(axis=1) == 1).all() and (r > left[inner]).all()
+    assert real.sum() == len(left) + len(inner)
+    assert [tag is None for tag in mesh.edge_tags] == (right >= 0).tolist()
+    cell = np.stack([left[inner], r], axis=1).ravel()
+    other = np.stack([r, left[inner]], axis=1).ravel()
+    by_cell = np.argsort(cell, kind="stable")
+    count = np.bincount(cell, minlength=T)
+    want = np.full(mesh.neighbors.shape, -1)
+    want[cell[by_cell], np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)] = (
+        other[by_cell])
+    assert np.array_equal(mesh.neighbors, want)
 
 
-def loop_rect_union_mesh(rects, dx, tag_segments=(), polygons=()):
-    """(vertices, triangles, boundary tags) of `rect_union_mesh`, one cell at a
-    time: every unmasked centre against every polygon, nodes numbered by first
-    use, boundary sides tagged by the first segment holding their midpoint."""
-    rects = [tuple(map(float, r)) for r in rects]
-    xs = [r[0] for r in rects] + [r[2] for r in rects]
-    ys = [r[1] for r in rects] + [r[3] for r in rects]
-    for p in polygons:
-        xs += list(np.asarray(p)[:, 0])
-        ys += list(np.asarray(p)[:, 1])
-    x_min, y_min = min(xs), min(ys)
-    nx = int(round((max(xs) - x_min) / dx))
-    ny = int(round((max(ys) - y_min) / dx))
-    cx = x_min + dx * (np.arange(nx) + 0.5)
-    cy = y_min + dx * (np.arange(ny) + 0.5)
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    mask = np.zeros((nx, ny), dtype=bool)
+def assert_stencils_fit_linear_fields(field, virtual=()):
+    """Each cell with two or more stencil members, mesh neighbours and then
+    virtual ones, is in the group of its size, and a regular operator gives
+    the gradient of a linear field exactly, up to round-off: an exact fit from
+    the field's values at the members, a least-squares one from their
+    differences to the cell's value. A singular operator is zero."""
+    mesh = field.mesh
+    # Virtual slot s is neighbour -(s + 1): the s-th position from the end.
+    pos = np.concatenate([mesh.centroids, np.array([p for _, p in virtual][::-1]).reshape(-1, 2)])
+    grad = np.array([0.3, -1.7])
+    size = np.count_nonzero(mesh.neighbors >= 0, axis=1) + np.bincount(
+        np.array([c for c, _ in virtual], dtype=int), minlength=mesh.n_cells)
+    grouped = []
+    for kind, cells, nbr, op, good in field._groups:  # nbr (c, n), op (2, c, n)
+        assert kind == ("exact" if len(nbr) == 3 else "lsq") and (size[cells] == len(nbr)).all()
+        values = 2.0 + pos[nbr] @ grad
+        if kind == "lsq":
+            values -= 2.0 + mesh.centroids[cells] @ grad
+        slopes = np.einsum("rcn,cn->nr", op, values)
+        assert np.abs(slopes[good] - grad).max(initial=0.0) < 1e-9
+        assert not op[..., ~good].any()
+        grouped.append(cells)
+    assert np.array_equal(np.sort(np.concatenate(grouped)), np.flatnonzero(size >= 2))
+
+
+def assert_footprint(mesh, rects, dx, polygons=()):
+    """The mesh is two triangles, (v00, v10, v11) and (v00, v11, v01), per
+    square of the dx grid over the rectangles and polygons whose centre lies
+    in a rectangle, to 1e-9 dx, or in a polygon, squares in (i, j) order, and
+    its nodes are numbered by first use."""
+    coords = np.concatenate([np.reshape(rects, (-1, 2)), *map(np.asarray, polygons)])
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    nx, ny = np.round((hi - lo) / dx).astype(int)
+    CX, CY = np.meshgrid(lo[0] + dx * (np.arange(nx) + 0.5), lo[1] + dx * (np.arange(ny) + 0.5),
+                         indexing="ij")
     eps = 1e-9 * dx
+    inside = np.zeros((nx, ny), dtype=bool)
     for x0, y0, x1, y1 in rects:
-        mask |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
+        inside |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
     for poly in polygons:
-        poly = np.asarray(poly, dtype=float)
-        for i, j in np.argwhere(~mask):
-            if loop_point_in_polygon((CX[i, j], CY[i, j]), poly):
-                mask[i, j] = True
-
-    node_index, verts = {}, []
-
-    def node(i, j):
-        if (i, j) not in node_index:
-            node_index[(i, j)] = len(verts)
-            verts.append((x_min + i * dx, y_min + j * dx))
-        return node_index[(i, j)]
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            if mask[i, j]:
-                v00, v10 = node(i, j), node(i + 1, j)
-                v11, v01 = node(i + 1, j + 1), node(i, j + 1)
-                tris += [(v00, v10, v11), (v00, v11, v01)]
-
-    def classify(mid):
-        for a, b, tag in tag_segments:
-            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-            L = np.linalg.norm(b - a)
-            d = (b - a) / L
-            w = mid - a
-            t = np.dot(w, d)
-            if -eps <= t <= L + eps and abs(w[0] * d[1] - w[1] * d[0]) < 10 * eps:
-                return tag
-        return "wall"
-
-    tags = {}
-    inside = lambda i, j: 0 <= i < nx and 0 <= j < ny and mask[i, j]  # noqa: E731
-    for i in range(nx):
-        for j in range(ny):
-            if not mask[i, j]:
-                continue
-            for di, dj, a, b in ((-1, 0, (i, j), (i, j + 1)), (1, 0, (i + 1, j), (i + 1, j + 1)),
-                                 (0, -1, (i, j), (i + 1, j)), (0, 1, (i, j + 1), (i + 1, j + 1))):
-                if not inside(i + di, j + dj):
-                    na, nb = node(*a), node(*b)
-                    mid = 0.5 * (np.asarray(verts[na]) + np.asarray(verts[nb]))
-                    tags[(min(na, nb), max(na, nb))] = classify(mid)
-    return np.array(verts), np.array(tris, dtype=int), tags
-
-
-def loop_edge_table(triangles, boundary_tags):
-    """Edge table of `TriMesh` from a dict of half-edges, edges in order of
-    first use; (left, right, va, vb, tags, neighbours per cell)."""
-    half_edges = {}
-    for t, corners in enumerate(np.asarray(triangles).tolist()):
-        for k in range(3):
-            a, b = corners[k], corners[(k + 1) % 3]
-            half_edges.setdefault((min(a, b), max(a, b)), []).append((t, a, b))
-    tagged = {(min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()}
-    left, right, va, vb, tags = [], [], [], [], []
-    for key, uses in half_edges.items():
-        if len(uses) > 2:
-            raise MeshError(f"non-manifold edge {key}: shared by {len(uses)} triangles")
-        (t1, a1, b1) = uses[0]
-        if len(uses) == 2:
-            (t2, a2, b2) = uses[1]
-            if (a1, b1) == (a2, b2):
-                raise MeshError(f"inconsistent triangle orientation at edge {key}")
-        elif key not in tagged:
-            raise MeshError(f"boundary edge {key} has no tag")
-        left.append(t1)
-        right.append(uses[1][0] if len(uses) == 2 else -1)
-        va.append(a1)
-        vb.append(b1)
-        tags.append(None if len(uses) == 2 else tagged[key])
-    boundary = {(min(a, b), max(a, b)) for a, b, r in zip(va, vb, right) if r == -1}
-    if set(tagged) - boundary:
-        raise MeshError(f"tags given for non-boundary edges: {sorted(set(tagged) - boundary)}")
-    neighbors = [[] for _ in range(len(triangles))]
-    for l, r in zip(left, right):
-        if r >= 0:
-            neighbors[l].append(r)
-            neighbors[r].append(l)
-    return left, right, va, vb, tags, neighbors
-
-
-def loop_stencil_groups(mesh, virtual):
-    """`MeshField` stencil groups from per-cell neighbour and position lists;
-    an exact group keeps rows 1-2 of the inverse, which give the slopes.
-    Neighbours are stored as (c, n), operators as (2, c, n)."""
-    nbr_lists = [[int(j) for j in row if j >= 0] for row in mesh.neighbors]
-    pos_lists = [[mesh.centroids[j] for j in row] for row in nbr_lists]
-    for slot, (cell, pos) in enumerate(virtual):
-        nbr_lists[cell].append(-(slot + 1))
-        pos_lists[cell].append(np.asarray(pos, dtype=float))
-    counts = np.array([len(v) for v in nbr_lists])
-    scale = float(np.sqrt(np.mean(mesh.areas)))
-    groups = []
-    for c in sorted(set(counts)):
-        if c < 2:
-            continue
-        cells = np.flatnonzero(counts == c)
-        nbr = np.array([nbr_lists[t] for t in cells], dtype=int)
-        offs = np.array([[p - mesh.centroids[t] for p in pos_lists[t]] for t in cells])
-        if c == 3:
-            M = np.concatenate([np.ones((len(cells), 3, 1)), offs], axis=2)
-            good = np.abs(np.linalg.det(M)) > 1e-12 * scale**2
-            op = np.zeros_like(M)
-            op[good] = np.linalg.inv(M[good])
-            groups.append(("exact", cells, nbr.T, op[:, 1:].transpose(1, 2, 0), good))
-        else:
-            G = np.einsum("kci,kcj->kij", offs, offs)
-            det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-            good = np.abs(det) > 1e-12 * scale**4
-            op = np.zeros((len(cells), 2, c))
-            op[good] = np.einsum("kij,kcj->kic", np.linalg.inv(G[good]), offs[good])
-            groups.append(("lsq", cells, nbr.T, op.transpose(1, 2, 0), good))
-    return groups
-
-
-def loop_fan_refine_mesh(geometry, refinements):
-    """(vertices, triangles, boundary tags) of `fan_refine_mesh`, one point
-    at a time: every new point rounded by numpy's scalar `round`, midpoints
-    cached per edge."""
-    center = geometry.centroid
-    verts = [tuple(center)]
-    index = {tuple(center): 0}
-
-    def vid(p):
-        key = (round(p[0], 12), round(p[1], 12))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(key)
-        return index[key]
-
-    tris = []
-    btags = {}
-    for e in geometry.edges:
-        ia, ib = vid(e.a), vid(e.b)
-        tris.append((0, ia, ib))
-        btags[(min(ia, ib), max(ia, ib))] = e.tag
-
-    for _ in range(refinements):
-        new_tris = []
-        new_btags = {}
-        mids = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in mids:
-                mids[key] = vid(0.5 * (np.asarray(verts[i]) + np.asarray(verts[j])))
-            return mids[key]
-
-        for i0, i1, i2 in tris:
-            m01, m12, m20 = midpoint(i0, i1), midpoint(i1, i2), midpoint(i2, i0)
-            new_tris += [(i0, m01, m20), (m01, i1, m12), (m20, m12, i2), (m01, m12, m20)]
-        for (ia, ib), tag in btags.items():
-            m = midpoint(ia, ib)
-            new_btags[(min(ia, m), max(ia, m))] = tag
-            new_btags[(min(m, ib), max(m, ib))] = tag
-        tris, btags = new_tris, new_btags
-    return np.array(verts, dtype=float), np.array(tris, dtype=int), btags
+        inside |= point_in_polygon(np.stack([CX, CY], axis=-1).reshape(-1, 2), poly).reshape(nx, ny)
+    tris = mesh.triangles
+    lower, upper = tris[0::2], tris[1::2]
+    assert np.array_equal(upper[:, :2], lower[:, [0, 2]])
+    ij = np.round((mesh.vertices - lo) / dx).astype(int)
+    assert np.array_equal(ij[lower[:, 0]], np.argwhere(inside))
+    for corner, (di, dj) in zip((lower[:, 1], lower[:, 2], upper[:, 2]), ((1, 0), (1, 1), (0, 1))):
+        assert np.array_equal(ij[corner] - ij[lower[:, 0]], np.tile((di, dj), (len(lower), 1)))
+    first_use = np.unique(tris.ravel(), return_index=True)[1]
+    assert len(first_use) == len(mesh.vertices) and (np.diff(first_use) > 0).all()
 
 
 def diamond(cx, cy, r):
@@ -1073,61 +747,75 @@ def built_with(monkeypatch, mesher, *args, **kwargs):
     return mesh, inputs
 
 
-def assert_same_edge_table(mesh, tags):
-    left, right, va, vb, edge_tags, neighbors = loop_edge_table(mesh.triangles, tags)
-    for name, want in (("edge_left", left), ("edge_right", right), ("edge_va", va),
-                       ("edge_vb", vb)):
-        got = getattr(mesh, name)
-        assert got.dtype == np.int64 and got.tolist() == want, name
-    assert mesh.edge_tags == edge_tags
-    assert [[j for j in row if j >= 0] for row in mesh.neighbors.tolist()] == neighbors
-
-
-def assert_same_stencils(mesh, virtual):
-    from swnet.core import PhysicalParams
-    from swnet.scheme2d import MeshField
-
-    got = MeshField(mesh, PhysicalParams(), virtual=virtual)._groups
-    want = loop_stencil_groups(mesh, virtual)
-    assert [g[0] for g in got] == [g[0] for g in want]
-    for g, w in zip(got, want):
-        for a, b in zip(g[1:], w[1:]):
-            assert a.shape == b.shape and np.array_equal(a, b)
+def strictly_inside_convex(pts, poly, margin=1e-9):
+    """Whether each point lies left of every edge of a counter-clockwise
+    convex polygon by more than `margin`; and whether it lies right of one
+    by more than that."""
+    a = poly
+    e = np.roll(poly, -1, axis=0) - a
+    turn = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+    assert (turn >= 0.0).all()
+    d = e[:, 0] * (pts[:, None, 1] - a[:, 1]) - e[:, 1] * (pts[:, None, 0] - a[:, 0])
+    d /= np.hypot(*e.T)
+    return (d > margin).all(axis=1), (d < -margin).any(axis=1)
 
 
 class TestPointInPolygon:
+    """A point is inside where a ray to +x crosses the polygon's edges an
+    odd number of times, an edge counting where one of its ends lies above
+    the point and the other not (half-open in y), and where it crosses
+    strictly right of the point."""
+
     POLYGONS = [
         diamond(0.3, -0.2, 0.7),
         np.array([(0, 0), (2, 0), (2, 2), (1, 0.8), (0, 2)]),  # non-convex
         np.array([(0, 0), (1, 0), (1, 1), (0, 1)]),  # horizontal edges
     ]
-
-    def check(self, pts, poly):
-        got = point_in_polygon(pts, poly)
-        want = [loop_point_in_polygon(p, poly) for p in pts.tolist()]
-        assert got.dtype == bool and got.tolist() == want
+    # Each as convex pieces, and at each vertex height the x range [x0, x1)
+    # of the points inside, or None.
+    PIECES = [[POLYGONS[0]],
+              [np.array([(0, 0), (1, 0), (1, 0.8), (0, 2)]),
+               np.array([(1, 0), (2, 0), (2, 2), (1, 0.8)])],
+              [POLYGONS[2]]]
+    LEVELS = [{1: None, 0: (POLYGONS[0][2, 0], POLYGONS[0][0, 0]), 3: None},
+              {0: (0.0, 2.0), 2: None, 3: (0.0, 2.0)},
+              {0: (0.0, 1.0), 2: None}]
 
     @pytest.mark.parametrize("k", range(3))
     def test_random_points(self, k):
-        rng = np.random.default_rng(k)
-        self.check(rng.uniform(-1.0, 2.5, size=(2000, 2)), self.POLYGONS[k])
+        pts = np.random.default_rng(k).uniform(-1.0, 2.5, size=(2000, 2))
+        inside = [strictly_inside_convex(pts, piece) for piece in self.PIECES[k]]
+        got = point_in_polygon(pts, self.POLYGONS[k])
+        assert got.dtype == bool
+        assert got[np.any([i for i, _ in inside], axis=0)].all()
+        assert not got[np.all([o for _, o in inside], axis=0)].any()
 
     @pytest.mark.parametrize("k", range(3))
     def test_points_level_with_vertices(self, k):
         poly = self.POLYGONS[k]
-        rng = np.random.default_rng(10 + k)
-        xs = rng.uniform(-1.0, 2.5, size=(200, 1))
-        pts = np.concatenate([np.hstack([xs, np.full_like(xs, y)]) for y in poly[:, 1]])
-        self.check(np.concatenate([pts, poly]), poly)
+        xs = np.random.default_rng(10 + k).uniform(-1.0, 2.5, 200)
+        for v, span in self.LEVELS[k].items():
+            got = point_in_polygon(np.stack([xs, np.full_like(xs, poly[v, 1])], axis=1), poly)
+            want = np.zeros_like(got) if span is None else (xs >= span[0]) & (xs < span[1])
+            clear = np.abs(xs[:, None] - (span or ())).min(axis=1, initial=1.0) > 1e-9
+            assert got[clear].tolist() == want[clear].tolist()
+
+    def test_the_unit_squares_sides_and_corners(self):
+        """Its bottom and left sides are inside, its top and right ones not."""
+        square = self.POLYGONS[2]
+        pts = np.array([(0.5, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.5), *square])
+        assert point_in_polygon(pts, square).tolist() == [True, True, False, False,
+                                                          True, False, False, False]
 
     def test_points_on_junction_cores(self):
         for poly in network_cores():
             rng = np.random.default_rng(len(poly))
             lo, hi = poly.min(axis=0), poly.max(axis=0)
-            nxt = np.roll(poly, -1, axis=0)
-            on_edges = poly + rng.uniform(size=(len(poly), 1)) * (nxt - poly)
-            near = rng.uniform(lo - 0.05, hi + 0.05, size=(500, 2))
-            self.check(np.concatenate([poly, 0.5 * (poly + nxt), on_edges, near]), poly)
+            pts = rng.uniform(lo - 0.05, hi + 0.05, size=(500, 2))
+            inside, outside = strictly_inside_convex(pts, poly)
+            assert inside.any() and outside.any()
+            got = point_in_polygon(pts, poly)
+            assert got[inside].all() and not got[outside].any()
 
     def test_single_point_returns_bool(self):
         poly = self.POLYGONS[0]
@@ -1137,6 +825,8 @@ class TestPointInPolygon:
 
 class TestArrayBuilders:
     def test_rect_union_mesh_matches_loops(self, monkeypatch):
+        """A boundary side takes the tag of the first segment that holds its
+        midpoint, else "wall"."""
         rects = [(0, 0, 2, 0.5), (1.5, 0, 2, 2)]
         segs = [((0, 0), (0, 0.5), "inflow"), ((1.5, 2), (2, 2), "transparent"),
                 ((1.5, 0), (2, 0), "prescribed"), ((1.5, 0), (2, 0), "inflow")]
@@ -1144,70 +834,65 @@ class TestArrayBuilders:
         mesh, (verts, tris, tags) = built_with(
             monkeypatch, rect_union_mesh, rects, 0.05, tag_segments=segs, polygons=polygons
         )
-        want_verts, want_tris, want_tags = loop_rect_union_mesh(rects, 0.05, segs, polygons)
-        assert np.array_equal(verts, want_verts) and np.array_equal(tris, want_tris)
-        assert tags == want_tags
-        assert set(tags.values()) == {"wall", "inflow", "transparent", "prescribed"}
-        assert np.array_equal(mesh.vertices, want_verts)
-        assert np.array_equal(mesh.triangles, want_tris)
-        assert_same_edge_table(mesh, tags)
-        assert_same_stencils(mesh, [])
+        assert_footprint(mesh, rects, 0.05, polygons)
+        mids = {key: 0.5 * (verts[key[0]] + verts[key[1]]) for key in tags}
+        for a, b, tag in segs[:3]:  # the fourth lies on the third
+            lo, hi = np.minimum(a, b) - 1e-9, np.maximum(a, b) + 1e-9
+            sides = [key for key, m in mids.items() if (lo <= m).all() and (m <= hi).all()]
+            assert len(sides) == 10 and {tags[key] for key in sides} == {tag}
+        assert list(tags.values()).count("wall") == len(tags) - 30
+        assert_edge_table(mesh)
+        assert_stencils_fit_linear_fields(MeshField(mesh, PhysicalParams()))
 
     @pytest.mark.parametrize("refinements", [0, 1, 2, 3])
-    def test_fan_refine_mesh_matches_loops(self, monkeypatch, refinements):
-        mesh, (_, _, tags) = built_with(monkeypatch, fan_refine_mesh, t_junction(), refinements)
-        assert_same_edge_table(mesh, tags)
+    def test_fan_refine_mesh_matches_loops(self, refinements):
+        mesh = TriMesh(*fan_refine_mesh(t_junction(), refinements))
+        assert_edge_table(mesh)
         # Coupling-edge cells take virtual neighbours, some two, out of order.
         cells = mesh.edge_left[mesh.boundary[::2]]
         far = mesh.edge_midpoints[mesh.boundary[::2]] * 1.5
         virtual = list(zip(cells[::-1], far[::-1])) + [(cells[0], far[0] * 1.2)]
-        assert_same_stencils(mesh, [])
-        assert_same_stencils(mesh, virtual)
+        for v in ([], virtual):
+            assert_stencils_fit_linear_fields(MeshField(mesh, PhysicalParams(), virtual=v), v)
 
     @pytest.mark.parametrize("refinements", [1, 2, 3])
     @pytest.mark.parametrize("name", ["test1_sub90", "test6_network", "random"])
-    def test_fan_refine_mesh_matches_point_loop(self, monkeypatch, name, refinements):
+    def test_fan_refine_mesh_matches_point_loop(self, name, refinements):
+        """The centroid, unrounded, then every corner and midpoint rounded to
+        12 decimals, each once: each polygon edge splits into 2^r tagged
+        sides, each fan triangle into 4^r triangles, and the area stays."""
         from swnet import build_simulation, preset
 
         if name == "random":
-            # Off-grid coordinates, where Python's float `round` would give
-            # other points than numpy's.
-            rng = np.random.default_rng(refinements)
-            centre = rng.uniform(-1.0, 1.0, 2)
-            spread = 2.0 * np.pi / 3.0 * np.arange(3) + rng.uniform(-0.2, 0.2, 3)
-            angles = rng.uniform(0.0, 2.0 * np.pi) + spread
-            ends = [
-                (Channel(f"c{k}", rng.uniform(0.3, 0.5), 10,
-                         centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
-                         centre + 3.0 * np.array([np.cos(a), np.sin(a)])), "start")
-                for k, a in enumerate(angles)
-            ]
-            geoms = [build_junction_polygon(ends, centre, 0.5)]
+            geoms = [build_junction_polygon(*random_junction(3 * refinements + 1))]
         else:
             geoms = [j.geom for j in build_simulation(preset(name, strategy="B")).junctions]
         for geom in geoms:
-            _, (verts, tris, tags) = built_with(monkeypatch, fan_refine_mesh, geom, refinements)
-            want_verts, want_tris, want_tags = loop_fan_refine_mesh(geom, refinements)
-            assert verts.dtype == want_verts.dtype and verts.tobytes() == want_verts.tobytes()
-            assert np.array_equal(tris, want_tris)
-            assert list(tags.items()) == list(want_tags.items())
+            verts, tris, tags = fan_refine_mesh(geom, refinements)
+            assert bits(verts[0]) == bits(geom.centroid)
+            assert bits(verts[1:]) == bits(np.round(verts[1:], 12))
+            assert len(np.unique(verts, axis=0)) == len(verts)
+            assert len(tris) == len(geom.edges) * 4**refinements
+            assert sorted(tags.values()) == sorted(
+                e.tag for e in geom.edges for _ in range(2**refinements))
+            assert np.isclose(TriMesh(verts, tris, tags).areas.sum(), geom.area, rtol=1e-12)
 
     BAD_MESHES = {
-        "non-manifold": ([(0, 1, 2), (0, 3, 1), (1, 0, 4)], {}),
-        "inconsistent triangle orientation": ([(0, 1, 2), (0, 1, 5)], {}),
-        "no tag": ([(0, 1, 2)], {(0, 1): "wall"}),
+        "non-manifold": ([(0, 1, 2), (0, 3, 1), (1, 0, 4)], {},
+                         "non-manifold edge (0, 1): shared by 3 triangles"),
+        "inconsistent triangle orientation": ([(0, 1, 2), (0, 1, 5)], {},
+                                              "inconsistent triangle orientation at edge (0, 1)"),
+        "no tag": ([(0, 1, 2)], {(0, 1): "wall"}, "boundary edge (1, 2) has no tag"),
         "tags given for non-boundary edges": (
             [(0, 1, 2), (0, 2, 5)],
             {(0, 1): "wall", (1, 2): "wall", (2, 5): "wall", (0, 5): "wall", (2, 0): "wall"},
+            "tags given for non-boundary edges: [(0, 2)]",
         ),
     }
 
     @pytest.mark.parametrize("message", BAD_MESHES)
     def test_mesh_errors_match_loops(self, message):
         verts = [(0, 0), (1, 0), (0, 1), (0, -1), (0.5, -3), (-1, 1)]
-        tris, tags = self.BAD_MESHES[message]
-        with pytest.raises(MeshError, match=message) as got:
+        tris, tags, text = self.BAD_MESHES[message]
+        with pytest.raises(MeshError, match=f"^{re.escape(text)}$"):
             TriMesh(verts, tris, tags)
-        with pytest.raises(MeshError) as want:
-            loop_edge_table(tris, tags)
-        assert str(got.value) == str(want.value)

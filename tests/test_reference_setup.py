@@ -1,12 +1,8 @@
-"""The full-2D reference's set-up equals its former formulas to the bit.
+"""The full-2D reference's set-up: properties of its edge table, stencils,
+cell selection, boundary groups, point gauge cells and footprint.
 
-Each oracle below is a verbatim copy of the formula that it replaced: the
-edge table from two `np.unique` calls, one stencil fit per cell, the
-initial state and strip gauges selected by scanning every cell centroid,
-the boundary groups from three `np.unique` calls, the point gauge's cell
-from a sort of every centroid distance, the footprint rasterized on every
-cell centre and its nodes numbered by `np.unique`, and row lengths from
-`np.linalg.norm`.
+The bits of each reference, of the random patches and points and of the
+cells selected on oblique channels are pinned in `tests/bit_record.json`.
 """
 
 import importlib.util
@@ -16,31 +12,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swnet import preset, studies
+from swnet import ScenarioConfig, preset, studies
 from swnet.boundaries import BoundaryCondition, FarField, GhostStates, gaussian_pulse
 from swnet.config import build_channels, build_simulation, gauges, initial_profile
-from swnet.core import DryStateError, PhysicalParams
-from swnet.geometry import (
-    Channel,
-    GeometryError,
-    MeshError,
-    TriMesh,
-    build_junction_polygon,
-    point_in_polygon,
-)
-from swnet.meshing import fan_refine_mesh, rect_union_mesh
+from swnet.core import PhysicalParams
+from swnet.geometry import Channel, GeometryError, MeshError, TriMesh, build_junction_polygon
+from swnet.meshing import rect_union_mesh
 from swnet.riemann import mirrored
 from swnet.scheme2d import MeshField, _distinct_rows
 from swnet.simulation import Mesh2DSimulation, StripGauge, strip_cells
 from swnet.studies import build_reference_sim
 
-# Every preset and size at which `build_reference_sim` builds a reference.
-REFERENCES = [
-    *[(name, dx) for name in ("appA_angle0", "smooth1d", "test1_sub90", "test4_super90",
-                              "test6_network", "test6_network_super") for dx in (0.1, 0.05)],
-    ("appA_angle90", 0.05),
-    ("test2_asym90", 0.05),
-]
+from generated import random_patch, strip_mesh
+from test_geometry import assert_edge_table, assert_footprint, assert_stencils_fit_linear_fields
+
+
+def compare_runs_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+    spec = importlib.util.spec_from_file_location("compare_runs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+COMPARE_RUNS = compare_runs_tool()
+# Every preset and size at or above 0.05 at which `build_reference_sim`
+# builds a reference.
+REFERENCES = [(name, dx) for name, ends, dx in COMPARE_RUNS.REFERENCE_RUNS
+              if ends is None and dx >= 0.05]
 
 
 def bits(a) -> tuple:
@@ -62,215 +61,6 @@ def recorded(monkeypatch, module, name):
     return calls
 
 
-# ---------------------------------------------------------------------------
-# Edge table
-# ---------------------------------------------------------------------------
-
-
-def former_edge_table(triangles, boundary_tags):
-    """`TriMesh`'s edge table by the former formula: (left, right, va, vb,
-    tags, neighbours), or the same `MeshError`."""
-    cells = np.asarray(triangles, dtype=int)
-    T, K = cells.shape
-    corners = np.count_nonzero(cells >= 0, axis=1)
-    real = np.arange(K) < corners[:, None]
-    nxt = np.where(np.arange(1, K + 1) < corners[:, None], np.arange(1, K + 1), 0)
-    hcell, hk = np.nonzero(real)
-    ha = cells[hcell, hk]
-    hb = cells[hcell, nxt[hcell, hk]]
-    tagged = {(min(a, b), max(a, b)): tag for (a, b), tag in boundary_tags.items()}
-    tag_keys = np.array(list(tagged), dtype=np.int64).reshape(-1, 2)
-    base = 1 + max(int(cells.max()), int(tag_keys.max(initial=0)))
-    keys = np.minimum(ha, hb) * base + np.maximum(ha, hb)
-    codes, first, uses = np.unique(keys, return_index=True, return_counts=True)
-    last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
-    tag_codes = tag_keys @ [base, 1]
-    tag_edge = np.minimum(np.searchsorted(codes, tag_codes), len(codes) - 1)
-    on_boundary = (codes[tag_edge] == tag_codes) & (uses[tag_edge] == 1)
-    tag_of = np.full(len(codes), None, dtype=object)
-    tag_of[tag_edge[on_boundary]] = np.array(list(tagged.values()), dtype=object)[on_boundary]
-
-    flipped = (ha[first] != ha[last]) | (hb[first] != hb[last])
-    bad = (uses > 2) | ((uses == 2) & ~flipped) | ((uses == 1) & np.equal(tag_of, None))
-    if bad.any():
-        u = np.flatnonzero(bad)[np.argmin(first[bad])]
-        key = divmod(int(codes[u]), base)
-        if uses[u] > 2:
-            raise MeshError(f"non-manifold edge {key}: shared by {uses[u]} triangles")
-        if uses[u] == 2:
-            raise MeshError(f"inconsistent triangle orientation at edge {key}")
-        raise MeshError(f"boundary edge {key} has no tag")
-    if not on_boundary.all():
-        extra = [key for key, ok in zip(tagged, on_boundary) if not ok]
-        raise MeshError(f"tags given for non-boundary edges: {sorted(extra)}")
-
-    order = np.argsort(first)
-    h1 = first[order]
-    left = hcell[h1]
-    right = np.where(uses[order] == 2, hcell[last[order]], -1)
-    interior = np.flatnonzero(right >= 0)
-    cell = np.stack([left, right], axis=1)[interior].ravel()
-    other = np.stack([right, left], axis=1)[interior].ravel()
-    by_cell = np.argsort(cell, kind="stable")
-    count = np.bincount(cell, minlength=T)
-    slot = np.arange(len(cell)) - (np.cumsum(count) - count)[cell[by_cell]]
-    neighbors = np.full((T, K), -1)
-    neighbors[cell[by_cell], slot] = other[by_cell]
-    return left, right, ha[h1], hb[h1], tag_of[order].tolist(), neighbors
-
-
-def assert_former_edge_table(mesh, triangles, tags):
-    left, right, va, vb, edge_tags, neighbors = former_edge_table(triangles, tags)
-    for name, want in (("edge_left", left), ("edge_right", right), ("edge_va", va),
-                       ("edge_vb", vb), ("neighbors", neighbors)):
-        assert bits(getattr(mesh, name)) == bits(want), name
-    assert mesh.edge_tags == edge_tags
-
-
-def random_patch_parts(seed):
-    """`fan_refine_mesh`'s (vertices, cells, tags) of a junction of three
-    channels at off-grid angles, widths and protrusion, or None if its
-    polygon does not build."""
-    rng = np.random.default_rng(seed)
-    centre = rng.uniform(-1.0, 1.0, 2)
-    angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi / 3.0 * np.arange(3)
-    angles += rng.uniform(-0.3, 0.3, 3)
-    ends = [
-        (Channel(f"c{k}", rng.uniform(0.2, 0.5), 10,
-                 centre + 0.3 * np.array([np.cos(a), np.sin(a)]),
-                 centre + 3.0 * np.array([np.cos(a), np.sin(a)])), "start")
-        for k, a in enumerate(angles)
-    ]
-    try:
-        geom = build_junction_polygon(ends, centre, rng.uniform(0.05, 0.6))
-    except GeometryError:
-        return None
-    return fan_refine_mesh(geom, seed % 4)
-
-
-def random_patch(seed):
-    """(vertices, cells, tags) of the mesh of `random_patch_parts(seed)`,
-    its tags keyed by edge ends in edge order, or None."""
-    parts = random_patch_parts(seed)
-    if parts is None:
-        return None
-    mesh = TriMesh(*parts)
-    tags = {(a, b): mesh.edge_tags[e]
-            for a, b, e in zip(mesh.edge_va[mesh.boundary], mesh.edge_vb[mesh.boundary],
-                               mesh.boundary)}
-    return mesh.vertices, mesh.triangles, tags
-
-
-class TestEdgeTable:
-    def test_random_patches(self):
-        built = 0
-        for seed in range(16):
-            parts = random_patch_parts(seed)
-            if parts is None:
-                continue
-            verts, tris, tags = parts
-            assert_former_edge_table(TriMesh(verts, tris, tags), tris, tags)
-            built += 1
-        assert built >= 12
-
-    @pytest.mark.parametrize("name, dx", REFERENCES)
-    def test_references(self, monkeypatch, name, dx):
-        from swnet import meshing
-
-        calls = recorded(monkeypatch, meshing, "TriMesh")
-        sim = build_reference_sim(preset(name), dx)
-        ((_, tris, tags), _), = calls
-        assert_former_edge_table(sim.mesh, tris, tags)
-
-    def test_errors_name_the_same_first_bad_edge(self):
-        """Meshes made bad in up to three ways at once: a triangle repeated
-        (its interior edges then have three users, its boundary edges two in
-        the same direction), a triangle folded back over a boundary edge,
-        and a tag dropped. The first bad edge in half-edge order decides the
-        message."""
-        seen = set()
-        for seed in range(40):
-            patch = random_patch(seed)
-            if patch is None:
-                continue
-            verts, tris, tags = patch
-            rng = np.random.default_rng(100 + seed)
-            verts, tris, tags = list(map(tuple, verts)), [list(t) for t in tris], dict(tags)
-            ways = rng.permutation(3)[: 1 + rng.integers(3)]
-            if 0 in ways:
-                t = tris[rng.integers(len(tris))]
-                tris.append(t[1:] + t[:1])
-            if 1 in ways:
-                mesh = TriMesh(*patch)
-                e = mesh.boundary[rng.integers(len(mesh.boundary))]
-                a, b = np.array(verts[mesh.edge_va[e]]), np.array(verts[mesh.edge_vb[e]])
-                inward = np.array([a[1] - b[1], b[0] - a[0]])  # left of a -> b
-                verts.append(tuple(0.5 * (a + b) + 0.1 * inward))
-                tris.append([int(mesh.edge_va[e]), int(mesh.edge_vb[e]), len(verts) - 1])
-            if 2 in ways:
-                del tags[list(tags)[rng.integers(len(tags))]]
-            with pytest.raises(MeshError) as got:
-                TriMesh(verts, tris, tags)
-            with pytest.raises(MeshError) as want:
-                former_edge_table(tris, tags)
-            assert str(got.value) == str(want.value)
-            seen.add(str(got.value).split(" ")[0])
-        assert seen == {"non-manifold", "inconsistent", "boundary"}
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction stencils
-# ---------------------------------------------------------------------------
-
-
-def former_stencil_groups(mesh, virtual):
-    """`MeshField`'s stencil groups by the former formula, one fit per cell:
-    (kind, cells, neighbours (c, n), operators (2, c, n), regular flags)."""
-    T = mesh.n_cells
-    virtual = list(virtual or [])
-    counts = np.count_nonzero(mesh.neighbors >= 0, axis=1)
-    nbrs = np.concatenate([mesh.neighbors, np.full((T, len(virtual)), -1)], axis=1)
-    pos = mesh.centroids.take(nbrs, axis=0)
-    for slot, (cell, p) in enumerate(virtual):
-        nbrs[cell, counts[cell]] = -(slot + 1)
-        pos[cell, counts[cell]] = p
-        counts[cell] += 1
-    groups = []
-    scale = float(np.sqrt(np.mean(mesh.areas)))
-    for c in sorted(set(counts[counts >= 2].tolist())):
-        cells = np.flatnonzero(counts == c)
-        nbr = nbrs[cells, :c]
-        offs = pos.take(cells, axis=0)[:, :c] - mesh.centroids.take(cells, axis=0)[:, None, :]
-        if c == 3:
-            M = np.concatenate([np.ones((len(cells), 3, 1)), offs], axis=2)
-            det = np.linalg.det(M)
-            good = np.abs(det) > 1e-12 * scale**2
-            inv = np.zeros_like(M)
-            if good.any():
-                inv[good] = np.linalg.inv(M[good])
-            op = inv[:, 1:]
-        else:
-            G = np.einsum("kci,kcj->kij", offs, offs)
-            det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-            good = np.abs(det) > 1e-12 * scale**4
-            op = np.zeros((len(cells), 2, c))
-            if good.any():
-                Ginv = np.linalg.inv(G[good])
-                op[good] = np.einsum("kij,kcj->kic", Ginv, offs[good])
-        kind = "exact" if c == 3 else "lsq"
-        groups.append((kind, cells, nbr.T, op.transpose(1, 2, 0), good))
-    return groups
-
-
-def assert_former_stencils(field, mesh, virtual):
-    want = former_stencil_groups(mesh, virtual)
-    assert [g[0] for g in field._groups] == [g[0] for g in want]
-    for got, exp in zip(field._groups, want):
-        for a, b in zip(got[1:], exp[1:]):
-            assert bits(a) == bits(b)
-    return want
-
-
 def walled(vertices, cells):
     """A mesh whose boundary edges are all walls."""
     uses = {}
@@ -281,11 +71,64 @@ def walled(vertices, cells):
     return TriMesh(vertices, cells, {key: "wall" for key, n in uses.items() if n == 1})
 
 
+# ---------------------------------------------------------------------------
+# Edge table
+# ---------------------------------------------------------------------------
+
+
+class TestEdgeTable:
+    def test_random_patches(self):
+        built = 0
+        for seed in range(16):
+            try:
+                parts = random_patch(seed)
+            except GeometryError:
+                continue
+            assert_edge_table(TriMesh(*parts))
+            built += 1
+        assert built >= 12
+
+    @pytest.mark.parametrize("name, dx", REFERENCES)
+    def test_references(self, name, dx):
+        assert_edge_table(build_reference_sim(preset(name), dx).mesh)
+
+    def test_errors_name_the_same_first_bad_edge(self):
+        """Two unit squares, each split in two, made bad in up to two ways
+        at once: a triangle repeated, rotated (so edge (1, 2) has three
+        users), or a triangle folded back over boundary edge (2, 3), and a
+        tag dropped. Of the bad edges, the first in half-edge order, cell by
+        cell and side by side, names the error."""
+        verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (2, 1), (0.5, 0.9)]
+        tris = [[0, 1, 2], [0, 2, 3], [1, 4, 5], [1, 5, 2]]
+        tags = {key: "wall" for key in [(0, 1), (2, 3), (3, 0), (1, 4), (4, 5), (5, 2)]}
+        repeated, folded = [[5, 2, 1]], [[2, 3, 6]]
+        three = "non-manifold edge (1, 2): shared by 3 triangles"
+        inconsistent = "inconsistent triangle orientation at edge (2, 3)"
+        cases = [
+            ([], [(4, 5)], "boundary edge (4, 5) has no tag"),
+            ([], [(4, 5), (0, 1)], "boundary edge (0, 1) has no tag"),
+            (repeated, [], three),
+            (repeated, [(4, 5)], three),
+            (repeated, [(0, 1)], "boundary edge (0, 1) has no tag"),
+            (folded, [], inconsistent),
+            (folded, [(4, 5)], inconsistent),
+            (folded, [(0, 1)], "boundary edge (0, 1) has no tag"),
+        ]
+        TriMesh(verts[:6], tris, tags)
+        for extra, dropped, message in cases:
+            with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+                TriMesh(verts, tris + extra, {k: v for k, v in tags.items() if k not in dropped})
+
+
+# ---------------------------------------------------------------------------
+# Reconstruction stencils
+# ---------------------------------------------------------------------------
+
+
 class TestStencils:
     @pytest.mark.parametrize("name, dx", REFERENCES)
     def test_references(self, name, dx):
-        sim = build_reference_sim(preset(name), dx)
-        assert_former_stencils(sim.field, sim.mesh, [])
+        assert_stencils_fit_linear_fields(build_reference_sim(preset(name), dx).field)
 
     @pytest.mark.parametrize("name", ["test1_sub90", "test6_network"])
     def test_method_b_junction_field(self, monkeypatch, name):
@@ -293,9 +136,9 @@ class TestStencils:
 
         calls = recorded(monkeypatch, junctions, "MeshField")
         sim = build_simulation(preset(name, strategy="B"))
-        ((mesh, _), kwargs), = calls
+        ((_, _), kwargs), = calls
         assert kwargs["virtual"]
-        assert_former_stencils(sim.junction_field.mesh_field, mesh, kwargs["virtual"])
+        assert_stencils_fit_linear_fields(sim.junction_field.mesh_field, kwargs["virtual"])
 
     def test_singular_three_neighbour_stencil_and_least_squares(self):
         # A 3 x 1 rectangle whose top side carries three unit squares: the
@@ -304,22 +147,29 @@ class TestStencils:
         verts = [(0, 0), (3, 0), (3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2), (3, 2)]
         cells = [[0, 1, 2, 3, 4, 5], [5, 4, 7, 6, -1, -1], [4, 3, 8, 7, -1, -1],
                  [3, 2, 9, 8, -1, -1]]
-        mesh = walled(verts, cells)
-        want = assert_former_stencils(MeshField(mesh, PhysicalParams()), mesh, [])
-        groups = {kind: good for kind, *_, good in want}
+        field = MeshField(walled(verts, cells), PhysicalParams())
+        assert_stencils_fit_linear_fields(field)
+        groups = {kind: good for kind, *_, good in field._groups}
         assert groups["exact"].tolist() == [False, True] and groups["lsq"].all()
 
     def test_stencils_that_differ_in_the_sign_of_a_zero(self):
         # Two copies of one triangle, with centroids (0, 1) and (4, 1), each
         # fitted on three virtual neighbours at the same offsets, but for
-        # one x offset of -0.0 in the first and +0.0 in the second.
+        # one x offset of -0.0 in the first and +0.0 in the second: each
+        # takes the operator that it takes when fitted on its own.
         verts = [(-1, 0), (1, 0), (0, 3), (3, 0), (5, 0), (4, 3)]
         mesh = walled(verts, [[0, 1, 2], [3, 4, 5]])
         assert mesh.centroids.tolist() == [[0.0, 1.0], [4.0, 1.0]]
         assert not np.signbit(mesh.centroids).any()
         virtual = [(0, (-0.0, 3.0)), (0, (2.0, 0.0)), (0, (-2.0, 0.0)),
                    (1, (4.0, 3.0)), (1, (6.0, 0.0)), (1, (2.0, 0.0))]
-        assert_former_stencils(MeshField(mesh, PhysicalParams(), virtual=virtual), mesh, virtual)
+        field = MeshField(mesh, PhysicalParams(), virtual=virtual)
+        assert_stencils_fit_linear_fields(field, virtual)
+        (*_, op, _), = field._groups
+        for cell in (0, 1):
+            alone = MeshField(walled(verts[3 * cell:3 * cell + 3], [[0, 1, 2]]), PhysicalParams(),
+                              virtual=[(0, p) for c, p in virtual if c == cell])
+            assert bits(op[:, :, cell]) == bits(alone._groups[0][3][:, :, 0])
         rows, inverse = _distinct_rows(np.array([[-0.0, 2.0], [0.0, 2.0], [-0.0, 2.0]]))
         assert len(rows) == 2 and inverse[0] == inverse[2] != inverse[1]
 
@@ -329,100 +179,75 @@ class TestStencils:
 # ---------------------------------------------------------------------------
 
 
-def former_strip_coordinates(mesh, channel):
-    axis = channel.axis
-    rel = mesh.centroids - channel.start
-    return rel @ axis, rel @ np.array([-axis[1], axis[0]])
+def everywhere(mesh, channel):
+    """`strip_cells`' along and across coordinates of every cell."""
+    cells, along, across = strip_cells(mesh, channel, -1e6, 1e6, 1e6)
+    assert bits(cells) == bits(np.arange(mesh.n_cells))
+    return along, across
 
 
-def former_initial_state(cfg, mesh):
-    init = cfg.data.get("initial", {})
-    q = np.zeros((mesh.n_cells, 3))
-    q[:, 0] = initial_profile(init, None, q[:, 0])[0]
-    for ch in build_channels(cfg):
-        along, across = former_strip_coordinates(mesh, ch)
-        inside = (along >= -1e-9) & (along <= ch.length + 1e-9) & (
-            np.abs(across) <= ch.width / 2.0 + 1e-9
-        )
-        h, u = initial_profile(init, ch.id, along[inside])
-        q[inside, 0] = h
-        q[inside, 1] = h * u * ch.axis[0]
-        q[inside, 2] = h * u * ch.axis[1]
-    return q
-
-
-def former_strip_gauge(mesh, channel, s, coordinates=former_strip_coordinates):
-    """(cells, weights) of a `StripGauge`, or None where it has no cells."""
-    along, across = coordinates(mesh, channel)
-    half_width = float(np.sqrt(np.mean(mesh.areas)))
-    sel = (np.abs(along - s) <= half_width) & (np.abs(across) <= channel.width / 2.0)
-    cells = np.flatnonzero(sel)
-    if not len(cells):
-        return None
-    return cells, mesh.areas[cells] / mesh.areas[cells].sum()
-
-
-def scanned_strip_coordinates(mesh, channel):
-    """`strip_cells`' coordinates on every cell. On an axis-aligned channel
-    they equal the former ones; on an oblique one the former matrix product
-    rounds differently with the number of rows."""
-    axis = channel.axis
-    rx, ry = (mesh.centroids - channel.start).T
-    return rx * axis[0] + ry * axis[1], ry * axis[0] - rx * axis[1]
-
-
-def gauge_cells(mesh, channel, s, coordinates):
-    """The cells of a `StripGauge`, which must equal those of a scan of
-    every centroid with `coordinates`, weights included."""
-    want = former_strip_gauge(mesh, channel, s, coordinates)
-    if want is None:
-        with pytest.raises(ValueError, match="no cells in strip"):
-            StripGauge("g", mesh, channel, s)
-        return np.array([], dtype=int)
-    got = StripGauge("g", mesh, channel, s)
-    assert bits(got.cells) == bits(want[0]) and bits(got.weights) == bits(want[1])
-    return got.cells
-
-
-def initial_cells(mesh, ch, coordinates):
-    """The cells that the initial state gives to channel `ch` by
-    `strip_cells`, which must equal, with their axial positions, those of a
-    scan of every centroid with `coordinates`."""
+def initial_cells(mesh, ch):
+    """The cells that the initial state gives to channel `ch`, which must
+    be those of a scan of every cell, with their axial positions."""
     tests = (-1e-9, ch.length + 1e-9, ch.width / 2.0 + 1e-9)
-    cells, along, across = strip_cells(mesh, ch, tests[0], tests[1], tests[2])
+    cells, along, across = strip_cells(mesh, ch, *tests)
     inside = (along >= tests[0]) & (along <= tests[1]) & (np.abs(across) <= tests[2])
-    full_along, full_across = coordinates(mesh, ch)
+    full_along, full_across = everywhere(mesh, ch)
     full = (full_along >= tests[0]) & (full_along <= tests[1]) & (np.abs(full_across) <= tests[2])
     assert bits(cells[inside]) == bits(np.flatnonzero(full))
     assert bits(along[inside]) == bits(full_along[full])
     return cells[inside]
 
 
+def gauge_cells(mesh, ch, s):
+    """The cells of a `StripGauge`: those within one mean cell size of s
+    along the channel and within its half width across, by a scan of every
+    cell, weighted by area."""
+    along, across = everywhere(mesh, ch)
+    hw = float(np.sqrt(np.mean(mesh.areas)))
+    want = np.flatnonzero((np.abs(along - s) <= hw) & (np.abs(across) <= ch.width / 2.0))
+    got = StripGauge("g", mesh, ch, s)
+    assert bits(got.cells) == bits(want)
+    assert np.allclose(got.weights * mesh.areas[want].sum(), mesh.areas[want], rtol=1e-14)
+    return got.cells
+
+
 class TestCellSelection:
     @pytest.mark.parametrize("name, dx", REFERENCES)
     def test_references(self, name, dx):
+        """The strip gauges' cells, and the initial state: each channel's
+        profile in the cells within its strip alone, and the depth at rest
+        in the cells outside every strip."""
         cfg = preset(name)
         sim = build_reference_sim(cfg, dx)
-        assert bits(sim.field.q) == bits(former_initial_state(cfg, sim.mesh))
+        mesh, q = sim.mesh, sim.field.q
         channels = {ch.id: ch for ch in build_channels(cfg)}
         strips = [g for g in sim.gauges if isinstance(g, StripGauge)]
         assert [g.id for g in strips] == [g.id for g in gauges(cfg)]
         for strip, g in zip(strips, gauges(cfg)):
-            want = former_strip_gauge(sim.mesh, channels[g.channel], g.s)
-            assert bits(strip.cells) == bits(want[0]) and bits(strip.weights) == bits(want[1])
+            assert bits(strip.cells) == bits(gauge_cells(mesh, channels[g.channel], g.s))
+        init = cfg.data.get("initial", {})
+        inside = {cid: np.isin(np.arange(mesh.n_cells), initial_cells(mesh, ch))
+                  for cid, ch in channels.items()}
+        owners = np.sum(list(inside.values()), axis=0)
+        for cid, ch in channels.items():
+            sole = inside[cid] & (owners == 1)
+            h, u = initial_profile(init, cid, everywhere(mesh, ch)[0][sole])
+            assert np.array_equal(q[sole, 0], h)
+            assert np.array_equal(q[sole, 1:], (h * u)[:, None] * ch.axis)
+        rest = owners == 0
+        assert (q[rest, 0] == initial_profile(init, None, q[rest, 0])[0]).all()
+        assert not q[rest, 1:].any()
 
     def test_centroids_on_the_strip_edges(self):
         """Cell 0's centroid is exactly (0, 0). Channels in the four axis
         directions put it exactly on each bound of the initial state's
         tests (1e-9 beyond the channel) and of a gauge's tests (one mean
-        cell size along, the half width across), where the former and the
-        new coordinates agree. Oblique channels put random cells on their
-        bounds to within round-off."""
-        base = np.array([(-0.3, -0.1), (0.3, -0.1), (0.0, 0.2)])
-        shifts = [(0.0, 0.0)] + [(0.7 * i, 0.35 * j) for i in range(-3, 4)
-                                 for j in range(-3, 4) if (i, j) != (0, 0)]
-        verts = np.concatenate([base + s for s in shifts])
-        mesh = walled(verts, np.arange(len(verts)).reshape(-1, 3))
+        cell size along, the half width across), where it is selected, as
+        by a scan of every cell. The cells selected on oblique channels,
+        which put random cells on their bounds to within round-off, are
+        pinned in `tests/bit_record.json`."""
+        mesh = strip_mesh()
         assert mesh.centroids[0].tolist() == [0.0, 0.0]
         hw = float(np.sqrt(np.mean(mesh.areas)))
         w = 0.5
@@ -431,44 +256,20 @@ class TestCellSelection:
             rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turn)
             return Channel("c", w, 4, rot @ np.array(start), rot @ np.array(end))
 
-        axis_aligned = (former_strip_coordinates, scanned_strip_coordinates)
         t = -(1.0 + 1e-9)
         for turn in range(4):
             # along = -1e-9, then along = L + 1e-9 with L = 1, at across 0
             for start, end in (((1e-9, 0.0), (2.0, 0.0)), ((t, 0.0), (t + 1.0, 0.0))):
-                for coordinates in axis_aligned:
-                    assert 0 in initial_cells(mesh, channel(start, end, turn), coordinates)
+                assert 0 in initial_cells(mesh, channel(start, end, turn))
             # across = -(w/2 + 1e-9) and +(w/2 + 1e-9)
             for y in (w / 2.0 + 1e-9, -(w / 2.0 + 1e-9)):
-                ch = channel((-1.0, y), (1.0, y), turn)
-                for coordinates in axis_aligned:
-                    assert 0 in initial_cells(mesh, ch, coordinates)
+                assert 0 in initial_cells(mesh, channel((-1.0, y), (1.0, y), turn))
             # a gauge a mean cell size either side, on the axis and at the
             # half width across
             for y in (0.0, w / 2.0, -w / 2.0):
                 ch = channel((0.0, y), (2.0, y), turn)
                 for s in (hw, -hw):
-                    for coordinates in axis_aligned:
-                        assert 0 in gauge_cells(mesh, ch, s, coordinates)
-        # A random cell's centroid 1e-9 before the start, 1e-9 past the end,
-        # a mean cell size from a gauge and on the half width across.
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            c = mesh.centroids[rng.integers(mesh.n_cells)]
-            u = np.array([np.cos(phi := rng.uniform(0, 2 * np.pi)), np.sin(phi)])
-            n = np.array([-u[1], u[0]])
-            across = rng.uniform(0.05, 0.5)
-            start = c + 1e-9 * u - across * n
-            ch = Channel("c", 2.0 * across, 4, start, start + rng.uniform(0.5, 2.0) * u)
-            initial_cells(mesh, ch, scanned_strip_coordinates)
-            end = c - 1e-9 * u - across * n
-            ch2 = Channel("c", 2.0 * across, 4, end - ch.length * u, end)
-            initial_cells(mesh, ch2, scanned_strip_coordinates)
-            along, off = scanned_strip_coordinates(mesh, ch)
-            k = int(np.argmin(np.hypot(*(mesh.centroids - c).T)))
-            ch = Channel("c", 2.0 * abs(off[k]), 4, ch.start, ch.end)
-            for s in (along[k] + hw, along[k] - hw):
-                gauge_cells(mesh, ch, s, scanned_strip_coordinates)
+                    assert 0 in gauge_cells(mesh, ch, s)
 
 
 # ---------------------------------------------------------------------------
@@ -476,96 +277,36 @@ class TestCellSelection:
 # ---------------------------------------------------------------------------
 
 
-class FormerGhostStates:
-    """`GhostStates` by its former formula: row k took condition
-    bcs[rows[k]], and an inflow evaluated each condition once."""
-
-    def __init__(self, kind, bcs, rows=slice(None)):
-        self.kind, self.rows = kind, rows
-        if kind == "inflow":
-            self.u_fns = [bc.u_fn for bc in bcs]
-        else:
-            h = np.array([bc.h for bc in bcs], dtype=float)[rows]
-            self.h, self.hu = h, -h * np.array([bc.u for bc in bcs], dtype=float)[rows]
-
-    def __call__(self, q, t: float, params):
-        out = np.empty((len(q), 3))
-        if self.kind == "inflow":
-            g = params.g
-            u = [float(u_fn(t)) for u_fn in self.u_fns]
-            u_bc = u[0] if len(u) == 1 else np.array(u)[self.rows]
-            c_g = 0.5 * (q[:, 1] / q[:, 0] + 2.0 * np.sqrt(g * q[:, 0]) + u_bc)
-            if (c_g <= 0.0).any():
-                raise DryStateError("inflow ghost state would be dry")
-            h_g = c_g * c_g / g
-            out[:, 0] = h_g
-            out[:, 1] = h_g * (-u_bc)
-        else:
-            out[:, 0] = self.h
-            out[:, 1] = self.hu
-        out[:, 2] = 0.0
-        return out
-
-
-def former_boundary_groups(mesh, field, conds):
-    """`Mesh2DSimulation`'s boundary groups by the former formula, three
-    `np.unique` calls and an `argsort` of first uses: (kind, edges, cosines,
-    sines, ghost) per group."""
-    tags = np.array([mesh.edge_tags[e] for e in mesh.boundary.tolist()], dtype=object)
-    names, tag_of = np.unique(tags, return_inverse=True)
-    kinds = np.array([name.split(":")[0] for name in names], dtype=object)
-    per_edge = kinds[tag_of]
-    kind_names, first, kind_of = np.unique(per_edge, return_index=True, return_inverse=True)
-    groups = []
-    for k in np.argsort(first):
-        sel = kind_of == k
-        kind, edges = kind_names[k], mesh.boundary[sel]
-        c, s = mesh.edge_cos[edges], mesh.edge_sin[edges]
-        if kind == "wall":
-            ghost = mirrored
-        elif kind == "transparent":
-            ghost = FarField(field, mesh.edge_left[edges], c, s)
-        else:
-            used, rows = np.unique(tag_of[sel], return_inverse=True)
-            ghost = FormerGhostStates(kind, [conds[names[i]] for i in used], rows)
-        groups.append((kind, edges, c, s, ghost))
-    return groups
-
-
-def assert_former_boundary_groups(sim, conds):
-    """Kinds in the same order, the same edges, cosines and sines to the
-    bit, the same ghost types, and the same per-edge ghosts of random inner
-    states at a few times."""
-    former = former_boundary_groups(sim.mesh, sim.field, conds)
-    kinds = [{mirrored: "wall"}.get(g, getattr(g, "kind", "transparent"))
-             for *_, g in sim._boundary_groups]
-    assert kinds == [kind for kind, *_ in former]
+def assert_boundary_groups(sim, conds):
+    """The boundary edges grouped by the kind of their tag, kinds in order of
+    first appearance and edges in boundary order, with their normals'
+    cosines and sines; walls take the mirror, open edges a `FarField` of
+    their cells, and each inflow or prescribed edge the ghost state of its
+    own condition, here of random inner states at a few times. Returns the
+    kinds in group order."""
+    mesh = sim.mesh
+    tags = [mesh.edge_tags[e] for e in mesh.boundary.tolist()]
+    kinds = np.array([tag.split(":")[0] for tag in tags])
+    order = list(dict.fromkeys(kinds.tolist()))
+    assert len(sim._boundary_groups) == len(order)
     rng = np.random.default_rng(7)
-    for (edges, c, s, ghost), (kind, *arrays, was) in zip(sim._boundary_groups, former):
-        assert [bits(a) for a in (edges, c, s)] == [bits(a) for a in arrays]
+    for kind, (edges, c, s, ghost) in zip(order, sim._boundary_groups):
+        assert bits(edges) == bits(mesh.boundary[kinds == kind])
+        assert bits(c) == bits(mesh.edge_cos[edges]) and bits(s) == bits(mesh.edge_sin[edges])
         if kind == "wall":
             assert ghost is mirrored
         elif kind == "transparent":
-            assert type(ghost) is FarField and ghost.field is was.field
-            assert [bits(a) for a in (ghost.cells, *ghost.cs)] == [
-                bits(a) for a in (was.cells, *was.cs)]
+            assert type(ghost) is FarField and ghost.field is sim.field
+            assert bits(ghost.cells) == bits(mesh.edge_left[edges])
         else:
             assert type(ghost) is GhostStates
+            own = [GhostStates(kind, [conds[mesh.edge_tags[e]]]) for e in edges.tolist()]
             q = rng.uniform([0.5, -0.3, -0.1], [1.5, 0.3, 0.1], (len(edges), 3))
             for t in (0.0, 0.9, 3.0):
-                assert bits(ghost(q, t, sim.params)) == bits(was(q, t, sim.params))
-    return kinds
-
-
-def compare_runs_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
-    spec = importlib.util.spec_from_file_location("compare_runs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-COMPARE_RUNS = compare_runs_tool()
+                got = ghost(q, t, sim.params)
+                for k, one in enumerate(own):
+                    assert bits(got[k]) == bits(one(q[k:k + 1], t, sim.params)[0])
+    return order
 
 
 class TestBoundaryGroups:
@@ -575,7 +316,7 @@ class TestBoundaryGroups:
         calls = recorded(monkeypatch, studies, "Mesh2DSimulation")
         cfg = COMPARE_RUNS.boundary_variant(preset, name, None, ends or {}, None)
         sim = build_reference_sim(cfg, dx)
-        assert_former_boundary_groups(sim, calls[0][1]["boundary_conditions"])
+        assert_boundary_groups(sim, calls[0][1]["boundary_conditions"])
 
     def test_interleaved_inflow_and_prescribed_tags(self):
         """Two inflows and two prescribed states alternate along the left
@@ -593,7 +334,7 @@ class TestBoundaryGroups:
         sim = Mesh2DSimulation(mesh, PhysicalParams(), boundary_conditions=conds)
         open_tags = [t for t in (mesh.edge_tags[e] for e in mesh.boundary) if t in conds]
         assert open_tags == [names[k % 4] for k in range(8)]
-        assert assert_former_boundary_groups(sim, conds) == [
+        assert assert_boundary_groups(sim, conds) == [
             "wall", "inflow", "prescribed", "transparent"]
 
 
@@ -602,87 +343,73 @@ class TestBoundaryGroups:
 # ---------------------------------------------------------------------------
 
 
-def former_cells_holding(mesh, p):
-    """Whether each cell holds p, edges included to 1e-12."""
-    p = np.asarray(p, dtype=float)
-    cells = mesh.triangles
-    a = mesh.vertices.take(np.where(cells >= 0, cells, cells[:, :1]), axis=0)  # (T, K, 2)
-    e, r = np.roll(a, -1, axis=1) - a, p - a  # edge vectors, p from each corner
-    d = e[..., 0] * r[..., 1] - e[..., 1] * r[..., 0]
-    return (d >= -1e-12).all(axis=1)
-
-
-def former_cell_containing(mesh, p) -> int:
-    p = np.asarray(p, dtype=float)
-    by_distance = np.argsort(np.linalg.norm(mesh.centroids - p, axis=1))
-    inside = by_distance[former_cells_holding(mesh, p)[by_distance]]
-    if not len(inside):
-        raise ValueError(f"point ({p[0]:g}, {p[1]:g}) lies in no cell of the mesh")
-    return int(inside[0])
-
-
-def assert_former_cell(mesh, p):
-    """`cell_containing(p)` returns the former cell, or raises the same
-    ValueError; the cell, or None."""
-    try:
-        want = former_cell_containing(mesh, p)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+def assert_nearest_holder(mesh, p, cells):
+    """p lies in no cell but of `cells` (to the mesh's test, which holds a
+    point left of each of a cell's edges, or on it): `cell_containing`
+    takes the nearest of those that hold it by centroid distance, the first
+    in sort order on a tie, or raises where none does."""
+    holders = [c for c in cells if mesh._contains([c], p)[0]]
+    if not holders:
+        with pytest.raises(ValueError, match="lies in no cell of the mesh"):
             mesh.cell_containing(p)
-        return None
-    assert mesh.cell_containing(p) == want
-    return want
+        return
+    by_distance = np.argsort(np.linalg.norm(mesh.centroids - p, axis=1))
+    assert mesh.cell_containing(p) == by_distance[np.isin(by_distance, holders)][0]
 
 
-def assert_former_cells(mesh, seed, n=40):
-    """Up to `n` corners, edge midpoints and centroids, `n` random points in
-    the bounding box and a few points past it."""
+def assert_nearest_holders(mesh, seed, n=20):
+    """A centroid lies in its cell; an edge's midpoint in no cell but the
+    edge's, and a corner in none but those that share it; points off the
+    mesh lie in no cell."""
     rng = np.random.default_rng(seed)
-
-    def pick(a):
-        return a[rng.choice(len(a), min(n, len(a)), replace=False)]
-
+    for k in rng.choice(mesh.n_cells, min(n, mesh.n_cells), replace=False):
+        assert mesh.cell_containing(mesh.centroids[k]) == k
+    for e in rng.choice(len(mesh.edge_left), n):
+        cells = [c for c in (mesh.edge_left[e], mesh.edge_right[e]) if c >= 0]
+        assert_nearest_holder(mesh, mesh.edge_midpoints[e], cells)
+    for v in rng.choice(len(mesh.vertices), n):
+        assert_nearest_holder(mesh, mesh.vertices[v], np.flatnonzero((mesh.triangles == v).any(1)))
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    points = [*pick(mesh.vertices), *pick(mesh.edge_midpoints), *pick(mesh.centroids),
-              *rng.uniform(lo, hi, (n, 2)), hi + 0.1, lo - 0.1, (lo[0] - 1e-9, hi[1]),
-              (np.nan, lo[1])]
-    found = [assert_former_cell(mesh, p) for p in points]
-    assert sum(c is None for c in found) >= 3
-    assert sum(c is not None for c in found) >= min(n, mesh.n_cells)  # the centroids at least
+    for p in (hi + 0.1, lo - 0.1, (np.nan, lo[1])):
+        with pytest.raises(ValueError, match="lies in no cell of the mesh"):
+            mesh.cell_containing(p)
 
 
 class TestPointGaugeCells:
     @pytest.mark.parametrize("name, dx", REFERENCES)
     def test_references(self, name, dx):
-        assert_former_cells(build_reference_sim(preset(name), dx).mesh, seed=int(100 * dx))
+        assert_nearest_holders(build_reference_sim(preset(name), dx).mesh, seed=int(100 * dx))
 
     @pytest.mark.parametrize("strategy", ["A", "B"])
     def test_junction_fields(self, strategy):
         mesh = build_simulation(preset("test6_network", strategy=strategy)).junction_field.mesh
         assert (mesh.triangles.shape[1] > 3) == (strategy == "A")
-        assert_former_cells(mesh, seed=7, n=200)
+        assert_nearest_holders(mesh, seed=7, n=100)
 
     def test_split_quad_centre(self):
-        """At dx = 0.02, (-1.49, 0.01) is the centre of a split quad: two
-        cells contain it, at centroid distances that differ in the last bits."""
+        """At dx = 0.02, (-1.49, 0.01) is the centre of a split quad, the
+        midpoint of its diagonal: its two cells contain it, at centroid
+        distances that differ in the last bits, and the nearer is taken."""
         mesh = build_reference_sim(preset("test6_network"), 0.02).mesh
         p = np.array([-1.49, 0.01])
-        both = np.flatnonzero(former_cells_holding(mesh, p))
+        e = int(np.argmin(np.linalg.norm(mesh.edge_midpoints - p, axis=1)))
+        assert np.abs(mesh.edge_midpoints[e] - p).max() < 1e-15
+        both = [mesh.edge_left[e], mesh.edge_right[e]]
         distance = np.linalg.norm(mesh.centroids[both] - p, axis=1)
-        assert len(both) == 2 and distance[0] != distance[1]
-        assert abs(distance[0] - distance[1]) < 1e-15
-        assert assert_former_cell(mesh, p) == both[np.argmin(distance)]
+        assert distance[0] != distance[1] and abs(distance[0] - distance[1]) < 1e-15
+        assert mesh.cell_containing(p) == both[np.argmin(distance)]
 
     def test_tie_in_distance_keeps_the_sort_order(self):
         """Two triangles mirrored about x = 0 both hold points of their
-        shared edge, at exactly equal centroid distances."""
+        shared edge, at exactly equal centroid distances: the first in
+        sort order, cell 0, is taken."""
         mesh = walled([(-1, 0), (0, -1), (0, 1), (1, 0)], [[0, 1, 2], [3, 2, 1]])
         assert mesh.centroids.tolist() == [[-1 / 3, 0.0], [1 / 3, 0.0]]
         for y in (0.25, -0.5, 0.0, 1.0):
             p = (0.0, y)
             distance = np.linalg.norm(mesh.centroids - p, axis=1)
-            assert distance[0] == distance[1] and former_cells_holding(mesh, p).all()
-            assert assert_former_cell(mesh, p) is not None
+            assert distance[0] == distance[1]
+            assert mesh.cell_containing(p) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -690,58 +417,13 @@ class TestPointGaugeCells:
 # ---------------------------------------------------------------------------
 
 
-def former_rect_union_nodes(rects, dx, tag_segments=None, polygons=()):
-    """(vertices, triangles) of `rect_union_mesh` by the former formula:
-    every rectangle and polygon tested on every cell centre, nodes numbered
-    by `np.unique`."""
-    rects = [tuple(map(float, r)) for r in rects]
-    xs = [r[0] for r in rects] + [r[2] for r in rects]
-    ys = [r[1] for r in rects] + [r[3] for r in rects]
-    for p in polygons:
-        xs += list(np.asarray(p)[:, 0])
-        ys += list(np.asarray(p)[:, 1])
-    x_min, y_min = min(xs), min(ys)
-    nx = int(round((max(xs) - x_min) / dx))
-    ny = int(round((max(ys) - y_min) / dx))
-
-    cx = x_min + dx * (np.arange(nx) + 0.5)
-    cy = y_min + dx * (np.arange(ny) + 0.5)
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    mask = np.zeros((nx, ny), dtype=bool)
-    eps = 1e-9 * dx
-    for x0, y0, x1, y1 in rects:
-        mask |= (CX > x0 - eps) & (CX < x1 + eps) & (CY > y0 - eps) & (CY < y1 + eps)
-    for poly in polygons:
-        poly = np.asarray(poly, dtype=float)
-        # Centres outside the bounding box cross no edge, or an even number.
-        (px0, py0), (px1, py1) = poly.min(axis=0) - eps, poly.max(axis=0) + eps
-        test = ~mask & (CX > px0) & (CX < px1) & (CY > py0) & (CY < py1)
-        mask[test] = point_in_polygon(np.stack([CX[test], CY[test]], axis=1), poly)
-
-    # Corners (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) of every cell,
-    # cells in (i, j) order; nodes are numbered by first use in that list.
-    ci, cj = np.nonzero(mask)
-    corners = (ci[:, None] + [0, 1, 1, 0]) * (ny + 1) + cj[:, None] + [0, 0, 1, 1]
-    keys, first, inverse = np.unique(corners, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    v00, v10, v11, v01 = number[inverse].reshape(-1, 4).T
-    node_i, node_j = np.divmod(keys[order], ny + 1)
-    verts = np.stack([x_min + node_i * dx, y_min + node_j * dx], axis=1)
-    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-    return verts, tris
-
-
 class TestFootprint:
     @pytest.mark.parametrize("name, dx", REFERENCES)
     def test_references(self, monkeypatch, name, dx):
         calls = recorded(monkeypatch, studies, "rect_union_mesh")
         sim = build_reference_sim(preset(name), dx)
-        (args, kwargs), = calls
-        verts, tris = former_rect_union_nodes(*args, **kwargs)
-        assert bits(sim.mesh.vertices) == bits(verts)
-        assert bits(sim.mesh.triangles) == bits(tris)
+        ((rects, size), kwargs), = calls
+        assert_footprint(sim.mesh, rects, size, kwargs["polygons"])
 
     def test_centres_on_the_box_bounds(self):
         """Polygons whose bounding box, widened by 1e-9 dx, ends a few ulps
@@ -756,10 +438,35 @@ class TestFootprint:
             hits |= {side for side, hit in (("low", x0 - eps == cx[0]),
                                             ("high", x1 + eps == cx[-1])) if hit}
             poly = np.array([(x0, 1.0), (x1, 1.0), (x1, 1.2), (x0, 1.3)])
-            mesh = rect_union_mesh(rects, dx, polygons=[poly])
-            verts, tris = former_rect_union_nodes(rects, dx, polygons=[poly])
-            assert bits(mesh.vertices) == bits(verts) and bits(mesh.triangles) == bits(tris)
+            assert_footprint(rect_union_mesh(rects, dx, polygons=[poly]), rects, dx, [poly])
         assert hits == {"low", "high"}
+
+
+# ---------------------------------------------------------------------------
+# Junction cores
+# ---------------------------------------------------------------------------
+
+
+def test_a_core_that_does_not_build_is_an_error():
+    """appA_angle0's core, of three parallel channels, has no area: the
+    channel rectangles cover it. appA_angle90 with its mouths 0.5 from the
+    junction has a core that fails a polygon check, whose hole the
+    reference must not leave."""
+    cfg = preset("appA_angle0")
+    channels = {ch.id: ch for ch in build_channels(cfg)}
+    ends = [(channels[ch], end) for ch, end in (("ch1", "end"), ("ch2", "start"), ("ch3", "start"))]
+    with pytest.raises(GeometryError):
+        build_junction_polygon(ends, (0.0, 0.0), 0.0)
+    assert build_reference_sim(cfg, 0.1).mesh.n_cells > 0
+    data = preset("appA_angle90").emit()
+    for ch in data["channels"]:
+        for key in ("start", "end"):
+            p = np.array(ch[key])
+            if np.isclose(np.hypot(*p), 0.25):
+                ch[key] = (2.0 * p).tolist()
+    with pytest.raises(MeshError, match="^junction j1: its core polygon does not build: "
+                                        "junction edge normal points inward$"):
+        build_reference_sim(ScenarioConfig(data), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +475,6 @@ class TestFootprint:
 
 
 def test_row_lengths_are_the_norm_to_the_bit():
-    # Imported here, so that the oracles above also run on a tree without it.
     from swnet.geometry import row_lengths
 
     tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max

@@ -34,7 +34,8 @@ configuration error, are listed with their messages. Each network's built
 geometry must be equal to the bit, dtypes included (`GEOMETRY_ARRAYS`): the
 channel field's cell sizes and centres, the junction field mesh's
 vertices, cells, areas, centroids, incircle diameters, edge lengths and edge
-normal angles, each Method-A and Method-B junction's polygon
+normal angles, and its reconstruction stencils (as of the references
+below), each Method-A and Method-B junction's polygon
 (`POLYGON_ARRAYS`: its vertices, edge points, edge kinds, area and
 centroid, the kinds compared as lists), and each Method-B junction's patch
 mesh, which a tree may build on first read (`PATCH_ARRAYS`: its cell count,
@@ -53,9 +54,10 @@ builds full-2D references in each tree instead (`REFERENCE_RUNS`: the
 test6_network reference at dx = 0.1, 0.04 and 0.02, whose open boundary is
 one inflow; test1_sub90 with an inflow and far-field edges, test4_super90
 with prescribed and far-field edges, and test1_sub90 with two inflows, at
-dx = 0.05; the one at dx = 0.02 also holds the point gauges of
-`POINT_GAUGES`) and requires exact equality: of every mesh array (vertices,
-triangles, the edge table and tags, each cell's neighbours), of the
+dx = 0.05; then every other preset and size at which a reference builds;
+the one at dx = 0.02 also holds the point gauges of `POINT_GAUGES`) and
+requires exact equality: of every mesh array (vertices, triangles, the edge
+table and tags, each cell's neighbours), of the
 reconstruction stencils (cells, neighbours, the two slope rows of each
 operator and the regular-stencil flags, cell-major: a tree that keeps the
 gradients component-major in `MeshField.grad` stores the neighbours as (c, n)
@@ -279,14 +281,18 @@ def polygon(geom) -> dict:
 
 def geometry(sim) -> dict:
     """{"<owner>.<array>": (dtype name, values)} of a network's
-    `GEOMETRY_ARRAYS`; of the `POLYGON_ARRAYS` of each Method-A and Method-B
-    junction's polygon, owned by "junctions.<id>.geom"; and of the
+    `GEOMETRY_ARRAYS`; of its junction field's `stencil_arrays`, owned by
+    "junction_field.stencils"; of the `POLYGON_ARRAYS` of each Method-A and
+    Method-B junction's polygon, owned by "junctions.<id>.geom"; and of the
     `PATCH_ARRAYS` of each Method-B junction's patch mesh, owned by
     "junctions.<id>.mesh". A network without Method-A or Method-B junctions
     has no junction field."""
     owners = {"field": sim.field, "junction_field.mesh": getattr(sim.junction_field, "mesh", None)}
     out = {f"{owner}.{n}": (str(getattr(obj, n).dtype), getattr(obj, n).tolist())
            for owner, obj in owners.items() if obj is not None for n in GEOMETRY_ARRAYS[owner]}
+    if sim.junction_field is not None:
+        out |= {f"junction_field.stencils.{k}": (str(a.dtype), a.tolist())
+                for k, a in stencil_arrays(sim.junction_field.mesh_field).items()}
     for j in sim.junctions:
         if j.strategy in ("A", "B"):
             out |= {f"junctions.{j.id}.geom.{n}": (str(a.dtype), a.tolist())
@@ -338,6 +344,14 @@ REFERENCE_RUNS = [
     ("test1_sub90", None, 0.05),
     ("test4_super90", None, 0.05),
     ("test1_sub90", TWO_INFLOWS, 0.05),
+    # Every other preset and size at which a reference builds.
+    *[(name, None, dx) for name in ("appA_angle0", "smooth1d", "test6_network_super")
+      for dx in (0.1, 0.05)],
+    ("test1_sub90", None, 0.1),
+    ("test4_super90", None, 0.1),
+    ("test6_network", None, 0.05),
+    ("appA_angle90", None, 0.05),
+    ("test2_asym90", None, 0.05),
 ]
 # Point gauges of a reference, by label: the benchmark's inlet point, and
 # the centre of a split quad, which two cells contain at centroid distances
@@ -365,24 +379,38 @@ def references():
                                              extra_point_gauges=POINT_GAUGES.get(label, []))
 
 
+def mesh_arrays(mesh) -> dict:
+    """The `MESH_ARRAYS` of a mesh, its edge tags as strings, and each cell's
+    neighbours, concatenated, with their counts."""
+    arrays = {name: np.asarray(getattr(mesh, name)) for name in MESH_ARRAYS}
+    arrays["edge_tags"] = arrays["edge_tags"].astype(str)
+    rows = [np.asarray(r, dtype=int) for r in mesh.neighbors]
+    arrays["neighbors"] = np.concatenate([r[r >= 0] for r in rows])
+    arrays["neighbor_counts"] = np.array([np.count_nonzero(r >= 0) for r in rows])
+    return arrays
+
+
+def stencil_arrays(field) -> dict:
+    """The reconstruction stencils of a `MeshField`, keyed "<group>:<kind>:<i>":
+    each group's cells, neighbours, the two slope rows of its operator and
+    its regular flags, cell-major."""
+    stencils = {}
+    for k, (kind, cells, nbr, op, good) in enumerate(field._groups):
+        if hasattr(field, "grad"):  # component-major: (c, n) and (2, c, n)
+            nbr, op = nbr.T, op.transpose(2, 0, 1)
+        if kind == "exact" and op.shape[1] == 3:  # a tree that keeps the whole inverse
+            op = op[:, 1:]
+        stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate((cells, nbr, op, good))}
+    return stencils
+
+
 def run_reference(steps: int) -> dict:
     """Mesh, stencils, initial state, gauge cells and a short run of each
     reference, as arrays keyed "<reference>/<group>/<name>"."""
     out = {}
     for label, cfg, build in references():
         sim = build()
-        mesh = {name: np.asarray(getattr(sim.mesh, name)) for name in MESH_ARRAYS}
-        mesh["edge_tags"] = mesh["edge_tags"].astype(str)
-        rows = [np.asarray(r, dtype=int) for r in sim.mesh.neighbors]
-        mesh["neighbors"] = np.concatenate([r[r >= 0] for r in rows])
-        mesh["neighbor_counts"] = np.array([np.count_nonzero(r >= 0) for r in rows])
-        stencils = {}
-        for k, (kind, cells, nbr, op, good) in enumerate(sim.field._groups):
-            if hasattr(sim.field, "grad"):  # component-major: (c, n) and (2, c, n)
-                nbr, op = nbr.T, op.transpose(2, 0, 1)
-            if kind == "exact" and op.shape[1] == 3:  # a tree that keeps the whole inverse
-                op = op[:, 1:]
-            stencils |= {f"{k}:{kind}:{i}": a for i, a in enumerate((cells, nbr, op, good))}
+        mesh, stencils = mesh_arrays(sim.mesh), stencil_arrays(sim.field)
         gauges = {f"{g.id}:{k}": getattr(g, k) for g in sim.gauges for k in ("cells", "weights")}
         q0 = sim.field.q.copy()
         res = sim.run(cfg.t_end, max_steps=steps)
