@@ -54,6 +54,9 @@ _INITIAL = {**_STATE, "per_channel": None}
 _PROFILE = {"type": _STRING, "left": None, "right": None,
             **dict.fromkeys(("h", "u", "split_s", "h0", "amplitude", "center", "width"), _NUMBER)}
 _METADATA = {"probe": _POINT}  # other metadata keys are free-form
+# Each refinement level quadruples a Method-B patch: at 6 one junction of
+# test1_sub90 takes 32768 triangles, and the next levels soon exhaust memory.
+MAX_PATCH_REFINE = 6
 _PROFILE_KEYS = {  # the keys each initial profile type requires
     "uniform": (),
     "dam_break": ("split_s", "left", "right"),
@@ -159,6 +162,9 @@ def _validate(data: dict) -> dict:
         refine = j.get("patch_refine")
         if _IS[_INTEGER](refine) and refine < 0:
             errors.append(f"{where}: 'patch_refine' must be at least 0, got {refine}")
+        if _IS[_INTEGER](refine) and refine > MAX_PATCH_REFINE:
+            errors.append(f"{where}: 'patch_refine' must be at most {MAX_PATCH_REFINE}, "
+                          f"got {refine}")
         for conn in _typed(j.get("connects", []), list, f"{where} connects"):
             errors += _errors(conn, _CONNECTION, f"{where} connection")
 

@@ -63,10 +63,6 @@ class PSFPProblem:
         if any(h <= 0.0 for h in depths):
             raise DryStateError(f"non-positive interior depth: depths {depths}")
 
-    @property
-    def invariant_signs(self) -> np.ndarray:
-        return np.array(_signs(self.merging))
-
 
 @dataclass
 class PSFPStarState:

@@ -34,9 +34,10 @@ def test_criterion_02_psfp_failure_case():
     problem = PSFPProblem([0.4, 0.3, 0.3], [0.2, 0.1, 0.1], [0.96, 0.08, 0.08])
     with pytest.raises(PSFPFailure) as exc:
         psfp_solve(problem, P)
-    # independent oracle: eliminate the velocities through the invariants and
-    # scan the remaining real candidates on a fine depth grid
-    s = problem.invariant_signs
+    # independent oracle: eliminate the velocities through the invariants of
+    # a dividing junction, signs (+1, -1, -1), and scan the remaining real
+    # candidates on a fine depth grid
+    s = np.array([1.0, -1.0, -1.0])
     K = problem.velocities + s * 2.0 * np.sqrt(G * problem.depths)
     hs = np.linspace(0.005, 1.0, 80)
     H1, H2, H3 = np.meshgrid(hs, hs, hs, indexing="ij")

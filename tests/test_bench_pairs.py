@@ -1,13 +1,7 @@
 """`tools/bench_pairs.py` applies the pair rule for a claimed gain and the
 no-regression rule of each end-to-end metric."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+import bench_pairs
 
 OLD = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
 

@@ -1,22 +1,19 @@
 """This tree gives the bits of `tests/bit_record.json`: every run of the
-matrix, every full-2D reference and every recorded geometry input, on the
-numpy build and SIMD extensions that the record was made with.
+matrix, every full-2D reference, every recorded geometry input, kernel and
+step. A numpy build or SIMD extensions other than the record's fail it only
+where they move a bit, and are then named as the likely cause.
 
 A change that moves results on purpose rewrites the record with
 `python tools/bit_record.py`, which prints the entries that moved.
 """
 
 import copy
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-
-import bit_record  # noqa: E402
-import compare_runs  # noqa: E402
+import bit_record
+import compare_runs
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +63,14 @@ def test_a_changed_numpy_fingerprint_is_named():
     here = copy.deepcopy(recorded)
     here["numpy"]["version"] = "0.0.0"
     here["numpy"]["simd found"] = here["numpy"]["simd found"][:-1]
+    # Every entry keeps its bits: nothing fails.
+    assert bit_record.differences(recorded, here) == []
+    # One entry moves: it is named, then the fingerprint as the likely cause.
+    label = next(iter(here["steps"]))
+    here["steps"][label]["inflow"] = bit_record.digest(0.0)
     assert bit_record.differences(recorded, here) == [
-        f"numpy version: {recorded['numpy']['version']} recorded, 0.0.0 here",
+        f"steps: {label}: inflow",
+        f"numpy version: {recorded['numpy']['version']} recorded, 0.0.0 here (a likely cause)",
         f"numpy simd found: {recorded['numpy']['simd found']} recorded, "
-        f"{here['numpy']['simd found']} here",
+        f"{here['numpy']['simd found']} here (a likely cause)",
     ]

@@ -1,15 +1,10 @@
 """`tools/compare_runs.py` counts every difference between two runs."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
-spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
-compare_runs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare_runs)
+import compare_runs
 
 
 CONFIG = json.dumps({"name": "test1_sub90", "t_end": 8.0, "metadata": {}})
@@ -138,25 +133,6 @@ def test_changed_gauge_cell_is_a_problem(monkeypatch):
         f"{label}/gauges/inlet:cells": np.array([11])})
     assert problems == 1
     assert "| differ: inlet:cells |" in lines[-1]
-
-
-def test_build_timings_alternate_which_tree_goes_first(monkeypatch):
-    """A drift of the host during the timings falls on both trees: the tree
-    that builds first alternates from round to round, over at least five
-    rounds, and each round's times go to the tree that made them."""
-    order = []
-
-    def timed_round(tree):
-        order.append(tree)
-        return {"ref": [float(len(order))]}
-
-    monkeypatch.setattr(compare_runs, "timed_round", timed_round)
-    old, new = compare_runs.time_builds(["old", "new"])
-    rounds = [order[k : k + 2] for k in range(0, len(order), 2)]
-    assert len(rounds) >= 5
-    assert rounds == [["old", "new"] if k % 2 == 0 else ["new", "old"] for k in range(len(rounds))]
-    assert old == {"ref": [k + 1.0 for k, tree in enumerate(order) if tree == "old"]}
-    assert new == {"ref": [k + 1.0 for k, tree in enumerate(order) if tree == "new"]}
 
 
 def test_moved_patch_vertex_is_a_problem():

@@ -658,7 +658,8 @@ class TestPositiveWidths:
 class TestPatchRefine:
     """A negative `patch_refine` is a configuration error that names the
     junction, from the schema and as the CLI's exit 2. Before, -1 built and
-    ran a Method-B patch as 0."""
+    ran a Method-B patch as 0. So is one above 6: each level quadruples the
+    patch, and 12 would take ~134M triangles and be killed for memory."""
 
     @pytest.mark.parametrize("refine", [-1, -2])
     def test_negative(self, tmp_path, capsys, refine):
@@ -671,6 +672,21 @@ class TestPatchRefine:
         data = presets.preset("test1_sub90", strategy="B").emit()
         data["junctions"][0]["patch_refine"] = 0
         assert build_simulation(parse_config(data)).junctions[0].mesh.n_cells == 8
+
+    def test_above_six_is_rejected_before_any_build(self, monkeypatch, tmp_path, capsys):
+        def no_build(*args):
+            raise AssertionError("a rejected scenario must not build a patch")
+
+        monkeypatch.setattr("swnet.junctions.fan_refine_mesh", no_build)
+        data = presets.preset("test1_sub90", strategy="B").emit()
+        data["junctions"][0]["patch_refine"] = 7
+        message = "junction j1: 'patch_refine' must be at most 6, got 7"
+        TestIncompleteEntries.assert_rejected(tmp_path, capsys, data, message)
+
+    def test_six_builds(self):
+        data = presets.preset("test1_sub90", strategy="B").emit()
+        data["junctions"][0]["patch_refine"] = 6
+        assert build_simulation(parse_config(data)).junctions[0].mesh.n_cells == 8 * 4**6
 
 
 class TestNonFinite:

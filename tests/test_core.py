@@ -6,7 +6,6 @@ from swnet.core import (
     H_DRY,
     NonFiniteError,
     PhysicalParams,
-    conserved,
     friction_source,
     froude,
     jacobian_dot,
@@ -19,15 +18,10 @@ from swnet.core import (
     rotate_state,
 )
 
+import bit_record
+from generated import jacobian_states, random_states
+
 P = PhysicalParams()
-
-
-def random_states(n, seed=0, vmax=2.0):
-    rng = np.random.default_rng(seed)
-    h = rng.uniform(0.05, 3.0, n)
-    u = rng.uniform(-vmax, vmax, n)
-    v = rng.uniform(-vmax, vmax, n)
-    return conserved(h, h * u, h * v)
 
 
 class TestPhysicalFlux:
@@ -161,45 +155,19 @@ class TestJacobians:
         ) / (2 * eps)
         assert np.abs(got - fd).max() < 1e-5
 
-    def jacobian_states(self, n=400, seed=9):
-        """States and gradients with exact zeros of both signs, so that the
-        signs of zero products and sums show."""
-        rng = np.random.default_rng(seed)
-        q = random_states(n, seed=seed)
-        q[::5, 1] = 0.0
-        q[1::7, 2] = -0.0
-        b, c = rng.normal(size=(2, n, 3))
-        b[::3, 0] = -0.0
-        b[2::9, 1] = -0.0
-        c[::4, 1:] = 0.0
-        c[2::9, 2] = -0.0
-        return q, b, c
-
-    @staticmethod
-    def former_jacobian_dot(q, b, c, g):
-        # The (..., 3) formula `jacobian_rows` replaced, verbatim.
-        h, u, v = q[..., 0], q[..., 1] / q[..., 0], q[..., 2] / q[..., 0]
-        out = np.empty_like(b)
-        out[..., 0] = b[..., 1]
-        out[..., 1] = (g * h - u * u) * b[..., 0] + 2.0 * u * b[..., 1]
-        out[..., 2] = -u * v * b[..., 0] + v * b[..., 1] + u * b[..., 2]
-        if c is not None:
-            out[..., 0] += c[..., 2]
-            out[..., 1] += -u * v * c[..., 0] + v * c[..., 1] + u * c[..., 2]
-            out[..., 2] += (g * h - v * v) * c[..., 0] + 2.0 * v * c[..., 2]
-        return out
-
     @pytest.mark.parametrize("with_c", [True, False])
     def test_rows_equal_the_former_formula_bit_for_bit(self, with_c):
-        q, b, c = self.jacobian_states()
+        # The record's entry holds the bits of the (..., 3) formula that
+        # `jacobian_rows` replaced; `jacobian_dot` gives the rows' bits.
+        label = f"jacobian_rows {'with' if with_c else 'without'} c"
+        assert not bit_record.entry_differences("kernels", label)
+        q, b, c = jacobian_states()
         c = c if with_c else None
-        want = self.former_jacobian_dot(q, b, c, P.g)
         rows = jacobian_rows(q.T.copy(), b.T.copy(), None if c is None else c.T.copy(), P.g)
-        for got in (rows.T, jacobian_dot(q, b, c, P)):
-            assert got.shape == want.shape
-            # Equal bits: equal values and equal signs of zero.
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert (want == 0.0).any() and np.signbit(want[want == 0.0]).any()
+        got = jacobian_dot(q, b, c, P)
+        assert got.shape == q.shape
+        assert np.array_equal(got.view(np.int64), rows.T.view(np.int64))
+        assert (rows == 0.0).any() and np.signbit(rows[rows == 0.0]).any()
 
     @pytest.mark.parametrize(
         "depth, error, message",
@@ -209,7 +177,7 @@ class TestJacobians:
         ],
     )
     def test_rows_and_wrapper_raise_the_same_error(self, depth, error, message):
-        q, b, c = self.jacobian_states(n=30)
+        q, b, c = jacobian_states(n=30)
         q[11, 0] = depth
         for call in (
             lambda: jacobian_rows(q.T, b.T, c.T, P.g),

@@ -7,6 +7,9 @@ from swnet.core import PhysicalParams
 from swnet.junctions import JunctionView, PSFPJunction, project_transverse, wiring_errors
 from swnet.riemann import RiemannBatch, hllc_flux
 
+import bit_record
+from generated import generated_wiring
+
 P = PhysicalParams()
 
 
@@ -306,35 +309,14 @@ def test_junctions_follow_the_specs_on_a_mixed_network():
 # ---------------------------------------------------------------------------
 
 
-def former_duplicate_errors(channels, junctions, gauges):
-    """The duplicate-id messages as they were found, each id tested against
-    the list of the ids before it."""
-    errors = []
-    for kind, entries in (("channel", channels), ("junction", junctions), ("gauge", gauges)):
-        ids = [entry[0] for entry in entries]
-        errors += [f"duplicate {kind} id {i!r}" for k, i in enumerate(ids) if i in ids[:k]]
-    return errors
-
-
-def generated_wiring(seed):
-    """Channels, junctions and gauges whose ids repeat at random, some three
-    times or more, every channel end attached to a boundary."""
-    rng = np.random.default_rng(seed)
-    pick = lambda prefix, n, pool: [f"{prefix}{i}" for i in rng.integers(0, pool, n)]
-    channels = [(cid, 1.0) for cid in pick("c", rng.integers(0, 30), 20)]
-    junctions = [(jid, "A", []) for jid in pick("j", rng.integers(0, 12), 8)]
-    gauges = [(gid, "c0", 0.5) for gid in pick("g", rng.integers(0, 12), 6)]
-    boundaries = [(cid, end) for cid, _ in dict(channels).items() for end in ("start", "end")]
-    return channels, junctions, boundaries, gauges
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_duplicate_ids_match_the_former_comprehension(seed):
-    channels, junctions, boundaries, gauges = generated_wiring(seed)
-    errors = wiring_errors(channels, junctions, boundaries, gauges)
-    want = former_duplicate_errors(channels, junctions, gauges)
-    assert [e for e in errors if e.startswith("duplicate ")] == want
-    assert errors[: len(want)] == want
+    # The record's entry holds the messages with the duplicate ids as the
+    # comprehension found them, each id tested against the ids before it.
+    assert not bit_record.entry_differences("kernels", f"wiring_errors {seed}")
+    errors = wiring_errors(*generated_wiring(seed))
+    duplicates = [e for e in errors if e.startswith("duplicate ")]
+    assert errors[: len(duplicates)] == duplicates
 
 
 def test_an_id_used_three_times_yields_two_messages():

@@ -22,6 +22,8 @@ from swnet import (
     preset_names,
 )
 
+import compare_runs
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -317,7 +319,6 @@ KEPT = {
                                    "(bench/swnet_bench/workloads.py:56), tools/compare_runs.py, "
                                    "tests/test_config_cli.py, test_junctions.py and "
                                    "test_simulation.py",
-    "psfp.PSFPProblem.invariant_signs": "criterion 2",
     "riemann.wall_flux": "the benchmark's tracer (riemann.wall_flux)",
     "scheme1d.ChannelField._cell_name": "error path: a non-finite or negative channel cell "
                                         "names its channel and cell",
@@ -382,9 +383,6 @@ def reach_problems(defined: dict, reached: set, kept: dict) -> list:
 def run_entry_points(out: Path):
     """Build and step 3 times every scenario of `tools/compare_runs.py` and
     every one of its references, then run each CLI verb at a small size."""
-    spec = importlib.util.spec_from_file_location("compare_runs", ROOT / "tools" / "compare_runs.py")
-    compare_runs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_runs)
     for _, scenario in compare_runs.cases(preset, preset_names):
         try:
             cfg = scenario()

@@ -185,10 +185,11 @@ class TestBoundaryFluxes:
 
 class TestNoRealRootScan:
     def test_paper_data_has_no_real_root_coarse_scan(self):
-        # u* follow from the invariants given (h1*, h2*, h3*); the remaining
-        # mass/energy residuals stay bounded away from zero on a coarse grid
+        # u* follow from the invariants of a dividing junction, signs
+        # (+1, -1, -1), given (h1*, h2*, h3*); the remaining mass/energy
+        # residuals stay bounded away from zero on a coarse grid
         p = PAPER_FAILING
-        s = p.invariant_signs
+        s = np.array([1.0, -1.0, -1.0])
         K = p.velocities + s * 2.0 * np.sqrt(G * p.depths)
         hs = np.linspace(0.01, 0.8, 40)
         H1, H2, H3 = np.meshgrid(hs, hs, hs, indexing="ij")

@@ -5,9 +5,7 @@ The bits of each reference, of the random patches and points and of the
 cells selected on oblique channels are pinned in `tests/bit_record.json`.
 """
 
-import importlib.util
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,22 +21,13 @@ from swnet.scheme2d import MeshField, _distinct_rows
 from swnet.simulation import Mesh2DSimulation, StripGauge, strip_cells
 from swnet.studies import build_reference_sim
 
+import compare_runs
 from generated import random_patch, strip_mesh
 from test_geometry import assert_edge_table, assert_footprint, assert_stencils_fit_linear_fields
 
-
-def compare_runs_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
-    spec = importlib.util.spec_from_file_location("compare_runs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-COMPARE_RUNS = compare_runs_tool()
 # Every preset and size at or above 0.05 at which `build_reference_sim`
 # builds a reference.
-REFERENCES = [(name, dx) for name, ends, dx in COMPARE_RUNS.REFERENCE_RUNS
+REFERENCES = [(name, dx) for name, ends, dx in compare_runs.REFERENCE_RUNS
               if ends is None and dx >= 0.05]
 
 
@@ -310,11 +299,11 @@ def assert_boundary_groups(sim, conds):
 
 
 class TestBoundaryGroups:
-    @pytest.mark.parametrize("name, ends, dx", [run for run in COMPARE_RUNS.REFERENCE_RUNS
+    @pytest.mark.parametrize("name, ends, dx", [run for run in compare_runs.REFERENCE_RUNS
                                                 if run[2] >= 0.05])
     def test_references(self, monkeypatch, name, ends, dx):
         calls = recorded(monkeypatch, studies, "Mesh2DSimulation")
-        cfg = COMPARE_RUNS.boundary_variant(preset, name, None, ends or {}, None)
+        cfg = compare_runs.boundary_variant(preset, name, None, ends or {}, None)
         sim = build_reference_sim(cfg, dx)
         assert_boundary_groups(sim, calls[0][1]["boundary_conditions"])
 

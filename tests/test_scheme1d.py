@@ -7,6 +7,9 @@ from swnet.riemann import RiemannBatch, hllc_flux, mirrored
 from swnet.scheme1d import ChannelField
 from swnet.boundaries import BoundaryCondition, boundary_flux
 
+import bit_record
+from generated import SLOPE_NETWORKS, SLOPE_STATES
+
 P = PhysicalParams()
 
 
@@ -208,88 +211,11 @@ def test_channels_step_as_if_alone():
 # -- reconstruct against the per-call junction geometry it replaced ---------
 
 
-def former_reconstruct(f, nbr):
-    """`ChannelField.reconstruct` and its limiter as they were when the
-    stencil geometry was worked out on every call, the junction side from
-    `nbr` = (ends, states, distances) or None without junctions, verbatim:
-    the slopes of the stencil table must match its to the bit."""
-    d = (f.centers[1:] - f.centers[:-1])[:, None]
-    dL, dR = d[:-1], d[1:]
-    denom = dL * dL + dR * dR
-    q = f.q
-    slopes = np.zeros_like(q)
-    diffL = q[:-2] - q[1:-1]
-    diffR = q[2:] - q[1:-1]
-    slopes[1:-1] = (dR * diffR - dL * diffL) / denom
-    qmin = np.empty_like(q)
-    qmax = np.empty_like(q)
-    qmin[1:-1] = np.minimum(np.minimum(q[:-2], q[2:]), q[1:-1])
-    qmax[1:-1] = np.maximum(np.maximum(q[:-2], q[2:]), q[1:-1])
-    ends = f.end_cell
-    slopes[ends] = 0.0
-    qmin[ends] = qmax[ends] = q[ends]
-
-    if nbr is not None:
-        e, nbr_q, nbr_d = nbr
-        idx = f.end_cell[e]
-        sign = f.end_sign[e]
-        inner = idx - sign.astype(int)
-        diff_in = q[inner] - q[idx]
-        diff_nb = nbr_q - q[idx]
-        off_in = (f.centers[inner] - f.centers[idx])[:, None]
-        off_nb = (sign * nbr_d)[:, None]
-        denom = off_in**2 + off_nb**2
-        slopes[idx] = (off_in * diff_in + off_nb * diff_nb) / denom
-        qmin[idx] = np.minimum(np.minimum(q[inner], nbr_q), q[idx])
-        qmax[idx] = np.maximum(np.maximum(q[inner], nbr_q), q[idx])
-
-    dq = slopes * f._half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = (qmin - q) / dq
-        hi = (qmax - q) / dq
-    pos = dq > 0.0
-    neg = dq < 0.0
-    cand = np.where(pos, np.minimum(hi, -lo), np.where(neg, np.minimum(lo, -hi), 1.0))
-    return slopes * np.clip(cand, 0.0, 1.0)
-
-
-def scenario(name, strategy):
-    """A preset with every junction of `strategy`, or with its junctions
-    alternating between Methods A and B for "A/B"."""
-    from swnet import ScenarioConfig, presets
-
-    if strategy != "A/B":
-        return presets.preset(name, strategy=strategy)
-    data = presets.preset(name, strategy="A").emit()
-    for k, junction in enumerate(data["junctions"]):
-        junction["strategy"] = "AB"[k % 2]
-    return ScenarioConfig(data)
-
-
-@pytest.mark.parametrize("state", ["initial", "stirred", "signed zeros"])
-@pytest.mark.parametrize("name, strategy", [
-    ("test1_sub90", "B"), ("test6_network", "A"), ("test1_sub90", "psfp"), ("test6_network", "A/B"),
-])
+@pytest.mark.parametrize("state", SLOPE_STATES)
+@pytest.mark.parametrize("name, strategy", SLOPE_NETWORKS)
 def test_reconstruct_with_build_time_stencil_equals_former_formula(name, strategy, state):
-    from swnet import build_simulation
-
-    sim = build_simulation(scenario(name, strategy))
-    f, jf = sim.field, sim.junction_field
-    rng = np.random.default_rng(4)
-    for q in (f.q,) if jf is None else (f.q, jf.mesh_field.q):
-        if state != "initial":
-            q[:, 0] = rng.uniform(0.14, 0.2, len(q))
-            q[:, 1:] = q[:, :1] * rng.uniform(-0.15, 0.15, (len(q), 2))
-        if state == "signed zeros":
-            q[rng.integers(0, 3, len(q)) == 0, 1] = -0.0
-            q[rng.integers(0, 3, len(q)) == 0, 1] = 0.0
-    if jf is None:  # a PSFP junction: every end cell keeps a zero slope
-        f.reconstruct()
-        want = former_reconstruct(f, None)
-    else:
-        jf.reconstruct(f)
-        nbr = jf.channel_neighbors()
-        f.reconstruct(nbr)
-        want = former_reconstruct(f, (jf._ends, nbr, jf._nbr_dists))
-    assert np.array_equal(f.slopes, want)
-    assert np.array_equal(np.signbit(f.slopes), np.signbit(want))
+    # The record's entry holds the slopes of the reconstruction as it was
+    # when the stencil geometry was worked out on every call: with junction
+    # neighbours (Methods A and B) and without (PSFP, every end slope 0).
+    label = f"slopes {name} {strategy} {state}"
+    assert not bit_record.entry_differences("steps", label)

@@ -28,16 +28,29 @@ in these sections:
   error;
 - `strips`: on `generated.strip_mesh()`, the cells that the initial state
   and two strip gauges select on each of 300 oblique channels.
+- `kernels`: `hllc_rows` on each `generated.hllc_pair`; `jacobian_rows` on
+  `generated.jacobian_states()`, with and without the y gradients; the
+  messages of `junctions.wiring_errors` on `generated.generated_wiring` seeds
+  0-39;
+- `steps`: per step of each `generated.step_cases()` network from its
+  `stirred` states, 12 steps, the `step_fluxes` triple (face fluxes,
+  junction edge fluxes, boundary inflow rate) of the step's face states;
+  per step of each `generated.stirred_reference`, 8 steps, its boundary
+  edges' fluxes and inflow rate; and the `ChannelField.reconstruct` slopes
+  of each `generated.slope_case`.
 
 Floats are digested by their shortest repr, which tells every bit apart,
 -0.0 from 0.0 included, and arrays by their dtype, shape and bytes.
 `tests/test_bit_record.py` recomputes the record and names each entry and
-part that differs. A change that moves results on purpose rewrites the
-record and lists what this tool prints in CHANGES.md.
+part that differs, then, as their likely cause, each fingerprint item that
+differs; a fingerprint that differs while every entry keeps its bits fails
+nothing. A change that moves results on purpose rewrites the record and
+lists what this tool prints in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -49,7 +62,8 @@ import compare_runs
 
 RECORD = Path(__file__).resolve().parents[1] / "tests" / "bit_record.json"
 STEPS, REFERENCE_STEPS = 200, 12
-SECTIONS = ("runs", "references", "points", "junctions", "patches", "strips")
+SECTIONS = ("runs", "references", "points", "junctions", "patches", "strips", "kernels", "steps")
+NETWORK_STEPS, BOUNDARY_STEPS = 12, 8
 OUTCOME = ("status", "steps", "failure", "message")
 SERIES = ("gauges", "channels", "junctions", "ledger")
 
@@ -263,6 +277,111 @@ def strip_entries() -> dict:
     return out
 
 
+def kernel_makers() -> dict:
+    """{label: function giving the entry's parts} of the `kernels` section."""
+    from swnet.junctions import wiring_errors
+    from swnet.core import PhysicalParams, jacobian_rows
+    from swnet.riemann import hllc_rows
+
+    gen, g = compare_runs.generator(), PhysicalParams().g
+
+    def hllc(pairing):
+        qL, qR = gen.hllc_pair(pairing)
+        return {"rows": list(hllc_rows(*qL.T, *qR.T, g))}
+
+    def jacobian(with_c):
+        q, b, c = (a.T.copy() for a in gen.jacobian_states())
+        return {"rows": jacobian_rows(q, b, c if with_c else None, g)}
+
+    def wiring(seed):
+        return {"errors": wiring_errors(*gen.generated_wiring(seed))}
+
+    return {
+        **{f"hllc_rows {p}": functools.partial(hllc, p) for p in gen.HLLC_PAIRINGS},
+        **{f"jacobian_rows {w} c": functools.partial(jacobian, w == "with")
+           for w in ("with", "without")},
+        **{f"wiring_errors {seed}": functools.partial(wiring, seed) for seed in range(40)},
+    }
+
+
+def step_flux_parts(cfg) -> dict:
+    """Per step of the `stirred` network of `cfg`: `step_fluxes` from the
+    step's face states, then the step itself."""
+    sim = compare_runs.generator().stirred(cfg)
+    field, cells = sim.field, sim.junction_field
+    parts = {"face fluxes": [], "edge fluxes": [], "inflow": []}
+    for _ in range(NETWORK_STEPS):
+        dt = sim.compute_dt()
+        nbr = None
+        if cells is not None:
+            cells.reconstruct(field)
+            nbr = cells.channel_neighbors()
+        field.reconstruct(nbr)
+        field.face_state(dt)
+        for values, value in zip(parts.values(), sim.step_fluxes(dt)):
+            values.append(value)
+        sim.advance(dt)
+    return parts
+
+
+def boundary_parts(name) -> dict:
+    """Per step of a `stirred_reference`: its boundary edges' fluxes and
+    inflow rate, then the step itself."""
+    from swnet.scheme2d import interior_edge_fluxes
+
+    sim = compare_runs.generator().stirred_reference(name)
+    parts = {"boundary fluxes": [], "inflow": []}
+    for _ in range(BOUNDARY_STEPS):
+        dt = sim.compute_dt()
+        sim.field.reconstruct()
+        qL, qR = sim.field.edge_states(dt)
+        flux = interior_edge_fluxes(sim.field, qL, qR)
+        parts["inflow"].append(sim.boundary_fluxes(qL, flux))
+        parts["boundary fluxes"].append(flux[sim.mesh.boundary])
+        sim.advance(dt)
+    return parts
+
+
+def slope_parts(name, strategy, state) -> dict:
+    sim = compare_runs.generator().slope_case(name, strategy, state)
+    field, cells = sim.field, sim.junction_field
+    if cells is None:
+        field.reconstruct()
+    else:
+        cells.reconstruct(field)
+        field.reconstruct(cells.channel_neighbors())
+    return {"slopes": field.slopes}
+
+
+def step_makers() -> dict:
+    """{label: function giving the entry's parts} of the `steps` section."""
+    gen = compare_runs.generator()
+    return {
+        **{f"step_fluxes {label}": functools.partial(step_flux_parts, cfg)
+           for label, cfg in gen.step_cases().items()},
+        **{f"boundary_fluxes {name}": functools.partial(boundary_parts, name)
+           for name in gen.STIRRED_REFERENCES},
+        **{f"slopes {name} {strategy} {state}": functools.partial(slope_parts, name, strategy, state)
+           for name, strategy in gen.SLOPE_NETWORKS for state in gen.SLOPE_STATES},
+    }
+
+
+MAKERS = {"kernels": kernel_makers, "steps": step_makers}
+
+
+def made(make) -> dict:
+    return {k: digest(v) for k, v in make().items()}
+
+
+def entry_differences(section, label) -> list:
+    """`differences` of the record from its `kernels` or `steps` entry
+    `label`, made here."""
+    record = load()
+    old = {"numpy": record["numpy"], section: {label: record[section][label]}}
+    new = {"numpy": fingerprint(), section: {label: made(MAKERS[section]()[label])}}
+    return differences(old, new)
+
+
 def build(runs=None) -> dict:
     """The record of the swnet on sys.path; `runs`, if given, are its
     `compare_runs.run_matrix(STEPS)` results."""
@@ -274,16 +393,25 @@ def build(runs=None) -> dict:
         "junctions": junction_entries(),
         "patches": patch_entries(),
         "strips": strip_entries(),
+        **{section: {label: made(make) for label, make in makers().items()}
+           for section, makers in MAKERS.items()},
     }
 
 
-def differences(old: dict, new: dict) -> list:
-    """One line per fingerprint item and per entry that differ:
-    "numpy <item>: <old> recorded, <new> here", or "<section>: <label>:
-    <parts>", where an entry on one side only is "gone" or "new"."""
+def fingerprint_differences(old: dict, new: dict) -> list:
+    """One line per fingerprint item that differs: "numpy <item>: <old>
+    recorded, <new> here"."""
     a, b = old.get("numpy", {}), new.get("numpy", {})
-    out = [f"numpy {k}: {a.get(k)} recorded, {b.get(k)} here"
-           for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+    return [f"numpy {k}: {a.get(k)} recorded, {b.get(k)} here"
+            for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+
+
+def differences(old: dict, new: dict) -> list:
+    """One line per entry that differs, "<section>: <label>: <parts>",
+    where an entry on one side only is "gone" or "new"; then, if any does,
+    the `fingerprint_differences`, as their likely cause. A fingerprint that
+    differs while every entry keeps its bits gives no line."""
+    out = []
     for section in SECTIONS:
         a, b = old.get(section, {}), new.get(section, {})
         for label in dict.fromkeys([*a, *b]):
@@ -294,7 +422,8 @@ def differences(old: dict, new: dict) -> list:
                      if a[label].get(p) != b[label].get(p)]
             if parts:
                 out.append(f"{section}: {label}: {', '.join(parts)}")
-    return out
+    causes = [f"{line} (a likely cause)" for line in fingerprint_differences(old, new)]
+    return out + causes if out else []
 
 
 def load() -> dict:
@@ -315,8 +444,7 @@ def main() -> int:
     old = load() if RECORD.exists() else {}
     new = build()
     RECORD.write_text(dumps(new))
-    moved = differences(old, new)
-    print("\n".join(moved) if moved else "no entry moved")
+    print("\n".join(differences(old, new) or ["no entry moved", *fingerprint_differences(old, new)]))
     print(f"wrote {RECORD.name}: " + ", ".join(f"{len(new[s])} {s}" for s in SECTIONS))
     return 0
 

@@ -64,26 +64,18 @@ gradients component-major in `MeshField.grad` stores the neighbours as (c, n)
 and the operators as (2, c, n), which are transposed back), of the initial state
 and of each gauge's cells and weights, and, after --steps steps, of the
 gauge series, the final state and the volume ledger (initial and final
-volume, boundary influx and volume defect). A second table gives the median
-build time per reference and tree, for information: it is not compared.
-The builds are timed in `ROUNDS` rounds, one fresh interpreter per tree and
-round, which builds each reference once untimed and then `TIMED_BUILDS`
-times, each after a garbage collection; the tree
-that builds first alternates from round to round, so that a drift of the
-host falls on both trees alike.
+volume, boundary influx and volume defect).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import importlib.util
 import io
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +349,6 @@ REFERENCE_RUNS = [
 # the centre of a split quad, which two cells contain at centroid distances
 # that differ only in their last bits.
 POINT_GAUGES = {"test6_network dx=0.02": [("inlet", (-1.49, 0.005)), ("split", (-1.49, 0.01))]}
-ROUNDS, TIMED_BUILDS = 5, 3
 MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "edge_vb",
                "edge_tags")
 
@@ -446,50 +437,6 @@ def compare_reference(old: dict, new: dict):
             row.append("identical" if not differ else "differ: " + ", ".join(differ))
         lines.append(f"| {label} | {cells} | " + " | ".join(row) + " |")
     return lines, problems
-
-
-def build_seconds() -> dict:
-    """{label: [seconds, ...]} of `TIMED_BUILDS` timed builds of each
-    reference, after one untimed build, each after a garbage collection,
-    with the swnet on sys.path."""
-    out = {}
-    for label, _, build in references():
-        build()
-        out[label] = []
-        for _ in range(TIMED_BUILDS):
-            gc.collect()
-            start = time.perf_counter()
-            build()
-            out[label].append(time.perf_counter() - start)
-    return out
-
-
-def timed_round(tree: Path) -> dict:
-    """`build_seconds()` of `tree`, in a fresh interpreter."""
-    cmd = [sys.executable, __file__, "--worker", str(tree), "--time-builds"]
-    return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-
-
-def time_builds(trees) -> list:
-    """[{label: [seconds, ...]}, ...], one dict per tree: in each round both
-    trees time every build, the first tree first in even rounds and the
-    second first in odd ones."""
-    times = [{}, {}]
-    for k in range(ROUNDS):
-        for side in (0, 1) if k % 2 == 0 else (1, 0):
-            for label, seconds in timed_round(trees[side]).items():
-                times[side].setdefault(label, []).extend(seconds)
-    return times
-
-
-def build_times(old: dict, new: dict) -> list:
-    """Markdown lines: the median build time of each reference per tree."""
-    lines = ["| reference | old build, ms (median) | new build, ms | new / old |",
-             "|---|---|---|---|"]
-    for label in old:
-        a, b = np.median(old[label]), np.median(new[label])
-        lines.append(f"| {label} | {1e3 * a:.1f} | {1e3 * b:.1f} | {b / a:.3f} |")
-    return lines
 
 
 def run_tree(tree: Path, steps: int, reference=False):
@@ -627,14 +574,11 @@ def main(argv=None) -> int:
     p.add_argument("--reference", action="store_true",
                    help="compare the full-2D references bit for bit")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--time-builds", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     steps = args.steps or (12 if args.reference else 200)
     if args.worker:
         sys.path.insert(0, str(args.worker / "src"))
-        if args.time_builds:
-            json.dump(build_seconds(), sys.stdout)
-        elif args.reference:
+        if args.reference:
             buf = io.BytesIO()
             np.savez(buf, **run_reference(steps))
             sys.stdout.buffer.write(buf.getvalue())
@@ -648,9 +592,6 @@ def main(argv=None) -> int:
         lines, problems = compare_reference(old, new)
         print("\n".join(lines))
         print(f"\n{len(REFERENCE_RUNS)} references, {steps} steps each, {problems} problems")
-        print(f"\nBuild times, {TIMED_BUILDS} in each of {ROUNDS} alternating rounds, "
-              "for information (not compared):\n")
-        print("\n".join(build_times(*time_builds(args.trees))))
     else:
         lines, problems = compare(old, new, args.rtol)
         print("\n".join(lines))
