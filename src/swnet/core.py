@@ -119,19 +119,18 @@ def flat_rows(rows: np.ndarray) -> np.ndarray:
     return (3 * rows[:, None] + np.arange(3)).ravel()
 
 
-def rotate_state(q: np.ndarray, theta) -> np.ndarray:
-    """Rotate momenta into the frame whose normal is at angle theta.
+def rotate_state(q: np.ndarray, c, s) -> np.ndarray:
+    """States q, (3,) or (n, 3), in the frame whose normal has cosine c and
+    sine s: depth unchanged, (hu, hv) -> (hu_n, hu_t) by `to_normal`. The
+    result is the `.T` view of (3, n) component rows, which its own `.T`
+    gives back without a copy."""
+    return np.array([q[..., 0], *to_normal(q[..., 1], q[..., 2], c, s)]).T
 
-    Depth is unchanged; (hu, hv) -> (hu_n, hu_t) by `to_normal`.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([q[..., 0], *to_normal(q[..., 1], q[..., 2], c, s)], axis=-1)
 
-
-def rotate_back(f: np.ndarray, theta) -> np.ndarray:
-    """Inverse rotation: map a vector from the normal frame back to global axes."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([f[..., 0], *from_normal(f[..., 1], f[..., 2], c, s)], axis=-1)
+def rotate_back(f: np.ndarray, c, s) -> np.ndarray:
+    """Inverse of `rotate_state`: f from the normal frame back to global
+    axes by `from_normal`, laid out as `rotate_state`'s result."""
+    return np.array([f[..., 0], *from_normal(f[..., 1], f[..., 2], c, s)]).T
 
 
 def max_wave_speed(q: np.ndarray, params: PhysicalParams):

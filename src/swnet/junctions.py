@@ -74,7 +74,8 @@ from .core import (
     PhysicalParams,
     flat_rows,
     from_normal,
-    to_normal,
+    rotate_back,
+    rotate_state,
 )
 from .geometry import TriMesh, build_junction_polygons
 from .meshing import disjoint_union, fan_refine_mesh
@@ -99,13 +100,6 @@ def project_transverse(q: np.ndarray):
     out = np.zeros(q.shape)
     out[..., 0], out[..., 1] = q[..., 0], hu_new
     return out, np.hypot(hu_new - hu, hv)
-
-
-def _normal_rows(q, c, s):
-    """(3, n) normal-frame component rows of global-frame states q (n, 3) on
-    edges whose normals have cosines c and sines s."""
-    h, hu, hv = q.T
-    return np.array([h, *to_normal(hu, hv, c, s)])
 
 
 class JunctionField:
@@ -145,10 +139,10 @@ class JunctionField:
         self._cpl_sigma = self._end_sigma[self._cpl_end]
         chans = [field.channels[field.index[ch]] for ch, _ in self.ends]
         self._end_widths = np.array([ch.width for ch in chans])
-        # Axis cosines and sines; the coupling edges' (sine negated) rotate back.
+        # Axis cosines and sines per end and per coupling edge.
         alpha = np.array([ch.axis_angle for ch in chans])
         self._end_cs = np.cos(alpha), np.sin(alpha)
-        self._cpl_back = np.cos(alpha)[self._cpl_end], -np.sin(alpha)[self._cpl_end]
+        self._cpl_cs = np.cos(alpha)[self._cpl_end], np.sin(alpha)[self._cpl_end]
         self._cpl_cells = field.end_cell[self._ends][self._cpl_end]
         # Per coupling edge: its row of `field.faces`, and the weights of its
         # fluxes in the end totals (sigma * length is exact: sigma is +-1) and
@@ -211,7 +205,7 @@ class JunctionField:
         return self.mesh_field.dt_bound()
 
     def reconstruct(self, field):
-        vv = _normal_rows(field.q.take(self._cpl_cells, axis=0), *self._cpl_back).T
+        vv = rotate_back(field.q.take(self._cpl_cells, axis=0), *self._cpl_cs)
         self.mesh_field.reconstruct(virtual_values=vv)
 
     def channel_neighbors(self):
@@ -221,7 +215,7 @@ class JunctionField:
         qavg = np.empty((len(self.ends), 3))
         for put, cells, w in self._nbr_groups:
             qavg.put(put, np.matmul(w, q.take(cells, axis=0)))
-        return _normal_rows(qavg, *self._end_cs).T
+        return rotate_state(qavg, *self._end_cs)
 
     def compute_fluxes(self, field, dt: float, batch):
         """Queue the Riemann problem of every edge on `batch` (a
@@ -238,8 +232,7 @@ class JunctionField:
         """
         c, s = self.mesh.edge_cos, self.mesh.edge_sin
         qL, qR = self.mesh_field.edge_states(dt)
-        left = _normal_rows(qL, c, s)
-        right = _normal_rows(qR, c, s)
+        left, right = rotate_state(qL, c, s).T, rotate_state(qR, c, s).T
         walls, edges = self._wall_edges, self._cpl_edges
         right.put(self._wall_put, mirrored(left.take(walls, axis=1).T).T)
         q1 = field.faces.take(self._cpl_slot, axis=0)

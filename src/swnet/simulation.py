@@ -46,8 +46,8 @@ from .core import (
     PhysicalParams,
     PositivityError,
     flat_rows,
-    from_normal,
-    to_normal,
+    rotate_back,
+    rotate_state,
 )
 from .geometry import Channel, MeshError, TriMesh
 from .junctions import JunctionField, JunctionSpec, PSFPJunction, project_transverse, wiring_errors
@@ -473,14 +473,13 @@ class Mesh2DSimulation(TimeStepper):
         batch = RiemannBatch()
         solved = []
         for edges, c, s, ghost in self._boundary_groups:
-            h, hu, hv = qL[edges].T
-            q = np.stack([h, *to_normal(hu, hv, c, s)], axis=-1)
+            q = rotate_state(qL[edges], c, s)
             solved.append(boundary_flux(q, ghost, self.t, self.params, batch))
         batch.solve(self.params)
         inflow = 0.0
         for (edges, c, s, _), f in zip(self._boundary_groups, solved):
             inflow -= float(np.sum(self.mesh.edge_lengths[edges] * f[:, 0]))
-            flux[edges] = np.stack([f[:, 0], *from_normal(f[:, 1], f[:, 2], c, s)], axis=-1)
+            flux[edges] = rotate_back(f, c, s)
         return inflow
 
     def sample_gauges(self):

@@ -65,6 +65,10 @@ def test_a_changed_numpy_fingerprint_is_named():
     here["numpy"]["simd found"] = here["numpy"]["simd found"][:-1]
     # Every entry keeps its bits: nothing fails.
     assert bit_record.differences(recorded, here) == []
+    # Only a new entry: it is listed, and no numpy build is blamed for it.
+    grown = copy.deepcopy(here)
+    grown["steps"]["an added entry"] = {"inflow": bit_record.digest(0.0)}
+    assert bit_record.differences(recorded, grown) == ["steps: an added entry: new"]
     # One entry moves: it is named, then the fingerprint as the likely cause.
     label = next(iter(here["steps"]))
     here["steps"][label]["inflow"] = bit_record.digest(0.0)

@@ -19,7 +19,7 @@ from swnet.core import (
 )
 
 import bit_record
-from generated import jacobian_states, random_states
+from generated import jacobian_states, random_states, signed_zero_states
 
 P = PhysicalParams()
 
@@ -72,24 +72,25 @@ class TestFriction:
 class TestRotation:
     def test_identity(self):
         q = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(rotate_state(q, 0.0), q, atol=0.0)
+        assert np.allclose(rotate_state(q, 1.0, 0.0), q, atol=0.0)
 
     def test_quarter_turn(self):
-        out = rotate_state(np.array([1.0, 1.0, 0.0]), np.pi / 2)
+        out = rotate_state(np.array([1.0, 1.0, 0.0]), np.cos(np.pi / 2), np.sin(np.pi / 2))
         assert np.allclose(out, [1.0, 0.0, -1.0], atol=1e-15)
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         q = random_states(500, seed=1)
         th = rng.uniform(-7, 7, 500)
-        back = rotate_back(rotate_state(q, th), th)
+        c, s = np.cos(th), np.sin(th)
+        back = rotate_back(rotate_state(q, c, s), c, s)
         assert np.abs(back - q).max() < 1e-14
 
     def test_preserves_depth_and_momentum_norm(self):
         rng = np.random.default_rng(2)
         q = random_states(500, seed=2)
         th = rng.uniform(0, 2 * np.pi, 500)
-        r = rotate_state(q, th)
+        r = rotate_state(q, np.cos(th), np.sin(th))
         assert np.all(r[:, 0] == q[:, 0])
         n0 = np.hypot(q[:, 1], q[:, 2])
         n1 = np.hypot(r[:, 1], r[:, 2])
@@ -98,7 +99,7 @@ class TestRotation:
     def test_rotate_back_pure_pressure(self):
         p = 4.905
         th = 0.7
-        out = rotate_back(np.array([0.0, p, 0.0]), th)
+        out = rotate_back(np.array([0.0, p, 0.0]), np.cos(th), np.sin(th))
         assert np.allclose(out, [0.0, p * np.cos(th), p * np.sin(th)], atol=1e-14)
 
     def test_rotational_invariance_identity(self):
@@ -106,10 +107,37 @@ class TestRotation:
         rng = np.random.default_rng(4)
         q = random_states(1000, seed=4)
         th = rng.uniform(0, 2 * np.pi, 1000)
-        lhs = np.cos(th)[:, None] * physical_flux(q, P) + np.sin(th)[:, None] * physical_flux_y(q, P)
-        rhs = rotate_back(physical_flux(rotate_state(q, th), P), th)
+        c, s = np.cos(th), np.sin(th)
+        lhs = c[:, None] * physical_flux(q, P) + s[:, None] * physical_flux_y(q, P)
+        rhs = rotate_back(physical_flux(rotate_state(q, c, s), P), c, s)
         scale = np.abs(physical_flux(q, P)).max()
         assert np.abs(lhs - rhs).max() < 1e-12 * scale
+
+    def test_rotate_back_is_rotate_state_with_the_sine_negated(self):
+        # To the bit, signs of zero included: c hu - s hv is c hu + (-s) hv
+        # in IEEE arithmetic. One frame in four is axis-aligned, with an
+        # exact +0.0 or -0.0 cosine or sine.
+        n = 100_000
+        q = signed_zero_states(n, seed=5)
+        rng = np.random.default_rng(6)
+        th = rng.uniform(-np.pi, np.pi, n)
+        c, s = np.cos(th), np.sin(th)
+        axes = np.array([[1.0, 0.0], [1.0, -0.0], [-1.0, 0.0], [-1.0, -0.0],
+                         [0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [-0.0, -1.0]])
+        aligned = rng.integers(0, 4, n) == 0
+        c[aligned], s[aligned] = axes[rng.integers(0, len(axes), aligned.sum())].T
+
+        def bits(x):
+            return np.ascontiguousarray(x).view(np.uint64)
+
+        assert np.array_equal(bits(rotate_back(q, c, s)), bits(rotate_state(q, c, -s)))
+
+    def test_component_rows_are_the_transpose(self):
+        q = signed_zero_states(50, seed=7)
+        th = np.linspace(-3.0, 3.0, 50)
+        for rotate in (rotate_state, rotate_back):
+            out = rotate(q, np.cos(th), np.sin(th))
+            assert out.shape == (50, 3) and out.T.flags.c_contiguous
 
 
 class TestWaveSpeedsAndFroude:

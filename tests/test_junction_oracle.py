@@ -82,7 +82,8 @@ class OracleA:
             self.grad_y = np.zeros_like(self.q)
             return
         vals = np.repeat(self.q[:, None, :], self._kmax, axis=1)
-        vals[self._cpl_j, self._cpl_slot] = rotate_back(field.q[self._cpl_cells], self._alphas)
+        c, s = np.cos(self._alphas), np.sin(self._alphas)
+        vals[self._cpl_j, self._cpl_slot] = rotate_back(field.q[self._cpl_cells], c, s)
         grad = np.einsum(
             "jdk,jkv->jdv", self._recon, vals - self._lsq[:, None, None] * self.q[:, None, :]
         )
@@ -103,7 +104,8 @@ class OracleA:
         self.grad_y = self.grad_y * phi
 
     def channel_neighbors(self):
-        return self._cpl_ends, rotate_state(self.q[self._cpl_j], self._alphas), self._nbr_dists
+        c, s = np.cos(self._alphas), np.sin(self._alphas)
+        return self._cpl_ends, rotate_state(self.q[self._cpl_j], c, s), self._nbr_dists
 
     def compute_fluxes(self, field, dt):
         e = self._edge_j
@@ -111,7 +113,8 @@ class OracleA:
         qf = self.q[e] + self._mid_off[:, 0, None] * gx + self._mid_off[:, 1, None] * gy
         if self.order >= 2:
             qf = qf - 0.5 * dt * jacobian_dot(qf, gx, gy, self.params)
-        qhat = rotate_state(qf, self._thetas)
+        c, s = np.cos(self._thetas), np.sin(self._thetas)
+        qhat = rotate_state(qf, c, s)
         fhat = np.empty_like(qhat)
         if len(self._wall_rows):
             fhat[self._wall_rows] = wall_flux(qhat[self._wall_rows], self.params)
@@ -122,7 +125,7 @@ class OracleA:
         fhat[rows] = fc
         f_ch = fc.copy()
         f_ch[:, 0] *= self._sigma
-        return rotate_back(fhat, self._thetas), (self._cpl_ends, f_ch)
+        return rotate_back(fhat, c, s), (self._cpl_ends, f_ch)
 
     def update(self, edge_fluxes, dt):
         net = np.add.reduceat(self._lengths[:, None] * edge_fluxes, self._edge_start, axis=0)

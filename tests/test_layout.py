@@ -123,11 +123,11 @@ PER_STEP = {
     "scheme1d.py": [f"ChannelField.{m}" for m in (
         "dt_bound", "reconstruct", "_limit", "face_state", "end_states", "interior_fluxes",
         "update")],
-    "junctions.py": ["project_transverse", "_normal_rows", *[f"JunctionField.{m}" for m in (
+    "junctions.py": ["project_transverse", *[f"JunctionField.{m}" for m in (
         "dt_bound", "reconstruct", "channel_neighbors", "compute_fluxes", "update")]],
     "simulation.py": ["_checked_dt", "NetworkSimulation.advance", "NetworkSimulation.step_fluxes"],
     "riemann.py": ["hllc_rows", "RiemannBatch.solve"],
-    "core.py": ["check_wet"],
+    "core.py": ["check_wet", "rotate_state", "rotate_back"],
     "scheme2d.py": [f"MeshField.{m}" for m in (
         "dt_bound", "reconstruct", "_fit_padded", "_fit", "_limit", "edge_states", "_face_states",
         "update")],
@@ -312,8 +312,6 @@ KEPT = {
     "core.conserved": "test oracle: the tests' state constructor, and criterion 8",
     "core.froude": "criterion 1 (tests/test_acceptance.py:26)",
     "core.physical_flux_y": "criterion 8's oracle",
-    "core.rotate_state": "the benchmark's tracer (core.rotate), and criterion 8",
-    "core.rotate_back": "the benchmark's tracer (core.rotate), and criterion 8",
     "junctions._cell_name": "error path: a non-finite junction cell names its junction and cell",
     "junctions.JunctionView.mesh": "the benchmark's Workload.cells "
                                    "(bench/swnet_bench/workloads.py:56), tools/compare_runs.py, "

@@ -408,10 +408,11 @@ def fingerprint_differences(old: dict, new: dict) -> list:
 
 def differences(old: dict, new: dict) -> list:
     """One line per entry that differs, "<section>: <label>: <parts>",
-    where an entry on one side only is "gone" or "new"; then, if any does,
-    the `fingerprint_differences`, as their likely cause. A fingerprint that
+    where an entry on one side only is "gone" or "new"; then, if some part
+    of an entry moved, the `fingerprint_differences`, as its likely cause.
+    No numpy build makes an entry new or gone, and a fingerprint that
     differs while every entry keeps its bits gives no line."""
-    out = []
+    out, moved = [], False
     for section in SECTIONS:
         a, b = old.get(section, {}), new.get(section, {})
         for label in dict.fromkeys([*a, *b]):
@@ -422,8 +423,9 @@ def differences(old: dict, new: dict) -> list:
                      if a[label].get(p) != b[label].get(p)]
             if parts:
                 out.append(f"{section}: {label}: {', '.join(parts)}")
+                moved = True
     causes = [f"{line} (a likely cause)" for line in fingerprint_differences(old, new)]
-    return out + causes if out else []
+    return out + causes if moved else out
 
 
 def load() -> dict:
