@@ -93,12 +93,32 @@ def friction_source(q: np.ndarray, params: PhysicalParams) -> np.ndarray:
     S_f = n^2 (u, v) sqrt(u^2 + v^2) / h^(4/3); opposes the velocity.
     """
     h, u, v = primitives(q, "friction_source")
+    out = np.zeros(np.shape(q))
     if params.manning_n == 0.0:
-        return np.zeros_like(q)
+        return out
     speed = np.sqrt(u * u + v * v)
     coef = params.g * h * params.manning_n**2 * speed / h ** (4.0 / 3.0)
-    zero = np.zeros_like(h)
-    return np.stack([zero, -coef * u, -coef * v], axis=-1)
+    out[..., 1] = -coef * u
+    out[..., 2] = -coef * v
+    return out
+
+
+def apply_update(q, dq, dt: float, params: PhysicalParams, cell_name) -> np.ndarray:
+    """The end of a conservative update of the (n, 3) states q by the
+    increments dq: Manning friction added to dq in place when
+    `params.manning_n > 0`, then q + dq. Raises NonFiniteError for the first
+    row that is not finite and PositivityError for the shallowest row when a
+    depth is not positive, naming the row's cell by `cell_name(row)`."""
+    if params.manning_n > 0.0:
+        dq += dt * friction_source(q, params)
+    q = q + dq
+    if not np.isfinite(q).all():
+        k = int(np.argmin(np.isfinite(q).all(axis=1)))
+        raise NonFiniteError(f"non-finite state in {cell_name(k)}")
+    if (q[:, 0] <= 0.0).any():
+        k = int(np.argmin(q[:, 0]))
+        raise PositivityError(f"negative depth {q[k, 0]:.3e} in {cell_name(k)}")
+    return q
 
 
 def to_normal(hu, hv, c, s):

@@ -42,15 +42,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    NonFiniteError,
-    PhysicalParams,
-    PositivityError,
-    flat_rows,
-    friction_source,
-    jacobian_dot,
-    max_wave_speed,
-)
+from .core import PhysicalParams, apply_update, flat_rows, jacobian_dot, max_wave_speed
 from .geometry import Channel
 # Unused here since the network step batches its Riemann problems; still
 # bound, as the benchmark's tracer test wraps it in this module.
@@ -261,16 +253,7 @@ class ChannelField:
     def update(self, flux, dt: float):
         """Conservative update from the face flux array, with explicit pointwise friction."""
         dq = -(dt / self.ds)[:, None] * (flux[1:] - flux[:-1]).take(self._left_face, axis=0)
-        if self.params.manning_n > 0.0:
-            dq += dt * friction_source(self.q, self.params)
-        self.q = self.q + dq
-        if not np.isfinite(self.q).all():
-            raise NonFiniteError(
-                f"non-finite state in {self._cell_name(np.argmin(np.isfinite(self.q).all(axis=1)))}"
-            )
-        if (self.q[:, 0] <= 0.0).any():
-            i = int(np.argmin(self.q[:, 0]))
-            raise PositivityError(f"negative depth {self.q[i, 0]:.3e} in {self._cell_name(i)}")
+        self.q = apply_update(self.q, dq, dt, self.params, self._cell_name)
 
     def positions(self, cells) -> np.ndarray:
         """Global (x, y) coordinates of the centers of `cells`."""

@@ -14,16 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    NonFiniteError,
-    PhysicalParams,
-    PositivityError,
-    friction_source,
-    from_normal,
-    jacobian_rows,
-    max_wave_speed,
-    to_normal,
-)
+from .core import PhysicalParams, apply_update, from_normal, jacobian_rows, max_wave_speed, to_normal
 from .geometry import TriMesh
 from .riemann import hllc_rows
 # Unused here since the boundary edges are solved on a batch; still bound, as
@@ -317,16 +308,7 @@ class MeshField:
             net = np.empty((3, m.n_cells))
             for k, w in enumerate(edge_flux_global.T * m.edge_lengths):
                 net[k] = np.bincount(cells, np.concatenate([-w, w.take(interior)]), m.n_cells)
-        dq = net * (dt / m.areas)
-        if self.params.manning_n > 0.0:
-            dq += dt * friction_source(self.q, self.params).T
-        self.q = self.q + dq.T
-        if not np.isfinite(self.q).all():
-            k = int(np.argmin(np.isfinite(self.q).all(axis=1)))
-            raise NonFiniteError(f"non-finite state in {self.cell_name(k)}")
-        if (self.q[:, 0] <= 0.0).any():
-            k = int(np.argmin(self.q[:, 0]))
-            raise PositivityError(f"negative depth {self.q[k, 0]:.3e} in {self.cell_name(k)}")
+        self.q = apply_update(self.q, (net * (dt / m.areas)).T, dt, self.params, self.cell_name)
 
 
 def _distinct_rows(a: np.ndarray):

@@ -63,7 +63,7 @@ def test_changed_config_of_a_rejected_scenario_is_a_problem():
 
 
 def test_changed_reference_ledger_is_a_problem(monkeypatch):
-    run = ("test1_sub90", None, 0.05)
+    run = ("test1_sub90", None, 0.0, 0.05)
     monkeypatch.setattr(compare_runs, "REFERENCE_RUNS", [run])
     label = compare_runs.reference_label(*run)
     old = {f"{label}/mesh/triangles": np.zeros((4, 3), dtype=int),
@@ -123,7 +123,7 @@ def test_changed_geometry_is_a_problem_per_array():
 
 
 def test_changed_gauge_cell_is_a_problem(monkeypatch):
-    run = ("test6_network", None, 0.02)
+    run = ("test6_network", None, 0.0, 0.02)
     monkeypatch.setattr(compare_runs, "REFERENCE_RUNS", [run])
     label = compare_runs.reference_label(*run)
     assert compare_runs.POINT_GAUGES[label]

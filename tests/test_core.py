@@ -102,17 +102,6 @@ class TestRotation:
         out = rotate_back(np.array([0.0, p, 0.0]), np.cos(th), np.sin(th))
         assert np.allclose(out, [0.0, p * np.cos(th), p * np.sin(th)], atol=1e-14)
 
-    def test_rotational_invariance_identity(self):
-        # cos(th) F(Q) + sin(th) G(Q) = T^-1 F(T Q) for random states and angles
-        rng = np.random.default_rng(4)
-        q = random_states(1000, seed=4)
-        th = rng.uniform(0, 2 * np.pi, 1000)
-        c, s = np.cos(th), np.sin(th)
-        lhs = c[:, None] * physical_flux(q, P) + s[:, None] * physical_flux_y(q, P)
-        rhs = rotate_back(physical_flux(rotate_state(q, c, s), P), c, s)
-        scale = np.abs(physical_flux(q, P)).max()
-        assert np.abs(lhs - rhs).max() < 1e-12 * scale
-
     def test_rotate_back_is_rotate_state_with_the_sine_negated(self):
         # To the bit, signs of zero included: c hu - s hv is c hu + (-s) hv
         # in IEEE arithmetic. One frame in four is axis-aligned, with an

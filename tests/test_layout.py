@@ -127,7 +127,7 @@ PER_STEP = {
         "dt_bound", "reconstruct", "channel_neighbors", "compute_fluxes", "update")]],
     "simulation.py": ["_checked_dt", "NetworkSimulation.advance", "NetworkSimulation.step_fluxes"],
     "riemann.py": ["hllc_rows", "RiemannBatch.solve"],
-    "core.py": ["check_wet", "rotate_state", "rotate_back"],
+    "core.py": ["check_wet", "friction_source", "apply_update", "rotate_state", "rotate_back"],
     "scheme2d.py": [f"MeshField.{m}" for m in (
         "dt_bound", "reconstruct", "_fit_padded", "_fit", "_limit", "edge_states", "_face_states",
         "update")],
@@ -388,8 +388,8 @@ def run_entry_points(out: Path):
         except ConfigError:
             continue
         sim.run(cfg.t_end, max_steps=3)
-    for name, ends, dx in compare_runs.REFERENCE_RUNS:
-        cfg = compare_runs.boundary_variant(preset, name, None, ends or {}, None)
+    for name, ends, manning_n, dx in compare_runs.REFERENCE_RUNS:
+        cfg = compare_runs.reference_scenario(preset, name, ends, manning_n)
         build_reference_sim(cfg, dx).run(cfg.t_end, max_steps=3)
     scenario = out / "scenario.json"
     scenario.write_text(json.dumps(preset("test1_sub90").emit()))

@@ -27,8 +27,8 @@ from test_geometry import assert_edge_table, assert_footprint, assert_stencils_f
 
 # Every preset and size at or above 0.05 at which `build_reference_sim`
 # builds a reference.
-REFERENCES = [(name, dx) for name, ends, dx in compare_runs.REFERENCE_RUNS
-              if ends is None and dx >= 0.05]
+REFERENCES = [(name, dx) for name, ends, manning_n, dx in compare_runs.REFERENCE_RUNS
+              if ends is None and not manning_n and dx >= 0.05]
 
 
 def bits(a) -> tuple:
@@ -299,8 +299,9 @@ def assert_boundary_groups(sim, conds):
 
 
 class TestBoundaryGroups:
-    @pytest.mark.parametrize("name, ends, dx", [run for run in compare_runs.REFERENCE_RUNS
-                                                if run[2] >= 0.05])
+    @pytest.mark.parametrize("name, ends, dx", [
+        (name, ends, dx) for name, ends, manning_n, dx in compare_runs.REFERENCE_RUNS
+        if dx >= 0.05 and not manning_n])
     def test_references(self, monkeypatch, name, ends, dx):
         calls = recorded(monkeypatch, studies, "Mesh2DSimulation")
         cfg = compare_runs.boundary_variant(preset, name, None, ends or {}, None)

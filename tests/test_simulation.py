@@ -17,7 +17,7 @@ from swnet.config import (
     build_simulation,
     junction_specs,
 )
-from swnet.core import DryStateError, NonFiniteError, PhysicalParams
+from swnet.core import DryStateError, NonFiniteError, PhysicalParams, PositivityError
 from swnet.geometry import Channel, MeshError
 from swnet.junctions import JunctionSpec
 from swnet.meshing import rect_union_mesh
@@ -271,7 +271,7 @@ class TestAdvance:
         # arrays, as the benchmark's gate reads them after running a copy.
         sim = build_simulation(presets.preset("test1_sub90"))
         run = copy.deepcopy(sim)
-        run.run(0.5)
+        run.run(2.5)  # past the inflow pulse's arrival at the junction
         seg = run.fields["ch1"]
         assert np.array_equal(seg.q, run.field.q[seg.first : seg.first + seg.n])
         assert not np.array_equal(seg.q, sim.fields["ch1"].q)
@@ -328,12 +328,14 @@ class TestAdvance:
             assert abs(d["volume_defect"]) <= 1e-12 * d["initial_volume"]
 
     def test_successive_runs_report_their_own_junction_diagnostics(self):
+        # Past the inflow pulse's arrival at the junction, where momentum is
+        # discarded in each run.
         sim = build_simulation(presets.preset("test1_sub90"))
-        sim.run(0.5)
+        sim.run(2.5)
         fresh = copy.deepcopy(sim)
         fresh.diagnostics["transverse_momentum_discarded"] = 0.0
-        own = fresh.run(1.0).diagnostics["transverse_momentum_discarded"]
-        assert sim.run(1.0).diagnostics["transverse_momentum_discarded"] == own > 0.0
+        own = fresh.run(3.0).diagnostics["transverse_momentum_discarded"]
+        assert sim.run(3.0).diagnostics["transverse_momentum_discarded"] == own > 0.0
         sim = build_simulation(presets.preset("test4_super90"), strategy="psfp")
         runs = [sim.run(2.0) for _ in range(2)]
         assert [len(r.diagnostics["psfp_failures"]) for r in runs] == [1, 1]
@@ -421,6 +423,32 @@ class TestNonFinite:
         fluxes[0, 2] = np.nan
         with pytest.raises(NonFiniteError, match=f"junction {j.id}, 2D cell"):
             a.update(fluxes, 0.01)
+
+    @pytest.mark.parametrize("depth, error, message", [
+        (np.nan, NonFiniteError, "non-finite state in {}"),
+        (-1e-3, PositivityError, "negative depth -1.000e-03 in {}"),
+    ], ids=["nan", "negative"])
+    @pytest.mark.parametrize("cell", ["channel", "junction A", "junction B", "reference"])
+    def test_update_failure_messages(self, cell, depth, error, message):
+        """Each kind of cell fails its update with the same words: a bad
+        depth, zero fluxes, dt = 1e-3."""
+        cfg = presets.preset("test1_sub90")
+        if cell == "channel":
+            field = build_simulation(cfg).field
+            states, faces = field.q, field.n + len(field.channels)
+            k, name = field.offsets[field.index["ch2"]] + 4, "channel ch2 cell 4"
+        elif cell == "reference":
+            field = build_reference_sim(cfg, 0.1).field
+            states, faces, k, name = field.q, len(field.mesh.edge_lengths), 17, "2D cell 17"
+        else:
+            k = 0 if cell == "junction A" else 5
+            field = build_simulation(cfg, strategy=cell[-1]).junction_field
+            states, faces = field.mesh_field.q, len(field.mesh.edge_lengths)
+            name = f"junction j1, 2D cell {k}"
+        states[k, 0] = depth
+        with pytest.raises(error) as failure:
+            field.update(np.zeros((faces, 3)), 1e-3)
+        assert str(failure.value) == message.format(name)
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_psfp_junction_reports_nan_end_cell(self, column):

@@ -55,7 +55,9 @@ test6_network reference at dx = 0.1, 0.04 and 0.02, whose open boundary is
 one inflow; test1_sub90 with an inflow and far-field edges, test4_super90
 with prescribed and far-field edges, and test1_sub90 with two inflows, at
 dx = 0.05; then every other preset and size at which a reference builds;
-the one at dx = 0.02 also holds the point gauges of `POINT_GAUGES`) and
+then smooth1d with Manning friction at dx = 0.1, the only reference whose
+update adds friction; the one at dx = 0.02 also holds the point gauges of
+`POINT_GAUGES`) and
 requires exact equality: of every mesh array (vertices, triangles, the edge
 table and tags, each cell's neighbours), of the
 reconstruction stencils (cells, neighbours, the two slope rows of each
@@ -330,20 +332,24 @@ def run_matrix(steps: int) -> list[dict]:
     return out
 
 
-# (scenario name, boundary entries replaced or None, dx) per reference.
+# (scenario name, boundary entries replaced or None, Manning coefficient,
+# dx) per reference.
 REFERENCE_RUNS = [
-    *[("test6_network", None, dx) for dx in (0.1, 0.04, 0.02)],
-    ("test1_sub90", None, 0.05),
-    ("test4_super90", None, 0.05),
-    ("test1_sub90", TWO_INFLOWS, 0.05),
+    *[("test6_network", None, 0.0, dx) for dx in (0.1, 0.04, 0.02)],
+    ("test1_sub90", None, 0.0, 0.05),
+    ("test4_super90", None, 0.0, 0.05),
+    ("test1_sub90", TWO_INFLOWS, 0.0, 0.05),
     # Every other preset and size at which a reference builds.
-    *[(name, None, dx) for name in ("appA_angle0", "smooth1d", "test6_network_super")
+    *[(name, None, 0.0, dx) for name in ("appA_angle0", "smooth1d", "test6_network_super")
       for dx in (0.1, 0.05)],
-    ("test1_sub90", None, 0.1),
-    ("test4_super90", None, 0.1),
-    ("test6_network", None, 0.05),
-    ("appA_angle90", None, 0.05),
-    ("test2_asym90", None, 0.05),
+    ("test1_sub90", None, 0.0, 0.1),
+    ("test4_super90", None, 0.0, 0.1),
+    ("test6_network", None, 0.0, 0.05),
+    ("appA_angle90", None, 0.0, 0.05),
+    ("test2_asym90", None, 0.0, 0.05),
+    # No preset sets a Manning coefficient: the one reference whose update
+    # adds friction.
+    ("smooth1d", None, 0.03, 0.1),
 ]
 # Point gauges of a reference, by label: the benchmark's inlet point, and
 # the centre of a split quad, which two cells contain at centroid distances
@@ -353,9 +359,21 @@ MESH_ARRAYS = ("vertices", "triangles", "edge_left", "edge_right", "edge_va", "e
                "edge_tags")
 
 
-def reference_label(name, ends, dx) -> str:
+def reference_label(name, ends, manning_n, dx) -> str:
     kinds = [f"{c}:{e}={b['kind']}" for (c, e), b in (ends or {}).items()]
-    return " ".join([name, *kinds, f"dx={dx}"])
+    friction = [f"manning_n={manning_n}"] if manning_n else []
+    return " ".join([name, *kinds, *friction, f"dx={dx}"])
+
+
+def reference_scenario(preset, name, ends, manning_n):
+    """The preset with the boundary entries of `ends` replaced and, where
+    `manning_n` > 0, Manning friction."""
+    from swnet import ScenarioConfig
+
+    data = boundary_variant(preset, name, None, ends or {}, None).emit()
+    if manning_n:
+        data["physics"]["manning_n"] = manning_n
+    return ScenarioConfig(data)
 
 
 def references():
@@ -363,9 +381,9 @@ def references():
     with the swnet on sys.path."""
     from swnet import preset, studies
 
-    for name, ends, dx in REFERENCE_RUNS:
-        label = reference_label(name, ends, dx)
-        cfg = boundary_variant(preset, name, None, ends or {}, None)
+    for name, ends, manning_n, dx in REFERENCE_RUNS:
+        label = reference_label(name, ends, manning_n, dx)
+        cfg = reference_scenario(preset, name, ends, manning_n)
         yield label, cfg, functools.partial(studies.build_reference_sim, cfg, dx,
                                              extra_point_gauges=POINT_GAUGES.get(label, []))
 
@@ -423,8 +441,8 @@ def compare_reference(old: dict, new: dict):
     lines = ["| reference | cells | " + " | ".join(groups) + " |",
              "|---" * (2 + len(groups)) + "|"]
     problems = 0
-    for name, ends, dx in REFERENCE_RUNS:
-        label = reference_label(name, ends, dx)
+    for run in REFERENCE_RUNS:
+        label = reference_label(*run)
         cells = len(old[f"{label}/mesh/triangles"])
         row = []
         for g in groups:
